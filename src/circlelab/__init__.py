@@ -48,6 +48,6 @@ from .localdens import (
 )
 from .archimedean import main_term, major_arc_approx_check, sin_kernel, singular_integral_truncated
 from .weyldiag import alpha3_witness, count_bilinear, heights_from_sum, minor_arc_scan
-from .util import CapExceededError
+from .util import CapExceededError, InvariantError
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expsums import RationalApprox
-from .util import jordan_totient2
+from .util import InvariantError, jordan_totient2
 
 __all__ = [
     "q3q2",
@@ -91,7 +91,7 @@ def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> Ratio
     """Smallest q <= Q3 Q2 with |alpha_i - a_i/q| <= 1/(q Q_i) and coprime data.
 
     Existence is a pigeonhole guarantee; failure of the scan indicates a bug,
-    not bad input.
+    not bad input, and raises InvariantError.
     """
     if Q3 < 1 or Q2 < 1:
         raise ValueError("cutoffs must be positive integers")
@@ -109,12 +109,12 @@ def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> Ratio
             continue
         if not _exact_torus_bound(alpha2, a2, q, Fraction(1, q * Q2)):
             continue
-        approx = RationalApprox(
+        if math.gcd(q, math.gcd(a3, a2)) != 1:
+            raise InvariantError(f"unreduced fraction at minimal q = {q}: a = ({a3}, {a2})")
+        return RationalApprox(
             q, a3, a2, _torus_theta(alpha3, a3, q), _torus_theta(alpha2, a2, q)
         )
-        assert math.gcd(q, math.gcd(a3, a2)) == 1, "reduced fraction expected at minimal q"
-        return approx
-    raise AssertionError(
+    raise InvariantError(
         "pigeonhole guarantee violated; simultaneous approximation scan is buggy"
     )
 

@@ -1,6 +1,7 @@
 """Experiment runner: problem ingestion, subcommand dispatch, structured output.
 
-Exit codes: 0 success, 2 input/usage error, 3 budget or convergence failure.
+Exit codes: 0 success, 2 input/usage error, 3 budget, convergence or internal
+check failure.
 Floats are printed with 17 significant digits so identical invocations are
 byte-identical; randomized grids are driven entirely by --seed.
 """
@@ -36,7 +37,7 @@ from .forms import (
     smooth_point_test,
 )
 from .quadrature import QuadratureError
-from .util import CapExceededError, DEFAULT_CAP
+from .util import CapExceededError, DEFAULT_CAP, InvariantError
 from .weightfn import Weight
 
 __all__ = ["main", "run", "load_problem", "emit"]
@@ -500,10 +501,7 @@ def _cmd_series(args) -> tuple[object, str]:
         "value": res.value,
         "imag_residual": res.imag_residual,
         "terms": [{"q": q, "term": t} for q, t in res.terms],
-        "a_of_q": [
-            {"q": q, "A": localdens.a_of_q(pair, q, cap=args.cap, threads=args.threads)}
-            for q in range(1, args.R + 1)
-        ],
+        "a_of_q": [{"q": q, "A": a} for q, a in res.a_values],
     }
     return report, "json"
 
@@ -619,7 +617,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(args, "cap", None) is not None and "CIRCLELAB_CAP" in os.environ:
-        args.cap = int(os.environ["CIRCLELAB_CAP"])
+        try:
+            args.cap = int(os.environ["CIRCLELAB_CAP"])
+        except ValueError:
+            print(f"error: CIRCLELAB_CAP must be an integer, got {os.environ['CIRCLELAB_CAP']!r}",
+                  file=sys.stderr)
+            return 2
     try:
         report, fmt = _HANDLERS[args.command](args)
     except json.JSONDecodeError as exc:
@@ -629,7 +632,7 @@ def run(argv: list[str]) -> int:
         for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
-    except (CapExceededError, QuadratureError) as exc:
+    except (CapExceededError, InvariantError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

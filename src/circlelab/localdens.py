@@ -15,14 +15,16 @@ The truncated singular series is
 
 with the inner sum over pairs (a3, a2) coprime to q as a pair; its p-part
 partial sums reproduce delta_p(k) exactly, which the tests exploit as a
-cross-check between complete sums and residue counts.
+cross-check between complete sums and residue counts.  All S(a, q) come
+from the joint histogram of (C mod q, Q mod q); only prime-power moduli are
+scanned, and the histogram of a composite q is their exact CRT product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .forms import (
     gradient_quadratic,
 )
 from .gridsum import count_solutions_mod, eval_forms_mod, joint_histogram, residue_chunks
-from .util import CapExceededError, DEFAULT_CAP, factorize
+from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, factorize
 
 __all__ = [
     "count_mod",
@@ -139,12 +141,40 @@ def _coprime_pair_mask(q: int) -> np.ndarray:
     return np.gcd(g, q) == 1
 
 
-def _complete_sums_all_a(
-    pair: FormPair, q: int, cap: int = DEFAULT_CAP, threads: int = 1
-) -> np.ndarray:
-    """S(a, q) for all numerator pairs a mod q, via a 2-D DFT of the joint
-    histogram of (C mod q, Q mod q)."""
-    hist = joint_histogram(pair, q, cap=cap, threads=threads)
+def _joint_histograms(
+    pair: FormPair, moduli: Sequence[int], cap: int = DEFAULT_CAP, threads: int = 1
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, H_q) for each q in moduli, H_q[c, r] = #{y mod q : C(y) = c, Q(y) = r mod q}.
+
+    Only the prime powers p^e exactly dividing some modulus are scanned, each
+    once; the cap is charged their total sum_{p^e} p^{en} up front.  For
+    coprime r, s the CRT gives H_{rs}[c, t] = H_r[c mod r, t mod r] *
+    H_s[c mod s, t mod s], so composite H_q are exact integer products of
+    their prime-power parts.
+    """
+    n = pair.n
+    factors = {q: [p**e for p, e in factorize(q)] for q in moduli}
+    prime_powers = {pe for parts in factors.values() for pe in parts}
+    work = sum(pe**n for pe in prime_powers)
+    check_cap(work, cap, f"residue grids mod {len(prime_powers)} prime powers")
+    too_big = [q for q in factors if q**n > np.iinfo(np.int64).max]
+    if too_big:
+        raise CapExceededError(f"counts mod {too_big[0]} in {n} variables overflow int64")
+    scanned: dict[int, np.ndarray] = {}
+    for q in moduli:
+        hist, r = np.ones((1, 1), dtype=np.int64), 1
+        for s in factors[q]:
+            if s not in scanned:
+                scanned[s] = joint_histogram(pair, s, cap=cap, threads=threads)
+            idx = np.arange(r * s)
+            hist = hist[np.ix_(idx % r, idx % r)] * scanned[s][np.ix_(idx % s, idx % s)]
+            r *= s
+        yield q, hist
+
+
+def _complete_sums(hist: np.ndarray) -> np.ndarray:
+    """S(a, q) for all numerator pairs a mod q from the joint histogram H_q."""
+    q = hist.shape[0]
     # sum_{c,r} H[c,r] e_q(a3 c + a2 r) for all (a3, a2)
     return q * q * np.fft.ifft2(hist)
 
@@ -155,43 +185,38 @@ class SeriesResult:
     value: float
     terms: tuple[tuple[int, float], ...]
     imag_residual: float
+    a_values: tuple[tuple[int, float], ...]
 
 
 def singular_series_truncated(
     pair: FormPair, R: float, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> SeriesResult:
-    """S(R) with its per-q term trace; asserts the imaginary part is noise."""
+    """S(R) with its per-q trace of the terms T(q) and of A(q).
+
+    Raises InvariantError if the imaginary parts of the terms do not cancel.
+    """
     n = pair.n
-    total_work = sum(q**n for q in range(1, int(R) + 1))
-    if total_work > cap:
-        raise CapExceededError(
-            f"singular series up to R={R} needs {total_work} residue evaluations"
-        )
     terms = []
+    a_values = []
     real_acc = 0.0
     imag_acc = 0.0
-    for q in range(1, int(R) + 1):
-        if q == 1:
-            terms.append((1, 1.0))
-            real_acc += 1.0
-            continue
-        sums = _complete_sums_all_a(pair, q, cap=cap, threads=threads)
-        masked = sums[_coprime_pair_mask(q)]
+    for q, hist in _joint_histograms(pair, range(1, int(R) + 1), cap=cap, threads=threads):
+        masked = _complete_sums(hist)[_coprime_pair_mask(q)]
         term = complex(masked.sum()) / q**n
         real_acc += term.real
         imag_acc += term.imag
         terms.append((q, term.real))
+        a_values.append((q, float(np.abs(masked).sum())))
     imag_residual = abs(imag_acc)
-    assert imag_residual < 1e-9, f"singular series picked up imaginary mass {imag_acc}"
-    return SeriesResult(int(R), real_acc, tuple(terms), imag_residual)
+    if not imag_residual < 1e-9:
+        raise InvariantError(f"singular series picked up imaginary mass {imag_acc}")
+    return SeriesResult(int(R), real_acc, tuple(terms), imag_residual, tuple(a_values))
 
 
 def a_of_q(pair: FormPair, q: int, cap: int = DEFAULT_CAP, threads: int = 1) -> float:
-    """A(q) = sum over coprime pairs a of |S(a, q)|."""
-    if q == 1:
-        return 1.0
-    sums = _complete_sums_all_a(pair, q, cap=cap, threads=threads)
-    return float(np.abs(sums[_coprime_pair_mask(q)]).sum())
+    """A(q) = sum over coprime pairs a of |S(a, q)|; scans only the prime powers of q."""
+    ((_, hist),) = _joint_histograms(pair, [q], cap=cap, threads=threads)
+    return float(np.abs(_complete_sums(hist)[_coprime_pair_mask(q)]).sum())
 
 
 def q_factorization(q: int, a3: int, quadric: QuadraticForm) -> tuple[int, int, int]:
@@ -284,7 +309,8 @@ def _hensel_lift(pair: FormPair, x: Sequence[int], p: int, kmax: int) -> tuple[i
         pk = p**k
         fc = eval_cubic(pair.cubic, x)
         fq = eval_quadratic(pair.quadric, x)
-        assert fc % pk == 0 and fq % pk == 0
+        if fc % pk or fq % pk:
+            raise InvariantError(f"Hensel lift left a non-solution mod {p}^{k}")
         rows = [gradient_cubic(pair.cubic, x), gradient_quadratic(pair.quadric, x)]
         rhs = [(-(fc // pk)) % p, (-(fq // pk)) % p]
         delta = _solve_mod_p(rows, rhs, p, pair.n)
@@ -351,5 +377,4 @@ def density_report(
 ) -> DensityReport:
     hensel = tuple(hensel_stable(pair, p, kmax, cap=cap, threads=threads) for p in primes)
     series = singular_series_truncated(pair, R, cap=cap, threads=threads)
-    a_vals = tuple((q, a_of_q(pair, q, cap=cap, threads=threads)) for q in range(1, R + 1))
-    return DensityReport(tuple(primes), hensel, series, a_vals)
+    return DensityReport(tuple(primes), hensel, series, series.a_values)

@@ -1,4 +1,4 @@
-"""Small shared helpers: budget errors, factorization, deterministic reductions."""
+"""Small shared helpers: budget and invariant errors, factorization, deterministic reductions."""
 
 from __future__ import annotations
 
@@ -14,6 +14,10 @@ DEFAULT_CAP = 10**8
 
 class CapExceededError(RuntimeError):
     """Raised when a scan or sum would exceed the configured work budget."""
+
+
+class InvariantError(RuntimeError):
+    """Raised when a result fails an internal consistency check (a bug, not bad input)."""
 
 
 def check_cap(work: int, cap: int, what: str) -> None:

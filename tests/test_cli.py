@@ -1,9 +1,12 @@
 """CLI: problem loading, subcommands, output formats, determinism, exit codes."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
+from circlelab import arcs, localdens
 from circlelab.cli import ProblemError, emit, load_problem, run
 
 
@@ -20,6 +23,103 @@ LINE_PROBLEM = {
 def problem_file(tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps(LINE_PROBLEM))
+    return str(path)
+
+
+# non-diagonal n = 3 pair; the series output below was produced by scanning
+# the full residue grid of every q <= 12, not by the prime-power composition
+ND3_PROBLEM = {
+    "n": 3,
+    "cubic": [[1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, -1], [1, 2, 3, 1]],
+    "quadric": [[1, 1, 1], [1, 2, 1], [3, 3, -1], [2, 3, 2]],
+}
+
+ND3_SERIES_R12 = '''{
+  "R": 12,
+  "value": 12.409090909090908,
+  "imag_residual": 4.0179365985853794e-17,
+  "terms": [{
+    "q": 1,
+    "term": 1
+  }, {
+    "q": 2,
+    "term": 0.5
+  }, {
+    "q": 3,
+    "term": 1.9999999999999996
+  }, {
+    "q": 4,
+    "term": 1
+  }, {
+    "q": 5,
+    "term": 2.8421709430404008e-17
+  }, {
+    "q": 6,
+    "term": 1.0000000000000002
+  }, {
+    "q": 7,
+    "term": -2.0715531654813416e-16
+  }, {
+    "q": 8,
+    "term": 2
+  }, {
+    "q": 9,
+    "term": 2
+  }, {
+    "q": 10,
+    "term": 2.8421709430404008e-17
+  }, {
+    "q": 11,
+    "term": 0.90909090909090906
+  }, {
+    "q": 12,
+    "term": 2
+  }],
+  "a_of_q": [{
+    "q": 1,
+    "A": 1
+  }, {
+    "q": 2,
+    "A": 8
+  }, {
+    "q": 3,
+    "A": 61.749015732775078
+  }, {
+    "q": 4,
+    "A": 77.254833995939038
+  }, {
+    "q": 5,
+    "A": 257.7350822324313
+  }, {
+    "q": 6,
+    "A": 493.99212586220062
+  }, {
+    "q": 7,
+    "A": 1217.893295858715
+  }, {
+    "q": 8,
+    "A": 1280
+  }, {
+    "q": 9,
+    "A": 2757.0943098888411
+  }, {
+    "q": 10,
+    "A": 2061.8806578594504
+  }, {
+    "q": 11,
+    "A": 3234.0260401239134
+  }, {
+    "q": 12,
+    "A": 4770.409959848168
+  }]
+}
+'''
+
+
+@pytest.fixture
+def nd3_file(tmp_path):
+    path = tmp_path / "nd3.json"
+    path.write_text(json.dumps(ND3_PROBLEM))
     return str(path)
 
 
@@ -250,6 +350,70 @@ def test_env_cap_overrides_flag(problem_file, monkeypatch):
          "--q", "101", "--a3", "1", "--a2", "1", "--cap", "10000000"]
     )
     assert code == 3
+
+
+def test_env_cap_must_be_an_integer(problem_file, monkeypatch, capsys):
+    monkeypatch.setenv("CIRCLELAB_CAP", "abc")
+    assert run(["series", "--problem", problem_file, "--R", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: CIRCLELAB_CAP")
+
+
+def test_series_cap_charges_prime_power_scans(nd3_file, tmp_path):
+    # sum_{q <= 12} q^3 = 6084 > cap >= sum_{p^e <= 12} p^{3e} = 3139
+    code, text = run_to_file(
+        tmp_path, ["series", "--problem", nd3_file, "--R", "12", "--cap", "5000"]
+    )
+    assert code == 0
+    assert text == ND3_SERIES_R12
+
+
+def test_series_output_is_unchanged(nd3_file, tmp_path):
+    for threads in ("1", "2"):
+        code, text = run_to_file(
+            tmp_path, ["series", "--problem", nd3_file, "--R", "12", "--threads", threads]
+        )
+        assert code == 0
+        assert text == ND3_SERIES_R12, threads
+
+
+# ------------------------------------------------- internal checks, exit 3
+
+def _assert_internal_failure(argv, capsys, message):
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_series_imaginary_mass_exit(problem_file, monkeypatch, capsys):
+    sums = localdens._complete_sums
+    monkeypatch.setattr(localdens, "_complete_sums", lambda hist: sums(hist) + 1e-3j)
+    argv = ["series", "--problem", problem_file, "--R", "3"]
+    _assert_internal_failure(argv, capsys, "imaginary mass")
+
+
+def test_hensel_lift_check_exit(tmp_path, monkeypatch, capsys):
+    # (1, -1, 0) is a smooth zero mod 5; a cubic that never vanishes breaks the lift
+    path = tmp_path / "smooth5.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1]],
+        "quadric": [[1, 1, 1], [2, 2, -1], [2, 3, 1]],
+    }))
+    monkeypatch.setattr(localdens, "eval_cubic", lambda cubic, x: 1)
+    argv = ["local", "--problem", str(path), "--p", "5", "--kmax", "2"]
+    _assert_internal_failure(argv, capsys, "Hensel lift")
+
+
+def test_simultaneous_approx_gcd_check_exit(monkeypatch, capsys):
+    monkeypatch.setattr(arcs, "math", SimpleNamespace(floor=math.floor, gcd=lambda a, b: 2))
+    argv = ["arcs", "--P", "50", "--alpha3", "0.3", "--alpha2", "0.7"]
+    _assert_internal_failure(argv, capsys, "unreduced fraction")
+
+
+def test_simultaneous_approx_pigeonhole_check_exit(monkeypatch, capsys):
+    monkeypatch.setattr(arcs, "_exact_torus_bound", lambda alpha, a, q, bound: False)
+    argv = ["arcs", "--P", "50", "--alpha3", "0.3", "--alpha2", "0.7"]
+    _assert_internal_failure(argv, capsys, "pigeonhole")
 
 
 # ------------------------------------------------------------- output rules

@@ -322,11 +322,12 @@ def test_poisson_error_decreases_with_m(pair_line):
 def test_sqrt_cancellation_scan(pair_n3, capsys):
     # report-only: the implied constants are not ours to assert, but the
     # normalized complete sums should sit near q^{n/2}, far below q^n
-    from circlelab.localdens import _complete_sums_all_a, _coprime_pair_mask
+    from circlelab.gridsum import joint_histogram
+    from circlelab.localdens import _complete_sums, _coprime_pair_mask
 
     worst = 0.0
     for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        sums = _complete_sums_all_a(pair_n3, q)
+        sums = _complete_sums(joint_histogram(pair_n3, q))
         ratio = float(np.abs(sums[_coprime_pair_mask(q)]).max()) / q ** (3 / 2)
         worst = max(worst, ratio)
     print(f"sqrt-cancellation scan: max |S(a,q;0)| / q^(n/2) = {worst:.3f}")
@@ -338,12 +339,13 @@ def test_complete_sum_gcd_bound_scan(pair_n3, capsys):
     # by q^n (q/gcd(q,a3))^{-h/8} and by q^n gcd(q,a3)^{-rho/2}; the logged
     # constants should stay modest, the min of the two routes especially
     import math as m
-    from circlelab.localdens import _complete_sums_all_a
+    from circlelab.gridsum import joint_histogram
+    from circlelab.localdens import _complete_sums
 
     h_inv = rho = 3  # diagonal nonsingular fixture in 3 variables
     worst = 0.0
     for q in range(2, 21):
-        sums = _complete_sums_all_a(pair_n3, q)
+        sums = _complete_sums(joint_histogram(pair_n3, q))
         for a3 in range(1, q + 1):
             for a2 in range(1, q + 1):
                 if m.gcd(q, m.gcd(a3, a2)) != 1:

@@ -6,10 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab.expsums import complete_sum, complete_sum_crt
 from circlelab.forms import QuadraticForm, eval_cubic, eval_quadratic
+from circlelab.gridsum import joint_histogram
 from circlelab.localdens import (
+    _joint_histograms,
     a_of_q,
     count_mod,
     count_mod_primitive,
@@ -19,7 +23,7 @@ from circlelab.localdens import (
     qp_solubility_search,
     singular_series_truncated,
 )
-from circlelab.util import CapExceededError
+from circlelab.util import CapExceededError, factorize
 
 from conftest import make_pair
 
@@ -177,6 +181,56 @@ def test_series_euler_consistency_report(pair_hensel7, capsys):
 def test_series_budget(pair_n3):
     with pytest.raises(CapExceededError):
         singular_series_truncated(pair_n3, 500, cap=10**6)
+
+
+def test_series_cap_charges_prime_powers_only(pair_n3):
+    # R = 12, n = 3: sum_{q <= 12} q^3 = 6084 but sum_{p^e <= 12} p^{3e} = 3139,
+    # and only the prime-power grids are scanned
+    res = singular_series_truncated(pair_n3, 12, cap=3139)
+    assert [q for q, _ in res.a_values] == list(range(1, 13))
+    with pytest.raises(CapExceededError):
+        singular_series_truncated(pair_n3, 12, cap=3138)
+    # q = 12 scans the grids mod 4 and mod 3 only: 4^3 + 3^3 = 91 < 12^3
+    assert a_of_q(pair_n3, 12, cap=91) == dict(res.a_values)[12]
+    with pytest.raises(CapExceededError):
+        a_of_q(pair_n3, 12, cap=90)
+
+
+def test_a_of_q_refuses_int64_overflow():
+    # 2^9 + 3^9 + 5^9 + 7^9 is within the default cap, but 210^9 counts are not int64
+    pair = make_pair(9, {(1, 1, 1): 1}, {(1, 1): 1})
+    with pytest.raises(CapExceededError, match="overflow"):
+        a_of_q(pair, 210)
+
+
+# composite moduli q <= 36 with at least two distinct prime factors
+CRT_MODULI = [q for q in range(6, 37) if len(factorize(q)) >= 2]
+
+
+@st.composite
+def sparse_pairs(draw):
+    n = draw(st.integers(1, 3))
+    diagonal = draw(st.booleans())
+    if diagonal:
+        cubic_keys = [(i, i, i) for i in range(1, n + 1)]
+        quad_keys = [(i, i) for i in range(1, n + 1)]
+    else:
+        cubic_keys = list(itertools.combinations_with_replacement(range(1, n + 1), 3))
+        quad_keys = list(itertools.combinations_with_replacement(range(1, n + 1), 2))
+    coeff = st.integers(-6, 6).filter(bool)
+    cubic = draw(st.dictionaries(st.sampled_from(cubic_keys), coeff, min_size=1, max_size=3))
+    quadric = draw(st.dictionaries(st.sampled_from(quad_keys), coeff, min_size=1, max_size=3))
+    return make_pair(n, cubic, quadric)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_pairs(), st.lists(st.sampled_from(CRT_MODULI), min_size=1, max_size=3))
+def test_crt_joint_histograms_match_scan(pair, moduli):
+    # the CRT-composed H_q is the scanned integer array, entry for entry
+    for q, hist in _joint_histograms(pair, moduli):
+        oracle = joint_histogram(pair, q)
+        assert hist.dtype == oracle.dtype
+        assert (hist == oracle).all(), q
 
 
 # ------------------------------------------------------------------- A(q)
