@@ -15,8 +15,9 @@ and theta measured as the wrapped (torus) difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .expsums import RationalApprox
 from .util import InvariantError, jordan_totient2
@@ -29,6 +30,7 @@ __all__ = [
     "major_arc_measure",
     "major_arc_centers",
     "major_arcs_disjoint",
+    "jittered_grid",
     "DEFAULT_DELTA",
 ]
 
@@ -202,3 +204,14 @@ def major_arcs_disjoint(P: float, delta: float = DEFAULT_DELTA) -> bool:
             if abs(d3) <= h3 and abs(d2) <= h2:
                 return False
     return True
+
+
+def jittered_grid(k: int, seed: int) -> list[tuple[float, float]]:
+    """One seeded uniform point (alpha3, alpha2) in each cell of the k x k grid
+    on [0, 1)^2, row by row (alpha3 cell i, then alpha2 cell j)."""
+    jitter = np.random.default_rng(seed).random((k, k, 2))
+    return [
+        ((i + jitter[i, j, 0]) / k, (j + jitter[i, j, 1]) / k)
+        for i in range(k)
+        for j in range(k)
+    ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -28,10 +27,9 @@ from .forms import (
     cubic_singular_points_mod_p,
     eval_cubic,
     eval_quadratic,
-    gradient_cubic,
-    gradient_quadratic,
     h_parameter,
     hypothesis_report,
+    jacobian_minors,
     rank_quadratic,
     signature_quadratic,
     smooth_point_test,
@@ -49,8 +47,26 @@ class ProblemError(ValueError):
         self.violations = violations
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A JSON number, not a boolean, that converts to a finite float."""
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
 def load_problem(path: str) -> tuple[FormPair, Weight]:
-    """Load and validate a problem file, reporting every schema violation."""
+    """Load and validate a problem file, reporting every schema violation.
+
+    Types are checked before values, so a violation never stops the checks
+    that follow it; checks that need n are skipped when n itself is invalid.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     errors: list[str] = []
@@ -61,62 +77,51 @@ def load_problem(path: str) -> tuple[FormPair, Weight]:
         if key not in known:
             errors.append(f"unknown key {key!r}")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not (_is_int(n) and n >= 1):
         errors.append("'n' must be a positive integer")
-        n = max(int(n or 1), 1)
-    cubic_entries = data.get("cubic", [])
-    quad_entries = data.get("quadric", [])
-    cubic_monomials = {}
-    for entry in cubic_entries:
-        if not (isinstance(entry, list) and len(entry) == 4):
-            errors.append(f"cubic entry {entry!r} must be [i, j, k, coeff]")
-            continue
-        i, j, k, coeff = entry
-        if not all(isinstance(v, int) for v in entry):
-            errors.append(f"cubic entry {entry!r} must be integers")
-            continue
-        if not (1 <= i <= j <= k <= n):
-            errors.append(f"cubic indices {entry[:3]!r} must satisfy 1 <= i <= j <= k <= n")
-            continue
-        cubic_monomials[(i, j, k)] = cubic_monomials.get((i, j, k), 0) + coeff
-    quad_monomials = {}
-    for entry in quad_entries:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            errors.append(f"quadric entry {entry!r} must be [i, j, coeff]")
-            continue
-        i, j, coeff = entry
-        if not all(isinstance(v, int) for v in entry):
-            errors.append(f"quadric entry {entry!r} must be integers")
-            continue
-        if not (1 <= i <= j <= n):
-            errors.append(f"quadric indices {entry[:2]!r} must satisfy 1 <= i <= j <= n")
-            continue
-        quad_monomials[(i, j)] = quad_monomials.get((i, j), 0) + coeff
+        n = None
+    monomials = {}
+    for name, arity, shape in (("cubic", 3, "[i, j, k, coeff]"), ("quadric", 2, "[i, j, coeff]")):
+        entries = data.get(name, [])
+        if not isinstance(entries, list):
+            errors.append(f"'{name}' must be a list of {shape} entries")
+            entries = []
+        monomials[name] = {}
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == arity + 1):
+                errors.append(f"{name} entry {entry!r} must be {shape}")
+                continue
+            if not all(_is_int(v) for v in entry):
+                errors.append(f"{name} entry {entry!r} must be integers")
+                continue
+            idx, coeff = tuple(entry[:arity]), entry[arity]
+            chain = (1,) + idx + (n,)
+            if n is not None and any(a > b for a, b in zip(chain, chain[1:])):
+                order = " <= ".join("ijk"[:arity])
+                errors.append(f"{name} indices {entry[:arity]!r} must satisfy 1 <= {order} <= n")
+                continue
+            monomials[name][idx] = monomials[name].get(idx, 0) + coeff
     nonsing = data.get("cubic_nonsingular")
     if nonsing is not None and not isinstance(nonsing, bool):
         errors.append("'cubic_nonsingular' must be a boolean")
-        nonsing = None
     h = data.get("h")
-    if h is not None and (not isinstance(h, int) or h < 1):
+    if h is not None and not (_is_int(h) and h >= 1):
         errors.append("'h' must be a positive integer")
-        h = None
     wspec = data.get("weight", {})
     if not isinstance(wspec, dict):
         errors.append("'weight' must be an object {x0, xi}")
         wspec = {}
-    x0 = wspec.get("x0", [0.0] * n)
+    x0 = wspec.get("x0", [0.0] * (n or 0))
     xi = wspec.get("xi", 0.4)
-    if not (isinstance(x0, list) and len(x0) == n and all(isinstance(v, (int, float)) for v in x0)):
+    if not (isinstance(x0, list) and n in (None, len(x0)) and all(_is_real(v) for v in x0)):
         errors.append("'weight.x0' must be a list of n reals")
-        x0 = [0.0] * n
-    if not (isinstance(xi, (int, float)) and 0 < xi <= 1):
+    if not (_is_real(xi) and 0 < xi <= 1):
         errors.append("'weight.xi' must be a real in (0, 1]")
-        xi = 0.4
     if errors:
         raise ProblemError(errors)
     pair = FormPair(
-        CubicForm(n, cubic_monomials),
-        QuadraticForm(n, quad_monomials),
+        CubicForm(n, monomials["cubic"]),
+        QuadraticForm(n, monomials["quadric"]),
         cubic_nonsingular=nonsing,
         h_override=h,
     )
@@ -310,12 +315,7 @@ def _cmd_info(args) -> tuple[object, str]:
         h = None
     # diagnostics at the weight center: is it (numerically) a smooth zero?
     x0 = list(weight.center)
-    gc = gradient_cubic(pair.cubic, x0)
-    gq = gradient_quadratic(pair.quadric, x0)
-    minor_max = max(
-        (abs(gc[i] * gq[j] - gc[j] * gq[i]) for i in range(pair.n) for j in range(i + 1, pair.n)),
-        default=0.0,
-    )
+    minor_max = max((abs(m) for m in jacobian_minors(pair, x0)), default=0.0)
     report = {
         "n": pair.n,
         "cubic_monomials": len(pair.cubic.monomials),
@@ -466,30 +466,24 @@ def _cmd_arcs(args) -> tuple[object, str]:
             "measure": arcs_mod.major_arc_measure(args.P, args.delta),
         }
         return report, "json"
-    rng = np.random.default_rng(args.seed)
-    k = args.grid
-    jitter = rng.random((k, k, 2))
     Q3, Q2 = arcs_mod.q3q2(args.P)
     rows = []
-    for i in range(k):
-        for j in range(k):
-            a3 = (i + jitter[i, j, 0]) / k
-            a2 = (j + jitter[i, j, 1]) / k
-            is_major, witness = arcs_mod.major_arc_test(a3, a2, args.P, args.delta)
-            approx = arcs_mod.simultaneous_approx(a3, a2, Q3, Q2)
-            rows.append(
-                {
-                    "alpha3": a3,
-                    "alpha2": a2,
-                    "is_major": is_major,
-                    "q": witness[0] if witness else None,
-                    "a3": witness[1] if witness else None,
-                    "a2": witness[2] if witness else None,
-                    "pigeon_q": approx.q,
-                    "pigeon_a3": approx.a3,
-                    "pigeon_a2": approx.a2,
-                }
-            )
+    for a3, a2 in arcs_mod.jittered_grid(args.grid, args.seed):
+        is_major, witness = arcs_mod.major_arc_test(a3, a2, args.P, args.delta)
+        approx = arcs_mod.simultaneous_approx(a3, a2, Q3, Q2)
+        rows.append(
+            {
+                "alpha3": a3,
+                "alpha2": a2,
+                "is_major": is_major,
+                "q": witness[0] if witness else None,
+                "a3": witness[1] if witness else None,
+                "a2": witness[2] if witness else None,
+                "pigeon_q": approx.q,
+                "pigeon_a3": approx.a3,
+                "pigeon_a2": approx.a2,
+            }
+        )
     return rows, "csv"
 
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .counting import weight_box
 from .forms import FormPair
 from .gridsum import eval_forms_float, eval_forms_mod, phase_histogram
 from .quadrature import (
@@ -110,13 +111,6 @@ def default_truncation(approx: RationalApprox, P: float) -> int:
     return math.ceil(4.0 * approx.q * theta / P) + 8
 
 
-def _lattice_box(weight: Weight, P: float) -> list[tuple[int, int]]:
-    return [
-        (math.ceil((c - weight.xi) * P), math.floor((c + weight.xi) * P))
-        for c in weight.center
-    ]
-
-
 def _int_box_guard(pair: FormPair, box: Sequence[tuple[int, int]]) -> None:
     m = [max(abs(lo), abs(hi)) for lo, hi in box]
     bound = 0
@@ -144,7 +138,7 @@ def weyl_sum_direct(
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
     n = pair.n
-    box = _lattice_box(weight, P)
+    box = weight_box(weight, P)
     if any(lo > hi for lo, hi in box):
         return 0.0 + 0.0j
     _int_box_guard(pair, box)

@@ -26,12 +26,14 @@ __all__ = [
     "Signature",
     "eval_cubic",
     "eval_quadratic",
+    "bilinear_matrix",
     "bilinear_forms",
     "gradient_cubic",
     "gradient_quadratic",
     "rank_quadratic",
     "signature_quadratic",
     "smooth_point_test",
+    "jacobian_minors",
     "hypothesis_report",
     "h_parameter",
     "cubic_singular_points_mod_p",
@@ -183,21 +185,26 @@ def eval_quadratic(quadric: QuadraticForm, x: Sequence):
     return total
 
 
+def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:
+    """Integer matrix M(x) with B(x; y) = M(x) y; entries M[i][k] = 6 sum_j c_ijk x_j."""
+    n = cubic.n
+    _check_vector(n, x)
+    m = [[0] * n for _ in range(n)]
+    for (i, j, k), coeff in cubic.monomials.items():
+        six_c = 6 * coeff // _triple_multiplicity(i, j, k)
+        for (p, q, r) in set(itertools.permutations((i, j, k))):
+            m[p - 1][r - 1] += six_c * x[q - 1]
+    return m
+
+
 def bilinear_forms(cubic: CubicForm, x: Sequence, y: Sequence) -> list:
-    """The n bilinear forms B_i(x; y) = 3! sum_{j,k} c_ijk x_j y_k.
+    """The n bilinear forms B_i(x; y) = 3! sum_{j,k} c_ijk x_j y_k = (M(x) y)_i.
 
     Exact integers for integer input; B_i(x; y) = B_i(y; x) by symmetry of
     the tensor, and sum_i x_i B_i(x; x) = 6 C(x).
     """
-    n = cubic.n
-    _check_vector(n, x)
-    _check_vector(n, y)
-    out = [0] * n
-    for (i, j, k), coeff in cubic.monomials.items():
-        six_c = 6 * coeff // _triple_multiplicity(i, j, k)
-        for (p, q, r) in set(itertools.permutations((i, j, k))):
-            out[p - 1] += six_c * x[q - 1] * y[r - 1]
-    return out
+    _check_vector(cubic.n, y)
+    return [sum(mik * yk for mik, yk in zip(row, y)) for row in bilinear_matrix(cubic, x)]
 
 
 def gradient_cubic(cubic: CubicForm, x: Sequence) -> list:
@@ -236,24 +243,8 @@ def gradient_quadratic(quadric: QuadraticForm, x: Sequence) -> list:
 
 
 def rank_quadratic(quadric: QuadraticForm) -> int:
-    """Rank of the Gram matrix over the rationals (exact elimination)."""
-    m = [[Fraction(v) for v in row] for row in quadric.gram()]
-    n = quadric.n
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, n):
-            if m[r][col]:
-                f = m[r][col] / m[row][col]
-                for c in range(col, n):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-    return rank
+    """Rank of the Gram matrix over the rationals, r + s of the exact signature."""
+    return signature_quadratic(quadric).rank
 
 
 def _swap_row_col(a: list[list[Fraction]], i: int, j: int) -> None:
@@ -321,20 +312,25 @@ def smooth_point_test(pair: FormPair, x: Sequence[float], tol: float) -> bool:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = pair.n
-    _check_vector(n, x)
+    _check_vector(pair.n, x)
     norm2 = sum(float(v) * float(v) for v in x)
     if abs(eval_cubic(pair.cubic, x)) > tol:
         return False
     if abs(eval_quadratic(pair.quadric, x)) > tol * (1.0 + norm2):
         return False
+    return any(abs(minor) > tol for minor in jacobian_minors(pair, x))
+
+
+def jacobian_minors(pair: FormPair, x: Sequence) -> list:
+    """The 2x2 minors of the Jacobian [grad C; grad Q] at x, pairs i < j in order.
+
+    The Jacobian has rank 2 exactly when some minor is nonzero (exact for
+    integer x, and mod p after reducing the minors).
+    """
     gc = gradient_cubic(pair.cubic, x)
     gq = gradient_quadratic(pair.quadric, x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(gc[i] * gq[j] - gc[j] * gq[i]) > tol:
-                return True
-    return False
+    n = pair.n
+    return [gc[i] * gq[j] - gc[j] * gq[i] for i in range(n) for j in range(i + 1, n)]
 
 
 def hypothesis_report(

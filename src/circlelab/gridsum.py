@@ -1,18 +1,19 @@
 """Vectorized scans over residue vectors mod q and over lattice boxes.
 
-The residue grid {0, ..., q-1}^n is traversed in chunks of flat indices;
-each chunk is decoded into coordinate arrays and the two forms are reduced
-mod q with intermediate reductions so that all products stay far below the
-int64 limit (safe for q up to ~10^6, well beyond the design range).
+Every residue scan goes through scan(): the grid {0, ..., q-1}^n is
+traversed in chunks of flat indices; each chunk is decoded into coordinate
+arrays and the two forms are reduced mod q with intermediate reductions so
+that all products stay far below the int64 limit (safe for q up to ~10^6,
+well beyond the design range).
 
-All consumers aggregate chunk results with order-independent integer
-operations (histograms, counts), so the outputs are exactly deterministic
-regardless of chunking or thread count.
+Consumers either aggregate chunk results with order-independent integer
+operations (histograms, counts) or take the first hit in grid order, so the
+outputs are exactly deterministic regardless of chunking or thread count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .forms import FormPair
 from .util import CapExceededError, DEFAULT_CAP, chunk_ranges, parallel_map
 
 __all__ = [
-    "residue_chunks",
+    "scan",
     "eval_forms_mod",
     "eval_forms_float",
     "phase_histogram",
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 CHUNK = 1 << 18
+
+T = TypeVar("T")
 
 
 def eval_forms_float(
@@ -56,15 +59,6 @@ def _decode(flat: np.ndarray, q: int, n: int) -> list[np.ndarray]:
     return [(flat // q**j) % q for j in range(n)]
 
 
-def residue_chunks(q: int, n: int, cap: int = DEFAULT_CAP) -> Iterator[list[np.ndarray]]:
-    total = q**n
-    if total > cap:
-        raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
-    for lo, hi in chunk_ranges(0, total, CHUNK):
-        flat = np.arange(lo, hi, dtype=np.int64)
-        yield _decode(flat, q, n)
-
-
 def eval_forms_mod(pair: FormPair, q: int, coords: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(C mod q, Q mod q) on coordinate arrays with entries in [0, q)."""
     cvals = np.zeros_like(coords[0])
@@ -86,6 +80,32 @@ def _linear_mod(m: Sequence[int], q: int, coords: Sequence[np.ndarray]) -> np.nd
     return out
 
 
+def scan(
+    pair: FormPair,
+    q: int,
+    per_chunk: Callable[[list[np.ndarray], np.ndarray, np.ndarray], T],
+    cap: int = DEFAULT_CAP,
+    threads: int = 1,
+) -> list[T]:
+    """per_chunk(coords, C mod q, Q mod q) on each chunk of the residue grid mod q.
+
+    The grid {0, ..., q-1}^n is cut into chunks of CHUNK flat indices
+    (coordinate 1 varies fastest); the results come back in grid order, so
+    a caller that keeps the first hit of an ordered search gets the same
+    answer for any thread count.
+    """
+    n = pair.n
+    total = q**n
+    if total > cap:
+        raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
+
+    def work(rng: tuple[int, int]) -> T:
+        coords = _decode(np.arange(*rng, dtype=np.int64), q, n)
+        return per_chunk(coords, *eval_forms_mod(pair, q, coords))
+
+    return parallel_map(work, chunk_ranges(0, total, CHUNK), threads)
+
+
 def phase_histogram(
     pair: FormPair,
     q: int,
@@ -96,42 +116,23 @@ def phase_histogram(
     threads: int = 1,
 ) -> np.ndarray:
     """Histogram over t in [0, q) of a3 C(y) + a2 Q(y) + m.y mod q, y mod q."""
-    n = pair.n
-    total = q**n
-    if total > cap:
-        raise CapExceededError(f"complete sum q^n = {q}^{n} = {total} exceeds cap {cap}")
-    ranges = chunk_ranges(0, total, CHUNK)
 
-    def work(rng: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng
-        coords = _decode(np.arange(lo, hi, dtype=np.int64), q, n)
-        c, qq = eval_forms_mod(pair, q, coords)
+    def per_chunk(coords, c, qq):
         t = ((a3 % q) * c + (a2 % q) * qq + _linear_mod(m, q, coords)) % q
         return np.bincount(t, minlength=q)
 
-    parts = parallel_map(work, ranges, threads)
-    return np.sum(parts, axis=0) if parts else np.zeros(q, dtype=np.int64)
+    return np.sum(scan(pair, q, per_chunk, cap, threads), axis=0)
 
 
 def joint_histogram(
     pair: FormPair, q: int, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> np.ndarray:
     """q x q histogram of (C(y) mod q, Q(y) mod q) over all y mod q."""
-    n = pair.n
-    total = q**n
-    if total > cap:
-        raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
-    ranges = chunk_ranges(0, total, CHUNK)
 
-    def work(rng: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng
-        coords = _decode(np.arange(lo, hi, dtype=np.int64), q, n)
-        c, qq = eval_forms_mod(pair, q, coords)
+    def per_chunk(coords, c, qq):
         return np.bincount(c * q + qq, minlength=q * q)
 
-    parts = parallel_map(work, ranges, threads)
-    flat = np.sum(parts, axis=0) if parts else np.zeros(q * q, dtype=np.int64)
-    return flat.reshape(q, q)
+    return np.sum(scan(pair, q, per_chunk, cap, threads), axis=0).reshape(q, q)
 
 
 def count_solutions_mod(
@@ -146,25 +147,16 @@ def count_solutions_mod(
     Primitive means some coordinate of y is a unit mod p; pass p when q is a
     power of p, otherwise the primitive count is reported as 0.
     """
-    n = pair.n
-    total = q**n
-    if total > cap:
-        raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
-    ranges = chunk_ranges(0, total, CHUNK)
 
-    def work(rng: tuple[int, int]) -> tuple[int, int]:
-        lo, hi = rng
-        coords = _decode(np.arange(lo, hi, dtype=np.int64), q, n)
-        c, qq = eval_forms_mod(pair, q, coords)
+    def per_chunk(coords, c, qq) -> tuple[int, int]:
         sol = (c == 0) & (qq == 0)
-        n_all = int(np.count_nonzero(sol))
         n_prim = 0
         if p is not None:
             divis = np.ones_like(sol)
             for y in coords:
                 divis &= y % p == 0
             n_prim = int(np.count_nonzero(sol & ~divis))
-        return n_all, n_prim
+        return int(np.count_nonzero(sol)), n_prim
 
-    parts = parallel_map(work, ranges, threads)
+    parts = scan(pair, q, per_chunk, cap, threads)
     return sum(a for a, _ in parts), sum(b for _, b in parts)

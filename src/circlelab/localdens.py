@@ -22,7 +22,7 @@ scanned, and the histogram of a composite q is their exact CRT product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -35,8 +35,9 @@ from .forms import (
     eval_quadratic,
     gradient_cubic,
     gradient_quadratic,
+    jacobian_minors,
 )
-from .gridsum import count_solutions_mod, eval_forms_mod, joint_histogram, residue_chunks
+from .gridsum import count_solutions_mod, joint_histogram, scan
 from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, factorize
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "q_factorization",
     "qp_solubility_search",
     "SolubilityReport",
-    "DensityReport",
-    "density_report",
 ]
 
 
@@ -82,6 +81,11 @@ def local_density(
     return Fraction(count, 1) / Fraction(p) ** (k * (pair.n - 2))
 
 
+def _require_prime(p: int) -> None:
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise ValueError(f"p must be a prime, got {p}")
+
+
 @dataclass(frozen=True)
 class HenselReport:
     p: int
@@ -106,6 +110,7 @@ def hensel_stable(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    _require_prime(p)
     dens: list[Fraction] = []
     prim: list[Fraction] = []
     reached = 0
@@ -261,17 +266,6 @@ class SolubilityReport:
     partial: bool
 
 
-def _jacobian_rank2_mod_p(pair: FormPair, x: Sequence[int], p: int) -> bool:
-    gc = gradient_cubic(pair.cubic, x)
-    gq = gradient_quadratic(pair.quadric, x)
-    n = pair.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (gc[i] * gq[j] - gc[j] * gq[i]) % p:
-                return True
-    return False
-
-
 def _solve_mod_p(rows: list[list[int]], rhs: list[int], p: int, n: int) -> list[int]:
     """One solution of a consistent linear system mod p (free variables 0)."""
     m = [[r % p for r in row] + [b % p] for row, b in zip(rows, rhs)]
@@ -324,7 +318,8 @@ def qp_solubility_search(
     """Search for a certificate of a Q_p point on C = Q = 0.
 
     Scans residue vectors mod p; a solution whose Jacobian has rank 2 mod p
-    is a smooth point, Hensel-lifted to mod p^kmax and returned as a
+    is a smooth point, and the first one in grid order (the same for any
+    thread count) is Hensel-lifted to mod p^kmax and returned as a
     certificate.  If the full scan finds solutions but none smooth (the zero
     vector always solves, with rank-0 Jacobian) the verdict is only_singular.
     none_found is only reachable on a capped, partial scan and is never a
@@ -332,49 +327,28 @@ def qp_solubility_search(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    n = pair.n
-    n_solutions = 0
-    smooth_point = None
+    _require_prime(p)
+
+    def per_chunk(coords, cvals, qvals) -> tuple[int, tuple[int, ...] | None]:
+        sol = (cvals == 0) & (qvals == 0)
+        smooth = None
+        for idx in np.flatnonzero(sol):
+            x = tuple(int(c[idx]) for c in coords)
+            if any(x) and any(m % p for m in jacobian_minors(pair, x)):
+                smooth = x
+                break
+        return int(np.count_nonzero(sol)), smooth
+
     partial = False
     try:
-        for coords in residue_chunks(p, n, cap=cap):
-            cvals, qvals = eval_forms_mod(pair, p, coords)
-            sol = (cvals == 0) & (qvals == 0)
-            n_solutions += int(np.count_nonzero(sol))
-            if smooth_point is None and sol.any():
-                for idx in np.flatnonzero(sol):
-                    x = tuple(int(c[idx]) for c in coords)
-                    if any(x) and _jacobian_rank2_mod_p(pair, x, p):
-                        smooth_point = x
-                        break
+        parts = scan(pair, p, per_chunk, cap=cap, threads=threads)
     except CapExceededError:
-        partial = True
+        parts, partial = [], True
+    n_solutions = sum(count for count, _ in parts)
+    smooth_point = next((x for _, x in parts if x is not None), None)
     if smooth_point is not None:
         lifted = _hensel_lift(pair, smooth_point, p, kmax)
         return SolubilityReport("smooth_liftable", p, kmax, lifted, n_solutions, partial)
     if n_solutions > 0:
         return SolubilityReport("only_singular", p, 1, None, n_solutions, partial)
     return SolubilityReport("none_found", p, 1, None, 0, partial)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Bundle of local data: per-prime densities, stabilization, series trace."""
-
-    primes: tuple[int, ...]
-    hensel: tuple[HenselReport, ...]
-    series: SeriesResult
-    a_values: tuple[tuple[int, float], ...] = field(default_factory=tuple)
-
-
-def density_report(
-    pair: FormPair,
-    primes: Sequence[int],
-    kmax: int,
-    R: int,
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
-) -> DensityReport:
-    hensel = tuple(hensel_stable(pair, p, kmax, cap=cap, threads=threads) for p in primes)
-    series = singular_series_truncated(pair, R, cap=cap, threads=threads)
-    return DensityReport(tuple(primes), hensel, series, series.a_values)

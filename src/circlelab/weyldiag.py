@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import DEFAULT_DELTA, major_arc_test, q3q2, simultaneous_approx
-from .forms import CubicForm, FormPair, h_parameter, rank_quadratic
+from .arcs import DEFAULT_DELTA, jittered_grid, major_arc_test, q3q2, simultaneous_approx
+from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, rank_quadratic
 from .util import check_cap, parallel_map
 from .weightfn import Weight
 from .expsums import weyl_sum_direct
@@ -33,7 +33,6 @@ from .expsums import weyl_sum_direct
 __all__ = [
     "WeylHeights",
     "count_bilinear",
-    "bilinear_matrix",
     "heights_from_sum",
     "alpha3_witness",
     "Alpha3Witness",
@@ -62,25 +61,6 @@ def heights_from_sum(s_abs: float, P: float, n: int, h: int, rho: int) -> WeylHe
         return WeylHeights(math.inf, math.inf, h, rho)
     log_ratio = n * math.log(P) - math.log(s_abs)
     return WeylHeights(math.exp(log_ratio / h), math.exp(log_ratio / rho), h, rho)
-
-
-def bilinear_matrix(cubic: CubicForm, x: tuple[int, ...]) -> list[list[int]]:
-    """Integer matrix M(x) with B(x; y) = M(x) y; entries M[i][k] = 6 sum_j c_ijk x_j."""
-    n = cubic.n
-    m = [[0] * n for _ in range(n)]
-    for (i, j, k), coeff in cubic.monomials.items():
-        six_c = 6 * coeff // _mult(i, j, k)
-        for (p, q, r) in set(itertools.permutations((i, j, k))):
-            m[p - 1][r - 1] += six_c * x[q - 1]
-    return m
-
-
-def _mult(i: int, j: int, k: int) -> int:
-    if i == j == k:
-        return 1
-    if i == j or j == k or i == k:
-        return 3
-    return 6
 
 
 def _kernel_basis(m: list[list[int]], n: int) -> list[list[Fraction]]:
@@ -244,13 +224,7 @@ def minor_arc_scan(
     h = h_parameter(pair)
     rho = rank_quadratic(pair.quadric)
     n = pair.n
-    rng = np.random.default_rng(seed)
-    jitter = rng.random((grid_k, grid_k, 2))
-    points = [
-        ((i + jitter[i, j, 0]) / grid_k, (j + jitter[i, j, 1]) / grid_k)
-        for i in range(grid_k)
-        for j in range(grid_k)
-    ]
+    points = jittered_grid(grid_k, seed)
     Q3, Q2 = q3q2(P)
 
     def work(pt: tuple[float, float]) -> dict:

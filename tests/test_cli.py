@@ -123,6 +123,93 @@ def nd3_file(tmp_path):
     return str(path)
 
 
+# non-diagonal n = 5 pair; the outputs below were captured before the residue
+# scans shared one chunked loop.  13^5 = 371 293 residues take two chunks.
+N5_PROBLEM = {
+    "n": 5,
+    "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1], [4, 4, 4, -1], [5, 5, 5, 2], [1, 2, 3, 1]],
+    "quadric": [[1, 1, 1], [2, 2, 1], [3, 3, -1], [4, 4, 1], [5, 5, -1], [1, 2, 1]],
+    "cubic_nonsingular": True,
+    "weight": {"x0": [0.125, -0.125, 0.0, 0.0625, 0.0], "xi": 0.3},
+}
+
+N5_LOCAL_P13 = '''{
+  "p": 13,
+  "kmax": 3,
+  "reached": 1,
+  "stable": false,
+  "level": null,
+  "densities": ["2425/2197"],
+  "primitive_densities": ["2424/2197"],
+  "partial": true,
+  "solubility": {
+    "verdict": "smooth_liftable",
+    "point": [2196, 0, 1, 0, 0],
+    "level": 3,
+    "solutions_mod_p": 2425
+  }
+}
+'''
+
+N5_INFO = '''{
+  "n": 5,
+  "cubic_monomials": 6,
+  "quadric_monomials": 6,
+  "quadric_diagonal": false,
+  "rank": 5,
+  "signature": [3, 2],
+  "h": 5,
+  "weight": {
+    "x0": [0.125, -0.125, 0, 0.0625, 0],
+    "xi": 0.29999999999999999
+  },
+  "center": {
+    "cubic_value": -0.000244140625,
+    "quadric_value": 0.01953125,
+    "jacobian_minor_max": 0.01171875,
+    "smooth_zero": false
+  },
+  "hypotheses": {
+    "n": 5,
+    "h": 5,
+    "rho": 5,
+    "signature": [3, 2],
+    "large_dim_plane": false,
+    "h_rho_product": false,
+    "h_rho_min37": false,
+    "nonsingular_cubic_product": false,
+    "nonsingular_n29": false,
+    "large_n49": false,
+    "d_plane_padic_max": 0,
+    "d_plane_real_max": 1
+  },
+  "nonsingularity_scan": {
+    "2": [0, 0, 0, 0, 1],
+    "5": null
+  }
+}
+'''
+
+ARCS_GRID3_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a2
+0.31435203519078919,0.17044251760478721,False,,,,35,11,6
+0.32541456856923473,0.36027867463186736,False,,,,169,55,61
+0.20245194399834321,0.79216219479242422,False,,,,163,33,129
+0.60063373566193567,0.058175938714676155,False,,,,5,3,5
+0.62387842472921884,0.51464713358783276,False,,,,109,68,56
+0.63407169323866286,0.82571784127973535,False,,,,41,26,34
+0.81016542590980434,0.26298223918144314,False,,,,79,64,21
+0.99471766664370709,0.4565752642174763,False,,,,189,188,86
+0.98964428977207819,0.97634212925513975,False,,,,97,96,95
+'''
+
+
+@pytest.fixture
+def n5_file(tmp_path):
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps(N5_PROBLEM))
+    return str(path)
+
+
 def run_to_file(tmp_path, argv):
     out = tmp_path / "out.txt"
     code = run(argv + ["--out", str(out)])
@@ -164,6 +251,33 @@ def test_load_problem_index_violations(tmp_path):
     assert "unknown key" in text
     assert "1 <= i <= j <= k" in text
     assert "1 <= i <= j" in text
+
+
+def test_every_violation_is_reported_without_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "n": "x",
+        "cubic": 5,
+        "quadric": [[1, 1, True], [1, 2]],
+        "h": True,
+        "weight": {"x0": [0.0, "a"], "xi": 2},
+        "bogus": 1,
+    }))
+    assert run(["info", "--problem", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "error: unknown key 'bogus'",
+        "error: 'n' must be a positive integer",
+        "error: 'cubic' must be a list of [i, j, k, coeff] entries",
+        "error: quadric entry [1, 1, True] must be integers",
+        "error: quadric entry [1, 2] must be [i, j, coeff]",
+        "error: 'h' must be a positive integer",
+        "error: 'weight.x0' must be a list of n reals",
+        "error: 'weight.xi' must be a real in (0, 1]",
+    ]
+    path.write_text(json.dumps({"n": [3], "cubic": [[1, 1, 1, 1]]}))
+    assert run(["info", "--problem", str(path)]) == 2
+    assert capsys.readouterr().err == "error: 'n' must be a positive integer\n"
 
 
 def test_malformed_json_exit(tmp_path, capsys):
@@ -374,6 +488,27 @@ def test_series_output_is_unchanged(nd3_file, tmp_path):
         )
         assert code == 0
         assert text == ND3_SERIES_R12, threads
+
+
+def test_local_output_is_unchanged(n5_file, tmp_path):
+    for threads in ("1", "2"):
+        code, text = run_to_file(tmp_path, [
+            "local", "--problem", n5_file, "--p", "13", "--kmax", "3", "--threads", threads,
+        ])
+        assert code == 0
+        assert text == N5_LOCAL_P13, threads
+
+
+def test_info_and_arcs_grid_output_is_unchanged(n5_file, tmp_path):
+    assert run_to_file(tmp_path, ["info", "--problem", n5_file]) == (0, N5_INFO)
+    argv = ["arcs", "--P", "50", "--grid", "3", "--seed", "4"]
+    assert run_to_file(tmp_path, argv) == (0, ARCS_GRID3_SEED4)
+
+
+@pytest.mark.parametrize("p", ["1", "4", "9"])
+def test_local_needs_a_prime(problem_file, capsys, p):
+    assert run(["local", "--problem", problem_file, "--p", p, "--kmax", "2"]) == 2
+    assert capsys.readouterr().err == f"error: p must be a prime, got {p}\n"
 
 
 # ------------------------------------------------- internal checks, exit 3

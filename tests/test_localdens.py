@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from circlelab.expsums import complete_sum, complete_sum_crt
 from circlelab.forms import QuadraticForm, eval_cubic, eval_quadratic
-from circlelab.gridsum import joint_histogram
+from circlelab import gridsum
+from circlelab.gridsum import count_solutions_mod, joint_histogram, phase_histogram, scan
 from circlelab.localdens import (
     _joint_histograms,
     a_of_q,
@@ -325,6 +326,42 @@ def test_solubility_none_found_on_partial_scan(pair_n3):
     rep = qp_solubility_search(pair_n3, 5, 1, cap=10)
     assert rep.verdict == "none_found"
     assert rep.partial
+
+
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_local_scans_need_a_prime(pair_n3, p):
+    for search in (hensel_stable, qp_solubility_search):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            search(pair_n3, p, 2)
+
+
+# ------------------------------------------------------- residue scan chunks
+
+def _scan_results(pairs, threads):
+    out = []
+    for pair in pairs:
+        out.append(joint_histogram(pair, 12, threads=threads).tolist())
+        out.append(phase_histogram(pair, 12, 5, 7, [1, 2, 3], threads=threads).tolist())
+        out.append(count_solutions_mod(pair, 25, p=5, threads=threads))
+        out.extend(qp_solubility_search(pair, p, 2, threads=threads) for p in (5, 7))
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_results_do_not_depend_on_chunking(
+    pair_n3, pair_hensel7, pair_smooth5, monkeypatch, threads
+):
+    pairs = (pair_n3, pair_hensel7, pair_smooth5)
+    expected = _scan_results(pairs, threads=1)
+    monkeypatch.setattr(gridsum, "CHUNK", 7)
+    # chunks come back in grid order: chunk c starts at flat index 7c
+    firsts = scan(pair_n3, 5, lambda y, c, q: int(y[0][0] + 5 * y[1][0] + 25 * y[2][0]),
+                  threads=threads)
+    assert firsts == list(range(0, 125, 7))
+    assert _scan_results(pairs, threads) == expected
+    # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 18
+    point = qp_solubility_search(pair_smooth5, 5, 2, threads=threads).point
+    assert tuple(v % 5 for v in point) == (4, 1, 0)
 
 
 def test_primitive_counts(pair_hensel7):

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from circlelab.counting import fit_log_power
-from circlelab.forms import CubicForm, bilinear_forms
+from circlelab.forms import CubicForm, bilinear_forms, bilinear_matrix, gradient_cubic
 from circlelab.weightfn import Weight
 from circlelab.weyldiag import (
     alpha3_witness,
-    bilinear_matrix,
     count_bilinear,
     heights_from_sum,
     minor_arc_scan,
@@ -96,6 +95,13 @@ def test_bilinear_matrix_consistency():
         assert [sum(m[i][k] * y[k] for k in range(3)) for i in range(3)] == bilinear_forms(
             cubic, x, y
         )
+        # independent of the tensor code: M(x) is the Hessian of C at x, and the
+        # central difference of the gradient is exact for a cubic
+        for k in range(3):
+            step = [int(i == k) for i in range(3)]
+            up = gradient_cubic(cubic, [a + b for a, b in zip(x, step)])
+            down = gradient_cubic(cubic, [a - b for a, b in zip(x, step)])
+            assert [2 * m[i][k] for i in range(3)] == [u - d for u, d in zip(up, down)]
 
 
 # ------------------------------------------------------------------- heights
