@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import RationalApprox, complete_sum, osc_integral, weyl_sum_direct
-from .forms import FormPair
-from .gridsum import eval_forms_float
+from .forms import FormPair, eval_cubic, eval_quadratic
 from .localdens import singular_series_truncated
 from .quadrature import DEFAULT_MAX_LEVEL, QuadResult, tensor_integral
 from .util import DEFAULT_CAP
@@ -73,11 +72,10 @@ def singular_integral_truncated(
         raise ValueError("weight dimension does not match the form pair")
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
-        cvals, qvals = eval_forms_float(pair, axes)
         return (
             omega_grid(weight, axes)
-            * sin_kernel_grid(R, cvals)
-            * sin_kernel_grid(R, qvals)
+            * sin_kernel_grid(R, eval_cubic(pair.cubic, axes))
+            * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes))
         )
 
     res = tensor_integral(f, weight.center, weight.xi, tol, max_level=max_level)

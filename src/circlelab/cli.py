@@ -30,7 +30,6 @@ from .forms import (
     h_parameter,
     hypothesis_report,
     jacobian_minors,
-    rank_quadratic,
     signature_quadratic,
     smooth_point_test,
 )
@@ -89,16 +88,18 @@ def load_problem(path: str) -> tuple[FormPair, Weight]:
         monomials[name] = {}
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == arity + 1):
-                errors.append(f"{name} entry {entry!r} must be {shape}")
+                errors.append(f"{name} entry {json.dumps(entry)} must be {shape}")
                 continue
             if not all(_is_int(v) for v in entry):
-                errors.append(f"{name} entry {entry!r} must be integers")
+                errors.append(f"{name} entry {json.dumps(entry)} must be integers")
                 continue
             idx, coeff = tuple(entry[:arity]), entry[arity]
             chain = (1,) + idx + (n,)
             if n is not None and any(a > b for a, b in zip(chain, chain[1:])):
                 order = " <= ".join("ijk"[:arity])
-                errors.append(f"{name} indices {entry[:arity]!r} must satisfy 1 <= {order} <= n")
+                errors.append(
+                    f"{name} indices {json.dumps(entry[:arity])} must satisfy 1 <= {order} <= n"
+                )
                 continue
             monomials[name][idx] = monomials[name].get(idx, 0) + coeff
     nonsing = data.get("cubic_nonsingular")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_info(args) -> tuple[object, str]:
     pair, weight = load_problem(args.problem)
     sig = signature_quadratic(pair.quadric)
-    rho = rank_quadratic(pair.quadric)
+    rho = sig.rank
     try:
         h = h_parameter(pair)
     except ValueError:
@@ -345,26 +346,24 @@ def _cmd_info(args) -> tuple[object, str]:
 
 def _cmd_count(args) -> tuple[object, str]:
     pair, weight = load_problem(args.problem)
+    box = counting.weight_box(weight, args.P)
+    solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
+    weighted = counting.weighted_sum(solutions, args.P, weight)
+    if args.box:
+        box = _parse_box(args.box)
+        solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     report = {
         "P": args.P,
-        "weighted_count": counting.count_weighted(pair, args.P, weight, threads=args.threads),
+        "weighted_count": weighted,
+        "box": [f"{lo}:{hi}" for lo, hi in box],
+        "box_count": len(solutions),
     }
-    box = _parse_box(args.box) if args.box else counting.weight_box(weight, args.P)
-    solutions = list(counting.enumerate_solutions(pair, box))
-    report["box"] = [f"{lo}:{hi}" for lo, hi in box]
-    report["box_count"] = len(solutions)
     if args.emit_csv:
         columns = [f"x{i+1}" for i in range(pair.n)]
         rows = [dict(zip(columns, sol)) for sol in solutions]
         with open(args.emit_csv, "w", encoding="utf-8") as fh:
             emit(rows, "csv", fh, header=columns)
     return report, "json"
-
-
-def _sum_meta(args, extra: dict) -> dict:
-    meta = {"mode": args.mode}
-    meta.update(extra)
-    return meta
 
 
 def _cmd_sum(args) -> tuple[object, str]:
@@ -376,7 +375,7 @@ def _cmd_sum(args) -> tuple[object, str]:
         val = expsums.weyl_sum_direct(
             pair, args.P, weight, args.alpha3, args.alpha2, threads=args.threads
         )
-        meta = _sum_meta(args, {"P": args.P, "alpha3": args.alpha3, "alpha2": args.alpha2})
+        meta = {"mode": mode, "P": args.P, "alpha3": args.alpha3, "alpha2": args.alpha2}
     elif mode in ("complete", "crt"):
         if args.q is None or args.a3 is None or args.a2 is None:
             raise ValueError(f"{mode} mode needs --q --a3 --a2")
@@ -385,23 +384,21 @@ def _cmd_sum(args) -> tuple[object, str]:
             m = m * pair.n
         if mode == "complete":
             val = expsums.complete_sum(pair, args.q, args.a3, args.a2, m, cap=args.cap, threads=args.threads)
-            meta = _sum_meta(args, {"q": args.q, "a3": args.a3, "a2": args.a2, "m": m})
+            meta = {"mode": mode, "q": args.q, "a3": args.a3, "a2": args.a2, "m": m}
         else:
             factors = expsums.crt_decomposition(pair, args.q, args.a3, args.a2, m, cap=args.cap, threads=args.threads)
             val = 1.0 + 0.0j
             for f in factors:
                 val *= f.value
-            meta = _sum_meta(
-                args,
-                {
-                    "q": args.q,
-                    "m": m,
-                    "factors": [
-                        {"modulus": f.modulus, "a3": f.a3, "a2": f.a2, "value": f.value}
-                        for f in factors
-                    ],
-                },
-            )
+            meta = {
+                "mode": mode,
+                "q": args.q,
+                "m": m,
+                "factors": [
+                    {"modulus": f.modulus, "a3": f.a3, "a2": f.a2, "value": f.value}
+                    for f in factors
+                ],
+            }
     elif mode == "poisson":
         if args.P is None or args.q is None or args.a3 is None or args.a2 is None:
             raise ValueError("poisson mode needs --P --q --a3 --a2")
@@ -414,28 +411,23 @@ def _cmd_sum(args) -> tuple[object, str]:
         if args.M is None:
             args.M = expsums.default_truncation(approx, args.P)
         val = expsums.poisson_reconstruct(pair, args.P, weight, approx, args.M, cap=args.cap)
-        meta = _sum_meta(
-            args,
-            {
-                "P": args.P,
-                "q": args.q,
-                "a3": args.a3,
-                "a2": args.a2,
-                "theta3": theta3,
-                "theta2": theta2,
-                "M": args.M,
-                "theta_height": expsums.theta_height(approx, args.P).value,
-            },
-        )
+        meta = {
+            "mode": mode,
+            "P": args.P,
+            "q": args.q,
+            "a3": args.a3,
+            "a2": args.a2,
+            "theta3": theta3,
+            "theta2": theta2,
+            "M": args.M,
+            "theta_height": expsums.theta_height(approx, args.P).value,
+        }
     elif mode == "integral":
         z = _parse_float_list(args.z) if args.z else [0.0] * pair.n
         res = expsums.osc_integral(pair, weight, args.gamma3, args.gamma2, z, tol=args.tol)
         val = res.value
-        meta = _sum_meta(
-            args,
-            {"gamma3": args.gamma3, "gamma2": args.gamma2, "z": z,
-             "quad_error": res.error, "quad_level": res.level},
-        )
+        meta = {"mode": mode, "gamma3": args.gamma3, "gamma2": args.gamma2, "z": z,
+                "quad_error": res.error, "quad_level": res.level}
     else:  # pragma: no cover
         raise ValueError(f"unknown mode {mode}")
     report = {"re": val.real, "im": val.imag, "abs": abs(val), "meta": meta}
@@ -560,7 +552,7 @@ def _cmd_compare(args) -> tuple[object, str]:
     integral = archimedean.singular_integral_truncated(pair, weight, args.Rgamma, tol=args.tol)
     rows = []
     for P in p_values:
-        count = counting.count_weighted(pair, P, weight, threads=args.threads)
+        count = counting.count_weighted(pair, P, weight, cap=args.cap)
         prediction = series.value * integral.value * P ** (pair.n - 5)
         rows.append(
             {

@@ -6,26 +6,30 @@ quadric is diagonal with d_n != 0 the last coordinate is solved by an
 integer square root instead of scanned, which removes one dimension from
 the scan; the fallback is a plain box scan.
 
+Every enumeration charges the points it visits to the work cap.
+
 The weighted count N(P) = sum over solutions of omega(x/P) needs only the
-integer points of the box circumscribing P times the support ball.  Sums
-are accumulated with math.fsum per first-coordinate slab and combined in
-slab order, so results are bit-identical for any thread count.
+integer points of the box circumscribing P times the support ball, visited
+once.  Sums are accumulated with math.fsum per first-coordinate slab and
+then over the slabs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .forms import FormPair, eval_cubic, eval_quadratic
-from .util import parallel_map
+from .util import DEFAULT_CAP, check_cap
 from .weightfn import Weight, omega
 
 __all__ = [
     "enumerate_solutions",
     "count_box",
     "count_weighted",
+    "weighted_sum",
     "growth_fit",
     "fit_log_power",
     "GrowthFit",
@@ -53,33 +57,32 @@ def _isqrt_exact(t: int) -> int | None:
     return r if r * r == t else None
 
 
-def _prefix_products(ranges: list[range]) -> Iterator[tuple[int, ...]]:
-    if not ranges:
-        yield ()
-        return
-    import itertools
-
-    yield from itertools.product(*ranges)
-
-
-def enumerate_solutions(pair: FormPair, box: Box) -> Iterator[tuple[int, ...]]:
+def enumerate_solutions(
+    pair: FormPair, box: Box, cap: int = DEFAULT_CAP
+) -> Iterator[tuple[int, ...]]:
     """Yield every integer point of the box with C(x) = Q(x) = 0, once, in
-    lexicographic order."""
+    lexicographic order.
+
+    The points visited (the whole box, or all but its last side on the
+    diagonal fast path) are charged to cap before the first is yielded.
+    """
     n = pair.n
     box = _check_box(n, box)
     ranges = [range(lo, hi + 1) for lo, hi in box]
     diag = pair.quadric.diagonal()
     fast = pair.quadric.is_diagonal and n >= 1 and diag[-1] != 0
+    scanned = ranges[:-1] if fast else ranges
+    check_cap(math.prod(len(r) for r in scanned), cap, "lattice box")
 
     if not fast:
-        for x in _prefix_products(ranges):
+        for x in itertools.product(*ranges):
             if eval_quadratic(pair.quadric, x) == 0 and eval_cubic(pair.cubic, x) == 0:
                 yield x
         return
 
     dn = diag[-1]
     lo_n, hi_n = box[-1]
-    for prefix in _prefix_products(ranges[:-1]):
+    for prefix in itertools.product(*ranges[:-1]):
         s = sum(d * v * v for d, v in zip(diag[:-1], prefix))
         # solve d_n * t^2 = -s over the integers
         if (-s) % dn:
@@ -101,32 +104,32 @@ def count_box(pair: FormPair, box: Box) -> int:
 
 
 def weight_box(weight: Weight, P: float) -> list[tuple[int, int]]:
-    """Integer box circumscribing P times the support ball of the weight."""
+    """Integer box circumscribing P times the support ball of the weight (P >= 1)."""
+    if P < 1:
+        raise ValueError(f"P must be >= 1, got {P}")
     out = []
     for lo, hi in weight.support_box():
         out.append((math.ceil(lo * P), math.floor(hi * P)))
     return out
 
 
-def count_weighted(pair: FormPair, P: float, weight: Weight, threads: int = 1) -> float:
+def weighted_sum(solutions: Iterable[tuple[int, ...]], P: float, weight: Weight) -> float:
+    """Sum of omega(x/P) over solutions given in lexicographic order.
+
+    One math.fsum per first-coordinate slab, then one over the slabs.
+    """
+    return math.fsum(
+        math.fsum(omega(weight, [v / P for v in x]) for x in slab)
+        for _, slab in itertools.groupby(solutions, key=lambda x: x[0])
+    )
+
+
+def count_weighted(pair: FormPair, P: float, weight: Weight, cap: int = DEFAULT_CAP) -> float:
     """N(P) = sum of omega(x/P) over integer solutions of C = Q = 0."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    box = weight_box(weight, P)
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
-    box = weight_box(weight, P)
-    if any(lo > hi for lo, hi in box):
-        return 0.0
-    lo0, hi0 = box[0]
-    slabs = [(x0, x0) for x0 in range(lo0, hi0 + 1)]
-
-    def work(slab: tuple[int, int]) -> float:
-        sub = [slab] + list(box[1:])
-        return math.fsum(
-            omega(weight, [v / P for v in x]) for x in enumerate_solutions(pair, sub)
-        )
-
-    return math.fsum(parallel_map(work, slabs, threads))
+    return weighted_sum(enumerate_solutions(pair, box, cap), P, weight)
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,7 @@ def fit_log_power(p_values: Sequence[float], counts: Sequence[float]) -> GrowthF
     return GrowthFit(slope, intercept, resid)
 
 
-def growth_fit(
-    pair: FormPair, weight: Weight, p_values: Sequence[float], threads: int = 1
-) -> GrowthFit:
+def growth_fit(pair: FormPair, weight: Weight, p_values: Sequence[float]) -> GrowthFit:
     """Fit the growth exponent of the weighted count over an ascending P grid."""
-    counts = [count_weighted(pair, P, weight, threads=threads) for P in p_values]
+    counts = [count_weighted(pair, P, weight) for P in p_values]
     return fit_log_power(p_values, counts)

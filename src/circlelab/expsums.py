@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .counting import weight_box
-from .forms import FormPair
-from .gridsum import eval_forms_float, eval_forms_mod, phase_histogram
+from .forms import FormPair, eval_cubic, eval_quadratic
+from .gridsum import phase_histogram, scan
 from .quadrature import (
     DEFAULT_MAX_LEVEL,
     QuadratureError,
@@ -133,12 +133,10 @@ def weyl_sum_direct(
     threads: int = 1,
 ) -> complex:
     """Direct evaluation of the weighted exponential sum at (alpha3, alpha2)."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    box = weight_box(weight, P)
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
     n = pair.n
-    box = weight_box(weight, P)
     if any(lo > hi for lo, hi in box):
         return 0.0 + 0.0j
     _int_box_guard(pair, box)
@@ -151,8 +149,8 @@ def weyl_sum_direct(
     def work(x0: int) -> complex:
         first = np.array([x0], dtype=np.int64).reshape((-1,) + (1,) * (n - 1))
         coords = [first] + axes_rest
-        cvals, qvals = eval_forms_float(pair, coords, exact_int=True)
-        arg = alpha3 * cvals + alpha2 * qvals
+        arg = (alpha3 * eval_cubic(pair.cubic, coords)
+               + alpha2 * eval_quadratic(pair.quadric, coords))
         arg = arg - np.round(arg)
         wvals = omega_grid(weight, [np.asarray(c, dtype=float) / P for c in coords])
         return complex(np.sum(wvals * np.exp(2j * np.pi * arg)))
@@ -258,8 +256,7 @@ def _smooth_phase(
     z: Sequence[float] | None = None,
 ) -> np.ndarray:
     """omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x) on broadcast coordinate arrays."""
-    cvals, qvals = eval_forms_float(pair, axes)
-    arg = gamma3 * cvals + gamma2 * qvals
+    arg = gamma3 * eval_cubic(pair.cubic, axes) + gamma2 * eval_quadratic(pair.quadric, axes)
     if z is not None:
         for zi, ax in zip(z, axes):
             if zi:
@@ -377,17 +374,14 @@ def poisson_reconstruct(
         raise ValueError("truncation radius M must be >= 0")
     n = pair.n
     q = approx.q
-    if q**n > cap:
-        raise CapExceededError(f"residue grid q^n = {q}^{n} exceeds cap {cap}")
+
+    def phases(coords, c, qq):
+        return ((approx.a3 % q) * c + (approx.a2 % q) * qq) % q
+
+    # scan() runs coordinate 1 fastest, hence the Fortran-order reshape
+    t = np.concatenate(scan(pair, q, phases, cap)).reshape((q,) * n, order="F")
     gamma3 = approx.theta3 * P**3
     gamma2 = approx.theta2 * P**2
-
-    coords = [
-        np.arange(q, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-        for i in range(n)
-    ]
-    cvals, qvals = eval_forms_mod(pair, q, coords)
-    t = ((approx.a3 % q) * cvals + (approx.a2 % q) * qvals) % q
     f = np.exp(2j * np.pi * t / q)
     sums_mod = q**n * np.fft.ifftn(f)
 

@@ -69,9 +69,6 @@ class CubicForm:
                 clean[(int(i), int(j), int(k))] = int(coeff)
         object.__setattr__(self, "monomials", clean)
 
-    def evaluate(self, x: Sequence) -> object:
-        return eval_cubic(self, x)
-
     def coefficient_norm(self) -> int:
         """Sum of absolute coefficients, a crude size measure."""
         return sum(abs(c) for c in self.monomials.values())
@@ -116,9 +113,6 @@ class QuadraticForm:
     def diagonal(self) -> list[int]:
         """Coefficients d_i of x_i^2 (valid view for any form)."""
         return [self.monomials.get((i, i), 0) for i in range(1, self.n + 1)]
-
-    def evaluate(self, x: Sequence) -> object:
-        return eval_quadratic(self, x)
 
     def coefficient_norm(self) -> int:
         return sum(abs(c) for c in self.monomials.values())
@@ -169,19 +163,27 @@ def _check_vector(n: int, x: Sequence) -> None:
 
 
 def eval_cubic(cubic: CubicForm, x: Sequence):
-    """Exact value sum coeff * x_i x_j x_k (works for int or float inputs)."""
+    """C(x) = sum of coeff * (x_i x_j x_k) over the monomials, in stored order.
+
+    x holds numbers (exact for int and Fraction entries) or broadcastable
+    numpy coordinate arrays, one per variable. Terms are added out of
+    place, so an int64 grid stays int64 (the caller bounds its values) and
+    every point of a float grid is rounded exactly as the scalar
+    evaluation at that point. A form without monomials returns 0.
+    """
     _check_vector(cubic.n, x)
     total = 0
     for (i, j, k), coeff in cubic.monomials.items():
-        total += coeff * x[i - 1] * x[j - 1] * x[k - 1]
+        total = total + coeff * (x[i - 1] * x[j - 1] * x[k - 1])
     return total
 
 
 def eval_quadratic(quadric: QuadraticForm, x: Sequence):
+    """Q(x) = sum of coeff * (x_i x_j) over the monomials; inputs as for eval_cubic."""
     _check_vector(quadric.n, x)
     total = 0
     for (i, j), coeff in quadric.monomials.items():
-        total += coeff * x[i - 1] * x[j - 1]
+        total = total + coeff * (x[i - 1] * x[j - 1])
     return total
 
 

@@ -1,4 +1,4 @@
-"""Vectorized scans over residue vectors mod q and over lattice boxes.
+"""The one scan over residue vectors mod q.
 
 Every residue scan goes through scan(): the grid {0, ..., q-1}^n is
 traversed in chunks of flat indices; each chunk is decoded into coordinate
@@ -7,8 +7,9 @@ that all products stay far below the int64 limit (safe for q up to ~10^6,
 well beyond the design range).
 
 Consumers either aggregate chunk results with order-independent integer
-operations (histograms, counts) or take the first hit in grid order, so the
-outputs are exactly deterministic regardless of chunking or thread count.
+operations (histograms, counts), take the first hit in grid order, or
+concatenate the chunks back into the grid, so the outputs are exactly
+deterministic regardless of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .util import CapExceededError, DEFAULT_CAP, chunk_ranges, parallel_map
 
 __all__ = [
     "scan",
-    "eval_forms_mod",
-    "eval_forms_float",
     "phase_histogram",
     "joint_histogram",
     "count_solutions_mod",
@@ -34,32 +33,12 @@ CHUNK = 1 << 18
 T = TypeVar("T")
 
 
-def eval_forms_float(
-    pair: FormPair, axes: Sequence[np.ndarray], exact_int: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(C, Q) on broadcastable coordinate arrays.
-
-    With exact_int the inputs must be integer arrays small enough that the
-    accumulated values stay below 2^62 (the caller guards this); otherwise
-    plain float64 evaluation.
-    """
-    shape = np.broadcast_shapes(*[np.shape(a) for a in axes])
-    dtype = np.int64 if exact_int else float
-    cvals = np.zeros(shape, dtype=dtype)
-    for (i, j, k), coeff in pair.cubic.monomials.items():
-        cvals = cvals + coeff * (axes[i - 1] * axes[j - 1] * axes[k - 1])
-    qvals = np.zeros(shape, dtype=dtype)
-    for (i, j), coeff in pair.quadric.monomials.items():
-        qvals = qvals + coeff * (axes[i - 1] * axes[j - 1])
-    return cvals, qvals
-
-
 def _decode(flat: np.ndarray, q: int, n: int) -> list[np.ndarray]:
     """Coordinate arrays (values in [0, q)) for flat indices in [0, q^n)."""
     return [(flat // q**j) % q for j in range(n)]
 
 
-def eval_forms_mod(pair: FormPair, q: int, coords: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _eval_forms_mod(pair: FormPair, q: int, coords: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(C mod q, Q mod q) on coordinate arrays with entries in [0, q)."""
     cvals = np.zeros_like(coords[0])
     for (i, j, k), coeff in pair.cubic.monomials.items():
@@ -101,7 +80,7 @@ def scan(
 
     def work(rng: tuple[int, int]) -> T:
         coords = _decode(np.arange(*rng, dtype=np.int64), q, n)
-        return per_chunk(coords, *eval_forms_mod(pair, q, coords))
+        return per_chunk(coords, *_eval_forms_mod(pair, q, coords))
 
     return parallel_map(work, chunk_ranges(0, total, CHUNK), threads)
 

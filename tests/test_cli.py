@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelab import arcs, localdens
+from circlelab import arcs, counting, localdens
 from circlelab.cli import ProblemError, emit, load_problem, run
 
 
@@ -210,6 +210,217 @@ def n5_file(tmp_path):
     return str(path)
 
 
+# ND3 and ND3 without its cubic or without its quadric (a form with no
+# monomials evaluates to the scalar 0) through every command that evaluates
+# the forms on numpy grids: the integrand of J(R), the oscillatory integral,
+# the direct Weyl sum (int64 grid) and the Poisson reconstruction.  The
+# outputs below, and the count outputs after them, were captured before the
+# float evaluator was folded into forms.eval_cubic/eval_quadratic, before the
+# Poisson phase grid went through gridsum.scan and before count summed N(P)
+# from its own box enumeration.
+EVAL_PROBLEMS = {
+    "nd3": ND3_PROBLEM,
+    "nocubic": {**ND3_PROBLEM, "cubic": []},
+    "noquadric": {**ND3_PROBLEM, "quadric": []},
+}
+
+EVAL_JOBS = {
+    "integral": ["integral", "--R", "1", "--tol", "1e-6"],
+    "osc": ["sum", "--mode", "integral", "--gamma3", "1.5", "--gamma2", "1", "--z", "1,-1,0",
+            "--tol", "1e-6"],
+    "direct": ["sum", "--mode", "direct", "--P", "12", "--alpha3", "0.31", "--alpha2", "0.57"],
+    "poisson": ["sum", "--mode", "poisson", "--P", "6", "--q", "3", "--a3", "1", "--a2", "2",
+                "--theta3", "1e-3", "--theta2=-2e-3", "--M", "2"],
+}
+
+EVAL_OUTPUTS = {
+    ("nd3", "integral"): '''{
+  "R": 1,
+  "value": 0.11109749633364616,
+  "error": 2.4965693984357884e-07,
+  "level": 6
+}
+''',
+    ("nd3", "osc"): '''{
+  "re": 0.011920691896271365,
+  "im": 0.00034113719366968005,
+  "abs": 0.011925572098257366,
+  "meta": {
+    "mode": "integral",
+    "gamma3": 1.5,
+    "gamma2": 1,
+    "z": [1, -1, 0],
+    "quad_error": 2.953555188875014e-08,
+    "quad_level": 6
+  }
+}
+''',
+    ("nd3", "direct"): '''{
+  "re": 1.4150423053115195,
+  "im": 2.5131881524795618,
+  "abs": 2.8841739572336778,
+  "meta": {
+    "mode": "direct",
+    "P": 12,
+    "alpha3": 0.31,
+    "alpha2": 0.56999999999999995
+  }
+}
+''',
+    ("nd3", "poisson"): '''{
+  "re": 1.1410273883958844,
+  "im": 0.90022626663421179,
+  "abs": 1.4533928691884048,
+  "meta": {
+    "mode": "poisson",
+    "P": 6,
+    "q": 3,
+    "a3": 1,
+    "a2": 2,
+    "theta3": 0.001,
+    "theta2": -0.002,
+    "M": 2,
+    "theta_height": 1.288
+  }
+}
+''',
+    ("nocubic", "integral"): '''{
+  "R": 1,
+  "value": 0.11128351511839452,
+  "error": 2.603924357802434e-07,
+  "level": 6
+}
+''',
+    ("nocubic", "osc"): '''{
+  "re": 0.012524356920294532,
+  "im": 7.1479726636493842e-06,
+  "abs": 0.0125243589600603,
+  "meta": {
+    "mode": "integral",
+    "gamma3": 1.5,
+    "gamma2": 1,
+    "z": [1, -1, 0],
+    "quad_error": 3.7934412535094489e-08,
+    "quad_level": 6
+  }
+}
+''',
+    ("nocubic", "direct"): '''{
+  "re": -0.75838525560779313,
+  "im": -0.70452178296829104,
+  "abs": 1.0351324256345744,
+  "meta": {
+    "mode": "direct",
+    "P": 12,
+    "alpha3": 0.31,
+    "alpha2": 0.56999999999999995
+  }
+}
+''',
+    ("nocubic", "poisson"): '''{
+  "re": 1.9556216421566999,
+  "im": 0.023367657650527181,
+  "abs": 1.9557612468539558,
+  "meta": {
+    "mode": "poisson",
+    "P": 6,
+    "q": 3,
+    "a3": 1,
+    "a2": 2,
+    "theta3": 0.001,
+    "theta2": -0.002,
+    "M": 2,
+    "theta_height": 1.288
+  }
+}
+''',
+    ("noquadric", "integral"): '''{
+  "R": 1,
+  "value": 0.11270522980789045,
+  "error": 8.1604367176135728e-07,
+  "level": 4
+}
+''',
+    ("noquadric", "osc"): '''{
+  "re": 0.012357033186511239,
+  "im": 5.1669009782512321e-20,
+  "abs": 0.012357033186511239,
+  "meta": {
+    "mode": "integral",
+    "gamma3": 1.5,
+    "gamma2": 1,
+    "z": [1, -1, 0],
+    "quad_error": 1.0396150825625616e-08,
+    "quad_level": 6
+  }
+}
+''',
+    ("noquadric", "direct"): '''{
+  "re": -0.2310609468727213,
+  "im": -5.377642775528102e-17,
+  "abs": 0.2310609468727213,
+  "meta": {
+    "mode": "direct",
+    "P": 12,
+    "alpha3": 0.31,
+    "alpha2": 0.56999999999999995
+  }
+}
+''',
+    ("noquadric", "poisson"): '''{
+  "re": 0.5756678637728263,
+  "im": 5.8907619206115588e-16,
+  "abs": 0.5756678637728263,
+  "meta": {
+    "mode": "poisson",
+    "P": 6,
+    "q": 3,
+    "a3": 1,
+    "a2": 2,
+    "theta3": 0.001,
+    "theta2": -0.002,
+    "M": 2,
+    "theta_height": 1.288
+  }
+}
+''',
+}
+
+ND3_COUNT_P20 = '''{
+  "P": 20,
+  "weighted_count": 2.5069541904547883,
+  "box": ["-8:8", "-8:8", "-8:8"],
+  "box_count": 17
+}
+'''
+
+ND3_COUNT_P20_BOX3 = '''{
+  "P": 20,
+  "weighted_count": 2.5069541904547883,
+  "box": ["-3:3", "-3:3", "-3:3"],
+  "box_count": 7
+}
+'''
+
+ND3_SOLUTIONS_BOX3 = '''x1,x2,x3
+-3,0,-3
+-2,0,-2
+-1,0,-1
+0,0,0
+1,0,1
+2,0,2
+3,0,3
+'''
+
+LINE_COUNT_P32 = '''{
+  "P": 32,
+  "weighted_count": 4.018001039974255,
+  "box": ["-12:12", "-12:12"],
+  "box_count": 25
+}
+'''
+
+
 def run_to_file(tmp_path, argv):
     out = tmp_path / "out.txt"
     code = run(argv + ["--out", str(out)])
@@ -269,7 +480,7 @@ def test_every_violation_is_reported_without_traceback(tmp_path, capsys):
         "error: unknown key 'bogus'",
         "error: 'n' must be a positive integer",
         "error: 'cubic' must be a list of [i, j, k, coeff] entries",
-        "error: quadric entry [1, 1, True] must be integers",
+        "error: quadric entry [1, 1, true] must be integers",
         "error: quadric entry [1, 2] must be [i, j, coeff]",
         "error: 'h' must be a positive integer",
         "error: 'weight.x0' must be a list of n reals",
@@ -503,6 +714,57 @@ def test_info_and_arcs_grid_output_is_unchanged(n5_file, tmp_path):
     assert run_to_file(tmp_path, ["info", "--problem", n5_file]) == (0, N5_INFO)
     argv = ["arcs", "--P", "50", "--grid", "3", "--seed", "4"]
     assert run_to_file(tmp_path, argv) == (0, ARCS_GRID3_SEED4)
+
+
+@pytest.mark.parametrize("name,job", list(EVAL_OUTPUTS))
+def test_form_evaluation_outputs_are_unchanged(tmp_path, name, job):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(EVAL_PROBLEMS[name]))
+    argv = EVAL_JOBS[job][:1] + ["--problem", str(path)] + EVAL_JOBS[job][1:]
+    assert run_to_file(tmp_path, argv) == (0, EVAL_OUTPUTS[name, job])
+
+
+def test_count_output_is_unchanged(nd3_file, problem_file, tmp_path):
+    argv = ["count", "--problem", nd3_file, "--P", "20"]
+    assert run_to_file(tmp_path, argv) == (0, ND3_COUNT_P20)
+    argv = ["count", "--problem", problem_file, "--P", "32"]
+    assert run_to_file(tmp_path, argv) == (0, LINE_COUNT_P32)
+    csv_path = tmp_path / "solutions.csv"
+    argv = ["count", "--problem", nd3_file, "--P", "20", "--box=-3:3,-3:3,-3:3",
+            "--emit", str(csv_path)]
+    assert run_to_file(tmp_path, argv) == (0, ND3_COUNT_P20_BOX3)
+    assert csv_path.read_text() == ND3_SOLUTIONS_BOX3
+
+
+def test_count_enumerates_its_box_once(problem_file, tmp_path, monkeypatch):
+    boxes = []
+    enumerate_solutions = counting.enumerate_solutions
+
+    def counted(pair, box, *args, **kwargs):
+        boxes.append(box)
+        return enumerate_solutions(pair, box, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "enumerate_solutions", counted)
+    assert run_to_file(tmp_path, ["count", "--problem", problem_file, "--P", "32"])[0] == 0
+    assert boxes == [[(-12, 12), (-12, 12)]]
+
+
+# count --P 16 on the line problem (diagonal fast path) visits the 13 values
+# of x1 in [-6, 6], count --P 20 on ND3 the whole box [-8, 8]^3, and
+# compare --P 8,16 charges each box on its own: 7, then 13 points.
+@pytest.mark.parametrize("problem,argv,points", [
+    ("problem_file", ["count", "--P", "16"], 13),
+    ("problem_file", ["count", "--P", "16", "--box=-1:1,-1:1"], 13),
+    ("nd3_file", ["count", "--P", "20"], 17**3),
+    ("problem_file", ["compare", "--P", "8,16", "--Rq", "2", "--Rgamma", "2"], 13),
+])
+def test_box_scans_honour_the_cap(request, capsys, problem, argv, points):
+    argv = argv[:1] + ["--problem", request.getfixturevalue(problem)] + argv[1:]
+    assert run(argv + ["--cap", str(points)]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--cap", str(points - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: lattice box: {points} elements exceeds cap {points - 1}\n"
 
 
 @pytest.mark.parametrize("p", ["1", "4", "9"])

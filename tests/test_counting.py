@@ -106,12 +106,6 @@ def test_count_weighted_matches_oracle(pair_line, broad_weight):
     assert count_weighted(pair_line, P, broad_weight) == pytest.approx(oracle, rel=1e-14)
 
 
-def test_parallel_count_deterministic(pair_line, broad_weight):
-    base = count_weighted(pair_line, 32, broad_weight, threads=1)
-    for threads in (2, 3, 7):
-        assert count_weighted(pair_line, 32, broad_weight, threads=threads) == base
-
-
 def test_fit_log_power_exact_square():
     ps = [8.0, 16.0, 32.0, 64.0]
     fit = fit_log_power(ps, [p * p for p in ps])

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from circlelab import gridsum
 from circlelab.expsums import (
     RationalApprox,
     complete_sum,
@@ -252,7 +253,9 @@ def test_poisson_cap(pair_n1):
 
     w = Weight((0.25,), 0.2)
     approx = RationalApprox(101, 1, 1, 0.0, 0.0)
-    with pytest.raises(CapExceededError):
+    # the residue grid is charged by gridsum.scan, in its wording
+    message = r"^residue grid q\^n = 101\^1 = 101 exceeds cap 50$"
+    with pytest.raises(CapExceededError, match=message):
         poisson_reconstruct(pair_n1, 8, w, approx, 4, cap=50)
 
 
@@ -303,6 +306,17 @@ def test_poisson_m0_reproduces_main_term(pair_n1):
     integral = osc_integral(pair_n1, w, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=1e-10)
     main = P / 2 * s_aq * integral.value
     assert recon == pytest.approx(main, rel=1e-6)
+
+
+def test_poisson_grid_does_not_depend_on_chunking(monkeypatch):
+    # the phase grid is concatenated from gridsum.scan chunks: 7^2 = 49
+    # residues of an asymmetric pair in chunks of 5, the last one short
+    pair = make_pair(2, {(1, 1, 1): 1, (1, 1, 2): 2, (2, 2, 2): -1}, {(1, 2): 1, (2, 2): 3})
+    w = Weight((0.1, -0.1), 0.3)
+    approx = RationalApprox(7, 3, 5, 1e-4, 1e-3)
+    expected = poisson_reconstruct(pair, 8, w, approx, 4)
+    monkeypatch.setattr(gridsum, "CHUNK", 5)
+    assert poisson_reconstruct(pair, 8, w, approx, 4) == expected
 
 
 def test_poisson_error_decreases_with_m(pair_line):

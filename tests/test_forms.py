@@ -1,9 +1,12 @@
 """Exact form algebra: evaluation, bilinear forms, rank/signature, predicates."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab.forms import (
     CubicForm,
@@ -59,6 +62,48 @@ def test_eval_homogeneity():
         x = [rng.randint(-5, 5) for _ in range(3)]
         lam = rng.randint(-4, 4)
         assert eval_cubic(c, [lam * v for v in x]) == lam**3 * eval_cubic(c, x)
+
+
+@st.composite
+def broadcast_cases(draw):
+    """A cubic and a quadric (possibly without monomials) and one value list per axis."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-9, 9).filter(bool)
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=4))
+
+    cubic, quadric = CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    if dtype is np.int64:
+        elements = st.integers(-50, 50)
+    else:
+        elements = st.floats(-3, 3, allow_nan=False, allow_subnormal=False)
+    values = [draw(st.lists(elements, min_size=1, max_size=4)) for _ in range(n)]
+    return cubic, quadric, dtype, values
+
+
+@settings(max_examples=80, deadline=None)
+@given(broadcast_cases())
+def test_evaluators_broadcast_exactly_like_scalar_evaluation(case):
+    # one value list per axis, each along its own numpy axis: every grid
+    # point carries the bits of the scalar evaluation at that point
+    cubic, quadric, dtype, values = case
+    n = cubic.n
+    axes = [
+        np.array(v, dtype=dtype).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+        for i, v in enumerate(values)
+    ]
+    shape = tuple(len(v) for v in values)
+    for evaluate, form in ((eval_cubic, cubic), (eval_quadratic, quadric)):
+        grid = evaluate(form, axes)
+        if form.monomials:
+            assert grid.dtype == dtype
+        grid = np.broadcast_to(grid, shape)
+        for idx in itertools.product(*map(range, shape)):
+            point = [v[k] for v, k in zip(values, idx)]
+            assert grid[idx] == evaluate(form, point), (idx, point)
 
 
 def test_dimension_mismatch():
