@@ -21,7 +21,7 @@ import numpy as np
 from .expsums import RationalApprox, complete_sum, osc_integral, weyl_sum_direct
 from .forms import FormPair, eval_cubic, eval_quadratic
 from .localdens import singular_series_truncated
-from .quadrature import DEFAULT_MAX_LEVEL, QuadResult, tensor_integral
+from .quadrature import QuadResult, tensor_integral
 from .util import DEFAULT_CAP
 from .weightfn import Weight, omega_grid
 
@@ -37,6 +37,8 @@ __all__ = [
 
 # below this |u| the kernel switches to its even power series in u
 _SERIES_SWITCH = 1e-8
+# soft pass bound on the major-arc replacement error, in units of its scale
+RATIO_BOUND = 50.0
 
 
 def sin_kernel(R: float, u: float) -> float:
@@ -63,7 +65,6 @@ def singular_integral_truncated(
     weight: Weight,
     R: float,
     tol: float = 1e-8,
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> QuadResult:
     """J(R) via the sin-kernel form, by nested tensor quadrature."""
     if R <= 0:
@@ -78,7 +79,7 @@ def singular_integral_truncated(
             * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes))
         )
 
-    res = tensor_integral(f, weight.center, weight.xi, tol, max_level=max_level)
+    res = tensor_integral(f, weight.center, weight.xi, tol)
     return QuadResult(float(res.value.real), res.error, res.level)
 
 
@@ -99,17 +100,16 @@ def major_arc_approx_check(
     approx: RationalApprox,
     tol: float = 1e-8,
     cap: int = DEFAULT_CAP,
-    ratio_bound: float = 50.0,
 ) -> MajorArcCheck:
     """Compare the direct sum against its major-arc main term.
 
     main = q^{-n} P^n S(a, q) I(theta3 P^3, theta2 P^2; 0); the replacement
     error is measured against the scale q P^{n-1} + |theta3| q P^{n+2}
-    + |theta2| q P^{n+1}, with a soft pass flag at ratio <= ratio_bound.
+    + |theta2| q P^{n+1}, with a soft pass flag at ratio <= RATIO_BOUND.
     """
     n = pair.n
     q = approx.q
-    lhs = weyl_sum_direct(pair, P, weight, approx.alpha3, approx.alpha2)
+    lhs = weyl_sum_direct(pair, P, weight, approx.alpha3, approx.alpha2, cap=cap)
     s_aq = complete_sum(pair, q, approx.a3, approx.a2, [0] * n, cap=cap)
     integral = osc_integral(
         pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=tol
@@ -123,7 +123,7 @@ def major_arc_approx_check(
     )
     floor = 1e-9 * P**n
     ratio = error / scale
-    ok = error <= floor or ratio <= ratio_bound
+    ok = error <= floor or ratio <= RATIO_BOUND
     return MajorArcCheck(lhs, main, error, scale, ratio, ok)
 
 

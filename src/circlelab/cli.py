@@ -24,7 +24,6 @@ from .forms import (
     CubicForm,
     FormPair,
     QuadraticForm,
-    cubic_singular_points_mod_p,
     eval_cubic,
     eval_quadratic,
     h_parameter,
@@ -33,6 +32,7 @@ from .forms import (
     signature_quadratic,
     smooth_point_test,
 )
+from .gridsum import cubic_singular_points_mod_p
 from .quadrature import QuadratureError
 from .util import CapExceededError, DEFAULT_CAP, InvariantError
 from .weightfn import Weight
@@ -202,8 +202,23 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        # argparse's own wording for a flag of type float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+    values = [float(v) for v in text.split(",") if v != ""]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _parse_box(text: str) -> list[tuple[int, int]]:
@@ -220,7 +235,7 @@ def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
@@ -233,33 +248,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="weighted count and box enumeration")
     _add_common(p)
-    p.add_argument("--P", type=float, required=True)
+    p.add_argument("--P", type=_finite_float, required=True)
     p.add_argument("--box", type=str, default=None, help="a:b,c:d,... inclusive ranges")
     p.add_argument("--emit", dest="emit_csv", default=None, help="write solutions CSV here")
 
     p = sub.add_parser("sum", help="exponential sums and oscillatory integrals")
     _add_common(p)
     p.add_argument("--mode", required=True, choices=["direct", "complete", "crt", "poisson", "integral"])
-    p.add_argument("--P", type=float, default=None)
-    p.add_argument("--alpha3", type=float, default=None)
-    p.add_argument("--alpha2", type=float, default=None)
+    p.add_argument("--P", type=_finite_float, default=None)
+    p.add_argument("--alpha3", type=_finite_float, default=None)
+    p.add_argument("--alpha2", type=_finite_float, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--a3", type=int, default=None)
     p.add_argument("--a2", type=int, default=None)
     p.add_argument("--m", type=str, default=None, help="comma-separated integer vector")
     p.add_argument("--M", type=int, default=None, help="poisson truncation radius")
-    p.add_argument("--theta3", type=float, default=0.0)
-    p.add_argument("--theta2", type=float, default=0.0)
-    p.add_argument("--gamma3", type=float, default=0.0)
-    p.add_argument("--gamma2", type=float, default=0.0)
+    p.add_argument("--theta3", type=_finite_float, default=0.0)
+    p.add_argument("--theta2", type=_finite_float, default=0.0)
+    p.add_argument("--gamma3", type=_finite_float, default=0.0)
+    p.add_argument("--gamma2", type=_finite_float, default=0.0)
     p.add_argument("--z", type=str, default=None, help="comma-separated frequency vector")
 
     p = sub.add_parser("arcs", help="major/minor classification of points or a grid")
     _add_common(p, problem=False)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--delta", type=float, default=arcs_mod.DEFAULT_DELTA)
-    p.add_argument("--alpha3", type=float, default=None)
-    p.add_argument("--alpha2", type=float, default=None)
+    p.add_argument("--P", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, default=arcs_mod.DEFAULT_DELTA)
+    p.add_argument("--alpha3", type=_finite_float, default=None)
+    p.add_argument("--alpha2", type=_finite_float, default=None)
     p.add_argument("--grid", type=int, default=None)
 
     p = sub.add_parser("series", help="truncated singular series")
@@ -278,26 +293,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integral", help="truncated singular integral")
     _add_common(p)
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--R", type=_finite_float, required=True)
 
     p = sub.add_parser("predict", help="main-term prediction")
     _add_common(p)
     p.add_argument("--Rq", type=int, required=True)
-    p.add_argument("--Rgamma", type=float, required=True)
-    p.add_argument("--P", type=float, required=True)
+    p.add_argument("--Rgamma", type=_finite_float, required=True)
+    p.add_argument("--P", type=_finite_float, required=True)
 
     p = sub.add_parser("compare", help="counts vs prediction over a P grid (CSV)")
     _add_common(p)
     p.add_argument("--P", type=str, required=True, help="comma-separated P values")
     p.add_argument("--Rq", type=int, required=True)
-    p.add_argument("--Rgamma", type=float, required=True)
+    p.add_argument("--Rgamma", type=_finite_float, required=True)
 
     p = sub.add_parser("weyl-scan", help="Weyl dichotomy diagnostics on a grid (CSV)")
     _add_common(p)
-    p.add_argument("--P", type=float, required=True)
+    p.add_argument("--P", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--delta", type=float, default=arcs_mod.DEFAULT_DELTA)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--delta", type=_finite_float, default=arcs_mod.DEFAULT_DELTA)
+    p.add_argument("--eps", type=_finite_float, default=0.05)
 
     p = sub.add_parser("nr", help="bilinear system count n(R)")
     _add_common(p)
@@ -337,7 +352,9 @@ def _cmd_info(args) -> tuple[object, str]:
     if pair.cubic_nonsingular:
         # sanity scan of the user assertion; p = 3 is omitted here because
         # every cubic has vanishing gradient in characteristic 3
-        scan = cubic_singular_points_mod_p(pair.cubic, primes=(2, 5), cap=args.cap)
+        scan = cubic_singular_points_mod_p(
+            pair.cubic, primes=(2, 5), cap=args.cap, threads=args.threads
+        )
         report["nonsingularity_scan"] = {
             str(p): list(pt) if pt else None for p, pt in scan.items()
         }
@@ -373,7 +390,7 @@ def _cmd_sum(args) -> tuple[object, str]:
         if args.P is None or args.alpha3 is None or args.alpha2 is None:
             raise ValueError("direct mode needs --P --alpha3 --alpha2")
         val = expsums.weyl_sum_direct(
-            pair, args.P, weight, args.alpha3, args.alpha2, threads=args.threads
+            pair, args.P, weight, args.alpha3, args.alpha2, cap=args.cap, threads=args.threads
         )
         meta = {"mode": mode, "P": args.P, "alpha3": args.alpha3, "alpha2": args.alpha2}
     elif mode in ("complete", "crt"):
@@ -569,7 +586,7 @@ def _cmd_weyl_scan(args) -> tuple[object, str]:
     pair, weight = load_problem(args.problem)
     rows = weyldiag.minor_arc_scan(
         pair, args.P, weight, args.grid,
-        delta=args.delta, eps=args.eps, seed=args.seed, threads=args.threads,
+        delta=args.delta, eps=args.eps, seed=args.seed, cap=args.cap, threads=args.threads,
     )
     return rows, "csv"
 

@@ -1,12 +1,16 @@
 """Enumeration of integer solutions of C = Q = 0 and the weighted count.
 
 Enumeration is exact (Python integers, no overflow) and yields points in
-lexicographic order so outputs are reproducible and diffable.  When the
-quadric is diagonal with d_n != 0 the last coordinate is solved by an
-integer square root instead of scanned, which removes one dimension from
-the scan; the fallback is a plain box scan.
+lexicographic order so outputs are reproducible and diffable.  Every
+quadric goes through one loop over the first n - 1 coordinates: at each
+prefix, Q is a polynomial of degree at most 2 in the last coordinate, whose
+integer roots come from an exact integer square root (or one exact division
+when Q has no x_n^2 term), and only those roots are tested on the cubic.
 
-Every enumeration charges the points it visits to the work cap.
+Every enumeration charges the points it visits to the work cap: the
+(n - 1)-dimensional prefix box when Q has an x_n^2 term, and the whole box
+otherwise, because a prefix at which Q vanishes identically in x_n takes
+every value of the last side.
 
 The weighted count N(P) = sum over solutions of omega(x/P) needs only the
 integer points of the box circumscribing P times the support ball, visited
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .forms import FormPair, eval_cubic, eval_quadratic
+from .forms import FormPair, eval_cubic
 from .util import DEFAULT_CAP, check_cap
 from .weightfn import Weight, omega
 
@@ -49,52 +53,52 @@ def _check_box(n: int, box: Box) -> list[tuple[int, int]]:
     return out
 
 
-def _isqrt_exact(t: int) -> int | None:
-    """Integer square root of t when t is a perfect square, else None."""
-    if t < 0:
-        return None
-    r = math.isqrt(t)
-    return r if r * r == t else None
-
-
 def enumerate_solutions(
     pair: FormPair, box: Box, cap: int = DEFAULT_CAP
 ) -> Iterator[tuple[int, ...]]:
     """Yield every integer point of the box with C(x) = Q(x) = 0, once, in
     lexicographic order.
 
-    The points visited (the whole box, or all but its last side on the
-    diagonal fast path) are charged to cap before the first is yielded.
+    Q(x', t) = a t^2 + b(x') t + c(x') is solved for the last coordinate t
+    at each prefix x' of the first n - 1 coordinates, and each root t in
+    the last side is kept when C(x', t) = 0.  The points visited (all but
+    the last side of the box when a != 0, the whole box otherwise) are
+    charged to cap before the first is yielded.
     """
     n = pair.n
     box = _check_box(n, box)
     ranges = [range(lo, hi + 1) for lo, hi in box]
-    diag = pair.quadric.diagonal()
-    fast = pair.quadric.is_diagonal and n >= 1 and diag[-1] != 0
-    scanned = ranges[:-1] if fast else ranges
+    a = pair.quadric.monomials.get((n, n), 0)
+    # b(x') = sum of q_in x_i over i < n, c(x') = Q(x', 0)
+    linear = [(i - 1, coeff) for (i, j), coeff in pair.quadric.monomials.items() if i < j == n]
+    const = [(i - 1, j - 1, coeff) for (i, j), coeff in pair.quadric.monomials.items() if j < n]
+    scanned = ranges[:-1] if a else ranges
     check_cap(math.prod(len(r) for r in scanned), cap, "lattice box")
 
-    if not fast:
-        for x in itertools.product(*ranges):
-            if eval_quadratic(pair.quadric, x) == 0 and eval_cubic(pair.cubic, x) == 0:
-                yield x
-        return
-
-    dn = diag[-1]
-    lo_n, hi_n = box[-1]
+    last = ranges[-1]
     for prefix in itertools.product(*ranges[:-1]):
-        s = sum(d * v * v for d, v in zip(diag[:-1], prefix))
-        # solve d_n * t^2 = -s over the integers
-        if (-s) % dn:
-            continue
-        t2 = (-s) // dn
-        r = _isqrt_exact(t2)
-        if r is None:
-            continue
-        candidates = (0,) if r == 0 else (-r, r)
-        for xn in candidates:
-            if lo_n <= xn <= hi_n:
-                x = prefix + (xn,)
+        b = c = 0
+        for i, coeff in linear:
+            b += coeff * prefix[i]
+        for i, j, coeff in const:
+            c += coeff * prefix[i] * prefix[j]
+        if a:
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            # t = (-b -+ r) / 2a in ascending order, a double root when r = 0
+            nums = (-b,) if r == 0 else (-b - r, -b + r) if a > 0 else (-b + r, -b - r)
+            roots = [num // (2 * a) for num in nums if num % (2 * a) == 0]
+        elif b:
+            roots = [-c // b] if c % b == 0 else []
+        else:
+            roots = last if c == 0 else ()
+        for t in roots:
+            if t in last:
+                x = prefix + (t,)
                 if eval_cubic(pair.cubic, x) == 0:
                     yield x
 
@@ -104,7 +108,9 @@ def count_box(pair: FormPair, box: Box) -> int:
 
 
 def weight_box(weight: Weight, P: float) -> list[tuple[int, int]]:
-    """Integer box circumscribing P times the support ball of the weight (P >= 1)."""
+    """Integer box circumscribing P times the support ball of the weight (finite P >= 1)."""
+    if not math.isfinite(P):
+        raise ValueError(f"P must be finite, got {P}")
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
     out = []

@@ -35,6 +35,7 @@ from .quadrature import (
 from .util import (
     CapExceededError,
     DEFAULT_CAP,
+    check_cap,
     chunk_ranges,
     factorize,
     fsum_complex,
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 _INT64_GUARD = 2**62
+# the Poisson total is accepted once two grid sizes agree to this relative tolerance
+POISSON_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,15 +133,20 @@ def weyl_sum_direct(
     weight: Weight,
     alpha3: float,
     alpha2: float,
+    cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> complex:
-    """Direct evaluation of the weighted exponential sum at (alpha3, alpha2)."""
+    """Direct evaluation of the weighted exponential sum at (alpha3, alpha2).
+
+    Every point of the weight's box is visited and charged to cap.
+    """
     box = weight_box(weight, P)
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
     n = pair.n
     if any(lo > hi for lo, hi in box):
         return 0.0 + 0.0j
+    check_cap(math.prod(hi - lo + 1 for lo, hi in box), cap, "lattice box")
     _int_box_guard(pair, box)
     axes_rest = [
         np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
@@ -359,7 +367,6 @@ def poisson_reconstruct(
     weight: Weight,
     approx: RationalApprox,
     M: int,
-    rel_tol: float = 1e-9,
     cap: int = DEFAULT_CAP,
 ) -> complex:
     """Truncated Poisson-summation reconstruction of the direct Weyl sum.
@@ -368,7 +375,7 @@ def poisson_reconstruct(
     |m|_inf <= M.  All complete sums mod q are obtained at once as the
     inverse DFT of the residue phase grid, and the m-family of oscillatory
     integrals shares one alias-resolved quadrature grid whose resolution is
-    doubled until the total stabilizes to rel_tol.
+    doubled until the total stabilizes to POISSON_REL_TOL.
     """
     if M < 0:
         raise ValueError("truncation radius M must be >= 0")
@@ -396,7 +403,7 @@ def poisson_reconstruct(
     while True:
         tensor = _poisson_tensor(pair, weight, gamma3, gamma2, freq_step, M, grid_n)
         total = (P / q) ** n * complex(np.sum(sums_big * tensor))
-        if prev is not None and abs(total - prev) <= rel_tol * (1.0 + abs(total)):
+        if prev is not None and abs(total - prev) <= POISSON_REL_TOL * (1.0 + abs(total)):
             return total
         if (grid_n * 2 + 1) ** min(n, 2) * (2 * M + 1) ** max(0, n - 2) > 2**26:
             raise QuadratureError(

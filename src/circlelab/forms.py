@@ -36,7 +36,6 @@ __all__ = [
     "jacobian_minors",
     "hypothesis_report",
     "h_parameter",
-    "cubic_singular_points_mod_p",
 ]
 
 
@@ -376,29 +375,3 @@ def h_parameter(pair: FormPair) -> int:
     raise ValueError(
         "h unavailable: set cubic_nonsingular or provide h_override in the problem file"
     )
-
-
-def cubic_singular_points_mod_p(
-    cubic: CubicForm, primes: Sequence[int] = (2, 3, 5), cap: int = 10**7
-) -> dict[int, tuple[int, ...] | None]:
-    """Sanity scan for nonzero x mod p with C(x) = 0 and grad C(x) = 0 mod p.
-
-    A hit does not disprove nonsingularity over Q, but flags the assertion
-    as suspect.  Primes with p^n > cap are skipped.
-    """
-    findings: dict[int, tuple[int, ...] | None] = {}
-    n = cubic.n
-    for p in primes:
-        if p**n > cap:
-            continue
-        found = None
-        for x in itertools.product(range(p), repeat=n):
-            if not any(x):
-                continue
-            if eval_cubic(cubic, x) % p:
-                continue
-            if all(g % p == 0 for g in gradient_cubic(cubic, x)):
-                found = x
-                break
-        findings[p] = found
-    return findings

@@ -18,7 +18,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .forms import FormPair
+from .forms import CubicForm, FormPair, QuadraticForm, gradient_cubic
 from .util import CapExceededError, DEFAULT_CAP, chunk_ranges, parallel_map
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "phase_histogram",
     "joint_histogram",
     "count_solutions_mod",
+    "cubic_singular_points_mod_p",
 ]
 
 CHUNK = 1 << 18
@@ -139,3 +140,39 @@ def count_solutions_mod(
 
     parts = scan(pair, q, per_chunk, cap, threads)
     return sum(a for a, _ in parts), sum(b for _, b in parts)
+
+
+def cubic_singular_points_mod_p(
+    cubic: CubicForm,
+    primes: Sequence[int] = (2, 3, 5),
+    cap: int = DEFAULT_CAP,
+    threads: int = 1,
+) -> dict[int, tuple[int, ...] | None]:
+    """Sanity scan for nonzero x mod p with C(x) = 0 and grad C(x) = 0 mod p.
+
+    For each p the lexicographically smallest such x is reported (x_1 most
+    significant), or None.  A hit does not disprove nonsingularity over Q,
+    but flags the assertion as suspect.  Primes with p^n > cap are skipped.
+    """
+    n = cubic.n
+    findings: dict[int, tuple[int, ...] | None] = {}
+    for p in primes:
+        if p**n > cap:
+            continue
+        # coefficients reduced mod p keep the gradient of a chunk in int64
+        reduced = CubicForm(n, {key: coeff % p for key, coeff in cubic.monomials.items()})
+
+        def per_chunk(coords, c, qq):
+            hit = (c == 0) & np.any([x != 0 for x in coords], axis=0)
+            for g in gradient_cubic(reduced, coords):
+                hit &= g % p == 0
+            idx = np.flatnonzero(hit)
+            if idx.size == 0:
+                return None
+            first = idx[np.lexsort([x[idx] for x in reversed(coords)])[0]]
+            return tuple(int(x[first]) for x in coords)
+
+        pair = FormPair(reduced, QuadraticForm(n, {}))
+        hits = [h for h in scan(pair, p, per_chunk, cap, threads) if h is not None]
+        findings[p] = min(hits, default=None)
+    return findings

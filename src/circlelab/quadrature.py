@@ -19,6 +19,7 @@ from .util import CapExceededError
 __all__ = ["QuadResult", "tensor_integral", "axis_nodes_weights"]
 
 MAX_DIM = 4
+MIN_LEVEL = 3
 DEFAULT_MAX_LEVEL = 12
 POINT_CAP = 2**24
 
@@ -70,7 +71,6 @@ def tensor_integral(
     half: float,
     tol: float,
     max_level: int = DEFAULT_MAX_LEVEL,
-    min_level: int = 3,
 ) -> QuadResult:
     """Integrate f over the cube prod_i [c_i - half, c_i + half].
 
@@ -84,7 +84,7 @@ def tensor_integral(
     if ndim > MAX_DIM:
         raise ValueError(f"quadrature supports n <= {MAX_DIM}, got n = {ndim}")
     prev = None
-    for level in range(min_level, max_level + 1):
+    for level in range(MIN_LEVEL, max_level + 1):
         m = 2**level
         if (m + 1) ** ndim > POINT_CAP:
             raise CapExceededError(

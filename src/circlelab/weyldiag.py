@@ -26,7 +26,7 @@ import numpy as np
 
 from .arcs import DEFAULT_DELTA, jittered_grid, major_arc_test, q3q2, simultaneous_approx
 from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, rank_quadratic
-from .util import check_cap, parallel_map
+from .util import DEFAULT_CAP, check_cap, parallel_map
 from .weightfn import Weight
 from .expsums import weyl_sum_direct
 
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 SOFT_CONSTANT = 10.0
+# the most denominators s that alpha3_witness tries
+WITNESS_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def _primitive_int_vector(v: list[Fraction]) -> list[int]:
     return [t // g for t in ints]
 
 
-def count_bilinear(cubic: CubicForm, R: int, cap: int = 10**9) -> int:
+def count_bilinear(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
     """n(R), counting y along exact kernels of the per-x linear system.
 
     Kernel dimension 0 contributes only y = 0; dimension 1 contributes the
@@ -163,18 +165,17 @@ def alpha3_witness(
     P: float,
     t3: float,
     eps: float = 0.05,
-    constant: float = SOFT_CONSTANT,
-    budget: int = 10**7,
 ) -> Alpha3Witness:
     """Best rational witness alpha3 = b3/s + phi3 with s(1 + P^3 |phi3|) small.
 
-    Exhaustive over s up to ~constant * P^eps * T3^8; ok flags whether the
-    minimized objective stays below constant times that scale.
+    Exhaustive over s up to ~SOFT_CONSTANT * P^eps * T3^8 (at most
+    WITNESS_BUDGET); ok flags whether the minimized objective stays below
+    SOFT_CONSTANT times that scale.
     """
     if not math.isfinite(t3):
         raise ValueError("T3 must be finite (the sum was nonzero)")
     rhs_scale = P**eps * t3**8
-    s_max = min(int(math.ceil(constant * rhs_scale)), budget)
+    s_max = min(int(math.ceil(SOFT_CONSTANT * rhs_scale)), WITNESS_BUDGET)
     if s_max < 1:
         s_max = 1
     best = None
@@ -192,7 +193,7 @@ def alpha3_witness(
         b3 //= g
     phi3 = alpha3 - b3 / s
     lhs = s * (1.0 + P**3 * abs(phi3))
-    return Alpha3Witness(s, b3, phi3, lhs, rhs_scale, lhs <= constant * rhs_scale)
+    return Alpha3Witness(s, b3, phi3, lhs, rhs_scale, lhs <= SOFT_CONSTANT * rhs_scale)
 
 
 def _u_search(
@@ -217,10 +218,13 @@ def minor_arc_scan(
     delta: float = DEFAULT_DELTA,
     eps: float = 0.05,
     seed: int = 0,
+    cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> list[dict]:
     """Classify a jittered k x k grid of (alpha3, alpha2) and test the Weyl
-    dichotomy at each point.  Report-only: no assertions are made here."""
+    dichotomy at each point.  Report-only: no assertions are made here.
+
+    Each point's direct Weyl sum charges its box to cap."""
     h = h_parameter(pair)
     rho = rank_quadratic(pair.quadric)
     n = pair.n
@@ -229,7 +233,7 @@ def minor_arc_scan(
 
     def work(pt: tuple[float, float]) -> dict:
         alpha3, alpha2 = pt
-        s_val = weyl_sum_direct(pair, P, weight, alpha3, alpha2)
+        s_val = weyl_sum_direct(pair, P, weight, alpha3, alpha2, cap=cap)
         s_abs = abs(s_val)
         is_major, witness = major_arc_test(alpha3, alpha2, P, delta)
         approx = simultaneous_approx(alpha3, alpha2, Q3, Q2)

@@ -749,14 +749,29 @@ def test_count_enumerates_its_box_once(problem_file, tmp_path, monkeypatch):
     assert boxes == [[(-12, 12), (-12, 12)]]
 
 
-# count --P 16 on the line problem (diagonal fast path) visits the 13 values
-# of x1 in [-6, 6], count --P 20 on ND3 the whole box [-8, 8]^3, and
-# compare --P 8,16 charges each box on its own: 7, then 13 points.
+@pytest.fixture
+def nd3_linear_file(tmp_path):
+    """ND3 without its x3^2 term: Q is linear in x3."""
+    path = tmp_path / "nd3_linear.json"
+    path.write_text(json.dumps({**ND3_PROBLEM, "quadric": [[1, 1, 1], [1, 2, 1], [2, 3, 2]]}))
+    return str(path)
+
+
+# count --P 16 on the line problem visits the 13 values of x1 in [-6, 6];
+# count --P 20 on ND3 (x3^2 coefficient -1) the 17^2 prefixes of [-8, 8]^3,
+# and without its x3^2 term the whole box; compare --P 8,16 charges each
+# box on its own: 7, then 13 points.  A direct Weyl sum charges its whole
+# box: 41^3 points for ND3 at P = 50, 13^2 for each point of a weyl-scan
+# of the line problem at P = 16.
 @pytest.mark.parametrize("problem,argv,points", [
     ("problem_file", ["count", "--P", "16"], 13),
     ("problem_file", ["count", "--P", "16", "--box=-1:1,-1:1"], 13),
-    ("nd3_file", ["count", "--P", "20"], 17**3),
+    ("nd3_file", ["count", "--P", "20"], 17**2),
     ("problem_file", ["compare", "--P", "8,16", "--Rq", "2", "--Rgamma", "2"], 13),
+    ("nd3_linear_file", ["count", "--P", "20"], 17**3),
+    ("nd3_file", ["sum", "--mode", "direct", "--P", "50", "--alpha3", "0.1", "--alpha2", "0.2"],
+     41**3),
+    ("problem_file", ["weyl-scan", "--P", "16", "--grid", "2"], 13**2),
 ])
 def test_box_scans_honour_the_cap(request, capsys, problem, argv, points):
     argv = argv[:1] + ["--problem", request.getfixturevalue(problem)] + argv[1:]
@@ -765,6 +780,25 @@ def test_box_scans_honour_the_cap(request, capsys, problem, argv, points):
     assert run(argv + ["--cap", str(points - 1)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: lattice box: {points} elements exceeds cap {points - 1}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--P", "inf"],
+    ["count", "--P", "nan"],
+    ["sum", "--mode", "direct", "--P", "inf", "--alpha3", "0.1", "--alpha2", "0.2"],
+    ["sum", "--mode", "integral", "--z", "0,nan"],
+    ["compare", "--P", "8,inf", "--Rq", "2", "--Rgamma", "2"],
+    ["weyl-scan", "--P=-inf", "--grid", "2"],
+    ["integral", "--R", "nan"],
+    ["count", "--P", "16", "--tol", "inf"],
+    ["arcs", "--P", "inf", "--alpha3", "0.1", "--alpha2", "0.2"],
+])
+def test_non_finite_sizes_are_usage_errors(problem_file, capsys, argv):
+    if argv[0] != "arcs":
+        argv = argv[:1] + ["--problem", problem_file] + argv[1:]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("p", ["1", "4", "9"])

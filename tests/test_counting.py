@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab.counting import (
     count_box,
@@ -12,6 +14,7 @@ from circlelab.counting import (
     enumerate_solutions,
     fit_log_power,
     growth_fit,
+    weight_box,
 )
 from circlelab.forms import eval_cubic, eval_quadratic
 from circlelab.weightfn import Weight, omega
@@ -53,7 +56,7 @@ def test_fast_path_matches_full_scan():
         for _ in range(rng.randint(1, 3)):
             idx = tuple(sorted(rng.randint(1, n) for _ in range(3)))
             cubic[idx] = cubic.get(idx, 0) + rng.randint(-3, 3)
-        # diagonal quadric with nonzero last entry triggers the fast path
+        # diagonal quadric with a nonzero x_n^2 term: at most two roots per prefix
         quad = {(i, i): rng.randint(-3, 3) for i in range(1, n + 1)}
         quad[(n, n)] = rng.choice([-2, -1, 1, 2])
         pair = make_pair(n, cubic, quad)
@@ -67,6 +70,30 @@ def test_nondiagonal_fallback():
     assert list(enumerate_solutions(pair, box)) == brute_solutions(pair, box)
 
 
+@st.composite
+def pairs_and_boxes(draw):
+    """Pairs with n <= 4 whose quadric may have an x_n^2 term (of either
+    sign), cross terms on x_n, or no monomial at all, in boxes that may be
+    empty."""
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3)
+    index = st.integers(1, n)
+    triples = st.tuples(index, index, index).map(lambda t: tuple(sorted(t)))
+    pairs = st.tuples(index, index).map(lambda t: tuple(sorted(t)))
+    cubic = draw(st.dictionaries(triples, coeff, max_size=3))
+    quad = draw(st.dictionaries(pairs, coeff, max_size=4))
+    quad.update(draw(st.dictionaries(st.tuples(index, st.just(n)), coeff, max_size=2)))
+    box = draw(st.lists(st.tuples(st.integers(-4, 2), st.integers(-2, 4)), min_size=n, max_size=n))
+    return make_pair(n, cubic, quad), box
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_and_boxes())
+def test_enumeration_matches_brute_force(pair_box):
+    pair, box = pair_box
+    assert list(enumerate_solutions(pair, box)) == brute_solutions(pair, box)
+
+
 def test_count_box_equals_enumeration_length(pair_n3):
     box = [(-3, 3)] * 3
     assert count_box(pair_n3, box) == len(list(enumerate_solutions(pair_n3, box)))
@@ -77,6 +104,12 @@ def test_negation_symmetry(pair_line):
     box = [(-8, 8), (-8, 8)]
     sols = set(enumerate_solutions(pair_line, box))
     assert sols == {tuple(-v for v in s) for s in sols}
+
+
+@pytest.mark.parametrize("P", [0.5, math.inf, -math.inf, math.nan])
+def test_weight_box_needs_a_finite_size(P):
+    with pytest.raises(ValueError, match="P must be"):
+        weight_box(Weight((0.0, 0.0), 0.4), P)
 
 
 def test_count_weighted_single_point(pair_line):

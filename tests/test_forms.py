@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlelab import gridsum
 from circlelab.forms import (
     CubicForm,
     FormPair,
     QuadraticForm,
     Signature,
     bilinear_forms,
-    cubic_singular_points_mod_p,
     eval_cubic,
     eval_quadratic,
     gradient_cubic,
@@ -25,6 +25,7 @@ from circlelab.forms import (
     signature_quadratic,
     smooth_point_test,
 )
+from circlelab.gridsum import cubic_singular_points_mod_p
 
 from conftest import make_pair
 
@@ -326,3 +327,31 @@ def test_cubic_singular_scan():
     degenerate = CubicForm(2, {(1, 1, 1): 1})
     scan = cubic_singular_points_mod_p(degenerate, primes=(5,))
     assert scan[5] is not None
+
+
+def singular_points_oracle(cubic, primes):
+    """Independent oracle: the first hit of a lexicographic itertools scan."""
+    findings = {}
+    for p in primes:
+        findings[p] = next(
+            (x for x in itertools.product(range(p), repeat=cubic.n)
+             if any(x) and eval_cubic(cubic, x) % p == 0
+             and all(g % p == 0 for g in gradient_cubic(cubic, x))),
+            None,
+        )
+    return findings
+
+
+@pytest.mark.parametrize("chunk", [gridsum.CHUNK, 7])
+def test_cubic_singular_scan_matches_oracle(monkeypatch, chunk):
+    # CHUNK = 7 splits every grid into many chunks, so the smallest hit of
+    # each chunk must be reduced to the smallest hit over all of them
+    monkeypatch.setattr(gridsum, "CHUNK", chunk)
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        cubic = random_cubic(rng, n, terms=rng.randint(0, 4), size=40)
+        primes = (2, 3, 5, 7)
+        threads = rng.choice([1, 2])
+        assert (cubic_singular_points_mod_p(cubic, primes, threads=threads)
+                == singular_points_oracle(cubic, primes))
