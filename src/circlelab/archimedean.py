@@ -65,8 +65,9 @@ def singular_integral_truncated(
     weight: Weight,
     R: float,
     tol: float = 1e-8,
+    cap: int = DEFAULT_CAP,
 ) -> QuadResult:
-    """J(R) via the sin-kernel form, by nested tensor quadrature."""
+    """J(R) via the sin-kernel form, by nested tensor quadrature charged to cap."""
     if R <= 0:
         raise ValueError("R must be positive")
     if weight.n != pair.n:
@@ -79,7 +80,7 @@ def singular_integral_truncated(
             * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes))
         )
 
-    res = tensor_integral(f, weight.center, weight.xi, tol)
+    res = tensor_integral(f, weight.center, weight.xi, tol, cap=cap)
     return QuadResult(float(res.value.real), res.error, res.level)
 
 
@@ -112,7 +113,7 @@ def major_arc_approx_check(
     lhs = weyl_sum_direct(pair, P, weight, approx.alpha3, approx.alpha2, cap=cap)
     s_aq = complete_sum(pair, q, approx.a3, approx.a2, [0] * n, cap=cap)
     integral = osc_integral(
-        pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=tol
+        pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=tol, cap=cap
     )
     main = P**n / q**n * s_aq * integral.value
     error = abs(lhs - main)
@@ -146,6 +147,6 @@ def main_term(
 ) -> MainTerm:
     """Prediction S(R_series) * J(R_integral) * P^{n-5} for the weighted count."""
     series = singular_series_truncated(pair, R_series, cap=cap, threads=threads)
-    integral = singular_integral_truncated(pair, weight, R_integral, tol=tol)
+    integral = singular_integral_truncated(pair, weight, R_integral, tol=tol, cap=cap)
     value = series.value * integral.value * P ** (pair.n - 5)
     return MainTerm(series.value, float(integral.value), value)

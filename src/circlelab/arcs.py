@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expsums import RationalApprox
-from .util import InvariantError, jordan_totient2
+from .util import DEFAULT_CAP, InvariantError, check_cap, jordan_totient2
 
 __all__ = [
     "q3q2",
@@ -206,9 +206,11 @@ def major_arcs_disjoint(P: float, delta: float = DEFAULT_DELTA) -> bool:
     return True
 
 
-def jittered_grid(k: int, seed: int) -> list[tuple[float, float]]:
+def jittered_grid(k: int, seed: int, cap: int = DEFAULT_CAP) -> list[tuple[float, float]]:
     """One seeded uniform point (alpha3, alpha2) in each cell of the k x k grid
-    on [0, 1)^2, row by row (alpha3 cell i, then alpha2 cell j)."""
+    on [0, 1)^2, row by row (alpha3 cell i, then alpha2 cell j).  The k^2
+    points are charged to cap before the grid is built."""
+    check_cap(k * k, cap, f"grid {k}^2")
     jitter = np.random.default_rng(seed).random((k, k, 2))
     return [
         ((i + jitter[i, j, 0]) / k, (j + jitter[i, j, 1]) / k)

@@ -350,8 +350,9 @@ def _cmd_info(args) -> tuple[object, str]:
         "hypotheses": hypothesis_report(pair, h, rho, sig),
     }
     if pair.cubic_nonsingular:
-        # sanity scan of the user assertion; p = 3 is omitted here because
-        # every cubic has vanishing gradient in characteristic 3
+        # sanity scan of the user assertion; p = 3 is skipped because a cubic
+        # without mixed monomials (sum c_i x_i^3) has gradient 3 c_i x_i^2,
+        # which vanishes mod 3, so it is singular at every point there
         scan = cubic_singular_points_mod_p(
             pair.cubic, primes=(2, 5), cap=args.cap, threads=args.threads
         )
@@ -441,7 +442,9 @@ def _cmd_sum(args) -> tuple[object, str]:
         }
     elif mode == "integral":
         z = _parse_float_list(args.z) if args.z else [0.0] * pair.n
-        res = expsums.osc_integral(pair, weight, args.gamma3, args.gamma2, z, tol=args.tol)
+        res = expsums.osc_integral(
+            pair, weight, args.gamma3, args.gamma2, z, tol=args.tol, cap=args.cap
+        )
         val = res.value
         meta = {"mode": mode, "gamma3": args.gamma3, "gamma2": args.gamma2, "z": z,
                 "quad_error": res.error, "quad_level": res.level}
@@ -477,7 +480,7 @@ def _cmd_arcs(args) -> tuple[object, str]:
         return report, "json"
     Q3, Q2 = arcs_mod.q3q2(args.P)
     rows = []
-    for a3, a2 in arcs_mod.jittered_grid(args.grid, args.seed):
+    for a3, a2 in arcs_mod.jittered_grid(args.grid, args.seed, cap=args.cap):
         is_major, witness = arcs_mod.major_arc_test(a3, a2, args.P, args.delta)
         approx = arcs_mod.simultaneous_approx(a3, a2, Q3, Q2)
         rows.append(
@@ -542,7 +545,7 @@ def _cmd_qfactor(args) -> tuple[object, str]:
 
 def _cmd_integral(args) -> tuple[object, str]:
     pair, weight = load_problem(args.problem)
-    res = archimedean.singular_integral_truncated(pair, weight, args.R, tol=args.tol)
+    res = archimedean.singular_integral_truncated(pair, weight, args.R, tol=args.tol, cap=args.cap)
     return {"R": args.R, "value": float(res.value), "error": res.error, "level": res.level}, "json"
 
 
@@ -566,7 +569,9 @@ def _cmd_compare(args) -> tuple[object, str]:
     pair, weight = load_problem(args.problem)
     p_values = _parse_float_list(args.P)
     series = localdens.singular_series_truncated(pair, args.Rq, cap=args.cap, threads=args.threads)
-    integral = archimedean.singular_integral_truncated(pair, weight, args.Rgamma, tol=args.tol)
+    integral = archimedean.singular_integral_truncated(
+        pair, weight, args.Rgamma, tol=args.tol, cap=args.cap
+    )
     rows = []
     for P in p_values:
         count = counting.count_weighted(pair, P, weight, cap=args.cap)

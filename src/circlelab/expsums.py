@@ -25,18 +25,11 @@ import numpy as np
 from .counting import weight_box
 from .forms import FormPair, eval_cubic, eval_quadratic
 from .gridsum import phase_histogram, scan
-from .quadrature import (
-    DEFAULT_MAX_LEVEL,
-    QuadratureError,
-    QuadResult,
-    axis_nodes_weights,
-    tensor_integral,
-)
+from .quadrature import DEFAULT_MAX_LEVEL, QuadResult, grid_contract, tensor_integral
 from .util import (
     CapExceededError,
     DEFAULT_CAP,
     check_cap,
-    chunk_ranges,
     factorize,
     fsum_complex,
     next_pow2,
@@ -280,6 +273,7 @@ def osc_integral(
     z: Sequence[float] | float = 0.0,
     tol: float = 1e-8,
     max_level: int = DEFAULT_MAX_LEVEL,
+    cap: int = DEFAULT_CAP,
 ) -> QuadResult:
     """I(gamma; z): adaptive tensor quadrature over the weight's support cube."""
     n = pair.n
@@ -293,7 +287,7 @@ def osc_integral(
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)
 
-    return tensor_integral(f, weight.center, weight.xi, tol, max_level=max_level)
+    return tensor_integral(f, weight.center, weight.xi, tol, max_level=max_level, cap=cap)
 
 
 def _alias_start_level(
@@ -307,58 +301,6 @@ def _alias_start_level(
     length = 2.0 * weight.xi
     bump_freq = 32.0 / length
     return next_pow2(max(64.0, length * (zmax + poly_freq + bump_freq) + 32.0))
-
-
-def _poisson_tensor(
-    pair: FormPair,
-    weight: Weight,
-    gamma3: float,
-    gamma2: float,
-    freq_step: float,
-    M: int,
-    grid_n: int,
-) -> np.ndarray:
-    """I(gamma; freq_step * m) for all m in [-M, M]^n by tensor contraction.
-
-    The smooth factor omega e(gamma . (C, Q)) is sampled once on the tensor
-    grid; the separable oscillation e(-freq_step m . x) is folded in axis by
-    axis, which is exact on the grid and turns the m-family of integrals
-    into n small matrix products.
-    """
-    n = pair.n
-    ms = np.arange(-M, M + 1)
-    nodes = []
-    wts = []
-    for c in weight.center:
-        nd, w = axis_nodes_weights(c, weight.xi, grid_n)
-        nodes.append(nd)
-        wts.append(w)
-    phases = [np.exp(-2j * np.pi * freq_step * np.outer(ms, nd)) for nd in nodes]
-
-    if n == 1:
-        g = _smooth_phase(pair, weight, gamma3, gamma2, [nodes[0]])
-        return phases[0] @ (wts[0] * g)
-
-    rest_elems = (grid_n + 1) ** (n - 1)
-    out_elems = (2 * M + 1) * rest_elems
-    if out_elems > 2**26:
-        raise CapExceededError(
-            f"poisson contraction workspace {out_elems} elements exceeds cap"
-        )
-    slab = max(1, 2**22 // rest_elems)
-    rest_axes = [
-        nodes[i].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i in range(1, n)
-    ]
-    out = np.zeros((2 * M + 1,) + (grid_n + 1,) * (n - 1), dtype=complex)
-    for lo, hi in chunk_ranges(0, grid_n + 1, slab):
-        axes = [nodes[0][lo:hi].reshape((-1,) + (1,) * (n - 1))] + rest_axes
-        g = _smooth_phase(pair, weight, gamma3, gamma2, axes)
-        g = g * wts[0][lo:hi].reshape((-1,) + (1,) * (n - 1))
-        out += np.tensordot(phases[0][:, lo:hi], g, axes=([1], [0]))
-    for i in range(1, n):
-        weighted = phases[i] * wts[i][None, :]
-        out = np.tensordot(out, weighted, axes=([1], [1]))
-    return out
 
 
 def poisson_reconstruct(
@@ -375,7 +317,9 @@ def poisson_reconstruct(
     |m|_inf <= M.  All complete sums mod q are obtained at once as the
     inverse DFT of the residue phase grid, and the m-family of oscillatory
     integrals shares one alias-resolved quadrature grid whose resolution is
-    doubled until the total stabilizes to POISSON_REL_TOL.
+    doubled until the total stabilizes to POISSON_REL_TOL.  The residue
+    grid q^n, the m-grid (2M+1)^n and each quadrature grid are charged to
+    cap; refinement ends at the cap.
     """
     if M < 0:
         raise ValueError("truncation radius M must be >= 0")
@@ -393,21 +337,23 @@ def poisson_reconstruct(
     sums_mod = q**n * np.fft.ifftn(f)
 
     ms = np.arange(-M, M + 1)
-    if (2 * M + 1) ** n > 2**24:
-        raise CapExceededError("truncation radius too large for the m-grid")
+    check_cap((2 * M + 1) ** n, cap, f"poisson m-grid (2M+1)^n = {2 * M + 1}^{n}")
     sums_big = sums_mod[np.ix_(*([ms % q] * n))]
 
+    def smooth(axes: list[np.ndarray]) -> np.ndarray:
+        return _smooth_phase(pair, weight, gamma3, gamma2, axes)
+
+    # I(gamma; freq_step * m) for every m is one contraction of the smooth
+    # factor with the separable oscillation e(-freq_step m.x), which is
+    # exact on the grid
     freq_step = P / q
     grid_n = _alias_start_level(pair, weight, gamma3, gamma2, freq_step * M)
     prev = None
     while True:
-        tensor = _poisson_tensor(pair, weight, gamma3, gamma2, freq_step, M, grid_n)
+        check_cap((grid_n + 1) ** n, cap, f"poisson quadrature grid {grid_n + 1}^{n}")
+        tensor = grid_contract(smooth, weight.center, weight.xi, grid_n, ms, freq_step)
         total = (P / q) ** n * complex(np.sum(sums_big * tensor))
         if prev is not None and abs(total - prev) <= POISSON_REL_TOL * (1.0 + abs(total)):
             return total
-        if (grid_n * 2 + 1) ** min(n, 2) * (2 * M + 1) ** max(0, n - 2) > 2**26:
-            raise QuadratureError(
-                f"poisson quadrature failed to stabilize by grid size {grid_n}"
-            )
         prev = total
         grid_n *= 2

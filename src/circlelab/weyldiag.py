@@ -224,11 +224,11 @@ def minor_arc_scan(
     """Classify a jittered k x k grid of (alpha3, alpha2) and test the Weyl
     dichotomy at each point.  Report-only: no assertions are made here.
 
-    Each point's direct Weyl sum charges its box to cap."""
+    The k^2 grid and each point's direct Weyl sum charge cap."""
     h = h_parameter(pair)
     rho = rank_quadratic(pair.quadric)
     n = pair.n
-    points = jittered_grid(grid_k, seed)
+    points = jittered_grid(grid_k, seed, cap=cap)
     Q3, Q2 = q3q2(P)
 
     def work(pt: tuple[float, float]) -> dict:

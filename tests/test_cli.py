@@ -217,7 +217,9 @@ def n5_file(tmp_path):
 # outputs below, and the count outputs after them, were captured before the
 # float evaluator was folded into forms.eval_cubic/eval_quadratic, before the
 # Poisson phase grid went through gridsum.scan and before count summed N(P)
-# from its own box enumeration.
+# from its own box enumeration.  The three Poisson outputs were captured
+# again, within 4 ulp of the first capture, when the m-family of integrals
+# moved to the slab-streamed grid contraction (a different summation order).
 EVAL_PROBLEMS = {
     "nd3": ND3_PROBLEM,
     "nocubic": {**ND3_PROBLEM, "cubic": []},
@@ -268,9 +270,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "poisson"): '''{
-  "re": 1.1410273883958844,
-  "im": 0.90022626663421179,
-  "abs": 1.4533928691884048,
+  "re": 1.1410273883958841,
+  "im": 0.90022626663421135,
+  "abs": 1.4533928691884044,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -318,9 +320,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nocubic", "poisson"): '''{
-  "re": 1.9556216421566999,
-  "im": 0.023367657650527181,
-  "abs": 1.9557612468539558,
+  "re": 1.955621642156701,
+  "im": 0.023367657650526973,
+  "abs": 1.9557612468539569,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -368,9 +370,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("noquadric", "poisson"): '''{
-  "re": 0.5756678637728263,
-  "im": 5.8907619206115588e-16,
-  "abs": 0.5756678637728263,
+  "re": 0.57566786377282619,
+  "im": 4.7558928581524636e-16,
+  "abs": 0.57566786377282619,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -759,15 +761,17 @@ def nd3_linear_file(tmp_path):
 
 # count --P 16 on the line problem visits the 13 values of x1 in [-6, 6];
 # count --P 20 on ND3 (x3^2 coefficient -1) the 17^2 prefixes of [-8, 8]^3,
-# and without its x3^2 term the whole box; compare --P 8,16 charges each
-# box on its own: 7, then 13 points.  A direct Weyl sum charges its whole
+# and without its x3^2 term the whole box; compare --P 2000,4000 charges
+# each box on its own: 1601, then 3201 points, more than the 33^2 grid of
+# its quadrature at tol 1e-4.  A direct Weyl sum charges its whole
 # box: 41^3 points for ND3 at P = 50, 13^2 for each point of a weyl-scan
 # of the line problem at P = 16.
 @pytest.mark.parametrize("problem,argv,points", [
     ("problem_file", ["count", "--P", "16"], 13),
     ("problem_file", ["count", "--P", "16", "--box=-1:1,-1:1"], 13),
     ("nd3_file", ["count", "--P", "20"], 17**2),
-    ("problem_file", ["compare", "--P", "8,16", "--Rq", "2", "--Rgamma", "2"], 13),
+    ("problem_file", ["compare", "--P", "2000,4000", "--Rq", "2", "--Rgamma", "1", "--tol", "1e-4"],
+     3201),
     ("nd3_linear_file", ["count", "--P", "20"], 17**3),
     ("nd3_file", ["sum", "--mode", "direct", "--P", "50", "--alpha3", "0.1", "--alpha2", "0.2"],
      41**3),
@@ -780,6 +784,55 @@ def test_box_scans_honour_the_cap(request, capsys, problem, argv, points):
     assert run(argv + ["--cap", str(points - 1)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: lattice box: {points} elements exceeds cap {points - 1}\n"
+
+
+# The tensor quadrature charges each level's (2^level + 1)^n grid to the
+# cap, and sum --mode poisson each of its refinement grids; on the line
+# problem the last grid is the largest charge of each job: level 7 for
+# J(1) (also inside predict and compare), level 6 for I(gamma; z), and
+# the Poisson grid refined from 64 to 256 intervals.
+QUAD_CAP = "quadrature grid {side}^2 exceeds point cap {cap}"
+POISSON_CAP = "poisson quadrature grid {side}^2: {points} elements exceeds cap {cap}"
+
+
+@pytest.mark.parametrize("argv,side,message", [
+    (["integral", "--R", "1", "--tol", "1e-6"], 129, QUAD_CAP),
+    (["sum", "--mode", "integral", "--gamma3", "1.5", "--gamma2", "1", "--z", "1,-1",
+      "--tol", "1e-6"], 65, QUAD_CAP),
+    (["sum", "--mode", "poisson", "--P", "8", "--q", "2", "--a3", "1", "--a2", "1",
+      "--theta3", "1e-4", "--M", "4"], 257, POISSON_CAP),
+    (["predict", "--Rq", "2", "--Rgamma", "1", "--P", "16", "--tol", "1e-6"], 129, QUAD_CAP),
+    (["compare", "--P", "8,16", "--Rq", "2", "--Rgamma", "1", "--tol", "1e-6"], 129, QUAD_CAP),
+], ids=["integral", "sum-integral", "sum-poisson", "predict", "compare"])
+def test_quadrature_grids_honour_the_cap(problem_file, capsys, argv, side, message):
+    argv = argv[:1] + ["--problem", problem_file] + argv[1:]
+    points = side**2
+    assert run(argv + ["--cap", str(points)]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--cap", str(points - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(side=side, points=points, cap=points - 1) + "\n"
+
+
+def test_integral_runs_in_five_dimensions(tmp_path):
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps({
+        "n": 5,
+        "cubic": [[i, i, i, (-1) ** i] for i in range(1, 6)],
+        "quadric": [[1, 1, 1], [2, 2, 1], [3, 3, -1], [4, 4, -1], [5, 5, -1]],
+    }))
+    code, text = run_to_file(tmp_path, ["integral", "--problem", str(path), "--R", "1",
+                                        "--tol", "1e-4"])
+    assert code == 0
+    out = json.loads(text)
+    assert out["error"] <= 1e-4 and out["value"] > 0
+
+
+def test_arcs_grid_honours_the_cap(tmp_path, capsys):
+    argv = ["arcs", "--P", "50", "--grid", "3", "--seed", "4"]
+    assert run_to_file(tmp_path, argv + ["--cap", "9"]) == (0, ARCS_GRID3_SEED4)
+    assert run(argv + ["--cap", "8"]) == 3
+    assert capsys.readouterr().err == "error: grid 3^2: 9 elements exceeds cap 8\n"
 
 
 @pytest.mark.parametrize("argv", [

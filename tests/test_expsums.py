@@ -232,11 +232,16 @@ def test_osc_integral_riemann_oracle(pair_n1):
     assert res.value == pytest.approx(oracle, abs=1e-6)
 
 
-def test_osc_integral_rejects_high_dimension():
+def test_osc_integral_in_five_dimensions():
+    # at gamma = z = 0 the integral is the mass of the bump, a radial
+    # integral: xi^5 |S^4| int_0^1 nu(t) t^4 dt with |S^4| = 8 pi^2 / 3
     pair = make_pair(5, {(1, 1, 1): 1}, {(1, 1): 1})
     w = Weight((0.0,) * 5, 0.2)
-    with pytest.raises(ValueError, match="n <= 4"):
-        osc_integral(pair, w, 0.0, 0.0, 0.0)
+    res = osc_integral(pair, w, 0.0, 0.0, 0.0, tol=1e-6)
+    t = np.linspace(0.0, 1.0, 200001)
+    mass = 0.2**5 * 8 * math.pi**2 / 3 * np.trapezoid(nu_grid(t) * t**4, t)
+    assert res.error < 1e-6
+    assert res.value == pytest.approx(mass, rel=1e-6)
 
 
 def test_osc_integral_no_convergence(pair_n1):
@@ -257,6 +262,11 @@ def test_poisson_cap(pair_n1):
     message = r"^residue grid q\^n = 101\^1 = 101 exceeds cap 50$"
     with pytest.raises(CapExceededError, match=message):
         poisson_reconstruct(pair_n1, 8, w, approx, 4, cap=50)
+    # the m-grid (2M+1)^n is charged before any quadrature grid
+    approx = RationalApprox(2, 1, 1, 0.0, 0.0)
+    message = r"^poisson m-grid \(2M\+1\)\^n = 9\^1: 9 elements exceeds cap 8$"
+    with pytest.raises(CapExceededError, match=message):
+        poisson_reconstruct(pair_n1, 8, w, approx, 4, cap=8)
 
 
 # -------------------------------------------------------------- theta height

@@ -329,6 +329,16 @@ def test_cubic_singular_scan():
     assert scan[5] is not None
 
 
+def test_cubic_singular_scan_mod_3():
+    # info skips p = 3: without mixed monomials the gradient 3 c_i x_i^2
+    # vanishes mod 3, so every point is singular there ...
+    diag = CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1})
+    assert cubic_singular_points_mod_p(diag, primes=(3,)) == {3: (0, 1, 2)}
+    # ... but a mixed monomial can leave no singular point mod 3
+    mixed = CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1, (1, 2, 3): 1})
+    assert cubic_singular_points_mod_p(mixed, primes=(3,)) == {3: None}
+
+
 def singular_points_oracle(cubic, primes):
     """Independent oracle: the first hit of a lexicographic itertools scan."""
     findings = {}
