@@ -210,6 +210,8 @@ def jittered_grid(k: int, seed: int, cap: int = DEFAULT_CAP) -> list[tuple[float
     """One seeded uniform point (alpha3, alpha2) in each cell of the k x k grid
     on [0, 1)^2, row by row (alpha3 cell i, then alpha2 cell j).  The k^2
     points are charged to cap before the grid is built."""
+    if k < 1:
+        raise ValueError(f"grid must be a positive integer, got {k}")
     check_cap(k * k, cap, f"grid {k}^2")
     jitter = np.random.default_rng(seed).random((k, k, 2))
     return [

@@ -353,12 +353,17 @@ def _cmd_info(args) -> tuple[object, str]:
         # sanity scan of the user assertion; p = 3 is skipped because a cubic
         # without mixed monomials (sum c_i x_i^3) has gradient 3 c_i x_i^2,
         # which vanishes mod 3, so it is singular at every point there
+        primes = (2, 5)
         scan = cubic_singular_points_mod_p(
-            pair.cubic, primes=(2, 5), cap=args.cap, threads=args.threads
+            pair.cubic, primes=primes, cap=args.cap, threads=args.threads
         )
         report["nonsingularity_scan"] = {
             str(p): list(pt) if pt else None for p, pt in scan.items()
         }
+        # primes with p^n > cap are not scanned; say so rather than drop them
+        skipped = [p for p in primes if p not in scan]
+        if skipped:
+            report["nonsingularity_skipped"] = skipped
     return report, "json"
 
 

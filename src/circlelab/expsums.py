@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import weight_box
-from .forms import FormPair, eval_cubic, eval_quadratic
+from .forms import FormPair, eval_cubic, eval_quadratic, int64_bound
 from .gridsum import phase_histogram, scan
 from .quadrature import DEFAULT_MAX_LEVEL, QuadResult, grid_contract, tensor_integral
 from .util import (
@@ -51,7 +51,6 @@ __all__ = [
     "poisson_reconstruct",
 ]
 
-_INT64_GUARD = 2**62
 # the Poisson total is accepted once two grid sizes agree to this relative tolerance
 POISSON_REL_TOL = 1e-9
 
@@ -107,19 +106,6 @@ def default_truncation(approx: RationalApprox, P: float) -> int:
     return math.ceil(4.0 * approx.q * theta / P) + 8
 
 
-def _int_box_guard(pair: FormPair, box: Sequence[tuple[int, int]]) -> None:
-    m = [max(abs(lo), abs(hi)) for lo, hi in box]
-    bound = 0
-    for (i, j, k), coeff in pair.cubic.monomials.items():
-        bound += abs(coeff) * m[i - 1] * m[j - 1] * m[k - 1]
-    for (i, j), coeff in pair.quadric.monomials.items():
-        bound += abs(coeff) * m[i - 1] * m[j - 1]
-    if bound >= _INT64_GUARD:
-        raise CapExceededError(
-            f"lattice box too large for int64-exact form evaluation (bound {bound})"
-        )
-
-
 def weyl_sum_direct(
     pair: FormPair,
     P: float,
@@ -140,7 +126,9 @@ def weyl_sum_direct(
     if any(lo > hi for lo, hi in box):
         return 0.0 + 0.0j
     check_cap(math.prod(hi - lo + 1 for lo, hi in box), cap, "lattice box")
-    _int_box_guard(pair, box)
+    bound, fits = int64_bound(pair, [max(abs(lo), abs(hi)) for lo, hi in box])
+    if not fits:
+        raise CapExceededError(f"lattice box too large for int64-exact form evaluation (bound {bound})")
     axes_rest = [
         np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
         for i, (lo, hi) in enumerate(box[1:], start=1)

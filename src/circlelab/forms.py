@@ -26,6 +26,8 @@ __all__ = [
     "Signature",
     "eval_cubic",
     "eval_quadratic",
+    "INT64_LIMIT",
+    "int64_bound",
     "bilinear_matrix",
     "bilinear_forms",
     "gradient_cubic",
@@ -184,6 +186,19 @@ def eval_quadratic(quadric: QuadraticForm, x: Sequence):
     for (i, j), coeff in quadric.monomials.items():
         total = total + coeff * (x[i - 1] * x[j - 1])
     return total
+
+
+# int64 form evaluation is trusted while int64_bound stays below this
+INT64_LIMIT = 2**62
+
+
+def int64_bound(pair: FormPair, m: Sequence[int]) -> tuple[int, bool]:
+    """(bound, fits): bound = sum |c| m_i m_j m_k + sum |c| m_i m_j over the two
+    forms majorizes every partial sum of eval_cubic/eval_quadratic at |x_i| <= m_i,
+    and fits = bound < INT64_LIMIT says that int64 evaluation there is exact."""
+    bound = sum(abs(c) * m[i - 1] * m[j - 1] * m[k - 1] for (i, j, k), c in pair.cubic.monomials.items())
+    bound += sum(abs(c) * m[i - 1] * m[j - 1] for (i, j), c in pair.quadric.monomials.items())
+    return bound, bound < INT64_LIMIT
 
 
 def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:

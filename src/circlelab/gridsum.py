@@ -2,9 +2,12 @@
 
 Every residue scan goes through scan(): the grid {0, ..., q-1}^n is
 traversed in chunks of flat indices; each chunk is decoded into coordinate
-arrays and the two forms are reduced mod q with intermediate reductions so
-that all products stay far below the int64 limit (safe for q up to ~10^6,
-well beyond the design range).
+arrays, and forms.eval_cubic/eval_quadratic evaluate C and Q there with
+coefficients replaced by their centred residues mod q; each value is then
+reduced mod q once.  This runs in int64 when forms.int64_bound, the bound
+of the lattice side too, allows it on [0, q-1]^n, and on Python-int object
+arrays otherwise (at the default cap only for n = 1 and q above about
+1.66 * 10^6), so every residue is exact.
 
 Consumers either aggregate chunk results with order-independent integer
 operations (histograms, counts), take the first hit in grid order, or
@@ -18,7 +21,8 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .forms import CubicForm, FormPair, QuadraticForm, gradient_cubic
+from .forms import (CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic,
+                    gradient_cubic, int64_bound)
 from .util import CapExceededError, DEFAULT_CAP, chunk_ranges, parallel_map
 
 __all__ = [
@@ -39,25 +43,13 @@ def _decode(flat: np.ndarray, q: int, n: int) -> list[np.ndarray]:
     return [(flat // q**j) % q for j in range(n)]
 
 
-def _eval_forms_mod(pair: FormPair, q: int, coords: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(C mod q, Q mod q) on coordinate arrays with entries in [0, q)."""
-    cvals = np.zeros_like(coords[0])
-    for (i, j, k), coeff in pair.cubic.monomials.items():
-        term = (coords[i - 1] * coords[j - 1]) % q
-        term = (term * coords[k - 1]) % q
-        cvals = (cvals + (coeff % q) * term) % q
-    qvals = np.zeros_like(coords[0])
-    for (i, j), coeff in pair.quadric.monomials.items():
-        term = (coords[i - 1] * coords[j - 1]) % q
-        qvals = (qvals + (coeff % q) * term) % q
-    return cvals, qvals
-
-
-def _linear_mod(m: Sequence[int], q: int, coords: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(coords[0])
-    for mi, yi in zip(m, coords):
-        out = (out + (mi % q) * yi) % q
-    return out
+def _centred(pair: FormPair, q: int) -> FormPair:
+    """The pair with each coefficient c replaced by (c + q//2) % q - q//2."""
+    h = q // 2
+    return FormPair(
+        CubicForm(pair.n, {key: (c + h) % q - h for key, c in pair.cubic.monomials.items()}),
+        QuadraticForm(pair.n, {key: (c + h) % q - h for key, c in pair.quadric.monomials.items()}),
+    )
 
 
 def scan(
@@ -79,9 +71,16 @@ def scan(
     if total > cap:
         raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
 
+    reduced = _centred(pair, q)
+    _, fits = int64_bound(reduced, [q - 1] * n)
+
     def work(rng: tuple[int, int]) -> T:
         coords = _decode(np.arange(*rng, dtype=np.int64), q, n)
-        return per_chunk(coords, *_eval_forms_mod(pair, q, coords))
+        xs = coords if fits else [x.astype(object) for x in coords]
+        # an empty form evaluates to the scalar 0, hence the broadcast
+        c, qq = (np.broadcast_to(v % q, coords[0].shape).astype(np.int64)
+                 for v in (eval_cubic(reduced.cubic, xs), eval_quadratic(reduced.quadric, xs)))
+        return per_chunk(coords, c, qq)
 
     return parallel_map(work, chunk_ranges(0, total, CHUNK), threads)
 
@@ -98,7 +97,7 @@ def phase_histogram(
     """Histogram over t in [0, q) of a3 C(y) + a2 Q(y) + m.y mod q, y mod q."""
 
     def per_chunk(coords, c, qq):
-        t = ((a3 % q) * c + (a2 % q) * qq + _linear_mod(m, q, coords)) % q
+        t = ((a3 % q) * c + (a2 % q) * qq + sum((mi % q) * y for mi, y in zip(m, coords))) % q
         return np.bincount(t, minlength=q)
 
     return np.sum(scan(pair, q, per_chunk, cap, threads), axis=0)
@@ -130,13 +129,8 @@ def count_solutions_mod(
 
     def per_chunk(coords, c, qq) -> tuple[int, int]:
         sol = (c == 0) & (qq == 0)
-        n_prim = 0
-        if p is not None:
-            divis = np.ones_like(sol)
-            for y in coords:
-                divis &= y % p == 0
-            n_prim = int(np.count_nonzero(sol & ~divis))
-        return int(np.count_nonzero(sol)), n_prim
+        prim = False if p is None else np.any([y % p != 0 for y in coords], axis=0)
+        return int(np.count_nonzero(sol)), int(np.count_nonzero(sol & prim))
 
     parts = scan(pair, q, per_chunk, cap, threads)
     return sum(a for a, _ in parts), sum(b for _, b in parts)
@@ -159,12 +153,15 @@ def cubic_singular_points_mod_p(
     for p in primes:
         if p**n > cap:
             continue
-        # coefficients reduced mod p keep the gradient of a chunk in int64
-        reduced = CubicForm(n, {key: coeff % p for key, coeff in cubic.monomials.items()})
+        pair = _centred(FormPair(cubic, QuadraticForm(n, {})), p)
+        # a gradient entry is at most 3/(p-1) times the bound on C (and tiny for
+        # p <= 3), so it is exact in int64 wherever C is
+        _, fits = int64_bound(pair, [p - 1] * n)
 
         def per_chunk(coords, c, qq):
             hit = (c == 0) & np.any([x != 0 for x in coords], axis=0)
-            for g in gradient_cubic(reduced, coords):
+            xs = coords if fits else [x.astype(object) for x in coords]
+            for g in gradient_cubic(pair.cubic, xs):
                 hit &= g % p == 0
             idx = np.flatnonzero(hit)
             if idx.size == 0:
@@ -172,7 +169,6 @@ def cubic_singular_points_mod_p(
             first = idx[np.lexsort([x[idx] for x in reversed(coords)])[0]]
             return tuple(int(x[first]) for x in coords)
 
-        pair = FormPair(reduced, QuadraticForm(n, {}))
         hits = [h for h in scan(pair, p, per_chunk, cap, threads) if h is not None]
         findings[p] = min(hits, default=None)
     return findings

@@ -835,6 +835,51 @@ def test_arcs_grid_honours_the_cap(tmp_path, capsys):
     assert capsys.readouterr().err == "error: grid 3^2: 9 elements exceeds cap 8\n"
 
 
+@pytest.mark.parametrize("k", ["-3", "0"])
+@pytest.mark.parametrize("command", ["arcs", "weyl-scan"])
+def test_grid_must_be_positive(problem_file, capsys, command, k):
+    argv = [command, "--P", "50", f"--grid={k}"]
+    if command == "weyl-scan":
+        argv[1:1] = ["--problem", problem_file]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: grid must be a positive integer, got {k}\n")
+
+
+def test_info_reports_skipped_primes(problem_file, tmp_path):
+    _, text = run_to_file(tmp_path, ["info", "--problem", problem_file])
+    assert "nonsingularity_skipped" not in json.loads(text)
+    # diagonal nonsingular cubic in 12 variables: 5^12 exceeds the default
+    # cap, so only p = 2 is scanned
+    n = 12
+    path = tmp_path / "n12.json"
+    path.write_text(json.dumps({
+        "n": n,
+        "cubic": [[i, i, i, 1] for i in range(1, n + 1)],
+        "quadric": [[i, i, (-1) ** i] for i in range(1, n + 1)],
+        "cubic_nonsingular": True,
+        "weight": {"x0": [0.0] * n, "xi": 0.4},
+    }))
+    code, text = run_to_file(tmp_path, ["info", "--problem", str(path)])
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["nonsingularity_scan"] == {"2": None}
+    assert rep["nonsingularity_skipped"] == [5]
+
+
+def test_direct_sum_refuses_int64_overflow(tmp_path, capsys):
+    # P = 50 and xi = 0.4 give the box [-20, 20]^2, on which a cubic
+    # coefficient of 2^50 alone bounds C by 2^50 * 20^3 > 2^62
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(LINE_PROBLEM, cubic=[[1, 1, 1, 2**50], [2, 2, 2, 1]])))
+    argv = ["sum", "--problem", str(path), "--mode", "direct", "--P", "50",
+            "--alpha3", "0.1", "--alpha2", "0.2"]
+    assert run(argv) == 3
+    bound = 2**50 * 20**3 + 20**3 + 2 * 20**2
+    assert capsys.readouterr().err == (
+        f"error: lattice box too large for int64-exact form evaluation (bound {bound})\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--P", "inf"],
     ["count", "--P", "nan"],

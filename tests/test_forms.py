@@ -21,6 +21,7 @@ from circlelab.forms import (
     gradient_quadratic,
     h_parameter,
     hypothesis_report,
+    int64_bound,
     rank_quadratic,
     signature_quadratic,
     smooth_point_test,
@@ -105,6 +106,14 @@ def test_evaluators_broadcast_exactly_like_scalar_evaluation(case):
         for idx in itertools.product(*map(range, shape)):
             point = [v[k] for v, k in zip(values, idx)]
             assert grid[idx] == evaluate(form, point), (idx, point)
+
+
+def test_int64_bound():
+    pair = make_pair(2, {(1, 1, 2): -3}, {(2, 2): 5})
+    assert int64_bound(pair, [2, 7]) == (3 * 2 * 2 * 7 + 5 * 7 * 7, True)
+    # the bound majorizes |C| and |Q| alike; fits is strict at 2^62
+    assert int64_bound(make_pair(1, {(1, 1, 1): 2**62 - 1}, {}), [1]) == (2**62 - 1, True)
+    assert int64_bound(make_pair(1, {}, {(1, 1): 2**60}), [2]) == (2**62, False)
 
 
 def test_dimension_mismatch():

@@ -5,14 +5,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab.expsums import complete_sum, complete_sum_crt
-from circlelab.forms import QuadraticForm, eval_cubic, eval_quadratic
-from circlelab import gridsum
-from circlelab.gridsum import count_solutions_mod, joint_histogram, phase_histogram, scan
+from circlelab import forms, gridsum
+from circlelab.forms import CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic
+from circlelab.gridsum import (
+    count_solutions_mod,
+    cubic_singular_points_mod_p,
+    joint_histogram,
+    phase_histogram,
+    scan,
+)
 from circlelab.localdens import (
     _joint_histograms,
     a_of_q,
@@ -362,6 +369,77 @@ def test_scan_results_do_not_depend_on_chunking(
     # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 18
     point = qp_solubility_search(pair_smooth5, 5, 2, threads=threads).point
     assert tuple(v % 5 for v in point) == (4, 1, 0)
+
+
+@st.composite
+def wide_pairs(draw):
+    """A pair in n <= 3 variables with coefficients up to 2^70 in size; either
+    form may have no monomials."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-(2**70), 2**70)
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=4))
+
+    return FormPair(CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2)))
+
+
+@pytest.mark.parametrize("limit", [forms.INT64_LIMIT, 1], ids=["int64", "object"])
+@settings(max_examples=30, deadline=None)
+@given(pair=wide_pairs(), q=st.integers(1, 40))
+def test_scan_values_are_exact_residues(limit, pair, q):
+    # limit 1 forces the Python-int object path on every grid
+    def rows(coords, c, qq):
+        assert {x.dtype for x in coords + [c, qq]} == {np.dtype(np.int64)}
+        return [(tuple(int(x[i]) for x in coords), int(c[i]), int(qq[i])) for i in range(c.size)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridsum, "CHUNK", 7)
+        mp.setattr(forms, "INT64_LIMIT", limit)
+        got = [row for part in scan(pair, q, rows) for row in part]
+    # coordinate 1 varies fastest
+    points = [y[::-1] for y in itertools.product(range(q), repeat=pair.n)]
+    assert got == [
+        (y, eval_cubic(pair.cubic, y) % q, eval_quadratic(pair.quadric, y) % q) for y in points
+    ]
+
+
+@pytest.fixture
+def eval_dtypes(monkeypatch):
+    """The dtypes of the coordinates that gridsum hands to eval_cubic."""
+    seen = set()
+
+    def spy(cubic, x):
+        seen.add(x[0].dtype)
+        return eval_cubic(cubic, x)
+
+    monkeypatch.setattr(gridsum, "eval_cubic", spy)
+    return seen
+
+
+def test_object_path_matches_int64_path(pair_n3, pair_hensel7, pair_smooth5, monkeypatch, eval_dtypes):
+    pairs = (pair_n3, pair_hensel7, pair_smooth5)
+
+    def results():
+        return _scan_results(pairs, threads=1) + [
+            cubic_singular_points_mod_p(pair.cubic, (2, 3, 5, 7)) for pair in pairs
+        ]
+
+    expected = results()
+    assert eval_dtypes == {np.dtype(np.int64)}
+    eval_dtypes.clear()
+    monkeypatch.setattr(forms, "INT64_LIMIT", 1)
+    assert results() == expected
+    assert eval_dtypes == {np.dtype(object)}
+
+
+def test_centred_coefficients_keep_the_int64_path(eval_dtypes):
+    # C = -x^3 mod 50 000: the coefficient is reduced to -1, not to q - 1, so
+    # the bound (q - 1)^3 fits in int64 where (q - 1)^4 would not
+    q = 50_000
+    firsts = scan(make_pair(1, {(1, 1, 1): -1}, {}), q, lambda y, c, qq: int(c[1]))
+    assert firsts[0] == q - 1 and eval_dtypes == {np.dtype(np.int64)}
 
 
 def test_primitive_counts(pair_hensel7):
