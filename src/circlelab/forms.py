@@ -28,6 +28,7 @@ __all__ = [
     "eval_quadratic",
     "INT64_LIMIT",
     "int64_bound",
+    "minor_bound",
     "bilinear_matrix",
     "bilinear_forms",
     "gradient_cubic",
@@ -201,8 +202,32 @@ def int64_bound(pair: FormPair, m: Sequence[int]) -> tuple[int, bool]:
     return bound, bound < INT64_LIMIT
 
 
+def minor_bound(cubic: CubicForm, r: int) -> tuple[int, bool]:
+    """(bound, fits) for exact integer elimination on M(x) over the box |x_i| <= r.
+
+    Row i of M(x) has l1 norm at most e_i, the row sum of M evaluated with
+    every coefficient replaced by its absolute value at x = (s, ..., s),
+    s = max(r, 1) so that e_i bounds the coefficients too; by Hadamard's
+    inequality every minor of M(x) is at most H = prod max(1, e_i).
+    bound = max(2 H^2, n H r) majorizes the difference of two products of
+    minors formed by fraction-free elimination, and M y or a row of minors
+    times y for |y_i| <= r; fits = bound < INT64_LIMIT says that all of
+    them are exact in int64.
+    """
+    n = cubic.n
+    absolute = CubicForm(n, {key: abs(c) for key, c in cubic.monomials.items()})
+    h = 1
+    for row in bilinear_matrix(absolute, [max(r, 1)] * n):
+        h *= max(1, sum(row))
+    bound = max(2 * h * h, n * h * r)
+    return bound, bound < INT64_LIMIT
+
+
 def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:
-    """Integer matrix M(x) with B(x; y) = M(x) y; entries M[i][k] = 6 sum_j c_ijk x_j."""
+    """Integer matrix M(x) with B(x; y) = M(x) y; entries M[i][k] = 6 sum_j c_ijk x_j.
+
+    Like eval_cubic it takes numbers or broadcastable numpy coordinate
+    arrays; an entry that no monomial reaches stays the number 0."""
     n = cubic.n
     _check_vector(n, x)
     m = [[0] * n for _ in range(n)]

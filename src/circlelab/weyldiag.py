@@ -6,8 +6,13 @@ B_i(x; y) = 0, so the count
     n(R) = #{(x, y) : |x| < R, |y| < R, B_i(x; y) = 0 for all i}
 
 (sup norm throughout) is the basic hardness measure; for fixed x the system
-is linear in y, so each x contributes the lattice points of a kernel
-subspace inside the box.  The heights T3, T2 defined by
+is linear in y, M(x) y = 0, so each x contributes the lattice points of
+the kernel of M(x) inside the box.  count_bilinear reads the rank and, for
+rank n - 1, the kernel line off exact integer minors, computed for a whole
+chunk of the x-box at once by fraction-free elimination (int64 where
+forms.minor_bound allows it, Python-int object arrays otherwise); the rare
+x of rank at most n - 2 share few kernels, and the y-box is scanned once
+per distinct kernel.  The heights T3, T2 defined by
 |S| = P^n T3^{-h} = P^n T2^{-rho} convert an observed sum into the scale at
 which the two Weyl lemmas bite, and the witness searches below replay those
 lemmas' conclusions (a good rational approximation to alpha3 with
@@ -17,16 +22,17 @@ a lower bound on T2).  All "<<" checks use logged constants and soft flags.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
+from . import gridsum
 from .arcs import DEFAULT_DELTA, jittered_grid, major_arc_test, q3q2, simultaneous_approx
-from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, rank_quadratic
-from .util import DEFAULT_CAP, check_cap, parallel_map
+from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, rank_quadratic
+from .util import DEFAULT_CAP, check_cap, chunk_ranges, parallel_map
 from .weightfn import Weight
 from .expsums import weyl_sum_direct
 
@@ -65,84 +71,109 @@ def heights_from_sum(s_abs: float, P: float, n: int, h: int, rho: int) -> WeylHe
     return WeylHeights(math.exp(log_ratio / h), math.exp(log_ratio / rho), h, rho)
 
 
-def _kernel_basis(m: list[list[int]], n: int) -> list[list[Fraction]]:
-    """Basis of the rational nullspace of m (n columns)."""
-    a = [[Fraction(v) for v in row] for row in m]
-    nrow = len(a)
-    piv_cols: list[int] = []
-    r = 0
+def _box_chunks(R: int, n: int, dtype) -> Iterator[list[np.ndarray]]:
+    """Coordinate arrays of the box [-(R-1), R-1]^n, gridsum.CHUNK points at a time."""
+    side = 2 * R - 1
+    for lo, hi in chunk_ranges(0, side**n, gridsum.CHUNK):
+        coords = np.unravel_index(np.arange(lo, hi), (side,) * n)
+        yield [(c - (R - 1)).astype(dtype) for c in coords]
+
+
+def _reduce_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fraction-free Gauss-Jordan elimination of b integer n x n matrices.
+
+    a has shape (n, n, b), entry (i, k) of every matrix in a[i, k], and is
+    reduced in place: in each column the first row at or below the current
+    rank with a nonzero entry is the pivot, and every update is divided
+    exactly by the previous pivot (Bareiss), so each entry stays a minor of
+    the input.  Returns (rank, pivot_columns, d): afterwards the top rank
+    rows of each matrix are d times its reduced row echelon form and the
+    other rows are zero; d is the last pivot, +-det for full rank.
+    """
+    n, _, b = a.shape
+    rows = np.arange(n)[:, None]
+    rank = np.zeros(b, dtype=np.intp)
+    pivot_columns = np.zeros((n, b), dtype=bool)
+    d = np.ones(b, dtype=a.dtype)
     for c in range(n):
-        piv = next((i for i in range(r, nrow) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(nrow):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrow:
-            break
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
-
-
-def _primitive_int_vector(v: list[Fraction]) -> list[int]:
-    lcm = 1
-    for f in v:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in v]
-    g = 0
-    for t in ints:
-        g = math.gcd(g, abs(t))
-    return [t // g for t in ints]
+        candidates = (a[:, c] != 0) & (rows >= rank)
+        found = candidates.any(axis=0)
+        src = candidates.argmax(axis=0)
+        move = np.flatnonzero(found & (src != rank))
+        s, r = src[move], rank[move]
+        a[s, :, move], a[r, :, move] = a[r, :, move], a[s, :, move]
+        # a matrix without a pivot here takes the update with p = d and a
+        # zero pivot row, which leaves it as it is
+        top = np.take_along_axis(a, rank[None, None, :], axis=0)[0]
+        p = np.where(found, top[c], d)
+        new = p * a
+        new -= a[:, c, None] * (top * found)
+        new //= d
+        np.put_along_axis(new, rank[None, None, :], top[None], axis=0)
+        a[...] = new
+        d = p
+        pivot_columns[c] = found
+        rank += found
+    return rank, pivot_columns, d
 
 
 def count_bilinear(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
-    """n(R), counting y along exact kernels of the per-x linear system.
+    """n(R) from one batched exact elimination of M(x) over the x-box.
 
-    Kernel dimension 0 contributes only y = 0; dimension 1 contributes the
-    lattice points on a primitive line inside the box; higher dimensions
-    fall back to a vectorized scan of the y box.
+    The box is streamed in chunks of gridsum.CHUNK points; on each chunk
+    bilinear_matrix builds M(x) as arrays and _reduce_rows brings every
+    M(x) to d times its reduced row echelon form, in int64 where
+    forms.minor_bound allows it and on Python-int object arrays otherwise,
+    so the count is exact for any coefficients.  Rank n contributes only
+    y = 0 and M(x) = 0 every y.  Rank n - 1 contributes the points of the
+    kernel line inside the box; its integer spanning vector is made of
+    (n-1)-minors, a column of adj M(x) up to sign, and divided by its gcd
+    it steps by its largest entry.  Rank 1 to n - 2 is rare: such x are
+    keyed by their row space (echelon rows divided by their gcd), and the
+    y-box is scanned once per distinct kernel, each scan charged to cap
+    before any runs.
     """
     if R < 1:
         raise ValueError("R must be a positive integer")
     n = cubic.n
     side = 2 * R - 1
     check_cap(side**n, cap, "bilinear count x-range")
-    vals = range(-(R - 1), R)
-    y_grid = None
+    dtype = np.int64 if minor_bound(cubic, R - 1)[1] else object
     total = 0
-    for x in itertools.product(vals, repeat=n):
-        m = bilinear_matrix(cubic, x)
-        basis = _kernel_basis(m, n)
-        dim = len(basis)
-        if dim == 0:
-            total += 1
-        elif dim == n:
-            total += side**n
-        elif dim == 1:
-            v = _primitive_int_vector(basis[0])
-            step = max(abs(t) for t in v)
-            total += 2 * ((R - 1) // step) + 1
-        else:
-            if y_grid is None:
-                check_cap(side**n * n, cap, "bilinear count y-scan")
-                y_grid = np.array(
-                    list(itertools.product(vals, repeat=n)), dtype=np.int64
-                ).T
-            mm = np.array(m, dtype=np.int64)
-            total += int(np.count_nonzero((mm @ y_grid == 0).all(axis=0)))
+    kernels: Counter = Counter()
+    for xs in _box_chunks(R, n, dtype):
+        a = np.empty((n, n, len(xs[0])), dtype=dtype)
+        for i, row in enumerate(bilinear_matrix(cubic, xs)):
+            for k, entry in enumerate(row):
+                a[i, k] = entry
+        rank, pivot_columns, d = _reduce_rows(a)
+        total += int(np.count_nonzero(rank == n)) + side**n * int(np.count_nonzero(rank == 0))
+        line = np.flatnonzero((rank == n - 1) & (rank > 0))
+        if line.size:
+            # entry j of the kernel vector: d at the free column f, else minus
+            # the entry in column f of the row whose pivot is in column j
+            free = pivot_columns[:, line].argmin(axis=0)
+            row_of = np.cumsum(pivot_columns[:, line], axis=0) - 1
+            v = -a[row_of, free, line]
+            v[free, np.arange(line.size)] = d[line]
+            step = np.abs(v).max(axis=0) // np.gcd.reduce(v, axis=0)
+            total += int(np.sum(2 * ((R - 1) // step) + 1))
+        rest = np.flatnonzero((rank > 0) & (rank < n - 1))
+        if rest.size:
+            g = np.gcd.reduce(a[:, :, rest], axis=1)
+            sign = np.where(d[rest] < 0, -1, 1)
+            echelon = a[:, :, rest] // np.where(g == 0, 1, g)[:, None] * sign
+            kernels.update(tuple(map(tuple, mat[:r]))
+                           for mat, r in zip(echelon.transpose(2, 0, 1).tolist(), rank[rest].tolist()))
+    check_cap(side**n * len(kernels), cap, "bilinear count y-scan")
+    for rows, multiplicity in kernels.items():
+        hits = 0
+        for ys in _box_chunks(R, n, dtype):
+            zero = np.ones(len(ys[0]), dtype=bool)
+            for row in rows:
+                zero &= sum(c * y for c, y in zip(row, ys) if c) == 0
+            hits += int(np.count_nonzero(zero))
+        total += multiplicity * hits
     return total
 
 

@@ -1,13 +1,27 @@
-"""Shared fixtures: small form pairs used across the suite."""
+"""Shared fixtures: small form pairs used across the suite, and the n(R) oracle."""
+
+import itertools
+import operator
 
 import pytest
 
-from circlelab.forms import CubicForm, FormPair, QuadraticForm
+from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix
 from circlelab.weightfn import Weight
 
 
 def make_pair(n, cubic, quadric, **kwargs):
     return FormPair(CubicForm(n, cubic), QuadraticForm(n, quadric), **kwargs)
+
+
+def full_scan_oracle(cubic, R):
+    """n(R) by a double loop over (x, y) pairs in the open sup-norm box,
+    testing B_i(x; y) = (M(x) y)_i = 0 for every i by plain integer sums."""
+    box = list(itertools.product(range(-(R - 1), R), repeat=cubic.n))
+    count = 0
+    for x in box:
+        m = bilinear_matrix(cubic, x)
+        count += sum(1 for y in box if not any(sum(map(operator.mul, row, y)) for row in m))
+    return count
 
 
 @pytest.fixture

@@ -786,6 +786,28 @@ def test_box_scans_honour_the_cap(request, capsys, problem, argv, points):
     assert err == f"error: lattice box: {points} elements exceeds cap {points - 1}\n"
 
 
+# nr --R 10 on the diagonal cubic x1^3 + x2^3 + x3^3 charges its 19^3
+# x-range, then one 19^3 y-scan for each of the 3 distinct kernels of rank
+# one, the coordinate planes of the x on an axis.
+@pytest.mark.parametrize("cap,code,message", [
+    (19**3 - 1, 3, "error: bilinear count x-range: 6859 elements exceeds cap 6858\n"),
+    (3 * 19**3 - 1, 3, "error: bilinear count y-scan: 20577 elements exceeds cap 20576\n"),
+    (3 * 19**3, 0, ""),
+])
+def test_nr_honours_the_cap(tmp_path, capsys, cap, code, message):
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1]],
+        "quadric": [[1, 1, 1], [2, 2, -1]],
+    }))
+    assert run(["nr", "--problem", str(path), "--R", "10", "--cap", str(cap)]) == code
+    out, err = capsys.readouterr()
+    assert err == message
+    if code == 0:
+        assert json.loads(out) == {"R": 10, "n_R": 50653}
+
+
 # The tensor quadrature charges each level's (2^level + 1)^n grid to the
 # cap, and sum --mode poisson each of its refinement grids; on the line
 # problem the last grid is the largest charge of each job: level 7 for

@@ -15,6 +15,7 @@ from circlelab.forms import (
     QuadraticForm,
     Signature,
     bilinear_forms,
+    bilinear_matrix,
     eval_cubic,
     eval_quadratic,
     gradient_cubic,
@@ -22,6 +23,7 @@ from circlelab.forms import (
     h_parameter,
     hypothesis_report,
     int64_bound,
+    minor_bound,
     rank_quadratic,
     signature_quadratic,
     smooth_point_test,
@@ -114,6 +116,34 @@ def test_int64_bound():
     # the bound majorizes |C| and |Q| alike; fits is strict at 2^62
     assert int64_bound(make_pair(1, {(1, 1, 1): 2**62 - 1}, {}), [1]) == (2**62 - 1, True)
     assert int64_bound(make_pair(1, {}, {(1, 1): 2**60}), [2]) == (2**62, False)
+
+
+def _det(m):
+    """Exact determinant by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def test_minor_bound_majorizes_every_minor():
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        cubic = random_cubic(rng, n, terms=rng.randint(0, 4))
+        r = rng.randint(0, 2)
+        bound, fits = minor_bound(cubic, r)
+        assert fits and bound >= 2
+        for x in itertools.product(range(-r, r + 1), repeat=n):
+            m = bilinear_matrix(cubic, x)
+            for k in range(1, n + 1):
+                for rows in itertools.combinations(range(n), k):
+                    for cols in itertools.combinations(range(n), k):
+                        minor = _det([[m[i][j] for j in cols] for i in rows])
+                        assert 2 * minor * minor <= bound
+    # diagonal x1^3 + x2^3 on |x_i| <= 3: H = 18^2, bound 2 H^2; fits is strict at 2^62
+    assert minor_bound(CubicForm(2, {(1, 1, 1): 1, (2, 2, 2): 1}), 3) == (2 * 18**4, True)
+    assert minor_bound(CubicForm(1, {(1, 1, 1): 2**30}), 0)[1] is False
 
 
 def test_dimension_mismatch():

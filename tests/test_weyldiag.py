@@ -1,12 +1,16 @@
 """Bilinear counts n(R), Weyl heights, approximation witnesses, grid scan."""
 
-import itertools
 import math
 import random
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from circlelab import forms, gridsum, weyldiag
 from circlelab.counting import fit_log_power
 from circlelab.forms import CubicForm, bilinear_forms, bilinear_matrix, gradient_cubic
 from circlelab.weightfn import Weight
@@ -17,19 +21,7 @@ from circlelab.weyldiag import (
     minor_arc_scan,
 )
 
-from conftest import make_pair
-
-
-def full_scan_oracle(cubic, R):
-    """Independent double loop over (x, y) pairs in the open sup-norm box."""
-    n = cubic.n
-    vals = range(-(R - 1), R)
-    count = 0
-    for x in itertools.product(vals, repeat=n):
-        for y in itertools.product(vals, repeat=n):
-            if all(b == 0 for b in bilinear_forms(cubic, x, y)):
-                count += 1
-    return count
+from conftest import full_scan_oracle, make_pair
 
 
 # --------------------------------------------------------------------- n(R)
@@ -67,6 +59,64 @@ def test_nr_matches_full_scan():
             if (2 * R - 1) ** (2 * cubic.n) > 10**6:
                 continue
             assert count_bilinear(cubic, R) == full_scan_oracle(cubic, R)
+
+
+@st.composite
+def sparse_cubics(draw):
+    """A sparse cubic (possibly zero) in n = 1..3 variables with R <= 4, or n = 4 with R = 2."""
+    n = draw(st.integers(1, 4))
+    keys = list(itertools.combinations_with_replacement(range(1, n + 1), 3))
+    monomials = draw(st.dictionaries(st.sampled_from(keys), st.integers(-4, 4), max_size=4))
+    return CubicForm(n, monomials), 2 if n == 4 else draw(st.integers(1, 4))
+
+
+def _spy_dtypes(monkeypatch):
+    """Record the dtype of every coordinate array count_bilinear builds M(x) from."""
+    dtypes = set()
+
+    def spy(cubic, x):
+        dtypes.update(v.dtype for v in x if isinstance(v, np.ndarray))
+        return bilinear_matrix(cubic, x)
+
+    monkeypatch.setattr(weyldiag, "bilinear_matrix", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("limit,dtype", [(forms.INT64_LIMIT, np.int64), (1, object)],
+                         ids=["int64", "object"])
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_cubics())
+@example(case=(CubicForm(3, {}), 4))
+@example(case=(CubicForm(3, {(1, 1, 2): 1}), 4))
+@example(case=(CubicForm(4, {(1, 1, 2): -3, (3, 4, 4): 2}), 2))
+def test_nr_matches_full_scan_on_random_cubics(limit, dtype, case):
+    # the zero cubic, rank-deficient ones such as x1^2 x2 and negative
+    # coefficients, in int64 and, with INT64_LIMIT forced down, on objects
+    cubic, R = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "INT64_LIMIT", limit)
+        dtypes = _spy_dtypes(mp)
+        assert count_bilinear(cubic, R) == full_scan_oracle(cubic, R)
+    assert dtypes == {np.dtype(dtype)}
+
+
+def test_nr_large_coefficient_takes_the_object_path(monkeypatch):
+    cubic = CubicForm(3, {(1, 1, 2): 2**40, (2, 3, 3): -1, (3, 3, 3): 5})
+    dtypes = _spy_dtypes(monkeypatch)
+    assert count_bilinear(cubic, 3) == full_scan_oracle(cubic, 3)
+    assert dtypes == {np.dtype(object)}
+
+
+def test_nr_is_independent_of_chunking(monkeypatch):
+    # CHUNK = 7 splits the x-box and every y-scan into many chunks
+    monkeypatch.setattr(gridsum, "CHUNK", 7)
+    for cubic in (
+        CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1}),
+        CubicForm(3, {(1, 2, 3): 1, (1, 1, 1): 2}),
+        CubicForm(4, {(1, 1, 2): 1, (3, 3, 4): -2}),
+    ):
+        R = 2 if cubic.n == 4 else 3
+        assert count_bilinear(cubic, R) == full_scan_oracle(cubic, R)
 
 
 def test_nr_nondecreasing():
