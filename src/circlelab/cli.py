@@ -350,10 +350,13 @@ def _cmd_info(args) -> tuple[object, str]:
         "hypotheses": hypothesis_report(pair, h, rho, sig),
     }
     if pair.cubic_nonsingular:
-        # sanity scan of the user assertion; p = 3 is skipped because a cubic
-        # without mixed monomials (sum c_i x_i^3) has gradient 3 c_i x_i^2,
-        # which vanishes mod 3, so it is singular at every point there
-        primes = (2, 5)
+        # sanity scan of the user assertion; grad C vanishes identically mod 3
+        # exactly when every monomial other than a cube x_i^3 has a coefficient
+        # divisible by 3, and then every zero mod 3 is singular: skip p = 3
+        cubes_only_mod3 = all(
+            c % 3 == 0 for (i, j, k), c in pair.cubic.monomials.items() if not i == j == k
+        )
+        primes = (2, 5) if cubes_only_mod3 else (2, 3, 5)
         scan = cubic_singular_points_mod_p(
             pair.cubic, primes=primes, cap=args.cap, threads=args.threads
         )

@@ -288,59 +288,37 @@ def rank_quadratic(quadric: QuadraticForm) -> int:
     return signature_quadratic(quadric).rank
 
 
-def _swap_row_col(a: list[list[Fraction]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
 def signature_quadratic(quadric: QuadraticForm) -> Signature:
-    """Signature (r, s) by exact rational congruence diagonalization.
+    """Signature (r, s) of the Gram matrix by one exact rational Schur-complement pass.
 
-    When the active block has only zero diagonal entries but a nonzero
-    off-diagonal entry b, the congruence u = e_i + e_j, v = e_i - e_j turns
-    the hyperbolic 2x2 block into diag(2b, -2b), contributing (1, 1).
+    Each step pivots on a nonzero diagonal entry d of the active block,
+    counts the sign of d, and replaces the block by its Schur complement
+    a_xy - a_xi a_iy / d, which drops the pivot's row and column; by
+    Sylvester's law of inertia the signs counted are the signature.  When
+    every diagonal entry of the block is zero but some a_ij (i < j) is not,
+    adding row and column j to row and column i (the substitution
+    x_j -> x_j + x_i) first puts 2 a_ij on the diagonal at i.
     """
-    n = quadric.n
     a = [[Fraction(v) for v in row] for row in quadric.gram()]
     r = s = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
         if piv is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                None,
-            )
+            off = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if off is None:
                 break
-            i, j = off
-            # row/col i += row/col j, then row/col j -= half of new row/col i,
-            # is equivalent to the (e_i + e_j, e_i - e_j) substitution; doing
-            # just the first step already places 2b on the diagonal.
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for rr in range(n):
-                a[rr][i] += a[rr][j]
-            piv = i
-        if piv != k:
-            _swap_row_col(a, k, piv)
-        d = a[k][k]
+            piv, j = off
+            a[piv] = [u + v for u, v in zip(a[piv], a[j])]
+            for row in a:
+                row[piv] += row[j]
+        d = a[piv][piv]
         if d > 0:
             r += 1
         else:
             s += 1
-        for rr in range(k + 1, n):
-            if a[rr][k]:
-                f = a[rr][k] / d
-                for c in range(n):
-                    a[rr][c] -= f * a[k][c]
-        for cc in range(k + 1, n):
-            if a[k][cc]:
-                f = a[k][cc] / d
-                for rr in range(n):
-                    a[rr][cc] -= f * a[rr][k]
-        k += 1
+        rest = [k for k in range(m) if k != piv]
+        a = [[a[x][y] - a[x][piv] * a[piv][y] / d for y in rest] for x in rest]
     return Signature(r, s)
 
 

@@ -22,6 +22,7 @@ scanned, and the histogram of a composite q is their exact CRT product.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -266,49 +267,36 @@ class SolubilityReport:
     partial: bool
 
 
-def _solve_mod_p(rows: list[list[int]], rhs: list[int], p: int, n: int) -> list[int]:
-    """One solution of a consistent linear system mod p (free variables 0)."""
-    m = [[r % p for r in row] + [b % p] for row, b in zip(rows, rhs)]
-    nrow = len(m)
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, nrow) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(nrow):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrow:
-            break
-    for i in range(r, nrow):
-        if m[i][n] % p:
-            raise ArithmeticError("inconsistent lift system; rank-2 certificate wrong")
-    x = [0] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][n] % p
-    return x
-
-
 def _hensel_lift(pair: FormPair, x: Sequence[int], p: int, kmax: int) -> tuple[int, ...]:
-    """Lift a smooth solution mod p to a solution mod p^kmax (Newton steps)."""
+    """Lift a smooth solution mod p to a solution mod p^kmax (Newton steps).
+
+    The steps move only x_i and x_j, for the first pair i < j (in
+    jacobian_minors order) whose 2x2 minor is a unit mod p; every other
+    coordinate stays fixed.  Each step solves for (delta_i, delta_j) by
+    Cramer's rule mod p with the inverse of that minor, taken once: x only
+    moves by multiples of p, so its gradients and minors mod p never change.
+    Raises InvariantError when no minor is a unit or a step leaves a
+    non-solution.
+    """
     x = [int(v) % p for v in x]
+    minors = zip(itertools.combinations(range(pair.n), 2), jacobian_minors(pair, x))
+    unit = next(((ij, m) for ij, m in minors if m % p), None)
+    if unit is None:
+        raise InvariantError(f"Hensel lift needs a Jacobian minor that is a unit mod {p}")
+    (i, j), minor = unit
+    inv = pow(minor, -1, p)
+    gc = gradient_cubic(pair.cubic, x)
+    gq = gradient_quadratic(pair.quadric, x)
     for k in range(1, kmax):
         pk = p**k
         fc = eval_cubic(pair.cubic, x)
         fq = eval_quadratic(pair.quadric, x)
         if fc % pk or fq % pk:
             raise InvariantError(f"Hensel lift left a non-solution mod {p}^{k}")
-        rows = [gradient_cubic(pair.cubic, x), gradient_quadratic(pair.quadric, x)]
-        rhs = [(-(fc // pk)) % p, (-(fq // pk)) % p]
-        delta = _solve_mod_p(rows, rhs, p, pair.n)
-        x = [(xi + pk * di) % (pk * p) for xi, di in zip(x, delta)]
+        # gc_i d_i + gc_j d_j = -fc / p^k and gq_i d_i + gq_j d_j = -fq / p^k mod p
+        bc, bq = -(fc // pk), -(fq // pk)
+        x[i] += pk * ((bc * gq[j] - gc[j] * bq) * inv % p)
+        x[j] += pk * ((gc[i] * bq - bc * gq[i]) * inv % p)
     return tuple(x)
 
 

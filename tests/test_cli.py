@@ -185,6 +185,7 @@ N5_INFO = '''{
   },
   "nonsingularity_scan": {
     "2": [0, 0, 0, 0, 1],
+    "3": [0, 0, 0, 1, 2],
     "5": null
   }
 }
@@ -886,6 +887,29 @@ def test_info_reports_skipped_primes(problem_file, tmp_path):
     rep = json.loads(text)
     assert rep["nonsingularity_scan"] == {"2": None}
     assert rep["nonsingularity_skipped"] == [5]
+
+
+@pytest.mark.parametrize("cubic, scan", [
+    # the mixed monomial x1 x2 x3 keeps grad C nonzero mod 3, and no nonzero
+    # point mod 3 is singular
+    ([[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1], [1, 2, 3, 1]],
+     {"2": [1, 1, 1], "3": None, "5": None}),
+    # with coefficient 3 on x1 x2 x3, grad C vanishes identically mod 3 (every
+    # zero there is singular, (0, 1, 2) first), so p = 3 is not scanned
+    ([[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1], [1, 2, 3, 3]], {"2": [1, 1, 1], "5": None}),
+], ids=["mixed", "cubes-mod-3"])
+def test_info_scans_mod_3_unless_grad_vanishes(tmp_path, cubic, scan):
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "cubic": cubic,
+        "quadric": [[1, 1, 1], [2, 2, 1], [3, 3, -1]],
+        "cubic_nonsingular": True,
+        "weight": {"x0": [0.0] * 3, "xi": 0.4},
+    }))
+    code, text = run_to_file(tmp_path, ["info", "--problem", str(path)])
+    assert code == 0
+    assert json.loads(text)["nonsingularity_scan"] == scan
 
 
 def test_direct_sum_refuses_int64_overflow(tmp_path, capsys):

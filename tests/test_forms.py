@@ -302,6 +302,63 @@ def test_signature_congruence_invariant():
         assert signature_quadratic(moved) == sig
 
 
+def _charpoly(g):
+    """Integer coefficients c_0..c_n of det(t I - G) by Faddeev-LeVerrier."""
+    n = len(g)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(g[i][l] * m[l][j] for l in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        trace = sum(g[i][l] * m[l][i] for i in range(n) for l in range(n))
+        assert trace % k == 0
+        coeffs[n - k] = -trace // k
+    return coeffs
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _signature_oracle(quad):
+    """(r, s) by Descartes' rule of signs on the characteristic polynomial of
+    the Gram matrix, exact because a symmetric matrix has only real
+    eigenvalues: r sign changes in p(t), s in p(-t)."""
+    coeffs = _charpoly(quad.gram())
+    flipped = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return Signature(_sign_changes(coeffs), _sign_changes(flipped))
+
+
+def _squares_quadric(rng, n):
+    """Q = sum of +-L^2 over a few random integer linear forms L, often of rank < n."""
+    g = [[0] * n for _ in range(n)]
+    for _ in range(rng.randint(0, n)):
+        lin = [rng.randint(-2, 2) for _ in range(n)]
+        sign = rng.choice((-1, 1))
+        for a in range(n):
+            for b in range(n):
+                g[a][b] += sign * lin[a] * lin[b]
+    mono = {(a + 1, a + 1): g[a][a] for a in range(n)}
+    mono.update({(a + 1, b + 1): 2 * g[a][b] for a in range(n) for b in range(a + 1, n)})
+    return QuadraticForm(n, mono)
+
+
+def test_signature_matches_charpoly_oracle():
+    rng = random.Random(31)
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        kind = trial % 3
+        if kind == 0:
+            quad = random_quadric(rng, n, terms=2 * n)
+        elif kind == 1:  # zero diagonal
+            quad = QuadraticForm(n, {key: c for key, c in random_quadric(rng, n, terms=2 * n)
+                                     .monomials.items() if key[0] != key[1]})
+        else:
+            quad = _squares_quadric(rng, n)
+        assert signature_quadratic(quad) == _signature_oracle(quad), quad
+
+
 # ------------------------------------------------------------- smooth points
 
 def test_smooth_point_proportional_gradients():

@@ -21,6 +21,7 @@ from circlelab.gridsum import (
     scan,
 )
 from circlelab.localdens import (
+    _hensel_lift,
     _joint_histograms,
     a_of_q,
     count_mod,
@@ -31,7 +32,7 @@ from circlelab.localdens import (
     qp_solubility_search,
     singular_series_truncated,
 )
-from circlelab.util import CapExceededError, factorize
+from circlelab.util import CapExceededError, InvariantError, factorize
 
 from conftest import make_pair
 
@@ -320,6 +321,47 @@ def test_solubility_smooth_certificate(pair_smooth5):
     assert eval_cubic(pair_smooth5.cubic, x) % 5**3 == 0
     assert eval_quadratic(pair_smooth5.quadric, x) % 5**3 == 0
     assert any(v % 5 for v in x)
+
+
+def test_solubility_certificate_is_pinned(pair_smooth5):
+    # the mod-5 certificate (4, 1, 0) has its first unit minor at columns
+    # (1, 3), so the lift moves x_1 and x_3 and keeps x_2 = 1
+    assert qp_solubility_search(pair_smooth5, 5, 3).point == (124, 1, 0)
+
+
+@st.composite
+def small_pairs(draw):
+    """A pair in 3 <= n <= 4 variables with small nonzero coefficients, and a
+    prime p <= 7; about two in five have a smooth zero mod p."""
+    n = draw(st.integers(3, 4))
+    coeff = st.integers(-6, 6).filter(bool)
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, min_size=1, max_size=6))
+
+    pair = FormPair(CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2)))
+    return pair, draw(st.sampled_from([2, 3, 5, 7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_p=small_pairs())
+def test_hensel_lift_solves_mod_every_level(pair_p):
+    pair, p = pair_p
+    cert = qp_solubility_search(pair, p, 1).point
+    if cert is None:
+        return
+    for k in range(1, 6):
+        x = _hensel_lift(pair, cert, p, k)
+        assert eval_cubic(pair.cubic, x) % p**k == 0
+        assert eval_quadratic(pair.quadric, x) % p**k == 0
+        assert all(0 <= v < p**k for v in x)
+        assert [v % p for v in x] == list(cert)
+
+
+def test_hensel_lift_needs_a_unit_minor(pair_smooth5):
+    with pytest.raises(InvariantError, match="unit mod 5"):
+        _hensel_lift(pair_smooth5, (0, 0, 0), 5, 3)
 
 
 def test_solubility_only_singular(pair_n1):
