@@ -35,6 +35,7 @@ from .expsums import (
     poisson_reconstruct,
     theta_height,
     weyl_sum_direct,
+    weyl_sums,
 )
 from .arcs import major_arc_measure, major_arc_test, q3q2, simultaneous_approx
 from .localdens import (

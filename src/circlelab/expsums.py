@@ -30,6 +30,7 @@ from .util import (
     CapExceededError,
     DEFAULT_CAP,
     check_cap,
+    chunk_ranges,
     factorize,
     fsum_complex,
     next_pow2,
@@ -44,6 +45,7 @@ __all__ = [
     "theta_height",
     "default_truncation",
     "weyl_sum_direct",
+    "weyl_sums",
     "complete_sum",
     "complete_sum_crt",
     "crt_decomposition",
@@ -51,6 +53,10 @@ __all__ = [
     "poisson_reconstruct",
 ]
 
+# the most points in one chunk of a direct Weyl sum.  Its 128 KB float
+# arrays are reused by the allocator from chunk to chunk; whole x0-slices
+# of up to 1 MB each raised the peak memory of sums over two threads.
+CHUNK = 1 << 14
 # the Poisson total is accepted once two grid sizes agree to this relative tolerance
 POISSON_REL_TOL = 1e-9
 
@@ -106,6 +112,98 @@ def default_truncation(approx: RationalApprox, P: float) -> int:
     return math.ceil(4.0 * approx.q * theta / P) + 8
 
 
+def _support_chunks(weight: Weight, P: float, box: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Boxes of at most CHUNK points that cover, in order, the lattice points
+    of P times the weight's support ball.
+
+    The box is cut along x0 into runs of as many slices as fit in CHUNK
+    points; a slice larger than that is cut along x1 the same way, and so on
+    down the axes.  Before each cut, the remaining axes are clipped to the
+    bounding box of the ball's section over the ranges fixed so far.  A point
+    that rounding cuts off lies within rounding error of the sphere, where
+    omega is exactly 0.
+    """
+    out = []
+
+    def cut(fixed: list[tuple[int, int]], d2: float) -> None:
+        # d2: squared distance from the centre to the fixed ranges, in units of the weight
+        k = len(fixed)
+        rho = math.sqrt(max(weight.xi**2 - d2, 0.0))
+        rest = [
+            (max(lo, math.ceil((c - rho) * P)), min(hi, math.floor((c + rho) * P)))
+            for (lo, hi), c in zip(box[k:], weight.center[k:])
+        ]
+        if any(lo > hi for lo, hi in rest):
+            return
+        if math.prod(hi - lo + 1 for lo, hi in rest) <= CHUNK:
+            out.append(fixed + rest)
+            return
+        (lo, hi), c = rest[0], weight.center[k]
+        inner = math.prod(h - l + 1 for l, h in rest[1:])
+        for a, b in chunk_ranges(lo, hi + 1, max(1, CHUNK // inner)):
+            d = max(0.0, a / P - c, c - (b - 1) / P)
+            cut(fixed + [(a, b - 1)], d2 + d * d)
+
+    cut([], 0.0)
+    return out
+
+
+def weyl_sums(
+    pair: FormPair,
+    P: float,
+    weight: Weight,
+    alphas: Sequence[tuple[float, float]],
+    cap: int = DEFAULT_CAP,
+    threads: int = 1,
+) -> list[complex]:
+    """The weighted exponential sum S(alpha3, alpha2) at every (alpha3, alpha2) of alphas.
+
+    The weight's box is charged to cap once, whatever the number of alphas.
+    Its support is streamed in the chunks of _support_chunks; on each, C, Q
+    and omega are evaluated once, the points where omega > 0 are kept, and
+    every alpha is summed over them.  The chunks never depend on threads,
+    and each alpha's chunk sums are added by fsum_complex, so the result
+    does not depend on threads either.
+    """
+    box = weight_box(weight, P)
+    if weight.n != pair.n:
+        raise ValueError("weight dimension does not match the form pair")
+    n = pair.n
+    alphas = [(float(a3), float(a2)) for a3, a2 in alphas]
+    if any(lo > hi for lo, hi in box):
+        return [0.0 + 0.0j] * len(alphas)
+    check_cap(math.prod(hi - lo + 1 for lo, hi in box), cap, "lattice box")
+    bound, fits = int64_bound(pair, [max(abs(lo), abs(hi)) for lo, hi in box])
+    if not fits:
+        raise CapExceededError(f"lattice box too large for int64-exact form evaluation (bound {bound})")
+
+    def work(sub: list[tuple[int, int]]) -> list[complex]:
+        coords = [
+            np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, (lo, hi) in enumerate(sub)
+        ]
+        w = omega_grid(weight, [c.astype(float) / P for c in coords])
+        keep = w > 0
+        w = w[keep]
+        c_vals = np.broadcast_to(eval_cubic(pair.cubic, coords), keep.shape)[keep].astype(float)
+        q_vals = np.broadcast_to(eval_quadratic(pair.quadric, coords), keep.shape)[keep].astype(float)
+        arg, tmp = np.empty_like(w), np.empty_like(w)
+        out = []
+        for alpha3, alpha2 in alphas:
+            np.multiply(c_vals, alpha3, out=arg)
+            arg += np.multiply(q_vals, alpha2, out=tmp)
+            arg -= np.round(arg, out=tmp)
+            arg *= 2 * np.pi
+            # einsum, not BLAS: OpenBLAS splits long dot products over its
+            # own threads, which would change the last bits with their number
+            re = np.einsum("i,i->", w, np.cos(arg, out=tmp))
+            out.append(complex(re, np.einsum("i,i->", w, np.sin(arg, out=tmp))))
+        return out
+
+    parts = parallel_map(work, _support_chunks(weight, P, box), threads)
+    return [fsum_complex(part[i] for part in parts) for i in range(len(alphas))]
+
+
 def weyl_sum_direct(
     pair: FormPair,
     P: float,
@@ -117,35 +215,11 @@ def weyl_sum_direct(
 ) -> complex:
     """Direct evaluation of the weighted exponential sum at (alpha3, alpha2).
 
-    Every point of the weight's box is visited and charged to cap.
+    The one-alpha call of weyl_sums: it visits the lattice points of the
+    support ball, about 0.52 (2 xi P)^3 of them at n = 3 and 0.31 (2 xi P)^4
+    at n = 4, and charges the whole box to cap.
     """
-    box = weight_box(weight, P)
-    if weight.n != pair.n:
-        raise ValueError("weight dimension does not match the form pair")
-    n = pair.n
-    if any(lo > hi for lo, hi in box):
-        return 0.0 + 0.0j
-    check_cap(math.prod(hi - lo + 1 for lo, hi in box), cap, "lattice box")
-    bound, fits = int64_bound(pair, [max(abs(lo), abs(hi)) for lo, hi in box])
-    if not fits:
-        raise CapExceededError(f"lattice box too large for int64-exact form evaluation (bound {bound})")
-    axes_rest = [
-        np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-        for i, (lo, hi) in enumerate(box[1:], start=1)
-    ]
-    lo0, hi0 = box[0]
-
-    def work(x0: int) -> complex:
-        first = np.array([x0], dtype=np.int64).reshape((-1,) + (1,) * (n - 1))
-        coords = [first] + axes_rest
-        arg = (alpha3 * eval_cubic(pair.cubic, coords)
-               + alpha2 * eval_quadratic(pair.quadric, coords))
-        arg = arg - np.round(arg)
-        wvals = omega_grid(weight, [np.asarray(c, dtype=float) / P for c in coords])
-        return complex(np.sum(wvals * np.exp(2j * np.pi * arg)))
-
-    parts = parallel_map(work, list(range(lo0, hi0 + 1)), threads)
-    return fsum_complex(parts)
+    return weyl_sums(pair, P, weight, [(alpha3, alpha2)], cap=cap, threads=threads)[0]
 
 
 def complete_sum(

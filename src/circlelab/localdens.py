@@ -39,7 +39,7 @@ from .forms import (
     jacobian_minors,
 )
 from .gridsum import count_solutions_mod, joint_histogram, scan
-from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, factorize
+from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, factorize, is_prime
 
 __all__ = [
     "count_mod",
@@ -83,7 +83,7 @@ def local_density(
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or factorize(p) != [(p, 1)]:
+    if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
 
 

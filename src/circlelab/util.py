@@ -44,6 +44,41 @@ def factorize(q: int) -> list[tuple[int, int]]:
     return out
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below MILLER_RABIN_LIMIT, the least odd composite that is a strong
+# pseudoprime to all of them (OEIS A014233); the first 12 alone are fooled
+# by 318665857834031151167461.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: deterministic Miller-Rabin below MILLER_RABIN_LIMIT,
+    trial division (factorize) from there on."""
+    if n < 2:
+        return False
+    for p in MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MILLER_RABIN_LIMIT:
+        return factorize(n) == [(n, 1)]
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def jordan_totient2(q: int) -> int:
     """J_2(q) = number of pairs (a,b) mod q with gcd(q, gcd(a,b)) = 1."""
     out = q * q

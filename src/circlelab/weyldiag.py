@@ -32,9 +32,9 @@ import numpy as np
 from . import gridsum
 from .arcs import DEFAULT_DELTA, jittered_grid, major_arc_test, q3q2, simultaneous_approx
 from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, rank_quadratic
-from .util import DEFAULT_CAP, check_cap, chunk_ranges, parallel_map
+from .util import DEFAULT_CAP, check_cap, chunk_ranges
 from .weightfn import Weight
-from .expsums import weyl_sum_direct
+from .expsums import weyl_sums
 
 __all__ = [
     "WeylHeights",
@@ -255,16 +255,20 @@ def minor_arc_scan(
     """Classify a jittered k x k grid of (alpha3, alpha2) and test the Weyl
     dichotomy at each point.  Report-only: no assertions are made here.
 
-    The k^2 grid and each point's direct Weyl sum charge cap."""
+    All k^2 direct Weyl sums come from one expsums.weyl_sums call, which
+    evaluates the forms and the weight once for every point, on the support
+    ball only, split over threads; each row is then classified on its own.
+    The k^2 grid charges cap, and so does the whole box of the sums, once,
+    exactly as a single direct sum does."""
     h = h_parameter(pair)
     rho = rank_quadratic(pair.quadric)
     n = pair.n
     points = jittered_grid(grid_k, seed, cap=cap)
     Q3, Q2 = q3q2(P)
+    sums = weyl_sums(pair, P, weight, points, cap=cap, threads=threads)
 
-    def work(pt: tuple[float, float]) -> dict:
+    def classify(pt: tuple[float, float], s_val: complex) -> dict:
         alpha3, alpha2 = pt
-        s_val = weyl_sum_direct(pair, P, weight, alpha3, alpha2, cap=cap)
         s_abs = abs(s_val)
         is_major, witness = major_arc_test(alpha3, alpha2, P, delta)
         approx = simultaneous_approx(alpha3, alpha2, Q3, Q2)
@@ -310,4 +314,4 @@ def minor_arc_scan(
             row["alt"] = "none"
         return row
 
-    return parallel_map(work, points, threads)
+    return [classify(pt, s_val) for pt, s_val in zip(points, sums)]

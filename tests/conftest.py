@@ -1,12 +1,18 @@
-"""Shared fixtures: small form pairs used across the suite, and the n(R) oracle."""
+"""Shared fixtures: small form pairs used across the suite, the n(R) oracle,
+and the hypothesis profile of CI."""
 
 import itertools
 import operator
 
 import pytest
+from hypothesis import settings
 
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix
 from circlelab.weightfn import Weight
+
+# CI selects this profile (pytest --hypothesis-profile=ci) so that every run
+# draws the same examples; local runs keep the default random draws
+settings.register_profile("ci", derandomize=True)
 
 
 def make_pair(n, cubic, quadric, **kwargs):

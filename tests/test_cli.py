@@ -221,6 +221,10 @@ def n5_file(tmp_path):
 # from its own box enumeration.  The three Poisson outputs were captured
 # again, within 4 ulp of the first capture, when the m-family of integrals
 # moved to the slab-streamed grid contraction (a different summation order).
+# The three direct-sum outputs were captured again when the direct sum
+# moved to one kernel over chunks of the support ball (cos and sin summed
+# per chunk, not exp per x0-slice): re, im and abs moved by at most
+# 4.5e-15 times |S|.
 EVAL_PROBLEMS = {
     "nd3": ND3_PROBLEM,
     "nocubic": {**ND3_PROBLEM, "cubic": []},
@@ -259,9 +263,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "direct"): '''{
-  "re": 1.4150423053115195,
-  "im": 2.5131881524795618,
-  "abs": 2.8841739572336778,
+  "re": 1.4150423053115202,
+  "im": 2.5131881524795627,
+  "abs": 2.8841739572336791,
   "meta": {
     "mode": "direct",
     "P": 12,
@@ -309,8 +313,8 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nocubic", "direct"): '''{
-  "re": -0.75838525560779313,
-  "im": -0.70452178296829104,
+  "re": -0.75838525560779324,
+  "im": -0.70452178296829115,
   "abs": 1.0351324256345744,
   "meta": {
     "mode": "direct",
@@ -359,9 +363,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("noquadric", "direct"): '''{
-  "re": -0.2310609468727213,
-  "im": -5.377642775528102e-17,
-  "abs": 0.2310609468727213,
+  "re": -0.23106094687272027,
+  "im": -2.8134199343051586e-16,
+  "abs": 0.23106094687272027,
   "meta": {
     "mode": "direct",
     "P": 12,
@@ -945,10 +949,23 @@ def test_non_finite_sizes_are_usage_errors(problem_file, capsys, argv):
     assert "finite" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("p", ["1", "4", "9"])
+# 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+# 999999999999987 = 3 * 333333333333329
+@pytest.mark.parametrize("p", ["1", "4", "9", "3215031751", "999999999999987"])
 def test_local_needs_a_prime(problem_file, capsys, p):
     assert run(["local", "--problem", problem_file, "--p", p, "--kmax", "2"]) == 2
     assert capsys.readouterr().err == f"error: p must be a prime, got {p}\n"
+
+
+def test_local_accepts_a_large_prime_at_once(problem_file, tmp_path):
+    # the residue grid p^2 is over the cap, so the report is partial; the
+    # primality test takes microseconds where trial division took seconds
+    code, text = run_to_file(tmp_path, [
+        "local", "--problem", problem_file, "--p", "999999999999989", "--kmax", "1",
+    ])
+    assert code == 0
+    report = json.loads(text)
+    assert report["partial"] and report["reached"] == 0
 
 
 # ------------------------------------------------- internal checks, exit 3

@@ -5,11 +5,15 @@ import itertools
 import math
 import random
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlelab import gridsum
+from circlelab import expsums, gridsum
+from circlelab.counting import weight_box
 from circlelab.expsums import (
     RationalApprox,
     complete_sum,
@@ -19,8 +23,10 @@ from circlelab.expsums import (
     poisson_reconstruct,
     theta_height,
     weyl_sum_direct,
+    weyl_sums,
 )
-from circlelab.weightfn import Weight, nu_grid, omega
+from circlelab.util import CapExceededError
+from circlelab.weightfn import Weight, nu_grid, omega, omega_grid
 
 from conftest import make_pair
 
@@ -93,11 +99,128 @@ def test_direct_sum_modulus_bound(pair_line, broad_weight):
         assert abs(val) <= mass + 1e-9
 
 
-def test_direct_sum_thread_determinism(pair_line, broad_weight):
+def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
     a3, a2 = 0.311, 0.729
     base = weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=1)
     for threads in (2, 5):
         assert weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=threads) == base
+    # the 33^3 box at P = 40 exceeds one chunk of the support
+    w = Weight((0.0, 0.0, 0.0), 0.4)
+    assert len(expsums._support_chunks(w, 40, weight_box(w, 40))) > 1
+    base = weyl_sum_direct(pair_n3, 40, w, a3, a2, threads=1)
+    for threads in (2, 3):
+        assert weyl_sum_direct(pair_n3, 40, w, a3, a2, threads=threads) == base
+
+
+def oracle_weyl_sum(pair, P, weight, alpha3, alpha2):
+    """(S, mass): the literal sum of omega(x/P) e(alpha3 C(x) + alpha2 Q(x))
+    over the weight's box, with Python-int forms, cmath and math.fsum, and
+    the sum of the weights."""
+    box = [
+        (math.ceil((c - weight.xi) * P), math.floor((c + weight.xi) * P))
+        for c in weight.center
+    ]
+    re, im, mass = [], [], []
+    for x in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+        c = sum(coeff * x[i - 1] * x[j - 1] * x[k - 1] for (i, j, k), coeff in pair.cubic.monomials.items())
+        q = sum(coeff * x[i - 1] * x[j - 1] for (i, j), coeff in pair.quadric.monomials.items())
+        t = alpha3 * c + alpha2 * q
+        w = omega(weight, [v / P for v in x])
+        z = w * cmath.exp(2j * math.pi * (t - round(t)))
+        re.append(z.real)
+        im.append(z.imag)
+        mass.append(w)
+    return complex(math.fsum(re), math.fsum(im)), math.fsum(mass)
+
+
+@st.composite
+def weyl_cases(draw):
+    """A pair with n <= 3, P <= 12, a weight (free, with its support's edge
+    on lattice points, or with an empty box), a chunk size and three alphas."""
+    n = draw(st.integers(1, 3))
+    P = draw(st.integers(1, 12))
+    coeff = st.integers(-3, 3)
+    index = st.integers(1, n)
+    cubic = draw(st.dictionaries(st.tuples(index, index, index).map(lambda t: tuple(sorted(t))), coeff, max_size=4))
+    quad = draw(st.dictionaries(st.tuples(index, index).map(lambda t: tuple(sorted(t))), coeff, max_size=4))
+    kind = draw(st.sampled_from(["free", "edge", "empty"]))
+    if kind == "free":
+        xi = draw(st.floats(0.05, 0.45))
+        center = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
+    elif kind == "edge":
+        # centre a/P and radius r/P: the ends of every axis are lattice points
+        r = draw(st.integers(1, max(1, P // 2)))
+        center = [a / P for a in draw(st.lists(st.integers(-r, r), min_size=n, max_size=n))]
+        xi = r / P
+    else:
+        # the first axis [P c0 - 0.2, P c0 + 0.2] holds no integer
+        xi = 0.2 / P
+        center = [(draw(st.integers(-P, P)) + 0.5) / P] + draw(st.lists(st.floats(-0.4, 0.4), min_size=n - 1, max_size=n - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # supports outside (-1/2, 1/2)^n are fine here
+        weight = Weight(tuple(center), xi)
+    chunk = draw(st.sampled_from([1, 5, 64, expsums.CHUNK]))
+    alphas = draw(st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=3, max_size=3))
+    return make_pair(n, cubic, quad), P, weight, chunk, alphas
+
+
+@settings(max_examples=150, deadline=None)
+@given(weyl_cases())
+def test_weyl_sums_match_the_scalar_oracle(case):
+    pair, P, weight, chunk, alphas = case
+    with patch.object(expsums, "CHUNK", chunk):
+        sums = weyl_sums(pair, P, weight, alphas)
+        singles = [weyl_sum_direct(pair, P, weight, a3, a2) for a3, a2 in alphas]
+    # one call for many alphas gives each alpha's sum bit for bit
+    assert sums == singles
+    for (a3, a2), value in zip(alphas, sums):
+        expected, mass = oracle_weyl_sum(pair, P, weight, a3, a2)
+        # relative to the weight mass, the scale of every term's size
+        assert abs(value - expected) <= 1e-12 * mass
+        if mass == 0.0:
+            assert value == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n),
+        st.floats(0.02, 0.45),
+        st.integers(1, 60),
+        st.sampled_from([1, 17, 300, expsums.CHUNK]),
+    ))
+)
+def test_support_chunks_cover_the_support(case):
+    # the chunks hold at most CHUNK points each, are disjoint, lie in the
+    # box and hold every lattice point where omega > 0
+    center, xi, P, chunk = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        weight = Weight(tuple(center), xi)
+    box = weight_box(weight, P)
+    if any(lo > hi for lo, hi in box):
+        return
+    n = len(box)
+    axes = [np.arange(lo, hi + 1).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, (lo, hi) in enumerate(box)]
+    inside = omega_grid(weight, [a / P for a in axes]) > 0
+    with patch.object(expsums, "CHUNK", chunk):
+        subs = expsums._support_chunks(weight, P, box)
+    covered = np.zeros_like(inside)
+    for sub in subs:
+        assert math.prod(hi - lo + 1 for lo, hi in sub) <= chunk
+        assert all(blo <= lo <= hi <= bhi for (lo, hi), (blo, bhi) in zip(sub, box))
+        cell = tuple(slice(lo - blo, hi - blo + 1) for (lo, hi), (blo, _) in zip(sub, box))
+        assert not covered[cell].any()
+        covered[cell] = True
+    assert not (inside & ~covered).any()
+
+
+def test_weyl_sums_charge_the_box_once(pair_n3):
+    w = Weight((0.0, 0.0, 0.0), 0.4)
+    alphas = [(0.1 * i, 0.2 * i) for i in range(9)]
+    assert len(weyl_sums(pair_n3, 10, w, alphas, cap=9**3)) == 9
+    with pytest.raises(CapExceededError, match="lattice box: 729 elements exceeds cap 728"):
+        weyl_sums(pair_n3, 10, w, alphas, cap=9**3 - 1)
 
 
 # ---------------------------------------------------------- complete sums

@@ -32,7 +32,7 @@ from circlelab.localdens import (
     qp_solubility_search,
     singular_series_truncated,
 )
-from circlelab.util import CapExceededError, InvariantError, factorize
+from circlelab.util import CapExceededError, InvariantError, factorize, is_prime
 
 from conftest import make_pair
 
@@ -487,3 +487,24 @@ def test_centred_coefficients_keep_the_int64_path(eval_dtypes):
 def test_primitive_counts(pair_hensel7):
     n_all, n_prim = count_mod(pair_hensel7, 7), count_mod_primitive(pair_hensel7, 7, 1)
     assert n_all == n_prim + 1  # zero vector is the only imprimitive solution
+
+
+# ----------------------------------------------------------- primality test
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 50_000) if is_prime(n)] == [
+        n for n in range(2, 50_000) if factorize(n) == [(n, 1)]
+    ]
+
+
+@pytest.mark.parametrize("n,prime", [
+    (2047, False),  # strong pseudoprime to base 2
+    (3215031751, False),  # to the bases 2, 3, 5, 7
+    (3825123056546413051, False),  # to the first 9 prime bases
+    (318665857834031151167461, False),  # to the first 12 prime bases
+    (999999999999989, True),
+    (2**61 - 1, True),
+    (999999999999989 * 1000003, False),
+])
+def test_is_prime_on_strong_pseudoprimes(n, prime):
+    assert is_prime(n) is prime

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelab import forms, gridsum, weyldiag
-from circlelab.counting import fit_log_power
+from circlelab import expsums, forms, gridsum, weyldiag
+from circlelab.counting import fit_log_power, weight_box
 from circlelab.forms import CubicForm, bilinear_forms, bilinear_matrix, gradient_cubic
 from circlelab.weightfn import Weight
 from circlelab.weyldiag import (
@@ -248,3 +248,20 @@ def test_minor_arc_scan_seed_determinism(pair_line):
     assert rows_a == rows_b
     rows_c = minor_arc_scan(pair, 8.0, w, 2, seed=10)
     assert [r["alpha3"] for r in rows_a] != [r["alpha3"] for r in rows_c]
+
+
+def test_minor_arc_scan_thread_determinism(pair_n3):
+    # the 33^3 box at P = 40 spans more than one chunk of the support, and
+    # each row's |S| is the single-alpha direct sum at its point, bit for bit
+    pair = make_pair(
+        3, dict(pair_n3.cubic.monomials), dict(pair_n3.quadric.monomials),
+        cubic_nonsingular=True,
+    )
+    w = Weight((0.0, 0.0, 0.0), 0.4)
+    assert len(expsums._support_chunks(w, 40, weight_box(w, 40))) > 1
+    rows = minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=1)
+    for threads in (2, 3):
+        assert minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=threads) == rows
+    for row in rows:
+        direct = expsums.weyl_sum_direct(pair, 40.0, w, row["alpha3"], row["alpha2"])
+        assert row["abs_S"] == abs(direct)
