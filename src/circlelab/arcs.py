@@ -3,9 +3,11 @@
 For a cutoff pair Q3 = [P^{4/3}], Q2 = [P^{1/3}] the pigeonhole principle
 guarantees, for any (alpha3, alpha2), a modulus q <= Q3 Q2 and numerators
 with gcd(q, gcd(a3, a2)) = 1 such that |alpha_i - a_i/q| <= 1/(q Q_i).
-The search here is an exhaustive upward scan over q, which returns the
-smallest qualifying modulus; the defining inequalities are verified in
-exact rational arithmetic (floats are rationals, so nothing is lost).
+The search returns the smallest qualifying modulus.  It screens q upward in
+numpy blocks, with a slack that covers the float error so that no
+qualifying q is dropped, and verifies the defining inequalities of the
+survivors, in ascending order, in exact rational arithmetic (floats are
+rationals, so nothing is lost).
 
 Major arcs are the boxes |alpha_i - a_i/q| <= P^{-i+delta} around rationals
 with q <= P^delta; everything is taken mod 1 with a_i normalized to [1, q]
@@ -64,6 +66,11 @@ def _delta_cutoff(P: float, delta: float) -> int:
     return int(P**delta)
 
 
+def _check_delta(delta: float) -> None:
+    if not (0 < delta < 1.0 / 3.0):
+        raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
+
+
 def _normalize_unit(alpha: float) -> float:
     """Representative of alpha mod 1 in (0, 1]."""
     a = alpha - math.floor(alpha)
@@ -89,8 +96,45 @@ def _exact_torus_bound(alpha: float, a: int, q: int, bound: Fraction) -> bool:
     return abs(d) <= bound
 
 
+# q values screened per numpy block: no array of the scan exceeds this size
+Q_BLOCK = 1 << 12
+
+
+def _screen(qs: np.ndarray, alpha: float, cutoff: int, slack: float) -> np.ndarray:
+    """The q of qs (exact float64 integers) with ||q alpha|| <= 1/cutoff + slack."""
+    d = qs * alpha
+    d -= np.rint(d)
+    return qs[np.abs(d) <= 1.0 / cutoff + slack]
+
+
+def _check_modulus(
+    alpha3: float, alpha2: float, Q3: int, Q2: int, q: int
+) -> RationalApprox | None:
+    """The approximation with modulus q if its nearest numerators qualify, else None."""
+    a3 = _nearest_numerator(q, alpha3)
+    a2 = _nearest_numerator(q, alpha2)
+    # cheap float screen with slack, then exact verification
+    if abs(_torus_theta(alpha3, a3, q)) > 1.0 / (q * Q3) + 1e-12:
+        return None
+    if abs(_torus_theta(alpha2, a2, q)) > 1.0 / (q * Q2) + 1e-12:
+        return None
+    if not _exact_torus_bound(alpha3, a3, q, Fraction(1, q * Q3)):
+        return None
+    if not _exact_torus_bound(alpha2, a2, q, Fraction(1, q * Q2)):
+        return None
+    if math.gcd(q, math.gcd(a3, a2)) != 1:
+        raise InvariantError(f"unreduced fraction at minimal q = {q}: a = ({a3}, {a2})")
+    return RationalApprox(q, a3, a2, _torus_theta(alpha3, a3, q), _torus_theta(alpha2, a2, q))
+
+
 def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> RationalApprox:
     """Smallest q <= Q3 Q2 with |alpha_i - a_i/q| <= 1/(q Q_i) and coprime data.
+
+    The moduli are screened Q_BLOCK at a time: a q stays a candidate while
+    ||q alpha_i|| <= 1/Q_i + slack in both coordinates.  The float product
+    q alpha_i is off by at most q 2^-53, which the slack 1e-9 + q_max 2^-50
+    covers, so every q that passes the exact check is a candidate.  The
+    candidates then go, in ascending order, through the exact verification.
 
     Existence is a pigeonhole guarantee; failure of the scan indicates a bug,
     not bad input, and raises InvariantError.
@@ -99,23 +143,16 @@ def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> Ratio
         raise ValueError("cutoffs must be positive integers")
     alpha3 = _normalize_unit(alpha3)
     alpha2 = _normalize_unit(alpha2)
-    for q in range(1, Q3 * Q2 + 1):
-        a3 = _nearest_numerator(q, alpha3)
-        a2 = _nearest_numerator(q, alpha2)
-        # cheap float screen with slack, then exact verification
-        if abs(_torus_theta(alpha3, a3, q)) > 1.0 / (q * Q3) + 1e-12:
-            continue
-        if abs(_torus_theta(alpha2, a2, q)) > 1.0 / (q * Q2) + 1e-12:
-            continue
-        if not _exact_torus_bound(alpha3, a3, q, Fraction(1, q * Q3)):
-            continue
-        if not _exact_torus_bound(alpha2, a2, q, Fraction(1, q * Q2)):
-            continue
-        if math.gcd(q, math.gcd(a3, a2)) != 1:
-            raise InvariantError(f"unreduced fraction at minimal q = {q}: a = ({a3}, {a2})")
-        return RationalApprox(
-            q, a3, a2, _torus_theta(alpha3, a3, q), _torus_theta(alpha2, a2, q)
-        )
+    qmax = Q3 * Q2
+    for lo in range(1, qmax + 1, Q_BLOCK):
+        hi = min(lo + Q_BLOCK - 1, qmax)
+        slack = 1e-9 + hi * 2.0**-50
+        qs = np.arange(lo, hi + 1, dtype=np.float64)
+        qs = _screen(_screen(qs, alpha3, Q3, slack), alpha2, Q2, slack)
+        for q in qs.tolist():
+            approx = _check_modulus(alpha3, alpha2, Q3, Q2, int(q))
+            if approx is not None:
+                return approx
     raise InvariantError(
         "pigeonhole guarantee violated; simultaneous approximation scan is buggy"
     )
@@ -147,8 +184,7 @@ def major_arc_test(
     qualify since the arc half-widths are below 1/(2q).  Returns the witness
     (q, a3, a2) of the first (smallest-q) containing arc.
     """
-    if not (0 < delta < 1.0 / 3.0):
-        raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
+    _check_delta(delta)
     alpha3 = _normalize_unit(alpha3)
     alpha2 = _normalize_unit(alpha2)
     qmax = _delta_cutoff(P, delta)
@@ -188,21 +224,15 @@ def major_arc_centers(P: float, delta: float = DEFAULT_DELTA) -> list[tuple[int,
 
 
 def major_arcs_disjoint(P: float, delta: float = DEFAULT_DELTA) -> bool:
-    """Exact pairwise-disjointness check of the major arc boxes mod 1."""
-    centers = major_arc_centers(P, delta)
-    # Box half-widths are P^{-i+delta}; center distances are exact rationals.
-    h3 = Fraction(2 * P ** (-3 + delta))
-    h2 = Fraction(2 * P ** (-2 + delta))
-    for idx, (q, a3, a2) in enumerate(centers):
-        for (qq, b3, b2) in centers[idx + 1 :]:
-            d3 = Fraction(a3, q) - Fraction(b3, qq)
-            d3 -= round(d3)
-            d2 = Fraction(a2, q) - Fraction(b2, qq)
-            d2 -= round(d2)
-            if d3 == 0 and d2 == 0:
-                continue  # same center mod 1, identical arc
-            if abs(d3) <= h3 and abs(d2) <= h2:
-                return False
+    """Whether the major arc boxes are pairwise disjoint mod 1: always, for
+    the legal delta in (0, 1/3).
+
+    Two distinct centres a/q, a'/q' differ by at least 1/(q q') >= P^{-2 delta}
+    in some coordinate i in {3, 2}, while boxes around them overlap there only
+    within 2 P^{-i+delta} <= 2 P^{-2+delta}.  P^{-2 delta} > 2 P^{-2+delta} holds once
+    P^{2-3 delta} > 2, so for every P >= 2; below 2 only the q = 1 arc exists.
+    """
+    _check_delta(delta)
     return True
 
 

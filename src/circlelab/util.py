@@ -25,8 +25,13 @@ def check_cap(work: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what}: {work} elements exceeds cap {cap}")
 
 
+# Trial division runs over p <= TRIAL_BOUND; a cofactor left with no prime
+# factor below it is proved prime by is_prime or split by Pollard-Brent rho.
+TRIAL_BOUND = 1 << 10
+
+
 def factorize(q: int) -> list[tuple[int, int]]:
-    """Prime factorization of q >= 1 by trial division, as (p, e) pairs."""
+    """Prime factorization of q >= 1, as (p, e) pairs in ascending p."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     out = []
@@ -38,10 +43,54 @@ def factorize(q: int) -> list[tuple[int, int]]:
                 q //= p
                 e += 1
             out.append((p, e))
+        elif p > TRIAL_BOUND:
+            break
         p += 1 if p == 2 else 2
-    if q > 1:
-        out.append((q, 1))
-    return out
+    else:
+        if q > 1:
+            out.append((q, 1))
+        return out
+    counts: dict[int, int] = {}
+    stack = [q]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+    return out + sorted(counts.items())
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of the composite n by Brent's variant of Pollard rho.
+    The polynomials x^2 + c are tried for c = 1, 2, ... until one splits n,
+    so the result is deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product overshot: redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
@@ -53,15 +102,14 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: deterministic Miller-Rabin below MILLER_RABIN_LIMIT,
-    trial division (factorize) from there on."""
+    """Whether n is prime: deterministic Miller-Rabin below MILLER_RABIN_LIMIT.
+    From there on a Miller-Rabin witness still proves n composite, and a strong
+    probable prime is decided by trial division up to isqrt(n)."""
     if n < 2:
         return False
     for p in MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    if n >= MILLER_RABIN_LIMIT:
-        return factorize(n) == [(n, 1)]
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -76,7 +124,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    if n < MILLER_RABIN_LIMIT:
+        return True
+    return all(n % p for p in range(MILLER_RABIN_BASES[-1] + 2, math.isqrt(n) + 1, 2))
 
 
 def jordan_totient2(q: int) -> int:

@@ -5,9 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab.arcs import (
+    Q_BLOCK,
+    _exact_torus_bound,
+    _nearest_numerator,
+    _normalize_unit,
+    _torus_theta,
     floor_power,
+    jittered_grid,
     major_arc_centers,
     major_arc_measure,
     major_arc_test,
@@ -16,6 +24,7 @@ from circlelab.arcs import (
     simultaneous_approx,
     verify_approx,
 )
+from circlelab.expsums import RationalApprox
 
 
 def oracle_approx(alpha3, alpha2, Q3, Q2):
@@ -38,6 +47,48 @@ def oracle_approx(alpha3, alpha2, Q3, Q2):
         if ok:
             return q
     raise AssertionError("oracle found no q: pigeonhole violated")
+
+
+def scalar_approx(alpha3, alpha2, Q3, Q2):
+    """The scalar scan simultaneous_approx replaced: every q in turn through the
+    float screen and the exact checks, no block screen before them."""
+    alpha3 = _normalize_unit(alpha3)
+    alpha2 = _normalize_unit(alpha2)
+    for q in range(1, Q3 * Q2 + 1):
+        a3 = _nearest_numerator(q, alpha3)
+        a2 = _nearest_numerator(q, alpha2)
+        if abs(_torus_theta(alpha3, a3, q)) > 1.0 / (q * Q3) + 1e-12:
+            continue
+        if abs(_torus_theta(alpha2, a2, q)) > 1.0 / (q * Q2) + 1e-12:
+            continue
+        if not _exact_torus_bound(alpha3, a3, q, Fraction(1, q * Q3)):
+            continue
+        if not _exact_torus_bound(alpha2, a2, q, Fraction(1, q * Q2)):
+            continue
+        assert math.gcd(q, math.gcd(a3, a2)) == 1
+        return RationalApprox(
+            q, a3, a2, _torus_theta(alpha3, a3, q), _torus_theta(alpha2, a2, q)
+        )
+    raise AssertionError("scalar scan found no q: pigeonhole violated")
+
+
+def disjoint_oracle(P, delta):
+    """Exact pairwise comparison of the major arc boxes mod 1, any delta."""
+    centers = major_arc_centers(P, delta)
+    # box half-widths are P^{-i+delta}; centre distances are exact rationals
+    h3 = Fraction(2 * P ** (-3 + delta))
+    h2 = Fraction(2 * P ** (-2 + delta))
+    for idx, (q, a3, a2) in enumerate(centers):
+        for (qq, b3, b2) in centers[idx + 1 :]:
+            d3 = Fraction(a3, q) - Fraction(b3, qq)
+            d3 -= round(d3)
+            d2 = Fraction(a2, q) - Fraction(b2, qq)
+            d2 -= round(d2)
+            if d3 == 0 and d2 == 0:
+                continue  # same centre mod 1, identical arc
+            if abs(d3) <= h3 and abs(d2) <= h2:
+                return False
+    return True
 
 
 def test_q3q2_examples():
@@ -153,11 +204,19 @@ def test_major_arc_measure_monotone_in_delta():
 
 
 def test_major_arcs_disjoint():
-    for P in (50.0, 100.0, 200.0):
-        assert major_arcs_disjoint(P, 1.0 / 7.0)
+    for P in (50.0, 100.0, 200.0, 1000.0):
+        assert major_arcs_disjoint(P, 1.0 / 7.0) and disjoint_oracle(P, 1.0 / 7.0)
     # sanity of the overlap detector itself: widths outside the legal delta
     # range make (2,1,1) and (2,1,2) collide in the alpha2 coordinate
-    assert not major_arcs_disjoint(3.0, 0.9)
+    assert not disjoint_oracle(3.0, 0.9)
+    with pytest.raises(ValueError):
+        major_arcs_disjoint(3.0, 0.9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 400.0), st.floats(0.01, 0.33))
+def test_major_arcs_disjoint_vs_oracle(P, delta):
+    assert major_arcs_disjoint(P, delta) and disjoint_oracle(P, delta)
 
 
 def test_major_arc_centers_coprime():
@@ -168,3 +227,50 @@ def test_major_arc_centers_coprime():
 def test_delta_validation():
     with pytest.raises(ValueError):
         major_arc_test(0.1, 0.1, 10.0, 0.5)
+
+
+# ------------------------------------------------ block screen vs scalar scan
+
+# cutoffs at small P, and products Q3 Q2 just below, at and just above one block
+CUTOFFS = [q3q2(P) for P in (2, 5, 10, 37, 60)] + [
+    (Q_BLOCK - 1, 1), (Q_BLOCK, 1), (Q_BLOCK + 1, 1),
+    (Q_BLOCK // 2, 2), (Q_BLOCK // 3, 3), (Q_BLOCK // 3 + 1, 3),
+]
+
+
+ALPHAS = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 60).flatmap(lambda b: st.integers(0, b).map(lambda a: a / b)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALPHAS, ALPHAS, st.sampled_from(CUTOFFS))
+def test_simultaneous_approx_matches_scalar_scan(alpha3, alpha2, cutoffs):
+    Q3, Q2 = cutoffs
+    ap = simultaneous_approx(alpha3, alpha2, Q3, Q2)
+    assert ap == scalar_approx(alpha3, alpha2, Q3, Q2)
+    assert ap.q == oracle_approx(alpha3, alpha2, Q3, Q2)
+
+
+@pytest.mark.parametrize("b", [Q_BLOCK - 1, Q_BLOCK, Q_BLOCK + 1])
+def test_simultaneous_approx_at_block_edges(b):
+    # ||q/b|| >= 1/b > 1/Q3 for every q < b, so the smallest modulus is b
+    Q3, Q2 = Q_BLOCK + 100, 1
+    ap = simultaneous_approx(1.0 / b, 0.3, Q3, Q2)
+    assert ap.q == b
+    assert ap == scalar_approx(1.0 / b, 0.3, Q3, Q2)
+
+
+def test_simultaneous_approx_beyond_first_block_at_p250():
+    Q3, Q2 = q3q2(250)
+    far = []
+    for a3, a2 in jittered_grid(20, 7):
+        ap = simultaneous_approx(a3, a2, Q3, Q2)
+        if ap.q > Q_BLOCK:
+            far.append((a3, a2, ap))
+    assert len(far) >= 5
+    for a3, a2, ap in far[:5]:
+        assert ap == scalar_approx(a3, a2, Q3, Q2)
+        assert ap.q == oracle_approx(a3, a2, Q3, Q2)

@@ -204,6 +204,42 @@ ARCS_GRID3_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a
 '''
 
 
+# Captured from the scalar q-scan, before simultaneous_approx screened q in
+# numpy blocks.  At P = 50 (above) every pigeonhole q lies in the first block
+# of 2^12 moduli; at P = 250, Q3 Q2 = 9444 and two of these 16 points need a
+# later block.  The weyl-scan rows carry the same pigeonhole columns.
+ARCS_P250_GRID4_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a2
+0.23576402639309191,0.1278318882035904,False,,,,1001,236,128
+0.24406092642692603,0.27020900597390052,False,,,,463,113,125
+0.15183895799875741,0.59412164609431817,False,,,,843,128,501
+0.20047530174645181,0.79363195403600706,False,,,,2524,506,2003
+0.46790881854691413,0.13598535019087454,False,,,,1449,678,197
+0.47555376992899712,0.36928838095980154,False,,,,225,107,83
+0.35762406943235325,0.69723667938608236,False,,,,7273,2601,5071
+0.49603824998278034,0.84243144816310722,False,,,,1262,626,1063
+0.74223321732905867,0.23225659694135486,False,,,,3251,2413,755
+0.54442314644049528,0.40221290421113687,False,,,,2116,1152,851
+0.67621618639118564,0.7357009197822918,False,,,,1850,1251,1361
+0.66641435424143836,0.78334893886292334,False,,,,5285,3522,4140
+0.87446689969634361,0.12340495848902872,False,,,,470,411,58
+0.87505654733718652,0.48964557152731181,False,,,,8,7,4
+0.83748434995556376,0.55594278669455399,False,,,,1606,1345,893
+0.88052175055286197,0.91029273099125707,False,,,,1381,1216,1257
+'''
+
+WEYL_SCAN_P60_GRID3 = '''alpha3,alpha2,abs_S,is_major,major_q,pigeon_q,pigeon_a3,pigeon_a2,t3,t2,s,b3,phi3,witness_ok,u,alt
+0.21232056244048478,0.089928904587956771,1.8206137846107655,False,,146,31,13,44.467461432974901,44.467461432974901,146,31,-8.2046828028814467e-06,True,,unclassifiable
+0.013657841312064897,0.33884254517617635,17.853224259431386,False,,73,1,25,14.200149615789737,14.200149615789737,366,5,-3.3608737274523626e-06,True,,unclassifiable
+0.27109007973342414,0.97091852575924065,9.0161291616688874,False,,166,45,161,19.982102761288814,19.982102761288814,166,45,5.7423840265635739e-06,True,,unclassifiable
+0.53554525858905999,0.24316552032799946,0.47228520211179015,False,,211,113,51,87.307003175567203,87.307003175567203,211,113,2.3489237754859005e-07,True,,unclassifiable
+0.51454166382180766,0.64502414126258945,1.0358310839335139,False,,344,177,222,58.95311813453651,58.95311813453651,447,230,2.7679719916129386e-07,True,,unclassifiable
+0.60528451804051076,0.66757950005671596,4.7014188536821351,False,,76,46,51,27.67175972858189,27.67175972858189,38,23,2.1360145773918759e-05,True,1,both
+0.95246809219585649,0.011195191768488119,1.1874162183123067,False,,21,20,21,55.061718547915113,55.061718547915113,21,20,8.7139814904158008e-05,True,1,both
+0.90988514880998128,0.39188520686751965,17.890567977196692,False,,233,212,91,14.185321596034417,14.185321596034417,344,313,1.4278797487721206e-06,True,,unclassifiable
+0.95439297411662893,0.84715374008303057,8.9448561127592257,False,,307,293,260,20.061553991222695,20.061553991222695,307,293,-4.4200201788635596e-06,True,,unclassifiable
+'''
+
+
 @pytest.fixture
 def n5_file(tmp_path):
     path = tmp_path / "n5.json"
@@ -721,6 +757,13 @@ def test_info_and_arcs_grid_output_is_unchanged(n5_file, tmp_path):
     assert run_to_file(tmp_path, ["info", "--problem", n5_file]) == (0, N5_INFO)
     argv = ["arcs", "--P", "50", "--grid", "3", "--seed", "4"]
     assert run_to_file(tmp_path, argv) == (0, ARCS_GRID3_SEED4)
+
+
+def test_pigeonhole_outputs_are_unchanged(problem_file, tmp_path):
+    argv = ["arcs", "--P", "250", "--grid", "4", "--seed", "4"]
+    assert run_to_file(tmp_path, argv) == (0, ARCS_P250_GRID4_SEED4)
+    argv = ["weyl-scan", "--problem", problem_file, "--P", "60", "--grid", "3"]
+    assert run_to_file(tmp_path, argv) == (0, WEYL_SCAN_P60_GRID3)
 
 
 @pytest.mark.parametrize("name,job", list(EVAL_OUTPUTS))
