@@ -40,11 +40,8 @@ from .expsums import (
 from .arcs import major_arc_measure, major_arc_test, q3q2, simultaneous_approx
 from .localdens import (
     a_of_q,
-    count_mod,
     hensel_stable,
-    local_density,
     q_factorization,
-    qp_solubility_search,
     singular_series_truncated,
 )
 from .archimedean import main_term, major_arc_approx_check, sin_kernel, singular_integral_truncated

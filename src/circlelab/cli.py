@@ -523,9 +523,7 @@ def _cmd_series(args) -> tuple[object, str]:
 def _cmd_local(args) -> tuple[object, str]:
     pair, _ = load_problem(args.problem)
     rep = localdens.hensel_stable(pair, args.p, args.kmax, cap=args.cap, threads=args.threads)
-    sol = localdens.qp_solubility_search(
-        pair, args.p, min(args.kmax, 3), cap=args.cap, threads=args.threads
-    )
+    sol = rep.solubility
     report = {
         "p": rep.p,
         "kmax": rep.kmax,

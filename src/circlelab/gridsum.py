@@ -29,7 +29,6 @@ __all__ = [
     "scan",
     "phase_histogram",
     "joint_histogram",
-    "count_solutions_mod",
     "cubic_singular_points_mod_p",
 ]
 
@@ -112,28 +111,6 @@ def joint_histogram(
         return np.bincount(c * q + qq, minlength=q * q)
 
     return np.sum(scan(pair, q, per_chunk, cap, threads), axis=0).reshape(q, q)
-
-
-def count_solutions_mod(
-    pair: FormPair,
-    q: int,
-    p: int | None = None,
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
-) -> tuple[int, int]:
-    """(all, primitive) counts of y mod q with C(y) = Q(y) = 0 mod q.
-
-    Primitive means some coordinate of y is a unit mod p; pass p when q is a
-    power of p, otherwise the primitive count is reported as 0.
-    """
-
-    def per_chunk(coords, c, qq) -> tuple[int, int]:
-        sol = (c == 0) & (qq == 0)
-        prim = False if p is None else np.any([y % p != 0 for y in coords], axis=0)
-        return int(np.count_nonzero(sol)), int(np.count_nonzero(sol & prim))
-
-    parts = scan(pair, q, per_chunk, cap, threads)
-    return sum(a for a, _ in parts), sum(b for _, b in parts)
 
 
 def cubic_singular_points_mod_p(

@@ -1,4 +1,4 @@
-"""Solution counts mod q, p-adic densities, and the truncated singular series.
+"""p-adic densities, Q_p solubility certificates, and the truncated singular series.
 
 Densities are normalized by p^{k(n-2)} (two equations in n variables):
 delta_p(k) = N(p^k) / p^{k(n-2)} for the full count N.  The full count
@@ -8,6 +8,8 @@ delta*_p(k) = N*(p^k) / p^{k(n-2)}, where N* counts solutions with some
 unit coordinate: every smooth primitive solution mod p lifts to exactly
 p^{n-2} solutions mod p^{k+1}, making delta* constant from k = 1 on.
 Both are reported; stabilization is judged on the primitive density.
+hensel_stable scans the residue grid mod p^k once per level k, and the scan
+mod p also finds the first smooth solution, the certificate of a Q_p point.
 
 The truncated singular series is
 
@@ -38,53 +40,33 @@ from .forms import (
     gradient_quadratic,
     jacobian_minors,
 )
-from .gridsum import count_solutions_mod, joint_histogram, scan
+from .gridsum import joint_histogram, scan
 from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, factorize, is_prime
 
 __all__ = [
-    "count_mod",
-    "count_mod_primitive",
-    "local_density",
     "hensel_stable",
     "HenselReport",
     "singular_series_truncated",
     "SeriesResult",
     "a_of_q",
     "q_factorization",
-    "qp_solubility_search",
     "SolubilityReport",
 ]
-
-
-def count_mod(pair: FormPair, q: int, cap: int = DEFAULT_CAP, threads: int = 1) -> int:
-    """Number of residue vectors y mod q with C(y) = Q(y) = 0 mod q."""
-    if q == 1:
-        return 1
-    n_all, _ = count_solutions_mod(pair, q, cap=cap, threads=threads)
-    return n_all
-
-
-def count_mod_primitive(
-    pair: FormPair, p: int, k: int, cap: int = DEFAULT_CAP, threads: int = 1
-) -> int:
-    """Solutions mod p^k with at least one coordinate a unit mod p."""
-    _, n_prim = count_solutions_mod(pair, p**k, p=p, cap=cap, threads=threads)
-    return n_prim
-
-
-def local_density(
-    pair: FormPair, p: int, k: int, cap: int = DEFAULT_CAP, threads: int = 1
-) -> Fraction:
-    """delta_p(k) = N(p^k) / p^{k(n-2)} as an exact rational."""
-    if k == 0:
-        return Fraction(1)
-    count = count_mod(pair, p**k, cap=cap, threads=threads)
-    return Fraction(count, 1) / Fraction(p) ** (k * (pair.n - 2))
 
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
+
+
+@dataclass(frozen=True)
+class SolubilityReport:
+    verdict: str  # smooth_liftable | only_singular | none_found
+    p: int
+    level: int
+    point: tuple[int, ...] | None
+    solutions_mod_p: int
+    partial: bool
 
 
 @dataclass(frozen=True)
@@ -97,17 +79,56 @@ class HenselReport:
     densities: tuple[Fraction, ...]
     primitive_densities: tuple[Fraction, ...]
     partial: bool
+    solubility: SolubilityReport
+
+
+def _count_level(
+    pair: FormPair, p: int, k: int, cap: int, threads: int
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """(N(p^k), N*(p^k), certificate) from one scan of the residue grid mod p^k.
+
+    At k = 1 the certificate is the first primitive solution in grid order
+    (the same for any thread count) whose Jacobian has a 2x2 minor that is a
+    unit mod p, or None; at k >= 2 it is None and no solution is visited.
+    """
+
+    def per_chunk(coords, cvals, qvals) -> tuple[int, int, tuple[int, ...] | None]:
+        sol = (cvals == 0) & (qvals == 0)
+        prim = sol & np.any([y % p != 0 for y in coords], axis=0)
+        smooth = None
+        if k == 1:
+            for idx in np.flatnonzero(prim):
+                x = tuple(int(y[idx]) for y in coords)
+                if any(m % p for m in jacobian_minors(pair, x)):
+                    smooth = x
+                    break
+        return int(np.count_nonzero(sol)), int(np.count_nonzero(prim)), smooth
+
+    parts = scan(pair, p**k, per_chunk, cap=cap, threads=threads)
+    smooth = next((x for _, _, x in parts if x is not None), None)
+    return sum(a for a, _, _ in parts), sum(b for _, b, _ in parts), smooth
 
 
 def hensel_stable(
     pair: FormPair, p: int, kmax: int, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> HenselReport:
-    """Track delta_p(k) and delta*_p(k) for k = 1..kmax and flag stabilization.
+    """Track delta_p(k) and delta*_p(k) for k = 1..kmax, flag stabilization,
+    and search for a certificate of a Q_p point on C = Q = 0.
 
+    Each level k is one scan of the residue grid mod p^k that counts all
+    solutions and the primitive ones (some coordinate a unit mod p).
     stable is True when the primitive density is constant from some level
     k* < reached onward; the full density is reported alongside but never
     stabilizes at finite level (imprimitive vectors keep feeding it).
-    If the cap cuts the scan short the report is marked partial.
+    If the cap cuts the scans short the report is marked partial.
+
+    The scan mod p also yields the solubility report: a primitive solution
+    whose Jacobian has rank 2 mod p is a smooth point, and the first one in
+    grid order is Hensel-lifted to mod p^min(kmax, 3) and returned as a
+    certificate.  If the scan finds solutions but none smooth (the zero
+    vector always solves, with rank-0 Jacobian) the verdict is only_singular.
+    none_found is only reachable when the cap stops the scan mod p, which
+    marks the solubility report partial; it is never a proof of insolubility.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -116,12 +137,15 @@ def hensel_stable(
     prim: list[Fraction] = []
     reached = 0
     partial = False
+    n_mod_p, smooth = 0, None
     for k in range(1, kmax + 1):
         try:
-            n_all, n_prim = count_solutions_mod(pair, p**k, p=p, cap=cap, threads=threads)
+            n_all, n_prim, point = _count_level(pair, p, k, cap, threads)
         except CapExceededError:
             partial = True
             break
+        if k == 1:
+            n_mod_p, smooth = n_all, point
         scale = Fraction(p) ** (k * (pair.n - 2))
         dens.append(Fraction(n_all) / scale)
         prim.append(Fraction(n_prim) / scale)
@@ -136,8 +160,14 @@ def hensel_stable(
         if k_star < reached:
             stable = True
             level = k_star
+    if smooth is None:
+        verdict, lift, point = ("only_singular" if n_mod_p else "none_found"), 1, None
+    else:
+        lift = min(kmax, 3)
+        verdict, point = "smooth_liftable", _hensel_lift(pair, smooth, p, lift)
+    sol = SolubilityReport(verdict, p, lift, point, n_mod_p, reached == 0)
     return HenselReport(
-        p, kmax, reached, stable, level, tuple(dens), tuple(prim), partial
+        p, kmax, reached, stable, level, tuple(dens), tuple(prim), partial, sol
     )
 
 
@@ -257,16 +287,6 @@ def q_factorization(q: int, a3: int, quadric: QuadraticForm) -> tuple[int, int, 
     return q0, q1, q2
 
 
-@dataclass(frozen=True)
-class SolubilityReport:
-    verdict: str  # smooth_liftable | only_singular | none_found
-    p: int
-    level: int
-    point: tuple[int, ...] | None
-    solutions_mod_p: int
-    partial: bool
-
-
 def _hensel_lift(pair: FormPair, x: Sequence[int], p: int, kmax: int) -> tuple[int, ...]:
     """Lift a smooth solution mod p to a solution mod p^kmax (Newton steps).
 
@@ -298,45 +318,3 @@ def _hensel_lift(pair: FormPair, x: Sequence[int], p: int, kmax: int) -> tuple[i
         x[i] += pk * ((bc * gq[j] - gc[j] * bq) * inv % p)
         x[j] += pk * ((gc[i] * bq - bc * gq[i]) * inv % p)
     return tuple(x)
-
-
-def qp_solubility_search(
-    pair: FormPair, p: int, kmax: int, cap: int = DEFAULT_CAP, threads: int = 1
-) -> SolubilityReport:
-    """Search for a certificate of a Q_p point on C = Q = 0.
-
-    Scans residue vectors mod p; a solution whose Jacobian has rank 2 mod p
-    is a smooth point, and the first one in grid order (the same for any
-    thread count) is Hensel-lifted to mod p^kmax and returned as a
-    certificate.  If the full scan finds solutions but none smooth (the zero
-    vector always solves, with rank-0 Jacobian) the verdict is only_singular.
-    none_found is only reachable on a capped, partial scan and is never a
-    proof of insolubility.
-    """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    _require_prime(p)
-
-    def per_chunk(coords, cvals, qvals) -> tuple[int, tuple[int, ...] | None]:
-        sol = (cvals == 0) & (qvals == 0)
-        smooth = None
-        for idx in np.flatnonzero(sol):
-            x = tuple(int(c[idx]) for c in coords)
-            if any(x) and any(m % p for m in jacobian_minors(pair, x)):
-                smooth = x
-                break
-        return int(np.count_nonzero(sol)), smooth
-
-    partial = False
-    try:
-        parts = scan(pair, p, per_chunk, cap=cap, threads=threads)
-    except CapExceededError:
-        parts, partial = [], True
-    n_solutions = sum(count for count, _ in parts)
-    smooth_point = next((x for _, x in parts if x is not None), None)
-    if smooth_point is not None:
-        lifted = _hensel_lift(pair, smooth_point, p, kmax)
-        return SolubilityReport("smooth_liftable", p, kmax, lifted, n_solutions, partial)
-    if n_solutions > 0:
-        return SolubilityReport("only_singular", p, 1, None, n_solutions, partial)
-    return SolubilityReport("none_found", p, 1, None, 0, partial)

@@ -62,15 +62,22 @@ def factorize(q: int) -> list[tuple[int, int]]:
     return out + sorted(counts.items())
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, steps: int | None = None) -> int | None:
     """A nontrivial factor of the composite n by Brent's variant of Pollard rho.
     The polynomials x^2 + c are tried for c = 1, 2, ... until one splits n,
-    so the result is deterministic."""
+    so the result is deterministic.  Given a budget of `steps` iterations of
+    the polynomial, None is returned once it is spent; on a prime n that is
+    the only way the search ends."""
+    left = math.inf if steps is None else steps
     c = 0
     while True:
         c += 1
         y, r, prod, g = 2, 1, 1, 1
         while g == 1:
+            # a round takes at most 2r steps: r to advance, r in batches
+            left -= 2 * r
+            if left < 0:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -103,8 +110,10 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: deterministic Miller-Rabin below MILLER_RABIN_LIMIT.
-    From there on a Miller-Rabin witness still proves n composite, and a strong
-    probable prime is decided by trial division up to isqrt(n)."""
+    From there on a Miller-Rabin witness still proves n composite.  A strong
+    probable prime is given 2^22 steps of Pollard-Brent rho, enough to split
+    MILLER_RABIN_LIMIT itself (1287836182261 * 2575672364521); if rho finds no
+    factor, trial division up to isqrt(n) decides."""
     if n < 2:
         return False
     for p in MILLER_RABIN_BASES:
@@ -126,6 +135,8 @@ def is_prime(n: int) -> bool:
             return False
     if n < MILLER_RABIN_LIMIT:
         return True
+    if _pollard_brent(n, steps=1 << 22) is not None:
+        return False
     return all(n % p for p in range(MILLER_RABIN_BASES[-1] + 2, math.isqrt(n) + 1, 2))
 
 

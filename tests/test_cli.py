@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelab import arcs, counting, localdens
+from circlelab import arcs, counting, gridsum, localdens
 from circlelab.cli import ProblemError, emit, load_problem, run
 
 
@@ -1026,17 +1026,43 @@ def test_series_imaginary_mass_exit(problem_file, monkeypatch, capsys):
     _assert_internal_failure(argv, capsys, "imaginary mass")
 
 
-def test_hensel_lift_check_exit(tmp_path, monkeypatch, capsys):
-    # (1, -1, 0) is a smooth zero mod 5; a cubic that never vanishes breaks the lift
+@pytest.fixture
+def smooth5_file(tmp_path):
+    """A pair with the smooth zero (1, -1, 0) mod 5."""
     path = tmp_path / "smooth5.json"
     path.write_text(json.dumps({
         "n": 3,
         "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1]],
         "quadric": [[1, 1, 1], [2, 2, -1], [2, 3, 1]],
     }))
+    return str(path)
+
+
+def test_hensel_lift_check_exit(smooth5_file, monkeypatch, capsys):
+    # a cubic that never vanishes breaks the lift
     monkeypatch.setattr(localdens, "eval_cubic", lambda cubic, x: 1)
-    argv = ["local", "--problem", str(path), "--p", "5", "--kmax", "2"]
+    argv = ["local", "--problem", smooth5_file, "--p", "5", "--kmax", "2"]
     _assert_internal_failure(argv, capsys, "Hensel lift")
+
+
+def test_local_scans_each_level_once(smooth5_file, tmp_path, monkeypatch):
+    # the scan mod p gives the counts and the certificate, so local scans
+    # mod 5, 25 and 125 once each; both names of the scan are counted
+    moduli = []
+
+    def counting_scan(pair, q, *args, **kwargs):
+        moduli.append(q)
+        return scan(pair, q, *args, **kwargs)
+
+    scan = gridsum.scan
+    monkeypatch.setattr(gridsum, "scan", counting_scan)
+    monkeypatch.setattr(localdens, "scan", counting_scan)
+    code, text = run_to_file(
+        tmp_path, ["local", "--problem", smooth5_file, "--p", "5", "--kmax", "3"]
+    )
+    assert code == 0
+    assert moduli == [5, 25, 125]
+    assert json.loads(text)["solubility"]["verdict"] == "smooth_liftable"
 
 
 def test_simultaneous_approx_gcd_check_exit(monkeypatch, capsys):

@@ -14,7 +14,6 @@ from circlelab.expsums import complete_sum, complete_sum_crt
 from circlelab import forms, gridsum
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic
 from circlelab.gridsum import (
-    count_solutions_mod,
     cubic_singular_points_mod_p,
     joint_histogram,
     phase_histogram,
@@ -24,12 +23,8 @@ from circlelab.localdens import (
     _hensel_lift,
     _joint_histograms,
     a_of_q,
-    count_mod,
-    count_mod_primitive,
     hensel_stable,
-    local_density,
     q_factorization,
-    qp_solubility_search,
     singular_series_truncated,
 )
 from circlelab.util import CapExceededError, InvariantError, factorize, is_prime
@@ -46,19 +41,33 @@ def brute_count_mod(pair, q):
     return cnt
 
 
+def direct_count(pair, q, cap=10**8):
+    """N(q) read off one direct scan mod q (not the CRT product at composite q)."""
+    return int(joint_histogram(pair, q, cap=cap)[0, 0])
+
+
+def counts(rep, n):
+    """(N(p^k), N*(p^k)) for k = 1..reached, from the densities of a HenselReport."""
+    scales = [Fraction(rep.p) ** (k * (n - 2)) for k in range(1, rep.reached + 1)]
+    return [
+        (d * s, d_prim * s)
+        for s, d, d_prim in zip(scales, rep.densities, rep.primitive_densities)
+    ]
+
+
 # ------------------------------------------------------------- counts mod q
 
 def test_count_mod_q1(pair_line):
-    assert count_mod(pair_line, 1) == 1
+    assert direct_count(pair_line, 1) == 1
 
 
 def test_count_mod_example(pair_n3):
-    assert count_mod(pair_n3, 2) == 2
-    assert count_mod(pair_n3, 2) == brute_count_mod(pair_n3, 2)
+    assert direct_count(pair_n3, 2) == 2
+    assert direct_count(pair_n3, 2) == brute_count_mod(pair_n3, 2)
 
 
 def test_count_mod_multiplicative_spot(pair_n3):
-    assert count_mod(pair_n3, 6) == count_mod(pair_n3, 2) * count_mod(pair_n3, 3)
+    assert direct_count(pair_n3, 6) == direct_count(pair_n3, 2) * direct_count(pair_n3, 3)
 
 
 def test_count_mod_multiplicative_random():
@@ -74,30 +83,31 @@ def test_count_mod_multiplicative_random():
             r, s = rng.randint(2, 8), rng.randint(2, 8)
             if math.gcd(r, s) == 1:
                 break
-        assert count_mod(pair, r * s) == count_mod(pair, r) * count_mod(pair, s)
+        assert direct_count(pair, r * s) == direct_count(pair, r) * direct_count(pair, s)
 
 
 def test_count_mod_matches_brute(pair_n3):
     for q in (3, 4, 5):
-        assert count_mod(pair_n3, q) == brute_count_mod(pair_n3, q)
+        assert direct_count(pair_n3, q) == brute_count_mod(pair_n3, q)
 
 
 def test_count_mod_cap(pair_n3):
     with pytest.raises(CapExceededError):
-        count_mod(pair_n3, 10**4, cap=10**6)
+        direct_count(pair_n3, 10**4, cap=10**6)
 
 
 # ------------------------------------------------------------ local density
 
 def test_local_density_example(pair_n3):
     # N(2) = 2 and p^{k(n-2)} = 2 for n = 3, k = 1
-    assert local_density(pair_n3, 2, 1) == Fraction(1)
-    assert local_density(pair_n3, 2, 0) == Fraction(1)
+    assert hensel_stable(pair_n3, 2, 1).densities == (Fraction(1),)
+    # delta_p(0) = N(1) = 1
+    assert direct_count(pair_n3, 1) == 1
 
 
 def test_local_density_n1_normalization(pair_n1):
     # N(5) = 1 (only x = 0) and the n = 1 normalization is p^{k(n-2)} = 1/5
-    assert local_density(pair_n1, 5, 1) == Fraction(5)
+    assert hensel_stable(pair_n1, 5, 1).densities == (Fraction(5),)
 
 
 # -------------------------------------------------------------- stabilization
@@ -119,10 +129,9 @@ def test_hensel_degenerate_not_stable():
 
 def test_hensel_n1_report(pair_n1):
     # N(5^k) = 5^{floor(k/2)}: x must be divisible by 5^{ceil(k/2)}
-    assert count_mod(pair_n1, 5) == 1
-    assert count_mod(pair_n1, 25) == 5
-    assert count_mod(pair_n1, 125) == 5
     rep = hensel_stable(pair_n1, 5, 3)
+    assert counts(rep, 1) == [(1, 0), (5, 0), (5, 0)]
+    assert [direct_count(pair_n1, 5**k) for k in (1, 2, 3)] == [1, 5, 5]
     assert not rep.stable
 
 
@@ -159,7 +168,7 @@ def test_series_p_part_matches_density(pair_n3):
                         continue
                     term += complete_sum(pair_n3, q, a3, a2, [0, 0, 0])
             acc += term.real / q**3
-        assert acc == pytest.approx(float(local_density(pair_n3, p, k)), abs=1e-8)
+        assert acc == pytest.approx(float(hensel_stable(pair_n3, p, k).densities[-1]), abs=1e-8)
 
 
 def test_series_crt_agreement(pair_line):
@@ -182,7 +191,7 @@ def test_series_euler_consistency_report(pair_hensel7, capsys):
     series = singular_series_truncated(pair_hensel7, 7)
     prod = 1.0
     for p, k in ((2, 2), (3, 1), (5, 1), (7, 1)):
-        prod *= float(local_density(pair_hensel7, p, k))
+        prod *= float(hensel_stable(pair_hensel7, p, k).densities[-1])
     print(f"S(7) = {series.value:.6f} vs product of local densities = {prod:.6f}")
     assert series.value > 0 and prod > 0
 
@@ -314,7 +323,7 @@ def test_q_factorization_random_structure():
 # ------------------------------------------------------------- Qp solubility
 
 def test_solubility_smooth_certificate(pair_smooth5):
-    rep = qp_solubility_search(pair_smooth5, 5, 3)
+    rep = hensel_stable(pair_smooth5, 5, 3).solubility
     assert rep.verdict == "smooth_liftable"
     assert rep.level == 3
     x = rep.point
@@ -326,13 +335,14 @@ def test_solubility_smooth_certificate(pair_smooth5):
 def test_solubility_certificate_is_pinned(pair_smooth5):
     # the mod-5 certificate (4, 1, 0) has its first unit minor at columns
     # (1, 3), so the lift moves x_1 and x_3 and keeps x_2 = 1
-    assert qp_solubility_search(pair_smooth5, 5, 3).point == (124, 1, 0)
+    assert hensel_stable(pair_smooth5, 5, 3).solubility.point == (124, 1, 0)
 
 
 @st.composite
 def small_pairs(draw):
-    """A pair in 3 <= n <= 4 variables with small nonzero coefficients, and a
-    prime p <= 7; about two in five have a smooth zero mod p."""
+    """A pair in 3 <= n <= 4 variables with small nonzero coefficients, a
+    prime p <= 7 and a thread count; about two in five have a smooth zero
+    mod p."""
     n = draw(st.integers(3, 4))
     coeff = st.integers(-6, 6).filter(bool)
 
@@ -341,14 +351,14 @@ def small_pairs(draw):
         return draw(st.dictionaries(st.sampled_from(keys), coeff, min_size=1, max_size=6))
 
     pair = FormPair(CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2)))
-    return pair, draw(st.sampled_from([2, 3, 5, 7]))
+    return pair, draw(st.sampled_from([2, 3, 5, 7])), draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(pair_p=small_pairs())
 def test_hensel_lift_solves_mod_every_level(pair_p):
-    pair, p = pair_p
-    cert = qp_solubility_search(pair, p, 1).point
+    pair, p, threads = pair_p
+    cert = hensel_stable(pair, p, 1, threads=threads).solubility.point
     if cert is None:
         return
     for k in range(1, 6):
@@ -359,29 +369,64 @@ def test_hensel_lift_solves_mod_every_level(pair_p):
         assert [v % p for v in x] == list(cert)
 
 
+def brute_level_one(pair, p):
+    """(N(p), N*(p), first primitive solution with a unit Jacobian minor mod p),
+    scanning y mod p in grid order with coordinate 1 varying fastest."""
+    n_all = n_prim = 0
+    cert = None
+    for y in itertools.product(range(p), repeat=pair.n):
+        x = y[::-1]
+        if eval_cubic(pair.cubic, x) % p or eval_quadratic(pair.quadric, x) % p:
+            continue
+        n_all += 1
+        if any(x):
+            n_prim += 1
+            if cert is None and any(m % p for m in forms.jacobian_minors(pair, x)):
+                cert = x
+    return n_all, n_prim, cert
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_p=small_pairs())
+def test_level_one_scan_matches_brute_force(pair_p):
+    # one scan mod p gives the counts and the certificate, in chunks of 7
+    pair, p, threads = pair_p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridsum, "CHUNK", 7)
+        rep = hensel_stable(pair, p, 1, threads=threads)
+    n_all, n_prim, cert = brute_level_one(pair, p)
+    assert counts(rep, pair.n) == [(n_all, n_prim)]
+    sol = rep.solubility
+    assert sol.solutions_mod_p == n_all and not sol.partial
+    if cert is None:
+        assert sol.verdict == "only_singular" and sol.point is None
+    else:
+        assert sol.verdict == "smooth_liftable"
+        assert tuple(v % p for v in sol.point) == cert
+
+
 def test_hensel_lift_needs_a_unit_minor(pair_smooth5):
     with pytest.raises(InvariantError, match="unit mod 5"):
         _hensel_lift(pair_smooth5, (0, 0, 0), 5, 3)
 
 
 def test_solubility_only_singular(pair_n1):
-    rep = qp_solubility_search(pair_n1, 7, 2)
+    rep = hensel_stable(pair_n1, 7, 2).solubility
     assert rep.verdict == "only_singular"
     assert rep.solutions_mod_p == 1  # just the zero residue
 
 
 def test_solubility_none_found_on_partial_scan(pair_n3):
     # a cap too small for even the first chunk leaves the scan inconclusive
-    rep = qp_solubility_search(pair_n3, 5, 1, cap=10)
+    rep = hensel_stable(pair_n3, 5, 1, cap=10).solubility
     assert rep.verdict == "none_found"
     assert rep.partial
 
 
 @pytest.mark.parametrize("p", [1, 4, 9])
 def test_local_scans_need_a_prime(pair_n3, p):
-    for search in (hensel_stable, qp_solubility_search):
-        with pytest.raises(ValueError, match="p must be a prime"):
-            search(pair_n3, p, 2)
+    with pytest.raises(ValueError, match="p must be a prime"):
+        hensel_stable(pair_n3, p, 2)
 
 
 # ------------------------------------------------------- residue scan chunks
@@ -391,8 +436,7 @@ def _scan_results(pairs, threads):
     for pair in pairs:
         out.append(joint_histogram(pair, 12, threads=threads).tolist())
         out.append(phase_histogram(pair, 12, 5, 7, [1, 2, 3], threads=threads).tolist())
-        out.append(count_solutions_mod(pair, 25, p=5, threads=threads))
-        out.extend(qp_solubility_search(pair, p, 2, threads=threads) for p in (5, 7))
+        out.extend(hensel_stable(pair, p, 2, threads=threads) for p in (5, 7))
     return out
 
 
@@ -409,7 +453,7 @@ def test_scan_results_do_not_depend_on_chunking(
     assert firsts == list(range(0, 125, 7))
     assert _scan_results(pairs, threads) == expected
     # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 18
-    point = qp_solubility_search(pair_smooth5, 5, 2, threads=threads).point
+    point = hensel_stable(pair_smooth5, 5, 2, threads=threads).solubility.point
     assert tuple(v % 5 for v in point) == (4, 1, 0)
 
 
@@ -485,7 +529,8 @@ def test_centred_coefficients_keep_the_int64_path(eval_dtypes):
 
 
 def test_primitive_counts(pair_hensel7):
-    n_all, n_prim = count_mod(pair_hensel7, 7), count_mod_primitive(pair_hensel7, 7, 1)
+    [(n_all, n_prim)] = counts(hensel_stable(pair_hensel7, 7, 1), pair_hensel7.n)
+    assert n_all == direct_count(pair_hensel7, 7)
     assert n_all == n_prim + 1  # zero vector is the only imprimitive solution
 
 
@@ -502,6 +547,7 @@ def test_is_prime_matches_trial_division():
     (3215031751, False),  # to the bases 2, 3, 5, 7
     (3825123056546413051, False),  # to the first 9 prime bases
     (318665857834031151167461, False),  # to the first 12 prime bases
+    (3317044064679887385961981, False),  # to the first 13: rho splits it
     (999999999999989, True),
     (2**61 - 1, True),
     (999999999999989 * 1000003, False),

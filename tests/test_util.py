@@ -41,6 +41,7 @@ def test_factorize_past_the_trial_bound_matches_trial_division(monkeypatch):
     (2**40 * 1000003**2, [(2, 40), (1000003, 2)]),
     (1000003**3 * 1000033, [(1000003, 3), (1000033, 1)]),
     (318665857834031151167461, [(399165290221, 1), (798330580441, 1)]),
+    (MILLER_RABIN_LIMIT, [(1287836182261, 1), (2575672364521, 1)]),
 ])
 def test_factorize_large(q, factors):
     assert factorize(q) == factors
@@ -77,3 +78,9 @@ def test_is_prime_above_the_limit_does_not_factorize(monkeypatch):
     assert (2**89 - 1) * (2**61 - 1) > MILLER_RABIN_LIMIT
     assert not is_prime((2**89 - 1) * (2**61 - 1))
     assert not is_prime(318665857834031151167461 * 1000003)
+
+
+def test_pollard_brent_gives_up_on_a_prime():
+    # on a prime no polynomial splits n, so only the step budget ends the search
+    assert util._pollard_brent(2**61 - 1, steps=1 << 12) is None
+    assert util._pollard_brent(MILLER_RABIN_LIMIT, steps=1 << 22) == 1287836182261
