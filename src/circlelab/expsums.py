@@ -231,11 +231,14 @@ def complete_sum(
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> complex:
-    """Complete sum of e_q(a3 C(y) + a2 Q(y) + m.y) over y mod q, by brute force.
+    """Complete sum of e_q(a3 C(y) + a2 Q(y) + m.y) over y mod q.
 
-    The numerator is reduced mod q in exact integer arithmetic; the q distinct
-    phases are then combined through a histogram, so the result carries only
-    the rounding of the final exponentials.
+    The numerator is reduced mod q in exact integer arithmetic and counted
+    in a histogram over its q values (gridsum.phase_histogram), which scans
+    only the prime powers p^e exactly dividing q, sum p^{en} points, and
+    composes them by the CRT with the same a3, a2, m.  It equals the
+    histogram of a scan of all q^n residues entry for entry, so the result
+    carries only the rounding of the final exponentials.
     """
     n = pair.n
     if isinstance(m, int):

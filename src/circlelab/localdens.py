@@ -8,8 +8,9 @@ delta*_p(k) = N*(p^k) / p^{k(n-2)}, where N* counts solutions with some
 unit coordinate: every smooth primitive solution mod p lifts to exactly
 p^{n-2} solutions mod p^{k+1}, making delta* constant from k = 1 on.
 Both are reported; stabilization is judged on the primitive density.
-hensel_stable scans the residue grid mod p^k once per level k, and the scan
-mod p also finds the first smooth solution, the certificate of a Q_p point.
+hensel_stable scans the residue grid mod p once, which also finds the first
+smooth solution, the certificate of a Q_p point; each level k >= 2 comes
+from p^{ceil(k/2) n} points by the p-adic lift of gridsum.lift.
 
 The truncated singular series is
 
@@ -18,8 +19,9 @@ The truncated singular series is
 with the inner sum over pairs (a3, a2) coprime to q as a pair; its p-part
 partial sums reproduce delta_p(k) exactly, which the tests exploit as a
 cross-check between complete sums and residue counts.  All S(a, q) come
-from the joint histogram of (C mod q, Q mod q); only prime-power moduli are
-scanned, and the histogram of a composite q is their exact CRT product.
+from the joint histogram of (C mod q, Q mod q) (gridsum.joint_histograms):
+each prime power is lifted once, and the histogram of a composite q is
+their exact CRT product.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +42,8 @@ from .forms import (
     gradient_quadratic,
     jacobian_minors,
 )
-from .gridsum import joint_histogram, scan
-from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, factorize, is_prime
+from .gridsum import joint_histogram, joint_histograms, lift, scan
+from .util import CapExceededError, DEFAULT_CAP, InvariantError, factorize, is_prime
 
 __all__ = [
     "hensel_stable",
@@ -85,28 +87,60 @@ class HenselReport:
 def _count_level(
     pair: FormPair, p: int, k: int, cap: int, threads: int
 ) -> tuple[int, int, tuple[int, ...] | None]:
-    """(N(p^k), N*(p^k), certificate) from one scan of the residue grid mod p^k.
+    """(N(p^k), N*(p^k), certificate) at level k.
 
-    At k = 1 the certificate is the first primitive solution in grid order
-    (the same for any thread count) whose Jacobian has a 2x2 minor that is a
-    unit mod p, or None; at k >= 2 it is None and no solution is visited.
+    Level 1 is one scan of the residue grid mod p, and its certificate is the
+    first primitive solution in grid order (the same for any thread count)
+    whose Jacobian has a 2x2 minor that is a unit mod p, or None.  Level
+    k >= 2 is one gridsum.lift from the points u mod p^j, j = ceil(k/2),
+    with (C, Q)(u) = 0 mod p^j: the p^{mn} points over u (m = k - j) hold
+    p^{mn} / |G_u| solutions when -(C, Q)(u) / p^j lies in G_u mod p^m, and
+    none otherwise; they are primitive exactly when u is.  Its certificate
+    is None.
     """
+    if k >= 2:
+        return _lifted_level(pair, p, k, cap, threads) + (None,)
 
     def per_chunk(coords, cvals, qvals) -> tuple[int, int, tuple[int, ...] | None]:
         sol = (cvals == 0) & (qvals == 0)
         prim = sol & np.any([y % p != 0 for y in coords], axis=0)
         smooth = None
-        if k == 1:
-            for idx in np.flatnonzero(prim):
-                x = tuple(int(y[idx]) for y in coords)
-                if any(m % p for m in jacobian_minors(pair, x)):
-                    smooth = x
-                    break
+        for idx in np.flatnonzero(prim):
+            x = tuple(int(y[idx]) for y in coords)
+            if any(m % p for m in jacobian_minors(pair, x)):
+                smooth = x
+                break
         return int(np.count_nonzero(sol)), int(np.count_nonzero(prim)), smooth
 
-    parts = scan(pair, p**k, per_chunk, cap=cap, threads=threads)
+    parts = scan(pair, p, per_chunk, cap=cap, threads=threads)
     smooth = next((x for _, _, x in parts if x is not None), None)
     return sum(a for a, _, _ in parts), sum(b for _, b, _ in parts), smooth
+
+
+def _lifted_level(pair: FormPair, p: int, k: int, cap: int, threads: int) -> tuple[int, int]:
+    """(N(p^k), N*(p^k)) for k >= 2 by gridsum.lift (see _count_level)."""
+    n = pair.n
+    j = (k + 1) // 2
+    m = k - j
+    pj = p**j
+
+    def on_level_j(cvals, qvals):
+        return (cvals % pj == 0) & (qvals % pj == 0)
+
+    def per_chunk(coords, cvals, qvals, span):
+        # the points u counted by |G_u| = p^(2m - e), e = ea + ed
+        hit = span.contains(-(cvals // pj) % p**m, -(qvals // pj) % p**m)
+        prim = hit & np.any([y % p != 0 for y in coords], axis=0)
+        e = span.ea + span.ed
+        return np.bincount(e[hit], minlength=2 * m + 1), np.bincount(e[prim], minlength=2 * m + 1)
+
+    def solutions(by_e: np.ndarray) -> int:
+        # each u stands for p^{mn} / |G_u| = p^(mn + e - 2m) solutions, an integer
+        return sum(int(c) * p ** (m * n + e) for e, c in enumerate(by_e)) // p ** (2 * m)
+
+    parts = lift(pair, p, k, per_chunk, on_level_j, cap, threads)
+    n_all, n_prim = (solutions(np.sum(col, axis=0)) for col in zip(*parts))
+    return n_all, n_prim
 
 
 def hensel_stable(
@@ -115,12 +149,14 @@ def hensel_stable(
     """Track delta_p(k) and delta*_p(k) for k = 1..kmax, flag stabilization,
     and search for a certificate of a Q_p point on C = Q = 0.
 
-    Each level k is one scan of the residue grid mod p^k that counts all
-    solutions and the primitive ones (some coordinate a unit mod p).
-    stable is True when the primitive density is constant from some level
-    k* < reached onward; the full density is reported alongside but never
-    stabilizes at finite level (imprimitive vectors keep feeding it).
-    If the cap cuts the scans short the report is marked partial.
+    Level 1 scans the residue grid mod p and level k >= 2 lifts from the
+    grid mod p^ceil(k/2) (_count_level); each counts all solutions and the
+    primitive ones (some coordinate a unit mod p).  stable is True when the
+    primitive density is constant from some level k* < reached onward; the
+    full density is reported alongside but never stabilizes at finite level
+    (imprimitive vectors keep feeding it).
+    Level k is charged p^{ceil(k/2) n} points; if the cap cuts the levels
+    short the report is marked partial.
 
     The scan mod p also yields the solubility report: a primitive solution
     whose Jacobian has rank 2 mod p is a smooth point, and the first one in
@@ -177,37 +213,6 @@ def _coprime_pair_mask(q: int) -> np.ndarray:
     return np.gcd(g, q) == 1
 
 
-def _joint_histograms(
-    pair: FormPair, moduli: Sequence[int], cap: int = DEFAULT_CAP, threads: int = 1
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(q, H_q) for each q in moduli, H_q[c, r] = #{y mod q : C(y) = c, Q(y) = r mod q}.
-
-    Only the prime powers p^e exactly dividing some modulus are scanned, each
-    once; the cap is charged their total sum_{p^e} p^{en} up front.  For
-    coprime r, s the CRT gives H_{rs}[c, t] = H_r[c mod r, t mod r] *
-    H_s[c mod s, t mod s], so composite H_q are exact integer products of
-    their prime-power parts.
-    """
-    n = pair.n
-    factors = {q: [p**e for p, e in factorize(q)] for q in moduli}
-    prime_powers = {pe for parts in factors.values() for pe in parts}
-    work = sum(pe**n for pe in prime_powers)
-    check_cap(work, cap, f"residue grids mod {len(prime_powers)} prime powers")
-    too_big = [q for q in factors if q**n > np.iinfo(np.int64).max]
-    if too_big:
-        raise CapExceededError(f"counts mod {too_big[0]} in {n} variables overflow int64")
-    scanned: dict[int, np.ndarray] = {}
-    for q in moduli:
-        hist, r = np.ones((1, 1), dtype=np.int64), 1
-        for s in factors[q]:
-            if s not in scanned:
-                scanned[s] = joint_histogram(pair, s, cap=cap, threads=threads)
-            idx = np.arange(r * s)
-            hist = hist[np.ix_(idx % r, idx % r)] * scanned[s][np.ix_(idx % s, idx % s)]
-            r *= s
-        yield q, hist
-
-
 def _complete_sums(hist: np.ndarray) -> np.ndarray:
     """S(a, q) for all numerator pairs a mod q from the joint histogram H_q."""
     q = hist.shape[0]
@@ -236,7 +241,7 @@ def singular_series_truncated(
     a_values = []
     real_acc = 0.0
     imag_acc = 0.0
-    for q, hist in _joint_histograms(pair, range(1, int(R) + 1), cap=cap, threads=threads):
+    for q, hist in joint_histograms(pair, range(1, int(R) + 1), cap=cap, threads=threads):
         masked = _complete_sums(hist)[_coprime_pair_mask(q)]
         term = complex(masked.sum()) / q**n
         real_acc += term.real
@@ -250,8 +255,8 @@ def singular_series_truncated(
 
 
 def a_of_q(pair: FormPair, q: int, cap: int = DEFAULT_CAP, threads: int = 1) -> float:
-    """A(q) = sum over coprime pairs a of |S(a, q)|; scans only the prime powers of q."""
-    ((_, hist),) = _joint_histograms(pair, [q], cap=cap, threads=threads)
+    """A(q) = sum over coprime pairs a of |S(a, q)|; computes only the prime powers of q."""
+    hist = joint_histogram(pair, q, cap=cap, threads=threads)
     return float(np.abs(_complete_sums(hist)[_coprime_pair_mask(q)]).sum())
 
 

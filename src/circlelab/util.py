@@ -54,10 +54,11 @@ def factorize(q: int) -> list[tuple[int, int]]:
     stack = [q]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        prime, d = _primality(m)
+        if prime:
             counts[m] = counts.get(m, 0) + 1
         else:
-            d = _pollard_brent(m)
+            d = d or _pollard_brent(m)
             stack += [d, m // d]
     return out + sorted(counts.items())
 
@@ -108,17 +109,29 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 
+# Steps of Pollard-Brent rho given to a strong probable prime past
+# MILLER_RABIN_LIMIT, enough to split MILLER_RABIN_LIMIT itself
+# (1287836182261 * 2575672364521)
+RHO_STEPS = 1 << 22
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime: deterministic Miller-Rabin below MILLER_RABIN_LIMIT.
-    From there on a Miller-Rabin witness still proves n composite.  A strong
-    probable prime is given 2^22 steps of Pollard-Brent rho, enough to split
-    MILLER_RABIN_LIMIT itself (1287836182261 * 2575672364521); if rho finds no
-    factor, trial division up to isqrt(n) decides."""
+    From there on a Miller-Rabin witness still proves n composite, and a
+    strong probable prime is given RHO_STEPS steps of Pollard-Brent rho.
+    If rho finds no factor, nothing here can decide n in reasonable time
+    (trial division would take about sqrt(n) steps), so CapExceededError
+    names it."""
+    return _primality(n)[0]
+
+
+def _primality(n: int) -> tuple[bool, int | None]:
+    """(whether n is prime, the factor of n that rho found or None); see is_prime."""
     if n < 2:
-        return False
+        return False, None
     for p in MILLER_RABIN_BASES:
         if n % p == 0:
-            return n == p
+            return n == p, None
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -132,12 +145,17 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
+            return False, None
     if n < MILLER_RABIN_LIMIT:
-        return True
-    if _pollard_brent(n, steps=1 << 22) is not None:
-        return False
-    return all(n % p for p in range(MILLER_RABIN_BASES[-1] + 2, math.isqrt(n) + 1, 2))
+        return True, None
+    factor = _pollard_brent(n, steps=RHO_STEPS)
+    if factor is None:
+        raise CapExceededError(
+            f"cannot decide whether {n} is prime: it is a strong probable prime "
+            f"to {len(MILLER_RABIN_BASES)} bases past MILLER_RABIN_LIMIT, and "
+            f"{RHO_STEPS} steps of Pollard-Brent rho found no factor"
+        )
+    return False, factor
 
 
 def jordan_totient2(q: int) -> int:

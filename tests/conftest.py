@@ -1,12 +1,14 @@
 """Shared fixtures: small form pairs used across the suite, the n(R) oracle,
-and the hypothesis profile of CI."""
+the direct residue-scan oracles, and the hypothesis profile of CI."""
 
 import itertools
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from circlelab import gridsum
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix
 from circlelab.weightfn import Weight
 
@@ -28,6 +30,26 @@ def full_scan_oracle(cubic, R):
         m = bilinear_matrix(cubic, x)
         count += sum(1 for y in box if not any(sum(map(operator.mul, row, y)) for row in m))
     return count
+
+
+def scan_joint_histogram(pair, q, cap=10**8, threads=1):
+    """(C mod q, Q mod q) histogram from one direct scan of all q^n residues
+    (also at prime powers and composite q): the oracle of the lift and the CRT."""
+
+    def per_chunk(coords, c, qq):
+        return np.bincount(c * q + qq, minlength=q * q)
+
+    return np.sum(gridsum.scan(pair, q, per_chunk, cap, threads), axis=0).reshape(q, q)
+
+
+def scan_phase_histogram(pair, q, a3, a2, m):
+    """Histogram of a3 C + a2 Q + m.y mod q from one direct scan of all q^n residues."""
+
+    def per_chunk(coords, c, qq):
+        t = (a3 * c + a2 * qq + sum(mi * y for mi, y in zip(m, coords))) % q
+        return np.bincount(t, minlength=q)
+
+    return np.sum(gridsum.scan(pair, q, per_chunk), axis=0)
 
 
 @pytest.fixture

@@ -29,7 +29,6 @@ from circlelab.forms import (
     eval_quadratic,
     gradient_quadratic,
 )
-from circlelab.gridsum import joint_histogram
 from circlelab.localdens import (
     hensel_stable,
     q_factorization,
@@ -40,7 +39,7 @@ from circlelab.weightfn import Weight, nu_grid
 from circlelab.weyldiag import count_bilinear, heights_from_sum
 from circlelab.cli import run as cli_run
 
-from conftest import full_scan_oracle, make_pair
+from conftest import full_scan_oracle, make_pair, scan_joint_histogram
 
 
 def report(number: int, name: str, ok: bool) -> bool:
@@ -186,7 +185,7 @@ def test_criterion_6_local_machinery(pair_hensel7):
     ok = True
     # exact multiplicativity of residue counts, each N(q) from a direct scan mod q
     def direct_count(pair, q):
-        return joint_histogram(pair, q)[0, 0]
+        return scan_joint_histogram(pair, q)[0, 0]
 
     for _ in range(50):
         n = rng.randint(1, 3)

@@ -133,14 +133,19 @@ N5_PROBLEM = {
     "weight": {"x0": [0.125, -0.125, 0.0, 0.0625, 0.0], "xi": 0.3},
 }
 
+# Level 2 joined this output when levels k >= 2 came to be lifted from
+# 13^{5 ceil(k/2)} points: the full scan of 13^10 residues is over the
+# default cap.  Its counts match an independent count, over the solutions
+# u mod 13, of the solutions v mod 13 of J(u) v = -(C, Q)(u) / 13 by
+# elimination mod 13.
 N5_LOCAL_P13 = '''{
   "p": 13,
   "kmax": 3,
-  "reached": 1,
+  "reached": 2,
   "stable": false,
   "level": null,
-  "densities": ["2425/2197"],
-  "primitive_densities": ["2424/2197"],
+  "densities": ["2425/2197", "2737/2197"],
+  "primitive_densities": ["2424/2197", "2568/2197"],
   "partial": true,
   "solubility": {
     "verdict": "smooth_liftable",
@@ -238,6 +243,107 @@ WEYL_SCAN_P60_GRID3 = '''alpha3,alpha2,abs_S,is_major,major_q,pigeon_q,pigeon_a3
 0.90988514880998128,0.39188520686751965,17.890567977196692,False,,233,212,91,14.185321596034417,14.185321596034417,344,313,1.4278797487721206e-06,True,,unclassifiable
 0.95439297411662893,0.84715374008303057,8.9448561127592257,False,,307,293,260,20.061553991222695,20.061553991222695,307,293,-4.4200201788635596e-06,True,,unclassifiable
 '''
+
+
+# non-diagonal n = 4 pair.  The outputs below were captured from full scans
+# mod p^k and mod q, before levels k >= 2 were lifted from the grid mod
+# p^ceil(k/2) and before complete sums at composite q were CRT products of
+# their prime-power histograms.
+N4_PROBLEM = {
+    "n": 4,
+    "cubic": [[1, 1, 1, 1], [2, 2, 2, -2], [3, 3, 3, 1], [4, 4, 4, 3], [1, 2, 3, 1], [2, 3, 4, -1]],
+    "quadric": [[1, 1, 1], [2, 2, -1], [3, 3, 2], [4, 4, -1], [1, 2, 1], [3, 4, 1]],
+}
+
+RESIDUE_JOBS = {
+    "n4_local_p2_k5": ("n4", ["local", "--p", "2", "--kmax", "5"]),
+    "n4_local_p3_k3": ("n4", ["local", "--p", "3", "--kmax", "3"]),
+    "n5_local_p2_k4": ("n5", ["local", "--p", "2", "--kmax", "4"]),
+    "n4_complete_q30": ("n4", ["sum", "--mode", "complete", "--q", "30", "--a3", "1", "--a2", "7",
+                               "--m", "1,0,0,0"]),
+    "n5_complete_q15": ("n5", ["sum", "--mode", "complete", "--q", "15", "--a3", "4", "--a2", "2",
+                               "--m", "0,1,-1,2,-3"]),
+}
+
+RESIDUE_OUTPUTS = {
+    "n4_local_p2_k5": '''{
+  "p": 2,
+  "kmax": 5,
+  "reached": 5,
+  "stable": true,
+  "level": 1,
+  "densities": ["1/1", "7/4", "9/4", "13/4", "15/4"],
+  "primitive_densities": ["3/4", "3/4", "3/4", "3/4", "3/4"],
+  "partial": false,
+  "solubility": {
+    "verdict": "smooth_liftable",
+    "point": [5, 0, 0, 1],
+    "level": 3,
+    "solutions_mod_p": 4
+  }
+}
+''',
+    "n4_local_p3_k3": '''{
+  "p": 3,
+  "kmax": 3,
+  "reached": 3,
+  "stable": true,
+  "level": 1,
+  "densities": ["1/1", "17/9", "35/9"],
+  "primitive_densities": ["8/9", "8/9", "8/9"],
+  "partial": false,
+  "solubility": {
+    "verdict": "smooth_liftable",
+    "point": [23, 18, 1, 0],
+    "level": 3,
+    "solutions_mod_p": 9
+  }
+}
+''',
+    "n5_local_p2_k4": '''{
+  "p": 2,
+  "kmax": 4,
+  "reached": 4,
+  "stable": false,
+  "level": null,
+  "densities": ["1/1", "13/8", "19/8", "43/16"],
+  "primitive_densities": ["7/8", "9/8", "11/8", "23/16"],
+  "partial": false,
+  "solubility": {
+    "verdict": "smooth_liftable",
+    "point": [7, 0, 1, 0, 0],
+    "level": 3,
+    "solutions_mod_p": 8
+  }
+}
+''',
+    "n4_complete_q30": '''{
+  "re": 1625.6545755762352,
+  "im": -45.801136997173423,
+  "abs": 1626.2996474334559,
+  "meta": {
+    "mode": "complete",
+    "q": 30,
+    "a3": 1,
+    "a2": 7,
+    "m": [1, 0, 0, 0]
+  }
+}
+''',
+    "n5_complete_q15": '''{
+  "re": -107.58321016516359,
+  "im": -241.63584628543873,
+  "abs": 264.50336353158525,
+  "meta": {
+    "mode": "complete",
+    "q": 15,
+    "a3": 4,
+    "a2": 2,
+    "m": [0, 1, -1, 2, -3]
+  }
+}
+''',
+}
 
 
 @pytest.fixture
@@ -727,7 +833,7 @@ def test_env_cap_must_be_an_integer(problem_file, monkeypatch, capsys):
 
 
 def test_series_cap_charges_prime_power_scans(nd3_file, tmp_path):
-    # sum_{q <= 12} q^3 = 6084 > cap >= sum_{p^e <= 12} p^{3e} = 3139
+    # sum_{q <= 12} q^3 = 6084 > cap >= sum_{p^e <= 12} p^{3 ceil(e/2)} = 1933
     code, text = run_to_file(
         tmp_path, ["series", "--problem", nd3_file, "--R", "12", "--cap", "5000"]
     )
@@ -751,6 +857,15 @@ def test_local_output_is_unchanged(n5_file, tmp_path):
         ])
         assert code == 0
         assert text == N5_LOCAL_P13, threads
+
+
+@pytest.mark.parametrize("job", list(RESIDUE_JOBS))
+def test_lifted_and_crt_outputs_are_unchanged(tmp_path, job):
+    name, argv = RESIDUE_JOBS[job]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"n4": N4_PROBLEM, "n5": N5_PROBLEM}[name]))
+    argv = argv[:1] + ["--problem", str(path)] + argv[1:]
+    assert run_to_file(tmp_path, argv) == (0, RESIDUE_OUTPUTS[job])
 
 
 def test_info_and_arcs_grid_output_is_unchanged(n5_file, tmp_path):
@@ -1046,8 +1161,9 @@ def test_hensel_lift_check_exit(smooth5_file, monkeypatch, capsys):
 
 
 def test_local_scans_each_level_once(smooth5_file, tmp_path, monkeypatch):
-    # the scan mod p gives the counts and the certificate, so local scans
-    # mod 5, 25 and 125 once each; both names of the scan are counted
+    # the scan mod p gives the counts and the certificate, and level k >= 2
+    # is lifted from the grid mod p^ceil(k/2): local scans mod 5, 5 and 25
+    # once each; both names of the scan are counted
     moduli = []
 
     def counting_scan(pair, q, *args, **kwargs):
@@ -1061,7 +1177,7 @@ def test_local_scans_each_level_once(smooth5_file, tmp_path, monkeypatch):
         tmp_path, ["local", "--problem", smooth5_file, "--p", "5", "--kmax", "3"]
     )
     assert code == 0
-    assert moduli == [5, 25, 125]
+    assert moduli == [5, 5, 25]
     assert json.loads(text)["solubility"]["verdict"] == "smooth_liftable"
 
 

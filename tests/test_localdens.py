@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab.expsums import complete_sum, complete_sum_crt
@@ -16,12 +16,12 @@ from circlelab.forms import CubicForm, FormPair, QuadraticForm, eval_cubic, eval
 from circlelab.gridsum import (
     cubic_singular_points_mod_p,
     joint_histogram,
+    joint_histograms,
     phase_histogram,
     scan,
 )
 from circlelab.localdens import (
     _hensel_lift,
-    _joint_histograms,
     a_of_q,
     hensel_stable,
     q_factorization,
@@ -29,7 +29,7 @@ from circlelab.localdens import (
 )
 from circlelab.util import CapExceededError, InvariantError, factorize, is_prime
 
-from conftest import make_pair
+from conftest import make_pair, scan_joint_histogram, scan_phase_histogram
 
 
 def brute_count_mod(pair, q):
@@ -43,7 +43,7 @@ def brute_count_mod(pair, q):
 
 def direct_count(pair, q, cap=10**8):
     """N(q) read off one direct scan mod q (not the CRT product at composite q)."""
-    return int(joint_histogram(pair, q, cap=cap)[0, 0])
+    return int(scan_joint_histogram(pair, q, cap=cap)[0, 0])
 
 
 def counts(rep, n):
@@ -202,16 +202,17 @@ def test_series_budget(pair_n3):
 
 
 def test_series_cap_charges_prime_powers_only(pair_n3):
-    # R = 12, n = 3: sum_{q <= 12} q^3 = 6084 but sum_{p^e <= 12} p^{3e} = 3139,
-    # and only the prime-power grids are scanned
-    res = singular_series_truncated(pair_n3, 12, cap=3139)
+    # R = 12, n = 3: sum_{q <= 12} q^3 = 6084, and the prime powers alone
+    # would be sum_{p^e <= 12} p^{3e} = 3139, but p^e is lifted from the grid
+    # mod p^ceil(e/2): 1834 for the primes, 2^3 + 4^3 + 3^3 = 99 for 4, 8, 9
+    res = singular_series_truncated(pair_n3, 12, cap=1933)
     assert [q for q, _ in res.a_values] == list(range(1, 13))
     with pytest.raises(CapExceededError):
-        singular_series_truncated(pair_n3, 12, cap=3138)
-    # q = 12 scans the grids mod 4 and mod 3 only: 4^3 + 3^3 = 91 < 12^3
-    assert a_of_q(pair_n3, 12, cap=91) == dict(res.a_values)[12]
+        singular_series_truncated(pair_n3, 12, cap=1932)
+    # q = 12 evaluates the grids mod 2 (lifting to 4) and mod 3: 2^3 + 3^3 = 35
+    assert a_of_q(pair_n3, 12, cap=35) == dict(res.a_values)[12]
     with pytest.raises(CapExceededError):
-        a_of_q(pair_n3, 12, cap=90)
+        a_of_q(pair_n3, 12, cap=34)
 
 
 def test_a_of_q_refuses_int64_overflow():
@@ -245,10 +246,86 @@ def sparse_pairs(draw):
 @given(sparse_pairs(), st.lists(st.sampled_from(CRT_MODULI), min_size=1, max_size=3))
 def test_crt_joint_histograms_match_scan(pair, moduli):
     # the CRT-composed H_q is the scanned integer array, entry for entry
-    for q, hist in _joint_histograms(pair, moduli):
-        oracle = joint_histogram(pair, q)
+    for q, hist in joint_histograms(pair, moduli):
+        oracle = scan_joint_histogram(pair, q)
         assert hist.dtype == oracle.dtype
         assert (hist == oracle).all(), q
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_pairs(), st.sampled_from(CRT_MODULI), st.integers(0, 40), st.integers(0, 40),
+       st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_crt_phase_histogram_matches_scan(pair, q, a3, a2, m):
+    # the same numerators mod each prime power, no twist: H_q is the scanned array
+    m = m[: pair.n]
+    hist = phase_histogram(pair, q, a3, a2, m)
+    oracle = scan_phase_histogram(pair, q, a3, a2, m)
+    assert hist.dtype == oracle.dtype
+    assert np.array_equal(hist, oracle), q
+
+
+# (p, k, n) of the lifted levels, kept to full scans of at most 2^16 residues
+# and histograms of at most 243^2 cells
+LIFT_SHAPES = [
+    (p, k, n) for p in (2, 3, 5) for k in range(2, 6) for n in range(1, 5)
+    if p ** (k * n) <= 1 << 16 and p**k <= 243
+]
+
+
+@st.composite
+def lift_cases(draw):
+    """A pair, (p, k) and a thread count.  Coefficients are +-c p^e with
+    c <= 6 and e <= 3, so the Jacobian often loses rank mod p^m; either
+    form may have no monomials."""
+    p, k, n = draw(st.sampled_from(LIFT_SHAPES))
+    coeff = st.builds(lambda c, e, sign: sign * c * p**e,
+                      st.integers(1, 6), st.integers(0, 3), st.sampled_from([1, -1]))
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=5))
+
+    pair = FormPair(CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2)))
+    return pair, p, k, draw(st.sampled_from([1, 2]))
+
+
+def scan_level_counts(pair, p, k):
+    """(N(p^k), N*(p^k)) from one direct scan of all p^{kn} residues."""
+
+    def per_chunk(coords, c, qq):
+        sol = (c == 0) & (qq == 0)
+        prim = sol & np.any([y % p != 0 for y in coords], axis=0)
+        return int(np.count_nonzero(sol)), int(np.count_nonzero(prim))
+
+    parts = scan(pair, p**k, per_chunk)
+    return sum(a for a, _ in parts), sum(b for _, b in parts)
+
+
+@pytest.mark.parametrize("path", ["int64", "object"])
+@settings(max_examples=60, deadline=None)
+@given(case=lift_cases())
+# J(u) = (3u^2, 2u): at odd u mod 2^4 the span mod 4 is cyclic of order 4,
+# and it needs (2, 0) = 2 (3u^2, 2u) - (0, 4u), not just the one column
+@example(case=(make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1}), 2, 4, 1))
+def test_lifted_levels_match_full_scan(path, case):
+    # every level k >= 2 and the histogram mod p^k come from the grid mod
+    # p^ceil(k/2), in chunks of 7; "object" forces the Python-int path
+    pair, p, k, threads = case
+
+    def object_bound(reduced, m):
+        return forms.int64_bound(reduced, m)[0], False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridsum, "CHUNK", 7)
+        if path == "object":
+            mp.setattr(gridsum, "int64_bound", object_bound)
+        rep = hensel_stable(pair, p, k, threads=threads)
+        hist = joint_histogram(pair, p**k, threads=threads)
+    assert counts(rep, pair.n) == [scan_level_counts(pair, p, e) for e in range(1, k + 1)]
+    oracle = scan_joint_histogram(pair, p**k)
+    assert hist.dtype == oracle.dtype
+    assert np.array_equal(hist, oracle)
 
 
 # ------------------------------------------------------------------- A(q)

@@ -1,11 +1,14 @@
 """Factorization and primality in util: trial division, Pollard-Brent, Miller-Rabin."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import util
-from circlelab.util import MILLER_RABIN_LIMIT, TRIAL_BOUND, factorize, is_prime
+from circlelab.cli import run
+from circlelab.util import MILLER_RABIN_LIMIT, TRIAL_BOUND, CapExceededError, factorize, is_prime
 
 
 def trial_division(q):
@@ -84,3 +87,45 @@ def test_pollard_brent_gives_up_on_a_prime():
     # on a prime no polynomial splits n, so only the step budget ends the search
     assert util._pollard_brent(2**61 - 1, steps=1 << 12) is None
     assert util._pollard_brent(MILLER_RABIN_LIMIT, steps=1 << 22) == 1287836182261
+
+
+# Mersenne primes past MILLER_RABIN_LIMIT: strong probable primes that rho
+# cannot split, so nothing here can decide them in reasonable time
+UNDECIDABLE_PRIMES = [2**89 - 1, 2**107 - 1]
+
+
+@pytest.mark.parametrize("n", UNDECIDABLE_PRIMES)
+def test_is_prime_refuses_a_prime_past_the_limit(n):
+    # within the rho budget (about 3 s each), not after ~sqrt(n) trial divisions
+    with pytest.raises(CapExceededError, match=f"cannot decide whether {n} is prime"):
+        is_prime(n)
+
+
+@pytest.mark.parametrize("n", UNDECIDABLE_PRIMES)
+@pytest.mark.parametrize("argv", [["local", "--p", "{n}", "--kmax", "2"],
+                                  ["qfactor", "--q", "{n}", "--a3", "1"]])
+def test_cli_refuses_a_prime_past_the_limit(n, argv, tmp_path, monkeypatch, capsys):
+    # the library test above runs the full budget; a short one keeps this
+    # fast.  qfactor reaches is_prime through factorize
+    monkeypatch.setattr(util, "RHO_STEPS", 1 << 10)
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"n": 2, "cubic": [[1, 1, 1, 1], [2, 2, 2, 1]],
+                                "quadric": [[1, 1, 1], [2, 2, -1]]}))
+    argv = [a.format(n=n) for a in argv[:1]] + ["--problem", str(path)] + [
+        a.format(n=n) for a in argv[1:]]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot decide whether {n} is prime")
+
+
+def test_factorize_runs_rho_once_on_a_strong_pseudoprime(monkeypatch):
+    # is_prime's budgeted rho finds the factor, and factorize keeps it
+    calls = []
+    pollard_brent = util._pollard_brent
+
+    def counted(n, steps=None):
+        calls.append(n)
+        return pollard_brent(n, steps)
+
+    monkeypatch.setattr(util, "_pollard_brent", counted)
+    assert factorize(MILLER_RABIN_LIMIT) == [(1287836182261, 1), (2575672364521, 1)]
+    assert calls == [MILLER_RABIN_LIMIT]
