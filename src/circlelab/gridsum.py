@@ -42,6 +42,7 @@ __all__ = [
     "scan",
     "Span",
     "lift",
+    "lift_points",
     "crt_histograms",
     "phase_histogram",
     "joint_histograms",
@@ -114,9 +115,21 @@ def _valuation(z: np.ndarray, p: int, m: int) -> np.ndarray:
     return v
 
 
+def _split(k: int) -> tuple[int, int]:
+    """(j, m): level k is lifted from the grid mod p^j, j = ceil(k/2), m = k - j."""
+    j = (k + 1) // 2
+    return j, k - j
+
+
+def lift_points(p: int, k: int, n: int) -> int:
+    """Points evaluated for the residues mod p^k: p^{jn}, j = ceil(k/2) (p^n at k = 1)."""
+    return p ** (_split(k)[0] * n)
+
+
 class Span(NamedTuple):
-    """The subgroup G_u of (Z/p^m)^2 spanned by the columns of the Jacobian
-    J(u) mod p^m, for each point u of a chunk, in Hermite normal form:
+    """The subgroup G_u of (Z/p^m)^2 spanned by the n columns of the Jacobian
+    J(u) mod p^m, for each point u mod p^j of a chunk of lift() at level
+    k = j + m, in Hermite normal form:
 
         G_u = <(p^ea, 0)> + <(gx, gy)>,  gy = p^ed w with w a unit mod p,
 
@@ -127,6 +140,9 @@ class Span(NamedTuple):
     """
 
     p: int
+    n: int
+    j: int
+    m: int
     ea: np.ndarray
     ed: np.ndarray
     gx: np.ndarray
@@ -143,8 +159,20 @@ class Span(NamedTuple):
         d = np.power(self.p, self.ed)
         return (t % d == 0) & ((self.w * s - t // d * self.gx) % np.power(self.p, self.ea) == 0)
 
+    def solves(self, c: np.ndarray, qq: np.ndarray) -> np.ndarray:
+        """Whether (0, 0) mod p^k is among the values (C, Q)(u) + p^j G_u,
+        for c, qq the values (C, Q)(u) mod p^k, both 0 mod p^j (the points
+        lift passes on with zeros_only): whether -(C, Q)(u) / p^j lies in G_u."""
+        pj, pm = self.p**self.j, self.p**self.m
+        return self.contains(-(c // pj) % pm, -(qq // pj) % pm)
 
-def _span(jac_c: list, jac_q: list, p: int, m: int, shape: tuple[int, ...]) -> Span:
+    def fibre(self) -> np.ndarray:
+        """f such that each value of (C, Q)(u) + p^j G_u mod p^k is taken by
+        p^f of the p^{mn} points over u: p^{mn} / |G_u| = p^(mn - 2m + ea + ed)."""
+        return self.m * self.n - 2 * self.m + self.ea + self.ed
+
+
+def _span(jac_c: list, jac_q: list, p: int, j: int, m: int, shape: tuple[int, ...]) -> Span:
     """The Span of the columns (jac_c[i], jac_q[i]) mod p^m, i = 1..n.
 
     The pivot is the first column whose second entry has the least
@@ -165,7 +193,7 @@ def _span(jac_c: list, jac_q: list, p: int, m: int, shape: tuple[int, ...]) -> S
     w = np.where(full, 1, gy // d)
     cleared = _valuation((w * xs - ys // d * gx) % big, p, m).min(axis=0)
     ea = np.minimum(cleared, _valuation(big // d * gx % big, p, m))
-    return Span(p, ea, ed, gx, gy, w)
+    return Span(p, len(jac_c), j, m, ea, ed, gx, gy, w)
 
 
 def lift(
@@ -173,26 +201,26 @@ def lift(
     p: int,
     k: int,
     per_chunk: Callable[[list[np.ndarray], np.ndarray, np.ndarray, Span], T],
-    keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    zeros_only: bool = False,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> list[T]:
     """per_chunk(u, C(u) mod p^k, Q(u) mod p^k, span) on the chunks of the grid
-    of u mod p^j, j = ceil(k/2), for k >= 2; span is the Span of J(u) mod p^m,
-    m = k - j.
+    of u mod p^j, for k >= 2 with (j, m) = _split(k); span is the Span of
+    J(u) mod p^m.
 
     Every y mod p^k is u + p^j v for one u mod p^j and one v mod p^m, and
     (C, Q)(u + p^j v) = (C, Q)(u) + p^j J(u) v mod p^k: the rest of the
     Taylor expansion has integer coefficients (also at p = 2: the quadratic
     term (1/2) v^T H v of an integer form is an integer) times p^{2j}.  So
     the p^{mn} points over u take the values (C, Q)(u) + p^j G_u, each
-    p^{mn} / |G_u| times.  keep(C(u), Q(u)), when given, selects the points
-    of a chunk that are passed on, and the Jacobian is computed only there.
-    The scan mod p^j is charged to cap: p^{jn} points.
+    p^span.fibre() times.  With zeros_only, only the points u with
+    (C, Q)(u) = 0 mod p^j, the only ones over which a solution mod p^k can
+    lie, are passed on, and the Jacobian is computed only there.  The scan
+    mod p^j is charged to cap: lift_points(p, k, n) points.
     """
     n = pair.n
-    j = (k + 1) // 2
-    m = k - j
+    j, m = _split(k)
     if p**k >= INT64_LIMIT:
         raise CapExceededError(f"residues mod {p}^{k} overflow int64")
     jac_pair = _centred(pair, p**m)
@@ -201,17 +229,18 @@ def lift(
     # the span multiplies two residues mod p^m
     _, fits = int64_bound(jac_pair, [max(p**j - 1, 3)] * n)
     fits = fits and p ** (2 * m) < INT64_LIMIT
+    pj = p**j
 
     def chunk(coords, c, qq):
-        if keep is not None:
-            idx = np.flatnonzero(keep(c, qq))
+        if zeros_only:
+            idx = np.flatnonzero((c % pj == 0) & (qq % pj == 0))
             coords, c, qq = [x[idx] for x in coords], c[idx], qq[idx]
         xs = coords if fits else [x.astype(object) for x in coords]
         jac_c = gradient_cubic(jac_pair.cubic, xs)
         jac_q = gradient_quadratic(jac_pair.quadric, xs)
-        return per_chunk(coords, c, qq, _span(jac_c, jac_q, p, m, c.shape))
+        return per_chunk(coords, c, qq, _span(jac_c, jac_q, p, j, m, c.shape))
 
-    return scan(pair, p**j, chunk, cap, threads, modulus=p**k)
+    return scan(pair, pj, chunk, cap, threads, modulus=p**k)
 
 
 def crt_histograms(
@@ -229,10 +258,15 @@ def crt_histograms(
     variables (both forms, or one phase a3 C + a2 Q + m.y); it is called
     once per prime power p^e exactly dividing some modulus, and cost(p, e),
     the points it evaluates, is charged to cap for all of them up front.
+    Before that, and before any modulus is factorized, the largest
+    histogram, max(moduli)^ndim cells, is charged to cap on its own, so a
+    modulus too large to hold is refused at once, however smooth it is.
     For coprime r, s the CRT gives H_{rs}[t] = H_r[t mod r] H_s[t mod s]
     along every axis, with the same polynomial on both sides, so composite
     H_q are exact integer products of their prime-power parts.
     """
+    largest = max(moduli, default=1)
+    check_cap(largest**ndim, cap, f"histogram mod {largest} of {largest}^{ndim} cells")
     factors = {q: factorize(q) for q in moduli}
     prime_powers = {pe for parts in factors.values() for pe in parts}
     work = sum(cost(p, e) for p, e in prime_powers)
@@ -298,23 +332,20 @@ def _joint_prime_power(pair: FormPair, p: int, k: int, cap: int, threads: int) -
 
     if k == 1:
         return np.sum(scan(pair, p, per_chunk_level_one, cap, threads), axis=0).reshape(p, p)
-    n = pair.n
-    j = (k + 1) // 2
-    m = k - j
-    pj = p**j
-
     def per_chunk(coords, c, qq, span):
+        pj = p**span.j
         hist = np.zeros(pk * pk, dtype=np.int64)
+        fibre = span.fibre()
         for ea, ed in set(zip(span.ea.tolist(), span.ed.tolist())):
             sel = (span.ea == ea) & (span.ed == ed)
             cs, rs, gx, gy = c[sel], qq[sel], span.gx[sel], span.gy[sel]
             part = np.zeros(pk * pk, dtype=np.int64)
-            for t in range(p ** (m - ed)):
+            for t in range(p ** (span.m - ed)):
                 cell = (cs + pj * t * gx) % pk * pk + (rs + pj * t * gy) % pk
                 part += np.bincount(cell.astype(np.int64), minlength=pk * pk)
             period = pj * p**ea
             folded = part.reshape(pk // period, period * pk).sum(axis=0)
-            hist += p ** (m * n - 2 * m + ea + ed) * np.tile(folded, pk // period)
+            hist += p ** int(fibre[sel][0]) * np.tile(folded, pk // period)
         return hist
 
     return np.sum(lift(pair, p, k, per_chunk, cap=cap, threads=threads), axis=0).reshape(pk, pk)
@@ -326,15 +357,15 @@ def joint_histograms(
     """(q, H_q) for each q in moduli, H_q[c, r] = #{y mod q : C(y) = c, Q(y) = r mod q}.
 
     Each prime power p^e exactly dividing some modulus is computed once, from
-    p^{ceil(e/2) n} points (a scan mod p, or lift()); cap is charged their sum
-    up front, and composite H_q are CRT products (crt_histograms).
+    lift_points(p, e, n) points (a scan mod p, or lift()); cap is charged
+    their sum up front, and composite H_q are CRT products (crt_histograms).
     """
     n = pair.n
 
     def prime_power(p: int, e: int) -> np.ndarray:
         return _joint_prime_power(pair, p, e, cap, threads)
 
-    return crt_histograms(n, moduli, 2, prime_power, lambda p, e: p ** ((e + 1) // 2 * n), cap)
+    return crt_histograms(n, moduli, 2, prime_power, lambda p, e: lift_points(p, e, n), cap)
 
 
 def joint_histogram(

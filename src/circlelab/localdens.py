@@ -84,22 +84,15 @@ class HenselReport:
     solubility: SolubilityReport
 
 
-def _count_level(
-    pair: FormPair, p: int, k: int, cap: int, threads: int
+def _level_one(
+    pair: FormPair, p: int, cap: int, threads: int
 ) -> tuple[int, int, tuple[int, ...] | None]:
-    """(N(p^k), N*(p^k), certificate) at level k.
+    """(N(p), N*(p), certificate) from one scan of the residue grid mod p.
 
-    Level 1 is one scan of the residue grid mod p, and its certificate is the
-    first primitive solution in grid order (the same for any thread count)
-    whose Jacobian has a 2x2 minor that is a unit mod p, or None.  Level
-    k >= 2 is one gridsum.lift from the points u mod p^j, j = ceil(k/2),
-    with (C, Q)(u) = 0 mod p^j: the p^{mn} points over u (m = k - j) hold
-    p^{mn} / |G_u| solutions when -(C, Q)(u) / p^j lies in G_u mod p^m, and
-    none otherwise; they are primitive exactly when u is.  Its certificate
-    is None.
+    The certificate is the first primitive solution in grid order (the same
+    for any thread count) whose Jacobian has a 2x2 minor that is a unit mod
+    p, or None.
     """
-    if k >= 2:
-        return _lifted_level(pair, p, k, cap, threads) + (None,)
 
     def per_chunk(coords, cvals, qvals) -> tuple[int, int, tuple[int, ...] | None]:
         sol = (cvals == 0) & (qvals == 0)
@@ -118,29 +111,25 @@ def _count_level(
 
 
 def _lifted_level(pair: FormPair, p: int, k: int, cap: int, threads: int) -> tuple[int, int]:
-    """(N(p^k), N*(p^k)) for k >= 2 by gridsum.lift (see _count_level)."""
-    n = pair.n
-    j = (k + 1) // 2
-    m = k - j
-    pj = p**j
+    """(N(p^k), N*(p^k)) for k >= 2 from one gridsum.lift.
 
-    def on_level_j(cvals, qvals):
-        return (cvals % pj == 0) & (qvals % pj == 0)
+    Over each point u it passes on, (C, Q)(u) = 0 mod p^j, the points of
+    the grid mod p^k take the values (C, Q)(u) + p^j G_u; when these hold
+    (0, 0) (Span.solves), p^fibre of them are solutions, and they are
+    primitive exactly when u is.
+    """
 
-    def per_chunk(coords, cvals, qvals, span):
-        # the points u counted by |G_u| = p^(2m - e), e = ea + ed
-        hit = span.contains(-(cvals // pj) % p**m, -(qvals // pj) % p**m)
+    def per_chunk(coords, cvals, qvals, span) -> tuple[int, int]:
+        hit = span.solves(cvals, qvals)
         prim = hit & np.any([y % p != 0 for y in coords], axis=0)
-        e = span.ea + span.ed
-        return np.bincount(e[hit], minlength=2 * m + 1), np.bincount(e[prim], minlength=2 * m + 1)
+        fibre = span.fibre()
+        # exact Python ints: the sum over f of (number of u with fibre f) p^f
+        return tuple(
+            sum(int(c) * p**f for f, c in enumerate(np.bincount(fibre[sel]))) for sel in (hit, prim)
+        )
 
-    def solutions(by_e: np.ndarray) -> int:
-        # each u stands for p^{mn} / |G_u| = p^(mn + e - 2m) solutions, an integer
-        return sum(int(c) * p ** (m * n + e) for e, c in enumerate(by_e)) // p ** (2 * m)
-
-    parts = lift(pair, p, k, per_chunk, on_level_j, cap, threads)
-    n_all, n_prim = (solutions(np.sum(col, axis=0)) for col in zip(*parts))
-    return n_all, n_prim
+    parts = lift(pair, p, k, per_chunk, zeros_only=True, cap=cap, threads=threads)
+    return sum(a for a, _ in parts), sum(b for _, b in parts)
 
 
 def hensel_stable(
@@ -149,13 +138,13 @@ def hensel_stable(
     """Track delta_p(k) and delta*_p(k) for k = 1..kmax, flag stabilization,
     and search for a certificate of a Q_p point on C = Q = 0.
 
-    Level 1 scans the residue grid mod p and level k >= 2 lifts from the
-    grid mod p^ceil(k/2) (_count_level); each counts all solutions and the
+    Level 1 scans the residue grid mod p (_level_one) and level k >= 2 lifts
+    from the grid mod p^ceil(k/2) (_lifted_level); each counts all solutions and the
     primitive ones (some coordinate a unit mod p).  stable is True when the
     primitive density is constant from some level k* < reached onward; the
     full density is reported alongside but never stabilizes at finite level
     (imprimitive vectors keep feeding it).
-    Level k is charged p^{ceil(k/2) n} points; if the cap cuts the levels
+    Level k is charged gridsum.lift_points(p, k, n); if the cap cuts the levels
     short the report is marked partial.
 
     The scan mod p also yields the solubility report: a primitive solution
@@ -176,12 +165,14 @@ def hensel_stable(
     n_mod_p, smooth = 0, None
     for k in range(1, kmax + 1):
         try:
-            n_all, n_prim, point = _count_level(pair, p, k, cap, threads)
+            if k == 1:
+                n_all, n_prim, smooth = _level_one(pair, p, cap, threads)
+                n_mod_p = n_all
+            else:
+                n_all, n_prim = _lifted_level(pair, p, k, cap, threads)
         except CapExceededError:
             partial = True
             break
-        if k == 1:
-            n_mod_p, smooth = n_all, point
         scale = Fraction(p) ** (k * (pair.n - 2))
         dens.append(Fraction(n_all) / scale)
         prim.append(Fraction(n_prim) / scale)

@@ -832,6 +832,22 @@ def test_env_cap_must_be_an_integer(problem_file, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: CIRCLELAB_CAP")
 
 
+# 223092870 = 2 * 3 * ... * 23 and 6469693230 = 223092870 * 29 cost only
+# sum p^2 < 3000 points at n = 2, but a histogram mod q has q cells, over the
+# default cap; (2^89 - 1)(2^107 - 1) would keep rho busy for hours.  Each is
+# refused before q is factorized.
+@pytest.mark.parametrize("q", [223092870, 6469693230, (2**89 - 1) * (2**107 - 1)])
+def test_complete_sum_charges_its_histogram_first(problem_file, capsys, monkeypatch, q):
+    def factorize(q):
+        raise AssertionError(f"factorized {q}")
+
+    monkeypatch.setattr(gridsum, "factorize", factorize)
+    _assert_internal_failure(
+        ["sum", "--problem", problem_file, "--mode", "complete", "--q", str(q), "--a3", "1", "--a2", "1"],
+        capsys, f"histogram mod {q} of {q}^1 cells: {q} elements exceeds cap 100000000",
+    )
+
+
 def test_series_cap_charges_prime_power_scans(nd3_file, tmp_path):
     # sum_{q <= 12} q^3 = 6084 > cap >= sum_{p^e <= 12} p^{3 ceil(e/2)} = 1933
     code, text = run_to_file(

@@ -210,9 +210,26 @@ def test_series_cap_charges_prime_powers_only(pair_n3):
     with pytest.raises(CapExceededError):
         singular_series_truncated(pair_n3, 12, cap=1932)
     # q = 12 evaluates the grids mod 2 (lifting to 4) and mod 3: 2^3 + 3^3 = 35
-    assert a_of_q(pair_n3, 12, cap=35) == dict(res.a_values)[12]
-    with pytest.raises(CapExceededError):
-        a_of_q(pair_n3, 12, cap=34)
+    # points, but its histogram has 12^2 = 144 cells, which are charged first
+    assert a_of_q(pair_n3, 12, cap=144) == dict(res.a_values)[12]
+    with pytest.raises(CapExceededError, match="histogram mod 12"):
+        a_of_q(pair_n3, 12, cap=143)
+    # at n = 5 the points, 2^5 + 3^5 = 275, outnumber the cells
+    pair_n5 = make_pair(5, {(i, i, i): 1 for i in range(1, 6)}, {(i, i): 1 for i in range(1, 6)})
+    a_of_q(pair_n5, 12, cap=275)
+    with pytest.raises(CapExceededError, match="prime powers"):
+        a_of_q(pair_n5, 12, cap=274)
+
+
+def test_a_of_q_charges_its_histogram_first(pair_n3, monkeypatch):
+    # 510510 = 2 * 3 * ... * 17 costs sum p^3 < 10^4 points, but its
+    # histogram has 510510^2 cells; it is refused before q is factorized
+    def factorize(q):
+        raise AssertionError(f"factorized {q}")
+
+    monkeypatch.setattr(gridsum, "factorize", factorize)
+    with pytest.raises(CapExceededError, match="histogram mod 510510 of 510510\\^2 cells"):
+        a_of_q(pair_n3, 510510)
 
 
 def test_a_of_q_refuses_int64_overflow():
