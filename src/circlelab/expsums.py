@@ -23,7 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .counting import weight_box
-from .forms import FormPair, eval_cubic, eval_quadratic, int64_bound
+from .forms import (
+    CubicForm,
+    FormPair,
+    QuadraticForm,
+    eval_cubic,
+    eval_quadratic,
+    int64_bound,
+    separable_blocks,
+)
 from .gridsum import phase_histogram, scan
 from .quadrature import DEFAULT_MAX_LEVEL, QuadResult, grid_contract, tensor_integral
 from .util import (
@@ -148,6 +156,132 @@ def _support_chunks(weight: Weight, P: float, box: list[tuple[int, int]]) -> lis
     return out
 
 
+def _box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """The int64 coordinates of a box, one broadcastable array per axis."""
+    n = len(box)
+    return [
+        np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+        for i, (lo, hi) in enumerate(box)
+    ]
+
+
+def _point_chunk_sums(
+    pair: FormPair, P: float, weight: Weight, alphas: list[tuple[float, float]], sub: list[tuple[int, int]]
+) -> list[complex]:
+    """Every alpha's sum over one chunk, with a phase per point and alpha.
+
+    C, Q and omega are evaluated once on the chunk, the points where
+    omega > 0 are kept, and each alpha takes a cos and a sin at each of them.
+    """
+    coords = _box_axes(sub)
+    w = omega_grid(weight, [c.astype(float) / P for c in coords])
+    keep = w > 0
+    w = w[keep]
+    c_vals = np.broadcast_to(eval_cubic(pair.cubic, coords), keep.shape)[keep].astype(float)
+    q_vals = np.broadcast_to(eval_quadratic(pair.quadric, coords), keep.shape)[keep].astype(float)
+    arg, tmp = np.empty_like(w), np.empty_like(w)
+    out = []
+    for alpha3, alpha2 in alphas:
+        np.multiply(c_vals, alpha3, out=arg)
+        arg += np.multiply(q_vals, alpha2, out=tmp)
+        arg -= np.round(arg, out=tmp)
+        arg *= 2 * np.pi
+        # einsum, not BLAS: OpenBLAS splits long dot products over its
+        # own threads, which would change the last bits with their number
+        re = np.einsum("i,i->", w, np.cos(arg, out=tmp))
+        out.append(complex(re, np.einsum("i,i->", w, np.sin(arg, out=tmp))))
+    return out
+
+
+class _Block:
+    """One separable block of a pair: its variables, its own forms and its
+    phase factors e(alpha3 C_b + alpha2 Q_b) for the alphas of one call.
+
+    The factors are tabulated over the block's side of the whole box when
+    that table, alphas times points, holds at most CHUNK values; otherwise
+    over each chunk's sub-box as the chunk asks for it.  The two give the
+    same values, since every entry is computed by the same elementwise
+    arithmetic.
+    """
+
+    def __init__(
+        self,
+        pair: FormPair,
+        axes: tuple[int, ...],
+        box: list[tuple[int, int]],
+        a3: np.ndarray,
+        a2: np.ndarray,
+    ):
+        pos = {v + 1: i + 1 for i, v in enumerate(axes)}
+
+        def renumbered(monomials):
+            return {tuple(pos[v] for v in key): c for key, c in monomials.items() if key[0] in pos}
+
+        self.axes = axes
+        self.cubic = CubicForm(len(axes), renumbered(pair.cubic.monomials))
+        self.quadric = QuadraticForm(len(axes), renumbered(pair.quadric.monomials))
+        self.a3, self.a2 = a3, a2
+        self.origin = [box[i][0] for i in axes]
+        side = [box[i] for i in axes]
+        small = len(a3) * math.prod(hi - lo + 1 for lo, hi in side) <= CHUNK
+        self.whole = self._table(side) if small else None
+
+    def _table(self, side: list[tuple[int, int]]) -> np.ndarray:
+        coords = _box_axes(side)
+        shape = tuple(hi - lo + 1 for lo, hi in side)
+        # C order, as einsum's loop order, and so its sums, follow the layout
+        c_vals = np.ascontiguousarray(np.broadcast_to(eval_cubic(self.cubic, coords), shape), dtype=float)
+        q_vals = np.ascontiguousarray(np.broadcast_to(eval_quadratic(self.quadric, coords), shape), dtype=float)
+        arg = np.multiply.outer(self.a3, c_vals)
+        arg += np.multiply.outer(self.a2, q_vals)
+        arg -= np.round(arg)
+        arg *= 2 * np.pi
+        return np.cos(arg) + 1j * np.sin(arg)
+
+    def factors(self, sub: list[tuple[int, int]]) -> np.ndarray:
+        """The phase factors on the chunk sub's side of this block, alpha first."""
+        side = [sub[i] for i in self.axes]
+        if self.whole is None:
+            return self._table(side)
+        cut = tuple(slice(lo - o, hi - o + 1) for (lo, hi), o in zip(side, self.origin))
+        return np.ascontiguousarray(self.whole[(slice(None),) + cut])
+
+
+def _block_chunk_sums(
+    blocks: list[_Block], P: float, weight: Weight, sub: list[tuple[int, int]]
+) -> list[complex]:
+    """Every alpha's sum over one chunk of a pair with several separable blocks.
+
+    The phase is a sum of one phase per block, so e(alpha3 C + alpha2 Q) is a
+    product of per-block factors.  Omega is evaluated once on the chunk's
+    box and contracted against the blocks' factor tables one block at a
+    time, the largest table first, with alpha as a batch axis: the first
+    contraction takes the real omega against the cos and sin of its block,
+    the others are complex.  The contraction is einsum, not BLAS: OpenBLAS
+    splits long dot products over its own threads, which would change the
+    last bits with their number.  Each alpha's row of a table and of every
+    contraction is computed by the same elementwise and per-row arithmetic
+    whatever the other alphas, so many alphas give each one's sum bit for
+    bit.
+    """
+    n = len(sub)
+    w = omega_grid(weight, [c.astype(float) / P for c in _box_axes(sub)])
+    tables = sorted(((b.axes, b.factors(sub)) for b in blocks), key=lambda t: -t[1].size)
+    alpha = n  # the einsum label of the alpha axis
+    axes, table = tables[0]
+    count = len(table)
+    left = [i for i in range(n) if i not in axes]
+    trig = np.concatenate([table.real, table.imag])
+    part = np.einsum(w, list(range(n)), trig, [alpha, *axes], [alpha, *left])
+    total = np.empty(part[:count].shape, complex)
+    total.real, total.imag = part[:count], part[count:]
+    for axes, table in tables[1:]:
+        rest = [i for i in left if i not in axes]
+        total = np.einsum(total, [alpha, *left], table, [alpha, *axes], [alpha, *rest])
+        left = rest
+    return [complex(v) for v in total]
+
+
 def weyl_sums(
     pair: FormPair,
     P: float,
@@ -158,17 +292,21 @@ def weyl_sums(
 ) -> list[complex]:
     """The weighted exponential sum S(alpha3, alpha2) at every (alpha3, alpha2) of alphas.
 
-    The weight's box is charged to cap once, whatever the number of alphas.
-    Its support is streamed in the chunks of _support_chunks; on each, C, Q
-    and omega are evaluated once, the points where omega > 0 are kept, and
-    every alpha is summed over them.  The chunks never depend on threads,
-    and each alpha's chunk sums are added by fsum_complex, so the result
-    does not depend on threads either.
+    The weight's box is charged to cap once, whatever the number of alphas,
+    and its support is streamed in the chunks of _support_chunks.  The
+    kernel follows forms.separable_blocks.  A pair whose one block spans all
+    n variables evaluates C, Q and omega once per chunk and takes a cos and
+    a sin per kept point and alpha (_point_chunk_sums).  A pair with several
+    blocks evaluates each block's forms only on the block's side of the box
+    (_Block), into a table of cos and sin per point and alpha, and on each
+    chunk evaluates omega once and contracts it against the tables
+    (_block_chunk_sums).  The chunks never depend on threads, and each
+    alpha's chunk sums are added by fsum_complex, so the result does not
+    depend on threads either.
     """
     box = weight_box(weight, P)
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
-    n = pair.n
     alphas = [(float(a3), float(a2)) for a3, a2 in alphas]
     if any(lo > hi for lo, hi in box):
         return [0.0 + 0.0j] * len(alphas)
@@ -176,29 +314,20 @@ def weyl_sums(
     bound, fits = int64_bound(pair, [max(abs(lo), abs(hi)) for lo, hi in box])
     if not fits:
         raise CapExceededError(f"lattice box too large for int64-exact form evaluation (bound {bound})")
+    if not alphas:
+        return []
+    blocks = separable_blocks(pair)
+    # einsum names axes by integers below 52: one per variable and one for alpha
+    if 1 < len(blocks) and pair.n < 52:
+        a3 = np.array([a for a, _ in alphas])
+        a2 = np.array([a for _, a in alphas])
+        split = [_Block(pair, block, box, a3, a2) for block in blocks]
 
-    def work(sub: list[tuple[int, int]]) -> list[complex]:
-        coords = [
-            np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-            for i, (lo, hi) in enumerate(sub)
-        ]
-        w = omega_grid(weight, [c.astype(float) / P for c in coords])
-        keep = w > 0
-        w = w[keep]
-        c_vals = np.broadcast_to(eval_cubic(pair.cubic, coords), keep.shape)[keep].astype(float)
-        q_vals = np.broadcast_to(eval_quadratic(pair.quadric, coords), keep.shape)[keep].astype(float)
-        arg, tmp = np.empty_like(w), np.empty_like(w)
-        out = []
-        for alpha3, alpha2 in alphas:
-            np.multiply(c_vals, alpha3, out=arg)
-            arg += np.multiply(q_vals, alpha2, out=tmp)
-            arg -= np.round(arg, out=tmp)
-            arg *= 2 * np.pi
-            # einsum, not BLAS: OpenBLAS splits long dot products over its
-            # own threads, which would change the last bits with their number
-            re = np.einsum("i,i->", w, np.cos(arg, out=tmp))
-            out.append(complex(re, np.einsum("i,i->", w, np.sin(arg, out=tmp))))
-        return out
+        def work(sub: list[tuple[int, int]]) -> list[complex]:
+            return _block_chunk_sums(split, P, weight, sub)
+    else:
+        def work(sub: list[tuple[int, int]]) -> list[complex]:
+            return _point_chunk_sums(pair, P, weight, alphas, sub)
 
     parts = parallel_map(work, _support_chunks(weight, P, box), threads)
     return [fsum_complex(part[i] for part in parts) for i in range(len(alphas))]
@@ -215,9 +344,12 @@ def weyl_sum_direct(
 ) -> complex:
     """Direct evaluation of the weighted exponential sum at (alpha3, alpha2).
 
-    The one-alpha call of weyl_sums: it visits the lattice points of the
-    support ball, about 0.52 (2 xi P)^3 of them at n = 3 and 0.31 (2 xi P)^4
-    at n = 4, and charges the whole box to cap.
+    The one-alpha call of weyl_sums, which charges the whole box to cap.
+    Omega is evaluated at every lattice point of the support ball, about
+    0.52 (2 xi P)^3 of them at n = 3 and 0.31 (2 xi P)^4 at n = 4.  A pair
+    with one block takes a cos and a sin at each of them; a pair with
+    several separable blocks takes them only on each block's side of the
+    box, sum over blocks b of prod over i in b of (2 xi P + 1) points.
     """
     return weyl_sums(pair, P, weight, [(alpha3, alpha2)], cap=cap, threads=threads)[0]
 

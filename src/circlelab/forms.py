@@ -39,6 +39,7 @@ __all__ = [
     "jacobian_minors",
     "hypothesis_report",
     "h_parameter",
+    "separable_blocks",
 ]
 
 
@@ -157,6 +158,32 @@ class FormPair:
     @property
     def n(self) -> int:
         return self.cubic.n
+
+
+def separable_blocks(pair: FormPair) -> list[tuple[int, ...]]:
+    """The blocks of variables that no monomial of C or Q joins.
+
+    These are the connected components of the graph on the variables in
+    which two variables are adjacent when some monomial of C or Q contains
+    both.  Each block is a tuple of 0-based variable positions in ascending
+    order, and the blocks are ordered by their least variable.  C and Q are
+    then sums of forms in the separate blocks: a diagonal pair has n blocks
+    of one variable, and a variable in no monomial is a block of its own.
+    """
+    parent = list(range(pair.n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for key in itertools.chain(pair.cubic.monomials, pair.quadric.monomials):
+        for v in key[1:]:
+            parent[root(v - 1)] = root(key[0] - 1)
+    blocks: dict[int, list[int]] = {}
+    for v in range(pair.n):
+        blocks.setdefault(root(v), []).append(v)
+    return [tuple(b) for b in blocks.values()]
 
 
 def _check_vector(n: int, x: Sequence) -> None:

@@ -31,9 +31,15 @@ TRIAL_BOUND = 1 << 10
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
-    """Prime factorization of q >= 1, as (p, e) pairs in ascending p."""
+    """Prime factorization of q >= 1, as (p, e) pairs in ascending p.
+
+    A composite cofactor gets RHO_STEPS steps of Pollard-Brent rho, which
+    take about sqrt(p) steps to find its least prime factor p; if they find
+    no factor (typically once p exceeds about 10^13), CapExceededError names
+    q."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
+    given = q
     out = []
     p = 2
     while p * p <= q:
@@ -58,7 +64,13 @@ def factorize(q: int) -> list[tuple[int, int]]:
         if prime:
             counts[m] = counts.get(m, 0) + 1
         else:
-            d = d or _pollard_brent(m)
+            d = d or _pollard_brent(m, steps=RHO_STEPS)
+            if d is None:
+                part = "" if m == given else f" (its composite factor {m})"
+                raise CapExceededError(
+                    f"cannot factorize {given}{part}: {RHO_STEPS} steps of "
+                    f"Pollard-Brent rho found no factor"
+                )
             stack += [d, m // d]
     return out + sorted(counts.items())
 
@@ -110,8 +122,8 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 
 # Steps of Pollard-Brent rho given to a strong probable prime past
-# MILLER_RABIN_LIMIT, enough to split MILLER_RABIN_LIMIT itself
-# (1287836182261 * 2575672364521)
+# MILLER_RABIN_LIMIT, and to each composite that factorize splits; enough
+# to split MILLER_RABIN_LIMIT itself (1287836182261 * 2575672364521)
 RHO_STEPS = 1 << 22
 
 

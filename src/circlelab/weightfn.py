@@ -57,13 +57,18 @@ def nu(t: float) -> float:
 
 
 def nu_grid(t: np.ndarray) -> np.ndarray:
-    """Vectorized nu for numpy arrays."""
+    """Vectorized nu for numpy arrays.
+
+    Below the guard u = 1 - t^2 is raised to the guard itself, where
+    exp(-1 / u) = exp(-10^12) is exactly 0, so the exponential runs on every
+    point without a mask and gives nu's values bit for bit; fmax also sends a
+    NaN to the guard, and so to 0."""
     t = np.asarray(t, dtype=float)
-    u = 1.0 - t * t
-    inside = u > _EXP_GUARD
-    out = np.zeros_like(u)
-    out[inside] = np.exp(-1.0 / u[inside])
-    return out
+    u = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, u, out=u)
+    np.fmax(u, _EXP_GUARD, out=u)
+    np.divide(-1.0, u, out=u)
+    return np.exp(u, out=u)
 
 
 def omega(weight: Weight, x: Sequence[float]) -> float:
@@ -82,4 +87,6 @@ def omega_grid(weight: Weight, axes: Sequence[np.ndarray]) -> np.ndarray:
     for arr, c in zip(axes, weight.center):
         d = (np.asarray(arr, dtype=float) - c) ** 2
         dist2 = d if dist2 is None else dist2 + d
-    return nu_grid(np.sqrt(dist2) / weight.xi)
+    t = np.sqrt(dist2)
+    t /= weight.xi
+    return nu_grid(t)

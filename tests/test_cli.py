@@ -212,7 +212,9 @@ ARCS_GRID3_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a
 # Captured from the scalar q-scan, before simultaneous_approx screened q in
 # numpy blocks.  At P = 50 (above) every pigeonhole q lies in the first block
 # of 2^12 moduli; at P = 250, Q3 Q2 = 9444 and two of these 16 points need a
-# later block.  The weyl-scan rows carry the same pigeonhole columns.
+# later block.  The weyl-scan rows carry the same pigeonhole columns; their
+# abs_S, t3 and t2 come from the block kernel of weyl_sums (the pair is
+# diagonal), within 7.7e-12 relative of the per-point kernel's values.
 ARCS_P250_GRID4_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a2
 0.23576402639309191,0.1278318882035904,False,,,,1001,236,128
 0.24406092642692603,0.27020900597390052,False,,,,463,113,125
@@ -233,15 +235,15 @@ ARCS_P250_GRID4_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pig
 '''
 
 WEYL_SCAN_P60_GRID3 = '''alpha3,alpha2,abs_S,is_major,major_q,pigeon_q,pigeon_a3,pigeon_a2,t3,t2,s,b3,phi3,witness_ok,u,alt
-0.21232056244048478,0.089928904587956771,1.8206137846107655,False,,146,31,13,44.467461432974901,44.467461432974901,146,31,-8.2046828028814467e-06,True,,unclassifiable
-0.013657841312064897,0.33884254517617635,17.853224259431386,False,,73,1,25,14.200149615789737,14.200149615789737,366,5,-3.3608737274523626e-06,True,,unclassifiable
-0.27109007973342414,0.97091852575924065,9.0161291616688874,False,,166,45,161,19.982102761288814,19.982102761288814,166,45,5.7423840265635739e-06,True,,unclassifiable
-0.53554525858905999,0.24316552032799946,0.47228520211179015,False,,211,113,51,87.307003175567203,87.307003175567203,211,113,2.3489237754859005e-07,True,,unclassifiable
-0.51454166382180766,0.64502414126258945,1.0358310839335139,False,,344,177,222,58.95311813453651,58.95311813453651,447,230,2.7679719916129386e-07,True,,unclassifiable
-0.60528451804051076,0.66757950005671596,4.7014188536821351,False,,76,46,51,27.67175972858189,27.67175972858189,38,23,2.1360145773918759e-05,True,1,both
-0.95246809219585649,0.011195191768488119,1.1874162183123067,False,,21,20,21,55.061718547915113,55.061718547915113,21,20,8.7139814904158008e-05,True,1,both
-0.90988514880998128,0.39188520686751965,17.890567977196692,False,,233,212,91,14.185321596034417,14.185321596034417,344,313,1.4278797487721206e-06,True,,unclassifiable
-0.95439297411662893,0.84715374008303057,8.9448561127592257,False,,307,293,260,20.061553991222695,20.061553991222695,307,293,-4.4200201788635596e-06,True,,unclassifiable
+0.21232056244048478,0.089928904587956771,1.8206137846085915,False,,146,31,13,44.467461433001461,44.467461433001461,146,31,-8.2046828028814467e-06,True,,unclassifiable
+0.013657841312064897,0.33884254517617635,17.853224259431418,False,,73,1,25,14.200149615789723,14.200149615789723,366,5,-3.3608737274523626e-06,True,,unclassifiable
+0.27109007973342414,0.97091852575924065,9.0161291616663792,False,,166,45,161,19.982102761291603,19.982102761291603,166,45,5.7423840265635739e-06,True,,unclassifiable
+0.53554525858905999,0.24316552032799946,0.47228520211009595,False,,211,113,51,87.307003175723764,87.307003175723764,211,113,2.3489237754859005e-07,True,,unclassifiable
+0.51454166382180766,0.64502414126258945,1.0358310839255978,False,,344,177,222,58.953118134761766,58.953118134761766,447,230,2.7679719916129386e-07,True,,unclassifiable
+0.60528451804051076,0.66757950005671596,4.7014188536829336,False,,76,46,51,27.671759728579541,27.671759728579541,38,23,2.1360145773918759e-05,True,1,both
+0.95246809219585649,0.011195191768488119,1.1874162183107582,False,,21,20,21,55.06171854795101,55.06171854795101,21,20,8.7139814904158008e-05,True,1,both
+0.90988514880998128,0.39188520686751965,17.890567977195342,False,,233,212,91,14.185321596034958,14.185321596034958,344,313,1.4278797487721206e-06,True,,unclassifiable
+0.95439297411662893,0.84715374008303057,8.9448561127614425,False,,307,293,260,20.061553991220215,20.061553991220215,307,293,-4.4200201788635596e-06,True,,unclassifiable
 '''
 
 

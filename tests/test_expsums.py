@@ -25,6 +25,7 @@ from circlelab.expsums import (
     weyl_sum_direct,
     weyl_sums,
 )
+from circlelab.forms import separable_blocks
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega, omega_grid
 
@@ -107,9 +108,16 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
     # the 33^3 box at P = 40 exceeds one chunk of the support
     w = Weight((0.0, 0.0, 0.0), 0.4)
     assert len(expsums._support_chunks(w, 40, weight_box(w, 40))) > 1
-    base = weyl_sum_direct(pair_n3, 40, w, a3, a2, threads=1)
-    for threads in (2, 3):
-        assert weyl_sum_direct(pair_n3, 40, w, a3, a2, threads=threads) == base
+    # a diagonal pair (three blocks), a pair with blocks {x1, x2} and {x3},
+    # and a non-diagonal pair that is one block
+    two_blocks = make_pair(3, {(1, 1, 1): 1, (1, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1})
+    one_block = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (3, 3, 3): -1, (1, 2, 3): 1},
+                          {(1, 1): 1, (2, 2): 1, (3, 3): -2, (1, 2): 1, (2, 3): 1})
+    assert [len(separable_blocks(p)) for p in (pair_n3, two_blocks, one_block)] == [3, 2, 1]
+    for pair in (pair_n3, two_blocks, one_block):
+        base = weyl_sum_direct(pair, 40, w, a3, a2, threads=1)
+        for threads in (2, 3):
+            assert weyl_sum_direct(pair, 40, w, a3, a2, threads=threads) == base
 
 
 def oracle_weyl_sum(pair, P, weight, alpha3, alpha2):
@@ -134,15 +142,46 @@ def oracle_weyl_sum(pair, P, weight, alpha3, alpha2):
 
 
 @st.composite
+def block_monomials(draw):
+    """(n, cubic, quadric) built block by block: n in {3, 4} variables, in
+    random order, cut into a block of two and blocks of one or two.  A
+    monomial in both variables joins each block of two; the other monomials
+    stay within their block."""
+    n = draw(st.integers(3, 4))
+    order = draw(st.permutations(range(1, n + 1)))
+    sizes = [2] + (draw(st.sampled_from([[1, 1], [2]])) if n == 4 else [1])
+    cubic, quad = {}, {}
+    nonzero = st.integers(1, 3).flatmap(lambda c: st.sampled_from([c, -c]))
+    start = 0
+    for size in sizes:
+        block = sorted(order[start:start + size])
+        start += size
+        if size == 2:
+            i, j = block
+            join = draw(st.sampled_from([(i, i, j), (i, j, j), (i, j)]))
+            (cubic if len(join) == 3 else quad)[join] = draw(nonzero)
+        var = st.sampled_from(block)
+        for _ in range(draw(st.integers(0, 2))):
+            key = tuple(sorted(draw(st.lists(var, min_size=2, max_size=3))))
+            (cubic if len(key) == 3 else quad).setdefault(key, draw(st.integers(-3, 3)))
+    return n, cubic, quad
+
+
+@st.composite
 def weyl_cases(draw):
-    """A pair with n <= 3, P <= 12, a weight (free, with its support's edge
+    """A pair (random monomials with n <= 3 and P <= 12, or built block by
+    block with n <= 4 and P <= 8), a weight (free, with its support's edge
     on lattice points, or with an empty box), a chunk size and three alphas."""
-    n = draw(st.integers(1, 3))
-    P = draw(st.integers(1, 12))
-    coeff = st.integers(-3, 3)
-    index = st.integers(1, n)
-    cubic = draw(st.dictionaries(st.tuples(index, index, index).map(lambda t: tuple(sorted(t))), coeff, max_size=4))
-    quad = draw(st.dictionaries(st.tuples(index, index).map(lambda t: tuple(sorted(t))), coeff, max_size=4))
+    if draw(st.booleans()):
+        n, cubic, quad = draw(block_monomials())
+        P = draw(st.integers(1, 8))
+    else:
+        n = draw(st.integers(1, 3))
+        P = draw(st.integers(1, 12))
+        coeff = st.integers(-3, 3)
+        index = st.integers(1, n)
+        cubic = draw(st.dictionaries(st.tuples(index, index, index).map(lambda t: tuple(sorted(t))), coeff, max_size=4))
+        quad = draw(st.dictionaries(st.tuples(index, index).map(lambda t: tuple(sorted(t))), coeff, max_size=4))
     kind = draw(st.sampled_from(["free", "edge", "empty"]))
     if kind == "free":
         xi = draw(st.floats(0.05, 0.45))
@@ -179,6 +218,27 @@ def test_weyl_sums_match_the_scalar_oracle(case):
         assert abs(value - expected) <= 1e-12 * mass
         if mass == 0.0:
             assert value == 0.0
+
+
+@pytest.mark.parametrize("chunk", [16, 256])
+def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
+    # blocks {x1, x3} and {x2}.  With CHUNK = 256 the 11 x 11 table of the
+    # first block covers the whole box for one alpha, and for three alphas
+    # each chunk's sub-box, two x1-slices wide; with CHUNK = 16 every table
+    # is per chunk.  Either way each alpha's sum is the same bit for bit.
+    # The block's cubic -x3^3 is constant along x1, so its values are
+    # broadcast along the block's first axis
+    pair = make_pair(3, {(3, 3, 3): -1, (2, 2, 2): 1}, {(1, 3): 1, (1, 1): 2, (2, 2): 3})
+    assert separable_blocks(pair) == [(0, 2), (1,)]
+    w = Weight((0.01, -0.01, 0.0), 0.4)
+    alphas = [(0.3141, 0.2718), (-1.618, 0.5772), (2.5029, -0.6931)]
+    with patch.object(expsums, "CHUNK", chunk):
+        assert all(hi - lo + 1 == 11 for lo, hi in weight_box(w, 13))
+        sums = weyl_sums(pair, 13, w, alphas)
+        assert sums == [weyl_sum_direct(pair, 13, w, a3, a2) for a3, a2 in alphas]
+    for (a3, a2), value in zip(alphas, sums):
+        expected, mass = oracle_weyl_sum(pair, 13, w, a3, a2)
+        assert abs(value - expected) <= 1e-12 * mass
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,6 +25,7 @@ from circlelab.forms import (
     int64_bound,
     minor_bound,
     rank_quadratic,
+    separable_blocks,
     signature_quadratic,
     smooth_point_test,
 )
@@ -144,6 +145,46 @@ def test_minor_bound_majorizes_every_minor():
     # diagonal x1^3 + x2^3 on |x_i| <= 3: H = 18^2, bound 2 H^2; fits is strict at 2^62
     assert minor_bound(CubicForm(2, {(1, 1, 1): 1, (2, 2, 2): 1}), 3) == (2 * 18**4, True)
     assert minor_bound(CubicForm(1, {(1, 1, 1): 2**30}), 0)[1] is False
+
+
+def test_separable_blocks():
+    # diagonal: n blocks of one variable
+    diag = make_pair(4, {(i, i, i): 1 for i in range(1, 5)}, {(i, i): i for i in range(1, 5)})
+    assert separable_blocks(diag) == [(0,), (1,), (2,), (3,)]
+    # the mixed N3 shape: x1 x2 x3 couples all three
+    n3 = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (3, 3, 3): -1, (1, 2, 3): 1},
+                   {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 2): 1, (2, 3): 1})
+    assert separable_blocks(n3) == [(0, 1, 2)]
+    # a chain through both forms joins x1, x3, x4, x5; x2 is in no monomial
+    chain = make_pair(5, {(4, 4, 5): 1}, {(1, 3): 1, (3, 4): -2})
+    assert separable_blocks(chain) == [(0, 2, 3, 4), (1,)]
+    # {x1, x2} coupled by the quadric alone, x3 alone
+    assert separable_blocks(make_pair(3, {(1, 1, 1): 1, (3, 3, 3): 1}, {(1, 2): 1})) == [(0, 1), (2,)]
+    # no monomials at all
+    assert separable_blocks(make_pair(2, {}, {})) == [(0,), (1,)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(1, n)] * 3).map(lambda t: tuple(sorted(t))), max_size=4),
+    st.lists(st.tuples(*[st.integers(1, n)] * 2).map(lambda t: tuple(sorted(t))), max_size=4),
+)))
+def test_separable_blocks_split_the_forms(case):
+    # the blocks partition the variables, every monomial lies in one block,
+    # and no block splits into two that the monomials leave apart
+    n, cubic, quadric = case
+    pair = make_pair(n, {key: 1 for key in cubic}, {key: 1 for key in quadric})
+    blocks = separable_blocks(pair)
+    assert sorted(v for b in blocks for v in b) == list(range(n))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    keys = list(pair.cubic.monomials) + list(pair.quadric.monomials)
+    for block in blocks:
+        assert all((k[0] - 1 in block) == all(v - 1 in block for v in k) for k in keys)
+        for size in range(1, len(block)):
+            for part in itertools.combinations(block, size):
+                # some monomial meets both part and the rest of the block
+                assert any({v - 1 for v in k} & set(part) and {v - 1 for v in k} - set(part) for k in keys)
 
 
 def test_dimension_mismatch():

@@ -117,6 +117,35 @@ def test_cli_refuses_a_prime_past_the_limit(n, argv, tmp_path, monkeypatch, caps
     assert capsys.readouterr().err.startswith(f"error: cannot decide whether {n} is prime")
 
 
+# a composite past MILLER_RABIN_LIMIT whose two prime factors rho cannot
+# reach within any reasonable budget
+UNSPLITTABLE = (2**89 - 1) * (2**107 - 1)
+
+
+def test_factorize_refuses_a_composite_that_rho_cannot_split(monkeypatch):
+    monkeypatch.setattr(util, "RHO_STEPS", 1 << 10)
+    with pytest.raises(CapExceededError, match=f"cannot factorize {UNSPLITTABLE}: 1024 steps"):
+        factorize(UNSPLITTABLE)
+    # a factor found by trial division leaves the composite cofactor named
+    with pytest.raises(CapExceededError, match=f"cannot factorize {6 * UNSPLITTABLE} "
+                                               f"\\(its composite factor {UNSPLITTABLE}\\)"):
+        factorize(6 * UNSPLITTABLE)
+    # within the budget rho still splits what it can
+    assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+
+
+@pytest.mark.parametrize("argv", [["sum", "--mode", "crt", "--q", str(UNSPLITTABLE), "--a3", "1", "--a2", "1"],
+                                  ["qfactor", "--q", str(UNSPLITTABLE), "--a3", "1"]])
+def test_cli_refuses_a_modulus_that_rho_cannot_split(argv, tmp_path, monkeypatch, capsys):
+    # both reach factorize; a short budget keeps this fast
+    monkeypatch.setattr(util, "RHO_STEPS", 1 << 10)
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"n": 2, "cubic": [[1, 1, 1, 1], [2, 2, 2, 1]],
+                                "quadric": [[1, 1, 1], [2, 2, -1]]}))
+    assert run(argv[:1] + ["--problem", str(path)] + argv[1:]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot factorize {UNSPLITTABLE}: 1024 steps")
+
+
 def test_factorize_runs_rho_once_on_a_strong_pseudoprime(monkeypatch):
     # is_prime's budgeted rho finds the factor, and factorize keeps it
     calls = []

@@ -3,9 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlelab.weightfn import Weight, nu, omega
+from circlelab import weightfn
+from circlelab.weightfn import Weight, nu, nu_grid, omega
 
 
 def test_nu_values():
@@ -13,6 +17,52 @@ def test_nu_values():
     assert nu(1.0) == 0.0
     assert nu(-2.0) == 0.0
     assert nu(0.5) == pytest.approx(math.exp(-4.0 / 3.0), abs=1e-15)
+
+
+def gathered_nu_grid(t):
+    """The gather-and-scatter form of nu_grid: exp(-1 / u) on the points with
+    u = 1 - t^2 above the guard, written into zeros."""
+    t = np.asarray(t, dtype=float)
+    u = 1.0 - t * t
+    inside = u > weightfn._EXP_GUARD
+    out = np.zeros_like(u)
+    out[inside] = np.exp(-1.0 / u[inside])
+    return out
+
+
+def _at_u(gaps):
+    # t = sqrt(1 - g) puts u = 1 - t^2 within rounding of g; near t = 1
+    # the values of u are spaced about 2^-53 apart
+    return gaps.map(lambda g: math.sqrt(1.0 - g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.floats(-1.5, 1.5),
+        # near the edges t = +-1, inside and outside
+        st.floats(0.0, 1e-6).map(lambda d: 1.0 - d),
+        st.floats(0.0, 1e-6).map(lambda d: -1.0 - d),
+        st.floats(0.0, 1e-6).map(lambda d: 1.0 + d),
+        # u up to ten times the guard, and within a few spacings of it
+        _at_u(st.floats(0.0, 10.0).map(lambda k: weightfn._EXP_GUARD * k)),
+        _at_u(st.integers(-20, 20).map(lambda k: weightfn._EXP_GUARD + k * 2.0**-53)),
+    ),
+    min_size=1, max_size=300,
+))
+def test_nu_grid_equals_the_gathered_form_bit_for_bit(values):
+    t = np.array(values)
+    got, want = nu_grid(t), gathered_nu_grid(t)
+    assert got.tobytes() == want.tobytes()
+    # on a 2-D grid, as omega_grid passes it, and one value at a time
+    grid = np.add.outer(t, t[::-1]) / 2
+    assert nu_grid(grid).tobytes() == gathered_nu_grid(grid).tobytes()
+    assert nu_grid(t[0]).tobytes() == gathered_nu_grid(t[0]).tobytes()
+
+
+def test_nu_grid_sends_non_finite_values_to_zero():
+    t = np.array([np.nan, np.inf, -np.inf, 0.0])
+    assert nu_grid(t).tolist() == gathered_nu_grid(t).tolist() == [0.0, 0.0, 0.0, math.exp(-1)]
 
 
 def test_nu_range():
