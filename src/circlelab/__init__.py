@@ -30,7 +30,6 @@ from .expsums import (
     RationalApprox,
     ThetaHeight,
     complete_sum,
-    complete_sum_crt,
     osc_integral,
     poisson_reconstruct,
     theta_height,

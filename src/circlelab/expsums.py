@@ -55,7 +55,6 @@ __all__ = [
     "weyl_sum_direct",
     "weyl_sums",
     "complete_sum",
-    "complete_sum_crt",
     "crt_decomposition",
     "osc_integral",
     "poisson_reconstruct",
@@ -413,11 +412,14 @@ def crt_decomposition(
     S(a, rs; m) = S((s^2 a3, s a2), r; m) * S((r^2 a3, r a2), s; m);
     applied across the full factorization the factor for p^e uses the
     cofactor t = q / p^e and numerators (t^2 a3, t a2) reduced mod p^e.
+    Their scans, sum p^{en} points, are charged to cap before the first.
     """
     if isinstance(m, int):
         m = [m] * pair.n
+    parts = factorize(q)
+    check_cap(sum(p ** (e * pair.n) for p, e in parts), cap, f"residue grids mod {len(parts)} prime powers")
     factors = []
-    for p, e in factorize(q):
+    for p, e in parts:
         pe = p**e
         t = q // pe
         a3t = (t * t * a3) % pe
@@ -425,24 +427,6 @@ def crt_decomposition(
         val = complete_sum(pair, pe, a3t, a2t, m, cap=cap, threads=threads)
         factors.append(CrtFactor(pe, a3t, a2t, val))
     return factors
-
-
-def complete_sum_crt(
-    pair: FormPair,
-    q: int,
-    a3: int,
-    a2: int,
-    m: Sequence[int] | int,
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
-) -> complex:
-    """S(a, q; m) assembled from its prime-power factors."""
-    if q == 1:
-        return 1.0 + 0.0j
-    out = 1.0 + 0.0j
-    for factor in crt_decomposition(pair, q, a3, a2, m, cap=cap, threads=threads):
-        out *= factor.value
-    return out
 
 
 def _smooth_phase(

@@ -16,7 +16,8 @@ the grid mod p^j, with values mod p^k, and hands each chunk the subgroup
 of (Z/p^{k-j})^2 spanned by the Jacobian at each point (Span).  That is all
 the residues mod p^k carry: p^{jn} evaluations stand for p^{kn}.  The
 joint histogram mod p^k is built from it; the phase histogram with its
-linear term m.y still scans the grid mod p^k.
+linear term m.y still scans the grid mod p^k.  lift() is the one place
+that evaluates Jacobians on a residue grid, for localdens and info too.
 
 crt_histograms() composes the histogram mod a composite q from those of
 the prime powers exactly dividing it, each computed once, so no histogram
@@ -387,28 +388,23 @@ def cubic_singular_points_mod_p(
     For each p the lexicographically smallest such x is reported (x_1 most
     significant), or None.  A hit does not disprove nonsingularity over Q,
     but flags the assertion as suspect.  Primes with p^n > cap are skipped.
+    Each p is one lift() of (C, 0) to p^2 over the zeros of C mod p, whose
+    span is <(p^ea, 0)>: ea = 1 exactly when grad C = 0 mod p.
     """
     n = cubic.n
+    pair = FormPair(cubic, QuadraticForm(n, {}))
+
+    def per_chunk(coords, c, qq, span):
+        idx = np.flatnonzero((span.ea == 1) & np.any([x != 0 for x in coords], axis=0))
+        if idx.size == 0:
+            return None
+        first = idx[np.lexsort([x[idx] for x in reversed(coords)])[0]]
+        return tuple(int(x[first]) for x in coords)
+
     findings: dict[int, tuple[int, ...] | None] = {}
     for p in primes:
         if p**n > cap:
             continue
-        pair = _centred(FormPair(cubic, QuadraticForm(n, {})), p)
-        # a gradient entry is at most 3/(p-1) times the bound on C (and tiny for
-        # p <= 3), so it is exact in int64 wherever C is
-        _, fits = int64_bound(pair, [p - 1] * n)
-
-        def per_chunk(coords, c, qq):
-            hit = (c == 0) & np.any([x != 0 for x in coords], axis=0)
-            xs = coords if fits else [x.astype(object) for x in coords]
-            for g in gradient_cubic(pair.cubic, xs):
-                hit &= g % p == 0
-            idx = np.flatnonzero(hit)
-            if idx.size == 0:
-                return None
-            first = idx[np.lexsort([x[idx] for x in reversed(coords)])[0]]
-            return tuple(int(x[first]) for x in coords)
-
-        hits = [h for h in scan(pair, p, per_chunk, cap, threads) if h is not None]
-        findings[p] = min(hits, default=None)
+        hits = lift(pair, p, 2, per_chunk, zeros_only=True, cap=cap, threads=threads)
+        findings[p] = min((h for h in hits if h is not None), default=None)
     return findings

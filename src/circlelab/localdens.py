@@ -8,9 +8,9 @@ delta*_p(k) = N*(p^k) / p^{k(n-2)}, where N* counts solutions with some
 unit coordinate: every smooth primitive solution mod p lifts to exactly
 p^{n-2} solutions mod p^{k+1}, making delta* constant from k = 1 on.
 Both are reported; stabilization is judged on the primitive density.
-hensel_stable scans the residue grid mod p once, which also finds the first
-smooth solution, the certificate of a Q_p point; each level k >= 2 comes
-from p^{ceil(k/2) n} points by the p-adic lift of gridsum.lift.
+Each level k >= 2 of hensel_stable comes from p^{ceil(k/2) n} points by the
+p-adic lift of gridsum.lift; level 1 and the first smooth solution mod p,
+the certificate of a Q_p point, are read off the lift to level 2.
 
 The truncated singular series is
 
@@ -42,7 +42,7 @@ from .forms import (
     gradient_quadratic,
     jacobian_minors,
 )
-from .gridsum import joint_histogram, joint_histograms, lift, scan
+from .gridsum import joint_histogram, joint_histograms, lift
 from .util import CapExceededError, DEFAULT_CAP, InvariantError, factorize, is_prime
 
 __all__ = [
@@ -84,52 +84,38 @@ class HenselReport:
     solubility: SolubilityReport
 
 
-def _level_one(
-    pair: FormPair, p: int, cap: int, threads: int
-) -> tuple[int, int, tuple[int, ...] | None]:
-    """(N(p), N*(p), certificate) from one scan of the residue grid mod p.
+def _lifted_level(
+    pair: FormPair, p: int, k: int, cap: int, threads: int
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, ...] | None]:
+    """((N(p^k), N*(p^k)), (N(p^j), N*(p^j)), certificate) for k >= 2 from
+    one gridsum.lift, whose points u are the solutions mod p^j.
 
-    The certificate is the first primitive solution in grid order (the same
-    for any thread count) whose Jacobian has a 2x2 minor that is a unit mod
-    p, or None.
+    Over each u the points mod p^k take the values (C, Q)(u) + p^j G_u;
+    when these hold (0, 0) (Span.solves), p^fibre of them are solutions,
+    primitive exactly when u is.  The certificate is the first primitive u
+    in grid order (the same for any thread count) with ea = ed = 0, or
+    None: at k = 2, a solution mod p whose Jacobian has rank 2 mod p.
     """
 
-    def per_chunk(coords, cvals, qvals) -> tuple[int, int, tuple[int, ...] | None]:
-        sol = (cvals == 0) & (qvals == 0)
-        prim = sol & np.any([y % p != 0 for y in coords], axis=0)
-        smooth = None
-        for idx in np.flatnonzero(prim):
-            x = tuple(int(y[idx]) for y in coords)
-            if any(m % p for m in jacobian_minors(pair, x)):
-                smooth = x
-                break
-        return int(np.count_nonzero(sol)), int(np.count_nonzero(prim)), smooth
-
-    parts = scan(pair, p, per_chunk, cap=cap, threads=threads)
-    smooth = next((x for _, _, x in parts if x is not None), None)
-    return sum(a for a, _, _ in parts), sum(b for _, b, _ in parts), smooth
-
-
-def _lifted_level(pair: FormPair, p: int, k: int, cap: int, threads: int) -> tuple[int, int]:
-    """(N(p^k), N*(p^k)) for k >= 2 from one gridsum.lift.
-
-    Over each point u it passes on, (C, Q)(u) = 0 mod p^j, the points of
-    the grid mod p^k take the values (C, Q)(u) + p^j G_u; when these hold
-    (0, 0) (Span.solves), p^fibre of them are solutions, and they are
-    primitive exactly when u is.
-    """
-
-    def per_chunk(coords, cvals, qvals, span) -> tuple[int, int]:
+    def per_chunk(coords, cvals, qvals, span):
+        prim = np.any([y % p != 0 for y in coords], axis=0)
         hit = span.solves(cvals, qvals)
-        prim = hit & np.any([y % p != 0 for y in coords], axis=0)
         fibre = span.fibre()
         # exact Python ints: the sum over f of (number of u with fibre f) p^f
-        return tuple(
-            sum(int(c) * p**f for f, c in enumerate(np.bincount(fibre[sel]))) for sel in (hit, prim)
+        lifted = tuple(
+            sum(int(c) * p**f for f, c in enumerate(np.bincount(fibre[sel]))) for sel in (hit, hit & prim)
         )
+        smooth = np.flatnonzero(prim & (span.ea == 0) & (span.ed == 0))
+        cert = tuple(int(y[smooth[0]]) for y in coords) if smooth.size else None
+        return lifted, (prim.size, int(np.count_nonzero(prim))), cert
 
     parts = lift(pair, p, k, per_chunk, zeros_only=True, cap=cap, threads=threads)
-    return sum(a for a, _ in parts), sum(b for _, b in parts)
+    lifted, base, certs = zip(*parts)
+    return (
+        tuple(map(sum, zip(*lifted))),
+        tuple(map(sum, zip(*base))),
+        next((x for x in certs if x is not None), None),
+    )
 
 
 def hensel_stable(
@@ -138,45 +124,46 @@ def hensel_stable(
     """Track delta_p(k) and delta*_p(k) for k = 1..kmax, flag stabilization,
     and search for a certificate of a Q_p point on C = Q = 0.
 
-    Level 1 scans the residue grid mod p (_level_one) and level k >= 2 lifts
-    from the grid mod p^ceil(k/2) (_lifted_level); each counts all solutions and the
-    primitive ones (some coordinate a unit mod p).  stable is True when the
-    primitive density is constant from some level k* < reached onward; the
-    full density is reported alongside but never stabilizes at finite level
-    (imprimitive vectors keep feeding it).
-    Level k is charged gridsum.lift_points(p, k, n); if the cap cuts the levels
-    short the report is marked partial.
+    Level k >= 2 is lifted from the grid mod p^ceil(k/2) (_lifted_level),
+    and level 1 is read off the lift to level 2, which runs for every kmax;
+    each counts all solutions and the primitive ones (some coordinate a
+    unit mod p).  stable is True when the primitive density is constant
+    from some level k* < reached onward; the full density is reported
+    alongside but never stabilizes at finite level (imprimitive vectors
+    keep feeding it).  The lift to level k is charged
+    gridsum.lift_points(p, k, n); if the cap cuts the levels short, or the
+    lift refuses p (p^2 >= 2^62), the report is marked partial.
 
-    The scan mod p also yields the solubility report: a primitive solution
-    whose Jacobian has rank 2 mod p is a smooth point, and the first one in
-    grid order is Hensel-lifted to mod p^min(kmax, 3) and returned as a
-    certificate.  If the scan finds solutions but none smooth (the zero
-    vector always solves, with rank-0 Jacobian) the verdict is only_singular.
-    none_found is only reachable when the cap stops the scan mod p, which
+    The lift to level 2 also yields the solubility report: the first
+    primitive solution mod p in grid order whose Jacobian has rank 2 mod p
+    is a smooth point, Hensel-lifted to mod p^min(kmax, 3) and returned as
+    a certificate.  If there are solutions but none smooth (the zero vector
+    always solves, with rank-0 Jacobian) the verdict is only_singular.
+    none_found is only reachable when the lift to level 2 is refused, which
     marks the solubility report partial; it is never a proof of insolubility.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     _require_prime(p)
-    dens: list[Fraction] = []
-    prim: list[Fraction] = []
-    reached = 0
+    counts: list[tuple[int, int]] = []
     partial = False
     n_mod_p, smooth = 0, None
-    for k in range(1, kmax + 1):
+    for k in range(2, max(kmax, 2) + 1):
         try:
-            if k == 1:
-                n_all, n_prim, smooth = _level_one(pair, p, cap, threads)
-                n_mod_p = n_all
-            else:
-                n_all, n_prim = _lifted_level(pair, p, k, cap, threads)
+            level_k, level_j, cert = _lifted_level(pair, p, k, cap, threads)
         except CapExceededError:
             partial = True
             break
-        scale = Fraction(p) ** (k * (pair.n - 2))
-        dens.append(Fraction(n_all) / scale)
-        prim.append(Fraction(n_prim) / scale)
-        reached = k
+        if k == 2:
+            counts.append(level_j)
+            n_mod_p, smooth = level_j[0], cert
+        counts.append(level_k)
+    counts = counts[:kmax]
+    reached = len(counts)
+    dens, prim = (
+        [Fraction(c[i]) / Fraction(p) ** (k * (pair.n - 2)) for k, c in enumerate(counts, 1)]
+        for i in (0, 1)
+    )
     level = None
     stable = False
     # a zero primitive density is vacuously constant but certifies nothing
@@ -221,12 +208,15 @@ class SeriesResult:
 
 
 def singular_series_truncated(
-    pair: FormPair, R: float, cap: int = DEFAULT_CAP, threads: int = 1
+    pair: FormPair, R: int, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> SeriesResult:
     """S(R) with its per-q trace of the terms T(q) and of A(q).
 
-    Raises InvariantError if the imaginary parts of the terms do not cancel.
+    Raises ValueError unless R is a positive integer, and InvariantError if
+    the imaginary parts of the terms do not cancel.
     """
+    if R < 1 or R != int(R):
+        raise ValueError("R must be a positive integer")
     n = pair.n
     terms = []
     a_values = []

@@ -1134,14 +1134,53 @@ def test_local_needs_a_prime(problem_file, capsys, p):
 
 
 def test_local_accepts_a_large_prime_at_once(problem_file, tmp_path):
-    # the residue grid p^2 is over the cap, so the report is partial; the
-    # primality test takes microseconds where trial division took seconds
+    # residues mod p^2 overflow int64 (and the grid p^2 is over the cap),
+    # so the report is partial; the primality test takes microseconds where
+    # trial division took seconds
     code, text = run_to_file(tmp_path, [
         "local", "--problem", problem_file, "--p", "999999999999989", "--kmax", "1",
     ])
     assert code == 0
     report = json.loads(text)
     assert report["partial"] and report["reached"] == 0
+
+
+def test_local_refuses_a_prime_whose_square_overflows(tmp_path):
+    # at n = 1 the grid mod p fits under a cap of p, but the lift to p^2
+    # needs residues mod p^2 >= 2^62, so the report is partial at level 0
+    path = tmp_path / "n1.json"
+    path.write_text(json.dumps({"n": 1, "cubic": [[1, 1, 1, 1]], "quadric": [[1, 1, 1]]}))
+    p = 2**31 + 11
+    code, text = run_to_file(tmp_path, [
+        "local", "--problem", str(path), "--p", str(p), "--kmax", "1", "--cap", str(p),
+    ])
+    assert code == 0
+    report = json.loads(text)
+    assert report["partial"] and report["reached"] == 0
+    assert report["solubility"]["verdict"] == "none_found"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--R", "0"],
+    ["series", "--R", "-3"],
+    ["predict", "--Rq", "0", "--Rgamma", "2", "--P", "8"],
+    ["compare", "--P", "8", "--Rq", "0", "--Rgamma", "2"],
+])
+def test_series_needs_a_positive_truncation(problem_file, capsys, argv):
+    assert run(argv[:1] + ["--problem", problem_file] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", "error: R must be a positive integer\n")
+
+
+@pytest.mark.parametrize("mode", ["complete", "crt"])
+def test_crt_sum_charges_all_prime_powers_together(problem_file, capsys, mode):
+    # at n = 2, q = 63 = 7 * 9 scans 7^2 + 9^2 = 130 points: each prime
+    # power fits under a cap of 100, but the two together do not
+    argv = ["sum", "--problem", problem_file, "--mode", mode,
+            "--q", "63", "--a3", "1", "--a2", "1", "--cap", "100"]
+    assert run(argv) == 3
+    assert capsys.readouterr() == (
+        "", "error: residue grids mod 2 prime powers: 130 elements exceeds cap 100\n"
+    )
 
 
 # ------------------------------------------------- internal checks, exit 3
@@ -1179,9 +1218,10 @@ def test_hensel_lift_check_exit(smooth5_file, monkeypatch, capsys):
 
 
 def test_local_scans_each_level_once(smooth5_file, tmp_path, monkeypatch):
-    # the scan mod p gives the counts and the certificate, and level k >= 2
-    # is lifted from the grid mod p^ceil(k/2): local scans mod 5, 5 and 25
-    # once each; both names of the scan are counted
+    # level k >= 2 is lifted from the grid mod p^ceil(k/2), and level 1 and
+    # the certificate are read off the lift to level 2: local scans mod 5
+    # and 25 once each; localdens reaches no scan but through the lift
+    assert not hasattr(localdens, "scan")
     moduli = []
 
     def counting_scan(pair, q, *args, **kwargs):
@@ -1190,12 +1230,11 @@ def test_local_scans_each_level_once(smooth5_file, tmp_path, monkeypatch):
 
     scan = gridsum.scan
     monkeypatch.setattr(gridsum, "scan", counting_scan)
-    monkeypatch.setattr(localdens, "scan", counting_scan)
     code, text = run_to_file(
         tmp_path, ["local", "--problem", smooth5_file, "--p", "5", "--kmax", "3"]
     )
     assert code == 0
-    assert moduli == [5, 5, 25]
+    assert moduli == [5, 25]
     assert json.loads(text)["solubility"]["verdict"] == "smooth_liftable"
 
 

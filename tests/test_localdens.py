@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circlelab.expsums import complete_sum, complete_sum_crt
+from circlelab.expsums import complete_sum, crt_decomposition
 from circlelab import forms, gridsum
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic
 from circlelab.gridsum import (
@@ -181,7 +181,7 @@ def test_series_crt_agreement(pair_line):
                 if math.gcd(q, math.gcd(a3, a2)) != 1:
                     continue
                 direct += complete_sum(pair_line, q, a3, a2, [0, 0])
-                crt += complete_sum_crt(pair_line, q, a3, a2, [0, 0])
+                crt += math.prod(f.value for f in crt_decomposition(pair_line, q, a3, a2, [0, 0]))
         assert abs(direct - crt) <= 1e-8 * q**2
 
 
@@ -481,21 +481,25 @@ def brute_level_one(pair, p):
 
 
 @settings(max_examples=80, deadline=None)
-@given(pair_p=small_pairs())
-def test_level_one_scan_matches_brute_force(pair_p):
-    # one scan mod p gives the counts and the certificate, in chunks of 7
+@given(pair_p=small_pairs(), kmax=st.sampled_from([1, 2, 3]))
+def test_level_one_scan_matches_brute_force(pair_p, kmax):
+    # the lift to level 2 gives the counts mod p and the certificate, in
+    # chunks of 7, whatever kmax is; level 3 scans p^{2n} points, so only
+    # small grids run it
     pair, p, threads = pair_p
+    assume(kmax < 3 or p ** (2 * pair.n) <= 3**8)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gridsum, "CHUNK", 7)
-        rep = hensel_stable(pair, p, 1, threads=threads)
+        rep = hensel_stable(pair, p, kmax, threads=threads)
     n_all, n_prim, cert = brute_level_one(pair, p)
-    assert counts(rep, pair.n) == [(n_all, n_prim)]
+    assert rep.reached == kmax
+    assert counts(rep, pair.n)[0] == (n_all, n_prim)
     sol = rep.solubility
     assert sol.solutions_mod_p == n_all and not sol.partial
     if cert is None:
         assert sol.verdict == "only_singular" and sol.point is None
     else:
-        assert sol.verdict == "smooth_liftable"
+        assert sol.verdict == "smooth_liftable" and sol.level == min(kmax, 3)
         assert tuple(v % p for v in sol.point) == cert
 
 
