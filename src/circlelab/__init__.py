@@ -43,7 +43,7 @@ from .localdens import (
     q_factorization,
     singular_series_truncated,
 )
-from .archimedean import main_term, major_arc_approx_check, sin_kernel, singular_integral_truncated
+from .archimedean import main_term, major_arc_approx_check, singular_integral_truncated
 from .weyldiag import alpha3_witness, count_bilinear, heights_from_sum, minor_arc_scan
 from .util import CapExceededError, InvariantError
 

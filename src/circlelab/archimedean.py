@@ -13,7 +13,6 @@ S(R_q) * J(R_gamma) * P^{n-5}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .util import DEFAULT_CAP
 from .weightfn import Weight, omega_grid
 
 __all__ = [
-    "sin_kernel",
     "sin_kernel_grid",
     "singular_integral_truncated",
     "major_arc_approx_check",
@@ -41,22 +39,19 @@ _SERIES_SWITCH = 1e-8
 RATIO_BOUND = 50.0
 
 
-def sin_kernel(R: float, u: float) -> float:
-    """K_R(u) = sin(2 pi R u) / (pi u), continuous with K_R(0) = 2R."""
-    if abs(u) < _SERIES_SWITCH:
-        w = 2.0 * math.pi * R * u
-        return 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
-    return math.sin(2.0 * math.pi * R * u) / (math.pi * u)
-
-
 def sin_kernel_grid(R: float, u: np.ndarray) -> np.ndarray:
+    """K_R(u) = sin(2 pi R u) / (pi u) elementwise, continuous with K_R(0) = 2R.
+
+    The quotient is taken on the whole array (0/0 at u = 0 is overwritten),
+    then the entries with |u| below _SERIES_SWITCH get the even power series
+    in u.  A 0-d u gives a 0-d array."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
+    out = np.sin(2.0 * np.pi * R * u, out=np.empty_like(u))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= np.pi * u
     small = np.abs(u) < _SERIES_SWITCH
     w = 2.0 * np.pi * R * u[small]
     out[small] = 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
-    ub = u[~small]
-    out[~small] = np.sin(2.0 * np.pi * R * ub) / (np.pi * ub)
     return out
 
 
@@ -80,7 +75,7 @@ def singular_integral_truncated(
             * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes))
         )
 
-    res = tensor_integral(f, weight.center, weight.xi, tol, cap=cap)
+    res = tensor_integral(f, weight, tol, cap=cap)
     return QuadResult(float(res.value.real), res.error, res.level)
 
 

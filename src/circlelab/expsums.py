@@ -38,13 +38,13 @@ from .util import (
     CapExceededError,
     DEFAULT_CAP,
     check_cap,
-    chunk_ranges,
     factorize,
     fsum_complex,
     next_pow2,
     parallel_map,
 )
-from .weightfn import Weight, omega_grid
+from . import weightfn
+from .weightfn import Weight, omega_grid, support_chunks
 
 __all__ = [
     "RationalApprox",
@@ -60,10 +60,6 @@ __all__ = [
     "poisson_reconstruct",
 ]
 
-# the most points in one chunk of a direct Weyl sum.  Its 128 KB float
-# arrays are reused by the allocator from chunk to chunk; whole x0-slices
-# of up to 1 MB each raised the peak memory of sums over two threads.
-CHUNK = 1 << 14
 # the Poisson total is accepted once two grid sizes agree to this relative tolerance
 POISSON_REL_TOL = 1e-9
 
@@ -119,42 +115,6 @@ def default_truncation(approx: RationalApprox, P: float) -> int:
     return math.ceil(4.0 * approx.q * theta / P) + 8
 
 
-def _support_chunks(weight: Weight, P: float, box: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Boxes of at most CHUNK points that cover, in order, the lattice points
-    of P times the weight's support ball.
-
-    The box is cut along x0 into runs of as many slices as fit in CHUNK
-    points; a slice larger than that is cut along x1 the same way, and so on
-    down the axes.  Before each cut, the remaining axes are clipped to the
-    bounding box of the ball's section over the ranges fixed so far.  A point
-    that rounding cuts off lies within rounding error of the sphere, where
-    omega is exactly 0.
-    """
-    out = []
-
-    def cut(fixed: list[tuple[int, int]], d2: float) -> None:
-        # d2: squared distance from the centre to the fixed ranges, in units of the weight
-        k = len(fixed)
-        rho = math.sqrt(max(weight.xi**2 - d2, 0.0))
-        rest = [
-            (max(lo, math.ceil((c - rho) * P)), min(hi, math.floor((c + rho) * P)))
-            for (lo, hi), c in zip(box[k:], weight.center[k:])
-        ]
-        if any(lo > hi for lo, hi in rest):
-            return
-        if math.prod(hi - lo + 1 for lo, hi in rest) <= CHUNK:
-            out.append(fixed + rest)
-            return
-        (lo, hi), c = rest[0], weight.center[k]
-        inner = math.prod(h - l + 1 for l, h in rest[1:])
-        for a, b in chunk_ranges(lo, hi + 1, max(1, CHUNK // inner)):
-            d = max(0.0, a / P - c, c - (b - 1) / P)
-            cut(fixed + [(a, b - 1)], d2 + d * d)
-
-    cut([], 0.0)
-    return out
-
-
 def _box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:
     """The int64 coordinates of a box, one broadcastable array per axis."""
     n = len(box)
@@ -197,10 +157,10 @@ class _Block:
     phase factors e(alpha3 C_b + alpha2 Q_b) for the alphas of one call.
 
     The factors are tabulated over the block's side of the whole box when
-    that table, alphas times points, holds at most CHUNK values; otherwise
-    over each chunk's sub-box as the chunk asks for it.  The two give the
-    same values, since every entry is computed by the same elementwise
-    arithmetic.
+    that table, alphas times points, holds at most weightfn.CHUNK values;
+    otherwise over each chunk's sub-box as the chunk asks for it.  The two
+    give the same values, since every entry is computed by the same
+    elementwise arithmetic.
     """
 
     def __init__(
@@ -222,7 +182,7 @@ class _Block:
         self.a3, self.a2 = a3, a2
         self.origin = [box[i][0] for i in axes]
         side = [box[i] for i in axes]
-        small = len(a3) * math.prod(hi - lo + 1 for lo, hi in side) <= CHUNK
+        small = len(a3) * math.prod(hi - lo + 1 for lo, hi in side) <= weightfn.CHUNK
         self.whole = self._table(side) if small else None
 
     def _table(self, side: list[tuple[int, int]]) -> np.ndarray:
@@ -292,7 +252,7 @@ def weyl_sums(
     """The weighted exponential sum S(alpha3, alpha2) at every (alpha3, alpha2) of alphas.
 
     The weight's box is charged to cap once, whatever the number of alphas,
-    and its support is streamed in the chunks of _support_chunks.  The
+    and its support is streamed in the chunks of weightfn.support_chunks.  The
     kernel follows forms.separable_blocks.  A pair whose one block spans all
     n variables evaluates C, Q and omega once per chunk and takes a cos and
     a sin per kept point and alpha (_point_chunk_sums).  A pair with several
@@ -328,7 +288,7 @@ def weyl_sums(
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _point_chunk_sums(pair, P, weight, alphas, sub)
 
-    parts = parallel_map(work, _support_chunks(weight, P, box), threads)
+    parts = parallel_map(work, support_chunks(weight, P, box), threads)
     return [fsum_complex(part[i] for part in parts) for i in range(len(alphas))]
 
 
@@ -468,7 +428,7 @@ def osc_integral(
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)
 
-    return tensor_integral(f, weight.center, weight.xi, tol, max_level=max_level, cap=cap)
+    return tensor_integral(f, weight, tol, max_level=max_level, cap=cap)
 
 
 def _alias_start_level(
@@ -532,7 +492,7 @@ def poisson_reconstruct(
     prev = None
     while True:
         check_cap((grid_n + 1) ** n, cap, f"poisson quadrature grid {grid_n + 1}^{n}")
-        tensor = grid_contract(smooth, weight.center, weight.xi, grid_n, ms, freq_step)
+        tensor = grid_contract(smooth, weight, grid_n, ms, freq_step)
         total = (P / q) ** n * complex(np.sum(sums_big * tensor))
         if prev is not None and abs(total - prev) <= POISSON_REL_TOL * (1.0 + abs(total)):
             return total

@@ -3,6 +3,8 @@
 omega(x) = nu(|x - x0| / xi) with nu(t) = exp(-1/(1 - t^2)) for |t| < 1 and 0
 otherwise, so omega is C-infinity, radially decreasing, supported on the
 closed Euclidean ball of radius xi about x0, and bounded by e^{-1}.
+support_chunks cuts that ball into the boxes on which both the direct Weyl
+sums and the quadrature evaluate their integrands.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Weight", "nu", "nu_grid", "omega", "omega_grid"]
+from .util import chunk_ranges
+
+__all__ = ["Weight", "nu", "nu_grid", "omega", "omega_grid", "support_chunks"]
+
+# the most points in one support box.  Its 128 KB float arrays are reused by
+# the allocator from box to box; whole x0-slices of up to 1 MB each raised
+# the peak memory of direct Weyl sums over two threads.
+CHUNK = 1 << 14
 
 # Below 1 - t^2 <= this guard the true value is under double precision
 # underflow anyway, so we return exactly 0 instead of risking overflow.
@@ -90,3 +99,48 @@ def omega_grid(weight: Weight, axes: Sequence[np.ndarray]) -> np.ndarray:
     t = np.sqrt(dist2)
     t /= weight.xi
     return nu_grid(t)
+
+
+def support_chunks(
+    weight: Weight,
+    P: float,
+    box: Sequence[tuple[int, int]],
+    origin: Sequence[float] | None = None,
+) -> list[list[tuple[int, int]]]:
+    """Boxes of at most CHUNK points that cover, in order, the points of an
+    index box that lie in the weight's support ball.
+
+    Index k on axis i stands for the point origin_i + k/P (origin 0 without
+    one): the lattice points of P times the ball for the direct Weyl sums,
+    a trapezoid grid for the quadrature.  The box is cut along x0 into runs
+    of as many slices as fit in CHUNK points; a slice larger than that is
+    cut along x1 the same way, and so on down the axes.  Before each cut,
+    the remaining axes are clipped to the bounding box of the ball's section
+    over the ranges fixed so far.  A point that rounding cuts off lies
+    within rounding error of the sphere, where omega is exactly 0.
+    """
+    # the centre in index coordinates divided by P; c - 0.0 is c exactly
+    centre = [c - o for c, o in zip(weight.center, [0.0] * weight.n if origin is None else origin)]
+    out = []
+
+    def cut(fixed: list[tuple[int, int]], d2: float) -> None:
+        # d2: squared distance from the centre to the fixed ranges, in units of the weight
+        k = len(fixed)
+        rho = math.sqrt(max(weight.xi**2 - d2, 0.0))
+        rest = [
+            (max(lo, math.ceil((c - rho) * P)), min(hi, math.floor((c + rho) * P)))
+            for (lo, hi), c in zip(box[k:], centre[k:])
+        ]
+        if any(lo > hi for lo, hi in rest):
+            return
+        if math.prod(hi - lo + 1 for lo, hi in rest) <= CHUNK:
+            out.append(fixed + rest)
+            return
+        (lo, hi), c = rest[0], centre[k]
+        inner = math.prod(h - l + 1 for l, h in rest[1:])
+        for a, b in chunk_ranges(lo, hi + 1, max(1, CHUNK // inner)):
+            d = max(0.0, a / P - c, c - (b - 1) / P)
+            cut(fixed + [(a, b - 1)], d2 + d * d)
+
+    cut([], 0.0)
+    return out

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import gridsum
-from .arcs import DEFAULT_DELTA, jittered_grid, major_arc_test, q3q2, simultaneous_approx
+from .arcs import DEFAULT_DELTA, Q_BLOCK, jittered_grid, major_arc_test, q3q2, simultaneous_approx
 from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, rank_quadratic
 from .util import DEFAULT_CAP, check_cap, chunk_ranges
 from .weightfn import Weight
@@ -201,7 +201,12 @@ def alpha3_witness(
 
     Exhaustive over s up to ~SOFT_CONSTANT * P^eps * T3^8 (at most
     WITNESS_BUDGET); ok flags whether the minimized objective stays below
-    SOFT_CONSTANT times that scale.
+    SOFT_CONSTANT times that scale.  The objective s + P^3 ||s alpha3|| is
+    screened in numpy blocks of arcs.Q_BLOCK denominators, in the same
+    IEEE arithmetic as a loop over s: each block's first minimum replaces
+    the incumbent only if strictly smaller, so the least s attaining the
+    minimum wins, and the scan stops at a block whose first s exceeds the
+    incumbent (the objective is at least s).
     """
     if not math.isfinite(t3):
         raise ValueError("T3 must be finite (the sum was nonzero)")
@@ -209,15 +214,21 @@ def alpha3_witness(
     s_max = min(int(math.ceil(SOFT_CONSTANT * rhs_scale)), WITNESS_BUDGET)
     if s_max < 1:
         s_max = 1
+    p3 = P**3
     best = None
-    for s in range(1, s_max + 1):
-        if best is not None and s > best[0]:
-            break  # objective >= s can no longer beat the incumbent
-        dist = _distance_to_int(s * alpha3)
-        objective = s + P**3 * dist
-        if best is None or objective < best[0]:
-            best = (objective, s, round(s * alpha3))
-    objective, s, b3 = best
+    # blocks are made as the scan reaches them: the scan mostly stops in the
+    # first, while s_max can allow 10^7 / Q_BLOCK of them
+    for lo in range(1, s_max + 1, Q_BLOCK):
+        if best is not None and lo > best[0]:
+            break
+        s = np.arange(lo, min(lo + Q_BLOCK, s_max + 1), dtype=float)
+        t = s * alpha3
+        objective = s + p3 * np.abs(t - np.rint(t))
+        i = int(np.argmin(objective))
+        if best is None or objective[i] < best[0]:
+            best = (float(objective[i]), lo + i)
+    s = best[1]
+    b3 = round(s * alpha3)
     g = math.gcd(s, abs(b3)) if b3 else s
     if g > 1:
         s //= g

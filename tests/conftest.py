@@ -1,7 +1,9 @@
 """Shared fixtures: small form pairs used across the suite, the n(R) oracle,
-the direct residue-scan oracles, and the hypothesis profile of CI."""
+the direct residue-scan oracles, the scalar sin-kernel oracle, and the
+hypothesis profile of CI."""
 
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from circlelab import gridsum
+from circlelab.archimedean import _SERIES_SWITCH
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix
 from circlelab.weightfn import Weight
 
@@ -50,6 +53,15 @@ def scan_phase_histogram(pair, q, a3, a2, m):
         return np.bincount(t, minlength=q)
 
     return np.sum(gridsum.scan(pair, q, per_chunk), axis=0)
+
+
+def sin_kernel(R, u):
+    """K_R(u) = sin(2 pi R u) / (pi u) for one float, continuous with K_R(0) = 2R:
+    the oracle of archimedean.sin_kernel_grid."""
+    if abs(u) < _SERIES_SWITCH:
+        w = 2.0 * math.pi * R * u
+        return 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
+    return math.sin(2.0 * math.pi * R * u) / (math.pi * u)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from circlelab.arcs import major_arcs_disjoint, q3q2, simultaneous_approx, verify_approx
-from circlelab.archimedean import major_arc_approx_check, sin_kernel, singular_integral_truncated
+from circlelab.archimedean import major_arc_approx_check, sin_kernel_grid, singular_integral_truncated
 from circlelab.counting import fit_log_power
 from circlelab.expsums import (
     RationalApprox,
@@ -247,9 +247,10 @@ def test_criterion_7_archimedean(pair_line):
     for _ in range(500):
         R = rng.uniform(0.5, 8.0)
         u = rng.uniform(-3.0, 3.0)
-        ok &= sin_kernel(R, 0.0) == 2 * R
-        ok &= abs(sin_kernel(R, u) - sin_kernel(R, -u)) <= 1e-12
-        ok &= abs(sin_kernel(R, u)) <= 2 * R + 1e-12
+        at_zero, k, k_neg = sin_kernel_grid(R, np.array([0.0, u, -u]))
+        ok &= at_zero == 2 * R
+        ok &= abs(k - k_neg) <= 1e-12
+        ok &= abs(k) <= 2 * R + 1e-12
     # major-arc replacement error against its predicted scale
     for P in (32.0, 64.0):
         for q, a3, a2 in ((1, 1, 1), (2, 1, 1)):

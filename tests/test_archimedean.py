@@ -9,22 +9,23 @@ import pytest
 from circlelab.archimedean import (
     main_term,
     major_arc_approx_check,
-    sin_kernel,
     sin_kernel_grid,
     singular_integral_truncated,
 )
 from circlelab.expsums import RationalApprox, osc_integral
 from circlelab.weightfn import Weight, nu_grid
 
-from conftest import make_pair
+from conftest import make_pair, sin_kernel
 
 
 # ------------------------------------------------------------------ kernel
 
 def test_sin_kernel_values():
-    assert sin_kernel(4.0, 0.0) == 8.0
-    assert sin_kernel(1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert sin_kernel(2.0, 0.1) == pytest.approx(
+    # a 0-d u, as a form without monomials gives, returns a 0-d array
+    assert sin_kernel_grid(4.0, 0.0).shape == ()
+    assert sin_kernel_grid(4.0, 0.0) == 8.0
+    assert sin_kernel_grid(1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert sin_kernel_grid(2.0, 0.1) == pytest.approx(
         math.sin(0.4 * math.pi) / (0.1 * math.pi), abs=1e-12
     )
 
@@ -34,8 +35,8 @@ def test_sin_kernel_identities():
     for _ in range(500):
         R = rng.uniform(0.5, 16.0)
         u = rng.uniform(-4.0, 4.0)
-        k = sin_kernel(R, u)
-        assert k == pytest.approx(sin_kernel(R, -u), abs=1e-12)  # even
+        k, k_neg = sin_kernel_grid(R, np.array([u, -u]))
+        assert k == pytest.approx(k_neg, abs=1e-12)  # even
         assert abs(k) <= 2.0 * R + 1e-12
         if u != 0:
             assert abs(k) <= 1.0 / (math.pi * abs(u)) + 1e-12
@@ -44,16 +45,20 @@ def test_sin_kernel_identities():
 def test_sin_kernel_switch_continuity():
     # series and quotient branches agree at the switch point to 1e-12
     for R in (1.0, 4.0, 16.0):
-        below = sin_kernel(R, 1e-8 * (1 - 1e-9))
-        above = sin_kernel(R, 1e-8 * (1 + 1e-9))
+        below, above = sin_kernel_grid(R, np.array([1e-8 * (1 - 1e-9), 1e-8 * (1 + 1e-9)]))
         assert abs(below - above) < 1e-12
 
 
 def test_sin_kernel_grid_matches_scalar():
-    us = np.array([0.0, 1e-12, 1e-8, 0.3, -0.7])
-    grid = sin_kernel_grid(3.0, us)
-    for u, g in zip(us, grid):
-        assert g == pytest.approx(sin_kernel(3.0, float(u)), abs=1e-14)
+    # whatever the array's shape, strides and mix of series and quotient entries
+    rng = np.random.default_rng(71)
+    us = np.concatenate([[0.0, -0.0, 1e-12, -1e-12, 1e-8, -1e-8, 0.3, -0.7],
+                         rng.normal(size=300) * 10.0 ** rng.integers(-11, 2, size=300)])
+    for arr in (us, us[::3], us.reshape(-1, 2)):
+        grid = sin_kernel_grid(3.0, arr)
+        assert grid.shape == arr.shape
+        for u, g in zip(arr.ravel(), grid.ravel()):
+            assert g == pytest.approx(sin_kernel(3.0, float(u)), abs=1e-14)
 
 
 # ------------------------------------------------------- singular integral

@@ -1266,6 +1266,19 @@ def test_threads_do_not_change_output(problem_file, tmp_path):
     assert text_1 == text_4
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral", "--R", "1", "--tol", "1e-6"],
+    ["sum", "--mode", "integral", "--gamma3", "1.5", "--gamma2", "1", "--z", "1,-1,0.5",
+     "--tol", "1e-6"],
+], ids=["integral", "sum-integral"])
+def test_quadrature_output_does_not_depend_on_threads(nd3_file, tmp_path, argv):
+    argv = argv[:1] + ["--problem", nd3_file] + argv[1:]
+    code_1, text_1 = run_to_file(tmp_path, argv + ["--threads", "1"])
+    code_2, text_2 = run_to_file(tmp_path, argv + ["--threads", "2"])
+    assert code_1 == code_2 == 0
+    assert text_1 == text_2
+
+
 def test_seed_controls_grids(tmp_path):
     _, a = run_to_file(tmp_path, ["arcs", "--P", "50", "--grid", "2", "--seed", "1"])
     _, b = run_to_file(tmp_path, ["arcs", "--P", "50", "--grid", "2", "--seed", "1"])

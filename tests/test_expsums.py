@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab import expsums, gridsum
+from circlelab import expsums, gridsum, weightfn
 from circlelab.counting import weight_box
 from circlelab.expsums import (
     RationalApprox,
@@ -26,7 +26,8 @@ from circlelab.expsums import (
 )
 from circlelab.forms import separable_blocks
 from circlelab.util import CapExceededError
-from circlelab.weightfn import Weight, nu_grid, omega, omega_grid
+from circlelab.quadrature import axis_nodes_weights
+from circlelab.weightfn import Weight, nu_grid, omega, omega_grid, support_chunks
 
 from conftest import make_pair
 
@@ -106,7 +107,7 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
         assert weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=threads) == base
     # the 33^3 box at P = 40 exceeds one chunk of the support
     w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(expsums._support_chunks(w, 40, weight_box(w, 40))) > 1
+    assert len(support_chunks(w, 40, weight_box(w, 40))) > 1
     # a diagonal pair (three blocks), a pair with blocks {x1, x2} and {x3},
     # and a non-diagonal pair that is one block
     two_blocks = make_pair(3, {(1, 1, 1): 1, (1, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1})
@@ -197,7 +198,7 @@ def weyl_cases(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # supports outside (-1/2, 1/2)^n are fine here
         weight = Weight(tuple(center), xi)
-    chunk = draw(st.sampled_from([1, 5, 64, expsums.CHUNK]))
+    chunk = draw(st.sampled_from([1, 5, 64, weightfn.CHUNK]))
     alphas = draw(st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=3, max_size=3))
     return make_pair(n, cubic, quad), P, weight, chunk, alphas
 
@@ -206,7 +207,7 @@ def weyl_cases(draw):
 @given(weyl_cases())
 def test_weyl_sums_match_the_scalar_oracle(case):
     pair, P, weight, chunk, alphas = case
-    with patch.object(expsums, "CHUNK", chunk):
+    with patch.object(weightfn, "CHUNK", chunk):
         sums = weyl_sums(pair, P, weight, alphas)
         singles = [weyl_sum_direct(pair, P, weight, a3, a2) for a3, a2 in alphas]
     # one call for many alphas gives each alpha's sum bit for bit
@@ -231,7 +232,7 @@ def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
     assert separable_blocks(pair) == [(0, 2), (1,)]
     w = Weight((0.01, -0.01, 0.0), 0.4)
     alphas = [(0.3141, 0.2718), (-1.618, 0.5772), (2.5029, -0.6931)]
-    with patch.object(expsums, "CHUNK", chunk):
+    with patch.object(weightfn, "CHUNK", chunk):
         assert all(hi - lo + 1 == 11 for lo, hi in weight_box(w, 13))
         sums = weyl_sums(pair, 13, w, alphas)
         assert sums == [weyl_sum_direct(pair, 13, w, a3, a2) for a3, a2 in alphas]
@@ -240,38 +241,54 @@ def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
         assert abs(value - expected) <= 1e-12 * mass
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n),
-        st.floats(0.02, 0.45),
-        st.integers(1, 60),
-        st.sampled_from([1, 17, 300, expsums.CHUNK]),
-    ))
-)
-def test_support_chunks_cover_the_support(case):
-    # the chunks hold at most CHUNK points each, are disjoint, lie in the
-    # box and hold every lattice point where omega > 0
-    center, xi, P, chunk = case
+@st.composite
+def support_cases(draw):
+    """A weight, a chunk size and an index box whose index k on axis i
+    stands for origin_i + k/P: either the lattice box of P times the
+    support ball (no origin) or a slab of rows [lo, hi] of axis 0 of the
+    quadrature grid with m intervals per axis (origin c - xi, P = m/(2 xi)),
+    with the grid's own nodes as the points."""
+    n = draw(st.integers(1, 4))
+    center = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
+    xi = draw(st.floats(0.02, 0.45))
+    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         weight = Weight(tuple(center), xi)
-    box = weight_box(weight, P)
+    if draw(st.booleans()):
+        P = draw(st.integers(1, 60 if n < 4 else 12))
+        box = weight_box(weight, P)
+        points = [np.arange(lo, hi + 1) / P for lo, hi in box]
+        return weight, chunk, P, box, None, points
+    m = draw(st.integers(2, 64 if n < 4 else 16))
+    lo = draw(st.integers(0, m))
+    hi = draw(st.integers(lo, m))
+    box = [(lo, hi)] + [(0, m)] * (n - 1)
+    nodes = [axis_nodes_weights(c, xi, m)[0] for c in weight.center]
+    points = [x[a : b + 1] for x, (a, b) in zip(nodes, box)]
+    return weight, chunk, m / (2.0 * xi), box, [c - xi for c in weight.center], points
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_cases())
+def test_support_chunks_cover_the_support(case):
+    # the chunks hold at most CHUNK points each, lie in the box and cover
+    # every point of it where omega > 0 exactly once
+    weight, chunk, P, box, origin, points = case
     if any(lo > hi for lo, hi in box):
         return
     n = len(box)
-    axes = [np.arange(lo, hi + 1).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, (lo, hi) in enumerate(box)]
-    inside = omega_grid(weight, [a / P for a in axes]) > 0
-    with patch.object(expsums, "CHUNK", chunk):
-        subs = expsums._support_chunks(weight, P, box)
-    covered = np.zeros_like(inside)
+    axes = [x.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, x in enumerate(points)]
+    inside = omega_grid(weight, axes) > 0
+    with patch.object(weightfn, "CHUNK", chunk):
+        subs = support_chunks(weight, P, box, origin)
+    covered = np.zeros(inside.shape, dtype=int)
     for sub in subs:
         assert math.prod(hi - lo + 1 for lo, hi in sub) <= chunk
         assert all(blo <= lo <= hi <= bhi for (lo, hi), (blo, bhi) in zip(sub, box))
-        cell = tuple(slice(lo - blo, hi - blo + 1) for (lo, hi), (blo, _) in zip(sub, box))
-        assert not covered[cell].any()
-        covered[cell] = True
-    assert not (inside & ~covered).any()
+        covered[tuple(slice(lo - blo, hi - blo + 1) for (lo, hi), (blo, _) in zip(sub, box))] += 1
+    assert covered.max(initial=0) <= 1
+    assert covered[inside].all()
 
 
 def test_weyl_sums_charge_the_box_once(pair_n3):

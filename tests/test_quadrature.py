@@ -52,8 +52,24 @@ def test_contraction_matches_full_grid(monkeypatch, n):
     expected = full_grid_value(f, weight.center, weight.xi, M_INTERVALS)
     # slabs of 5 rows along axis 0: four slabs, the last one short
     monkeypatch.setattr(quadrature, "SLAB_POINTS", 5 * (M_INTERVALS + 1) ** (n - 1))
-    got = complex(grid_contract(f, weight.center, weight.xi, M_INTERVALS))
+    got = complex(grid_contract(f, weight, M_INTERVALS))
     assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("gammas", [(1.5, -2.0), (0.0, 0.0)])
+def test_one_slab_equals_the_full_grid_exactly(n, gammas):
+    # f is called on the support boxes only and the rest of the slab is 0,
+    # where the full grid holds omega's exact zeros times finite values;
+    # contracted the same way, the two agree bit for bit
+    pair, weight = _problem(n)
+
+    def f(axes):
+        return _smooth_phase(pair, weight, *gammas, axes, [0.7] * n)
+
+    assert (M_INTERVALS + 1) ** n <= quadrature.SLAB_POINTS
+    got = complex(grid_contract(f, weight, M_INTERVALS))
+    assert got == full_grid_value(f, weight.center, weight.xi, M_INTERVALS)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -67,7 +83,7 @@ def test_frequency_family_matches_full_grid(monkeypatch, n):
         return _smooth_phase(pair, weight, 1.5, -2.0, axes)
 
     monkeypatch.setattr(quadrature, "SLAB_POINTS", 5 * (M_INTERVALS + 1) ** (n - 1) * len(ks))
-    family = grid_contract(smooth, weight.center, weight.xi, M_INTERVALS, ks, 2.5)
+    family = grid_contract(smooth, weight, M_INTERVALS, ks, 2.5)
     assert family.shape == (len(ks),) * n
     for idx in itertools.product(range(len(ks)), repeat=n):
         k = [2.5 * ks[i] for i in idx]

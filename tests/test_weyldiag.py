@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelab import expsums, forms, gridsum, weyldiag
+from circlelab import expsums, forms, gridsum, weightfn, weyldiag
 from circlelab.counting import fit_log_power, weight_box
 from circlelab.forms import CubicForm, bilinear_forms, bilinear_matrix, gradient_cubic
 from circlelab.weightfn import Weight
@@ -208,6 +208,39 @@ def test_witness_requires_finite_height():
         alpha3_witness(0.3, 16.0, math.inf)
 
 
+def loop_witness(alpha3, P, t3, eps=0.05):
+    """(s, b3) of alpha3_witness by a Python loop over s, one at a time, the
+    incumbent replaced only by a strictly smaller objective."""
+    s_max = max(1, min(math.ceil(weyldiag.SOFT_CONSTANT * P**eps * t3**8), weyldiag.WITNESS_BUDGET))
+    best = None
+    for s in range(1, s_max + 1):
+        if best is not None and s > best[0]:
+            break
+        objective = s + P**3 * abs(s * alpha3 - round(s * alpha3))
+        if best is None or objective < best[0]:
+            best = (objective, s, round(s * alpha3))
+    _, s, b3 = best
+    g = math.gcd(s, abs(b3)) if b3 else s
+    return s // g, b3 // g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.tuples(st.integers(0, 60), st.integers(1, 60), st.sampled_from([0.0, 1e-9, -3e-7, 2.0**-30]))
+        .map(lambda t: t[0] / t[1] + t[2]),
+    ),
+    st.floats(1.0, 1000.0),
+    st.floats(1.0, 4.5),
+)
+# the best objective sits past the first block of Q_BLOCK denominators
+@example(0.5 ** 0.5, 1000.0, 4.0)
+def test_witness_blocks_match_the_loop(alpha3, P, t3):
+    wit = alpha3_witness(alpha3, P, t3)
+    assert (wit.s, wit.b3) == loop_witness(alpha3, P, t3)
+
+
 # ---------------------------------------------------------------- grid scan
 
 def test_minor_arc_scan_rows(pair_line):
@@ -258,7 +291,7 @@ def test_minor_arc_scan_thread_determinism(pair_n3):
         cubic_nonsingular=True,
     )
     w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(expsums._support_chunks(w, 40, weight_box(w, 40))) > 1
+    assert len(weightfn.support_chunks(w, 40, weight_box(w, 40))) > 1
     rows = minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=1)
     for threads in (2, 3):
         assert minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=threads) == rows
