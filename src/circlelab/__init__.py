@@ -13,22 +13,19 @@ from .forms import (
     FormPair,
     QuadraticForm,
     Signature,
-    bilinear_forms,
     eval_cubic,
     eval_quadratic,
     gradient_cubic,
     gradient_quadratic,
     h_parameter,
     hypothesis_report,
-    rank_quadratic,
     signature_quadratic,
     smooth_point_test,
 )
 from .weightfn import Weight, nu, omega
-from .counting import count_box, count_weighted, enumerate_solutions, growth_fit
+from .counting import count_weighted, enumerate_solutions
 from .expsums import (
     RationalApprox,
-    ThetaHeight,
     complete_sum,
     osc_integral,
     poisson_reconstruct,
@@ -43,7 +40,7 @@ from .localdens import (
     q_factorization,
     singular_series_truncated,
 )
-from .archimedean import main_term, major_arc_approx_check, singular_integral_truncated
+from .archimedean import main_term, singular_integral_truncated
 from .weyldiag import alpha3_witness, count_bilinear, heights_from_sum, minor_arc_scan
 from .util import CapExceededError, InvariantError
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import RationalApprox, complete_sum, osc_integral, weyl_sum_direct
 from .forms import FormPair, eval_cubic, eval_quadratic
 from .localdens import singular_series_truncated
 from .quadrature import QuadResult, tensor_integral
@@ -27,16 +26,12 @@ from .weightfn import Weight, omega_grid
 __all__ = [
     "sin_kernel_grid",
     "singular_integral_truncated",
-    "major_arc_approx_check",
-    "MajorArcCheck",
     "main_term",
     "MainTerm",
 ]
 
 # below this |u| the kernel switches to its even power series in u
 _SERIES_SWITCH = 1e-8
-# soft pass bound on the major-arc replacement error, in units of its scale
-RATIO_BOUND = 50.0
 
 
 def sin_kernel_grid(R: float, u: np.ndarray) -> np.ndarray:
@@ -77,50 +72,6 @@ def singular_integral_truncated(
 
     res = tensor_integral(f, weight, tol, cap=cap)
     return QuadResult(float(res.value.real), res.error, res.level)
-
-
-@dataclass(frozen=True)
-class MajorArcCheck:
-    lhs: complex
-    main: complex
-    error: float
-    scale: float
-    ratio: float
-    ok: bool
-
-
-def major_arc_approx_check(
-    pair: FormPair,
-    weight: Weight,
-    P: float,
-    approx: RationalApprox,
-    tol: float = 1e-8,
-    cap: int = DEFAULT_CAP,
-) -> MajorArcCheck:
-    """Compare the direct sum against its major-arc main term.
-
-    main = q^{-n} P^n S(a, q) I(theta3 P^3, theta2 P^2; 0); the replacement
-    error is measured against the scale q P^{n-1} + |theta3| q P^{n+2}
-    + |theta2| q P^{n+1}, with a soft pass flag at ratio <= RATIO_BOUND.
-    """
-    n = pair.n
-    q = approx.q
-    lhs = weyl_sum_direct(pair, P, weight, approx.alpha3, approx.alpha2, cap=cap)
-    s_aq = complete_sum(pair, q, approx.a3, approx.a2, [0] * n, cap=cap)
-    integral = osc_integral(
-        pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=tol, cap=cap
-    )
-    main = P**n / q**n * s_aq * integral.value
-    error = abs(lhs - main)
-    scale = (
-        q * P ** (n - 1)
-        + abs(approx.theta3) * q * P ** (n + 2)
-        + abs(approx.theta2) * q * P ** (n + 1)
-    )
-    floor = 1e-9 * P**n
-    ratio = error / scale
-    ok = error <= floor or ratio <= RATIO_BOUND
-    return MajorArcCheck(lhs, main, error, scale, ratio, ok)
 
 
 @dataclass(frozen=True)

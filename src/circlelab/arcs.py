@@ -11,7 +11,15 @@ rationals, so nothing is lost).
 
 Major arcs are the boxes |alpha_i - a_i/q| <= P^{-i+delta} around rationals
 with q <= P^delta; everything is taken mod 1 with a_i normalized to [1, q]
-and theta measured as the wrapped (torus) difference.
+and theta measured as the wrapped (torus) difference.  For delta in
+(0, 1/3) they are pairwise disjoint: two distinct centres differ by at
+least 1/(q q') >= P^{-2 delta} in some coordinate i, while boxes overlap
+there only within 2 P^{-i+delta} <= 2 P^{-2+delta}, which is smaller once
+P^{2-3 delta} > 2, so for every P >= 2; below 2 only the q = 1 arc exists.
+
+Every scan here charges the moduli it screens to a work cap: the two
+P^delta loops charge floor(P^delta) before they start, and the pigeonhole
+search stops at q = cap.
 """
 
 from __future__ import annotations
@@ -22,16 +30,13 @@ from fractions import Fraction
 import numpy as np
 
 from .expsums import RationalApprox
-from .util import DEFAULT_CAP, InvariantError, check_cap, jordan_totient2
+from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, jordan_totient2
 
 __all__ = [
     "q3q2",
     "simultaneous_approx",
-    "verify_approx",
     "major_arc_test",
     "major_arc_measure",
-    "major_arc_centers",
-    "major_arcs_disjoint",
     "jittered_grid",
     "DEFAULT_DELTA",
 ]
@@ -40,17 +45,20 @@ DEFAULT_DELTA = 1.0 / 7.0
 
 
 def floor_power(P: float, num: int, den: int) -> int:
-    """Exact floor(P^(num/den)) for real P >= 1 (P read as an exact rational)."""
+    """Exact floor(P^(num/den)) for real P >= 1 (P read as an exact rational).
+
+    An integer k has k^den <= P^num exactly when k^den <= x = floor(P^num),
+    so this is the integer den-th root of x, by Newton's iteration from
+    above; no float power is formed, so no P overflows."""
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    frac_p = Fraction(P)
-    k = int(P ** (num / den))
-    # fix up float error at perfect-power boundaries: k <= P^(num/den) < k+1
-    while Fraction(k + 1) ** den <= frac_p**num:
-        k += 1
-    while k >= 1 and Fraction(k) ** den > frac_p**num:
-        k -= 1
-    return max(k, 0)
+    x = math.floor(Fraction(P) ** num)
+    k = 1 << -(-x.bit_length() // den)
+    while True:
+        step = ((den - 1) * k + x // k ** (den - 1)) // den
+        if step >= k:
+            return k
+        k = step
 
 
 def q3q2(P: float) -> tuple[int, int]:
@@ -127,7 +135,9 @@ def _check_modulus(
     return RationalApprox(q, a3, a2, _torus_theta(alpha3, a3, q), _torus_theta(alpha2, a2, q))
 
 
-def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> RationalApprox:
+def simultaneous_approx(
+    alpha3: float, alpha2: float, Q3: int, Q2: int, cap: int = DEFAULT_CAP
+) -> RationalApprox:
     """Smallest q <= Q3 Q2 with |alpha_i - a_i/q| <= 1/(q Q_i) and coprime data.
 
     The moduli are screened Q_BLOCK at a time: a q stays a candidate while
@@ -136,16 +146,20 @@ def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> Ratio
     covers, so every q that passes the exact check is a candidate.  The
     candidates then go, in ascending order, through the exact verification.
 
-    Existence is a pigeonhole guarantee; failure of the scan indicates a bug,
-    not bad input, and raises InvariantError.
+    The scan screens no q beyond cap: if none up to cap qualifies while
+    Q3 Q2 > cap, CapExceededError.  The worst case Q3 Q2 is not charged up
+    front, since the smallest q of a random point averages about Q3 Q2 / 5.
+    Existence is a pigeonhole guarantee; failure of a scan that reached
+    Q3 Q2 indicates a bug, not bad input, and raises InvariantError.
     """
     if Q3 < 1 or Q2 < 1:
         raise ValueError("cutoffs must be positive integers")
     alpha3 = _normalize_unit(alpha3)
     alpha2 = _normalize_unit(alpha2)
     qmax = Q3 * Q2
-    for lo in range(1, qmax + 1, Q_BLOCK):
-        hi = min(lo + Q_BLOCK - 1, qmax)
+    last = min(qmax, cap)
+    for lo in range(1, last + 1, Q_BLOCK):
+        hi = min(lo + Q_BLOCK - 1, last)
         slack = 1e-9 + hi * 2.0**-50
         qs = np.arange(lo, hi + 1, dtype=np.float64)
         qs = _screen(_screen(qs, alpha3, Q3, slack), alpha2, Q2, slack)
@@ -153,41 +167,34 @@ def simultaneous_approx(alpha3: float, alpha2: float, Q3: int, Q2: int) -> Ratio
             approx = _check_modulus(alpha3, alpha2, Q3, Q2, int(q))
             if approx is not None:
                 return approx
+    if qmax > cap:
+        raise CapExceededError(
+            f"pigeonhole scan: no q <= {cap} qualifies, and Q3 Q2 = {qmax} exceeds cap {cap}"
+        )
     raise InvariantError(
         "pigeonhole guarantee violated; simultaneous approximation scan is buggy"
     )
 
 
-def verify_approx(
-    alpha3: float, alpha2: float, Q3: int, Q2: int, approx: RationalApprox
-) -> bool:
-    """Exact check of the three defining constraints of the approximation."""
-    if approx.q > Q3 * Q2:
-        return False
-    if math.gcd(approx.q, math.gcd(approx.a3, approx.a2)) != 1:
-        return False
-    a3_ok = _exact_torus_bound(
-        _normalize_unit(alpha3), approx.a3, approx.q, Fraction(1, approx.q * Q3)
-    )
-    a2_ok = _exact_torus_bound(
-        _normalize_unit(alpha2), approx.a2, approx.q, Fraction(1, approx.q * Q2)
-    )
-    return a3_ok and a2_ok
-
-
 def major_arc_test(
-    alpha3: float, alpha2: float, P: float, delta: float = DEFAULT_DELTA
+    alpha3: float,
+    alpha2: float,
+    P: float,
+    delta: float = DEFAULT_DELTA,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """Membership of (alpha3, alpha2) mod 1 in the union of major arcs.
 
-    Scans all moduli q <= P^delta; for each q only the nearest numerators can
-    qualify since the arc half-widths are below 1/(2q).  Returns the witness
-    (q, a3, a2) of the first (smallest-q) containing arc.
+    Scans all moduli q <= P^delta, charged to cap first; for each q only the
+    nearest numerators can qualify since the arc half-widths are below
+    1/(2q).  Returns the witness (q, a3, a2) of the first (smallest-q)
+    containing arc.
     """
     _check_delta(delta)
     alpha3 = _normalize_unit(alpha3)
     alpha2 = _normalize_unit(alpha2)
     qmax = _delta_cutoff(P, delta)
+    check_cap(qmax, cap, "major arc moduli q <= P^delta")
     for q in range(1, qmax + 1):
         a3 = _nearest_numerator(q, alpha3)
         a2 = _nearest_numerator(q, alpha2)
@@ -200,40 +207,17 @@ def major_arc_test(
     return False, None
 
 
-def major_arc_measure(P: float, delta: float = DEFAULT_DELTA) -> float:
+def major_arc_measure(P: float, delta: float = DEFAULT_DELTA, cap: int = DEFAULT_CAP) -> float:
     """Total area of the major arc boxes, ignoring overlap.
 
     Each coprime pair contributes a (2 P^{-3+delta}) x (2 P^{-2+delta}) box;
     the number of coprime numerator pairs mod q is the Jordan totient J_2(q).
+    The moduli q <= P^delta are charged to cap first.
     """
     qmax = _delta_cutoff(P, delta)
+    check_cap(qmax, cap, "major arc moduli q <= P^delta")
     pairs = sum(jordan_totient2(q) for q in range(1, qmax + 1))
     return pairs * 4.0 * P ** (-5 + 2 * delta)
-
-
-def major_arc_centers(P: float, delta: float = DEFAULT_DELTA) -> list[tuple[int, int, int]]:
-    """All (q, a3, a2) with q <= P^delta and gcd(q, gcd(a3, a2)) = 1."""
-    qmax = _delta_cutoff(P, delta)
-    out = []
-    for q in range(1, qmax + 1):
-        for a3 in range(1, q + 1):
-            for a2 in range(1, q + 1):
-                if math.gcd(q, math.gcd(a3, a2)) == 1:
-                    out.append((q, a3, a2))
-    return out
-
-
-def major_arcs_disjoint(P: float, delta: float = DEFAULT_DELTA) -> bool:
-    """Whether the major arc boxes are pairwise disjoint mod 1: always, for
-    the legal delta in (0, 1/3).
-
-    Two distinct centres a/q, a'/q' differ by at least 1/(q q') >= P^{-2 delta}
-    in some coordinate i in {3, 2}, while boxes around them overlap there only
-    within 2 P^{-i+delta} <= 2 P^{-2+delta}.  P^{-2 delta} > 2 P^{-2+delta} holds once
-    P^{2-3 delta} > 2, so for every P >= 2; below 2 only the q = 1 arc exists.
-    """
-    _check_delta(delta)
-    return True
 
 
 def jittered_grid(k: int, seed: int, cap: int = DEFAULT_CAP) -> list[tuple[float, float]]:

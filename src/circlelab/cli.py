@@ -446,7 +446,7 @@ def _cmd_sum(args) -> tuple[object, str]:
             "theta3": theta3,
             "theta2": theta2,
             "M": args.M,
-            "theta_height": expsums.theta_height(approx, args.P).value,
+            "theta_height": expsums.theta_height(approx, args.P),
         }
     elif mode == "integral":
         z = _parse_float_list(args.z) if args.z else [0.0] * pair.n
@@ -466,9 +466,11 @@ def _cmd_arcs(args) -> tuple[object, str]:
     if args.grid is None:
         if args.alpha3 is None or args.alpha2 is None:
             raise ValueError("arcs needs either --alpha3/--alpha2 or --grid")
-        is_major, witness = arcs_mod.major_arc_test(args.alpha3, args.alpha2, args.P, args.delta)
+        is_major, witness = arcs_mod.major_arc_test(
+            args.alpha3, args.alpha2, args.P, args.delta, cap=args.cap
+        )
         Q3, Q2 = arcs_mod.q3q2(args.P)
-        approx = arcs_mod.simultaneous_approx(args.alpha3, args.alpha2, Q3, Q2)
+        approx = arcs_mod.simultaneous_approx(args.alpha3, args.alpha2, Q3, Q2, cap=args.cap)
         report = {
             "P": args.P,
             "delta": args.delta,
@@ -483,14 +485,14 @@ def _cmd_arcs(args) -> tuple[object, str]:
                 "theta3": approx.theta3,
                 "theta2": approx.theta2,
             },
-            "measure": arcs_mod.major_arc_measure(args.P, args.delta),
+            "measure": arcs_mod.major_arc_measure(args.P, args.delta, cap=args.cap),
         }
         return report, "json"
     Q3, Q2 = arcs_mod.q3q2(args.P)
     rows = []
     for a3, a2 in arcs_mod.jittered_grid(args.grid, args.seed, cap=args.cap):
-        is_major, witness = arcs_mod.major_arc_test(a3, a2, args.P, args.delta)
-        approx = arcs_mod.simultaneous_approx(a3, a2, Q3, Q2)
+        is_major, witness = arcs_mod.major_arc_test(a3, a2, args.P, args.delta, cap=args.cap)
+        approx = arcs_mod.simultaneous_approx(a3, a2, Q3, Q2, cap=args.cap)
         rows.append(
             {
                 "alpha3": a3,

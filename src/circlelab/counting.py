@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .forms import FormPair, eval_cubic
@@ -31,12 +30,8 @@ from .weightfn import Weight, omega
 
 __all__ = [
     "enumerate_solutions",
-    "count_box",
     "count_weighted",
     "weighted_sum",
-    "growth_fit",
-    "fit_log_power",
-    "GrowthFit",
     "weight_box",
 ]
 
@@ -103,10 +98,6 @@ def enumerate_solutions(
                     yield x
 
 
-def count_box(pair: FormPair, box: Box) -> int:
-    return sum(1 for _ in enumerate_solutions(pair, box))
-
-
 def weight_box(weight: Weight, P: float) -> list[tuple[int, int]]:
     """Integer box circumscribing P times the support ball of the weight (finite P >= 1)."""
     if not math.isfinite(P):
@@ -136,41 +127,3 @@ def count_weighted(pair: FormPair, P: float, weight: Weight, cap: int = DEFAULT_
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
     return weighted_sum(enumerate_solutions(pair, box, cap), P, weight)
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    slope: float
-    intercept: float
-    residual: float
-
-
-def fit_log_power(p_values: Sequence[float], counts: Sequence[float]) -> GrowthFit:
-    """Least-squares slope of log(count) against log(P)."""
-    if len(p_values) != len(counts):
-        raise ValueError("P list and count list differ in length")
-    if len(p_values) < 3:
-        raise ValueError("need at least 3 values of P for a growth fit")
-    if any(c <= 0 for c in counts):
-        raise ValueError("insufficient nonzero counts for a growth fit")
-    xs = [math.log(p) for p in p_values]
-    ys = [math.log(c) for c in counts]
-    k = len(xs)
-    mx = math.fsum(xs) / k
-    my = math.fsum(ys) / k
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("P values must not all coincide")
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    resid = math.sqrt(
-        math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / k
-    )
-    return GrowthFit(slope, intercept, resid)
-
-
-def growth_fit(pair: FormPair, weight: Weight, p_values: Sequence[float]) -> GrowthFit:
-    """Fit the growth exponent of the weighted count over an ascending P grid."""
-    counts = [count_weighted(pair, P, weight) for P in p_values]
-    return fit_log_power(p_values, counts)

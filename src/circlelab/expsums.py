@@ -48,7 +48,6 @@ from .weightfn import Weight, omega_grid, support_chunks
 
 __all__ = [
     "RationalApprox",
-    "ThetaHeight",
     "CrtFactor",
     "theta_height",
     "default_truncation",
@@ -94,24 +93,22 @@ class RationalApprox:
         return self.a2 / self.q + self.theta2
 
 
-@dataclass(frozen=True)
-class ThetaHeight:
-    """Height 1 + |theta3| P^3 + |theta2| P^2 of an arc datum."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 1.0:
-            raise ValueError("height is always >= 1")
+def _power(x: float, k: int, name: str) -> float:
+    """x**k as a float; one that overflows is a ValueError naming x."""
+    try:
+        return x**k
+    except OverflowError:
+        raise ValueError(f"{name} = {x} is too large: {name}**{k} overflows a float") from None
 
 
-def theta_height(approx: RationalApprox, P: float) -> ThetaHeight:
-    return ThetaHeight(1.0 + abs(approx.theta3) * P**3 + abs(approx.theta2) * P**2)
+def theta_height(approx: RationalApprox, P: float) -> float:
+    """Height 1 + |theta3| P^3 + |theta2| P^2 of an arc datum, always >= 1."""
+    return 1.0 + abs(approx.theta3) * _power(P, 3, "P") + abs(approx.theta2) * _power(P, 2, "P")
 
 
 def default_truncation(approx: RationalApprox, P: float) -> int:
     """Default m-sum radius: past |m| ~ q*Theta/P the integrals are negligible."""
-    theta = theta_height(approx, P).value
+    theta = theta_height(approx, P)
     return math.ceil(4.0 * approx.q * theta / P) + 8
 
 
@@ -376,6 +373,8 @@ def crt_decomposition(
     """
     if isinstance(m, int):
         m = [m] * pair.n
+    if len(m) != pair.n:
+        raise ValueError(f"m has length {len(m)}, expected {pair.n}")
     parts = factorize(q)
     check_cap(sum(p ** (e * pair.n) for p, e in parts), cap, f"residue grids mod {len(parts)} prime powers")
     factors = []
@@ -460,7 +459,8 @@ def poisson_reconstruct(
     integrals shares one alias-resolved quadrature grid whose resolution is
     doubled until the total stabilizes to POISSON_REL_TOL.  The residue
     grid q^n, the m-grid (2M+1)^n and each quadrature grid are charged to
-    cap; refinement ends at the cap.
+    cap; refinement ends at the cap.  A P whose powers P^3 or (P/q)^n
+    overflow a float is a ValueError.
     """
     if M < 0:
         raise ValueError("truncation radius M must be >= 0")
@@ -472,8 +472,9 @@ def poisson_reconstruct(
 
     # scan() runs coordinate 1 fastest, hence the Fortran-order reshape
     t = np.concatenate(scan(pair, q, phases, cap)).reshape((q,) * n, order="F")
-    gamma3 = approx.theta3 * P**3
-    gamma2 = approx.theta2 * P**2
+    gamma3 = approx.theta3 * _power(P, 3, "P")
+    gamma2 = approx.theta2 * _power(P, 2, "P")
+    scale = _power(P / q, n, "(P/q)")
     f = np.exp(2j * np.pi * t / q)
     sums_mod = q**n * np.fft.ifftn(f)
 
@@ -493,7 +494,7 @@ def poisson_reconstruct(
     while True:
         check_cap((grid_n + 1) ** n, cap, f"poisson quadrature grid {grid_n + 1}^{n}")
         tensor = grid_contract(smooth, weight, grid_n, ms, freq_step)
-        total = (P / q) ** n * complex(np.sum(sums_big * tensor))
+        total = scale * complex(np.sum(sums_big * tensor))
         if prev is not None and abs(total - prev) <= POISSON_REL_TOL * (1.0 + abs(total)):
             return total
         prev = total

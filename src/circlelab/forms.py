@@ -30,10 +30,8 @@ __all__ = [
     "int64_bound",
     "minor_bound",
     "bilinear_matrix",
-    "bilinear_forms",
     "gradient_cubic",
     "gradient_quadratic",
-    "rank_quadratic",
     "signature_quadratic",
     "smooth_point_test",
     "jacobian_minors",
@@ -265,16 +263,6 @@ def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:
     return m
 
 
-def bilinear_forms(cubic: CubicForm, x: Sequence, y: Sequence) -> list:
-    """The n bilinear forms B_i(x; y) = 3! sum_{j,k} c_ijk x_j y_k = (M(x) y)_i.
-
-    Exact integers for integer input; B_i(x; y) = B_i(y; x) by symmetry of
-    the tensor, and sum_i x_i B_i(x; x) = 6 C(x).
-    """
-    _check_vector(cubic.n, y)
-    return [sum(mik * yk for mik, yk in zip(row, y)) for row in bilinear_matrix(cubic, x)]
-
-
 def gradient_cubic(cubic: CubicForm, x: Sequence) -> list:
     """Exact gradient of the cubic at x."""
     n = cubic.n
@@ -308,11 +296,6 @@ def gradient_quadratic(quadric: QuadraticForm, x: Sequence) -> list:
             out[i - 1] += coeff * x[j - 1]
             out[j - 1] += coeff * x[i - 1]
     return out
-
-
-def rank_quadratic(quadric: QuadraticForm) -> int:
-    """Rank of the Gram matrix over the rationals, r + s of the exact signature."""
-    return signature_quadratic(quadric).rank
 
 
 def signature_quadratic(quadric: QuadraticForm) -> Signature:

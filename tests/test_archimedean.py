@@ -6,16 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from circlelab.archimedean import (
-    main_term,
-    major_arc_approx_check,
-    sin_kernel_grid,
-    singular_integral_truncated,
-)
+from circlelab.archimedean import main_term, sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import RationalApprox, osc_integral
 from circlelab.weightfn import Weight, nu_grid
 
-from conftest import make_pair, sin_kernel
+from conftest import fit_log_power, major_arc_approx_check, make_pair, sin_kernel
 
 
 # ------------------------------------------------------------------ kernel
@@ -194,8 +189,6 @@ def test_main_term_n2_computable(pair_line, broad_weight):
 def test_osc_integral_decay_scan(capsys):
     # |I(gamma3, 0; 0)| should decay as the cubic phase speeds up; the
     # fitted exponent is only soft-checked (negative), constants are logged
-    from circlelab.counting import fit_log_power
-
     pair = make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1})
     w = Weight((0.25,), 0.2)
     gammas = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]

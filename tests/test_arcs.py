@@ -16,15 +16,15 @@ from circlelab.arcs import (
     _torus_theta,
     floor_power,
     jittered_grid,
-    major_arc_centers,
     major_arc_measure,
     major_arc_test,
-    major_arcs_disjoint,
     q3q2,
     simultaneous_approx,
-    verify_approx,
 )
 from circlelab.expsums import RationalApprox
+from circlelab.util import CapExceededError
+
+from conftest import disjoint_oracle, verify_approx
 
 
 def oracle_approx(alpha3, alpha2, Q3, Q2):
@@ -72,25 +72,6 @@ def scalar_approx(alpha3, alpha2, Q3, Q2):
     raise AssertionError("scalar scan found no q: pigeonhole violated")
 
 
-def disjoint_oracle(P, delta):
-    """Exact pairwise comparison of the major arc boxes mod 1, any delta."""
-    centers = major_arc_centers(P, delta)
-    # box half-widths are P^{-i+delta}; centre distances are exact rationals
-    h3 = Fraction(2 * P ** (-3 + delta))
-    h2 = Fraction(2 * P ** (-2 + delta))
-    for idx, (q, a3, a2) in enumerate(centers):
-        for (qq, b3, b2) in centers[idx + 1 :]:
-            d3 = Fraction(a3, q) - Fraction(b3, qq)
-            d3 -= round(d3)
-            d2 = Fraction(a2, q) - Fraction(b2, qq)
-            d2 -= round(d2)
-            if d3 == 0 and d2 == 0:
-                continue  # same centre mod 1, identical arc
-            if abs(d3) <= h3 and abs(d2) <= h2:
-                return False
-    return True
-
-
 def test_q3q2_examples():
     assert q3q2(1) == (1, 1)
     assert q3q2(100) == (464, 4)
@@ -103,6 +84,19 @@ def test_floor_power_boundary_exactness():
         assert floor_power(base, 1, 3) == round(base ** (1 / 3))
     assert floor_power(128, 1, 7) == 2
     assert floor_power(127.999, 1, 7) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.floats(1.0, 1e300), st.integers(1, 10**6).map(float)),
+    st.sampled_from([(4, 3), (1, 3), (1, 7), (2, 7), (1, 1)]),
+)
+def test_floor_power_brackets_the_exact_power(P, exponent):
+    # exact in rationals, and no overflow up to P = 1e300, where P^{4/3}
+    # is beyond the largest float
+    num, den = exponent
+    k = floor_power(P, num, den)
+    assert Fraction(k) ** den <= Fraction(P) ** num < Fraction(k + 1) ** den
 
 
 def test_simultaneous_approx_exact_rationals():
@@ -205,23 +199,16 @@ def test_major_arc_measure_monotone_in_delta():
 
 def test_major_arcs_disjoint():
     for P in (50.0, 100.0, 200.0, 1000.0):
-        assert major_arcs_disjoint(P, 1.0 / 7.0) and disjoint_oracle(P, 1.0 / 7.0)
+        assert disjoint_oracle(P, 1.0 / 7.0)
     # sanity of the overlap detector itself: widths outside the legal delta
     # range make (2,1,1) and (2,1,2) collide in the alpha2 coordinate
     assert not disjoint_oracle(3.0, 0.9)
-    with pytest.raises(ValueError):
-        major_arcs_disjoint(3.0, 0.9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1.0, 400.0), st.floats(0.01, 0.33))
 def test_major_arcs_disjoint_vs_oracle(P, delta):
-    assert major_arcs_disjoint(P, delta) and disjoint_oracle(P, delta)
-
-
-def test_major_arc_centers_coprime():
-    for q, a3, a2 in major_arc_centers(200.0, 1.0 / 7.0):
-        assert math.gcd(q, math.gcd(a3, a2)) == 1
+    assert disjoint_oracle(P, delta)
 
 
 def test_delta_validation():
@@ -256,11 +243,28 @@ def test_simultaneous_approx_matches_scalar_scan(alpha3, alpha2, cutoffs):
 
 @pytest.mark.parametrize("b", [Q_BLOCK - 1, Q_BLOCK, Q_BLOCK + 1])
 def test_simultaneous_approx_at_block_edges(b):
-    # ||q/b|| >= 1/b > 1/Q3 for every q < b, so the smallest modulus is b
+    # ||q/b|| >= 1/b > 1/Q3 for every q < b, so the smallest modulus is b;
+    # a cap of b screens it, and a cap of b - 1 stops the scan short of it
     Q3, Q2 = Q_BLOCK + 100, 1
     ap = simultaneous_approx(1.0 / b, 0.3, Q3, Q2)
     assert ap.q == b
     assert ap == scalar_approx(1.0 / b, 0.3, Q3, Q2)
+    assert simultaneous_approx(1.0 / b, 0.3, Q3, Q2, cap=b) == ap
+    message = f"^pigeonhole scan: no q <= {b - 1} qualifies, and Q3 Q2 = {Q3} exceeds cap {b - 1}$"
+    with pytest.raises(CapExceededError, match=message):
+        simultaneous_approx(1.0 / b, 0.3, Q3, Q2, cap=b - 1)
+
+
+def test_major_arc_scans_charge_their_moduli():
+    # floor(10^7^{1/7}) = 10 moduli q <= P^delta
+    P, delta = 1e7, 1.0 / 7.0
+    assert major_arc_test(0.1, 0.2, P, delta, cap=10) == major_arc_test(0.1, 0.2, P, delta)
+    assert major_arc_measure(P, delta, cap=10) == major_arc_measure(P, delta)
+    message = r"^major arc moduli q <= P\^delta: 10 elements exceeds cap 9$"
+    with pytest.raises(CapExceededError, match=message):
+        major_arc_test(0.1, 0.2, P, delta, cap=9)
+    with pytest.raises(CapExceededError, match=message):
+        major_arc_measure(P, delta, cap=9)
 
 
 def test_simultaneous_approx_beyond_first_block_at_p250():

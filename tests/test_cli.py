@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -1032,10 +1033,61 @@ def test_integral_runs_in_five_dimensions(tmp_path):
 
 
 def test_arcs_grid_honours_the_cap(tmp_path, capsys):
+    # the grid's k^2 points are charged first, then each point's pigeonhole
+    # scan, which screens the moduli up to its q: at most 189 on this grid
     argv = ["arcs", "--P", "50", "--grid", "3", "--seed", "4"]
-    assert run_to_file(tmp_path, argv + ["--cap", "9"]) == (0, ARCS_GRID3_SEED4)
+    assert run_to_file(tmp_path, argv + ["--cap", "189"]) == (0, ARCS_GRID3_SEED4)
+    assert run(argv + ["--cap", "188"]) == 3
+    assert capsys.readouterr().err == (
+        "error: pigeonhole scan: no q <= 188 qualifies, and Q3 Q2 = 552 exceeds cap 188\n"
+    )
     assert run(argv + ["--cap", "8"]) == 3
     assert capsys.readouterr().err == "error: grid 3^2: 9 elements exceeds cap 8\n"
+    # at P = 2 every pigeonhole q is at most Q3 Q2 = 2, so the grid binds
+    argv = ["arcs", "--P", "2", "--grid", "2"]
+    assert run_to_file(tmp_path, argv + ["--cap", "4"])[0] == 0
+    assert run(argv + ["--cap", "3"]) == 3
+    assert capsys.readouterr().err == "error: grid 2^2: 4 elements exceeds cap 3\n"
+
+
+# 0.1234567 and 0.7654321 are within float rounding of a/10^7: from P = 10^5
+# to 10^7 the smallest pigeonhole modulus is q = 10^7, while at P = 10^8,
+# where Q3 Q2 is about 2.2e13, no q up to the default cap 10^8 qualifies
+ALPHAS_1E7 = ["--alpha3", "0.1234567", "--alpha2", "0.7654321"]
+
+
+def test_pigeonhole_scan_stops_at_the_cap(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["arcs", "--P", "1e8"] + ALPHAS_1E7) == 3
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == ("", (
+        "error: pigeonhole scan: no q <= 100000000 qualifies, "
+        "and Q3 Q2 = 21536972187904 exceeds cap 100000000\n"
+    ))
+    code, text = run_to_file(tmp_path, ["arcs", "--P", "1e5"] + ALPHAS_1E7)
+    assert code == 0
+    assert json.loads(text)["pigeonhole"]["q"] == 10**7
+    assert run(["arcs", "--P", "1e5", "--cap", "1000000"] + ALPHAS_1E7) == 3
+    assert "exceeds cap 1000000" in capsys.readouterr().err
+
+
+# P^{4/3} in the Dirichlet cutoffs and P^3 in the Poisson phases are beyond
+# the largest float at P = 1e300; floor(P^delta) is about 7e42 moduli
+@pytest.mark.parametrize("argv,code,message", [
+    (["arcs", "--P", "1e300", "--grid", "2"], 3,
+     "major arc moduli q <= P^delta: 7196856730011520253269183849678755991016964 elements "
+     "exceeds cap 100000000"),
+    (["weyl-scan", "--P", "1e300", "--grid", "1"], 3, "error: lattice box: "),
+    (["sum", "--mode", "poisson", "--P", "1e300", "--q", "2", "--a3", "1", "--a2", "1",
+      "--M", "0"], 2, "P = 1e+300 is too large: P**3 overflows a float"),
+])
+def test_huge_sizes_are_refused_with_a_message(problem_file, capsys, argv, code, message):
+    if argv[0] != "arcs":
+        argv = argv[:1] + ["--problem", problem_file] + argv[1:]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k", ["-3", "0"])
@@ -1169,6 +1221,15 @@ def test_local_refuses_a_prime_whose_square_overflows(tmp_path):
 def test_series_needs_a_positive_truncation(problem_file, capsys, argv):
     assert run(argv[:1] + ["--problem", problem_file] + argv[1:]) == 2
     assert capsys.readouterr() == ("", "error: R must be a positive integer\n")
+
+
+@pytest.mark.parametrize("q", ["1", "12"])
+@pytest.mark.parametrize("mode", ["complete", "crt"])
+def test_sum_needs_an_m_of_length_n(problem_file, capsys, mode, q):
+    argv = ["sum", "--problem", problem_file, "--mode", mode,
+            "--q", q, "--a3", "1", "--a2", "1", "--m", "1,2,3"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: m has length 3, expected 2\n")
 
 
 @pytest.mark.parametrize("mode", ["complete", "crt"])

@@ -8,18 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.counting import (
-    count_box,
-    count_weighted,
-    enumerate_solutions,
-    fit_log_power,
-    growth_fit,
-    weight_box,
-)
+from circlelab.counting import count_weighted, enumerate_solutions, weight_box
 from circlelab.forms import eval_cubic, eval_quadratic
 from circlelab.weightfn import Weight, omega
 
-from conftest import make_pair
+from conftest import fit_log_power, make_pair
 
 
 def brute_solutions(pair, box):
@@ -94,11 +87,6 @@ def test_enumeration_matches_brute_force(pair_box):
     assert list(enumerate_solutions(pair, box)) == brute_solutions(pair, box)
 
 
-def test_count_box_equals_enumeration_length(pair_n3):
-    box = [(-3, 3)] * 3
-    assert count_box(pair_n3, box) == len(list(enumerate_solutions(pair_n3, box)))
-
-
 def test_negation_symmetry(pair_line):
     # C odd and Q even under x -> -x, so the solution set is symmetric
     box = [(-8, 8), (-8, 8)]
@@ -161,5 +149,6 @@ def test_fit_errors():
 def test_growth_fit_line_fixture(pair_line, broad_weight):
     # the solution locus is the line t(1,-1): a 1-parameter family, so the
     # weighted count grows linearly (slope 1), not like P^{n-5}
-    fit = growth_fit(pair_line, broad_weight, [8.0, 16.0, 32.0, 64.0])
+    ps = [8.0, 16.0, 32.0, 64.0]
+    fit = fit_log_power(ps, [count_weighted(pair_line, P, broad_weight) for P in ps])
     assert fit.slope == pytest.approx(1.0, abs=0.15)

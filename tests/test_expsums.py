@@ -481,11 +481,11 @@ def test_poisson_cap(pair_n1):
 # -------------------------------------------------------------- theta height
 
 def test_theta_height_examples():
-    assert theta_height(RationalApprox(1, 1, 1, 0.0, 0.0), 10).value == 1.0
-    assert theta_height(RationalApprox(1, 1, 1, 10.0**-3, 0.0), 10).value == pytest.approx(2.0)
+    assert theta_height(RationalApprox(1, 1, 1, 0.0, 0.0), 10) == 1.0
+    assert theta_height(RationalApprox(1, 1, 1, 10.0**-3, 0.0), 10) == pytest.approx(2.0)
     assert theta_height(
         RationalApprox(1, 1, 1, 2e-3, 1e-2), 10
-    ).value == pytest.approx(4.0)
+    ) == pytest.approx(4.0)
 
 
 def test_rational_approx_validation():

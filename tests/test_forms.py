@@ -14,7 +14,6 @@ from circlelab.forms import (
     FormPair,
     QuadraticForm,
     Signature,
-    bilinear_forms,
     bilinear_matrix,
     eval_cubic,
     eval_quadratic,
@@ -24,14 +23,13 @@ from circlelab.forms import (
     hypothesis_report,
     int64_bound,
     minor_bound,
-    rank_quadratic,
     separable_blocks,
     signature_quadratic,
     smooth_point_test,
 )
 from circlelab.gridsum import cubic_singular_points_mod_p
 
-from conftest import make_pair
+from conftest import bilinear_forms, make_pair
 
 
 def random_cubic(rng, n, terms=4, size=9):
@@ -192,7 +190,7 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         eval_cubic(cube, [1])
     with pytest.raises(ValueError):
-        bilinear_forms(cube, [1, 2], [1])
+        bilinear_matrix(cube, [1])
 
 
 def test_bad_monomials_rejected():
@@ -282,10 +280,10 @@ def test_gram_matrix_identity():
 # ------------------------------------------------------------ rank/signature
 
 def test_rank_examples():
-    assert rank_quadratic(QuadraticForm(3, {(1, 1): 1, (2, 2): 1, (3, 3): -1})) == 3
-    assert rank_quadratic(QuadraticForm(2, {(1, 1): 1})) == 1
+    assert signature_quadratic(QuadraticForm(3, {(1, 1): 1, (2, 2): 1, (3, 3): -1})).rank == 3
+    assert signature_quadratic(QuadraticForm(2, {(1, 1): 1})).rank == 1
     # hyperbolic plane x1 x2: Gram [[0,1],[1,0]] eliminates to rank 2
-    assert rank_quadratic(QuadraticForm(2, {(1, 2): 1})) == 2
+    assert signature_quadratic(QuadraticForm(2, {(1, 2): 1})).rank == 2
 
 
 def test_rank_diagonal_counts_nonzero():
@@ -293,7 +291,7 @@ def test_rank_diagonal_counts_nonzero():
     for _ in range(50):
         diag = [rng.randint(-5, 5) for _ in range(5)]
         quad = QuadraticForm(5, {(i + 1, i + 1): d for i, d in enumerate(diag) if d})
-        assert rank_quadratic(quad) == sum(1 for d in diag if d)
+        assert signature_quadratic(quad).rank == sum(1 for d in diag if d)
 
 
 def test_signature_examples():
@@ -338,7 +336,7 @@ def test_signature_congruence_invariant():
     for _ in range(40):
         quad = random_quadric(rng, 4, terms=5)
         sig = signature_quadratic(quad)
-        assert sig.rank == rank_quadratic(quad) == np.linalg.matrix_rank(np.array(quad.gram()))
+        assert sig.rank == np.linalg.matrix_rank(np.array(quad.gram()))
         moved = _congruent_transform(quad, _random_unimodular(rng, 4))
         assert signature_quadratic(moved) == sig
 

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import expsums, forms, gridsum, weightfn, weyldiag
-from circlelab.counting import fit_log_power, weight_box
-from circlelab.forms import CubicForm, bilinear_forms, bilinear_matrix, gradient_cubic
+from circlelab.counting import weight_box
+from circlelab.forms import CubicForm, bilinear_matrix, gradient_cubic
 from circlelab.weightfn import Weight
 from circlelab.weyldiag import (
     alpha3_witness,
@@ -21,7 +21,7 @@ from circlelab.weyldiag import (
     minor_arc_scan,
 )
 
-from conftest import full_scan_oracle, make_pair
+from conftest import bilinear_forms, fit_log_power, full_scan_oracle, make_pair
 
 
 # --------------------------------------------------------------------- n(R)
