@@ -19,13 +19,14 @@ P^{2-3 delta} > 2, so for every P >= 2; below 2 only the q = 1 arc exists.
 
 Every scan here charges the moduli it screens to a work cap: the two
 P^delta loops charge floor(P^delta) before they start, and the pigeonhole
-search stops at q = cap.
+search stops at q = cap.  The pigeonhole searches of a grid share one cap.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, jord
 __all__ = [
     "q3q2",
     "simultaneous_approx",
+    "grid_approx",
     "major_arc_test",
     "major_arc_measure",
     "jittered_grid",
@@ -174,6 +176,27 @@ def simultaneous_approx(
     raise InvariantError(
         "pigeonhole guarantee violated; simultaneous approximation scan is buggy"
     )
+
+
+def grid_approx(
+    points: list[tuple[float, float]], Q3: int, Q2: int, cap: int = DEFAULT_CAP
+) -> Iterator[RationalApprox]:
+    """simultaneous_approx of each grid point in turn, all scans within one cap.
+
+    A point's scan screens the moduli up to its q, so each scan gets cap
+    minus the q of the earlier points; when that is not enough,
+    CapExceededError names the grid and the cap."""
+    spent = 0
+    for i, (alpha3, alpha2) in enumerate(points):
+        try:
+            approx = simultaneous_approx(alpha3, alpha2, Q3, Q2, cap=cap - spent)
+        except CapExceededError:
+            raise CapExceededError(
+                f"grid of {len(points)} points: pigeonhole scans exceed cap {cap} in total "
+                f"({spent} moduli screened by the first {i} points)"
+            ) from None
+        spent += approx.q
+        yield approx
 
 
 def major_arc_test(

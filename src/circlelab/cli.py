@@ -489,10 +489,12 @@ def _cmd_arcs(args) -> tuple[object, str]:
         }
         return report, "json"
     Q3, Q2 = arcs_mod.q3q2(args.P)
+    points = arcs_mod.jittered_grid(args.grid, args.seed, cap=args.cap)
+    approxes = arcs_mod.grid_approx(points, Q3, Q2, cap=args.cap)
     rows = []
-    for a3, a2 in arcs_mod.jittered_grid(args.grid, args.seed, cap=args.cap):
+    for a3, a2 in points:
         is_major, witness = arcs_mod.major_arc_test(a3, a2, args.P, args.delta, cap=args.cap)
-        approx = arcs_mod.simultaneous_approx(a3, a2, Q3, Q2, cap=args.cap)
+        approx = next(approxes)
         rows.append(
             {
                 "alpha3": a3,

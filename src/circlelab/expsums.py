@@ -33,7 +33,7 @@ from .forms import (
     separable_blocks,
 )
 from .gridsum import phase_histogram, scan
-from .quadrature import DEFAULT_MAX_LEVEL, QuadResult, grid_contract, tensor_integral
+from .quadrature import QuadResult, grid_contract, tensor_integral
 from .util import (
     CapExceededError,
     DEFAULT_CAP,
@@ -412,7 +412,6 @@ def osc_integral(
     gamma2: float,
     z: Sequence[float] | float = 0.0,
     tol: float = 1e-8,
-    max_level: int = DEFAULT_MAX_LEVEL,
     cap: int = DEFAULT_CAP,
 ) -> QuadResult:
     """I(gamma; z): adaptive tensor quadrature over the weight's support cube."""
@@ -427,7 +426,7 @@ def osc_integral(
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)
 
-    return tensor_integral(f, weight, tol, max_level=max_level, cap=cap)
+    return tensor_integral(f, weight, tol, cap=cap)
 
 
 def _alias_start_level(

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import gridsum
-from .arcs import DEFAULT_DELTA, Q_BLOCK, jittered_grid, major_arc_test, q3q2, simultaneous_approx
+from .arcs import DEFAULT_DELTA, Q_BLOCK, grid_approx, jittered_grid, major_arc_test, q3q2
 from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, signature_quadratic
 from .util import DEFAULT_CAP, check_cap, chunk_ranges
 from .weightfn import Weight
@@ -270,20 +270,22 @@ def minor_arc_scan(
     evaluates the forms and the weight once for every point, on the support
     ball only, split over threads; each row is then classified on its own.
     The k^2 grid charges cap, and so does the whole box of the sums, once,
-    exactly as a single direct sum does; each point's arc scans charge it
-    on their own."""
+    exactly as a single direct sum does; each point's major-arc test charges
+    it on its own, and the pigeonhole scans of all points share it
+    (arcs.grid_approx)."""
     h = h_parameter(pair)
     rho = signature_quadratic(pair.quadric).rank
     n = pair.n
     points = jittered_grid(grid_k, seed, cap=cap)
     Q3, Q2 = q3q2(P)
     sums = weyl_sums(pair, P, weight, points, cap=cap, threads=threads)
+    approxes = grid_approx(points, Q3, Q2, cap=cap)
 
     def classify(pt: tuple[float, float], s_val: complex) -> dict:
         alpha3, alpha2 = pt
         s_abs = abs(s_val)
         is_major, witness = major_arc_test(alpha3, alpha2, P, delta, cap=cap)
-        approx = simultaneous_approx(alpha3, alpha2, Q3, Q2, cap=cap)
+        approx = next(approxes)
         row = {
             "alpha3": alpha3,
             "alpha2": alpha2,

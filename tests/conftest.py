@@ -1,5 +1,6 @@
 """Shared fixtures: small form pairs used across the suite, the n(R) oracle,
-the bilinear-form oracle, the direct residue-scan oracles, the scalar
+the bilinear-form oracle, the direct residue-scan oracles, the trapezoid
+nodes and weights of the full-grid quadrature oracle, the scalar
 sin-kernel oracle, the arc oracles (pigeonhole check, disjointness, major-arc
 replacement), the log-log growth fit, and the hypothesis profile of CI."""
 
@@ -58,6 +59,17 @@ def scan_phase_histogram(pair, q, a3, a2, m):
         return np.bincount(t, minlength=q)
 
     return np.sum(gridsum.scan(pair, q, per_chunk), axis=0)
+
+
+def axis_nodes_weights(center, half, m):
+    """Trapezoid nodes and weights with m intervals on [center - half,
+    center + half], the end weights halved: the rule of the full-grid
+    quadrature oracle, whose nodes are those of quadrature.grid_contract."""
+    nodes = np.linspace(center - half, center + half, m + 1)
+    w = np.full(m + 1, 2.0 * half / m)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return nodes, w
 
 
 def sin_kernel(R, u):

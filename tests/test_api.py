@@ -1,5 +1,6 @@
 """The public surface: every top-level public function and class of
-circlelab is used by the package itself, not only by tests."""
+circlelab is used by the package itself, not only by tests, and so is
+every import and every upper-case module-level constant."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,48 @@ def test_allowlist_names_only_unused_definitions():
     public, referenced = _surface(_modules())
     for qual in ALLOWED:
         assert qual in public and qual not in referenced, qual
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    """Names read under node: each ast.Name in a load context, each attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _unused_bindings(modules: dict[str, ast.Module]) -> list[str]:
+    """Imports and upper-case module-level constants that no module reads.
+
+    An import counts as used when its own module reads the name it binds;
+    a constant when any module reads it, by name or as an attribute.
+    __future__ imports bind nothing."""
+    everywhere = set().union(*(_loaded(tree) for tree in modules.values()))
+    unused = []
+    for mod, tree in modules.items():
+        here = _loaded(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in here:
+                        unused.append(f"{mod}: import {bound}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Name)
+                        and target.id.isupper()
+                        and target.id not in everywhere
+                    ):
+                        unused.append(f"{mod}: {target.id}")
+    return unused
+
+
+def test_every_import_and_constant_is_used_in_the_package():
+    assert _unused_bindings(_modules()) == []

@@ -1,5 +1,7 @@
 """CLI: problem loading, subcommands, output formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import time
@@ -369,7 +371,12 @@ def n5_file(tmp_path):
 # The three direct-sum outputs were captured again when the direct sum
 # moved to one kernel over chunks of the support ball (cos and sin summed
 # per chunk, not exp per x0-slice): re, im and abs moved by at most
-# 4.5e-15 times |S|.
+# 4.5e-15 times |S|.  The integral, osc and Poisson outputs that moved were
+# captured again when the quadrature began to sum each support box of the
+# whole grid with uniform weights, in place of contracting zero-filled
+# slabs against trapezoid weights (the same rule, summed in another
+# order): every float moved by at most 1.3e-15 times the record's largest,
+# and no level changed.
 EVAL_PROBLEMS = {
     "nd3": ND3_PROBLEM,
     "nocubic": {**ND3_PROBLEM, "cubic": []},
@@ -394,15 +401,15 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "osc"): '''{
-  "re": 0.011920691896271365,
-  "im": 0.00034113719366968005,
-  "abs": 0.011925572098257366,
+  "re": 0.011920691896271367,
+  "im": 0.00034113719366968043,
+  "abs": 0.011925572098257368,
   "meta": {
     "mode": "integral",
     "gamma3": 1.5,
     "gamma2": 1,
     "z": [1, -1, 0],
-    "quad_error": 2.953555188875014e-08,
+    "quad_error": 2.9535551889472626e-08,
     "quad_level": 6
   }
 }
@@ -420,9 +427,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "poisson"): '''{
-  "re": 1.1410273883958841,
-  "im": 0.90022626663421135,
-  "abs": 1.4533928691884044,
+  "re": 1.141027388395885,
+  "im": 0.9002262666342129,
+  "abs": 1.4533928691884059,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -439,20 +446,20 @@ EVAL_OUTPUTS = {
     ("nocubic", "integral"): '''{
   "R": 1,
   "value": 0.11128351511839452,
-  "error": 2.603924357802434e-07,
+  "error": 2.6039243579412119e-07,
   "level": 6
 }
 ''',
     ("nocubic", "osc"): '''{
-  "re": 0.012524356920294532,
-  "im": 7.1479726636493842e-06,
-  "abs": 0.0125243589600603,
+  "re": 0.012524356920294534,
+  "im": 7.1479726636498111e-06,
+  "abs": 0.012524358960060301,
   "meta": {
     "mode": "integral",
     "gamma3": 1.5,
     "gamma2": 1,
     "z": [1, -1, 0],
-    "quad_error": 3.7934412535094489e-08,
+    "quad_error": 3.7934412535628411e-08,
     "quad_level": 6
   }
 }
@@ -470,9 +477,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nocubic", "poisson"): '''{
-  "re": 1.955621642156701,
-  "im": 0.023367657650526973,
-  "abs": 1.9557612468539569,
+  "re": 1.9556216421566985,
+  "im": 0.023367657650527108,
+  "abs": 1.9557612468539545,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -488,21 +495,21 @@ EVAL_OUTPUTS = {
 ''',
     ("noquadric", "integral"): '''{
   "R": 1,
-  "value": 0.11270522980789045,
-  "error": 8.1604367176135728e-07,
+  "value": 0.11270522980789044,
+  "error": 8.1604367174747949e-07,
   "level": 4
 }
 ''',
     ("noquadric", "osc"): '''{
-  "re": 0.012357033186511239,
-  "im": 5.1669009782512321e-20,
-  "abs": 0.012357033186511239,
+  "re": 0.01235703318651124,
+  "im": -3.6294263831660706e-19,
+  "abs": 0.01235703318651124,
   "meta": {
     "mode": "integral",
     "gamma3": 1.5,
     "gamma2": 1,
     "z": [1, -1, 0],
-    "quad_error": 1.0396150825625616e-08,
+    "quad_error": 1.039615082736034e-08,
     "quad_level": 6
   }
 }
@@ -520,9 +527,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("noquadric", "poisson"): '''{
-  "re": 0.57566786377282619,
-  "im": 4.7558928581524636e-16,
-  "abs": 0.57566786377282619,
+  "re": 0.57566786377282531,
+  "im": 3.4852014345313741e-16,
+  "abs": 0.57566786377282531,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -1033,13 +1040,15 @@ def test_integral_runs_in_five_dimensions(tmp_path):
 
 
 def test_arcs_grid_honours_the_cap(tmp_path, capsys):
-    # the grid's k^2 points are charged first, then each point's pigeonhole
-    # scan, which screens the moduli up to its q: at most 189 on this grid
+    # the grid's k^2 points are charged first, then the pigeonhole scans,
+    # which screen the moduli up to each point's q and share the cap: their
+    # q add up to 887 on this grid, 790 before the last point
     argv = ["arcs", "--P", "50", "--grid", "3", "--seed", "4"]
-    assert run_to_file(tmp_path, argv + ["--cap", "189"]) == (0, ARCS_GRID3_SEED4)
-    assert run(argv + ["--cap", "188"]) == 3
+    assert run_to_file(tmp_path, argv + ["--cap", "887"]) == (0, ARCS_GRID3_SEED4)
+    assert run(argv + ["--cap", "886"]) == 3
     assert capsys.readouterr().err == (
-        "error: pigeonhole scan: no q <= 188 qualifies, and Q3 Q2 = 552 exceeds cap 188\n"
+        "error: grid of 9 points: pigeonhole scans exceed cap 886 in total "
+        "(790 moduli screened by the first 8 points)\n"
     )
     assert run(argv + ["--cap", "8"]) == 3
     assert capsys.readouterr().err == "error: grid 3^2: 9 elements exceeds cap 8\n"
@@ -1048,6 +1057,81 @@ def test_arcs_grid_honours_the_cap(tmp_path, capsys):
     assert run_to_file(tmp_path, argv + ["--cap", "4"])[0] == 0
     assert run(argv + ["--cap", "3"]) == 3
     assert capsys.readouterr().err == "error: grid 2^2: 4 elements exceeds cap 3\n"
+
+
+def test_weyl_scan_grid_shares_the_cap(tmp_path, capsys):
+    # n = 1, so the lattice box (49 points) binds before the pigeonhole
+    # scans, whose q on this grid add up to 1577 (those of WEYL_SCAN_P60_GRID3)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "cubic": [[1, 1, 1, 1]], "quadric": [[1, 1, 1]],
+                                "cubic_nonsingular": True}))
+    argv = ["weyl-scan", "--problem", str(path), "--P", "60", "--grid", "3"]
+    code, text = run_to_file(tmp_path, argv + ["--cap", "1577"])
+    assert code == 0
+    assert [row["pigeon_q"] for row in csv.DictReader(io.StringIO(text))] == [
+        line.split(",")[5] for line in WEYL_SCAN_P60_GRID3.splitlines()[1:]
+    ]
+    assert run(argv + ["--cap", "1576"]) == 3
+    assert capsys.readouterr().err == (
+        "error: grid of 9 points: pigeonhole scans exceed cap 1576 in total "
+        "(1270 moduli screened by the first 8 points)\n"
+    )
+
+
+# 36 points at P = 60000 whose pigeonhole q add up to 595 336 382 (the
+# largest is 47 419 463): every q is within the default cap 10^8, the total
+# is not.  The CSV was captured when each point had the cap to itself.
+ARCS_P60000_GRID6 = ["arcs", "--P", "60000", "--grid", "6"]
+ARCS_P60000_GRID6_CSV = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a2
+0.10616028122024239,0.044964452293978385,False,,,,1734726,184159,78001
+0.0068289206560324485,0.16942127258808817,False,,,,32080033,219072,5435040
+0.13554503986671207,0.48545926287962032,False,,,,38278044,5188399,18582431
+0.10110596262786331,0.62158276016399971,False,,,,9859646,996869,6128586
+0.090604165244237145,0.82251207063129472,False,,,,1406304,127417,1156702
+0.13597559235358869,0.83378975002835798,False,,,,7428164,1010049,6193527
+0.30956737943126156,0.0055975958842440594,False,,,,19297395,5973844,108019
+0.28827590773832401,0.19594260343375983,False,,,,15191658,4379389,2976693
+0.31052982039164778,0.42357687004151529,False,,,,12038306,3738253,5099148
+0.21661864842289746,0.57044787019960974,False,,,,25829766,5595209,14734535
+0.17138661185757717,0.6873805460832606,False,,,,11186959,1917295,7689698
+0.27843740244893839,0.94119825192904172,False,,,,5346559,1488682,5032172
+0.43589751858020898,0.063946259043647244,False,,,,5892151,2568374,376781
+0.49953498929820189,0.33013922312937166,False,,,,2176294,1087135,718480
+0.44759033074678251,0.44174321271130274,False,,,,43543673,19489727,19235122
+0.4480744550951567,0.56482023732985065,False,,,,15313821,6861732,8649556
+0.35584941750373522,0.78691472336568025,False,,,,35815079,12744775,28183413
+0.42089238707928761,0.8850403125931593,False,,,,26932528,11335696,23836373
+0.58097255980529816,0.14824797239150003,False,,,,6426813,3733802,952762
+0.65567391932604158,0.2262991994515117,False,,,,12892834,8453495,2917638
+0.59525497178829345,0.38697823184599039,False,,,,1810063,1077449,700455
+0.59905000503328276,0.55631853758452221,False,,,,36109665,21631495,20088476
+0.56526983342136017,0.815045725334132,False,,,,5072259,2867195,4134123
+0.53785959892223001,0.9371978574476737,False,,,,538899,289852,505055
+0.68066922393039742,0.13877402460889962,False,,,,40725561,27720636,5651650
+0.79784971791478065,0.20656157383215867,False,,,,7481251,5968914,1545339
+0.81274737180178391,0.34309467246753239,False,,,,12778336,10385559,4384179
+0.72268617675761015,0.52504657781580655,False,,,,930527,672479,488570
+0.74172322777488109,0.79938737838121565,False,,,,19499117,14462948,15587348
+0.7051070348322912,0.84200355017740158,False,,,,14301606,10084163,12042003
+0.90075863997025474,0.033085507418209224,False,,,,47419463,42713491,1568897
+0.84845884093652035,0.26338873099780846,False,,,,7467529,6335891,1966863
+0.8831160221364871,0.44533247965939321,False,,,,24466219,21606510,10895602
+0.86658590732803553,0.65701885175108299,False,,,,4380092,3795726,2877803
+0.89418502804080469,0.68424921326170496,False,,,,18545816,16583391,12689960
+0.93818469192328491,0.98785909217797796,False,,,,25139226,23585237,24834013
+'''
+
+
+def test_arcs_grid_total_is_bounded_by_the_cap(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(ARCS_P60000_GRID6) == 3
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == ("", (
+        "error: grid of 36 points: pigeonhole scans exceed cap 100000000 in total "
+        "(90786917 moduli screened by the first 6 points)\n"
+    ))
+    argv = ARCS_P60000_GRID6 + ["--cap", "600000000"]
+    assert run_to_file(tmp_path, argv) == (0, ARCS_P60000_GRID6_CSV)
 
 
 # 0.1234567 and 0.7654321 are within float rounding of a/10^7: from P = 10^5

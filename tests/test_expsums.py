@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import expsums, gridsum, weightfn
@@ -26,10 +26,9 @@ from circlelab.expsums import (
 )
 from circlelab.forms import separable_blocks
 from circlelab.util import CapExceededError
-from circlelab.quadrature import axis_nodes_weights
 from circlelab.weightfn import Weight, nu_grid, omega, omega_grid, support_chunks
 
-from conftest import make_pair
+from conftest import axis_nodes_weights, make_pair
 
 
 def _trapezoid(y, x):
@@ -245,9 +244,10 @@ def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
 def support_cases(draw):
     """A weight, a chunk size and an index box whose index k on axis i
     stands for origin_i + k/P: either the lattice box of P times the
-    support ball (no origin) or a slab of rows [lo, hi] of axis 0 of the
-    quadrature grid with m intervals per axis (origin c - xi, P = m/(2 xi)),
-    with the grid's own nodes as the points."""
+    support ball (no origin), or the whole quadrature grid with m intervals
+    per axis (origin c - xi, P = m/(2 xi)), which quadrature.grid_contract
+    cuts, or its rows [lo, hi] of axis 0, with the grid's own nodes as the
+    points."""
     n = draw(st.integers(1, 4))
     center = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
     xi = draw(st.floats(0.02, 0.45))
@@ -261,16 +261,23 @@ def support_cases(draw):
         points = [np.arange(lo, hi + 1) / P for lo, hi in box]
         return weight, chunk, P, box, None, points
     m = draw(st.integers(2, 64 if n < 4 else 16))
-    lo = draw(st.integers(0, m))
-    hi = draw(st.integers(lo, m))
-    box = [(lo, hi)] + [(0, m)] * (n - 1)
-    nodes = [axis_nodes_weights(c, xi, m)[0] for c in weight.center]
+    box = [(0, m)] * n
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, m))
+        box[0] = (lo, draw(st.integers(lo, m)))
+    return _grid_case(weight, chunk, m, box)
+
+
+def _grid_case(weight, chunk, m, box):
+    nodes = [axis_nodes_weights(c, weight.xi, m)[0] for c in weight.center]
     points = [x[a : b + 1] for x, (a, b) in zip(nodes, box)]
-    return weight, chunk, m / (2.0 * xi), box, [c - xi for c in weight.center], points
+    return weight, chunk, m / (2.0 * weight.xi), box, [c - weight.xi for c in weight.center], points
 
 
 @settings(max_examples=300, deadline=None)
 @given(support_cases())
+# the whole grid of a quadrature level at n = 3, cut into many boxes
+@example(_grid_case(Weight((0.05, -0.05, 0.05), 0.3), 300, 32, [(0, 32)] * 3))
 def test_support_chunks_cover_the_support(case):
     # the chunks hold at most CHUNK points each, lie in the box and cover
     # every point of it where omega > 0 exactly once
@@ -459,7 +466,7 @@ def test_osc_integral_no_convergence(pair_n1):
 
     w = Weight((0.25,), 0.2)
     with pytest.raises(QuadratureError, match="no convergence"):
-        osc_integral(pair_n1, w, 5.0e7, 0.0, 0.0, tol=1e-12, max_level=10)
+        osc_integral(pair_n1, w, 5.0e7, 0.0, 0.0, tol=1e-12)
 
 
 def test_poisson_cap(pair_n1):

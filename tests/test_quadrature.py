@@ -1,20 +1,21 @@
-"""The streamed tensor-grid contraction against a full-grid oracle."""
+"""The support-box contraction against a full-grid oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from circlelab import quadrature
+from circlelab import weightfn
 from circlelab.expsums import _smooth_phase
-from circlelab.quadrature import axis_nodes_weights, grid_contract
+from circlelab.quadrature import grid_contract
 from circlelab.weightfn import Weight
 
-from conftest import make_pair
+from conftest import axis_nodes_weights, make_pair
 
 
 def full_grid_value(f, centers, half, m):
-    """Oracle: f on the whole tensor grid at once, contracted axis by axis."""
+    """Oracle: f on the whole tensor grid at once, contracted axis by axis
+    with the trapezoid weights, end weights halved."""
     ndim = len(centers)
     axes = []
     weights = []
@@ -39,6 +40,8 @@ def _problem(n):
 
 
 M_INTERVALS = 16
+# boxes of at most 7 nodes: 3 of them at n = 1, 3 717 at n = 4
+SMALL_CHUNK = 7
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -50,26 +53,9 @@ def test_contraction_matches_full_grid(monkeypatch, n):
         return _smooth_phase(pair, weight, 1.5, -2.0, axes, z)
 
     expected = full_grid_value(f, weight.center, weight.xi, M_INTERVALS)
-    # slabs of 5 rows along axis 0: four slabs, the last one short
-    monkeypatch.setattr(quadrature, "SLAB_POINTS", 5 * (M_INTERVALS + 1) ** (n - 1))
+    monkeypatch.setattr(weightfn, "CHUNK", SMALL_CHUNK)
     got = complex(grid_contract(f, weight, M_INTERVALS))
     assert abs(got - expected) <= 1e-13 * abs(expected)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("gammas", [(1.5, -2.0), (0.0, 0.0)])
-def test_one_slab_equals_the_full_grid_exactly(n, gammas):
-    # f is called on the support boxes only and the rest of the slab is 0,
-    # where the full grid holds omega's exact zeros times finite values;
-    # contracted the same way, the two agree bit for bit
-    pair, weight = _problem(n)
-
-    def f(axes):
-        return _smooth_phase(pair, weight, *gammas, axes, [0.7] * n)
-
-    assert (M_INTERVALS + 1) ** n <= quadrature.SLAB_POINTS
-    got = complex(grid_contract(f, weight, M_INTERVALS))
-    assert got == full_grid_value(f, weight.center, weight.xi, M_INTERVALS)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -82,7 +68,7 @@ def test_frequency_family_matches_full_grid(monkeypatch, n):
     def smooth(axes):
         return _smooth_phase(pair, weight, 1.5, -2.0, axes)
 
-    monkeypatch.setattr(quadrature, "SLAB_POINTS", 5 * (M_INTERVALS + 1) ** (n - 1) * len(ks))
+    monkeypatch.setattr(weightfn, "CHUNK", SMALL_CHUNK)
     family = grid_contract(smooth, weight, M_INTERVALS, ks, 2.5)
     assert family.shape == (len(ks),) * n
     for idx in itertools.product(range(len(ks)), repeat=n):
