@@ -24,9 +24,8 @@ import numpy as np
 
 from .counting import weight_box
 from .forms import (
-    CubicForm,
     FormPair,
-    QuadraticForm,
+    block_pair,
     eval_cubic,
     eval_quadratic,
     int64_bound,
@@ -150,8 +149,9 @@ def _point_chunk_sums(
 
 
 class _Block:
-    """One separable block of a pair: its variables, its own forms and its
-    phase factors e(alpha3 C_b + alpha2 Q_b) for the alphas of one call.
+    """One separable block of a pair: its variables, its own forms
+    (forms.block_pair) and its phase factors e(alpha3 C_b + alpha2 Q_b) for
+    the alphas of one call.
 
     The factors are tabulated over the block's side of the whole box when
     that table, alphas times points, holds at most weightfn.CHUNK values;
@@ -168,14 +168,9 @@ class _Block:
         a3: np.ndarray,
         a2: np.ndarray,
     ):
-        pos = {v + 1: i + 1 for i, v in enumerate(axes)}
-
-        def renumbered(monomials):
-            return {tuple(pos[v] for v in key): c for key, c in monomials.items() if key[0] in pos}
-
         self.axes = axes
-        self.cubic = CubicForm(len(axes), renumbered(pair.cubic.monomials))
-        self.quadric = QuadraticForm(len(axes), renumbered(pair.quadric.monomials))
+        own = block_pair(pair, axes)
+        self.cubic, self.quadric = own.cubic, own.quadric
         self.a3, self.a2 = a3, a2
         self.origin = [box[i][0] for i in axes]
         side = [box[i] for i in axes]

@@ -38,6 +38,7 @@ __all__ = [
     "hypothesis_report",
     "h_parameter",
     "separable_blocks",
+    "block_pair",
 ]
 
 
@@ -182,6 +183,23 @@ def separable_blocks(pair: FormPair) -> list[tuple[int, ...]]:
     for v in range(pair.n):
         blocks.setdefault(root(v), []).append(v)
     return [tuple(b) for b in blocks.values()]
+
+
+def block_pair(pair: FormPair, axes: Sequence[int]) -> FormPair:
+    """The forms of pair in the variables axes alone, renumbered 1..len(axes).
+
+    axes holds 0-based variable positions in ascending order, one block of
+    separable_blocks or a union of blocks, so every monomial has all its
+    variables in axes or none; those with none are dropped.  C and Q are the
+    sums of the block pairs of their blocks, each taken at its own variables.
+    """
+    pos = {v + 1: i + 1 for i, v in enumerate(axes)}
+
+    def renumbered(monomials):
+        return {tuple(pos[v] for v in key): c for key, c in monomials.items() if key[0] in pos}
+
+    return FormPair(CubicForm(len(axes), renumbered(pair.cubic.monomials)),
+                    QuadraticForm(len(axes), renumbered(pair.quadric.monomials)))
 
 
 def _check_vector(n: int, x: Sequence) -> None:

@@ -2,8 +2,9 @@
 mod p^k for k >= 2, and the CRT that builds composite moduli from prime powers.
 
 Every residue scan goes through scan(): the grid {0, ..., q-1}^n is
-traversed in chunks of flat indices; each chunk is decoded into coordinate
-arrays, and forms.eval_cubic/eval_quadratic evaluate C and Q there with
+traversed in chunks of contiguous flat indices, each a tensor block whose
+first coordinates run over whole axes, so only the outer index is decoded;
+forms.eval_cubic/eval_quadratic evaluate C and Q on the broadcast axes with
 coefficients replaced by their centred residues mod a modulus, q or a
 multiple of it; each value is then reduced mod that modulus once.  This
 runs in int64 when forms.int64_bound, the bound of the lattice side too,
@@ -21,7 +22,10 @@ that evaluates Jacobians on a residue grid, for localdens and info too.
 
 crt_histograms() composes the histogram mod a composite q from those of
 the prime powers exactly dividing it, each computed once, so no histogram
-is scanned mod a composite q.
+is scanned mod a composite q.  joint_histograms() builds each prime-power
+histogram of a pair with several forms.separable_blocks as the exact 2-D
+cyclic convolution of the blocks' own histograms, each scanned or lifted
+in the block's own variables.
 
 Consumers either aggregate chunk results with order-independent integer
 operations (histograms, counts), take the first hit in grid order, or
@@ -31,12 +35,13 @@ deterministic regardless of chunking or thread count.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .forms import (INT64_LIMIT, CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic,
-                    gradient_cubic, gradient_quadratic, int64_bound)
+from .forms import (INT64_LIMIT, CubicForm, FormPair, QuadraticForm, block_pair, eval_cubic,
+                    eval_quadratic, gradient_cubic, gradient_quadratic, int64_bound, separable_blocks)
 from .util import CapExceededError, DEFAULT_CAP, check_cap, chunk_ranges, factorize, parallel_map
 
 __all__ = [
@@ -81,10 +86,17 @@ def scan(
     """per_chunk(coords, C mod modulus, Q mod modulus) on each chunk of the residue grid mod q.
 
     modulus defaults to q; lift() passes a multiple of it.  The grid
-    {0, ..., q-1}^n is cut into chunks of CHUNK flat indices (coordinate 1
-    varies fastest); the results come back in grid order, so a caller that
-    keeps the first hit of an ordered search gets the same answer for any
-    thread count.
+    {0, ..., q-1}^n is cut into contiguous ranges of flat indices
+    (coordinate 1 varies fastest) of at most CHUNK points; the results come
+    back in grid order, so a caller that keeps the first hit of an ordered
+    search gets the same answer for any thread count.
+
+    Each chunk is a tensor block: the first k coordinates run over whole
+    axes, k the largest with q^k <= CHUNK, and the chunk holds CHUNK // q^k
+    values of the outer index, the only part decoded from flat indices.  C
+    and Q are evaluated on broadcast axes, so a monomial of the inner
+    coordinates is computed on q^k values and one of the outer ones on a
+    value per outer index; k = 0 decodes every point.
     """
     n = pair.n
     total = q**n
@@ -94,16 +106,33 @@ def scan(
 
     reduced = _centred(pair, modulus)
     _, fits = int64_bound(reduced, [q - 1] * n)
+    k = 0
+    while k < n and q ** (k + 1) <= CHUNK:
+        k += 1
+    # the chunk is a C-order array of shape (outer, x_k, ..., x_1)
+    inner = [np.arange(q, dtype=np.int64).reshape((-1,) + (1,) * i) for i in range(k)]
 
     def work(rng: tuple[int, int]) -> T:
-        coords = _decode(np.arange(*rng, dtype=np.int64), q, n)
-        xs = coords if fits else [x.astype(object) for x in coords]
-        # an empty form evaluates to the scalar 0, hence the broadcast
-        c, qq = (np.broadcast_to(v % modulus, coords[0].shape).astype(np.int64)
-                 for v in (eval_cubic(reduced.cubic, xs), eval_quadratic(reduced.quadric, xs)))
-        return per_chunk(coords, c, qq)
+        outer = np.arange(*rng, dtype=np.int64).reshape((-1,) + (1,) * k)
+        axes = inner + _decode(outer, q, n - k)
+        shape = (rng[1] - rng[0],) + (q,) * k
+        xs = axes if fits else [x.astype(object) for x in axes]
 
-    return parallel_map(work, chunk_ranges(0, total, CHUNK), threads)
+        def flat(v, mod: int | None = None) -> np.ndarray:
+            # v broadcast to the chunk (an empty form evaluates to the scalar
+            # 0), reduced mod mod on the way when given
+            out = np.empty(shape, dtype=np.int64)
+            if mod is None:
+                out[...] = v
+            else:
+                np.remainder(v, mod, out=out, casting="unsafe")
+            return out.reshape(-1)
+
+        c = flat(eval_cubic(reduced.cubic, xs), modulus)
+        qq = flat(eval_quadratic(reduced.quadric, xs), modulus)
+        return per_chunk([flat(x) for x in axes], c, qq)
+
+    return parallel_map(work, chunk_ranges(0, q ** (n - k), CHUNK // q**k), threads)
 
 
 def _valuation(z: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -352,21 +381,53 @@ def _joint_prime_power(pair: FormPair, p: int, k: int, cap: int, threads: int) -
     return np.sum(lift(pair, p, k, per_chunk, cap=cap, threads=threads), axis=0).reshape(pk, pk)
 
 
+def _convolution_cost(p: int, e: int, sizes: Sequence[int]) -> int:
+    """A bound on the cells that _convolve touches to combine the histograms
+    mod p^e of blocks of these sizes, in this order: each block after the
+    first adds one p^e x p^e copy of the running histogram per nonzero cell
+    of its own, of which it has at most min(p^{2e}, p^{e |b|})."""
+    s = p**e
+    return sum(min(s * s, s**b) * s * s for b in sizes[1:])
+
+
+def _convolve(acc: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """The exact 2-D cyclic convolution of two s x s int64 histograms:
+    out[x, y] = sum of hist[i, j] acc[x - i, y - j], indices mod s, as one
+    shifted copy of acc per nonzero cell of hist."""
+    s = len(acc)
+    tiled = np.tile(acc, (2, 2))
+    out = np.zeros_like(acc)
+    for i, j in zip(*np.nonzero(hist)):
+        out += hist[i, j] * tiled[s - i:2 * s - i, s - j:2 * s - j]
+    return out
+
+
 def joint_histograms(
     pair: FormPair, moduli: Sequence[int], cap: int = DEFAULT_CAP, threads: int = 1
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(q, H_q) for each q in moduli, H_q[c, r] = #{y mod q : C(y) = c, Q(y) = r mod q}.
 
-    Each prime power p^e exactly dividing some modulus is computed once, from
-    lift_points(p, e, n) points (a scan mod p, or lift()); cap is charged
-    their sum up front, and composite H_q are CRT products (crt_histograms).
+    Each prime power p^e exactly dividing some modulus is computed once, and
+    composite H_q are CRT products (crt_histograms).  C and Q are sums of
+    forms in the separate blocks of forms.separable_blocks, so the values of
+    (C, Q) are sums of independent block values and H_{p^e} is the 2-D
+    cyclic convolution of the blocks' own histograms mod p^e, each from
+    lift_points(p, e, |b|) points (a scan mod p, or lift()).  The largest
+    block comes first and the others are convolved into it (_convolve); a
+    pair of one block has nothing to convolve.  cap is charged up front with
+    the points of every block plus _convolution_cost for every prime power.
     """
-    n = pair.n
+    blocks = sorted((block_pair(pair, axes) for axes in separable_blocks(pair)), key=lambda b: -b.n)
+    sizes = [b.n for b in blocks]
 
     def prime_power(p: int, e: int) -> np.ndarray:
-        return _joint_prime_power(pair, p, e, cap, threads)
+        hists = (_joint_prime_power(b, p, e, cap, threads) for b in blocks)
+        return functools.reduce(_convolve, hists)
 
-    return crt_histograms(n, moduli, 2, prime_power, lambda p, e: lift_points(p, e, n), cap)
+    def cost(p: int, e: int) -> int:
+        return sum(lift_points(p, e, b) for b in sizes) + _convolution_cost(p, e, sizes)
+
+    return crt_histograms(pair.n, moduli, 2, prime_power, cost, cap)
 
 
 def joint_histogram(

@@ -1,8 +1,9 @@
 """Shared fixtures: small form pairs used across the suite, the n(R) oracle,
-the bilinear-form oracle, the direct residue-scan oracles, the trapezoid
-nodes and weights of the full-grid quadrature oracle, the scalar
-sin-kernel oracle, the arc oracles (pigeonhole check, disjointness, major-arc
-replacement), the log-log growth fit, and the hypothesis profile of CI."""
+the bilinear-form oracle, the flat residue scan and the direct residue-scan
+oracles on it, the trapezoid nodes and weights of the full-grid quadrature
+oracle, the scalar sin-kernel oracle, the arc oracles (pigeonhole check,
+disjointness, major-arc replacement), the log-log growth fit, and the
+hypothesis profile of CI."""
 
 import itertools
 import math
@@ -14,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from circlelab import gridsum
+from circlelab import forms, gridsum
 from circlelab.archimedean import _SERIES_SWITCH
 from circlelab.arcs import _delta_cutoff
 from circlelab.expsums import complete_sum, osc_integral, weyl_sum_direct
-from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix
+from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix, eval_cubic, eval_quadratic
+from circlelab.util import CapExceededError, chunk_ranges, parallel_map
 from circlelab.weightfn import Weight
 
 # CI selects this profile (pytest --hypothesis-profile=ci) so that every run
@@ -41,14 +43,42 @@ def full_scan_oracle(cubic, R):
     return count
 
 
+def flat_scan(pair, q, per_chunk, cap=10**8, threads=1, modulus=None):
+    """The residue scan of gridsum.scan with flat chunks, its oracle: chunks of
+    gridsum.CHUNK flat indices (coordinate 1 fastest), every point's
+    coordinates decoded with // and %, and C, Q evaluated on the decoded
+    arrays with coefficients centred mod modulus (default q), in int64 where
+    forms.int64_bound allows it and in Python ints otherwise."""
+    n = pair.n
+    total = q**n
+    if total > cap:
+        raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
+    modulus = q if modulus is None else modulus
+    h = modulus // 2
+    reduced = make_pair(n, {key: (c + h) % modulus - h for key, c in pair.cubic.monomials.items()},
+                        {key: (c + h) % modulus - h for key, c in pair.quadric.monomials.items()})
+    _, fits = forms.int64_bound(reduced, [q - 1] * n)
+
+    def work(rng):
+        flat = np.arange(*rng, dtype=np.int64)
+        coords = [(flat // q**j) % q for j in range(n)]
+        xs = coords if fits else [x.astype(object) for x in coords]
+        c, qq = (np.broadcast_to(v % modulus, flat.shape).astype(np.int64)
+                 for v in (eval_cubic(reduced.cubic, xs), eval_quadratic(reduced.quadric, xs)))
+        return per_chunk(coords, c, qq)
+
+    return parallel_map(work, chunk_ranges(0, total, gridsum.CHUNK), threads)
+
+
 def scan_joint_histogram(pair, q, cap=10**8, threads=1):
     """(C mod q, Q mod q) histogram from one direct scan of all q^n residues
-    (also at prime powers and composite q): the oracle of the lift and the CRT."""
+    (also at prime powers and composite q): the oracle of the lift, the CRT
+    and the block convolutions."""
 
     def per_chunk(coords, c, qq):
         return np.bincount(c * q + qq, minlength=q * q)
 
-    return np.sum(gridsum.scan(pair, q, per_chunk, cap, threads), axis=0).reshape(q, q)
+    return np.sum(flat_scan(pair, q, per_chunk, cap, threads), axis=0).reshape(q, q)
 
 
 def scan_phase_histogram(pair, q, a3, a2, m):
@@ -58,7 +88,7 @@ def scan_phase_histogram(pair, q, a3, a2, m):
         t = (a3 * c + a2 * qq + sum(mi * y for mi, y in zip(m, coords))) % q
         return np.bincount(t, minlength=q)
 
-    return np.sum(gridsum.scan(pair, q, per_chunk), axis=0)
+    return np.sum(flat_scan(pair, q, per_chunk), axis=0)
 
 
 def axis_nodes_weights(center, half, m):

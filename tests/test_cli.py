@@ -126,6 +126,98 @@ def nd3_file(tmp_path):
     return str(path)
 
 
+# diagonal n = 5 pair: five one-variable blocks, so series convolves block
+# histograms; the output below was captured from the full scans and lifts of
+# every prime power, before joint histograms were convolved from blocks
+D5_PROBLEM = {
+    "n": 5,
+    "cubic": [[1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, -1], [4, 4, 4, 3], [5, 5, 5, -2]],
+    "quadric": [[1, 1, 1], [2, 2, -1], [3, 3, 2], [4, 4, 1], [5, 5, -3]],
+    "cubic_nonsingular": True,
+}
+
+D5_SERIES_R12 = '''{
+  "R": 12,
+  "value": 2.4983800659901183,
+  "imag_residual": 2.9632493550536175e-18,
+  "terms": [{
+    "q": 1,
+    "term": 1
+  }, {
+    "q": 2,
+    "term": 0
+  }, {
+    "q": 3,
+    "term": 0.22222222222222221
+  }, {
+    "q": 4,
+    "term": 0.5
+  }, {
+    "q": 5,
+    "term": 0.15999999999999998
+  }, {
+    "q": 6,
+    "term": 0
+  }, {
+    "q": 7,
+    "term": -0.01749271137026253
+  }, {
+    "q": 8,
+    "term": 0.5
+  }, {
+    "q": 9,
+    "term": -1.5402372635826655e-17
+  }, {
+    "q": 10,
+    "term": 0
+  }, {
+    "q": 11,
+    "term": 0.022539444027047582
+  }, {
+    "q": 12,
+    "term": 0.11111111111111115
+  }],
+  "a_of_q": [{
+    "q": 1,
+    "A": 1
+  }, {
+    "q": 2,
+    "A": 0
+  }, {
+    "q": 3,
+    "A": 54
+  }, {
+    "q": 4,
+    "A": 1024
+  }, {
+    "q": 5,
+    "A": 1118.0339887498949
+  }, {
+    "q": 6,
+    "A": 0
+  }, {
+    "q": 7,
+    "A": 2086.9035946278236
+  }, {
+    "q": 8,
+    "A": 27969.237502960394
+  }, {
+    "q": 9,
+    "A": 64795.909855332771
+  }, {
+    "q": 10,
+    "A": 0
+  }, {
+    "q": 11,
+    "A": 19640.059885508756
+  }, {
+    "q": 12,
+    "A": 55296.000000000029
+  }]
+}
+'''
+
+
 # non-diagonal n = 5 pair; the outputs below were captured before the residue
 # scans shared one chunked loop.  13^5 = 371 293 residues take two chunks.
 N5_PROBLEM = {
@@ -874,6 +966,17 @@ def test_series_output_is_unchanged(nd3_file, tmp_path):
         )
         assert code == 0
         assert text == ND3_SERIES_R12, threads
+
+
+def test_separable_series_output_is_unchanged(tmp_path):
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps(D5_PROBLEM))
+    for threads in ("1", "2"):
+        code, text = run_to_file(
+            tmp_path, ["series", "--problem", str(path), "--R", "12", "--threads", threads]
+        )
+        assert code == 0
+        assert text == D5_SERIES_R12, threads
 
 
 def test_local_output_is_unchanged(n5_file, tmp_path):

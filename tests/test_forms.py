@@ -15,6 +15,7 @@ from circlelab.forms import (
     QuadraticForm,
     Signature,
     bilinear_matrix,
+    block_pair,
     eval_cubic,
     eval_quadratic,
     gradient_cubic,
@@ -162,12 +163,16 @@ def test_separable_blocks():
     assert separable_blocks(make_pair(2, {}, {})) == [(0,), (1,)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+# (n, cubic keys, quadric keys) of a sparse pair in n <= 6 variables
+SUPPORTS = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.tuples(*[st.integers(1, n)] * 3).map(lambda t: tuple(sorted(t))), max_size=4),
     st.lists(st.tuples(*[st.integers(1, n)] * 2).map(lambda t: tuple(sorted(t))), max_size=4),
-)))
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SUPPORTS)
 def test_separable_blocks_split_the_forms(case):
     # the blocks partition the variables, every monomial lies in one block,
     # and no block splits into two that the monomials leave apart
@@ -183,6 +188,26 @@ def test_separable_blocks_split_the_forms(case):
             for part in itertools.combinations(block, size):
                 # some monomial meets both part and the rest of the block
                 assert any({v - 1 for v in k} & set(part) and {v - 1 for v in k} - set(part) for k in keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SUPPORTS, st.data())
+def test_block_pairs_sum_to_the_pair(case, data):
+    # each monomial lands in exactly one block pair, and C and Q at a point
+    # are the sums of the block pairs' values at the block's coordinates
+    n, cubic, quadric = case
+    coeff = st.integers(-(2**70), 2**70)
+    pair = make_pair(n, {key: data.draw(coeff) for key in cubic}, {key: data.draw(coeff) for key in quadric})
+    x = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    parts = [(block, block_pair(pair, block)) for block in separable_blocks(pair)]
+    assert all(own.n == len(block) for block, own in parts)
+    assert sum(len(own.cubic.monomials) for _, own in parts) == len(pair.cubic.monomials)
+    assert sum(len(own.quadric.monomials) for _, own in parts) == len(pair.quadric.monomials)
+    xb = [[x[v] for v in block] for block, _ in parts]
+    assert sum(eval_cubic(own.cubic, y) for (_, own), y in zip(parts, xb)) == eval_cubic(pair.cubic, x)
+    assert sum(eval_quadratic(own.quadric, y) for (_, own), y in zip(parts, xb)) == eval_quadratic(pair.quadric, x)
+    # the whole set of variables is the pair itself
+    assert block_pair(pair, range(n)) == FormPair(pair.cubic, pair.quadric)
 
 
 def test_dimension_mismatch():

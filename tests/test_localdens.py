@@ -29,7 +29,7 @@ from circlelab.localdens import (
 )
 from circlelab.util import CapExceededError, InvariantError, factorize, is_prime
 
-from conftest import make_pair, scan_joint_histogram, scan_phase_histogram
+from conftest import flat_scan, make_pair, scan_joint_histogram, scan_phase_histogram
 
 
 def brute_count_mod(pair, q):
@@ -202,20 +202,47 @@ def test_series_budget(pair_n3):
 
 
 def test_series_cap_charges_prime_powers_only(pair_n3):
-    # R = 12, n = 3: sum_{q <= 12} q^3 = 6084, and the prime powers alone
-    # would be sum_{p^e <= 12} p^{3e} = 3139, but p^e is lifted from the grid
-    # mod p^ceil(e/2): 1834 for the primes, 2^3 + 4^3 + 3^3 = 99 for 4, 8, 9
-    res = singular_series_truncated(pair_n3, 12, cap=1933)
+    # pair_n3 is three one-variable blocks.  R = 12: sum_{q <= 12} q^3 = 6084,
+    # but each p^e <= 12 costs its blocks' points, 3 p^ceil(e/2) (111 in
+    # all), plus two convolutions of p^e x p^e histograms, each adding a
+    # shifted copy per cell of a block's at most p^e nonzero ones: 2 p^{3e},
+    # 6278 in all
+    res = singular_series_truncated(pair_n3, 12, cap=6389)
     assert [q for q, _ in res.a_values] == list(range(1, 13))
-    with pytest.raises(CapExceededError):
-        singular_series_truncated(pair_n3, 12, cap=1932)
-    # q = 12 evaluates the grids mod 2 (lifting to 4) and mod 3: 2^3 + 3^3 = 35
-    # points, but its histogram has 12^2 = 144 cells, which are charged first
-    assert a_of_q(pair_n3, 12, cap=144) == dict(res.a_values)[12]
+    with pytest.raises(CapExceededError, match="prime powers"):
+        singular_series_truncated(pair_n3, 12, cap=6388)
+    # q = 12 costs 4 and 3: 3 (2 + 3) + 2 (4^3 + 3^3) = 197; its histogram
+    # has 12^2 = 144 cells, which are charged first
+    assert a_of_q(pair_n3, 12, cap=197) == dict(res.a_values)[12]
+    with pytest.raises(CapExceededError, match="prime powers"):
+        a_of_q(pair_n3, 12, cap=196)
     with pytest.raises(CapExceededError, match="histogram mod 12"):
         a_of_q(pair_n3, 12, cap=143)
-    # at n = 5 the points, 2^5 + 3^5 = 275, outnumber the cells
+    # at n = 5, five one-variable blocks: 5 (2 + 3) + 4 (4^3 + 3^3) = 389
     pair_n5 = make_pair(5, {(i, i, i): 1 for i in range(1, 6)}, {(i, i): 1 for i in range(1, 6)})
+    a_of_q(pair_n5, 12, cap=389)
+    with pytest.raises(CapExceededError, match="prime powers"):
+        a_of_q(pair_n5, 12, cap=388)
+
+
+def test_series_cap_charges_one_block_as_one_scan():
+    # one block in all three variables: p^e is lifted from the grid mod
+    # p^ceil(e/2), sum_{p^e <= 12} p^{3 ceil(e/2)} = 1834 for the primes and
+    # 2^3 + 4^3 + 3^3 = 99 for 4, 8, 9, with nothing to convolve
+    pair = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (3, 3, 3): -1, (1, 2, 3): 1},
+                     {(1, 1): 1, (1, 2): 1, (3, 3): -1, (2, 3): 2})
+    res = singular_series_truncated(pair, 12, cap=1933)
+    assert [q for q, _ in res.a_values] == list(range(1, 13))
+    with pytest.raises(CapExceededError, match="prime powers"):
+        singular_series_truncated(pair, 12, cap=1932)
+    # q = 12 evaluates the grids mod 2 (lifting to 4) and mod 3: 2^3 + 3^3 = 35
+    # points, but its histogram has 12^2 = 144 cells, which are charged first
+    assert a_of_q(pair, 12, cap=144) == dict(res.a_values)[12]
+    with pytest.raises(CapExceededError, match="histogram mod 12"):
+        a_of_q(pair, 12, cap=143)
+    # at n = 5 the points, 2^5 + 3^5 = 275, outnumber the cells
+    pair_n5 = make_pair(5, {**{(i, i, i): 1 for i in range(1, 6)}, (1, 2, 3): 1, (3, 4, 5): -1},
+                        {**{(i, i): 1 for i in range(1, 6)}, (1, 2): 1, (4, 5): 1})
     a_of_q(pair_n5, 12, cap=275)
     with pytest.raises(CapExceededError, match="prime powers"):
         a_of_q(pair_n5, 12, cap=274)
@@ -315,7 +342,7 @@ def scan_level_counts(pair, p, k):
         prim = sol & np.any([y % p != 0 for y in coords], axis=0)
         return int(np.count_nonzero(sol)), int(np.count_nonzero(prim))
 
-    parts = scan(pair, p**k, per_chunk)
+    parts = flat_scan(pair, p**k, per_chunk)
     return sum(a for a, _ in parts), sum(b for _, b in parts)
 
 
@@ -545,12 +572,13 @@ def test_scan_results_do_not_depend_on_chunking(
     pairs = (pair_n3, pair_hensel7, pair_smooth5)
     expected = _scan_results(pairs, threads=1)
     monkeypatch.setattr(gridsum, "CHUNK", 7)
-    # chunks come back in grid order: chunk c starts at flat index 7c
+    # chunks come back in grid order; 5 <= CHUNK < 5^2, so each chunk is one
+    # whole x1-axis (CHUNK // 5 = 1 outer index) and chunk c starts at 5c
     firsts = scan(pair_n3, 5, lambda y, c, q: int(y[0][0] + 5 * y[1][0] + 25 * y[2][0]),
                   threads=threads)
-    assert firsts == list(range(0, 125, 7))
+    assert firsts == list(range(0, 125, 5))
     assert _scan_results(pairs, threads) == expected
-    # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 18
+    # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 25
     point = hensel_stable(pair_smooth5, 5, 2, threads=threads).solubility.point
     assert tuple(v % 5 for v in point) == (4, 1, 0)
 
@@ -587,6 +615,99 @@ def test_scan_values_are_exact_residues(limit, pair, q):
     assert got == [
         (y, eval_cubic(pair.cubic, y) % q, eval_quadratic(pair.quadric, y) % q) for y in points
     ]
+
+
+# the grids of the differential scan test hold at most this many points
+SCAN_POINTS = 2000
+
+
+@st.composite
+def scan_cases(draw):
+    """A pair in n <= 4 variables with coefficients up to 2^70 in size (either
+    form may have no monomials), q <= 40 with q^n <= SCAN_POINTS, a CHUNK
+    below q, between q and q^n or at least q^n, a modulus that q divides (up
+    to about 2^55, which sends most grids to the Python-int path) and a
+    thread count."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(1, max(v for v in range(1, 41) if v**n <= SCAN_POINTS)))
+    coeff = st.integers(-(2**70), 2**70)
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=4))
+
+    pair = FormPair(CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2)))
+    chunks = [st.integers(q**n, q**n + 3)]
+    if q > 1:
+        chunks.append(st.integers(1, q - 1))
+    if q < q**n:
+        chunks.append(st.integers(q, q**n - 1))
+    chunk = draw(st.one_of(chunks))
+    modulus = q * draw(st.one_of(st.integers(1, 4), st.integers(1, 2**55 // q)))
+    return pair, q, chunk, modulus, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=scan_cases())
+@example(case=(make_pair(3, {(1, 2, 3): 2**70}, {(3, 3): -1}), 5, 7, 5, 2))
+def test_tensor_block_scan_matches_flat_decode(case):
+    # the tensor-block chunks hand out the points of the flat-decode oracle
+    # in the same order with the same residues, at most CHUNK at a time, in
+    # contiguous ranges of grid order
+    pair, q, chunk, modulus, threads = case
+
+    def rows(coords, c, qq):
+        assert c.size <= chunk
+        assert all(x.dtype == np.int64 and x.shape == c.shape for x in coords + [c, qq])
+        return np.stack(coords + [c, qq])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridsum, "CHUNK", chunk)
+        got = scan(pair, q, rows, threads=threads, modulus=modulus)
+        want = flat_scan(pair, q, rows, modulus=modulus)
+    assert np.array_equal(np.concatenate(got, axis=1), np.concatenate(want, axis=1))
+
+
+@st.composite
+def block_cases(draw):
+    """A pair made of blocks of 1-3 variables at shuffled positions, p^e with
+    p in {2, 3, 5} and e <= 3 such that the full grid mod p^e has at most
+    20000 points, and a thread count.  A block may have no monomials (its
+    variables are in none), and C or Q may be empty."""
+    p, e = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+    nmax = max(m for m in range(1, 7) if p ** (e * m) <= 20000)
+    sizes = []
+    while not sizes or (sum(sizes) < nmax and draw(st.booleans())):
+        sizes.append(draw(st.integers(1, min(3, nmax - sum(sizes)))))
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    coeff = st.one_of(st.integers(-6, 6), st.integers(-(2**70), 2**70))
+    cubic, quadric = {}, {}
+    start = 0
+    for size in sizes:
+        block = sorted(order[start:start + size])
+        start += size
+        for forms_dict, degree in ((cubic, 3), (quadric, 2)):
+            keys = list(itertools.combinations_with_replacement(block, degree))
+            forms_dict.update(draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=3)))
+    empty = draw(st.sampled_from([None, "cubic", "quadric"]))
+    pair = make_pair(n, {} if empty == "cubic" else cubic, {} if empty == "quadric" else quadric)
+    return pair, p, e, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=block_cases())
+# x2 is in no monomial: its block histogram is 5 points at (0, 0)
+@example(case=(make_pair(3, {(1, 1, 1): 1, (3, 3, 3): 2}, {(1, 1): 1, (3, 3): -1}), 5, 1, 1))
+@example(case=(make_pair(4, {}, {(1, 2): 1, (3, 3): 2, (4, 4): 3}), 2, 3, 2))
+def test_block_convolved_histograms_match_full_scan(case):
+    # H_{p^e} convolved from the blocks' own histograms is the histogram of
+    # one scan of all p^{en} residues, entry for entry
+    pair, p, e, threads = case
+    hist = joint_histogram(pair, p**e, threads=threads)
+    oracle = scan_joint_histogram(pair, p**e)
+    assert hist.dtype == oracle.dtype
+    assert np.array_equal(hist, oracle)
 
 
 @pytest.fixture
