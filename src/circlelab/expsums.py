@@ -11,14 +11,23 @@ residue vectors y mod q and I(gamma; z) is the oscillatory integral of
 omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x).  Complete sums are evaluated
 from exact integer residues (histogram over the numerator mod q), so the
 only rounding is in the final complex exponentials.
+
+Both the direct sums and the Poisson m-family follow forms.separable_blocks:
+for a pair of several blocks the phase e(alpha3 C + alpha2 Q) is the product
+of one factor per block, each taken on the block's own axes, so the
+complex exponentials per box are sum over blocks of the block's points,
+not one per point.  A single I(gamma; z) (osc_integral) still takes one
+exponential per node of the whole phase.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .counting import weight_box
 from .forms import (
     FormPair,
     block_pair,
+    block_values,
     eval_cubic,
     eval_quadratic,
     int64_bound,
@@ -400,6 +410,29 @@ def _smooth_phase(
     return omega_grid(weight, axes) * np.exp(2j * np.pi * arg)
 
 
+def _smooth_factor(
+    pair: FormPair, weight: Weight, gamma3: float, gamma2: float
+) -> Callable[[list[np.ndarray]], np.ndarray]:
+    """x -> omega(x) e(gamma3 C(x) + gamma2 Q(x)), the smooth factor of the Poisson m-family.
+
+    A pair of one block (forms.separable_blocks) is _smooth_phase, one
+    complex exponential per node.  A pair of several blocks multiplies the
+    factors e(gamma3 C_b + gamma2 Q_b) of its blocks (forms.block_values),
+    each evaluated on its block's own axes, so a box costs sum over blocks b
+    of prod over i in b of (side of axis i) exponentials.
+    """
+    blocks = separable_blocks(pair)
+    if len(blocks) == 1:
+        return lambda axes: _smooth_phase(pair, weight, gamma3, gamma2, axes)
+    values = block_values(pair, blocks)
+
+    def smooth(axes: list[np.ndarray]) -> np.ndarray:
+        factors = [np.exp(2j * np.pi * (gamma3 * c + gamma2 * q)) for c, q in values(axes)]
+        return omega_grid(weight, axes) * functools.reduce(operator.mul, factors)
+
+    return smooth
+
+
 def osc_integral(
     pair: FormPair,
     weight: Weight,
@@ -451,7 +484,9 @@ def poisson_reconstruct(
     |m|_inf <= M.  All complete sums mod q are obtained at once as the
     inverse DFT of the residue phase grid, and the m-family of oscillatory
     integrals shares one alias-resolved quadrature grid whose resolution is
-    doubled until the total stabilizes to POISSON_REL_TOL.  The residue
+    doubled until the total stabilizes to POISSON_REL_TOL; on it the smooth
+    factor (_smooth_factor) is contracted with the phase matrices of every
+    m at once (quadrature.grid_contract).  The residue
     grid q^n, the m-grid (2M+1)^n and each quadrature grid are charged to
     cap; refinement ends at the cap.  A P whose powers P^3 or (P/q)^n
     overflow a float is a ValueError.
@@ -476,9 +511,7 @@ def poisson_reconstruct(
     check_cap((2 * M + 1) ** n, cap, f"poisson m-grid (2M+1)^n = {2 * M + 1}^{n}")
     sums_big = sums_mod[np.ix_(*([ms % q] * n))]
 
-    def smooth(axes: list[np.ndarray]) -> np.ndarray:
-        return _smooth_phase(pair, weight, gamma3, gamma2, axes)
-
+    smooth = _smooth_factor(pair, weight, gamma3, gamma2)
     # I(gamma; freq_step * m) for every m is one contraction of the smooth
     # factor with the separable oscillation e(-freq_step m.x), which is
     # exact on the grid

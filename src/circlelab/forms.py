@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "CubicForm",
@@ -39,6 +39,7 @@ __all__ = [
     "h_parameter",
     "separable_blocks",
     "block_pair",
+    "block_values",
 ]
 
 
@@ -200,6 +201,25 @@ def block_pair(pair: FormPair, axes: Sequence[int]) -> FormPair:
 
     return FormPair(CubicForm(len(axes), renumbered(pair.cubic.monomials)),
                     QuadraticForm(len(axes), renumbered(pair.quadric.monomials)))
+
+
+def block_values(pair: FormPair, blocks: Sequence[Sequence[int]]) -> Callable[[Sequence], list[tuple]]:
+    """The function x -> [(C_b(x_b), Q_b(x_b)) for each block b of blocks].
+
+    blocks are blocks of separable_blocks (or unions of them) that cover the
+    variables, x_b is the entries of x at b's positions, and C_b, Q_b are
+    block_pair's forms of b, built once.  C(x) and Q(x) are the sums of the
+    C_b and of the Q_b; on broadcast coordinate arrays each value spans only
+    its block's axes.  A block with no monomial in a form gives 0 for it.
+    """
+    parts = [(b, block_pair(pair, b)) for b in blocks]
+
+    def values(x: Sequence) -> list[tuple]:
+        _check_vector(pair.n, x)
+        return [(eval_cubic(own.cubic, [x[i] for i in b]), eval_quadratic(own.quadric, [x[i] for i in b]))
+                for b, own in parts]
+
+    return values
 
 
 def _check_vector(n: int, x: Sequence) -> None:

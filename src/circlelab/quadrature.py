@@ -13,6 +13,7 @@ h^n times the sum over the support boxes of the direct Weyl sums
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,19 @@ class QuadResult:
     value: complex
     error: float
     level: int
+
+
+def _phase_matrix(x: np.ndarray, ks: np.ndarray, step: float, h: float) -> np.ndarray:
+    """h e(-step k x) with a row per node x and a column per k in ks.
+
+    The column of -k is the conjugate of the column of k bit for bit: its
+    argument only changes sign, cos is even and sin odd.  So only the
+    distinct |k| take an exp, and the columns of negative k are conjugated
+    copies."""
+    absk, col = np.unique(np.abs(ks), return_inverse=True)
+    # take keeps the rows contiguous, as grid_contract needs; [:, col] would not
+    mat = np.take(h * np.exp(-2j * np.pi * step * np.outer(x, absk)), col, axis=1)
+    return np.conjugate(mat, out=mat, where=np.asarray(ks) < 0)
 
 
 def grid_contract(
@@ -63,7 +77,7 @@ def grid_contract(
     h = 2.0 * weight.xi / m
     if ks is not None:
         # node-major, so that a box's rows of it are one contiguous block
-        mats = [h * np.exp(-2j * np.pi * step * np.outer(x, ks)) for x in nodes]
+        mats = [_phase_matrix(x, ks, step, h) for x in nodes]
         total = np.zeros((len(ks),) * n, dtype=complex)
     sums = []
     for box in support_chunks(weight, m / (2.0 * weight.xi), [(0, m)] * n, origin):
@@ -100,7 +114,8 @@ def tensor_integral(
     does, since grid_contract calls it on the support boxes only.  Refines
     from level MIN_LEVEL to MAX_LEVEL until successive levels differ by
     less than tol (absolute); each level's whole (2^level + 1)^n grid is
-    charged to cap.
+    charged to cap.  A level whose value is not finite, as when f
+    overflows, ends the refinement with a QuadratureError that names it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -110,7 +125,12 @@ def tensor_integral(
         m = 2**level
         if (m + 1) ** ndim > cap:
             raise CapExceededError(f"quadrature grid {(m + 1)}^{ndim} exceeds point cap {cap}")
-        val = complex(grid_contract(f, weight, m))
+        # an overflow in f shows as a level value that is not finite, and
+        # no later level can converge from one
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = complex(grid_contract(f, weight, m))
+        if not cmath.isfinite(val):
+            raise QuadratureError(f"quadrature level {level} ({m + 1}^{ndim} nodes) gave the non-finite value {val}")
         if prev is not None:
             err = abs(val - prev)
             if err < tol:

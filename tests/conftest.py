@@ -1,9 +1,11 @@
-"""Shared fixtures: small form pairs used across the suite, the n(R) oracle,
-the bilinear-form oracle, the flat residue scan and the direct residue-scan
-oracles on it, the trapezoid nodes and weights of the full-grid quadrature
-oracle, the scalar sin-kernel oracle, the arc oracles (pigeonhole check,
-disjointness, major-arc replacement), the log-log growth fit, and the
-hypothesis profile of CI."""
+"""Shared fixtures: small form pairs used across the suite, the strategy of
+separable pairs, the n(R) oracle, the bilinear-form oracle, the flat residue
+scan and the direct residue-scan oracles on it, the trapezoid nodes and
+weights of the full-grid quadrature oracle, seeded quadrature grids, the
+form magnitudes that bound phase rounding, the scalar sin-kernel oracle, the
+whole-pair integrands of J(R) and of the Poisson family, the arc oracles
+(pigeonhole check, disjointness, major-arc replacement), the log-log growth
+fit, and the hypothesis profile of CI."""
 
 import itertools
 import math
@@ -13,15 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from circlelab import forms, gridsum
-from circlelab.archimedean import _SERIES_SWITCH
+from circlelab.archimedean import _SERIES_PHASE, _SERIES_SWITCH, sin_kernel_grid
 from circlelab.arcs import _delta_cutoff
 from circlelab.expsums import complete_sum, osc_integral, weyl_sum_direct
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix, eval_cubic, eval_quadratic
 from circlelab.util import CapExceededError, chunk_ranges, parallel_map
-from circlelab.weightfn import Weight
+from circlelab.weightfn import Weight, omega_grid
 
 # CI selects this profile (pytest --hypothesis-profile=ci) so that every run
 # draws the same examples; local runs keep the default random draws
@@ -30,6 +32,28 @@ settings.register_profile("ci", derandomize=True)
 
 def make_pair(n, cubic, quadric, **kwargs):
     return FormPair(CubicForm(n, cubic), QuadraticForm(n, quadric), **kwargs)
+
+
+@st.composite
+def separable_pairs(draw, nmax, coeff):
+    """A pair made of blocks of 1-3 variables at shuffled positions, n <= nmax,
+    with coefficients drawn from coeff.  A block may have no monomials (its
+    variables are in none), and C or Q may be empty."""
+    sizes = []
+    while not sizes or (sum(sizes) < nmax and draw(st.booleans())):
+        sizes.append(draw(st.integers(1, min(3, nmax - sum(sizes)))))
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    cubic, quadric = {}, {}
+    start = 0
+    for size in sizes:
+        block = sorted(order[start:start + size])
+        start += size
+        for forms_dict, degree in ((cubic, 3), (quadric, 2)):
+            keys = list(itertools.combinations_with_replacement(block, degree))
+            forms_dict.update(draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=3)))
+    empty = draw(st.sampled_from([None, "cubic", "quadric"]))
+    return make_pair(n, {} if empty == "cubic" else cubic, {} if empty == "quadric" else quadric)
 
 
 def full_scan_oracle(cubic, R):
@@ -102,13 +126,56 @@ def axis_nodes_weights(center, half, m):
     return nodes, w
 
 
+def seeded_grid(n, seed):
+    """A weight of n variables drawn from seed, and the nodes of a coarse grid
+    on its support cube, one broadcastable array per axis, placed as
+    quadrature.grid_contract places them."""
+    rng = np.random.default_rng(seed)
+    weight = Weight(tuple(rng.uniform(-0.1, 0.1, n)), rng.uniform(0.05, 0.39))
+    m = int(rng.integers(2, 25 if n <= 2 else 11))
+    return weight, [np.linspace(c - weight.xi, c + weight.xi, m + 1).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+                    for i, c in enumerate(weight.center)]
+
+
+def form_magnitudes(pair, axes):
+    """C and Q with |coefficients| at |x|: bounds on sum_b |C_b| and
+    sum_b |Q_b| over the blocks of any split of the pair."""
+    absolute = make_pair(pair.n, {k: abs(c) for k, c in pair.cubic.monomials.items()},
+                         {k: abs(c) for k, c in pair.quadric.monomials.items()})
+    ax = [np.abs(a) for a in axes]
+    return eval_cubic(absolute.cubic, ax), eval_quadratic(absolute.quadric, ax)
+
+
 def sin_kernel(R, u):
     """K_R(u) = sin(2 pi R u) / (pi u) for one float, continuous with K_R(0) = 2R:
-    the oracle of archimedean.sin_kernel_grid."""
-    if abs(u) < _SERIES_SWITCH:
-        w = 2.0 * math.pi * R * u
+    the oracle of archimedean.sin_kernel_grid.  The power series in u is
+    taken while both u and the phase 2 pi R u are small."""
+    w = 2.0 * math.pi * R * u
+    if abs(u) < _SERIES_SWITCH and abs(w) < _SERIES_PHASE:
         return 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
-    return math.sin(2.0 * math.pi * R * u) / (math.pi * u)
+    return math.sin(w) / (math.pi * u)
+
+
+def kernel_integrand(pair, weight, R):
+    """omega(x) K_R(C(x)) K_R(Q(x)) from the whole forms, two sines per node:
+    the oracle of the block-factored integrand of J(R)."""
+
+    def f(axes):
+        return (omega_grid(weight, axes) * sin_kernel_grid(R, eval_cubic(pair.cubic, axes))
+                * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes)))
+
+    return f
+
+
+def smooth_factor(pair, weight, gamma3, gamma2):
+    """omega(x) e(gamma3 C(x) + gamma2 Q(x)) from the whole forms, one complex
+    exponential per node: the oracle of the block-factored Poisson factor."""
+
+    def f(axes):
+        arg = gamma3 * eval_cubic(pair.cubic, axes) + gamma2 * eval_quadratic(pair.quadric, axes)
+        return omega_grid(weight, axes) * np.exp(2j * np.pi * arg)
+
+    return f
 
 
 def bilinear_forms(cubic, x, y):

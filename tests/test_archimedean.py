@@ -5,12 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from circlelab.archimedean import main_term, sin_kernel_grid, singular_integral_truncated
+from circlelab.archimedean import _integrand, main_term, sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import RationalApprox, osc_integral
-from circlelab.weightfn import Weight, nu_grid
+from circlelab.forms import eval_cubic, eval_quadratic
+from circlelab.weightfn import Weight, nu_grid, omega_grid
 
-from conftest import fit_log_power, major_arc_approx_check, make_pair, sin_kernel
+from conftest import (fit_log_power, form_magnitudes, kernel_integrand, major_arc_approx_check, make_pair,
+                      seeded_grid, separable_pairs, sin_kernel)
 
 
 # ------------------------------------------------------------------ kernel
@@ -56,7 +60,59 @@ def test_sin_kernel_grid_matches_scalar():
             assert g == pytest.approx(sin_kernel(3.0, float(u)), abs=1e-14)
 
 
+def test_sin_kernel_series_needs_a_small_phase():
+    # |u| < 1e-8 alone once put R = 1e8, u = 5e-9 on the series (3.3e7);
+    # there the quotient is taken, as at every |2 pi R u| >= 1e-3
+    for R, u in ((1e8, 5e-9), (1e7, 5e-9), (1e7, -9e-9), (1e6, 2e-9)):
+        assert sin_kernel_grid(R, u) == math.sin(2.0 * math.pi * R * u) / (math.pi * u)
+    assert sin_kernel_grid(1e8, 5e-9) == pytest.approx(7.8e-9, rel=1e-2)
+
+
+@pytest.mark.parametrize("R", [0.5, 4.0, 100.0, 1e4])
+def test_sin_kernel_series_covers_small_u_up_to_R_1e4(R):
+    # for R <= 1e4 the phase bound always holds below the switch, so the
+    # series covers exactly |u| < 1e-8
+    below = np.array([0.0, 5e-9, -9.999e-9, 1e-8 * (1 - 1e-15)])
+    w = 2.0 * np.pi * R * below
+    assert np.array_equal(sin_kernel_grid(R, below), 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0))
+    assert sin_kernel_grid(R, 1e-8) == math.sin(2.0 * math.pi * R * 1e-8) / (math.pi * 1e-8)
+
+
 # ------------------------------------------------------- singular integral
+
+CASE = st.tuples(separable_pairs(4, st.integers(-6, 6)), st.floats(0.25, 64.0), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=CASE)
+# diagonal: three blocks of one variable, nodes on C = 0 and on Q = 0
+@example(case=(make_pair(3, {(1, 1, 1): 1, (2, 2, 2): -1, (3, 3, 3): 2}, {(1, 1): 1, (2, 2): -1, (3, 3): 3}),
+               4.0, 0))
+# x2 in no monomial, and an empty C
+@example(case=(make_pair(3, {}, {(1, 3): 2, (3, 3): -1}), 16.0, 1))
+def test_block_integrand_matches_whole_pair(case):
+    # the integrand of J(R) with each sine as Im prod_b e(R u_b) on the
+    # blocks' own axes equals omega K_R(C) K_R(Q) from the whole forms,
+    # node by node, up to the rounding of the phases: a sine taken from
+    # block phases of total size s is off by about eps (1 + 2 pi R s), and
+    # its quotient by pi |u|
+    pair, R, seed = case
+    weight, axes = seeded_grid(pair.n, seed)
+    got = _integrand(pair, weight, R)(axes)
+    want = kernel_integrand(pair, weight, R)(axes)
+    eps = np.finfo(float).eps
+
+    def error(u, size):
+        u = np.abs(np.asarray(u, dtype=float))
+        return 64 * eps * ((1 + 2 * np.pi * R * size) / (np.pi * np.maximum(u, 1e-8))
+                           + 2 * np.pi * R * R * size + 2 * R)
+
+    c, q = eval_cubic(pair.cubic, axes), eval_quadratic(pair.quadric, axes)
+    (size_c, size_q), kc, kq = form_magnitudes(pair, axes), sin_kernel_grid(R, c), sin_kernel_grid(R, q)
+    ec, eq = error(c, size_c), error(q, size_q)
+    bound = omega_grid(weight, axes) * (ec * np.abs(kq) + eq * np.abs(kc) + ec * eq)
+    assert np.all(np.abs(got - want) <= bound)
+
 
 def _dense_grid_oracle(pair, weight, R, n_grid=2000):
     """Midpoint rule on an n_grid^2 mesh of the support square (n = 2)."""

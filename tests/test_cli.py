@@ -9,8 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelab import arcs, counting, gridsum, localdens
+from circlelab import archimedean, arcs, counting, expsums, gridsum, localdens
 from circlelab.cli import ProblemError, emit, load_problem, run
+
+from conftest import kernel_integrand, smooth_factor
 
 
 LINE_PROBLEM = {
@@ -1126,6 +1128,59 @@ def test_quadrature_grids_honour_the_cap(problem_file, capsys, argv, side, messa
     assert run(argv + ["--cap", str(points - 1)]) == 3
     err = capsys.readouterr().err
     assert err == "error: " + message.format(side=side, points=points, cap=points - 1) + "\n"
+
+
+# three blocks of one variable each
+D3_PROBLEM = {
+    "n": 3,
+    "cubic": [[1, 1, 1, 2], [2, 2, 2, -3], [3, 3, 3, 1]],
+    "quadric": [[1, 1, 1], [2, 2, 2], [3, 3, -2]],
+    "weight": {"x0": [0.03, -0.01, 0.02], "xi": 0.4},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--R", "2", "--tol", "1e-8"],
+    ["compare", "--P", "10", "--Rq", "2", "--Rgamma", "1", "--tol", "1e-6"],
+    ["sum", "--mode", "poisson", "--P", "6", "--q", "3", "--a3", "1", "--a2", "2",
+     "--theta3", "1e-3", "--theta2=-2e-3", "--M", "2"],
+], ids=["integral", "compare", "poisson"])
+def test_block_integrands_agree_with_whole_pair_integrands(tmp_path, monkeypatch, argv):
+    # J(R) and the Poisson family on a diagonal pair, with sines and phase
+    # factors per block, agree with the same commands run on the whole-pair
+    # integrands to 1e-14 of the value, at the same quadrature level
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps(D3_PROBLEM))
+    argv = argv[:1] + ["--problem", str(path)] + argv[1:]
+    code, blocks = run_to_file(tmp_path, argv)
+    assert code == 0
+    monkeypatch.setattr(archimedean, "_integrand", kernel_integrand)
+    monkeypatch.setattr(expsums, "_smooth_factor", smooth_factor)
+    code, whole = run_to_file(tmp_path, argv)
+    assert code == 0
+    if argv[0] == "compare":
+        got, want = (list(csv.DictReader(io.StringIO(text))) for text in (blocks, whole))
+        assert got[0]["N"] == want[0]["N"]
+        got, want = float(got[0]["prediction"]), float(want[0]["prediction"])
+    else:
+        got, want = json.loads(blocks), json.loads(whole)
+        if argv[0] == "integral":
+            assert got["level"] == want["level"]
+            got, want = got["value"], want["value"]
+        else:
+            got, want = complex(got["re"], got["im"]), complex(want["re"], want["im"])
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_integral_stops_at_a_non_finite_level(problem_file, capsys):
+    # at R = 1e300 the kernels at the origin, a node of every level, give
+    # (2R)^2 = inf: the first level ends the run, with no warning
+    start = time.perf_counter()
+    assert run(["integral", "--problem", problem_file, "--R", "1e300"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature level 3 (9^2 nodes) gave the non-finite value ")
+    assert err.count("\n") == 1
 
 
 def test_integral_runs_in_five_dimensions(tmp_path):

@@ -28,7 +28,7 @@ from circlelab.forms import separable_blocks
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega, omega_grid, support_chunks
 
-from conftest import axis_nodes_weights, make_pair
+from conftest import axis_nodes_weights, form_magnitudes, make_pair, seeded_grid, separable_pairs, smooth_factor
 
 
 def _trapezoid(y, x):
@@ -555,6 +555,26 @@ def test_poisson_error_decreases_with_m(pair_line):
         errs.append(abs(direct - recon))
     assert errs[1] <= errs[0] + 1e-9
     assert errs[2] <= errs[1] + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=separable_pairs(4, st.integers(-6, 6)), gamma3=st.floats(-60.0, 60.0), gamma2=st.floats(-60.0, 60.0),
+       seed=st.integers(0, 2**32 - 1))
+# diagonal, and x2 in no monomial with an empty Q
+@example(pair=make_pair(3, {(1, 1, 1): 1, (2, 2, 2): -1, (3, 3, 3): 2}, {(1, 1): 1, (2, 2): -1, (3, 3): 3}),
+         gamma3=1.5, gamma2=-2.0, seed=0)
+@example(pair=make_pair(3, {(1, 1, 3): 2, (3, 3, 3): -1}, {}), gamma3=40.0, gamma2=3.0, seed=1)
+def test_block_smooth_factor_matches_whole_pair(pair, gamma3, gamma2, seed):
+    # omega prod_b e(gamma3 C_b + gamma2 Q_b) on the blocks' own axes equals
+    # omega e(gamma3 C + gamma2 Q) from the whole forms, node by node, up to
+    # the rounding of phases of total size s: about eps (1 + 2 pi s)
+    w, axes = seeded_grid(pair.n, seed)
+    got = expsums._smooth_factor(pair, w, gamma3, gamma2)(axes)
+    want = smooth_factor(pair, w, gamma3, gamma2)(axes)
+    size_c, size_q = form_magnitudes(pair, axes)
+    size = abs(gamma3) * size_c + abs(gamma2) * size_q
+    bound = 64 * np.finfo(float).eps * omega_grid(w, axes) * (1 + 2 * np.pi * size)
+    assert np.all(np.abs(got - want) <= bound)
 
 
 # ------------------------------------- square-root cancellation scan (report)

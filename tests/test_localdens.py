@@ -29,7 +29,7 @@ from circlelab.localdens import (
 )
 from circlelab.util import CapExceededError, InvariantError, factorize, is_prime
 
-from conftest import flat_scan, make_pair, scan_joint_histogram, scan_phase_histogram
+from conftest import flat_scan, make_pair, scan_joint_histogram, scan_phase_histogram, separable_pairs
 
 
 def brute_count_mod(pair, q):
@@ -670,28 +670,12 @@ def test_tensor_block_scan_matches_flat_decode(case):
 
 @st.composite
 def block_cases(draw):
-    """A pair made of blocks of 1-3 variables at shuffled positions, p^e with
-    p in {2, 3, 5} and e <= 3 such that the full grid mod p^e has at most
-    20000 points, and a thread count.  A block may have no monomials (its
-    variables are in none), and C or Q may be empty."""
+    """A separable pair (conftest.separable_pairs), p^e with p in {2, 3, 5}
+    and e <= 3 such that the full grid mod p^e has at most 20000 points, and
+    a thread count."""
     p, e = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
     nmax = max(m for m in range(1, 7) if p ** (e * m) <= 20000)
-    sizes = []
-    while not sizes or (sum(sizes) < nmax and draw(st.booleans())):
-        sizes.append(draw(st.integers(1, min(3, nmax - sum(sizes)))))
-    n = sum(sizes)
-    order = draw(st.permutations(range(1, n + 1)))
-    coeff = st.one_of(st.integers(-6, 6), st.integers(-(2**70), 2**70))
-    cubic, quadric = {}, {}
-    start = 0
-    for size in sizes:
-        block = sorted(order[start:start + size])
-        start += size
-        for forms_dict, degree in ((cubic, 3), (quadric, 2)):
-            keys = list(itertools.combinations_with_replacement(block, degree))
-            forms_dict.update(draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=3)))
-    empty = draw(st.sampled_from([None, "cubic", "quadric"]))
-    pair = make_pair(n, {} if empty == "cubic" else cubic, {} if empty == "quadric" else quadric)
+    pair = draw(separable_pairs(nmax, st.one_of(st.integers(-6, 6), st.integers(-(2**70), 2**70))))
     return pair, p, e, draw(st.sampled_from([1, 2]))
 
 

@@ -1,4 +1,5 @@
-"""The support-box contraction against a full-grid oracle."""
+"""The support-box contraction against a full-grid oracle, the Poisson phase
+matrices against direct exponentials, and the stop at a non-finite level."""
 
 import itertools
 
@@ -7,8 +8,8 @@ import pytest
 
 from circlelab import weightfn
 from circlelab.expsums import _smooth_phase
-from circlelab.quadrature import grid_contract
-from circlelab.weightfn import Weight
+from circlelab.quadrature import QuadratureError, _phase_matrix, grid_contract, tensor_integral
+from circlelab.weightfn import Weight, omega_grid
 
 from conftest import axis_nodes_weights, make_pair
 
@@ -78,3 +79,25 @@ def test_frequency_family_matches_full_grid(monkeypatch, n):
             weight.center, weight.xi, M_INTERVALS,
         )
         assert abs(family[idx] - expected) <= 1e-13 * abs(expected), idx
+
+
+@pytest.mark.parametrize("m", [8, 64, 512, 1024])
+@pytest.mark.parametrize("ks", [np.arange(-64, 65), np.arange(0, 5), np.array([3, -1, 0, 1, -3, 2, 2])],
+                         ids=["symmetric", "nonnegative", "shuffled"])
+def test_phase_matrices_equal_the_direct_exponentials(m, ks):
+    # the columns of negative k are conjugated copies, and equal the direct
+    # exponentials bit for bit; the rows stay contiguous
+    for centre, xi, step in ((0.0, 0.4, 1.0), (0.031, 0.4, 2.5), (-0.27, 0.2, 10 / 3), (0.1, 0.37, 5.0)):
+        x = np.linspace(centre - xi, centre + xi, m + 1)
+        h = 2.0 * xi / m
+        mat = _phase_matrix(x, ks, step, h)
+        assert np.array_equal(mat, h * np.exp(-2j * np.pi * step * np.outer(x, ks)))
+        assert mat.flags.c_contiguous
+
+
+def test_non_finite_level_ends_the_refinement():
+    # an integrand that overflows to inf on the support stops the
+    # refinement at its first level, with no warning
+    weight = Weight((0.0, 0.0), 0.4)
+    with pytest.raises(QuadratureError, match=r"^quadrature level 3 \(9\^2 nodes\) gave the non-finite value"):
+        tensor_integral(lambda axes: omega_grid(weight, axes) * 1e300 * 1e300, weight, 1e-8)
