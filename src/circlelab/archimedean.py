@@ -18,6 +18,8 @@ prediction for the weighted count is S(R_q) * J(R_gamma) * P^{n-5}.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +40,7 @@ __all__ = [
 
 # K_R takes its even power series in u where |u| < _SERIES_SWITCH and also
 # |2 pi R u| < _SERIES_PHASE: there the first term it leaves out, w^6/5040,
-# is below 10^-21 of its value.  For R <= 10^4 the first bound implies the
+# is below 10^-21 of its value.  For |R| <= 10^4 the first bound implies the
 # second, so there the series covers exactly |u| < _SERIES_SWITCH.
 _SERIES_SWITCH = 1e-8
 _SERIES_PHASE = 1e-3
@@ -49,10 +51,12 @@ def _sine_quotient(R: float, u: np.ndarray, sine: np.ndarray) -> np.ndarray:
 
     The quotient is taken on the whole array (0/0 at u = 0 is overwritten),
     then the entries with |u| below min(_SERIES_SWITCH, _SERIES_PHASE /
-    (2 pi R)) get the even power series in u."""
+    (2 pi |R|)) get the even power series in u (at R = 0, below
+    _SERIES_SWITCH)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         sine /= np.pi * u
-    small = np.abs(u) < min(_SERIES_SWITCH, _SERIES_PHASE / (2.0 * np.pi * R))
+    switch = _SERIES_SWITCH if R == 0 else min(_SERIES_SWITCH, _SERIES_PHASE / (2.0 * np.pi * abs(R)))
+    small = np.abs(u) < switch
     w = 2.0 * np.pi * R * u[small]
     sine[small] = 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
     return sine
@@ -72,13 +76,10 @@ def _block_kernel(R: float, parts: list) -> np.ndarray:
     The sine is Im prod_b e(R u_b): one complex exponential per entry of each
     part, on the part's own axes, then products on the broadcast shape, the
     last of them only in its imaginary part.  The quotient and the series
-    take u = sum_b u_b (_sine_quotient)."""
+    take u = sum_b u_b (_sine_quotient).  parts holds at least one part."""
     parts = [np.asarray(p, dtype=float) for p in parts]
-    factors = [np.exp(2j * np.pi * R * p) for p in parts]
-    head = factors[0]
-    for factor in factors[1:-1]:
-        head = head * factor
-    last = factors[-1]
+    *heads, last = [np.exp(2j * np.pi * R * p) for p in parts]
+    head = functools.reduce(operator.mul, heads) if heads else np.complex128(1.0)
     sine = np.multiply(head.real, last.imag, out=np.empty(np.broadcast_shapes(head.shape, last.shape)))
     sine += head.imag * last.real
     return _sine_quotient(R, sum(parts[1:], parts[0]), sine)

@@ -415,16 +415,13 @@ def _smooth_factor(
 ) -> Callable[[list[np.ndarray]], np.ndarray]:
     """x -> omega(x) e(gamma3 C(x) + gamma2 Q(x)), the smooth factor of the Poisson m-family.
 
-    A pair of one block (forms.separable_blocks) is _smooth_phase, one
-    complex exponential per node.  A pair of several blocks multiplies the
-    factors e(gamma3 C_b + gamma2 Q_b) of its blocks (forms.block_values),
-    each evaluated on its block's own axes, so a box costs sum over blocks b
-    of prod over i in b of (side of axis i) exponentials.
+    The factor multiplies the phases e(gamma3 C_b + gamma2 Q_b) of the
+    pair's blocks (forms.separable_blocks, forms.block_values), each
+    evaluated on its block's own axes, so a box costs sum over blocks b of
+    prod over i in b of (side of axis i) exponentials.  A pair of one block
+    takes the same operations, in the same order, as _smooth_phase.
     """
-    blocks = separable_blocks(pair)
-    if len(blocks) == 1:
-        return lambda axes: _smooth_phase(pair, weight, gamma3, gamma2, axes)
-    values = block_values(pair, blocks)
+    values = block_values(pair, separable_blocks(pair))
 
     def smooth(axes: list[np.ndarray]) -> np.ndarray:
         factors = [np.exp(2j * np.pi * (gamma3 * c + gamma2 * q)) for c, q in values(axes)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelab.archimedean import _integrand, main_term, sin_kernel_grid, singular_integral_truncated
+from circlelab.archimedean import _block_kernel, _integrand, main_term, sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import RationalApprox, osc_integral
 from circlelab.forms import eval_cubic, eval_quadratic
 from circlelab.weightfn import Weight, nu_grid, omega_grid
@@ -76,6 +76,27 @@ def test_sin_kernel_series_covers_small_u_up_to_R_1e4(R):
     w = 2.0 * np.pi * R * below
     assert np.array_equal(sin_kernel_grid(R, below), 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0))
     assert sin_kernel_grid(R, 1e-8) == math.sin(2.0 * math.pi * R * 1e-8) / (math.pi * 1e-8)
+
+
+def test_sin_kernel_at_zero_and_negative_R():
+    # K_0 is 0 everywhere, and K_{-R} = -K_R with the series at the same u
+    us = np.array([0.0, -0.0, 5e-9, -2e-9, 1e-8, 0.3, -7.0])
+    assert sin_kernel_grid(0.0, 0.0) == 0.0
+    assert np.array_equal(sin_kernel_grid(0.0, us), np.zeros_like(us))
+    for R in (0.5, 4.0, 1e8):
+        assert np.array_equal(sin_kernel_grid(-R, us), -sin_kernel_grid(R, us))
+    assert sin_kernel_grid(-4.0, 0.0) == -8.0
+
+
+@pytest.mark.parametrize("R", [0.5, 4.0, 64.0])
+def test_block_kernel_of_one_part(R):
+    # one part is K_R of that part, its sine Im e(R u) in place of sin(2 pi R u)
+    rng = np.random.default_rng(89)
+    u = np.concatenate([[0.0, 5e-9, -1e-8, 1e-8], rng.normal(size=200) * 10.0 ** rng.integers(-7, 2, size=200)])
+    got, want = _block_kernel(R, [u]), sin_kernel_grid(R, u)
+    assert np.array_equal(got[:3], want[:3])
+    bound = 8 * np.finfo(float).eps * (1 + 2 * np.pi * R * np.abs(u)) / (np.pi * np.maximum(np.abs(u), 1e-8))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 # ------------------------------------------------------- singular integral

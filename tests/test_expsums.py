@@ -577,6 +577,23 @@ def test_block_smooth_factor_matches_whole_pair(pair, gamma3, gamma2, seed):
     assert np.all(np.abs(got - want) <= bound)
 
 
+@pytest.mark.parametrize("pair", [
+    make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1}),
+    make_pair(2, {(1, 1, 2): 3, (2, 2, 2): -1}, {}),
+    make_pair(3, {(1, 2, 3): 2, (1, 1, 1): 1}, {(3, 3): -1, (2, 2): 5}),
+    make_pair(4, {(4, 4, 4): 1, (1, 1, 1): -2}, {(1, 2): 1, (3, 4): 1, (2, 3): -3}),
+], ids=["n1", "no-quadric", "cross-cubic", "chain"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_block_smooth_factor_is_the_whole_phase(pair, seed):
+    # a pair of one block goes through the block path with the whole forms,
+    # so its factor is the whole-pair phase bit for bit
+    assert len(separable_blocks(pair)) == 1
+    w, axes = seeded_grid(pair.n, seed)
+    got = expsums._smooth_factor(pair, w, 37.5, -11.25)(axes)
+    assert np.array_equal(got, expsums._smooth_phase(pair, w, 37.5, -11.25, axes))
+    assert np.array_equal(got, smooth_factor(pair, w, 37.5, -11.25)(axes))
+
+
 # ------------------------------------- square-root cancellation scan (report)
 
 def test_sqrt_cancellation_scan(pair_n3, capsys):
