@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -628,10 +629,17 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of run(), built on the first run and shared by the later
+    runs of the process: parse_args returns a new namespace each time and
+    leaves the parser as it was, and every default is immutable."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(args, "cap", None) is not None and "CIRCLELAB_CAP" in os.environ:

@@ -12,6 +12,14 @@ allows it on [0, q-1]^n, and on Python-int object arrays otherwise (at the
 default cap only for n = 1 and q above about 1.66 * 10^6), so every residue
 is exact.
 
+The joint histogram mod a prime p is a count of lines: C(lam y) =
+lam^3 C(y) and Q(lam y) = lam^2 Q(y), so scan(lines=True) visits one point
+per line through the origin, the (p^n - 1)/(p - 1) vectors whose last
+nonzero coordinate is 1, and _scaling_orbits spreads their histogram
+exactly over the orbits of F_p^* on (C, Q) in O(p^2).  The line histogram
+G has G[0, 0] = #V(F_p), for V the projective variety C = Q = 0 over F_p,
+and the histogram of the grid has 1 + (p - 1) #V(F_p) there.
+
 lift() serves the prime powers p^k, k >= 2: with j = ceil(k/2) it scans
 the grid mod p^j, with values mod p^k, and hands each chunk the subgroup
 of (Z/p^{k-j})^2 spanned by the Jacobian at each point (Span).  That is all
@@ -24,8 +32,8 @@ crt_histograms() composes the histogram mod a composite q from those of
 the prime powers exactly dividing it, each computed once, so no histogram
 is scanned mod a composite q.  joint_histograms() builds each prime-power
 histogram of a pair with several forms.separable_blocks as the exact 2-D
-cyclic convolution of the blocks' own histograms, each scanned or lifted
-in the block's own variables.
+cyclic convolution of the blocks' own histograms, each line-scanned or
+lifted in the block's own variables.
 
 Consumers either aggregate chunk results with order-independent integer
 operations (histograms, counts), take the first hit in grid order, or
@@ -36,6 +44,7 @@ deterministic regardless of chunking or thread count.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -49,6 +58,7 @@ __all__ = [
     "Span",
     "lift",
     "lift_points",
+    "line_points",
     "crt_histograms",
     "phase_histogram",
     "joint_histograms",
@@ -82,6 +92,7 @@ def scan(
     cap: int = DEFAULT_CAP,
     threads: int = 1,
     modulus: int | None = None,
+    lines: bool = False,
 ) -> list[T]:
     """per_chunk(coords, C mod modulus, Q mod modulus) on each chunk of the residue grid mod q.
 
@@ -97,11 +108,18 @@ def scan(
     and Q are evaluated on broadcast axes, so a monomial of the inner
     coordinates is computed on q^k values and one of the outer ones on a
     value per outer index; k = 0 decodes every point.
+
+    With lines, only the line_points(q, n) vectors whose last nonzero
+    coordinate is 1 are visited, one per line through the origin when q is
+    prime: the flat ranges [q^(i-1), 2 q^(i-1)), i = 1..n, in that order,
+    each cut into tensor blocks of its first min(i - 1, k) axes.  Those
+    points are what is charged to cap.
     """
     n = pair.n
-    total = q**n
+    total = line_points(q, n) if lines else q**n
     if total > cap:
-        raise CapExceededError(f"residue grid q^n = {q}^{n} = {total} exceeds cap {cap}")
+        what = f"line scan mod {q}: ({q}^{n} - 1)/({q} - 1)" if lines else f"residue grid q^n = {q}^{n}"
+        raise CapExceededError(f"{what} = {total} exceeds cap {cap}")
     modulus = q if modulus is None else modulus
 
     reduced = _centred(pair, modulus)
@@ -109,13 +127,22 @@ def scan(
     k = 0
     while k < n and q ** (k + 1) <= CHUNK:
         k += 1
-    # the chunk is a C-order array of shape (outer, x_k, ..., x_1)
+    # (inner axes a, outer range): the outer index decodes to x_{a+1}, ...,
+    # x_n, and with a = min(i, k) the range [q^(i-a), 2 q^(i-a)) is
+    # x_{i+1} = 1 after i free coordinates
+    if lines:
+        pieces = [(min(i, k), q ** max(i - k, 0), 2 * q ** max(i - k, 0)) for i in range(n)]
+    else:
+        pieces = [(k, 0, q ** (n - k))]
+    tasks = [(a, rng) for a, lo, hi in pieces for rng in chunk_ranges(lo, hi, CHUNK // q**a)]
+    # a chunk with a inner axes is a C-order array of shape (outer, x_a, ..., x_1)
     inner = [np.arange(q, dtype=np.int64).reshape((-1,) + (1,) * i) for i in range(k)]
 
-    def work(rng: tuple[int, int]) -> T:
-        outer = np.arange(*rng, dtype=np.int64).reshape((-1,) + (1,) * k)
-        axes = inner + _decode(outer, q, n - k)
-        shape = (rng[1] - rng[0],) + (q,) * k
+    def work(task: tuple[int, tuple[int, int]]) -> T:
+        a, rng = task
+        outer = np.arange(*rng, dtype=np.int64).reshape((-1,) + (1,) * a)
+        axes = inner[:a] + _decode(outer, q, n - a)
+        shape = (rng[1] - rng[0],) + (q,) * a
         xs = axes if fits else [x.astype(object) for x in axes]
 
         def flat(v, mod: int | None = None) -> np.ndarray:
@@ -132,7 +159,14 @@ def scan(
         qq = flat(eval_quadratic(reduced.quadric, xs), modulus)
         return per_chunk([flat(x) for x in axes], c, qq)
 
-    return parallel_map(work, chunk_ranges(0, q ** (n - k), CHUNK // q**k), threads)
+    # a scan of at most CHUNK points is one chunk, or one per range of a
+    # line scan: too little work to start a thread pool for
+    return parallel_map(work, tasks, threads if total > CHUNK else 1)
+
+
+def line_points(p: int, n: int) -> int:
+    """Points of a line scan mod p >= 2 in n variables: (p^n - 1)/(p - 1)."""
+    return (p**n - 1) // (p - 1)
 
 
 def _valuation(z: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -349,11 +383,12 @@ def phase_histogram(
 def _joint_prime_power(pair: FormPair, p: int, k: int, cap: int, threads: int) -> np.ndarray:
     """p^k x p^k histogram of (C(y) mod p^k, Q(y) mod p^k) over all y mod p^k.
 
-    k = 1 is a scan mod p.  For k >= 2 each point u of lift() adds
-    p^{mn} / |G_u| to every cell of (C(u), Q(u)) + p^j G_u: the points of a
-    chunk are grouped by (ea, ed), each group is spread along t (gx, gy) for
-    t < p^(m-ed), and then summed along the first axis with period
-    p^(j+ea), which spreads it over i (p^ea, 0).
+    k = 1 is a line scan mod p, spread over F_p^* by _scaling_orbits.  For
+    k >= 2 each point u of lift() adds p^{mn} / |G_u| to every cell of
+    (C(u), Q(u)) + p^j G_u: the points of a chunk are grouped by (ea, ed),
+    each group is spread along t (gx, gy) for t < p^(m-ed), and then summed
+    along the first axis with period p^(j+ea), which spreads it over
+    i (p^ea, 0).
     """
     pk = p**k
 
@@ -361,7 +396,9 @@ def _joint_prime_power(pair: FormPair, p: int, k: int, cap: int, threads: int) -
         return np.bincount(c * pk + qq, minlength=pk * pk)
 
     if k == 1:
-        return np.sum(scan(pair, p, per_chunk_level_one, cap, threads), axis=0).reshape(p, p)
+        lines = np.sum(scan(pair, p, per_chunk_level_one, cap, threads, lines=True), axis=0)
+        return _scaling_orbits(lines.reshape(p, p), p)
+
     def per_chunk(coords, c, qq, span):
         pj = p**span.j
         hist = np.zeros(pk * pk, dtype=np.int64)
@@ -379,6 +416,42 @@ def _joint_prime_power(pair: FormPair, p: int, k: int, cap: int, threads: int) -
         return hist
 
     return np.sum(lift(pair, p, k, per_chunk, cap=cap, threads=threads), axis=0).reshape(pk, pk)
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of F_p^* (1 at p = 2)."""
+    factors = [ell for ell, _ in factorize(p - 1)]
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors))
+
+
+def _scaling_orbits(lines: np.ndarray, p: int) -> np.ndarray:
+    """The p x p histogram of (C, Q) mod p over all y mod p, from G = lines,
+    that of the vectors whose last nonzero coordinate is 1.
+
+    Every y != 0 is lam u for one such u and one lam in F_p^*, and
+    (C, Q)(lam u) = (lam^3 C(u), lam^2 Q(u)), so H[x] = [x = 0] +
+    sum_lam G[lam^-1 . x] under the action lam . (c, r) = (lam^3 c, lam^2 r),
+    which is |Stab(x)| times the sum of G over the orbit of x.  With
+    c = g^a, r = g^b for a generator g: the orbit of (0, 0) is itself,
+    stabilized by all p - 1; on the c axis the orbits are a mod d3 =
+    gcd(3, p - 1), each stabilized by d3, and on the r axis b mod d2 =
+    gcd(2, p - 1); off the axes 2a - 3b mod p - 1 labels the orbit, and
+    each is free.  So H costs O(p^2) int64 operations.
+    """
+    g = _primitive_root(p)
+    power = np.array([pow(g, t, p) for t in range(p - 1)], dtype=np.int64)
+    log = np.zeros(p, dtype=np.int64)
+    log[power] = np.arange(p - 1)
+    d3, d2 = math.gcd(3, p - 1), math.gcd(2, p - 1)
+    hist = np.empty((p, p), dtype=np.int64)
+    hist[0, 0] = 1 + (p - 1) * lines[0, 0]
+    hist[1:, 0] = d3 * lines[power, 0].reshape(-1, d3).sum(axis=0)[log[1:] % d3]
+    hist[0, 1:] = d2 * lines[0, power].reshape(-1, d2).sum(axis=0)[log[1:] % d2]
+    # the orbit of label L is {(g^(3t - L), g^(2t - L)) : t mod p - 1}
+    t = np.arange(p - 1)
+    orbit = lines[power[(3 * t - t[:, None]) % (p - 1)], power[(2 * t - t[:, None]) % (p - 1)]].sum(axis=1)
+    hist[1:, 1:] = orbit[(2 * log[1:, None] - 3 * log[1:]) % (p - 1)]
+    return hist
 
 
 def _convolution_cost(p: int, e: int, sizes: Sequence[int]) -> int:
@@ -412,7 +485,8 @@ def joint_histograms(
     forms in the separate blocks of forms.separable_blocks, so the values of
     (C, Q) are sums of independent block values and H_{p^e} is the 2-D
     cyclic convolution of the blocks' own histograms mod p^e, each from
-    lift_points(p, e, |b|) points (a scan mod p, or lift()).  The largest
+    line_points(p, |b|) points at e = 1 (a line scan mod p) and
+    lift_points(p, e, |b|) at e >= 2 (lift()).  The largest
     block comes first and the others are convolved into it (_convolve); a
     pair of one block has nothing to convolve.  cap is charged up front with
     the points of every block plus _convolution_cost for every prime power.
@@ -425,7 +499,8 @@ def joint_histograms(
         return functools.reduce(_convolve, hists)
 
     def cost(p: int, e: int) -> int:
-        return sum(lift_points(p, e, b) for b in sizes) + _convolution_cost(p, e, sizes)
+        points = sum(line_points(p, b) if e == 1 else lift_points(p, e, b) for b in sizes)
+        return points + _convolution_cost(p, e, sizes)
 
     return crt_histograms(pair.n, moduli, 2, prime_power, cost, cap)
 

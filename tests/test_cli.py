@@ -1,5 +1,6 @@
 """CLI: problem loading, subcommands, output formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelab import archimedean, arcs, counting, expsums, gridsum, localdens
+from circlelab import archimedean, arcs, cli, counting, expsums, gridsum, localdens
 from circlelab.cli import ProblemError, emit, load_problem, run
 
 from conftest import kernel_integrand, smooth_factor
@@ -930,6 +931,37 @@ def test_env_cap_overrides_flag(problem_file, monkeypatch):
     assert code == 3
 
 
+def test_runs_share_one_parser_and_print_as_alone(problem_file, capsys):
+    # the parser is built on the first run and kept: a usage error (argparse
+    # exits 2) before or after a valid run leaves each run's exit code,
+    # stdout and stderr as they are with a parser of its own
+    usage = ["series", "--problem", problem_file, "--R", "six"]
+    valid = ["series", "--problem", problem_file, "--R", "6"]
+
+    def outcome(argv):
+        code = run(argv)
+        return code, capsys.readouterr()
+
+    alone = []
+    for argv in (usage, valid):
+        cli._parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [code for code, _ in alone] == [2, 0]
+    assert alone[0][1].out == "" and "invalid int value: 'six'" in alone[0][1].err
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in (usage, valid, usage, valid)] == alone * 2
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_defaults_are_immutable():
+    # run() shares one parser, so no default may be an object a run could change
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.default is None or type(action.default) in (bool, int, float, str), (
+                name, action.dest)
+
+
 def test_env_cap_must_be_an_integer(problem_file, monkeypatch, capsys):
     monkeypatch.setenv("CIRCLELAB_CAP", "abc")
     assert run(["series", "--problem", problem_file, "--R", "3"]) == 2
@@ -953,7 +985,9 @@ def test_complete_sum_charges_its_histogram_first(problem_file, capsys, monkeypa
 
 
 def test_series_cap_charges_prime_power_scans(nd3_file, tmp_path):
-    # sum_{q <= 12} q^3 = 6084 > cap >= sum_{p^e <= 12} p^{3 ceil(e/2)} = 1933
+    # sum_{q <= 12} q^3 = 6084 > cap >= 340, the line scans of the primes,
+    # sum_{p <= 11} (p^3 - 1)/(p - 1) = 241, and the lifts to 4, 8, 9 from the
+    # grids mod 2, 4, 3, 2^3 + 4^3 + 3^3 = 99
     code, text = run_to_file(
         tmp_path, ["series", "--problem", nd3_file, "--R", "12", "--cap", "5000"]
     )
@@ -968,6 +1002,30 @@ def test_series_output_is_unchanged(nd3_file, tmp_path):
         )
         assert code == 0
         assert text == ND3_SERIES_R12, threads
+
+
+# one block in all five variables: x1 x2 x3 and x3 x4 x5 join the cubic
+B5_PROBLEM = {
+    "n": 5,
+    "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1], [4, 4, 4, 1], [5, 5, 5, 1],
+              [1, 2, 3, 1], [3, 4, 5, -1]],
+    "quadric": [[1, 1, 1], [2, 2, 1], [3, 3, 1], [4, 4, 1], [5, 5, 1], [1, 2, 1], [4, 5, 1]],
+}
+
+
+def test_one_block_n5_series_to_64_fits_the_default_cap(tmp_path):
+    # level one costs the (p^5 - 1)/(p - 1) points of the line scan per
+    # prime, so S(64) is charged about 5.0e7, within the default cap of 10^8
+    # (a scan of p^5 points per prime would be about 2.6e9)
+    path = tmp_path / "b5.json"
+    path.write_text(json.dumps(B5_PROBLEM))
+    terms = {}
+    for R in (64, 14):
+        code, text = run_to_file(tmp_path, ["series", "--problem", str(path), "--R", str(R)])
+        assert code == 0, R
+        terms[R] = json.loads(text)["terms"]
+    assert [t["q"] for t in terms[64]] == list(range(1, 65))
+    assert terms[64][:14] == terms[14]
 
 
 def test_separable_series_output_is_unchanged(tmp_path):

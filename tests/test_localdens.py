@@ -203,49 +203,53 @@ def test_series_budget(pair_n3):
 
 def test_series_cap_charges_prime_powers_only(pair_n3):
     # pair_n3 is three one-variable blocks.  R = 12: sum_{q <= 12} q^3 = 6084,
-    # but each p^e <= 12 costs its blocks' points, 3 p^ceil(e/2) (111 in
-    # all), plus two convolutions of p^e x p^e histograms, each adding a
+    # but each p^e <= 12 costs its blocks' points: at e = 1 the one line
+    # point (p - 1)/(p - 1) = 1 of each block, 3 per prime (15 for the five
+    # primes), at e >= 2 the lift's p^ceil(e/2), 3 (2 + 4 + 3) = 27 for 4, 8
+    # and 9; plus two convolutions of p^e x p^e histograms, each adding a
     # shifted copy per cell of a block's at most p^e nonzero ones: 2 p^{3e},
     # 6278 in all
-    res = singular_series_truncated(pair_n3, 12, cap=6389)
+    res = singular_series_truncated(pair_n3, 12, cap=6320)
     assert [q for q, _ in res.a_values] == list(range(1, 13))
     with pytest.raises(CapExceededError, match="prime powers"):
-        singular_series_truncated(pair_n3, 12, cap=6388)
-    # q = 12 costs 4 and 3: 3 (2 + 3) + 2 (4^3 + 3^3) = 197; its histogram
+        singular_series_truncated(pair_n3, 12, cap=6319)
+    # q = 12 costs 4 and 3: 3 (2 + 1) + 2 (4^3 + 3^3) = 191; its histogram
     # has 12^2 = 144 cells, which are charged first
-    assert a_of_q(pair_n3, 12, cap=197) == dict(res.a_values)[12]
+    assert a_of_q(pair_n3, 12, cap=191) == dict(res.a_values)[12]
     with pytest.raises(CapExceededError, match="prime powers"):
-        a_of_q(pair_n3, 12, cap=196)
+        a_of_q(pair_n3, 12, cap=190)
     with pytest.raises(CapExceededError, match="histogram mod 12"):
         a_of_q(pair_n3, 12, cap=143)
-    # at n = 5, five one-variable blocks: 5 (2 + 3) + 4 (4^3 + 3^3) = 389
+    # at n = 5, five one-variable blocks: 5 (2 + 1) + 4 (4^3 + 3^3) = 379
     pair_n5 = make_pair(5, {(i, i, i): 1 for i in range(1, 6)}, {(i, i): 1 for i in range(1, 6)})
-    a_of_q(pair_n5, 12, cap=389)
+    a_of_q(pair_n5, 12, cap=379)
     with pytest.raises(CapExceededError, match="prime powers"):
-        a_of_q(pair_n5, 12, cap=388)
+        a_of_q(pair_n5, 12, cap=378)
 
 
 def test_series_cap_charges_one_block_as_one_scan():
-    # one block in all three variables: p^e is lifted from the grid mod
-    # p^ceil(e/2), sum_{p^e <= 12} p^{3 ceil(e/2)} = 1834 for the primes and
+    # one block in all three variables: a prime p costs its line scan,
+    # (p^3 - 1)/(p - 1) = p^2 + p + 1 points, 7 + 13 + 31 + 57 + 133 = 241 for
+    # p <= 11, and p^e, e >= 2, is lifted from the grid mod p^ceil(e/2),
     # 2^3 + 4^3 + 3^3 = 99 for 4, 8, 9, with nothing to convolve
     pair = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (3, 3, 3): -1, (1, 2, 3): 1},
                      {(1, 1): 1, (1, 2): 1, (3, 3): -1, (2, 3): 2})
-    res = singular_series_truncated(pair, 12, cap=1933)
+    res = singular_series_truncated(pair, 12, cap=340)
     assert [q for q, _ in res.a_values] == list(range(1, 13))
     with pytest.raises(CapExceededError, match="prime powers"):
-        singular_series_truncated(pair, 12, cap=1932)
-    # q = 12 evaluates the grids mod 2 (lifting to 4) and mod 3: 2^3 + 3^3 = 35
-    # points, but its histogram has 12^2 = 144 cells, which are charged first
+        singular_series_truncated(pair, 12, cap=339)
+    # q = 12 evaluates the grid mod 2 (lifting to 4) and the lines mod 3:
+    # 2^3 + 13 = 21 points, but its histogram has 12^2 = 144 cells, which
+    # are charged first
     assert a_of_q(pair, 12, cap=144) == dict(res.a_values)[12]
     with pytest.raises(CapExceededError, match="histogram mod 12"):
         a_of_q(pair, 12, cap=143)
-    # at n = 5 the points, 2^5 + 3^5 = 275, outnumber the cells
+    # at n = 5 the points, 2^5 + (3^5 - 1)/2 = 153, outnumber the cells
     pair_n5 = make_pair(5, {**{(i, i, i): 1 for i in range(1, 6)}, (1, 2, 3): 1, (3, 4, 5): -1},
                         {**{(i, i): 1 for i in range(1, 6)}, (1, 2): 1, (4, 5): 1})
-    a_of_q(pair_n5, 12, cap=275)
+    a_of_q(pair_n5, 12, cap=153)
     with pytest.raises(CapExceededError, match="prime powers"):
-        a_of_q(pair_n5, 12, cap=274)
+        a_of_q(pair_n5, 12, cap=152)
 
 
 def test_a_of_q_charges_its_histogram_first(pair_n3, monkeypatch):
@@ -692,6 +696,81 @@ def test_block_convolved_histograms_match_full_scan(case):
     oracle = scan_joint_histogram(pair, p**e)
     assert hist.dtype == oracle.dtype
     assert np.array_equal(hist, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scan_cases())
+def test_line_scan_visits_one_point_per_line(case):
+    # scan(lines=True) hands out exactly the points of the flat-decode
+    # oracle whose last nonzero coordinate is 1, in grid order, with the
+    # same residues, at most CHUNK at a time
+    pair, q, chunk, modulus, threads = case
+    assume(q >= 2)
+
+    def rows(coords, c, qq):
+        return np.stack(coords + [c, qq])
+
+    def chunk_rows(coords, c, qq):
+        assert c.size <= chunk
+        return rows(coords, c, qq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridsum, "CHUNK", chunk)
+        got = scan(pair, q, chunk_rows, threads=threads, modulus=modulus, lines=True)
+    got = np.concatenate(got, axis=1)
+    grid = np.concatenate(flat_scan(pair, q, rows, modulus=modulus), axis=1)
+    last = np.zeros(grid.shape[1], dtype=np.int64)
+    for x in grid[: pair.n]:
+        last = np.where(x != 0, x, last)
+    assert got.shape[1] == gridsum.line_points(q, pair.n)
+    assert np.array_equal(got, grid[:, last == 1])
+
+
+# (p, n) of the level-one tests: n <= 5 with p^n <= 30000 for the oracle.
+# gcd(3, p - 1) is 3 at p = 7, 13, 31 and 1 at p = 2, 3, 5; gcd(2, p - 1)
+# is 1 only at p = 2
+LINE_SHAPES = [(p, n) for p in (2, 3, 5, 7, 13, 31) for n in range(1, 6) if p**n <= 30000]
+
+
+@st.composite
+def line_cases(draw):
+    """p and a pair in n variables with p^n in LINE_SHAPES: either a
+    conftest.separable_pairs pair, or a pair whose monomials may join any
+    variables (either form may be empty, a variable may be in none)."""
+    p, n = draw(st.sampled_from(LINE_SHAPES))
+    coeff = st.one_of(st.integers(-6, 6), st.integers(-(2**70), 2**70))
+    if draw(st.booleans()):
+        pair = draw(separable_pairs(n, coeff))
+        return pair.n, p, pair  # separable_pairs may draw fewer variables
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=5))
+
+    return n, p, FormPair(CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=line_cases())
+# p = 7: C alone takes the c axis, where orbits are stabilized by gcd(3, 6) = 3
+@example(case=(3, 7, make_pair(3, {(1, 1, 2): 1, (3, 3, 3): 2}, {})))
+@example(case=(2, 13, make_pair(2, {}, {(1, 1): 1, (2, 2): 3})))
+# x4 is in no monomial
+@example(case=(4, 5, make_pair(4, {(1, 2, 3): 1, (1, 1, 1): 2}, {(1, 1): 1, (2, 3): -2})))
+@example(case=(5, 2, make_pair(5, {(1, 2, 3): 1, (3, 4, 5): -1}, {(1, 1): 1, (4, 5): 1})))
+def test_level_one_histogram_from_lines_matches_full_scan(case):
+    # the histogram mod p spread from one point per line over the scaling
+    # orbits is that of all p^n residues, entry for entry, for the whole
+    # pair as one scan and block by block, with chunks of 7 on 1 and 2 threads
+    n, p, pair = case
+    oracle = scan_joint_histogram(pair, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridsum, "CHUNK", 7)
+        for threads in (1, 2):
+            whole = gridsum._joint_prime_power(pair, p, 1, 10**8, threads)
+            assert whole.dtype == oracle.dtype
+            assert np.array_equal(whole, oracle), threads
+            assert np.array_equal(joint_histogram(pair, p, threads=threads), oracle), threads
 
 
 @pytest.fixture
