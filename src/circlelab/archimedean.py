@@ -9,11 +9,13 @@ collapses to a single n-dimensional integral
 which is what we evaluate (the raw double-gamma integral survives as a test
 oracle at small R).  For a pair whose variables split into several blocks
 (forms.separable_blocks), C = sum_b C_b and Q = sum_b Q_b with each part in
-its own variables, so sin(2 pi R C) = Im prod_b e(R C_b): the exponentials
-are taken on each block's own axes of a quadrature box and only products
-and the quotient run on the whole box.  On a diagonal n = 3 pair that is
-three short rows per box in place of one sine per node.  The main-term
-prediction for the weighted count is S(R_q) * J(R_gamma) * P^{n-5}.
+its own variables, so sin(2 pi R C) = Im prod_b e(R C_b): the integrand hands
+the block values of forms.block_values(pair) to sin_kernel_grid(R, *parts),
+which takes the exponentials on each block's own axes of a quadrature box,
+and only products and the quotient on the whole box.  On a diagonal n = 3
+pair that is three short rows per box in place of one sine per node; a pair
+of one block takes one np.sin per node.  The main-term prediction for the
+weighted count is S(R_q) * J(R_gamma) * P^{n-5}.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import FormPair, block_values, eval_cubic, eval_quadratic, separable_blocks
+from .expsums import check_phase_size
+from .forms import FormPair, block_values
 from .localdens import singular_series_truncated
 from .quadrature import QuadResult, tensor_integral
 from .util import DEFAULT_CAP
@@ -46,13 +49,28 @@ _SERIES_SWITCH = 1e-8
 _SERIES_PHASE = 1e-3
 
 
-def _sine_quotient(R: float, u: np.ndarray, sine: np.ndarray) -> np.ndarray:
-    """K_R(u) from float arrays u and sin(2 pi R u) of one shape, in place in sine.
+def sin_kernel_grid(R: float, *parts: np.ndarray) -> np.ndarray:
+    """K_R(u) = sin(2 pi R u) / (pi u) elementwise for u the sum of one or
+    more parts, broadcast float arrays (or numbers) on separate axes;
+    continuous with K_R(0) = 2R, and 0-d for a 0-d u.
 
-    The quotient is taken on the whole array (0/0 at u = 0 is overwritten),
-    then the entries with |u| below min(_SERIES_SWITCH, _SERIES_PHASE /
-    (2 pi |R|)) get the even power series in u (at R = 0, below
-    _SERIES_SWITCH)."""
+    One part takes one sine per entry (measured faster than the exponential
+    of one part, ROADMAP item 3).  Several take the sine as Im prod_b
+    e(R u_b): one complex exponential per entry of each part on its own
+    axes, then products on the broadcast shape, the last only in its
+    imaginary part.  The quotient is taken on the whole array (0/0 at u = 0
+    is overwritten), then the entries with |u| below min(_SERIES_SWITCH,
+    _SERIES_PHASE / (2 pi |R|)) get the even power series in u (at R = 0,
+    below _SERIES_SWITCH)."""
+    parts = [np.asarray(p, dtype=float) for p in parts]
+    u = sum(parts[1:], parts[0])
+    if len(parts) == 1:
+        sine = np.sin(2.0 * np.pi * R * u, out=np.empty_like(u))
+    else:
+        *heads, last = [np.exp(2j * np.pi * R * p) for p in parts]
+        head = functools.reduce(operator.mul, heads)
+        sine = np.multiply(head.real, last.imag, out=np.empty(np.broadcast_shapes(head.shape, last.shape)))
+        sine += head.imag * last.real
     with np.errstate(divide="ignore", invalid="ignore"):
         sine /= np.pi * u
     switch = _SERIES_SWITCH if R == 0 else min(_SERIES_SWITCH, _SERIES_PHASE / (2.0 * np.pi * abs(R)))
@@ -62,55 +80,19 @@ def _sine_quotient(R: float, u: np.ndarray, sine: np.ndarray) -> np.ndarray:
     return sine
 
 
-def sin_kernel_grid(R: float, u: np.ndarray) -> np.ndarray:
-    """K_R(u) = sin(2 pi R u) / (pi u) elementwise, continuous with K_R(0) = 2R.
-
-    One sine per entry, then _sine_quotient.  A 0-d u gives a 0-d array."""
-    u = np.asarray(u, dtype=float)
-    return _sine_quotient(R, u, np.sin(2.0 * np.pi * R * u, out=np.empty_like(u)))
-
-
-def _block_kernel(R: float, parts: list) -> np.ndarray:
-    """K_R(u) for u the sum of parts, broadcast float arrays (or 0) on separate axes.
-
-    The sine is Im prod_b e(R u_b): one complex exponential per entry of each
-    part, on the part's own axes, then products on the broadcast shape, the
-    last of them only in its imaginary part.  The quotient and the series
-    take u = sum_b u_b (_sine_quotient).  parts holds at least one part."""
-    parts = [np.asarray(p, dtype=float) for p in parts]
-    *heads, last = [np.exp(2j * np.pi * R * p) for p in parts]
-    head = functools.reduce(operator.mul, heads) if heads else np.complex128(1.0)
-    sine = np.multiply(head.real, last.imag, out=np.empty(np.broadcast_shapes(head.shape, last.shape)))
-    sine += head.imag * last.real
-    return _sine_quotient(R, sum(parts[1:], parts[0]), sine)
-
-
 def _integrand(pair: FormPair, weight: Weight, R: float) -> Callable[[list[np.ndarray]], np.ndarray]:
     """omega(x) K_R(C(x)) K_R(Q(x)) as a function of broadcast coordinate arrays.
 
-    A pair of one block (forms.separable_blocks) takes sin_kernel_grid of C
-    and of Q, two sines per node.  A pair of several blocks takes the sines
-    as _block_kernel of the blocks' values (forms.block_values), so a box
-    costs sum over blocks b of prod over i in b of (side of axis i) complex
-    exponentials per form."""
-    blocks = separable_blocks(pair)
-    if len(blocks) == 1:
-        def f(axes: list[np.ndarray]) -> np.ndarray:
-            return (
-                omega_grid(weight, axes)
-                * sin_kernel_grid(R, eval_cubic(pair.cubic, axes))
-                * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes))
-            )
-        return f
-    values = block_values(pair, blocks)
+    Each K_R takes the values of the blocks (forms.block_values) as its
+    parts (sin_kernel_grid).  A pair of one block takes one sine per node
+    and form; a pair of several blocks costs sum over blocks b of prod over
+    i in b of (side of axis i) complex exponentials per form and box."""
+    values = block_values(pair)
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
-        parts = values(axes)
-        return (
-            omega_grid(weight, axes)
-            * _block_kernel(R, [c for c, _ in parts])
-            * _block_kernel(R, [q for _, q in parts])
-        )
+        cs, qs = zip(*values(axes))
+        return omega_grid(weight, axes) * sin_kernel_grid(R, *cs) * sin_kernel_grid(R, *qs)
+
     return f
 
 
@@ -121,11 +103,15 @@ def singular_integral_truncated(
     tol: float = 1e-8,
     cap: int = DEFAULT_CAP,
 ) -> QuadResult:
-    """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature charged to cap."""
+    """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature charged to cap.
+
+    The phases 2 pi R C and 2 pi R Q are those of I(gamma; 0) at gamma3 = R,
+    so an R whose |R| B reaches 2^52 is refused (expsums.check_phase_size)."""
     if R <= 0:
         raise ValueError("R must be positive")
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
+    check_phase_size(pair, weight, R, 0.0, (), f"J(R) at R = {R}")
     res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap)
     return QuadResult(float(res.value.real), res.error, res.level)
 

@@ -14,10 +14,12 @@ only rounding is in the final complex exponentials.
 
 Both the direct sums and the Poisson m-family follow forms.separable_blocks:
 for a pair of several blocks the phase e(alpha3 C + alpha2 Q) is the product
-of one factor per block, each taken on the block's own axes, so the
-complex exponentials per box are sum over blocks of the block's points,
-not one per point.  A single I(gamma; z) (osc_integral) still takes one
-exponential per node of the whole phase.
+of one factor per block, each taken on the block's own axes from the block
+values of forms.block_values(pair), so the complex exponentials per box are
+sum over blocks of the block's points, not one per point.  A direct sum on
+a pair of one block takes a cos and a sin per point of the ball, and a
+single I(gamma; z) (osc_integral) one exponential per node of the whole
+phase.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from .counting import weight_box
 from .forms import (
     FormPair,
-    block_pair,
     block_values,
     eval_cubic,
     eval_quadratic,
@@ -64,6 +65,7 @@ __all__ = [
     "weyl_sums",
     "complete_sum",
     "crt_decomposition",
+    "check_phase_size",
     "osc_integral",
     "poisson_reconstruct",
 ]
@@ -158,85 +160,75 @@ def _point_chunk_sums(
     return out
 
 
-class _Block:
-    """One separable block of a pair: its variables, its own forms
-    (forms.block_pair) and its phase factors e(alpha3 C_b + alpha2 Q_b) for
-    the alphas of one call.
+def _block_tables(
+    pair: FormPair, box: list[tuple[int, int]], a3: np.ndarray, a2: np.ndarray
+) -> Callable[[list[tuple[int, int]]], list[tuple[tuple[int, ...], np.ndarray]]]:
+    """The phase factors of a pair of several blocks at the alphas (a3, a2),
+    as a function of a chunk sub of box: [(b, e(alpha3 C_b + alpha2 Q_b) on
+    sub's side of b, alpha first)] for each block b of forms.separable_blocks.
 
-    The factors are tabulated over the block's side of the whole box when
-    that table, alphas times points, holds at most weightfn.CHUNK values;
-    otherwise over each chunk's sub-box as the chunk asks for it.  The two
-    give the same values, since every entry is computed by the same
-    elementwise arithmetic.
+    A block's table is built once on its side of box, and cut to each chunk,
+    when it holds at most weightfn.CHUNK values (alphas times points), and
+    on each chunk's side otherwise; the two give the same values, since
+    every entry is computed by the same elementwise arithmetic.
     """
+    blocks = separable_blocks(pair)
+    values = block_values(pair)
 
-    def __init__(
-        self,
-        pair: FormPair,
-        axes: tuple[int, ...],
-        box: list[tuple[int, int]],
-        a3: np.ndarray,
-        a2: np.ndarray,
-    ):
-        self.axes = axes
-        own = block_pair(pair, axes)
-        self.cubic, self.quadric = own.cubic, own.quadric
-        self.a3, self.a2 = a3, a2
-        self.origin = [box[i][0] for i in axes]
-        side = [box[i] for i in axes]
-        small = len(a3) * math.prod(hi - lo + 1 for lo, hi in side) <= weightfn.CHUNK
-        self.whole = self._table(side) if small else None
-
-    def _table(self, side: list[tuple[int, int]]) -> np.ndarray:
-        coords = _box_axes(side)
-        shape = tuple(hi - lo + 1 for lo, hi in side)
+    def table(sub: list[tuple[int, int]], k: int) -> np.ndarray:
+        # the other blocks' axes shrink to one point, so that only block k's
+        # forms are evaluated on its side of sub
+        sub = [side if i in blocks[k] else (side[0], side[0]) for i, side in enumerate(sub)]
+        shape = [hi - lo + 1 for lo, hi in sub]
+        sides = [shape[i] for i in blocks[k]]
         # C order, as einsum's loop order, and so its sums, follow the layout
-        c_vals = np.ascontiguousarray(np.broadcast_to(eval_cubic(self.cubic, coords), shape), dtype=float)
-        q_vals = np.ascontiguousarray(np.broadcast_to(eval_quadratic(self.quadric, coords), shape), dtype=float)
-        arg = np.multiply.outer(self.a3, c_vals)
-        arg += np.multiply.outer(self.a2, q_vals)
+        c, q = (np.ascontiguousarray(np.broadcast_to(v, shape).reshape(sides), dtype=float)
+                for v in values(_box_axes(sub))[k])
+        arg = np.multiply.outer(a3, c)
+        arg += np.multiply.outer(a2, q)
         arg -= np.round(arg)
         arg *= 2 * np.pi
         return np.cos(arg) + 1j * np.sin(arg)
 
-    def factors(self, sub: list[tuple[int, int]]) -> np.ndarray:
-        """The phase factors on the chunk sub's side of this block, alpha first."""
-        side = [sub[i] for i in self.axes]
-        if self.whole is None:
-            return self._table(side)
-        cut = tuple(slice(lo - o, hi - o + 1) for (lo, hi), o in zip(side, self.origin))
-        return np.ascontiguousarray(self.whole[(slice(None),) + cut])
+    whole = {k: table(box, k) for k, b in enumerate(blocks)
+             if len(a3) * math.prod(box[i][1] - box[i][0] + 1 for i in b) <= weightfn.CHUNK}
+
+    def tables(sub: list[tuple[int, int]]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        cut = [slice(lo - o, hi - o + 1) for (lo, hi), (o, _) in zip(sub, box)]
+        return [(b, np.ascontiguousarray(whole[k][(slice(None), *(cut[i] for i in b))]) if k in whole
+                 else table(sub, k)) for k, b in enumerate(blocks)]
+
+    return tables
 
 
 def _block_chunk_sums(
-    blocks: list[_Block], P: float, weight: Weight, sub: list[tuple[int, int]]
+    tables: list[tuple[tuple[int, ...], np.ndarray]], P: float, weight: Weight, sub: list[tuple[int, int]]
 ) -> list[complex]:
     """Every alpha's sum over one chunk of a pair with several separable blocks.
 
-    The phase is a sum of one phase per block, so e(alpha3 C + alpha2 Q) is a
-    product of per-block factors.  Omega is evaluated once on the chunk's
-    box and contracted against the blocks' factor tables one block at a
-    time, the largest table first, with alpha as a batch axis: the first
-    contraction takes the real omega against the cos and sin of its block,
-    the others are complex.  The contraction is einsum, not BLAS: OpenBLAS
-    splits long dot products over its own threads, which would change the
-    last bits with their number.  Each alpha's row of a table and of every
-    contraction is computed by the same elementwise and per-row arithmetic
-    whatever the other alphas, so many alphas give each one's sum bit for
-    bit.
+    The phase is a sum of one phase per block, so e(alpha3 C + alpha2 Q) is
+    a product of per-block factors.  Omega is evaluated once on the chunk's
+    box and contracted against the blocks' factor tables (_block_tables) one
+    block at a time, the largest table first, with alpha as a batch axis:
+    the first contraction takes the real omega against the cos and sin of
+    its block, the others are complex.  The contraction is einsum, not BLAS:
+    OpenBLAS splits long dot products over its own threads, which would
+    change the last bits with their number.  Each alpha's row of a table and
+    of every contraction is computed by the same elementwise and per-row
+    arithmetic whatever the other alphas, so many alphas give each one's sum
+    bit for bit.
     """
     n = len(sub)
     w = omega_grid(weight, [c.astype(float) / P for c in _box_axes(sub)])
-    tables = sorted(((b.axes, b.factors(sub)) for b in blocks), key=lambda t: -t[1].size)
     alpha = n  # the einsum label of the alpha axis
-    axes, table = tables[0]
+    (axes, table), *later = sorted(tables, key=lambda t: -t[1].size)
     count = len(table)
     left = [i for i in range(n) if i not in axes]
     trig = np.concatenate([table.real, table.imag])
     part = np.einsum(w, list(range(n)), trig, [alpha, *axes], [alpha, *left])
     total = np.empty(part[:count].shape, complex)
     total.real, total.imag = part[:count], part[count:]
-    for axes, table in tables[1:]:
+    for axes, table in later:
         rest = [i for i in left if i not in axes]
         total = np.einsum(total, [alpha, *left], table, [alpha, *axes], [alpha, *rest])
         left = rest
@@ -254,16 +246,16 @@ def weyl_sums(
     """The weighted exponential sum S(alpha3, alpha2) at every (alpha3, alpha2) of alphas.
 
     The weight's box is charged to cap once, whatever the number of alphas,
-    and its support is streamed in the chunks of weightfn.support_chunks.  The
-    kernel follows forms.separable_blocks.  A pair whose one block spans all
-    n variables evaluates C, Q and omega once per chunk and takes a cos and
-    a sin per kept point and alpha (_point_chunk_sums).  A pair with several
-    blocks evaluates each block's forms only on the block's side of the box
-    (_Block), into a table of cos and sin per point and alpha, and on each
-    chunk evaluates omega once and contracts it against the tables
-    (_block_chunk_sums).  The chunks never depend on threads, and each
-    alpha's chunk sums are added by fsum_complex, so the result does not
-    depend on threads either.
+    and its support is streamed in the chunks of weightfn.support_chunks.
+    The kernel follows forms.separable_blocks.  A pair whose one block
+    spans all n variables evaluates C, Q and omega once per chunk and takes
+    a cos and a sin per kept point and alpha (_point_chunk_sums).  A pair
+    with several blocks evaluates each block's forms only on the block's
+    side of the box (forms.block_values), into a table of cos and sin per
+    point and alpha (_block_tables), and on each chunk evaluates omega once
+    and contracts it against the tables (_block_chunk_sums).  The chunks
+    never depend on threads, and each alpha's chunk sums are added by
+    fsum_complex, so the result does not depend on threads either.
     """
     box = weight_box(weight, P)
     if weight.n != pair.n:
@@ -278,14 +270,14 @@ def weyl_sums(
     if not alphas:
         return []
     blocks = separable_blocks(pair)
-    # einsum names axes by integers below 52: one per variable and one for alpha
+    # einsum names axes by integers below 52: one per variable and one for
+    # alpha.  One block keeps the point kernel, which skips the points where
+    # omega = 0 and was measured faster there than block tables (ROADMAP item 3)
     if 1 < len(blocks) and pair.n < 52:
-        a3 = np.array([a for a, _ in alphas])
-        a2 = np.array([a for _, a in alphas])
-        split = [_Block(pair, block, box, a3, a2) for block in blocks]
+        tables = _block_tables(pair, box, np.array([a for a, _ in alphas]), np.array([a for _, a in alphas]))
 
         def work(sub: list[tuple[int, int]]) -> list[complex]:
-            return _block_chunk_sums(split, P, weight, sub)
+            return _block_chunk_sums(tables(sub), P, weight, sub)
     else:
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _point_chunk_sums(pair, P, weight, alphas, sub)
@@ -421,13 +413,30 @@ def _smooth_factor(
     prod over i in b of (side of axis i) exponentials.  A pair of one block
     takes the same operations, in the same order, as _smooth_phase.
     """
-    values = block_values(pair, separable_blocks(pair))
+    values = block_values(pair)
 
     def smooth(axes: list[np.ndarray]) -> np.ndarray:
         factors = [np.exp(2j * np.pi * (gamma3 * c + gamma2 * q)) for c, q in values(axes)]
         return omega_grid(weight, axes) * functools.reduce(operator.mul, factors)
 
     return smooth
+
+
+def check_phase_size(
+    pair: FormPair, weight: Weight, gamma3: float, gamma2: float, z: Sequence[float], name: str
+) -> None:
+    """Refuse, as a ValueError naming name, a phase gamma3 C(x) + gamma2 Q(x)
+    - z.x that may reach 2^52 on the weight's support: a double holds it
+    there only to within 1, so e(phase) has no correct digit and quadrature
+    would refine rounding noise to its depth limit.  The phase is majorized
+    by |gamma3| B + |gamma2| B + sum |z_i| m_i, where m_i = |x0_i| + xi and
+    B = forms.int64_bound(pair, m) bounds |C| and |Q| on the support."""
+    m = [abs(c) + weight.xi for c in weight.center]
+    bound = int64_bound(pair, m)[0]
+    size = (abs(gamma3) + abs(gamma2)) * bound + sum(abs(zi) * mi for zi, mi in zip(z, m))
+    if not size < 2.0**52:
+        raise ValueError(f"the phase of {name} may reach {size:.3g} >= 2^52 on the weight's support, "
+                         "where it has no correct digit")
 
 
 def osc_integral(
@@ -439,7 +448,9 @@ def osc_integral(
     tol: float = 1e-8,
     cap: int = DEFAULT_CAP,
 ) -> QuadResult:
-    """I(gamma; z): adaptive tensor quadrature over the weight's support cube."""
+    """I(gamma; z): adaptive tensor quadrature over the weight's support cube.
+
+    A phase that may reach 2^52 on the support is refused (check_phase_size)."""
     n = pair.n
     if weight.n != n:
         raise ValueError("weight dimension does not match the form pair")
@@ -447,6 +458,7 @@ def osc_integral(
         z = [float(z)] * n
     if len(z) != n:
         raise ValueError(f"z has length {len(z)}, expected {n}")
+    check_phase_size(pair, weight, gamma3, gamma2, z, f"I(gamma; z) at gamma = ({gamma3}, {gamma2}), z = {z}")
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)

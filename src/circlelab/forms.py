@@ -190,7 +190,7 @@ def block_pair(pair: FormPair, axes: Sequence[int]) -> FormPair:
     """The forms of pair in the variables axes alone, renumbered 1..len(axes).
 
     axes holds 0-based variable positions in ascending order, one block of
-    separable_blocks or a union of blocks, so every monomial has all its
+    separable_blocks or all n of them, so every monomial has all its
     variables in axes or none; those with none are dropped.  C and Q are the
     sums of the block pairs of their blocks, each taken at its own variables.
     """
@@ -203,16 +203,16 @@ def block_pair(pair: FormPair, axes: Sequence[int]) -> FormPair:
                     QuadraticForm(len(axes), renumbered(pair.quadric.monomials)))
 
 
-def block_values(pair: FormPair, blocks: Sequence[Sequence[int]]) -> Callable[[Sequence], list[tuple]]:
-    """The function x -> [(C_b(x_b), Q_b(x_b)) for each block b of blocks].
+def block_values(pair: FormPair) -> Callable[[Sequence], list[tuple]]:
+    """The function x -> [(C_b(x_b), Q_b(x_b)) for each block b of separable_blocks(pair)].
 
-    blocks are blocks of separable_blocks (or unions of them) that cover the
-    variables, x_b is the entries of x at b's positions, and C_b, Q_b are
-    block_pair's forms of b, built once.  C(x) and Q(x) are the sums of the
-    C_b and of the Q_b; on broadcast coordinate arrays each value spans only
-    its block's axes.  A block with no monomial in a form gives 0 for it.
+    x_b is the entries of x at b's positions, and C_b, Q_b are block_pair's
+    forms of b, built once.  C(x) and Q(x) are the sums of the C_b and of
+    the Q_b; on broadcast coordinate arrays each value spans only its
+    block's axes.  A block with no monomial in a form gives 0 for it.  A
+    pair of one block gives its whole forms, in their stored order.
     """
-    parts = [(b, block_pair(pair, b)) for b in blocks]
+    parts = [(b, block_pair(pair, b)) for b in separable_blocks(pair)]
 
     def values(x: Sequence) -> list[tuple]:
         _check_vector(pair.n, x)

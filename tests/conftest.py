@@ -3,7 +3,8 @@ separable pairs, the n(R) oracle, the bilinear-form oracle, the flat residue
 scan and the direct residue-scan oracles on it, the trapezoid nodes and
 weights of the full-grid quadrature oracle, seeded quadrature grids, the
 form magnitudes that bound phase rounding, the scalar sin-kernel oracle, the
-whole-pair integrands of J(R) and of the Poisson family, the arc oracles
+whole-pair integrands of J(R) and of the Poisson family with the one-block
+pairs they are compared on bit for bit, the arc oracles
 (pigeonhole check, disjointness, major-arc replacement), the log-log growth
 fit, and the hypothesis profile of CI."""
 
@@ -165,6 +166,16 @@ def kernel_integrand(pair, weight, R):
                 * sin_kernel_grid(R, eval_quadratic(pair.quadric, axes)))
 
     return f
+
+
+# pairs of one block of forms.separable_blocks, on which the block paths of
+# J(R) and of the Poisson family take the whole-pair values bit for bit
+one_block_pairs = pytest.mark.parametrize("pair", [
+    make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1}),
+    make_pair(2, {(1, 1, 2): 3, (2, 2, 2): -1}, {}),
+    make_pair(3, {(1, 2, 3): 2, (1, 1, 1): 1}, {(3, 3): -1, (2, 2): 5}),
+    make_pair(4, {(4, 4, 4): 1, (1, 1, 1): -2}, {(1, 2): 1, (3, 4): 1, (2, 3): -3}),
+], ids=["n1", "no-quadric", "cross-cubic", "chain"])
 
 
 def smooth_factor(pair, weight, gamma3, gamma2):

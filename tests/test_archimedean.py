@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelab.archimedean import _block_kernel, _integrand, main_term, sin_kernel_grid, singular_integral_truncated
+from circlelab.archimedean import _integrand, main_term, sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import RationalApprox, osc_integral
 from circlelab.forms import eval_cubic, eval_quadratic
 from circlelab.weightfn import Weight, nu_grid, omega_grid
 
 from conftest import (fit_log_power, form_magnitudes, kernel_integrand, major_arc_approx_check, make_pair,
-                      seeded_grid, separable_pairs, sin_kernel)
+                      one_block_pairs, seeded_grid, separable_pairs, sin_kernel)
 
 
 # ------------------------------------------------------------------ kernel
@@ -89,12 +89,24 @@ def test_sin_kernel_at_zero_and_negative_R():
 
 
 @pytest.mark.parametrize("R", [0.5, 4.0, 64.0])
-def test_block_kernel_of_one_part(R):
-    # one part is K_R of that part, its sine Im e(R u) in place of sin(2 pi R u)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sin_kernel_of_parts_is_the_kernel_of_their_sum(R, sign):
+    # parts on separate axes give K_R of their sum u, the sine Im prod_b
+    # e(R u_b) in place of sin(2 pi R u); the parts share a sign, so their
+    # phases add up to that of u, and the series entries, taken from u
+    # alone, are equal
     rng = np.random.default_rng(89)
-    u = np.concatenate([[0.0, 5e-9, -1e-8, 1e-8], rng.normal(size=200) * 10.0 ** rng.integers(-7, 2, size=200)])
-    got, want = _block_kernel(R, [u]), sin_kernel_grid(R, u)
-    assert np.array_equal(got[:3], want[:3])
+
+    def part(size):
+        head = [0.0, 1e-9, 2.5e-9, 5e-9]
+        return sign * np.concatenate([head, np.abs(rng.normal(size=size)) * 10.0 ** rng.integers(-7, 2, size=size)])
+
+    parts = [part(30).reshape(-1, 1, 1), part(20).reshape(1, -1, 1), part(10).reshape(1, 1, -1)]
+    u = parts[0] + parts[1] + parts[2]
+    got, want = sin_kernel_grid(R, *parts), sin_kernel_grid(R, u)
+    assert got.shape == u.shape
+    small = np.abs(u) < 1e-8
+    assert small.sum() > 4 and np.array_equal(got[small], want[small])
     bound = 8 * np.finfo(float).eps * (1 + 2 * np.pi * R * np.abs(u)) / (np.pi * np.maximum(np.abs(u), 1e-8))
     assert np.all(np.abs(got - want) <= bound)
 
@@ -133,6 +145,17 @@ def test_block_integrand_matches_whole_pair(case):
     ec, eq = error(c, size_c), error(q, size_q)
     bound = omega_grid(weight, axes) * (ec * np.abs(kq) + eq * np.abs(kc) + ec * eq)
     assert np.all(np.abs(got - want) <= bound)
+
+
+@one_block_pairs
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("R", [0.5, 4.0, 1e4, 1e8])
+def test_one_block_integrand_is_the_whole_pair_kernel(pair, seed, R):
+    # a pair of one block takes its whole forms through the block path, and
+    # each K_R one np.sin per node, so the integrand is the whole-pair one
+    # bit for bit
+    weight, axes = seeded_grid(pair.n, seed)
+    assert np.array_equal(_integrand(pair, weight, R)(axes), kernel_integrand(pair, weight, R)(axes))
 
 
 def _dense_grid_oracle(pair, weight, R, n_grid=2000):

@@ -1230,14 +1230,50 @@ def test_block_integrands_agree_with_whole_pair_integrands(tmp_path, monkeypatch
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-def test_integral_stops_at_a_non_finite_level(problem_file, capsys):
-    # at R = 1e300 the kernels at the origin, a node of every level, give
-    # (2R)^2 = inf: the first level ends the run, with no warning
+def test_integral_stops_at_a_non_finite_level(tmp_path, capsys):
+    # with C = Q = 0 every phase is 0, so R = 1e300 passes the phase check,
+    # and the kernels K_R(0) = 2R give (2R)^2 = inf at every node: the first
+    # level ends the run, with no warning
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({**LINE_PROBLEM, "cubic": [], "quadric": []}))
     start = time.perf_counter()
-    assert run(["integral", "--problem", problem_file, "--R", "1e300"]) == 3
+    assert run(["integral", "--problem", str(path), "--R", "1e300"]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: quadrature level 3 (9^2 nodes) gave the non-finite value ")
+    assert err.count("\n") == 1
+
+
+# C = x1^3 + 2 x2^3 and Q = x1^2 - 3 x2^2 with no node on C = Q = 0, where a
+# huge R or gamma once refined rounding noise for about a second to "no
+# convergence" at depth 12; B = 0.677 at m = (0.4, 0.35)
+OFF_ORIGIN_PROBLEM = {
+    "n": 2,
+    "cubic": [[1, 1, 1, 1], [2, 2, 2, 2]],
+    "quadric": [[1, 1, 1], [2, 2, -3]],
+    "weight": {"x0": [0.1, -0.05], "xi": 0.3},
+}
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["integral", "--R", "1e300"], "J(R) at R = 1e+300"),
+    (["integral", "--R", "1e17"], "J(R) at R = 1e+17"),
+    (["compare", "--P", "10", "--Rq", "2", "--Rgamma", "1e17"], "J(R) at R = 1e+17"),
+    (["predict", "--P", "10", "--Rq", "2", "--Rgamma", "1e300"], "J(R) at R = 1e+300"),
+    (["sum", "--mode", "integral", "--gamma3", "1e300"], "I(gamma; z) at gamma = (1e+300, 0.0)"),
+    (["sum", "--mode", "integral", "--gamma2=-1e17"], "I(gamma; z) at gamma = (0.0, -1e+17)"),
+    (["sum", "--mode", "integral", "--z", "1e17,0"], "I(gamma; z) at gamma = (0.0, 0.0), z = [1e+17, 0.0]"),
+], ids=["integral-1e300", "integral-1e17", "compare", "predict", "osc-gamma3", "osc-gamma2", "osc-z"])
+def test_huge_phases_are_refused_up_front(tmp_path, capsys, argv, what):
+    # |R| B, or |gamma3| B + |gamma2| B + sum |z_i| m_i, at or past 2^52
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(OFF_ORIGIN_PROBLEM))
+    start = time.perf_counter()
+    assert run(argv[:1] + ["--problem", str(path)] + argv[1:]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the phase of {what}")
+    assert err.endswith(">= 2^52 on the weight's support, where it has no correct digit\n")
     assert err.count("\n") == 1
 
 

@@ -28,7 +28,8 @@ from circlelab.forms import separable_blocks
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega, omega_grid, support_chunks
 
-from conftest import axis_nodes_weights, form_magnitudes, make_pair, seeded_grid, separable_pairs, smooth_factor
+from conftest import (axis_nodes_weights, form_magnitudes, make_pair, one_block_pairs, seeded_grid, separable_pairs,
+                      smooth_factor)
 
 
 def _trapezoid(y, x):
@@ -557,6 +558,23 @@ def test_poisson_error_decreases_with_m(pair_line):
     assert errs[2] <= errs[1] + 1e-9
 
 
+def test_phase_size_is_refused_from_2_to_the_52():
+    # Q = x1^2 on |x1| <= 1/4: B = 1/16 and m = 1/4, so each phase below
+    # reaches exactly 2^52 at its refused value
+    pair, w = make_pair(1, {}, {(1, 1): 1}), Weight((0.0,), 0.25)
+    below = np.nextafter(2.0**56, 0.0)
+    for gamma3, gamma2, z in ((2.0**56, 0.0, [0.0]), (0.0, -(2.0**56), [0.0]), (2.0**55, 2.0**55, [0.0]),
+                              (0.0, 0.0, [2.0**54])):
+        with pytest.raises(ValueError, match=r"the phase of I\(gamma; z\) .* may reach 4\.5e\+15 >= 2\^52"):
+            expsums.check_phase_size(pair, w, gamma3, gamma2, z, "I(gamma; z) at gamma")
+        with pytest.raises(ValueError, match="2\\^52"):
+            osc_integral(pair, w, gamma3, gamma2, z)
+    expsums.check_phase_size(pair, w, below, 0.0, [0.0], "I")
+    expsums.check_phase_size(pair, w, 0.0, 0.0, [np.nextafter(2.0**54, 0.0)], "I")
+    # a pair with no monomials has no phase but that of z
+    expsums.check_phase_size(make_pair(1, {}, {}), w, 1e300, 1e300, [0.0], "I")
+
+
 @settings(max_examples=80, deadline=None)
 @given(pair=separable_pairs(4, st.integers(-6, 6)), gamma3=st.floats(-60.0, 60.0), gamma2=st.floats(-60.0, 60.0),
        seed=st.integers(0, 2**32 - 1))
@@ -577,12 +595,7 @@ def test_block_smooth_factor_matches_whole_pair(pair, gamma3, gamma2, seed):
     assert np.all(np.abs(got - want) <= bound)
 
 
-@pytest.mark.parametrize("pair", [
-    make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1}),
-    make_pair(2, {(1, 1, 2): 3, (2, 2, 2): -1}, {}),
-    make_pair(3, {(1, 2, 3): 2, (1, 1, 1): 1}, {(3, 3): -1, (2, 2): 5}),
-    make_pair(4, {(4, 4, 4): 1, (1, 1, 1): -2}, {(1, 2): 1, (3, 4): 1, (2, 3): -3}),
-], ids=["n1", "no-quadric", "cross-cubic", "chain"])
+@one_block_pairs
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_block_smooth_factor_is_the_whole_phase(pair, seed):
     # a pair of one block goes through the block path with the whole forms,
