@@ -4,8 +4,7 @@ Core objects: exact integer forms (`forms`), the smooth bump weight
 (`weightfn`), solution enumeration and weighted counts (`counting`), Weyl
 and complete exponential sums with Poisson reconstruction (`expsums`), arc
 dissection (`arcs`), p-adic densities and the singular series
-(`localdens`), the singular integral and main-term prediction
-(`archimedean`), and Weyl-differencing diagnostics (`weyldiag`).
+(`localdens`), the singular integral (`archimedean`), and Weyl-differencing diagnostics (`weyldiag`).
 """
 
 from .forms import (
@@ -40,7 +39,7 @@ from .localdens import (
     q_factorization,
     singular_series_truncated,
 )
-from .archimedean import main_term, singular_integral_truncated
+from .archimedean import singular_integral_truncated
 from .weyldiag import alpha3_witness, count_bilinear, heights_from_sum, minor_arc_scan
 from .util import CapExceededError, InvariantError
 

@@ -1,4 +1,4 @@
-"""The truncated singular integral and the main-term prediction.
+"""The truncated singular integral.
 
 Integrating the phase e(gamma u) over gamma in [-R, R] gives the kernel
 K_R(u) = sin(2 pi R u) / (pi u), so the truncated singular integral
@@ -14,32 +14,24 @@ the block values of forms.block_values(pair) to sin_kernel_grid(R, *parts),
 which takes the exponentials on each block's own axes of a quadrature box,
 and only products and the quotient on the whole box.  On a diagonal n = 3
 pair that is three short rows per box in place of one sine per node; a pair
-of one block takes one np.sin per node.  The main-term prediction for the
-weighted count is S(R_q) * J(R_gamma) * P^{n-5}.
+of one block takes one np.sin per node.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .expsums import check_phase_size
 from .forms import FormPair, block_values
-from .localdens import singular_series_truncated
 from .quadrature import QuadResult, tensor_integral
 from .util import DEFAULT_CAP
 from .weightfn import Weight, omega_grid
 
-__all__ = [
-    "sin_kernel_grid",
-    "singular_integral_truncated",
-    "main_term",
-    "MainTerm",
-]
+__all__ = ["sin_kernel_grid", "singular_integral_truncated"]
 
 # K_R takes its even power series in u where |u| < _SERIES_SWITCH and also
 # |2 pi R u| < _SERIES_PHASE: there the first term it leaves out, w^6/5040,
@@ -114,27 +106,3 @@ def singular_integral_truncated(
     check_phase_size(pair, weight, R, 0.0, (), f"J(R) at R = {R}")
     res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap)
     return QuadResult(float(res.value.real), res.error, res.level)
-
-
-@dataclass(frozen=True)
-class MainTerm:
-    sing_series: float
-    sing_integral: float
-    prediction: float
-
-
-def main_term(
-    pair: FormPair,
-    weight: Weight,
-    R_series: int,
-    R_integral: float,
-    P: float,
-    tol: float = 1e-8,
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
-) -> MainTerm:
-    """Prediction S(R_series) * J(R_integral) * P^{n-5} for the weighted count."""
-    series = singular_series_truncated(pair, R_series, cap=cap, threads=threads)
-    integral = singular_integral_truncated(pair, weight, R_integral, tol=tol, cap=cap)
-    value = series.value * integral.value * P ** (pair.n - 5)
-    return MainTerm(series.value, float(integral.value), value)

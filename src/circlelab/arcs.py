@@ -34,6 +34,7 @@ from .expsums import RationalApprox
 from .util import CapExceededError, DEFAULT_CAP, InvariantError, check_cap, jordan_totient2
 
 __all__ = [
+    "floor_power",
     "q3q2",
     "simultaneous_approx",
     "grid_approx",
@@ -123,11 +124,6 @@ def _check_modulus(
     """The approximation with modulus q if its nearest numerators qualify, else None."""
     a3 = _nearest_numerator(q, alpha3)
     a2 = _nearest_numerator(q, alpha2)
-    # cheap float screen with slack, then exact verification
-    if abs(_torus_theta(alpha3, a3, q)) > 1.0 / (q * Q3) + 1e-12:
-        return None
-    if abs(_torus_theta(alpha2, a2, q)) > 1.0 / (q * Q2) + 1e-12:
-        return None
     if not _exact_torus_bound(alpha3, a3, q, Fraction(1, q * Q3)):
         return None
     if not _exact_torus_bound(alpha2, a2, q, Fraction(1, q * Q2)):

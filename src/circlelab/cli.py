@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .quadrature import QuadratureError
 from .util import CapExceededError, DEFAULT_CAP, InvariantError
 from .weightfn import Weight
 
-__all__ = ["main", "run", "load_problem", "emit"]
+__all__ = ["main", "run", "load_problem", "emit", "build_parser", "ProblemError"]
 
 
 class ProblemError(ValueError):
@@ -134,25 +135,13 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonify(obj):
-    """Convert a report to a JSON-ready structure with stable field order."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag, "abs": abs(obj)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _dump_json(obj, indent: int = 0) -> str:
+    """A report as JSON with stable field order, walked once: Fractions as
+    "p/q" strings, complex numbers as {re, im, abs}, numpy scalars as their
+    Python values, tuples as lists, and NaN and infinities as strings."""
     pad = " " * indent
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag, "abs": abs(obj)}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -160,15 +149,19 @@ def _dump_json(obj, indent: int = 0) -> str:
             f'{pad}  {json.dumps(str(k))}: {_dump_json(v, indent + 2)}' for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         items = ", ".join(_dump_json(v, indent) for v in obj)
         return "[" + items + "]"
-    if isinstance(obj, float):
+    if isinstance(obj, Fraction):
+        return json.dumps(f"{obj.numerator}/{obj.denominator}")
+    if isinstance(obj, (float, np.floating)):
         if math.isnan(obj) or math.isinf(obj):
-            return json.dumps(str(obj))
+            return json.dumps(str(float(obj)))
         return _fmt_float(obj)
+    if isinstance(obj, np.integer):
+        return json.dumps(int(obj))
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -177,7 +170,7 @@ def _dump_json(obj, indent: int = 0) -> str:
 def emit(report, fmt: str, out, header: list[str] | None = None) -> None:
     """Write a report (dict for json, list-of-dicts for csv) to a stream."""
     if fmt == "json":
-        out.write(_dump_json(_jsonify(report)) + "\n")
+        out.write(_dump_json(report) + "\n")
         return
     if fmt == "csv":
         rows = report
@@ -322,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_info(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
+def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     sig = signature_quadratic(pair.quadric)
     rho = sig.rank
     try:
@@ -371,8 +363,7 @@ def _cmd_info(args) -> tuple[object, str]:
     return report, "json"
 
 
-def _cmd_count(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
+def _cmd_count(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     box = counting.weight_box(weight, args.P)
     solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     weighted = counting.weighted_sum(solutions, args.P, weight)
@@ -393,8 +384,7 @@ def _cmd_count(args) -> tuple[object, str]:
     return report, "json"
 
 
-def _cmd_sum(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
+def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     mode = args.mode
     if mode == "direct":
         if args.P is None or args.alpha3 is None or args.alpha2 is None:
@@ -512,8 +502,7 @@ def _cmd_arcs(args) -> tuple[object, str]:
     return rows, "csv"
 
 
-def _cmd_series(args) -> tuple[object, str]:
-    pair, _ = load_problem(args.problem)
+def _cmd_series(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     res = localdens.singular_series_truncated(pair, args.R, cap=args.cap, threads=args.threads)
     report = {
         "R": res.R,
@@ -525,8 +514,7 @@ def _cmd_series(args) -> tuple[object, str]:
     return report, "json"
 
 
-def _cmd_local(args) -> tuple[object, str]:
-    pair, _ = load_problem(args.problem)
+def _cmd_local(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     rep = localdens.hensel_stable(pair, args.p, args.kmax, cap=args.cap, threads=args.threads)
     sol = rep.solubility
     report = {
@@ -548,45 +536,46 @@ def _cmd_local(args) -> tuple[object, str]:
     return report, "json"
 
 
-def _cmd_qfactor(args) -> tuple[object, str]:
-    pair, _ = load_problem(args.problem)
+def _cmd_qfactor(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     q0, q1, q2 = localdens.q_factorization(args.q, args.a3, pair.quadric)
     return {"q": args.q, "a3": args.a3, "q0": q0, "q1": q1, "q2": q2}, "json"
 
 
-def _cmd_integral(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
+def _cmd_integral(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     res = archimedean.singular_integral_truncated(pair, weight, args.R, tol=args.tol, cap=args.cap)
     return {"R": args.R, "value": float(res.value), "error": res.error, "level": res.level}, "json"
 
 
-def _cmd_predict(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
-    mt = archimedean.main_term(
-        pair, weight, args.Rq, args.Rgamma, args.P,
-        tol=args.tol, cap=args.cap, threads=args.threads,
-    )
-    return {
-        "P": args.P,
-        "Rq": args.Rq,
-        "Rgamma": args.Rgamma,
-        "sing_series": mt.sing_series,
-        "sing_integral": mt.sing_integral,
-        "prediction": mt.prediction,
-    }, "json"
-
-
-def _cmd_compare(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
-    p_values = _parse_float_list(args.P)
+def _main_term(args, pair: FormPair, weight: Weight) -> tuple[float, float, Callable[[float], float]]:
+    """S(R_q) and J(R_gamma), each computed once, and the main-term
+    prediction for the weighted count as a function of P:
+    S(R_q) * J(R_gamma) * P^{n-5}."""
     series = localdens.singular_series_truncated(pair, args.Rq, cap=args.cap, threads=args.threads)
     integral = archimedean.singular_integral_truncated(
         pair, weight, args.Rgamma, tol=args.tol, cap=args.cap
     )
+    return series.value, integral.value, lambda P: series.value * integral.value * P ** (pair.n - 5)
+
+
+def _cmd_predict(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
+    sing_series, sing_integral, prediction = _main_term(args, pair, weight)
+    return {
+        "P": args.P,
+        "Rq": args.Rq,
+        "Rgamma": args.Rgamma,
+        "sing_series": sing_series,
+        "sing_integral": sing_integral,
+        "prediction": prediction(args.P),
+    }, "json"
+
+
+def _cmd_compare(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
+    p_values = _parse_float_list(args.P)
+    _, _, prediction_at = _main_term(args, pair, weight)
     rows = []
     for P in p_values:
         count = counting.count_weighted(pair, P, weight, cap=args.cap)
-        prediction = series.value * integral.value * P ** (pair.n - 5)
+        prediction = prediction_at(P)
         rows.append(
             {
                 "P": P,
@@ -598,8 +587,7 @@ def _cmd_compare(args) -> tuple[object, str]:
     return rows, "csv"
 
 
-def _cmd_weyl_scan(args) -> tuple[object, str]:
-    pair, weight = load_problem(args.problem)
+def _cmd_weyl_scan(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     rows = weyldiag.minor_arc_scan(
         pair, args.P, weight, args.grid,
         delta=args.delta, eps=args.eps, seed=args.seed, cap=args.cap, threads=args.threads,
@@ -607,8 +595,7 @@ def _cmd_weyl_scan(args) -> tuple[object, str]:
     return rows, "csv"
 
 
-def _cmd_nr(args) -> tuple[object, str]:
-    pair, _ = load_problem(args.problem)
+def _cmd_nr(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     value = weyldiag.count_bilinear(pair.cubic, args.R, cap=args.cap)
     return {"R": args.R, "n_R": value}, "json"
 
@@ -642,7 +629,7 @@ def run(argv: list[str]) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "cap", None) is not None and "CIRCLELAB_CAP" in os.environ:
+    if "CIRCLELAB_CAP" in os.environ:
         try:
             args.cap = int(os.environ["CIRCLELAB_CAP"])
         except ValueError:
@@ -650,7 +637,9 @@ def run(argv: list[str]) -> int:
                   file=sys.stderr)
             return 2
     try:
-        report, fmt = _HANDLERS[args.command](args)
+        # every subcommand but arcs reads a problem file
+        problem = load_problem(args.problem) if hasattr(args, "problem") else ()
+        report, fmt = _HANDLERS[args.command](args, *problem)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
@@ -661,12 +650,12 @@ def run(argv: list[str]) -> int:
     except (CapExceededError, InvariantError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # OverflowError: a coefficient beyond the float range met a float path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             emit(report, fmt, fh)
     else:
         emit(report, fmt, sys.stdout)

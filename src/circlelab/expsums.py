@@ -391,14 +391,13 @@ def _smooth_phase(
     gamma3: float,
     gamma2: float,
     axes: list[np.ndarray],
-    z: Sequence[float] | None = None,
+    z: Sequence[float],
 ) -> np.ndarray:
     """omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x) on broadcast coordinate arrays."""
     arg = gamma3 * eval_cubic(pair.cubic, axes) + gamma2 * eval_quadratic(pair.quadric, axes)
-    if z is not None:
-        for zi, ax in zip(z, axes):
-            if zi:
-                arg = arg - zi * ax
+    for zi, ax in zip(z, axes):
+        if zi:
+            arg = arg - zi * ax
     return omega_grid(weight, axes) * np.exp(2j * np.pi * arg)
 
 

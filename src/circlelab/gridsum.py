@@ -213,22 +213,20 @@ class Span(NamedTuple):
     gy: np.ndarray
     w: np.ndarray
 
-    def contains(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Whether (s, t), with entries in [0, p^m), lies in G_u.
+    def solves(self, c: np.ndarray, qq: np.ndarray) -> np.ndarray:
+        """Whether (0, 0) mod p^k is among the values (C, Q)(u) + p^j G_u,
+        for c, qq the values (C, Q)(u) mod p^k, both 0 mod p^j (the points
+        lift passes on with zeros_only): whether (s, t) = -(C, Q)(u) / p^j
+        mod p^m lies in G_u.
 
         t must be t' gy for some t' mod p^(m-ed), which is t = 0 mod p^ed;
         then w s = (t / p^ed) gx mod p^ea, because p^ea divides
         p^(m-ed) gx, the first coordinate of p^(m-ed) (gx, gy).
         """
+        pj, pm = self.p**self.j, self.p**self.m
+        s, t = -(c // pj) % pm, -(qq // pj) % pm
         d = np.power(self.p, self.ed)
         return (t % d == 0) & ((self.w * s - t // d * self.gx) % np.power(self.p, self.ea) == 0)
-
-    def solves(self, c: np.ndarray, qq: np.ndarray) -> np.ndarray:
-        """Whether (0, 0) mod p^k is among the values (C, Q)(u) + p^j G_u,
-        for c, qq the values (C, Q)(u) mod p^k, both 0 mod p^j (the points
-        lift passes on with zeros_only): whether -(C, Q)(u) / p^j lies in G_u."""
-        pj, pm = self.p**self.j, self.p**self.m
-        return self.contains(-(c // pj) % pm, -(qq // pj) % pm)
 
     def fibre(self) -> np.ndarray:
         """f such that each value of (C, Q)(u) + p^j G_u mod p^k is taken by

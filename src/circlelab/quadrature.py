@@ -22,7 +22,7 @@ import numpy as np
 from .util import DEFAULT_CAP, CapExceededError, fsum_complex
 from .weightfn import Weight, support_chunks
 
-__all__ = ["QuadResult", "tensor_integral", "grid_contract"]
+__all__ = ["QuadResult", "QuadratureError", "tensor_integral", "grid_contract"]
 
 MIN_LEVEL = 3
 MAX_LEVEL = 12

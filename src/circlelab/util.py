@@ -6,6 +6,20 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+__all__ = [
+    "DEFAULT_CAP",
+    "CapExceededError",
+    "InvariantError",
+    "check_cap",
+    "factorize",
+    "is_prime",
+    "jordan_totient2",
+    "next_pow2",
+    "chunk_ranges",
+    "parallel_map",
+    "fsum_complex",
+]
+
 T = TypeVar("T")
 U = TypeVar("U")
 

@@ -1,6 +1,8 @@
 """The public surface: every top-level function and class of circlelab,
 public or private, is used by the package itself, not only by tests, and
-so is every import and every upper-case module-level constant."""
+so is every import and every upper-case module-level constant; each
+module's __all__ lists its public functions and classes and nothing it
+does not define."""
 
 import ast
 from pathlib import Path
@@ -121,3 +123,41 @@ def _unused_bindings(modules: dict[str, ast.Module]) -> list[str]:
 
 def test_every_import_and_constant_is_used_in_the_package():
     assert _unused_bindings(_modules()) == []
+
+
+def _declared(tree: ast.Module) -> list[str] | None:
+    """The strings of the module's __all__, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return None
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names that a module defines at top level: its functions, classes and
+    assigned names (imports excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_module_declares_its_public_surface():
+    # __all__ names only what its module defines, and every public
+    # top-level function and class of the module
+    for mod, tree in _modules().items():
+        declared = _declared(tree)
+        assert declared is not None, f"{mod} has no __all__"
+        assert len(declared) == len(set(declared)), mod
+        assert sorted(set(declared) - _top_level_names(tree)) == [], mod
+        public = {
+            node.name for node in tree.body
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
+        }
+        assert sorted(public - set(declared)) == [], mod

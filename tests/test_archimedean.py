@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelab.archimedean import _integrand, main_term, sin_kernel_grid, singular_integral_truncated
+from circlelab.archimedean import _integrand, sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import RationalApprox, osc_integral
 from circlelab.forms import eval_cubic, eval_quadratic
 from circlelab.weightfn import Weight, nu_grid, omega_grid
@@ -265,25 +265,6 @@ def test_train_approx_tiny_support(pair_line):
     assert chk.lhs == 0j
     assert chk.error <= 1e-9 * P**2
     assert chk.ok
-
-
-# ----------------------------------------------------------- main term
-
-def test_main_term_composition(pair_line):
-    w = Weight((0.3, -0.3), 0.1)
-    mt = main_term(pair_line, w, 1, 4.0, 10.0)
-    assert mt.sing_series == 1.0
-    integral = singular_integral_truncated(pair_line, w, 4.0).value
-    assert mt.prediction == pytest.approx(
-        integral * 10.0 ** (2 - 5), rel=1e-12
-    )
-    assert mt.sing_integral == pytest.approx(integral, rel=1e-12)
-
-
-def test_main_term_n2_computable(pair_line, broad_weight):
-    # n = 2 is far outside the theorem range but the number is well defined
-    mt = main_term(pair_line, broad_weight, 3, 2.0, 8.0)
-    assert math.isfinite(mt.prediction)
 
 
 def test_osc_integral_decay_scan(capsys):

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from circlelab import archimedean, arcs, cli, counting, expsums, gridsum, localdens
@@ -901,6 +903,35 @@ def test_integral_predict_compare(problem_file, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("rq, rgamma, P", [("1", "4", "10"), ("3", "2", "8")])
+def test_predict_prints_the_product_of_its_parts(tmp_path, problem_file, rq, rgamma, P):
+    # n = 2 is far outside the theorem range, but the main term is well
+    # defined: S(R_q) J(R_gamma) P^(n-5), bit for bit as printed
+    code, text = run_to_file(
+        tmp_path, ["predict", "--problem", problem_file, "--Rq", rq, "--Rgamma", rgamma, "--P", P]
+    )
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["prediction"] == rep["sing_series"] * rep["sing_integral"] * float(P) ** (2 - 5)
+    assert math.isfinite(rep["prediction"]) and rep["prediction"] != 0
+
+
+def test_compare_predicts_as_predict_does(tmp_path, problem_file):
+    code, text = run_to_file(
+        tmp_path, ["compare", "--problem", problem_file, "--P", "8,16", "--Rq", "2", "--Rgamma", "2"]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [row["P"] for row in rows] == ["8", "16"]
+    for row in rows:
+        code, text = run_to_file(
+            tmp_path,
+            ["predict", "--problem", problem_file, "--Rq", "2", "--Rgamma", "2", "--P", row["P"]],
+        )
+        assert code == 0
+        assert float(row["prediction"]) == json.loads(text)["prediction"]
+
+
 def test_weyl_scan_and_nr(problem_file, tmp_path):
     code, text = run_to_file(
         tmp_path,
@@ -1275,6 +1306,67 @@ def test_huge_phases_are_refused_up_front(tmp_path, capsys, argv, what):
     assert err.startswith(f"error: the phase of {what}")
     assert err.endswith(">= 2^52 on the weight's support, where it has no correct digit\n")
     assert err.count("\n") == 1
+
+
+# a cubic coefficient beyond the float range: the exact paths run, and each
+# float path reports the overflow as an input error
+HUGE_PROBLEM = dict(LINE_PROBLEM, cubic=[[1, 1, 1, 10**400], [2, 2, 2, 1]])
+
+HUGE_SERIES_R3 = """{
+  "R": 3,
+  "value": 3,
+  "imag_residual": 0,
+  "terms": [{
+    "q": 1,
+    "term": 1
+  }, {
+    "q": 2,
+    "term": 0
+  }, {
+    "q": 3,
+    "term": 2
+  }],
+  "a_of_q": [{
+    "q": 1,
+    "A": 1
+  }, {
+    "q": 2,
+    "A": 0
+  }, {
+    "q": 3,
+    "A": 18
+  }]
+}
+"""
+
+HUGE_COUNT_P10 = """{
+  "P": 10,
+  "weighted_count": 0.36787944117144233,
+  "box": ["-4:4", "-4:4"],
+  "box_count": 1
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["integral", "--R", "1"], None),
+    (["sum", "--mode", "integral", "--gamma3", "1"], None),
+    (["compare", "--P", "10", "--Rq", "2", "--Rgamma", "1"], None),
+    (["info"], None),
+    (["sum", "--mode", "poisson", "--P", "10", "--q", "2", "--a3", "1", "--a2", "1"], None),
+    (["series", "--R", "3"], HUGE_SERIES_R3),
+    (["count", "--P", "10"], HUGE_COUNT_P10),
+], ids=["integral", "osc", "compare", "info", "poisson", "series", "count"])
+def test_coefficients_beyond_the_float_range(tmp_path, capsys, argv, expected):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_PROBLEM))
+    code = run(argv[:1] + ["--problem", str(path)] + argv[1:])
+    out, err = capsys.readouterr()
+    if expected is None:
+        assert (code, out) == (2, "")
+        assert err == "error: int too large to convert to float\n"
+    else:
+        assert (code, out, err) == (0, expected, "")
 
 
 def test_integral_runs_in_five_dimensions(tmp_path):
@@ -1696,6 +1788,45 @@ def test_json_round_trip(tmp_path):
     with open(out2, "w") as fh:
         emit(loaded, "json", fh)
     assert out.read_text() == out2.read_text()
+
+
+def test_emit_pins_the_bytes_of_every_value_kind():
+    # one walk of the report: Fractions, complex numbers, numpy scalars,
+    # tuples, NaN and infinities each print in place
+    report = {
+        "fraction": Fraction(-3, 4),
+        "complex": complex(1.5, -2.0),
+        "float32": np.float32(0.1),
+        "int64": np.int64(-7),
+        "tuple": (1, 2.5, "x"),
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "empty": [{}, []],
+    }
+    out = io.StringIO()
+    emit(report, "json", out)
+    assert out.getvalue() == (
+        '{\n'
+        '  "fraction": "-3/4",\n'
+        '  "complex": {\n'
+        '    "re": 1.5,\n'
+        '    "im": -2,\n'
+        '    "abs": 2.5\n'
+        '  },\n'
+        '  "float32": 0.10000000149011612,\n'
+        '  "int64": -7,\n'
+        '  "tuple": [1, 2.5, "x"],\n'
+        '  "nan": "nan",\n'
+        '  "inf": "inf",\n'
+        '  "-inf": "-inf",\n'
+        '  "empty": [{}, []]\n'
+        '}\n'
+    )
+    out = io.StringIO()
+    emit({}, "json", out)
+    emit([], "json", out)
+    assert out.getvalue() == "{}\n[]\n"
 
 
 def test_csv_empty_and_quoting(tmp_path):

@@ -603,7 +603,7 @@ def test_one_block_smooth_factor_is_the_whole_phase(pair, seed):
     assert len(separable_blocks(pair)) == 1
     w, axes = seeded_grid(pair.n, seed)
     got = expsums._smooth_factor(pair, w, 37.5, -11.25)(axes)
-    assert np.array_equal(got, expsums._smooth_phase(pair, w, 37.5, -11.25, axes))
+    assert np.array_equal(got, expsums._smooth_phase(pair, w, 37.5, -11.25, axes, [0.0] * pair.n))
     assert np.array_equal(got, smooth_factor(pair, w, 37.5, -11.25)(axes))
 
 

@@ -67,7 +67,7 @@ def test_frequency_family_matches_full_grid(monkeypatch, n):
     ks = np.arange(-1, 2)
 
     def smooth(axes):
-        return _smooth_phase(pair, weight, 1.5, -2.0, axes)
+        return _smooth_phase(pair, weight, 1.5, -2.0, axes, [0.0] * n)
 
     monkeypatch.setattr(weightfn, "CHUNK", SMALL_CHUNK)
     family = grid_contract(smooth, weight, M_INTERVALS, ks, 2.5)
