@@ -21,7 +21,7 @@ from .forms import (
     signature_quadratic,
     smooth_point_test,
 )
-from .weightfn import Weight, nu, omega
+from .weightfn import Weight
 from .counting import count_weighted, enumerate_solutions
 from .expsums import (
     RationalApprox,

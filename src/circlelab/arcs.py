@@ -77,9 +77,14 @@ def _delta_cutoff(P: float, delta: float) -> int:
     return int(P**delta)
 
 
-def _check_delta(delta: float) -> None:
+def _major_moduli(P: float, delta: float, cap: int) -> int:
+    """floor(P^delta), the largest modulus of a major arc, charged to cap;
+    a delta outside (0, 1/3), where the arcs are not disjoint, is a ValueError."""
     if not (0 < delta < 1.0 / 3.0):
         raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
+    qmax = _delta_cutoff(P, delta)
+    check_cap(qmax, cap, "major arc moduli q <= P^delta")
+    return qmax
 
 
 def _normalize_unit(alpha: float) -> float:
@@ -209,11 +214,9 @@ def major_arc_test(
     1/(2q).  Returns the witness (q, a3, a2) of the first (smallest-q)
     containing arc.
     """
-    _check_delta(delta)
+    qmax = _major_moduli(P, delta, cap)
     alpha3 = _normalize_unit(alpha3)
     alpha2 = _normalize_unit(alpha2)
-    qmax = _delta_cutoff(P, delta)
-    check_cap(qmax, cap, "major arc moduli q <= P^delta")
     for q in range(1, qmax + 1):
         a3 = _nearest_numerator(q, alpha3)
         a2 = _nearest_numerator(q, alpha2)
@@ -231,10 +234,10 @@ def major_arc_measure(P: float, delta: float = DEFAULT_DELTA, cap: int = DEFAULT
 
     Each coprime pair contributes a (2 P^{-3+delta}) x (2 P^{-2+delta}) box;
     the number of coprime numerator pairs mod q is the Jordan totient J_2(q).
-    The moduli q <= P^delta are charged to cap first.
+    The moduli q <= P^delta are charged to cap first, and delta must lie in
+    (0, 1/3), as for major_arc_test.
     """
-    qmax = _delta_cutoff(P, delta)
-    check_cap(qmax, cap, "major arc moduli q <= P^delta")
+    qmax = _major_moduli(P, delta, cap)
     pairs = sum(jordan_totient2(q) for q in range(1, qmax + 1))
     return pairs * 4.0 * P ** (-5 + 2 * delta)
 

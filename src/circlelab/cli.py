@@ -16,12 +16,11 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from . import arcs as arcs_mod
-from . import archimedean, counting, expsums, localdens, weyldiag
+from . import archimedean, counting, expsums, localdens, weightfn, weyldiag
 from .forms import (
     CubicForm,
     FormPair,
@@ -364,7 +363,7 @@ def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
 
 
 def _cmd_count(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
-    box = counting.weight_box(weight, args.P)
+    box = weightfn.weight_box(weight, args.P)
     solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     weighted = counting.weighted_sum(solutions, args.P, weight)
     if args.box:
@@ -546,36 +545,41 @@ def _cmd_integral(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     return {"R": args.R, "value": float(res.value), "error": res.error, "level": res.level}, "json"
 
 
-def _main_term(args, pair: FormPair, weight: Weight) -> tuple[float, float, Callable[[float], float]]:
+def _main_term(
+    args, pair: FormPair, weight: Weight, p_values: list[float]
+) -> tuple[float, float, list[float]]:
     """S(R_q) and J(R_gamma), each computed once, and the main-term
-    prediction for the weighted count as a function of P:
-    S(R_q) * J(R_gamma) * P^{n-5}."""
+    prediction S(R_q) * J(R_gamma) * P^{n-5} for the weighted count at each
+    P of p_values, every one of which is first refused unless it is a finite
+    real >= 1 (weightfn.check_scale)."""
+    for P in p_values:
+        weightfn.check_scale(P)
     series = localdens.singular_series_truncated(pair, args.Rq, cap=args.cap, threads=args.threads)
     integral = archimedean.singular_integral_truncated(
         pair, weight, args.Rgamma, tol=args.tol, cap=args.cap
     )
-    return series.value, integral.value, lambda P: series.value * integral.value * P ** (pair.n - 5)
+    main = series.value * integral.value
+    return series.value, integral.value, [main * P ** (pair.n - 5) for P in p_values]
 
 
 def _cmd_predict(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
-    sing_series, sing_integral, prediction = _main_term(args, pair, weight)
+    sing_series, sing_integral, (prediction,) = _main_term(args, pair, weight, [args.P])
     return {
         "P": args.P,
         "Rq": args.Rq,
         "Rgamma": args.Rgamma,
         "sing_series": sing_series,
         "sing_integral": sing_integral,
-        "prediction": prediction(args.P),
+        "prediction": prediction,
     }, "json"
 
 
 def _cmd_compare(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     p_values = _parse_float_list(args.P)
-    _, _, prediction_at = _main_term(args, pair, weight)
+    _, _, predictions = _main_term(args, pair, weight, p_values)
     rows = []
-    for P in p_values:
+    for P, prediction in zip(p_values, predictions):
         count = counting.count_weighted(pair, P, weight, cap=args.cap)
-        prediction = prediction_at(P)
         rows.append(
             {
                 "P": P,

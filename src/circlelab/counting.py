@@ -13,9 +13,9 @@ otherwise, because a prefix at which Q vanishes identically in x_n takes
 every value of the last side.
 
 The weighted count N(P) = sum over solutions of omega(x/P) needs only the
-integer points of the box circumscribing P times the support ball, visited
-once.  Sums are accumulated with math.fsum per first-coordinate slab and
-then over the slabs.
+integer points of weightfn.weight_box, the box circumscribing P times the
+support ball, visited once.  omega is evaluated at all the solutions in one
+weightfn.omega_grid call, and the values are added by one math.fsum.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .forms import FormPair, eval_cubic
 from .util import DEFAULT_CAP, check_cap
-from .weightfn import Weight, omega
+from .weightfn import Weight, omega_grid, weight_box
 
 __all__ = [
     "enumerate_solutions",
     "count_weighted",
     "weighted_sum",
-    "weight_box",
 ]
 
 Box = Sequence[tuple[int, int]]
@@ -98,27 +99,12 @@ def enumerate_solutions(
                     yield x
 
 
-def weight_box(weight: Weight, P: float) -> list[tuple[int, int]]:
-    """Integer box circumscribing P times the support ball of the weight (finite P >= 1)."""
-    if not math.isfinite(P):
-        raise ValueError(f"P must be finite, got {P}")
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    out = []
-    for lo, hi in weight.support_box():
-        out.append((math.ceil(lo * P), math.floor(hi * P)))
-    return out
-
-
 def weighted_sum(solutions: Iterable[tuple[int, ...]], P: float, weight: Weight) -> float:
-    """Sum of omega(x/P) over solutions given in lexicographic order.
-
-    One math.fsum per first-coordinate slab, then one over the slabs.
-    """
-    return math.fsum(
-        math.fsum(omega(weight, [v / P for v in x]) for x in slab)
-        for _, slab in itertools.groupby(solutions, key=lambda x: x[0])
-    )
+    """Sum of omega(x/P) over solutions: one omega_grid call on the (k, n)
+    array of the k solutions, added by one math.fsum."""
+    # no solutions make a (0, n) array, whose omega_grid is empty
+    x = np.array(list(solutions) or np.empty((0, weight.n)), dtype=float) / P
+    return math.fsum(omega_grid(weight, x.T))
 
 
 def count_weighted(pair: FormPair, P: float, weight: Weight, cap: int = DEFAULT_CAP) -> float:

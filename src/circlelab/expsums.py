@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import weight_box
 from .forms import (
     FormPair,
     block_values,
@@ -54,7 +53,7 @@ from .util import (
     parallel_map,
 )
 from . import weightfn
-from .weightfn import Weight, omega_grid, support_chunks
+from .weightfn import Weight, check_scale, omega_grid, support_chunks, weight_box
 
 __all__ = [
     "RationalApprox",
@@ -118,7 +117,9 @@ def theta_height(approx: RationalApprox, P: float) -> float:
 
 
 def default_truncation(approx: RationalApprox, P: float) -> int:
-    """Default m-sum radius: past |m| ~ q*Theta/P the integrals are negligible."""
+    """Default m-sum radius: past |m| ~ q*Theta/P the integrals are negligible.
+    P must be a finite real >= 1 (weightfn.check_scale)."""
+    check_scale(P)
     theta = theta_height(approx, P)
     return math.ceil(4.0 * approx.q * theta / P) + 8
 
@@ -312,7 +313,7 @@ def complete_sum(
     q: int,
     a3: int,
     a2: int,
-    m: Sequence[int] | int,
+    m: Sequence[int],
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> complex:
@@ -326,8 +327,6 @@ def complete_sum(
     carries only the rounding of the final exponentials.
     """
     n = pair.n
-    if isinstance(m, int):
-        m = [m] * n
     if len(m) != n:
         raise ValueError(f"m has length {len(m)}, expected {n}")
     if q < 1:
@@ -356,7 +355,7 @@ def crt_decomposition(
     q: int,
     a3: int,
     a2: int,
-    m: Sequence[int] | int,
+    m: Sequence[int],
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> list[CrtFactor]:
@@ -368,8 +367,6 @@ def crt_decomposition(
     cofactor t = q / p^e and numerators (t^2 a3, t a2) reduced mod p^e.
     Their scans, sum p^{en} points, are charged to cap before the first.
     """
-    if isinstance(m, int):
-        m = [m] * pair.n
     if len(m) != pair.n:
         raise ValueError(f"m has length {len(m)}, expected {pair.n}")
     parts = factorize(q)
@@ -496,9 +493,11 @@ def poisson_reconstruct(
     factor (_smooth_factor) is contracted with the phase matrices of every
     m at once (quadrature.grid_contract).  The residue
     grid q^n, the m-grid (2M+1)^n and each quadrature grid are charged to
-    cap; refinement ends at the cap.  A P whose powers P^3 or (P/q)^n
-    overflow a float is a ValueError.
+    cap; refinement ends at the cap.  A P that is not a finite real >= 1
+    (weightfn.check_scale), or whose powers P^3 or (P/q)^n overflow a
+    float, is a ValueError.
     """
+    check_scale(P)
     if M < 0:
         raise ValueError("truncation radius M must be >= 0")
     n = pair.n

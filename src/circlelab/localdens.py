@@ -65,12 +65,13 @@ def _require_prime(p: int) -> None:
 
 @dataclass(frozen=True)
 class SolubilityReport:
+    """The Q_p certificate search of a HenselReport, which holds p; the
+    search is partial exactly when the report reached no level."""
+
     verdict: str  # smooth_liftable | only_singular | none_found
-    p: int
     level: int
     point: tuple[int, ...] | None
     solutions_mod_p: int
-    partial: bool
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,8 @@ def hensel_stable(
     a certificate.  If there are solutions but none smooth (the zero vector
     always solves, with rank-0 Jacobian) the verdict is only_singular.
     none_found is only reachable when the lift to level 2 is refused, which
-    marks the solubility report partial; it is never a proof of insolubility.
+    leaves the report partial at reached = 0; it is never a proof of
+    insolubility.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -181,7 +183,7 @@ def hensel_stable(
     else:
         lift = min(kmax, 3)
         verdict, point = "smooth_liftable", _hensel_lift(pair, smooth, p, lift)
-    sol = SolubilityReport(verdict, p, lift, point, n_mod_p, reached == 0)
+    sol = SolubilityReport(verdict, lift, point, n_mod_p)
     return HenselReport(
         p, kmax, reached, stable, level, tuple(dens), tuple(prim), partial, sol
     )

@@ -3,8 +3,10 @@
 omega(x) = nu(|x - x0| / xi) with nu(t) = exp(-1/(1 - t^2)) for |t| < 1 and 0
 otherwise, so omega is C-infinity, radially decreasing, supported on the
 closed Euclidean ball of radius xi about x0, and bounded by e^{-1}.
-support_chunks cuts that ball into the boxes on which both the direct Weyl
-sums and the quadrature evaluate their integrands.
+omega_grid is its one evaluator.  Counts and sums at scale P run over the
+integer points of weight_box, which admits only a finite real P >= 1
+(check_scale); support_chunks cuts the ball in such a box into the boxes on
+which the direct Weyl sums and the quadrature evaluate their integrands.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .util import chunk_ranges
 
-__all__ = ["Weight", "nu", "nu_grid", "omega", "omega_grid", "support_chunks"]
+__all__ = ["Weight", "nu_grid", "omega_grid", "check_scale", "weight_box", "support_chunks"]
 
 # the most points in one support box.  Its 128 KB float arrays are reused by
 # the allocator from box to box; whole x0-slices of up to 1 MB each raised
@@ -57,21 +59,12 @@ class Weight:
         return [(c - self.xi, c + self.xi) for c in self.center]
 
 
-def nu(t: float) -> float:
-    """The one-dimensional profile exp(-1/(1-t^2)) on |t| < 1, else 0."""
-    u = 1.0 - t * t
-    if u <= _EXP_GUARD:
-        return 0.0
-    return math.exp(-1.0 / u)
-
-
 def nu_grid(t: np.ndarray) -> np.ndarray:
-    """Vectorized nu for numpy arrays.
+    """The one-dimensional profile exp(-1/(1-t^2)) on |t| < 1, else 0, on an array.
 
     Below the guard u = 1 - t^2 is raised to the guard itself, where
     exp(-1 / u) = exp(-10^12) is exactly 0, so the exponential runs on every
-    point without a mask and gives nu's values bit for bit; fmax also sends a
-    NaN to the guard, and so to 0."""
+    point without a mask; fmax also sends a NaN to the guard, and so to 0."""
     t = np.asarray(t, dtype=float)
     u = np.multiply(t, t, out=np.empty_like(t))
     np.subtract(1.0, u, out=u)
@@ -80,16 +73,8 @@ def nu_grid(t: np.ndarray) -> np.ndarray:
     return np.exp(u, out=u)
 
 
-def omega(weight: Weight, x: Sequence[float]) -> float:
-    """omega(x) = nu(|x - x0|_2 / xi)."""
-    if len(x) != weight.n:
-        raise ValueError(f"vector has length {len(x)}, expected {weight.n}")
-    dist2 = sum((float(v) - c) ** 2 for v, c in zip(x, weight.center))
-    return nu(math.sqrt(dist2) / weight.xi)
-
-
 def omega_grid(weight: Weight, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """omega evaluated on broadcastable coordinate arrays (one per axis)."""
+    """omega(x) = nu(|x - x0|_2 / xi) on broadcastable coordinate arrays (one per axis)."""
     if len(axes) != weight.n:
         raise ValueError(f"got {len(axes)} coordinate arrays, expected {weight.n}")
     dist2 = None
@@ -99,6 +84,23 @@ def omega_grid(weight: Weight, axes: Sequence[np.ndarray]) -> np.ndarray:
     t = np.sqrt(dist2)
     t /= weight.xi
     return nu_grid(t)
+
+
+def check_scale(P: float) -> None:
+    """Refuse, as a ValueError, a scale P that is not a finite real >= 1."""
+    if not math.isfinite(P):
+        raise ValueError(f"P must be finite, got {P}")
+    if P < 1:
+        raise ValueError(f"P must be >= 1, got {P}")
+
+
+def weight_box(weight: Weight, P: float) -> list[tuple[int, int]]:
+    """Integer box circumscribing P times the support ball of the weight (finite P >= 1)."""
+    check_scale(P)
+    out = []
+    for lo, hi in weight.support_box():
+        out.append((math.ceil(lo * P), math.floor(hi * P)))
+    return out
 
 
 def support_chunks(

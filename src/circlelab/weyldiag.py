@@ -238,14 +238,12 @@ def alpha3_witness(
     return Alpha3Witness(s, b3, phi3, lhs, rhs_scale, lhs <= SOFT_CONSTANT * rhs_scale)
 
 
-def _u_search(
-    alpha2: float, s: int, phi3: float, P: float, t2: float, eps: float, constant: float
-) -> int | None:
-    """Smallest u <= constant T2^2 with ||s u alpha2|| within the lemma bound."""
+def _u_search(alpha2: float, s: int, phi3: float, P: float, t2: float, eps: float) -> int | None:
+    """Smallest u <= SOFT_CONSTANT T2^2 with ||s u alpha2|| within the lemma bound."""
     if not math.isfinite(t2):
         return None
-    u_max = int(math.ceil(constant * t2 * t2))
-    bound = constant * P ** (-2 + eps) * s * (1.0 + P**3 * abs(phi3)) * t2 * t2
+    u_max = int(math.ceil(SOFT_CONSTANT * t2 * t2))
+    bound = SOFT_CONSTANT * P ** (-2 + eps) * s * (1.0 + P**3 * abs(phi3)) * t2 * t2
     for u in range(1, min(u_max, 10**6) + 1):
         if _distance_to_int(s * u * alpha2) <= bound:
             return u
@@ -312,7 +310,7 @@ def minor_arc_scan(
             # the dichotomy was derived under s <= P; mark rather than force
             row.update(u=None, alt="unclassifiable")
             return row
-        u = _u_search(alpha2, wit.s, wit.phi3, P, heights.t2, eps, SOFT_CONSTANT)
+        u = _u_search(alpha2, wit.s, wit.phi3, P, heights.t2, eps)
         alt_ii = (
             heights.t2**2
             >= P ** (1 - eps) / (wit.s + P**3 * abs(wit.phi3)) / SOFT_CONSTANT

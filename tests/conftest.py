@@ -1,12 +1,13 @@
 """Shared fixtures: small form pairs used across the suite, the strategy of
-separable pairs, the n(R) oracle, the bilinear-form oracle, the flat residue
-scan and the direct residue-scan oracles on it, the trapezoid nodes and
-weights of the full-grid quadrature oracle, seeded quadrature grids, the
-form magnitudes that bound phase rounding, the scalar sin-kernel oracle, the
-whole-pair integrands of J(R) and of the Poisson family with the one-block
-pairs they are compared on bit for bit, the arc oracles
-(pigeonhole check, disjointness, major-arc replacement), the log-log growth
-fit, and the hypothesis profile of CI."""
+separable pairs, the closed-form reference of the weight (nu and omega at
+one point, with libm's exp), the n(R) oracle, the bilinear-form oracle,
+the flat residue scan and the direct residue-scan oracles on it, the
+trapezoid nodes and weights of the full-grid quadrature oracle, seeded
+quadrature grids, the form magnitudes that bound phase rounding, the
+scalar sin-kernel oracle, the whole-pair integrands of J(R) and of the
+Poisson family with the one-block pairs they are compared on bit for bit,
+the arc oracles (pigeonhole check, disjointness, major-arc replacement),
+the log-log growth fit, and the hypothesis profile of CI."""
 
 import itertools
 import math
@@ -136,6 +137,20 @@ def seeded_grid(n, seed):
     m = int(rng.integers(2, 25 if n <= 2 else 11))
     return weight, [np.linspace(c - weight.xi, c + weight.xi, m + 1).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
                     for i, c in enumerate(weight.center)]
+
+
+def nu(t):
+    """exp(-1/(1 - t^2)) for |t| < 1, else 0, for one float: the reference
+    of weightfn.nu_grid, with libm's exp."""
+    u = 1.0 - t * t
+    return math.exp(-1.0 / u) if u > 0.0 else 0.0
+
+
+def omega(weight, x):
+    """omega(x) = nu(|x - x0|_2 / xi) at one point: the reference of
+    weightfn.omega_grid, of the weighted count and of the literal Weyl sums."""
+    dist2 = sum((float(v) - c) * (float(v) - c) for v, c in zip(x, weight.center))
+    return nu(math.sqrt(dist2) / weight.xi)
 
 
 def form_magnitudes(pair, axes):

@@ -212,8 +212,13 @@ def test_major_arcs_disjoint_vs_oracle(P, delta):
 
 
 def test_delta_validation():
-    with pytest.raises(ValueError):
-        major_arc_test(0.1, 0.1, 10.0, 0.5)
+    # major_arc_measure raised ZeroDivisionError at delta = -0.1 and returned
+    # a measure at 0 and 1/2; both functions now refuse delta outside (0, 1/3)
+    for delta in (-0.1, 0.0, 1.0 / 3.0, 0.5):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/3\), got "):
+            major_arc_test(0.1, 0.1, 100.0, delta)
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/3\), got "):
+            major_arc_measure(100.0, delta)
 
 
 # ------------------------------------------------ block screen vs scalar scan

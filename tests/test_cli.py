@@ -1605,6 +1605,29 @@ def test_non_finite_sizes_are_usage_errors(problem_file, capsys, argv):
     assert "finite" in err and "Traceback" not in err
 
 
+POISSON = ["sum", "--mode", "poisson", "--q", "2", "--a3", "1", "--a2", "1"]
+
+
+# predict raised ZeroDivisionError at P = 0 and printed a negative prediction
+# at P = -8; poisson raised ZeroDivisionError at P = 0 and printed a
+# reconstruction below 1, with or without --M.  Every command that takes P
+# goes through weightfn.check_scale, as count and direct sums always did.
+@pytest.mark.parametrize("argv, P", [
+    (["predict", "--Rq", "2", "--Rgamma", "1", "--P", "0"], "0.0"),
+    (["predict", "--Rq", "2", "--Rgamma", "1", "--P", "-8"], "-8.0"),
+    (POISSON + ["--P", "0"], "0.0"),
+    (POISSON + ["--P", "-3"], "-3.0"),
+    (POISSON + ["--P", "0.5"], "0.5"),
+    (POISSON + ["--P", "0", "--M", "2"], "0.0"),
+    (["count", "--P", "0.5"], "0.5"),
+    (["sum", "--mode", "direct", "--P", "0", "--alpha3", "0.1", "--alpha2", "0.2"], "0.0"),
+    (["compare", "--P", "8,0.5", "--Rq", "2", "--Rgamma", "1"], "0.5"),
+])
+def test_every_P_below_one_is_refused_alike(problem_file, capsys, argv, P):
+    assert run(argv[:1] + ["--problem", problem_file] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", f"error: P must be >= 1, got {P}\n")
+
+
 # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
 # 999999999999987 = 3 * 333333333333329
 @pytest.mark.parametrize("p", ["1", "4", "9", "3215031751", "999999999999987"])

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.counting import count_weighted, enumerate_solutions, weight_box
+from circlelab.counting import count_weighted, enumerate_solutions, weighted_sum
 from circlelab.forms import eval_cubic, eval_quadratic
-from circlelab.weightfn import Weight, omega
+from circlelab.weightfn import Weight, weight_box
 
-from conftest import fit_log_power, make_pair
+from conftest import fit_log_power, make_pair, omega
 
 
 def brute_solutions(pair, box):
@@ -125,6 +125,21 @@ def test_count_weighted_matches_oracle(pair_line, broad_weight):
         for x in brute_solutions(pair_line, box)
     )
     assert count_weighted(pair_line, P, broad_weight) == pytest.approx(oracle, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weighted_sum_is_the_reference_sum_within_4_ulp(data):
+    n = data.draw(st.integers(1, 4))
+    w = Weight(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n)), data.draw(st.floats(0.05, 0.25)))
+    P = data.draw(st.floats(1.0, 64.0))
+    # points of the weight's box and one step beyond it on each side, where omega is 0
+    point = st.tuples(*(st.integers(lo - 1, hi + 1) for lo, hi in weight_box(w, P)))
+    solutions = data.draw(st.lists(point, max_size=60))
+    want = math.fsum(omega(w, [v / P for v in x]) for x in solutions)
+    assert abs(weighted_sum(solutions, P, w) - want) <= 4 * math.ulp(want)
+    assert weighted_sum(iter(solutions), P, w) == weighted_sum(solutions, P, w)
+    assert weighted_sum([], P, w) == 0.0
 
 
 def test_fit_log_power_exact_square():

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import expsums, gridsum, weightfn
-from circlelab.counting import weight_box
 from circlelab.expsums import (
     RationalApprox,
     complete_sum,
@@ -26,10 +25,10 @@ from circlelab.expsums import (
 )
 from circlelab.forms import separable_blocks
 from circlelab.util import CapExceededError
-from circlelab.weightfn import Weight, nu_grid, omega, omega_grid, support_chunks
+from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
 
-from conftest import (axis_nodes_weights, form_magnitudes, make_pair, one_block_pairs, seeded_grid, separable_pairs,
-                      smooth_factor)
+from conftest import (axis_nodes_weights, form_magnitudes, make_pair, omega, one_block_pairs, seeded_grid,
+                      separable_pairs, smooth_factor)
 
 
 def _trapezoid(y, x):
@@ -484,6 +483,16 @@ def test_poisson_cap(pair_n1):
     message = r"^poisson m-grid \(2M\+1\)\^n = 9\^1: 9 elements exceeds cap 8$"
     with pytest.raises(CapExceededError, match=message):
         poisson_reconstruct(pair_n1, 8, w, approx, 4, cap=8)
+
+
+@pytest.mark.parametrize("P", [0.0, -3.0, 0.5, math.nan])
+def test_poisson_needs_a_finite_P_of_at_least_one(pair_n1, P):
+    # the rule of weightfn.weight_box, before any scan or division by P
+    approx = RationalApprox(2, 1, 1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^P must be "):
+        expsums.default_truncation(approx, P)
+    with pytest.raises(ValueError, match="^P must be "):
+        poisson_reconstruct(pair_n1, P, Weight((0.25,), 0.2), approx, 2)
 
 
 # -------------------------------------------------------------- theta height

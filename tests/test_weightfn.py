@@ -1,4 +1,6 @@
-"""Bump weight: profile values, support, smoothness proxy, monotonicity."""
+"""Bump weight: profile values, support, smoothness proxy, monotonicity,
+each on nu_grid and omega_grid against the closed-form reference of
+conftest (nu and omega at one point)."""
 
 import math
 import random
@@ -9,14 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import weightfn
-from circlelab.weightfn import Weight, nu, nu_grid, omega
+from circlelab.weightfn import Weight, nu_grid, omega_grid
+
+from conftest import nu, omega
+
+
+def omega_at(weight, points):
+    """omega_grid at each point of a list, one axis array per coordinate."""
+    return omega_grid(weight, list(np.array(points, dtype=float).T))
 
 
 def test_nu_values():
-    assert nu(0.0) == pytest.approx(math.exp(-1), abs=1e-15)
-    assert nu(1.0) == 0.0
-    assert nu(-2.0) == 0.0
-    assert nu(0.5) == pytest.approx(math.exp(-4.0 / 3.0), abs=1e-15)
+    # 0-d arrays, at 0, +-1, -2 and 1/2
+    for t, want in ((0.0, math.exp(-1)), (1.0, 0.0), (-1.0, 0.0), (-2.0, 0.0), (0.5, math.exp(-4.0 / 3.0))):
+        got = nu_grid(np.array(t))
+        assert got.shape == ()
+        assert float(got) == pytest.approx(want, abs=1e-15)
+        assert float(got) == pytest.approx(nu(t), rel=1e-15, abs=0.0)
 
 
 def gathered_nu_grid(t):
@@ -67,36 +78,44 @@ def test_nu_grid_sends_non_finite_values_to_zero():
 
 def test_nu_range():
     rng = random.Random(1)
-    for _ in range(1000):
-        t = rng.uniform(-3, 3)
-        assert 0.0 <= nu(t) <= math.exp(-1) + 1e-16
+    t = np.array([rng.uniform(-3, 3) for _ in range(1000)])
+    got = nu_grid(t)
+    assert np.all((0.0 <= got) & (got <= math.exp(-1) + 1e-16))
+    # within an ulp or two of libm's exp, and 0 exactly where the reference is
+    want = np.array([nu(v) for v in t])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
 
 def test_omega_values():
     w = Weight((0.1, -0.2), 0.15)
-    assert omega(w, [0.1, -0.2]) == pytest.approx(math.exp(-1), abs=1e-15)
-    # on the boundary sphere
-    assert omega(w, [0.1 + 0.15, -0.2]) == 0.0
-    # halfway out reduces to nu(1/2)
-    assert omega(w, [0.1, -0.2 + 0.075]) == pytest.approx(nu(0.5), abs=1e-15)
+    # the centre, a point of the boundary sphere, and halfway out, which reduces to nu(1/2)
+    points = [[0.1, -0.2], [0.1 + 0.15, -0.2], [0.1, -0.2 + 0.075]]
+    got = omega_at(w, points)
+    assert got.shape == (3,)
+    assert got[0] == pytest.approx(math.exp(-1), abs=1e-15)
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(nu(0.5), abs=1e-15)
+    assert got.tolist() == pytest.approx([omega(w, x) for x in points], rel=1e-15, abs=0.0)
 
 
 def test_omega_dimension_check():
     w = Weight((0.0, 0.0), 0.3)
     with pytest.raises(ValueError):
-        omega(w, [0.0])
+        omega_grid(w, [np.array([0.0])])
 
 
 def test_support_vanishing():
     rng = random.Random(2)
     w = Weight((0.05, -0.05, 0.1), 0.2)
+    points = []
     for _ in range(500):
         # sample outside the ball: radial direction scaled past xi
         direction = [rng.gauss(0, 1) for _ in range(3)]
         norm = math.sqrt(sum(d * d for d in direction))
         scale = w.xi * rng.uniform(1.0, 3.0) / norm
-        x = [c + d * scale for c, d in zip(w.center, direction)]
-        assert omega(w, x) == 0.0
+        points.append([c + d * scale for c, d in zip(w.center, direction)])
+    assert not omega_at(w, points).any()
+    assert all(omega(w, x) == 0.0 for x in points)
 
 
 def test_boundary_smoothness_proxy():
@@ -111,7 +130,10 @@ def test_boundary_smoothness_proxy():
     for order, stencil in coeffs.items():
         quotients = []
         for h in (1e-2, 1e-3, 1e-4):
-            fd = sum(c * nu(1.0 + k * h) for c, k in stencil) / h**order
+            t = np.array([1.0 + k * h for _, k in stencil])
+            values = nu_grid(t)
+            assert values.tolist() == pytest.approx([nu(v) for v in t], rel=1e-15, abs=0.0)
+            fd = sum(c * v for (c, _), v in zip(stencil, values.tolist())) / h**order
             quotients.append(abs(fd))
         assert quotients[1] <= quotients[0] + 1e-15
         assert quotients[2] <= quotients[1] + 1e-15
@@ -121,12 +143,14 @@ def test_boundary_smoothness_proxy():
 def test_monotone_radial_decrease():
     rng = random.Random(3)
     w = Weight((0.0, 0.0), 0.4)
+    inner, outer = [], []
     for _ in range(500):
         r1, r2 = sorted((rng.uniform(0, 0.6), rng.uniform(0, 0.6)))
         phi = rng.uniform(0, 2 * math.pi)
-        x = [r1 * math.cos(phi), r1 * math.sin(phi)]
-        y = [r2 * math.cos(phi), r2 * math.sin(phi)]
-        assert omega(w, x) >= omega(w, y)
+        inner.append([r1 * math.cos(phi), r1 * math.sin(phi)])
+        outer.append([r2 * math.cos(phi), r2 * math.sin(phi)])
+    assert np.all(omega_at(w, inner) >= omega_at(w, outer))
+    assert all(omega(w, x) >= omega(w, y) for x, y in zip(inner, outer))
 
 
 def test_xi_validation_and_box_warning():

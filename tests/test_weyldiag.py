@@ -11,9 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import expsums, forms, gridsum, weightfn, weyldiag
-from circlelab.counting import weight_box
 from circlelab.forms import CubicForm, bilinear_matrix, gradient_cubic
-from circlelab.weightfn import Weight
+from circlelab.weightfn import Weight, weight_box
 from circlelab.weyldiag import (
     alpha3_witness,
     count_bilinear,
@@ -266,7 +265,7 @@ def test_minor_arc_scan_rational_alpha2(pair_line):
     w = Weight((0.1, -0.1), 0.35)
     from circlelab.weyldiag import _u_search
 
-    u = _u_search(alpha2=0.5, s=2, phi3=0.0, P=16.0, t2=4.0, eps=0.05, constant=10.0)
+    u = _u_search(alpha2=0.5, s=2, phi3=0.0, P=16.0, t2=4.0, eps=0.05)
     assert u is not None and u <= 4
 
 
