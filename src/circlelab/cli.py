@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -135,11 +136,14 @@ def _fmt_float(x: float) -> str:
 
 
 def _dump_json(obj, indent: int = 0) -> str:
-    """A report as JSON with stable field order, walked once: Fractions as
+    """A report as JSON with stable field order, walked once: dataclass
+    records as the object of their fields in declaration order, Fractions as
     "p/q" strings, complex numbers as {re, im, abs}, numpy scalars as their
     Python values, tuples as lists, and NaN and infinities as strings."""
     pad = " " * indent
-    if isinstance(obj, complex):
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, complex):
         obj = {"re": obj.real, "im": obj.imag, "abs": abs(obj)}
     if isinstance(obj, dict):
         if not obj:
@@ -167,7 +171,8 @@ def _dump_json(obj, indent: int = 0) -> str:
 
 
 def emit(report, fmt: str, out, header: list[str] | None = None) -> None:
-    """Write a report (dict for json, list-of-dicts for csv) to a stream."""
+    """Write a report to a stream: for json a dict or a library dataclass
+    record, printed by _dump_json; for csv a list of dicts."""
     if fmt == "json":
         out.write(_dump_json(report) + "\n")
         return
@@ -191,8 +196,13 @@ def emit(report, fmt: str, out, header: list[str] | None = None) -> None:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+def _parse_list(text: str, item) -> list:
+    """The entries of a comma-separated flag value, each read by item; empty
+    entries are skipped, and a value with no entry at all is refused."""
+    values = [item(v) for v in text.split(",") if v != ""]
+    if not values:
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
+    return values
 
 
 def _finite_float(text: str) -> float:
@@ -208,18 +218,15 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    values = [float(v) for v in text.split(",") if v != ""]
+    values = _parse_list(text, float)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"expected finite numbers, got {text!r}")
     return values
 
 
-def _parse_box(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition(":")
-        out.append((int(lo), int(hi)))
-    return out
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    return int(lo), int(hi)
 
 
 def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
@@ -316,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     sig = signature_quadratic(pair.quadric)
-    rho = sig.rank
     try:
         h = h_parameter(pair)
     except ValueError:
@@ -329,7 +335,7 @@ def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
         "cubic_monomials": len(pair.cubic.monomials),
         "quadric_monomials": len(pair.quadric.monomials),
         "quadric_diagonal": pair.quadric.is_diagonal,
-        "rank": rho,
+        "rank": sig.rank,
         "signature": [sig.r, sig.s],
         "h": h,
         "weight": {"x0": x0, "xi": weight.xi},
@@ -339,7 +345,7 @@ def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
             "jacobian_minor_max": float(minor_max),
             "smooth_zero": smooth_point_test(pair, x0, args.tol),
         },
-        "hypotheses": hypothesis_report(pair, h, rho, sig),
+        "hypotheses": hypothesis_report(pair, h, sig),
     }
     if pair.cubic_nonsingular:
         # sanity scan of the user assertion; grad C vanishes identically mod 3
@@ -352,9 +358,7 @@ def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
         scan = cubic_singular_points_mod_p(
             pair.cubic, primes=primes, cap=args.cap, threads=args.threads
         )
-        report["nonsingularity_scan"] = {
-            str(p): list(pt) if pt else None for p, pt in scan.items()
-        }
+        report["nonsingularity_scan"] = scan
         # primes with p^n > cap are not scanned; say so rather than drop them
         skipped = [p for p in primes if p not in scan]
         if skipped:
@@ -366,8 +370,8 @@ def _cmd_count(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     box = weightfn.weight_box(weight, args.P)
     solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     weighted = counting.weighted_sum(solutions, args.P, weight)
-    if args.box:
-        box = _parse_box(args.box)
+    if args.box is not None:
+        box = _parse_list(args.box, _parse_range)
         solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     report = {
         "P": args.P,
@@ -395,7 +399,7 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     elif mode in ("complete", "crt"):
         if args.q is None or args.a3 is None or args.a2 is None:
             raise ValueError(f"{mode} mode needs --q --a3 --a2")
-        m = _parse_int_list(args.m) if args.m else [0] * pair.n
+        m = _parse_list(args.m, int) if args.m is not None else [0] * pair.n
         if len(m) == 1:
             m = m * pair.n
         if mode == "complete":
@@ -406,15 +410,7 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
             val = 1.0 + 0.0j
             for f in factors:
                 val *= f.value
-            meta = {
-                "mode": mode,
-                "q": args.q,
-                "m": m,
-                "factors": [
-                    {"modulus": f.modulus, "a3": f.a3, "a2": f.a2, "value": f.value}
-                    for f in factors
-                ],
-            }
+            meta = {"mode": mode, "q": args.q, "m": m, "factors": factors}
     elif mode == "poisson":
         if args.P is None or args.q is None or args.a3 is None or args.a2 is None:
             raise ValueError("poisson mode needs --P --q --a3 --a2")
@@ -439,7 +435,7 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
             "theta_height": expsums.theta_height(approx, args.P),
         }
     elif mode == "integral":
-        z = _parse_float_list(args.z) if args.z else [0.0] * pair.n
+        z = _parse_float_list(args.z) if args.z is not None else [0.0] * pair.n
         res = expsums.osc_integral(
             pair, weight, args.gamma3, args.gamma2, z, tol=args.tol, cap=args.cap
         )
@@ -467,14 +463,8 @@ def _cmd_arcs(args) -> tuple[object, str]:
             "alpha3": args.alpha3,
             "alpha2": args.alpha2,
             "is_major": is_major,
-            "witness": list(witness) if witness else None,
-            "pigeonhole": {
-                "q": approx.q,
-                "a3": approx.a3,
-                "a2": approx.a2,
-                "theta3": approx.theta3,
-                "theta2": approx.theta2,
-            },
+            "witness": witness,
+            "pigeonhole": approx,
             "measure": arcs_mod.major_arc_measure(args.P, args.delta, cap=args.cap),
         }
         return report, "json"
@@ -515,24 +505,7 @@ def _cmd_series(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
 
 def _cmd_local(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     rep = localdens.hensel_stable(pair, args.p, args.kmax, cap=args.cap, threads=args.threads)
-    sol = rep.solubility
-    report = {
-        "p": rep.p,
-        "kmax": rep.kmax,
-        "reached": rep.reached,
-        "stable": rep.stable,
-        "level": rep.level,
-        "densities": list(rep.densities),
-        "primitive_densities": list(rep.primitive_densities),
-        "partial": rep.partial,
-        "solubility": {
-            "verdict": sol.verdict,
-            "point": list(sol.point) if sol.point else None,
-            "level": sol.level,
-            "solutions_mod_p": sol.solutions_mod_p,
-        },
-    }
-    return report, "json"
+    return rep, "json"
 
 
 def _cmd_qfactor(args, pair: FormPair, weight: Weight) -> tuple[object, str]:

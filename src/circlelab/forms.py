@@ -400,18 +400,17 @@ def jacobian_minors(pair: FormPair, x: Sequence) -> list:
     return [gc[i] * gq[j] - gc[j] * gq[i] for i in range(n) for j in range(i + 1, n)]
 
 
-def hypothesis_report(
-    pair: FormPair, h: int | None, rho: int, signature: Signature
-) -> dict:
+def hypothesis_report(pair: FormPair, h: int | None, signature: Signature) -> dict:
     """Evaluate the headline sufficient conditions as plain predicates.
 
-    h may be None when unavailable; predicates needing it are then None.
-    Also reports the largest d for which the quadric is guaranteed a d-plane
-    over every Q_p (n >= 5 + 2d) and over R (d <= n - 1 - max(r, s)).
+    rho is the rank of the signature.  h may be None when unavailable;
+    predicates needing it are then None.  Also reports the largest d for
+    which the quadric is guaranteed a d-plane over every Q_p (n >= 5 + 2d)
+    and over R (d <= n - 1 - max(r, s)).
     """
-    if rho < 0 or (h is not None and h < 0):
-        raise ValueError("h and rho must be nonnegative")
-    n = pair.n
+    if h is not None and h < 0:
+        raise ValueError("h must be nonnegative")
+    n, rho = pair.n, signature.rank
     big = max(signature.r, signature.s)
     report = {
         "n": n,

@@ -66,11 +66,12 @@ def _require_prime(p: int) -> None:
 @dataclass(frozen=True)
 class SolubilityReport:
     """The Q_p certificate search of a HenselReport, which holds p; the
-    search is partial exactly when the report reached no level."""
+    search is partial exactly when the report reached no level.  `local`
+    prints the fields in the order they are declared."""
 
     verdict: str  # smooth_liftable | only_singular | none_found
-    level: int
     point: tuple[int, ...] | None
+    level: int
     solutions_mod_p: int
 
 
@@ -183,7 +184,7 @@ def hensel_stable(
     else:
         lift = min(kmax, 3)
         verdict, point = "smooth_liftable", _hensel_lift(pair, smooth, p, lift)
-    sol = SolubilityReport(verdict, lift, point, n_mod_p)
+    sol = SolubilityReport(verdict, point, lift, n_mod_p)
     return HenselReport(
         p, kmax, reached, stable, level, tuple(dens), tuple(prim), partial, sol
     )

@@ -5,6 +5,7 @@ module's __all__ lists its public functions and classes and nothing it
 does not define."""
 
 import ast
+import sys
 from pathlib import Path
 
 import circlelab
@@ -161,3 +162,22 @@ def test_every_module_declares_its_public_surface():
             if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
         }
         assert sorted(public - set(declared)) == [], mod
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every import of the package, __init__.py and function bodies included,
+    # names the standard library, numpy, __future__ or the package itself
+    # through a relative import; scipy and sympy may be installed where the
+    # tests run, so only this test sees a stray import of them
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names if name.partition(".")[0] not in allowed]
+    assert stray == []

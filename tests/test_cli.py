@@ -296,6 +296,25 @@ N5_INFO = '''{
 }
 '''
 
+# captured when the pigeonhole record was printed from fields listed by hand
+ARCS_P100_POINT = '''{
+  "P": 100,
+  "delta": 0.14285714285714285,
+  "alpha3": 0.29999999999999999,
+  "alpha2": 0.69999999999999996,
+  "is_major": false,
+  "witness": null,
+  "pigeonhole": {
+    "q": 10,
+    "a3": 3,
+    "a2": 7,
+    "theta3": 0,
+    "theta2": 0
+  },
+  "measure": 1.4910374881259752e-09
+}
+'''
+
 ARCS_GRID3_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a2
 0.31435203519078919,0.17044251760478721,False,,,,35,11,6
 0.32541456856923473,0.36027867463186736,False,,,,169,55,61
@@ -365,6 +384,8 @@ RESIDUE_JOBS = {
                                "--m", "1,0,0,0"]),
     "n5_complete_q15": ("n5", ["sum", "--mode", "complete", "--q", "15", "--a3", "4", "--a2", "2",
                                "--m", "0,1,-1,2,-3"]),
+    "n4_crt_q30": ("n4", ["sum", "--mode", "crt", "--q", "30", "--a3", "1", "--a2", "7",
+                          "--m", "1,0,0,0"]),
 }
 
 RESIDUE_OUTPUTS = {
@@ -442,6 +463,46 @@ RESIDUE_OUTPUTS = {
     "a3": 4,
     "a2": 2,
     "m": [0, 1, -1, 2, -3]
+  }
+}
+''',
+    # captured when each factor was printed from fields listed by hand in cli
+    "n4_crt_q30": '''{
+  "re": 1625.6545755762922,
+  "im": -45.801136997235744,
+  "abs": 1626.2996474335148,
+  "meta": {
+    "mode": "crt",
+    "q": 30,
+    "m": [1, 0, 0, 0],
+    "factors": [{
+      "modulus": 2,
+      "a3": 1,
+      "a2": 1,
+      "value": {
+        "re": -4,
+        "im": 1.2246467991473533e-15,
+        "abs": 4
+      }
+    }, {
+      "modulus": 3,
+      "a3": 1,
+      "a2": 1,
+      "value": {
+        "re": 4.4999999999999902,
+        "im": -7.7942286340599392,
+        "abs": 8.9999999999999876
+      }
+    }, {
+      "modulus": 5,
+      "a3": 1,
+      "a2": 2,
+      "value": {
+        "re": -23.680339887498988,
+        "im": -38.47104421469065,
+        "abs": 45.174990206486584
+      }
+    }]
   }
 }
 ''',
@@ -1095,6 +1156,8 @@ def test_info_and_arcs_grid_output_is_unchanged(n5_file, tmp_path):
 
 
 def test_pigeonhole_outputs_are_unchanged(problem_file, tmp_path):
+    argv = ["arcs", "--P", "100", "--alpha3", "0.3", "--alpha2", "0.7"]
+    assert run_to_file(tmp_path, argv) == (0, ARCS_P100_POINT)
     argv = ["arcs", "--P", "250", "--grid", "4", "--seed", "4"]
     assert run_to_file(tmp_path, argv) == (0, ARCS_P250_GRID4_SEED4)
     argv = ["weyl-scan", "--problem", problem_file, "--P", "60", "--grid", "3"]
@@ -1603,6 +1666,27 @@ def test_non_finite_sizes_are_usage_errors(problem_file, capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+# an empty list flag was read as an absent one: compare computed S and J
+# and printed nothing, --m and --z ran at zero vectors and --box fell back
+# to the weight box
+@pytest.mark.parametrize("argv, value", [
+    (["compare", "--P=", "--Rq", "3", "--Rgamma", "1"], ""),
+    (["compare", "--P=,", "--Rq", "3", "--Rgamma", "1"], ","),
+    (["sum", "--mode", "complete", "--q", "3", "--a3", "1", "--a2", "1", "--m="], ""),
+    (["sum", "--mode", "crt", "--q", "6", "--a3", "1", "--a2", "1", "--m="], ""),
+    (["sum", "--mode", "integral", "--z="], ""),
+    (["count", "--P", "10", "--box="], ""),
+])
+def test_empty_list_flags_are_refused(nd3_file, capsys, monkeypatch, argv, value):
+    def main_term_part(*args, **kwargs):
+        raise AssertionError("S or J computed for an empty --P")
+
+    monkeypatch.setattr(localdens, "singular_series_truncated", main_term_part)
+    monkeypatch.setattr(archimedean, "singular_integral_truncated", main_term_part)
+    assert run(argv[:1] + ["--problem", nd3_file] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", f"error: expected a comma-separated list, got {value!r}\n")
 
 
 POISSON = ["sum", "--mode", "poisson", "--q", "2", "--a3", "1", "--a2", "1"]

@@ -446,20 +446,20 @@ def test_smooth_point_positive_case(pair_smooth5):
 
 def test_hypothesis_report_examples():
     pair31 = make_pair(31, {(1, 1, 1): 1}, {(1, 1): 1})
-    rep = hypothesis_report(pair31, None, 31, Signature(17, 14))
+    rep = hypothesis_report(pair31, None, Signature(17, 14))
     assert rep["large_dim_plane"] is True  # max = 17 <= 31 - 14
 
     pair37 = make_pair(37, {(1, 1, 1): 1}, {(1, 1): 1})
-    rep = hypothesis_report(pair37, 37, 37, Signature(20, 17))
+    rep = hypothesis_report(pair37, 37, Signature(20, 17))
     assert rep["h_rho_product"] is True  # (37-32)(37-4) = 165 > 128
     assert rep["h_rho_min37"] is True
 
     pair13 = make_pair(13, {(1, 1, 1): 1}, {(1, 1): 1})
-    rep = hypothesis_report(pair13, None, 13, Signature(7, 6))
+    rep = hypothesis_report(pair13, None, Signature(7, 6))
     assert rep["d_plane_padic_max"] == 4  # 13 >= 5 + 2*4 but not 5 + 2*5
 
     with pytest.raises(ValueError):
-        hypothesis_report(pair13, -1, 13, Signature(7, 6))
+        hypothesis_report(pair13, -1, Signature(7, 6))
 
 
 def test_h_parameter():
