@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -348,19 +349,10 @@ def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
         "hypotheses": hypothesis_report(pair, h, sig),
     }
     if pair.cubic_nonsingular:
-        # sanity scan of the user assertion; grad C vanishes identically mod 3
-        # exactly when every monomial other than a cube x_i^3 has a coefficient
-        # divisible by 3, and then every zero mod 3 is singular: skip p = 3
-        cubes_only_mod3 = all(
-            c % 3 == 0 for (i, j, k), c in pair.cubic.monomials.items() if not i == j == k
-        )
-        primes = (2, 5) if cubes_only_mod3 else (2, 3, 5)
-        scan = cubic_singular_points_mod_p(
-            pair.cubic, primes=primes, cap=args.cap, threads=args.threads
-        )
+        # sanity scan of the user assertion
+        scan, skipped = cubic_singular_points_mod_p(pair.cubic, cap=args.cap, threads=args.threads)
         report["nonsingularity_scan"] = scan
         # primes with p^n > cap are not scanned; say so rather than drop them
-        skipped = [p for p in primes if p not in scan]
         if skipped:
             report["nonsingularity_skipped"] = skipped
     return report, "json"
@@ -368,10 +360,12 @@ def _cmd_info(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
 
 def _cmd_count(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     box = weightfn.weight_box(weight, args.P)
+    # a --box of the wrong length is refused before any scan
+    listed = None if args.box is None else counting.check_box(pair.n, _parse_list(args.box, _parse_range))
     solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     weighted = counting.weighted_sum(solutions, args.P, weight)
-    if args.box is not None:
-        box = _parse_list(args.box, _parse_range)
+    if listed is not None:
+        box = listed
         solutions = list(counting.enumerate_solutions(pair, box, cap=args.cap))
     report = {
         "P": args.P,
@@ -400,8 +394,6 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
         if args.q is None or args.a3 is None or args.a2 is None:
             raise ValueError(f"{mode} mode needs --q --a3 --a2")
         m = _parse_list(args.m, int) if args.m is not None else [0] * pair.n
-        if len(m) == 1:
-            m = m * pair.n
         if mode == "complete":
             val = expsums.complete_sum(pair, args.q, args.a3, args.a2, m, cap=args.cap, threads=args.threads)
             meta = {"mode": mode, "q": args.q, "a3": args.a3, "a2": args.a2, "m": m}
@@ -614,9 +606,12 @@ def run(argv: list[str]) -> int:
                   file=sys.stderr)
             return 2
     try:
-        # every subcommand but arcs reads a problem file
-        problem = load_problem(args.problem) if hasattr(args, "problem") else ()
-        report, fmt = _HANDLERS[args.command](args, *problem)
+        with warnings.catch_warnings():
+            # a warning is one line of stderr, as an error is, with no source location
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            # every subcommand but arcs reads a problem file
+            problem = load_problem(args.problem) if hasattr(args, "problem") else ()
+            report, fmt = _HANDLERS[args.command](args, *problem)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

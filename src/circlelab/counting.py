@@ -31,6 +31,7 @@ from .util import DEFAULT_CAP, check_cap
 from .weightfn import Weight, omega_grid, weight_box
 
 __all__ = [
+    "check_box",
     "enumerate_solutions",
     "count_weighted",
     "weighted_sum",
@@ -39,9 +40,10 @@ __all__ = [
 Box = Sequence[tuple[int, int]]
 
 
-def _check_box(n: int, box: Box) -> list[tuple[int, int]]:
+def check_box(n: int, box: Box) -> list[tuple[int, int]]:
+    """The n (lo, hi) ranges of box as ints; a box of another length is a ValueError."""
     if len(box) != n:
-        raise ValueError(f"box has {len(box)} ranges, expected {n}")
+        raise ValueError(f"box has length {len(box)}, expected {n}")
     out = []
     for lo, hi in box:
         lo, hi = int(lo), int(hi)
@@ -62,7 +64,7 @@ def enumerate_solutions(
     charged to cap before the first is yielded.
     """
     n = pair.n
-    box = _check_box(n, box)
+    box = check_box(n, box)
     ranges = [range(lo, hi + 1) for lo, hi in box]
     a = pair.quadric.monomials.get((n, n), 0)
     # b(x') = sum of q_in x_i over i < n, c(x') = Q(x', 0)

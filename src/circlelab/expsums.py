@@ -283,7 +283,7 @@ def weyl_sums(
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _point_chunk_sums(pair, P, weight, alphas, sub)
 
-    parts = parallel_map(work, support_chunks(weight, P, box), threads)
+    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n), threads)
     return [fsum_complex(part[i] for part in parts) for i in range(len(alphas))]
 
 
@@ -440,18 +440,16 @@ def osc_integral(
     weight: Weight,
     gamma3: float,
     gamma2: float,
-    z: Sequence[float] | float = 0.0,
+    z: Sequence[float],
     tol: float = 1e-8,
     cap: int = DEFAULT_CAP,
 ) -> QuadResult:
-    """I(gamma; z): adaptive tensor quadrature over the weight's support cube.
-
-    A phase that may reach 2^52 on the support is refused (check_phase_size)."""
+    """I(gamma; z) at a frequency vector z of length n: adaptive tensor
+    quadrature over the weight's support cube.  A phase that may reach 2^52
+    on the support is refused (check_phase_size)."""
     n = pair.n
     if weight.n != n:
         raise ValueError("weight dimension does not match the form pair")
-    if isinstance(z, (int, float)):
-        z = [float(z)] * n
     if len(z) != n:
         raise ValueError(f"z has length {len(z)}, expected {n}")
     check_phase_size(pair, weight, gamma3, gamma2, z, f"I(gamma; z) at gamma = ({gamma3}, {gamma2}), z = {z}")

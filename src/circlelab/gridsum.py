@@ -512,18 +512,19 @@ def joint_histogram(
 
 
 def cubic_singular_points_mod_p(
-    cubic: CubicForm,
-    primes: Sequence[int] = (2, 3, 5),
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
-) -> dict[int, tuple[int, ...] | None]:
+    cubic: CubicForm, cap: int = DEFAULT_CAP, threads: int = 1
+) -> tuple[dict[int, tuple[int, ...] | None], list[int]]:
     """Sanity scan for nonzero x mod p with C(x) = 0 and grad C(x) = 0 mod p.
 
-    For each p the lexicographically smallest such x is reported (x_1 most
-    significant), or None.  A hit does not disprove nonsingularity over Q,
-    but flags the assertion as suspect.  Primes with p^n > cap are skipped.
-    Each p is one lift() of (C, 0) to p^2 over the zeros of C mod p, whose
-    span is <(p^ea, 0)>: ea = 1 exactly when grad C = 0 mod p.
+    Returns (findings, skipped): findings maps p = 2, 3, 5 to the
+    lexicographically smallest such x (x_1 most significant), or None, and
+    skipped lists the primes with p^n > cap, which are not scanned.  A hit
+    does not disprove nonsingularity over Q, but flags the assertion as
+    suspect.  p = 3 is left out when every monomial but the cubes x_i^3 has
+    a coefficient divisible by 3: then grad C = 0 identically mod 3, and
+    every zero there is singular.  Each p is one lift() of (C, 0) to p^2
+    over the zeros of C mod p, whose span is <(p^ea, 0)>: ea = 1 exactly
+    when grad C = 0 mod p.
     """
     n = cubic.n
     pair = FormPair(cubic, QuadraticForm(n, {}))
@@ -535,10 +536,13 @@ def cubic_singular_points_mod_p(
         first = idx[np.lexsort([x[idx] for x in reversed(coords)])[0]]
         return tuple(int(x[first]) for x in coords)
 
+    cubes_only_mod3 = all(c % 3 == 0 for (i, j, k), c in cubic.monomials.items() if not i == j == k)
     findings: dict[int, tuple[int, ...] | None] = {}
-    for p in primes:
+    skipped = []
+    for p in (2, 5) if cubes_only_mod3 else (2, 3, 5):
         if p**n > cap:
+            skipped.append(p)
             continue
         hits = lift(pair, p, 2, per_chunk, zeros_only=True, cap=cap, threads=threads)
         findings[p] = min((h for h in hits if h is not None), default=None)
-    return findings
+    return findings, skipped

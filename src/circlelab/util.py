@@ -89,13 +89,13 @@ def factorize(q: int) -> list[tuple[int, int]]:
     return out + sorted(counts.items())
 
 
-def _pollard_brent(n: int, steps: int | None = None) -> int | None:
+def _pollard_brent(n: int, steps: int) -> int | None:
     """A nontrivial factor of the composite n by Brent's variant of Pollard rho.
     The polynomials x^2 + c are tried for c = 1, 2, ... until one splits n,
-    so the result is deterministic.  Given a budget of `steps` iterations of
-    the polynomial, None is returned once it is spent; on a prime n that is
-    the only way the search ends."""
-    left = math.inf if steps is None else steps
+    so the result is deterministic.  None is returned once the budget of
+    `steps` iterations of the polynomial is spent; on a prime n that is the
+    only way the search ends."""
+    left = steps
     c = 0
     while True:
         c += 1

@@ -107,14 +107,14 @@ def support_chunks(
     weight: Weight,
     P: float,
     box: Sequence[tuple[int, int]],
-    origin: Sequence[float] | None = None,
+    origin: Sequence[float],
 ) -> list[list[tuple[int, int]]]:
     """Boxes of at most CHUNK points that cover, in order, the points of an
     index box that lie in the weight's support ball.
 
-    Index k on axis i stands for the point origin_i + k/P (origin 0 without
-    one): the lattice points of P times the ball for the direct Weyl sums,
-    a trapezoid grid for the quadrature.  The box is cut along x0 into runs
+    Index k on axis i stands for the point origin_i + k/P: the lattice
+    points of P times the ball for the direct Weyl sums (origin 0), a
+    trapezoid grid for the quadrature.  The box is cut along x0 into runs
     of as many slices as fit in CHUNK points; a slice larger than that is
     cut along x1 the same way, and so on down the axes.  Before each cut,
     the remaining axes are clipped to the bounding box of the ball's section
@@ -122,7 +122,7 @@ def support_chunks(
     within rounding error of the sphere, where omega is exactly 0.
     """
     # the centre in index coordinates divided by P; c - 0.0 is c exactly
-    centre = [c - o for c, o in zip(weight.center, [0.0] * weight.n if origin is None else origin)]
+    centre = [c - o for c, o in zip(weight.center, origin)]
     out = []
 
     def cut(fixed: list[tuple[int, int]], d2: float) -> None:

@@ -286,7 +286,7 @@ def major_arc_approx_check(pair, weight, P, approx, tol=1e-8):
     q = approx.q
     lhs = weyl_sum_direct(pair, P, weight, approx.alpha3, approx.alpha2)
     s_aq = complete_sum(pair, q, approx.a3, approx.a2, [0] * n)
-    integral = osc_integral(pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=tol)
+    integral = osc_integral(pair, weight, approx.theta3 * P**3, approx.theta2 * P**2, [0.0] * n, tol=tol)
     main = P**n / q**n * s_aq * integral.value
     error = abs(lhs - main)
     scale = (

@@ -187,7 +187,7 @@ def test_singular_integral_dense_oracle(pair_line):
 def test_singular_integral_bounded_when_support_off_variety(pair_line):
     # support where |C|, |Q| >= c > 0 forces |J(R)| <= mass / (pi^2 c^2)
     w = Weight((0.35, 0.1), 0.04)
-    mass = osc_integral(pair_line, w, 0.0, 0.0, 0.0, tol=1e-10).value.real
+    mass = osc_integral(pair_line, w, 0.0, 0.0, [0.0, 0.0], tol=1e-10).value.real
     lo_c, lo_q = np.inf, np.inf
     rng = np.random.default_rng(3)
     for _ in range(4000):
@@ -275,7 +275,7 @@ def test_osc_integral_decay_scan(capsys):
     gammas = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     mags = []
     for g in gammas:
-        res = osc_integral(pair, w, g, 0.0, 0.0, tol=1e-10)
+        res = osc_integral(pair, w, g, 0.0, [0.0], tol=1e-10)
         mags.append(abs(res.value))
         assert abs(res.value) <= 1.0  # |I| <= integral of omega <= vol
     fit = fit_log_power(gammas, mags)

@@ -1689,6 +1689,25 @@ def test_empty_list_flags_are_refused(nd3_file, capsys, monkeypatch, argv, value
     assert capsys.readouterr() == ("", f"error: expected a comma-separated list, got {value!r}\n")
 
 
+# a one-entry --m ran at (m, m, m), while --z and --box were refused, and
+# --box only after the weighted count had scanned the weight's box
+@pytest.mark.parametrize("argv, name", [
+    (["sum", "--mode", "complete", "--q", "5", "--a3", "1", "--a2", "1", "--m", "1"], "m"),
+    (["sum", "--mode", "crt", "--q", "6", "--a3", "1", "--a2", "1", "--m", "1"], "m"),
+    (["sum", "--mode", "integral", "--gamma3", "1", "--z", "0.5"], "z"),
+    (["count", "--P", "10", "--box=-1:1"], "box"),
+], ids=["complete", "crt", "integral", "count"])
+def test_vector_flags_need_n_entries(nd3_file, capsys, monkeypatch, argv, name):
+    def scan(*args, **kwargs):
+        raise AssertionError("scan run for a vector of the wrong length")
+
+    for module, function in ((expsums, "phase_histogram"), (expsums, "tensor_integral"),
+                             (counting, "enumerate_solutions")):
+        monkeypatch.setattr(module, function, scan)
+    assert run(argv[:1] + ["--problem", nd3_file] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", f"error: {name} has length 1, expected 3\n")
+
+
 POISSON = ["sum", "--mode", "poisson", "--q", "2", "--a3", "1", "--a2", "1"]
 
 
@@ -1944,6 +1963,42 @@ def test_csv_empty_and_quoting(tmp_path):
     with open(out, "w") as fh:
         emit([{"a": 'x,"y"', "b": 0.5}], "csv", fh)
     assert out.read_text() == 'a,b\n"x,""y""",0.5\n'
+
+
+def test_sum_poisson_theta_from_alpha(problem_file, capsys):
+    # --alpha3/--alpha2 set theta_i = alpha_i - a_i/q, and the run prints the
+    # bytes of the --theta3/--theta2 run at those theta
+    argv = ["sum", "--problem", problem_file, "--mode", "poisson",
+            "--P", "6", "--q", "3", "--a3", "1", "--a2", "2", "--M", "2"]
+    assert run(argv + ["--alpha3", "0.3343", "--alpha2", "0.6647"]) == 0
+    out = capsys.readouterr().out
+    meta = json.loads(out)["meta"]
+    assert meta["theta3"] == 0.3343 - 1 / 3
+    assert meta["theta2"] == 0.6647 - 2 / 3
+    assert run(argv + [f"--theta3={meta['theta3']!r}", f"--theta2={meta['theta2']!r}"]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+WEIGHT_WARNING = ("weight support is not contained in (-1/2, 1/2)^n; counts remain well "
+                  "defined but the unit-box normalization is lost")
+
+
+# the library's warnings reached stderr with their source location and an
+# echoed source line.  The tests turn warnings into errors, so the Python
+# default is restored here, as in a process that runs the CLI
+@pytest.mark.filterwarnings("default")
+@pytest.mark.parametrize("x0, argv, warning", [
+    ([0.3, 0.0], ["info"], WEIGHT_WARNING),
+    ([0.0, 0.0], ["sum", "--mode", "complete", "--q", "4", "--a3", "2", "--a2", "2"],
+     "gcd(q, gcd(a3, a2)) > 1 for q=4"),
+], ids=["info", "sum-complete"])
+def test_warnings_are_one_line_each(tmp_path, capsys, x0, argv, warning):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(LINE_PROBLEM, weight={"x0": x0, "xi": 0.4})))
+    assert run(argv[:1] + ["--problem", str(path)] + argv[1:]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)
+    assert err == f"warning: {warning}\n"
 
 
 def test_sum_poisson_default_truncation(problem_file, tmp_path):

@@ -106,7 +106,7 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
         assert weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=threads) == base
     # the 33^3 box at P = 40 exceeds one chunk of the support
     w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(support_chunks(w, 40, weight_box(w, 40))) > 1
+    assert len(support_chunks(w, 40, weight_box(w, 40), [0.0] * 3)) > 1
     # a diagonal pair (three blocks), a pair with blocks {x1, x2} and {x3},
     # and a non-diagonal pair that is one block
     two_blocks = make_pair(3, {(1, 1, 1): 1, (1, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1})
@@ -244,7 +244,7 @@ def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
 def support_cases(draw):
     """A weight, a chunk size and an index box whose index k on axis i
     stands for origin_i + k/P: either the lattice box of P times the
-    support ball (no origin), or the whole quadrature grid with m intervals
+    support ball (origin 0), or the whole quadrature grid with m intervals
     per axis (origin c - xi, P = m/(2 xi)), which quadrature.grid_contract
     cuts, or its rows [lo, hi] of axis 0, with the grid's own nodes as the
     points."""
@@ -259,7 +259,7 @@ def support_cases(draw):
         P = draw(st.integers(1, 60 if n < 4 else 12))
         box = weight_box(weight, P)
         points = [np.arange(lo, hi + 1) / P for lo, hi in box]
-        return weight, chunk, P, box, None, points
+        return weight, chunk, P, box, [0.0] * n, points
     m = draw(st.integers(2, 64 if n < 4 else 16))
     box = [(0, m)] * n
     if draw(st.booleans()):
@@ -426,7 +426,7 @@ def test_crt_random_instances():
 
 def test_osc_integral_positive_mass(pair_n1):
     w = Weight((0.25,), 0.1)
-    res = osc_integral(pair_n1, w, 0.0, 0.0, 0.0, tol=1e-10)
+    res = osc_integral(pair_n1, w, 0.0, 0.0, [0.0], tol=1e-10)
     assert res.value.real > 0
     assert abs(res.value.imag) < 1e-10
     assert res.error < 1e-10
@@ -441,7 +441,7 @@ def test_osc_integral_even_symmetry(pair_n1):
 
 def test_osc_integral_riemann_oracle(pair_n1):
     w = Weight((0.25,), 0.1)
-    res = osc_integral(pair_n1, w, 2.0, -1.0, 0.0, tol=1e-8)
+    res = osc_integral(pair_n1, w, 2.0, -1.0, [0.0], tol=1e-8)
     xs = np.linspace(0.15, 0.35, 10**6 + 1)
     vals = nu_grid(np.abs(xs - 0.25) / 0.1) * np.exp(2j * np.pi * (2 * xs**3 - xs**2))
     oracle = _trapezoid(vals, xs)
@@ -453,7 +453,7 @@ def test_osc_integral_in_five_dimensions():
     # integral: xi^5 |S^4| int_0^1 nu(t) t^4 dt with |S^4| = 8 pi^2 / 3
     pair = make_pair(5, {(1, 1, 1): 1}, {(1, 1): 1})
     w = Weight((0.0,) * 5, 0.2)
-    res = osc_integral(pair, w, 0.0, 0.0, 0.0, tol=1e-6)
+    res = osc_integral(pair, w, 0.0, 0.0, [0.0] * 5, tol=1e-6)
     t = np.linspace(0.0, 1.0, 200001)
     mass = 0.2**5 * 8 * math.pi**2 / 3 * _trapezoid(nu_grid(t) * t**4, t)
     assert res.error < 1e-6
@@ -466,7 +466,7 @@ def test_osc_integral_no_convergence(pair_n1):
 
     w = Weight((0.25,), 0.2)
     with pytest.raises(QuadratureError, match="no convergence"):
-        osc_integral(pair_n1, w, 5.0e7, 0.0, 0.0, tol=1e-12)
+        osc_integral(pair_n1, w, 5.0e7, 0.0, [0.0], tol=1e-12)
 
 
 def test_poisson_cap(pair_n1):
@@ -539,7 +539,7 @@ def test_poisson_m0_reproduces_main_term(pair_n1):
     P = 8.0
     recon = poisson_reconstruct(pair_n1, P, w, approx, 0)
     s_aq = complete_sum(pair_n1, 2, 1, 1, [0])
-    integral = osc_integral(pair_n1, w, approx.theta3 * P**3, approx.theta2 * P**2, 0.0, tol=1e-10)
+    integral = osc_integral(pair_n1, w, approx.theta3 * P**3, approx.theta2 * P**2, [0.0], tol=1e-10)
     main = P / 2 * s_aq * integral.value
     assert recon == pytest.approx(main, rel=1e-6)
 

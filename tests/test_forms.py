@@ -481,22 +481,25 @@ def test_form_pair_validation():
 
 def test_cubic_singular_scan():
     diag = CubicForm(2, {(1, 1, 1): 1, (2, 2, 2): 1})
-    scan = cubic_singular_points_mod_p(diag, primes=(2, 5))
-    assert scan == {2: None, 5: None}
+    assert cubic_singular_points_mod_p(diag) == ({2: None, 5: None}, [])
     # C = x1^3 in two variables is singular along x1 = 0
     degenerate = CubicForm(2, {(1, 1, 1): 1})
-    scan = cubic_singular_points_mod_p(degenerate, primes=(5,))
+    scan, _ = cubic_singular_points_mod_p(degenerate)
     assert scan[5] is not None
+    # a prime with p^n over the cap is listed as skipped, in scan order
+    assert cubic_singular_points_mod_p(diag, cap=5**2 - 1) == ({2: None}, [5])
 
 
 def test_cubic_singular_scan_mod_3():
-    # info skips p = 3: without mixed monomials the gradient 3 c_i x_i^2
-    # vanishes mod 3, so every point is singular there ...
+    # without mixed monomials the gradient 3 c_i x_i^2 vanishes mod 3, so
+    # every zero there is singular and the scan leaves p = 3 out ...
     diag = CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1})
-    assert cubic_singular_points_mod_p(diag, primes=(3,)) == {3: (0, 1, 2)}
+    assert singular_points_oracle(diag, (3,)) == {3: (0, 1, 2)}
+    assert cubic_singular_points_mod_p(diag, cap=26) == ({2: None}, [5])
     # ... but a mixed monomial can leave no singular point mod 3
     mixed = CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1, (1, 2, 3): 1})
-    assert cubic_singular_points_mod_p(mixed, primes=(3,)) == {3: None}
+    assert cubic_singular_points_mod_p(mixed)[0][3] is None
+    assert cubic_singular_points_mod_p(mixed, cap=26) == ({2: (1, 1, 1)}, [3, 5])
 
 
 def singular_points_oracle(cubic, primes):
@@ -512,6 +515,13 @@ def singular_points_oracle(cubic, primes):
     return findings
 
 
+def scan_primes_oracle(cubic):
+    """2, 3 and 5, without 3 when grad C vanishes at every point mod 3."""
+    grad_zero_mod_3 = all(g % 3 == 0 for x in itertools.product(range(3), repeat=cubic.n)
+                          for g in gradient_cubic(cubic, x))
+    return (2, 5) if grad_zero_mod_3 else (2, 3, 5)
+
+
 @pytest.mark.parametrize("chunk", [gridsum.CHUNK, 7])
 def test_cubic_singular_scan_matches_oracle(monkeypatch, chunk):
     # CHUNK = 7 splits every grid into many chunks, so the smallest hit of
@@ -521,7 +531,6 @@ def test_cubic_singular_scan_matches_oracle(monkeypatch, chunk):
     for _ in range(60):
         n = rng.randint(1, 4)
         cubic = random_cubic(rng, n, terms=rng.randint(0, 4), size=40)
-        primes = (2, 3, 5, 7)
         threads = rng.choice([1, 2])
-        assert (cubic_singular_points_mod_p(cubic, primes, threads=threads)
-                == singular_points_oracle(cubic, primes))
+        assert (cubic_singular_points_mod_p(cubic, threads=threads)
+                == (singular_points_oracle(cubic, scan_primes_oracle(cubic)), []))

@@ -791,7 +791,7 @@ def test_object_path_matches_int64_path(pair_n3, pair_hensel7, pair_smooth5, mon
 
     def results():
         return _scan_results(pairs, threads=1) + [
-            cubic_singular_points_mod_p(pair.cubic, (2, 3, 5, 7)) for pair in pairs
+            cubic_singular_points_mod_p(pair.cubic) for pair in pairs
         ]
 
     expected = results()

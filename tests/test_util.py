@@ -151,7 +151,7 @@ def test_factorize_runs_rho_once_on_a_strong_pseudoprime(monkeypatch):
     calls = []
     pollard_brent = util._pollard_brent
 
-    def counted(n, steps=None):
+    def counted(n, steps):
         calls.append(n)
         return pollard_brent(n, steps)
 

@@ -282,6 +282,31 @@ def test_minor_arc_scan_seed_determinism(pair_line):
     assert [r["alpha3"] for r in rows_a] != [r["alpha3"] for r in rows_c]
 
 
+def test_minor_arc_scan_dichotomy_rows(pair_line, monkeypatch):
+    # the rows that no sum of a desk-scale scan reaches: |S| = 0, and
+    # alternative (i) alone, (ii) alone and neither.  The nonzero sums exceed
+    # P^n = 256, so that T3 = T2 = (P^n / |S|)^(1/2) < 1 (h = rho = 2)
+    pair = make_pair(
+        2, dict(pair_line.cubic.monomials), dict(pair_line.quadric.monomials),
+        cubic_nonsingular=True,
+    )
+    w = Weight((0.1, -0.1), 0.35)
+    monkeypatch.setattr(weyldiag, "weyl_sums", lambda *args, **kwargs: [0j, 1e5 + 0j, -1e5j, 6e4 + 8e4j])
+    zero, *rows = minor_arc_scan(pair, 16.0, w, 2, seed=1)
+    assert {k: zero[k] for k in ("abs_S", "t3", "t2", "s", "b3", "phi3", "witness_ok", "u", "alt")} == {
+        "abs_S": 0.0, "t3": math.inf, "t2": math.inf, "s": None, "b3": None, "phi3": None,
+        "witness_ok": None, "u": None, "alt": None,
+    }
+    assert [(r["abs_S"], r["s"], r["b3"], r["witness_ok"], r["u"], r["alt"]) for r in rows] == [
+        (1e5, 1, 0, False, 1, "i"),
+        (1e5, 1, 1, False, None, "ii"),
+        (1e5, 1, 1, False, None, "none"),
+    ]
+    for row in rows:
+        assert row["t3"] == row["t2"] == pytest.approx(math.sqrt(256 / 1e5))
+        assert row["phi3"] == row["alpha3"] - row["b3"]
+
+
 def test_minor_arc_scan_thread_determinism(pair_n3):
     # the 33^3 box at P = 40 spans more than one chunk of the support, and
     # each row's |S| is the single-alpha direct sum at its point, bit for bit
@@ -290,7 +315,7 @@ def test_minor_arc_scan_thread_determinism(pair_n3):
         cubic_nonsingular=True,
     )
     w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(weightfn.support_chunks(w, 40, weight_box(w, 40))) > 1
+    assert len(weightfn.support_chunks(w, 40, weight_box(w, 40), [0.0] * 3)) > 1
     rows = minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=1)
     for threads in (2, 3):
         assert minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=threads) == rows
