@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expsums import check_phase_size
+from .expsums import check_phase_size, check_phase_slope
 from .forms import FormPair, block_values
 from .quadrature import QuadResult, tensor_integral
 from .util import DEFAULT_CAP
@@ -98,11 +98,16 @@ def singular_integral_truncated(
     """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature charged to cap.
 
     The phases 2 pi R C and 2 pi R Q are those of I(gamma; 0) at gamma3 = R,
-    so an R whose |R| B reaches 2^52 is refused (expsums.check_phase_size)."""
+    so an R whose |R| B reaches 2^52 is refused (expsums.check_phase_size),
+    and so is one whose integrand turns faster than the finest quadrature
+    grid resolves (expsums.check_phase_slope at gamma = (R, R))."""
     if R <= 0:
         raise ValueError("R must be positive")
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
-    check_phase_size(pair, weight, R, 0.0, (), f"J(R) at R = {R}")
+    name = f"J(R) at R = {R}"
+    check_phase_size(pair, weight, R, 0.0, (), name)
+    # sin(2 pi R C) sin(2 pi R Q) turns as e(R (C + Q)) and e(R (C - Q)) do
+    check_phase_slope(pair, weight, R, R, [0.0] * pair.n, name)
     res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap)
     return QuadResult(float(res.value.real), res.error, res.level)

@@ -34,15 +34,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forms import (
+    CubicForm,
     FormPair,
+    QuadraticForm,
     block_values,
     eval_cubic,
     eval_quadratic,
+    gradient_cubic,
+    gradient_quadratic,
     int64_bound,
     separable_blocks,
 )
 from .gridsum import phase_histogram, scan
-from .quadrature import QuadResult, grid_contract, tensor_integral
+from .quadrature import MAX_LEVEL, QuadResult, grid_contract, tensor_integral
 from .util import (
     CapExceededError,
     DEFAULT_CAP,
@@ -65,12 +69,21 @@ __all__ = [
     "complete_sum",
     "crt_decomposition",
     "check_phase_size",
+    "check_phase_slope",
     "osc_integral",
     "poisson_reconstruct",
 ]
 
 # the Poisson total is accepted once two grid sizes agree to this relative tolerance
 POISSON_REL_TOL = 1e-9
+
+# check_phase_slope refuses a phase whose slope majorant puts more than this
+# many times 2^MAX_LEVEL cycles along an axis of the support, the intervals
+# per axis of the finest quadrature grid.  The majorant takes every
+# coefficient positive at the corner of the support cube, so it overstates
+# the slope on the ball: random integrals in one and two variables driven by
+# gamma converged up to 3.2 times 2^MAX_LEVEL majorant cycles, and none past 8
+RESOLUTION_MARGIN = 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,7 @@ class RationalApprox:
         if math.gcd(self.q, math.gcd(self.a3, self.a2)) != 1:
             warnings.warn(
                 f"gcd(q, gcd(a3, a2)) != 1 for q={self.q}, a=({self.a3},{self.a2})",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -435,6 +448,28 @@ def check_phase_size(
                          "where it has no correct digit")
 
 
+def check_phase_slope(
+    pair: FormPair, weight: Weight, gamma3: float, gamma2: float, z: Sequence[float], name: str
+) -> None:
+    """Refuse, as a ValueError naming name, a phase gamma3 C(x) + gamma2 Q(x)
+    - z.x that may run through more than RESOLUTION_MARGIN 2^MAX_LEVEL
+    cycles along an axis of the weight's support cube: the trapezoid rule of
+    step h resolves only slopes below 1/h, so no grid up to depth MAX_LEVEL
+    could converge.  With the majorants of check_phase_size, C+ and Q+ the
+    forms with |coefficients| at m, the slope along x_i is majorized by
+    G_i = |gamma3| dC+/dx_i + |gamma2| dQ+/dx_i + |z_i|, and the cycles by
+    2 xi max_i G_i."""
+    n, m = pair.n, [abs(c) + weight.xi for c in weight.center]
+    slope_c = gradient_cubic(CubicForm(n, {k: abs(c) for k, c in pair.cubic.monomials.items()}), m)
+    slope_q = gradient_quadratic(QuadraticForm(n, {k: abs(c) for k, c in pair.quadric.monomials.items()}), m)
+    cycles = 2.0 * weight.xi * max(abs(gamma3) * gc + abs(gamma2) * gq + abs(zi)
+                                   for gc, gq, zi in zip(slope_c, slope_q, z))
+    if cycles > RESOLUTION_MARGIN * 2**MAX_LEVEL:
+        raise ValueError(f"the phase of {name} may run through {cycles:.3g} cycles along an axis of the "
+                         f"weight's support, more than {RESOLUTION_MARGIN} times the {2**MAX_LEVEL} intervals "
+                         f"per axis of the depth-{MAX_LEVEL} quadrature grid")
+
+
 def osc_integral(
     pair: FormPair,
     weight: Weight,
@@ -446,13 +481,16 @@ def osc_integral(
 ) -> QuadResult:
     """I(gamma; z) at a frequency vector z of length n: adaptive tensor
     quadrature over the weight's support cube.  A phase that may reach 2^52
-    on the support is refused (check_phase_size)."""
+    on the support (check_phase_size), or turn faster than the finest grid
+    resolves (check_phase_slope), is refused."""
     n = pair.n
     if weight.n != n:
         raise ValueError("weight dimension does not match the form pair")
     if len(z) != n:
         raise ValueError(f"z has length {len(z)}, expected {n}")
-    check_phase_size(pair, weight, gamma3, gamma2, z, f"I(gamma; z) at gamma = ({gamma3}, {gamma2}), z = {z}")
+    name = f"I(gamma; z) at gamma = ({gamma3}, {gamma2}), z = {z}"
+    check_phase_size(pair, weight, gamma3, gamma2, z, name)
+    check_phase_slope(pair, weight, gamma3, gamma2, z, name)
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)

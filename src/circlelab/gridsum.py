@@ -28,12 +28,14 @@ joint histogram mod p^k is built from it; the phase histogram with its
 linear term m.y still scans the grid mod p^k.  lift() is the one place
 that evaluates Jacobians on a residue grid, for localdens and info too.
 
-crt_histograms() composes the histogram mod a composite q from those of
-the prime powers exactly dividing it, each computed once, so no histogram
-is scanned mod a composite q.  joint_histograms() builds each prime-power
-histogram of a pair with several forms.separable_blocks as the exact 2-D
-cyclic convolution of the blocks' own histograms, each line-scanned or
-lifted in the block's own variables.
+crt_histograms() computes one histogram per prime p, at its top power p^K
+among the moduli, folds every lower p^e off it, and composes the histogram
+mod a composite q from those of the prime powers exactly dividing it, so no
+histogram is scanned mod a composite q or below a top power.
+joint_histograms() builds the histogram mod p^K of a pair with several
+forms.separable_blocks as the exact 2-D cyclic convolution of the blocks'
+own histograms, each line-scanned or lifted in the block's own variables;
+reduction mod p^e commutes with the convolution, so only p^K is convolved.
 
 Consumers either aggregate chunk results with order-independent integer
 operations (histograms, counts), take the first hit in grid order, or
@@ -313,38 +315,57 @@ def crt_histograms(
     cost: Callable[[int, int], int],
     cap: int = DEFAULT_CAP,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(q, H_q) for each q in moduli, composed from prime-power histograms.
+    """(q, H_q) for each q in moduli, composed from one histogram per prime.
 
     prime_power(p, e) is the int64 histogram mod p^e, of shape (p^e,)*ndim,
-    of a quantity that is a fixed integer polynomial of y mod p^e in n
-    variables (both forms, or one phase a3 C + a2 Q + m.y); it is called
-    once per prime power p^e exactly dividing some modulus, and cost(p, e),
-    the points it evaluates, is charged to cap for all of them up front.
-    Before that, and before any modulus is factorized, the largest
-    histogram, max(moduli)^ndim cells, is charged to cap on its own, so a
-    modulus too large to hold is refused at once, however smooth it is.
-    For coprime r, s the CRT gives H_{rs}[t] = H_r[t mod r] H_s[t mod s]
-    along every axis, with the same polynomial on both sides, so composite
-    H_q are exact integer products of their prime-power parts.
+    of a quantity that is a fixed integer polynomial f of y mod p^e in n
+    variables (both forms, or one phase a3 C + a2 Q + m.y).  It is called
+    once per prime p dividing some modulus, at its top power p^K, K the
+    largest e with p^e exactly dividing a modulus, and cost(p, K), the
+    points it evaluates, is charged to cap for all primes up front.  Before
+    that, and before any modulus is factorized, the largest histogram,
+    max(moduli)^ndim cells, is charged to cap on its own, so a modulus too
+    large to hold is refused at once, however smooth it is.
+
+    Every lower H_{p^e} is the fold of H_{p^K}: f(y) mod p^e depends on y
+    only mod p^e, and each y mod p^e has p^{(K-e)n} lifts mod p^K, so the
+    sum of H_{p^K} over the p^{K-e} cells above each cell mod p^e, along
+    every axis, is p^{(K-e)n} H_{p^e}[t], and the division is exact.  For
+    coprime r, s the CRT gives H_{rs}[t] = H_r[t mod r] H_s[t mod s] along
+    every axis, with the same polynomial on both sides, so composite H_q
+    are exact integer products of their prime-power parts.
     """
     largest = max(moduli, default=1)
     check_cap(largest**ndim, cap, f"histogram mod {largest} of {largest}^{ndim} cells")
     factors = {q: factorize(q) for q in moduli}
-    prime_powers = {pe for parts in factors.values() for pe in parts}
-    work = sum(cost(p, e) for p, e in prime_powers)
-    check_cap(work, cap, f"residue grids mod {len(prime_powers)} prime powers")
+    top: dict[int, int] = {}
+    for parts in factors.values():
+        for p, e in parts:
+            top[p] = max(e, top.get(p, 0))
+    work = sum(cost(p, k) for p, k in top.items())
+    check_cap(work, cap, f"residue grids mod {len(top)} prime powers")
     too_big = [q for q in factors if q**n > np.iinfo(np.int64).max]
     if too_big:
         raise CapExceededError(f"counts mod {too_big[0]} in {n} variables overflow int64")
     done: dict[tuple[int, int], np.ndarray] = {}
+
+    def power(p: int, e: int) -> np.ndarray:
+        k = top[p]
+        if (p, k) not in done:
+            done[p, k] = prime_power(p, k)
+        if (p, e) not in done:
+            # axis t = a p^e + b of the histogram mod p^k becomes the axes (a, b)
+            r = p ** (k - e)
+            folded = done[p, k].reshape((r, p**e) * ndim).sum(axis=tuple(range(0, 2 * ndim, 2)))
+            done[p, e] = folded // r**n
+        return done[p, e]
+
     for q in moduli:
         hist, r = np.ones((1,) * ndim, dtype=np.int64), 1
         for p, e in factors[q]:
-            if (p, e) not in done:
-                done[p, e] = prime_power(p, e)
             s = p**e
             idx = np.arange(r * s)
-            hist = hist[np.ix_(*[idx % r] * ndim)] * done[p, e][np.ix_(*[idx % s] * ndim)]
+            hist = hist[np.ix_(*[idx % r] * ndim)] * power(p, e)[np.ix_(*[idx % s] * ndim)]
             r *= s
         yield q, hist
 
@@ -378,24 +399,26 @@ def phase_histogram(
     return hist
 
 
-def _joint_prime_power(pair: FormPair, p: int, k: int, cap: int, threads: int) -> np.ndarray:
-    """p^k x p^k histogram of (C(y) mod p^k, Q(y) mod p^k) over all y mod p^k.
+def _line_histogram(pair: FormPair, p: int, cap: int, threads: int) -> np.ndarray:
+    """The p x p histogram G of (C, Q) mod p over the line_points(p, n)
+    vectors whose last nonzero coordinate is 1 (scan(lines=True))."""
 
-    k = 1 is a line scan mod p, spread over F_p^* by _scaling_orbits.  For
-    k >= 2 each point u of lift() adds p^{mn} / |G_u| to every cell of
+    def per_chunk(coords, c, qq):
+        return np.bincount(c * p + qq, minlength=p * p)
+
+    return np.sum(scan(pair, p, per_chunk, cap, threads, lines=True), axis=0).reshape(p, p)
+
+
+def _lifted_histogram(pair: FormPair, p: int, k: int, cap: int, threads: int) -> np.ndarray:
+    """p^k x p^k histogram of (C(y) mod p^k, Q(y) mod p^k) over all y mod p^k, k >= 2.
+
+    Each point u of lift() adds p^{mn} / |G_u| to every cell of
     (C(u), Q(u)) + p^j G_u: the points of a chunk are grouped by (ea, ed),
     each group is spread along t (gx, gy) for t < p^(m-ed), and then summed
     along the first axis with period p^(j+ea), which spreads it over
     i (p^ea, 0).
     """
     pk = p**k
-
-    def per_chunk_level_one(coords, c, qq):
-        return np.bincount(c * pk + qq, minlength=pk * pk)
-
-    if k == 1:
-        lines = np.sum(scan(pair, p, per_chunk_level_one, cap, threads, lines=True), axis=0)
-        return _scaling_orbits(lines.reshape(p, p), p)
 
     def per_chunk(coords, c, qq, span):
         pj = p**span.j
@@ -422,11 +445,12 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors))
 
 
-def _scaling_orbits(lines: np.ndarray, p: int) -> np.ndarray:
-    """The p x p histogram of (C, Q) mod p over all y mod p, from G = lines,
-    that of the vectors whose last nonzero coordinate is 1.
+def _scaling_orbits(p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from G, the line histogram of (C, Q) mod p (_line_histogram),
+    to H, the p x p histogram over all y mod p.  Its tables depend on p
+    alone, so one map serves every block of a pair.
 
-    Every y != 0 is lam u for one such u and one lam in F_p^*, and
+    Every y != 0 is lam u for one line point u and one lam in F_p^*, and
     (C, Q)(lam u) = (lam^3 C(u), lam^2 Q(u)), so H[x] = [x = 0] +
     sum_lam G[lam^-1 . x] under the action lam . (c, r) = (lam^3 c, lam^2 r),
     which is |Stab(x)| times the sum of G over the orbit of x.  With
@@ -441,15 +465,21 @@ def _scaling_orbits(lines: np.ndarray, p: int) -> np.ndarray:
     log = np.zeros(p, dtype=np.int64)
     log[power] = np.arange(p - 1)
     d3, d2 = math.gcd(3, p - 1), math.gcd(2, p - 1)
-    hist = np.empty((p, p), dtype=np.int64)
-    hist[0, 0] = 1 + (p - 1) * lines[0, 0]
-    hist[1:, 0] = d3 * lines[power, 0].reshape(-1, d3).sum(axis=0)[log[1:] % d3]
-    hist[0, 1:] = d2 * lines[0, power].reshape(-1, d2).sum(axis=0)[log[1:] % d2]
+    axis_c, axis_r = log[1:] % d3, log[1:] % d2
     # the orbit of label L is {(g^(3t - L), g^(2t - L)) : t mod p - 1}
     t = np.arange(p - 1)
-    orbit = lines[power[(3 * t - t[:, None]) % (p - 1)], power[(2 * t - t[:, None]) % (p - 1)]].sum(axis=1)
-    hist[1:, 1:] = orbit[(2 * log[1:, None] - 3 * log[1:]) % (p - 1)]
-    return hist
+    orbit_c, orbit_r = power[(3 * t - t[:, None]) % (p - 1)], power[(2 * t - t[:, None]) % (p - 1)]
+    label = (2 * log[1:, None] - 3 * log[1:]) % (p - 1)
+
+    def spread(lines: np.ndarray) -> np.ndarray:
+        hist = np.empty((p, p), dtype=np.int64)
+        hist[0, 0] = 1 + (p - 1) * lines[0, 0]
+        hist[1:, 0] = d3 * lines[power, 0].reshape(-1, d3).sum(axis=0)[axis_c]
+        hist[0, 1:] = d2 * lines[0, power].reshape(-1, d2).sum(axis=0)[axis_r]
+        hist[1:, 1:] = lines[orbit_c, orbit_r].sum(axis=1)[label]
+        return hist
+
+    return spread
 
 
 def _convolution_cost(p: int, e: int, sizes: Sequence[int]) -> int:
@@ -478,22 +508,28 @@ def joint_histograms(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(q, H_q) for each q in moduli, H_q[c, r] = #{y mod q : C(y) = c, Q(y) = r mod q}.
 
-    Each prime power p^e exactly dividing some modulus is computed once, and
-    composite H_q are CRT products (crt_histograms).  C and Q are sums of
-    forms in the separate blocks of forms.separable_blocks, so the values of
-    (C, Q) are sums of independent block values and H_{p^e} is the 2-D
-    cyclic convolution of the blocks' own histograms mod p^e, each from
-    line_points(p, |b|) points at e = 1 (a line scan mod p) and
-    lift_points(p, e, |b|) at e >= 2 (lift()).  The largest
-    block comes first and the others are convolved into it (_convolve); a
-    pair of one block has nothing to convolve.  cap is charged up front with
-    the points of every block plus _convolution_cost for every prime power.
+    Each prime p dividing some modulus is computed once, at its top power
+    p^K, every lower p^e is folded off H_{p^K}, and composite H_q are CRT
+    products (crt_histograms).  C and Q are sums of forms in the separate
+    blocks of forms.separable_blocks, so the values of (C, Q) are sums of
+    independent block values and H_{p^K} is the 2-D cyclic convolution of
+    the blocks' own histograms mod p^K, each from line_points(p, |b|)
+    points at K = 1 (a line scan mod p, spread by one _scaling_orbits map
+    per prime for all blocks) and lift_points(p, K, |b|) at K >= 2
+    (lift()).  The largest block comes first and the others are convolved
+    into it (_convolve); a pair of one block has nothing to convolve.  cap
+    is charged up front with the points of every block plus
+    _convolution_cost at every prime's top power.
     """
     blocks = sorted((block_pair(pair, axes) for axes in separable_blocks(pair)), key=lambda b: -b.n)
     sizes = [b.n for b in blocks]
 
     def prime_power(p: int, e: int) -> np.ndarray:
-        hists = (_joint_prime_power(b, p, e, cap, threads) for b in blocks)
+        if e == 1:
+            spread = _scaling_orbits(p)
+            hists = (spread(_line_histogram(b, p, cap, threads)) for b in blocks)
+        else:
+            hists = (_lifted_histogram(b, p, e, cap, threads) for b in blocks)
         return functools.reduce(_convolve, hists)
 
     def cost(p: int, e: int) -> int:

@@ -20,10 +20,11 @@ with the inner sum over pairs (a3, a2) coprime to q as a pair; its p-part
 partial sums reproduce delta_p(k) exactly, which the tests exploit as a
 cross-check between complete sums and residue counts.  All S(a, q) come
 from the joint histogram of (C mod q, Q mod q) (gridsum.joint_histograms):
-each prime power is computed once, as the exact 2-D cyclic convolution of
-the histograms of the separable blocks of variables, each block lifted in
-its own variables (a pair of one block is lifted whole), and the histogram
-of a composite q is their exact CRT product.
+each prime is computed once, at its top power p^K <= R, as the exact 2-D
+cyclic convolution of the histograms of the separable blocks of variables,
+each block lifted in its own variables (a pair of one block is lifted
+whole); every lower p^e is folded off it, and the histogram of a composite
+q is the exact CRT product of its prime-power parts.
 """
 
 from __future__ import annotations

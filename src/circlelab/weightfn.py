@@ -47,7 +47,7 @@ class Weight:
             warnings.warn(
                 "weight support is not contained in (-1/2, 1/2)^n; "
                 "counts remain well defined but the unit-box normalization is lost",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

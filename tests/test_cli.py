@@ -1371,6 +1371,36 @@ def test_huge_phases_are_refused_up_front(tmp_path, capsys, argv, what):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, what, cycles", [
+    (["integral", "--R", "1e6"], "J(R) at R = 1000000.0", "1.7e+06"),
+    (["compare", "--P", "10", "--Rq", "2", "--Rgamma", "1e6"], "J(R) at R = 1000000.0", "1.7e+06"),
+    (["sum", "--mode", "integral", "--z", "0,1e6"], "I(gamma; z) at gamma = (0.0, 0.0), z = [0.0, 1000000.0]",
+     "6e+05"),
+], ids=["integral", "compare", "osc-z"])
+def test_unresolvable_oscillations_are_refused_up_front(tmp_path, capsys, argv, what, cycles):
+    # R = 1e6 is far below 2^52 / B, but the slope majorant of R (C + Q) along
+    # x2, R (6 m2^2 + 6 m2) = 2.835e6 with m2 = 0.35, runs through 1.7e6
+    # cycles across 2 xi = 0.6, 415 times the 4096 intervals of the depth-12
+    # grid: such a run once took all 12 levels to "no convergence" (exit 3)
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(OFF_ORIGIN_PROBLEM))
+    start = time.perf_counter()
+    assert run(argv[:1] + ["--problem", str(path)] + argv[1:]) == 2
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr().err == (
+        f"error: the phase of {what} may run through {cycles} cycles along an axis of the weight's support, "
+        "more than 16 times the 4096 intervals per axis of the depth-12 quadrature grid\n")
+
+
+def test_resolvable_oscillation_still_converges(tmp_path, capsys):
+    # R = 1000 puts 1701 cycles of the majorant across the support, 0.42
+    # times 4096, and converges at level 12
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(OFF_ORIGIN_PROBLEM))
+    assert run(["integral", "--problem", str(path), "--R", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["level"] == 12
+
+
 # a cubic coefficient beyond the float range: the exact paths run, and each
 # float path reports the overflow as an input error
 HUGE_PROBLEM = dict(LINE_PROBLEM, cubic=[[1, 1, 1, 10**400], [2, 2, 2, 1]])

@@ -24,6 +24,7 @@ from circlelab.expsums import (
     weyl_sums,
 )
 from circlelab.forms import separable_blocks
+from circlelab.quadrature import MAX_LEVEL
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
 
@@ -461,11 +462,16 @@ def test_osc_integral_in_five_dimensions():
 
 
 def test_osc_integral_no_convergence(pair_n1):
-    # an absurdly fast phase cannot stabilize within the depth limit
+    # a phase faster than the finest grid resolves cannot stabilize within
+    # the depth limit: the slope majorant 3 m^2 |gamma3| = 0.6075 * 2.5e4 runs
+    # through 6075 cycles across 2 xi = 0.4, under the refusal's 16 * 4096
     from circlelab.quadrature import QuadratureError
 
     w = Weight((0.25,), 0.2)
     with pytest.raises(QuadratureError, match="no convergence"):
+        osc_integral(pair_n1, w, 2.5e4, 0.0, [0.0], tol=1e-12)
+    # an absurdly fast one is refused before any level is computed
+    with pytest.raises(ValueError, match="cycles along an axis"):
         osc_integral(pair_n1, w, 5.0e7, 0.0, [0.0], tol=1e-12)
 
 
@@ -510,8 +516,10 @@ def test_rational_approx_validation():
         RationalApprox(0, 1, 1, 0.0, 0.0)
     with pytest.raises(ValueError):
         RationalApprox(3, 4, 1, 0.0, 0.0)
-    with pytest.warns(UserWarning, match="gcd"):
+    with pytest.warns(UserWarning, match="gcd") as record:
         RationalApprox(4, 2, 2, 0.0, 0.0)
+    # the warning names the line that built the approximation, not the dataclass's __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 # ------------------------------------------------------ Poisson reconstruction
@@ -582,6 +590,30 @@ def test_phase_size_is_refused_from_2_to_the_52():
     expsums.check_phase_size(pair, w, 0.0, 0.0, [np.nextafter(2.0**54, 0.0)], "I")
     # a pair with no monomials has no phase but that of z
     expsums.check_phase_size(make_pair(1, {}, {}), w, 1e300, 1e300, [0.0], "I")
+
+
+def test_unresolvable_phase_is_refused_past_the_margin():
+    # Q = x1^2 on |x1| <= 1/4: the slope majorant of gamma2 Q - z x1 is
+    # 2 m |gamma2| + |z| = |gamma2|/2 + |z| across 2 xi = 1/2, so the phase
+    # runs through |gamma2|/4 + |z|/2 cycles; the refusal starts past
+    # RESOLUTION_MARGIN 2^MAX_LEVEL = 16 * 4096 = 2^16 of them
+    pair, w = make_pair(1, {}, {(1, 1): 1}), Weight((0.0,), 0.25)
+    assert expsums.RESOLUTION_MARGIN * 2**MAX_LEVEL == 2**16
+    for gamma2, z in ((2.0**18, 0.0), (-(2.0**18), 0.0), (0.0, 2.0**17), (2.0**17, -(2.0**16))):
+        expsums.check_phase_slope(pair, w, 0.0, gamma2, [z], "I")
+        with pytest.raises(ValueError, match=r"the phase of I may run through 6\.55e\+04 cycles along an axis "
+                           r"of the weight's support, more than 16 times the 4096 intervals per axis of the "
+                           r"depth-12 quadrature grid"):
+            expsums.check_phase_slope(pair, w, 0.0, gamma2 * (1 + 1e-12), [z * (1 + 1e-12)], "I")
+    # gamma3 turns with the slope of C+ alone, 3 m^2 = 3/16: Q adds nothing to it
+    pair3 = make_pair(1, {(1, 1, 1): -1}, {(1, 1): 1})
+    edge = 2.0**16 / (0.5 * 3.0 / 16.0)
+    expsums.check_phase_slope(pair3, w, edge, 0.0, [0.0], "I")
+    with pytest.raises(ValueError, match="cycles along an axis"):
+        expsums.check_phase_slope(pair3, w, edge * (1 + 1e-12), 0.0, [0.0], "I")
+    # osc_integral runs both checks: far below 2^52, and refused for its slope
+    with pytest.raises(ValueError, match="cycles along an axis"):
+        osc_integral(pair3, w, 2 * edge, 0.0, [0.0])
 
 
 @settings(max_examples=80, deadline=None)

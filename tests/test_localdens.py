@@ -203,16 +203,17 @@ def test_series_budget(pair_n3):
 
 def test_series_cap_charges_prime_powers_only(pair_n3):
     # pair_n3 is three one-variable blocks.  R = 12: sum_{q <= 12} q^3 = 6084,
-    # but each p^e <= 12 costs its blocks' points: at e = 1 the one line
-    # point (p - 1)/(p - 1) = 1 of each block, 3 per prime (15 for the five
-    # primes), at e >= 2 the lift's p^ceil(e/2), 3 (2 + 4 + 3) = 27 for 4, 8
-    # and 9; plus two convolutions of p^e x p^e histograms, each adding a
-    # shifted copy per cell of a block's at most p^e nonzero ones: 2 p^{3e},
-    # 6278 in all
-    res = singular_series_truncated(pair_n3, 12, cap=6320)
+    # but only the top power p^K <= 12 of each prime is computed, 8, 9, 5, 7
+    # and 11, and 2, 4, 3 are folded from it.  Each costs its blocks' points:
+    # at K = 1 the one line point (p - 1)/(p - 1) = 1 of each block, 3 per
+    # prime (9 for 5, 7, 11), at K >= 2 the lift's p^ceil(K/2), 3 (4 + 3) =
+    # 21 for 8 and 9, 30 points; plus two convolutions of p^K x p^K
+    # histograms, each adding a shifted copy per cell of a block's at most
+    # p^K nonzero ones: 2 p^{3K}, 2 (512 + 729 + 125 + 343 + 1331) = 6080
+    res = singular_series_truncated(pair_n3, 12, cap=6110)
     assert [q for q, _ in res.a_values] == list(range(1, 13))
     with pytest.raises(CapExceededError, match="prime powers"):
-        singular_series_truncated(pair_n3, 12, cap=6319)
+        singular_series_truncated(pair_n3, 12, cap=6109)
     # q = 12 costs 4 and 3: 3 (2 + 1) + 2 (4^3 + 3^3) = 191; its histogram
     # has 12^2 = 144 cells, which are charged first
     assert a_of_q(pair_n3, 12, cap=191) == dict(res.a_values)[12]
@@ -228,16 +229,17 @@ def test_series_cap_charges_prime_powers_only(pair_n3):
 
 
 def test_series_cap_charges_one_block_as_one_scan():
-    # one block in all three variables: a prime p costs its line scan,
-    # (p^3 - 1)/(p - 1) = p^2 + p + 1 points, 7 + 13 + 31 + 57 + 133 = 241 for
-    # p <= 11, and p^e, e >= 2, is lifted from the grid mod p^ceil(e/2),
-    # 2^3 + 4^3 + 3^3 = 99 for 4, 8, 9, with nothing to convolve
+    # one block in all three variables: only the top power p^K <= 12 of
+    # each prime is computed.  8 is lifted from the grid mod 2^2, 4^3 = 64
+    # points, and 9 from the grid mod 3, 3^3 = 27; 5, 7 and 11 take their
+    # line scans, (p^3 - 1)/(p - 1) = p^2 + p + 1 points, 31 + 57 + 133;
+    # 64 + 27 + 31 + 57 + 133 = 312, with nothing to convolve
     pair = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (3, 3, 3): -1, (1, 2, 3): 1},
                      {(1, 1): 1, (1, 2): 1, (3, 3): -1, (2, 3): 2})
-    res = singular_series_truncated(pair, 12, cap=340)
+    res = singular_series_truncated(pair, 12, cap=312)
     assert [q for q, _ in res.a_values] == list(range(1, 13))
     with pytest.raises(CapExceededError, match="prime powers"):
-        singular_series_truncated(pair, 12, cap=339)
+        singular_series_truncated(pair, 12, cap=311)
     # q = 12 evaluates the grid mod 2 (lifting to 4) and the lines mod 3:
     # 2^3 + 13 = 21 points, but its histogram has 12^2 = 144 cells, which
     # are charged first
@@ -299,6 +301,19 @@ def test_crt_joint_histograms_match_scan(pair, moduli):
         assert hist.dtype == oracle.dtype
         assert (hist == oracle).all(), q
 
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_pairs(), st.integers(1, 32))
+# a two-variable block beside a one-variable one: at R = 32 the powers 2, 4,
+# 8, 16 are folded from 32 and 3, 9 from 27, each after its convolution
+@example(make_pair(3, {(1, 1, 2): 1, (2, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1}), 32)
+def test_series_histograms_folded_from_top_powers_match_scan(pair, R):
+    # every H_q, q <= R, of the series, with each p^e below the top power
+    # p^K <= R folded from H_{p^K}, is the scanned integer array
+    for q, hist in joint_histograms(pair, range(1, R + 1)):
+        oracle = scan_joint_histogram(pair, q)
+        assert hist.dtype == oracle.dtype
+        assert np.array_equal(hist, oracle), q
 
 
 @settings(max_examples=40, deadline=None)
@@ -767,7 +782,7 @@ def test_level_one_histogram_from_lines_matches_full_scan(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gridsum, "CHUNK", 7)
         for threads in (1, 2):
-            whole = gridsum._joint_prime_power(pair, p, 1, 10**8, threads)
+            whole = gridsum._scaling_orbits(p)(gridsum._line_histogram(pair, p, 10**8, threads))
             assert whole.dtype == oracle.dtype
             assert np.array_equal(whole, oracle), threads
             assert np.array_equal(joint_histogram(pair, p, threads=threads), oracle), threads

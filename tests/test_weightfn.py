@@ -158,8 +158,10 @@ def test_xi_validation_and_box_warning():
         Weight((0.0,), 0.0)
     with pytest.raises(ValueError):
         Weight((0.0,), 1.5)
-    with pytest.warns(UserWarning, match="support"):
+    with pytest.warns(UserWarning, match="support") as record:
         Weight((0.3,), 0.3)  # 0.3 + 0.3 >= 1/2: ball leaves the unit box
+    # the warning names the line that built the weight, not the dataclass's __init__
+    assert [w.filename for w in record] == [__file__]
     # exploratory weights are allowed, only warned about
     with pytest.warns(UserWarning, match="support"):
         w = Weight((0.4,), 0.4)
