@@ -97,16 +97,16 @@ def singular_integral_truncated(
 ) -> QuadResult:
     """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature charged to cap.
 
-    The phases 2 pi R C and 2 pi R Q are those of I(gamma; 0) at gamma3 = R,
-    so an R whose |R| B reaches 2^52 is refused (expsums.check_phase_size),
-    and so is one whose integrand turns faster than the finest quadrature
-    grid resolves (expsums.check_phase_slope at gamma = (R, R))."""
+    The phases 2 pi R C and 2 pi R Q are those of I(gamma; 0) at gamma =
+    (R, R), so an R whose phase majorant R (C+ + Q+) reaches 2^52 is refused
+    (expsums.check_phase_size), and so is one whose integrand turns faster
+    than the finest quadrature grid resolves (expsums.check_phase_slope)."""
     if R <= 0:
         raise ValueError("R must be positive")
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
     name = f"J(R) at R = {R}"
-    check_phase_size(pair, weight, R, 0.0, (), name)
+    check_phase_size(pair, weight, R, R, (), name)
     # sin(2 pi R C) sin(2 pi R Q) turns as e(R (C + Q)) and e(R (C - Q)) do
     check_phase_slope(pair, weight, R, R, [0.0] * pair.n, name)
     res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap)

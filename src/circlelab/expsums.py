@@ -12,14 +12,22 @@ omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x).  Complete sums are evaluated
 from exact integer residues (histogram over the numerator mod q), so the
 only rounding is in the final complex exponentials.
 
+The direct sums have exact phases: each alpha becomes a 64-bit
+fixed-point turn A = round(frac(alpha) 2^64) once (_turn), the phase A3 C(x)
++ A2 Q(x) mod 2^64 is exact in wrapping uint64 arithmetic on the int64 form
+values, and e(phase / 2^64) is read off three 4096-entry tables of e(j /
+2^12), e(j / 2^24) and e(j / 2^36) (_TURN_TABLES), times 1 + 2 pi i delta
+for the low 28 bits.  So a term's rounding is a few ulp whatever the size
+of the phase, where a phase alpha3 C(x) in doubles lost |alpha3 C(x)| 2^-53.
+
 Both the direct sums and the Poisson m-family follow forms.separable_blocks:
 for a pair of several blocks the phase e(alpha3 C + alpha2 Q) is the product
 of one factor per block, each taken on the block's own axes from the block
-values of forms.block_values(pair), so the complex exponentials per box are
-sum over blocks of the block's points, not one per point.  A direct sum on
-a pair of one block takes a cos and a sin per point of the ball, and a
-single I(gamma; z) (osc_integral) one exponential per node of the whole
-phase.
+values of forms.block_values(pair), so the phase factors per box are sum
+over blocks of the block's points, not one per point.  A direct sum on a
+pair of one block reads the tables at every point of the ball, and a
+single I(gamma; z) (osc_integral) takes one exponential per node of the
+whole phase.
 """
 
 from __future__ import annotations
@@ -27,8 +35,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +56,7 @@ from .forms import (
     separable_blocks,
 )
 from .gridsum import phase_histogram, scan
-from .quadrature import MAX_LEVEL, QuadResult, grid_contract, tensor_integral
+from .quadrature import MAX_LEVEL, MIN_LEVEL, QuadResult, grid_contract, tensor_integral
 from .util import (
     CapExceededError,
     DEFAULT_CAP,
@@ -146,40 +156,120 @@ def _box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:
     ]
 
 
-def _point_chunk_sums(
-    pair: FormPair, P: float, weight: Weight, alphas: list[tuple[float, float]], sub: list[tuple[int, int]]
-) -> list[complex]:
-    """Every alpha's sum over one chunk, with a phase per point and alpha.
+def _turn(alpha: float) -> int:
+    """alpha mod 1 as a 64-bit fixed-point turn: round(frac(alpha) 2^64) mod 2^64.
 
-    C, Q and omega are evaluated once on the chunk, the points where
-    omega > 0 are kept, and each alpha takes a cos and a sin at each of them.
+    The conversion is exact in Fraction arithmetic, so A / 2^64 equals alpha
+    mod 1 whenever that is a multiple of 2^-64, as it is for every double
+    with |alpha| >= 2^-12, and lies within 2^-65 of it otherwise.  A
+    non-finite alpha is a ValueError."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return round(Fraction(alpha) % 1 * 2**64) % 2**64
+
+
+# e(K / 2^64) for a phase K in 64-bit turns is T0[d0] T1[d1] T2[d2] (1 + 2 pi i
+# delta) with the digits d0 = K >> 52, d1 = (K >> 40) & 4095 and d2 = (K >>
+# 28) & 4095 (_digit), table Tk holding e(j / 2^(12 (k + 1))) for j < 4096,
+# and delta = d3 / 2^64 < 2^-36 for the low 28 bits d3 = K & (2^28 - 1).  The
+# dropped part of e(delta) is below (2 pi delta)^2 / 2 < 4.2e-21.  A table
+# index lies in [0, 4096), so np.take's wrap mode never wraps one; it only
+# skips the bounds check of the default mode
+_TURN_TABLES = [np.exp(2j * np.pi * (np.arange(4096) / 2.0 ** (12 * k))) for k in (1, 2, 3)]
+_DIGIT_SHIFTS = [np.uint64(s) for s in (52, 40, 28, 0)]
+_DIGIT_MASKS = [np.uint64(m) for m in (4095, 4095, 4095, (1 << 28) - 1)]
+_LOW_TO_RADIANS = 2.0 * np.pi / 2.0**64
+
+
+def _digit(turns: np.ndarray, k: int, index: np.ndarray) -> np.ndarray:
+    """Digit k of the uint64 turns (k = 0, 1, 2: the turn-table indices;
+    k = 3: the low 28 bits), written into the uint64 array index, which may
+    be turns itself, and returned as its int64 view: the digits fit, so
+    they are read in place, with no copy."""
+    np.right_shift(turns, _DIGIT_SHIFTS[k], out=index)
+    index &= _DIGIT_MASKS[k]
+    return index.view(np.int64)
+
+
+def _phase_factors(turns: np.ndarray) -> np.ndarray:
+    """e(K / 2^64) at every uint64 turn K of an array, from the turn tables.
+
+    The products are taken in real arithmetic, one rounding per numpy call,
+    so each entry depends on its K alone and not on its place in the array:
+    numpy's complex multiply may fuse a multiply and an add in its vector
+    loop and not in its scalar one."""
+    index = np.empty_like(turns)
+    first = np.take(_TURN_TABLES[0], _digit(turns, 0, index), mode="wrap")
+    re, im = first.real, first.imag
+    for k in (1, 2):
+        f = np.take(_TURN_TABLES[k], _digit(turns, k, index), mode="wrap")
+        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    delta = _digit(turns, 3, index) * _LOW_TO_RADIANS
+    out = np.empty(turns.shape, complex)
+    out.real, out.imag = re - im * delta, im + re * delta
+    return out
+
+
+def _point_chunk_sums(
+    pair: FormPair,
+    P: float,
+    weight: Weight,
+    turns: list[tuple[int, int]],
+    sub: list[tuple[int, int]],
+    buffers: threading.local,
+) -> list[complex]:
+    """Every alpha's sum over one chunk, with an exact phase per point and alpha.
+
+    C, Q and omega are evaluated once on the chunk, and the points where
+    omega > 0 are kept.  Each alpha, given as its turns (A3, A2) (_turn),
+    forms K = A3 C + A2 Q mod 2^64 at each of them in wrapping uint64
+    arithmetic, which is exact on the int64 values of the forms, and reads
+    f = T0[d0] T1[d1] T2[d2] off the turn tables (_digit), with the factor
+    1 + 2 pi i delta folded into two sums: sum w f + i sum (w 2 pi delta) f.
+    Each alpha takes the same numpy calls on the same arrays whatever the
+    other alphas, so its sum is the same bit for bit.  The per-alpha arrays
+    are the leading parts of the arrays that buffers keeps per thread for the
+    whole weyl_sums call, so that their pages are not faulted in afresh for
+    every chunk: that cost a one-alpha sum about a third of its time.
     """
     coords = _box_axes(sub)
     w = omega_grid(weight, [c.astype(float) / P for c in coords])
     keep = w > 0
     w = w[keep]
-    c_vals = np.broadcast_to(eval_cubic(pair.cubic, coords), keep.shape)[keep].astype(float)
-    q_vals = np.broadcast_to(eval_quadratic(pair.quadric, coords), keep.shape)[keep].astype(float)
-    arg, tmp = np.empty_like(w), np.empty_like(w)
+    c_vals, q_vals = (np.ascontiguousarray(np.broadcast_to(v, keep.shape)[keep], dtype=np.int64).view(np.uint64)
+                      for v in (eval_cubic(pair.cubic, coords), eval_quadratic(pair.quadric, coords)))
+    if getattr(buffers, "size", -1) < len(w):
+        buffers.size = max(len(w), 2 * weightfn.CHUNK)
+        buffers.turns = np.empty((2, buffers.size), np.uint64)
+        buffers.factors = np.empty((2, buffers.size), complex)
+    phase, index = buffers.turns[:, :len(w)]
+    table, factor = buffers.factors[:, :len(w)]
+    # once its digits are read, the phase's memory holds 2 pi delta w
+    low = phase.view(float)
     out = []
-    for alpha3, alpha2 in alphas:
-        np.multiply(c_vals, alpha3, out=arg)
-        arg += np.multiply(q_vals, alpha2, out=tmp)
-        arg -= np.round(arg, out=tmp)
-        arg *= 2 * np.pi
+    for a3, a2 in turns:
+        np.multiply(c_vals, np.uint64(a3), out=phase)
+        phase += np.multiply(q_vals, np.uint64(a2), out=index)
+        np.take(_TURN_TABLES[0], _digit(phase, 0, index), out=table, mode="wrap")
+        for k in (1, 2):
+            table *= np.take(_TURN_TABLES[k], _digit(phase, k, index), out=factor, mode="wrap")
+        np.multiply(_digit(phase, 3, phase), _LOW_TO_RADIANS, out=low)
+        low *= w
         # einsum, not BLAS: OpenBLAS splits long dot products over its
         # own threads, which would change the last bits with their number
-        re = np.einsum("i,i->", w, np.cos(arg, out=tmp))
-        out.append(complex(re, np.einsum("i,i->", w, np.sin(arg, out=tmp))))
+        whole, fine = np.einsum("i,i->", w, table), np.einsum("i,i->", low, table)
+        out.append(complex(whole.real - fine.imag, whole.imag + fine.real))
     return out
 
 
 def _block_tables(
     pair: FormPair, box: list[tuple[int, int]], a3: np.ndarray, a2: np.ndarray
 ) -> Callable[[list[tuple[int, int]]], list[tuple[tuple[int, ...], np.ndarray]]]:
-    """The phase factors of a pair of several blocks at the alphas (a3, a2),
-    as a function of a chunk sub of box: [(b, e(alpha3 C_b + alpha2 Q_b) on
-    sub's side of b, alpha first)] for each block b of forms.separable_blocks.
+    """The phase factors of a pair of several blocks at the alphas, given as
+    uint64 arrays of turns (a3, a2) (_turn), as a function of a chunk sub of
+    box: [(b, e(alpha3 C_b + alpha2 Q_b) on sub's side of b, alpha first)]
+    for each block b of forms.separable_blocks.  Each factor is e(K / 2^64)
+    for the exact turn K = A3 C_b + A2 Q_b mod 2^64 (_phase_factors).
 
     A block's table is built once on its side of box, and cut to each chunk,
     when it holds at most weightfn.CHUNK values (alphas times points), and
@@ -196,13 +286,11 @@ def _block_tables(
         shape = [hi - lo + 1 for lo, hi in sub]
         sides = [shape[i] for i in blocks[k]]
         # C order, as einsum's loop order, and so its sums, follow the layout
-        c, q = (np.ascontiguousarray(np.broadcast_to(v, shape).reshape(sides), dtype=float)
+        c, q = (np.ascontiguousarray(np.broadcast_to(v, shape).reshape(sides), dtype=np.int64).view(np.uint64)
                 for v in values(_box_axes(sub))[k])
-        arg = np.multiply.outer(a3, c)
-        arg += np.multiply.outer(a2, q)
-        arg -= np.round(arg)
-        arg *= 2 * np.pi
-        return np.cos(arg) + 1j * np.sin(arg)
+        phase = np.multiply.outer(a3, c)
+        phase += np.multiply.outer(a2, q)
+        return _phase_factors(phase)
 
     whole = {k: table(box, k) for k, b in enumerate(blocks)
              if len(a3) * math.prod(box[i][1] - box[i][0] + 1 for i in b) <= weightfn.CHUNK}
@@ -224,10 +312,10 @@ def _block_chunk_sums(
     a product of per-block factors.  Omega is evaluated once on the chunk's
     box and contracted against the blocks' factor tables (_block_tables) one
     block at a time, the largest table first, with alpha as a batch axis:
-    the first contraction takes the real omega against the cos and sin of
-    its block, the others are complex.  The contraction is einsum, not BLAS:
-    OpenBLAS splits long dot products over its own threads, which would
-    change the last bits with their number.  Each alpha's row of a table and
+    the first contraction takes the real omega against the real and
+    imaginary parts of its block's factors, the others are complex.  The
+    contraction is einsum, not BLAS: OpenBLAS splits long dot products over
+    its own threads, which would change the last bits with their number.  Each alpha's row of a table and
     of every contraction is computed by the same elementwise and per-row
     arithmetic whatever the other alphas, so many alphas give each one's sum
     bit for bit.
@@ -259,45 +347,59 @@ def weyl_sums(
 ) -> list[complex]:
     """The weighted exponential sum S(alpha3, alpha2) at every (alpha3, alpha2) of alphas.
 
+    Each alpha is converted once to a 64-bit fixed-point turn A =
+    round(frac(alpha) 2^64) (_turn): exactly when alpha mod 1 is a multiple
+    of 2^-64, as for every double with |alpha| >= 2^-12, and within 2^-65
+    otherwise; a non-finite alpha is a ValueError.  The phase A3 C(x) + A2
+    Q(x) mod 2^64 is then exact in wrapping uint64 arithmetic on the int64
+    form values that forms.int64_bound guarantees, and e(phase) is read off
+    three tables of 4096 entries, so every term carries a few ulp of
+    rounding whatever the size of the phase.
+
     The weight's box is charged to cap once, whatever the number of alphas,
-    and its support is streamed in the chunks of weightfn.support_chunks.
+    and its support is streamed in the boxes of weightfn.support_chunks.
     The kernel follows forms.separable_blocks.  A pair whose one block
-    spans all n variables evaluates C, Q and omega once per chunk and takes
-    a cos and a sin per kept point and alpha (_point_chunk_sums).  A pair
-    with several blocks evaluates each block's forms only on the block's
-    side of the box (forms.block_values), into a table of cos and sin per
-    point and alpha (_block_tables), and on each chunk evaluates omega once
-    and contracts it against the tables (_block_chunk_sums).  The chunks
-    never depend on threads, and each alpha's chunk sums are added by
-    fsum_complex, so the result does not depend on threads either.
+    spans all n variables evaluates C, Q and omega once per box of 2
+    weightfn.CHUNK points and takes a phase per kept point and alpha
+    (_point_chunk_sums).  A pair with several blocks evaluates each block's
+    forms only on the block's side of the box (forms.block_values), into a
+    table of phase factors per point and alpha (_block_tables), and on each
+    box of weightfn.CHUNK points evaluates omega once and contracts it
+    against the tables (_block_chunk_sums).  The boxes never depend on
+    threads, and each alpha's box sums are added by fsum_complex, so the
+    result does not depend on threads either.
     """
     box = weight_box(weight, P)
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
-    alphas = [(float(a3), float(a2)) for a3, a2 in alphas]
+    turns = [(_turn(float(a3)), _turn(float(a2))) for a3, a2 in alphas]
     if any(lo > hi for lo, hi in box):
-        return [0.0 + 0.0j] * len(alphas)
+        return [0.0 + 0.0j] * len(turns)
     check_cap(math.prod(hi - lo + 1 for lo, hi in box), cap, "lattice box")
     bound, fits = int64_bound(pair, [max(abs(lo), abs(hi)) for lo, hi in box])
     if not fits:
         raise CapExceededError(f"lattice box too large for int64-exact form evaluation (bound {bound})")
-    if not alphas:
+    if not turns:
         return []
     blocks = separable_blocks(pair)
     # einsum names axes by integers below 52: one per variable and one for
     # alpha.  One block keeps the point kernel, which skips the points where
     # omega = 0 and was measured faster there than block tables (ROADMAP item 3)
     if 1 < len(blocks) and pair.n < 52:
-        tables = _block_tables(pair, box, np.array([a for a, _ in alphas]), np.array([a for _, a in alphas]))
+        a3, a2 = (np.array(a, dtype=np.uint64) for a in zip(*turns))
+        tables = _block_tables(pair, box, a3, a2)
+        size = weightfn.CHUNK
 
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _block_chunk_sums(tables(sub), P, weight, sub)
     else:
-        def work(sub: list[tuple[int, int]]) -> list[complex]:
-            return _point_chunk_sums(pair, P, weight, alphas, sub)
+        size, buffers = 2 * weightfn.CHUNK, threading.local()
 
-    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n), threads)
-    return [fsum_complex(part[i] for part in parts) for i in range(len(alphas))]
+        def work(sub: list[tuple[int, int]]) -> list[complex]:
+            return _point_chunk_sums(pair, P, weight, turns, sub, buffers)
+
+    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n, size), threads)
+    return [fsum_complex(part[i] for part in parts) for i in range(len(turns))]
 
 
 def weyl_sum_direct(
@@ -314,9 +416,10 @@ def weyl_sum_direct(
     The one-alpha call of weyl_sums, which charges the whole box to cap.
     Omega is evaluated at every lattice point of the support ball, about
     0.52 (2 xi P)^3 of them at n = 3 and 0.31 (2 xi P)^4 at n = 4.  A pair
-    with one block takes a cos and a sin at each of them; a pair with
-    several separable blocks takes them only on each block's side of the
-    box, sum over blocks b of prod over i in b of (2 xi P + 1) points.
+    with one block reads an exact phase factor off the turn tables at each
+    of them; a pair with several separable blocks reads them only on each
+    block's side of the box, sum over blocks b of prod over i in b of
+    (2 xi P + 1) points.
     """
     return weyl_sums(pair, P, weight, [(alpha3, alpha2)], cap=cap, threads=threads)[0]
 
@@ -431,6 +534,14 @@ def _smooth_factor(
     return smooth
 
 
+def _majorants(pair: FormPair) -> tuple[CubicForm, QuadraticForm]:
+    """C+ and Q+, the forms with the absolute values of the coefficients: at
+    m they majorize |C| and |Q|, and their gradients the slopes of C and Q,
+    on the box |x_i| <= m_i."""
+    return (CubicForm(pair.n, {k: abs(c) for k, c in pair.cubic.monomials.items()}),
+            QuadraticForm(pair.n, {k: abs(c) for k, c in pair.quadric.monomials.items()}))
+
+
 def check_phase_size(
     pair: FormPair, weight: Weight, gamma3: float, gamma2: float, z: Sequence[float], name: str
 ) -> None:
@@ -438,11 +549,13 @@ def check_phase_size(
     - z.x that may reach 2^52 on the weight's support: a double holds it
     there only to within 1, so e(phase) has no correct digit and quadrature
     would refine rounding noise to its depth limit.  The phase is majorized
-    by |gamma3| B + |gamma2| B + sum |z_i| m_i, where m_i = |x0_i| + xi and
-    B = forms.int64_bound(pair, m) bounds |C| and |Q| on the support."""
+    by |gamma3| C+(m) + |gamma2| Q+(m) + sum |z_i| m_i, where m_i = |x0_i| +
+    xi and C+, Q+ are the forms of _majorants, so a form with no monomials
+    adds nothing whatever its gamma."""
     m = [abs(c) + weight.xi for c in weight.center]
-    bound = int64_bound(pair, m)[0]
-    size = (abs(gamma3) + abs(gamma2)) * bound + sum(abs(zi) * mi for zi, mi in zip(z, m))
+    cubic, quadric = _majorants(pair)
+    size = (abs(gamma3) * eval_cubic(cubic, m) + abs(gamma2) * eval_quadratic(quadric, m)
+            + sum(abs(zi) * mi for zi, mi in zip(z, m)))
     if not size < 2.0**52:
         raise ValueError(f"the phase of {name} may reach {size:.3g} >= 2^52 on the weight's support, "
                          "where it has no correct digit")
@@ -455,19 +568,36 @@ def check_phase_slope(
     - z.x that may run through more than RESOLUTION_MARGIN 2^MAX_LEVEL
     cycles along an axis of the weight's support cube: the trapezoid rule of
     step h resolves only slopes below 1/h, so no grid up to depth MAX_LEVEL
-    could converge.  With the majorants of check_phase_size, C+ and Q+ the
-    forms with |coefficients| at m, the slope along x_i is majorized by
-    G_i = |gamma3| dC+/dx_i + |gamma2| dQ+/dx_i + |z_i|, and the cycles by
-    2 xi max_i G_i."""
-    n, m = pair.n, [abs(c) + weight.xi for c in weight.center]
-    slope_c = gradient_cubic(CubicForm(n, {k: abs(c) for k, c in pair.cubic.monomials.items()}), m)
-    slope_q = gradient_quadratic(QuadraticForm(n, {k: abs(c) for k, c in pair.quadric.monomials.items()}), m)
+    could converge.  With the majorants C+ and Q+ of check_phase_size, the
+    slope along x_i is majorized by G_i = |gamma3| dC+/dx_i + |gamma2|
+    dQ+/dx_i + |z_i|, and the cycles by 2 xi max_i G_i."""
+    m = [abs(c) + weight.xi for c in weight.center]
+    cubic, quadric = _majorants(pair)
     cycles = 2.0 * weight.xi * max(abs(gamma3) * gc + abs(gamma2) * gq + abs(zi)
-                                   for gc, gq, zi in zip(slope_c, slope_q, z))
+                                   for gc, gq, zi in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m), z))
     if cycles > RESOLUTION_MARGIN * 2**MAX_LEVEL:
         raise ValueError(f"the phase of {name} may run through {cycles:.3g} cycles along an axis of the "
                          f"weight's support, more than {RESOLUTION_MARGIN} times the {2**MAX_LEVEL} intervals "
                          f"per axis of the depth-{MAX_LEVEL} quadrature grid")
+
+
+def _linear_start_level(weight: Weight, z: Sequence[float], name: str) -> int:
+    """The first quadrature level with at least two intervals per cycle of
+    e(-z_i x_i) along every axis of the weight's support cube, where z_i
+    runs through |z_i| 2 xi cycles; at least MIN_LEVEL.
+
+    On a coarser grid the linear phase aliases: when |z_i| 2 xi / 2^level
+    is an integer, every node of that level sits at the same phase of it,
+    so levels that all do agree on the mass of omega, not on omega-hat(z).
+    A level that leaves no finer one within MAX_LEVEL to compare it with is
+    refused, as a ValueError naming name and the cycles."""
+    cycles = 2.0 * weight.xi * max((abs(zi) for zi in z), default=0.0)
+    level = max(MIN_LEVEL, (next_pow2(2.0 * cycles) - 1).bit_length())
+    if level >= MAX_LEVEL:
+        raise ValueError(f"z in {name} runs through {cycles:.3g} cycles along an axis of the weight's support; "
+                         f"two grid intervals per cycle take quadrature level {level}, and the refinement "
+                         f"compares levels only up to depth {MAX_LEVEL}")
+    return level
 
 
 def osc_integral(
@@ -482,7 +612,9 @@ def osc_integral(
     """I(gamma; z) at a frequency vector z of length n: adaptive tensor
     quadrature over the weight's support cube.  A phase that may reach 2^52
     on the support (check_phase_size), or turn faster than the finest grid
-    resolves (check_phase_slope), is refused."""
+    resolves (check_phase_slope), is refused.  The refinement starts at the
+    first level that resolves the linear phase z.x (_linear_start_level),
+    and a z that no level below MAX_LEVEL resolves is refused."""
     n = pair.n
     if weight.n != n:
         raise ValueError("weight dimension does not match the form pair")
@@ -491,11 +623,12 @@ def osc_integral(
     name = f"I(gamma; z) at gamma = ({gamma3}, {gamma2}), z = {z}"
     check_phase_size(pair, weight, gamma3, gamma2, z, name)
     check_phase_slope(pair, weight, gamma3, gamma2, z, name)
+    start = _linear_start_level(weight, z, name)
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)
 
-    return tensor_integral(f, weight, tol, cap=cap)
+    return tensor_integral(f, weight, tol, cap=cap, start=start)
 
 
 def _alias_start_level(

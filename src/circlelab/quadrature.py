@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .util import DEFAULT_CAP, CapExceededError, fsum_complex
+from . import weightfn
 from .weightfn import Weight, support_chunks
 
 __all__ = ["QuadResult", "QuadratureError", "tensor_integral", "grid_contract"]
@@ -80,7 +81,7 @@ def grid_contract(
         mats = [_phase_matrix(x, ks, step, h) for x in nodes]
         total = np.zeros((len(ks),) * n, dtype=complex)
     sums = []
-    for box in support_chunks(weight, m / (2.0 * weight.xi), [(0, m)] * n, origin):
+    for box in support_chunks(weight, m / (2.0 * weight.xi), [(0, m)] * n, origin, weightfn.CHUNK):
         axes = [
             nodes[i][a : b + 1].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
             for i, (a, b) in enumerate(box)
@@ -106,22 +107,24 @@ def tensor_integral(
     weight: Weight,
     tol: float,
     cap: int = DEFAULT_CAP,
+    start: int = MIN_LEVEL,
 ) -> QuadResult:
     """Integrate f over the weight's support cube prod_i [c_i - xi, c_i + xi].
 
     f receives one broadcastable coordinate array per axis and must return
     the integrand on the implied tensor grid; it must vanish wherever omega
     does, since grid_contract calls it on the support boxes only.  Refines
-    from level MIN_LEVEL to MAX_LEVEL until successive levels differ by
-    less than tol (absolute); each level's whole (2^level + 1)^n grid is
-    charged to cap.  A level whose value is not finite, as when f
-    overflows, ends the refinement with a QuadratureError that names it.
+    from level start (MIN_LEVEL by default) to MAX_LEVEL until successive
+    levels differ by less than tol (absolute); each level's whole
+    (2^level + 1)^n grid is charged to cap.  A level whose value is not
+    finite, as when f overflows, ends the refinement with a QuadratureError
+    that names it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     ndim = weight.n
     prev = None
-    for level in range(MIN_LEVEL, MAX_LEVEL + 1):
+    for level in range(start, MAX_LEVEL + 1):
         m = 2**level
         if (m + 1) ** ndim > cap:
             raise CapExceededError(f"quadrature grid {(m + 1)}^{ndim} exceeds point cap {cap}")

@@ -22,9 +22,14 @@ from .util import chunk_ranges
 
 __all__ = ["Weight", "nu_grid", "omega_grid", "check_scale", "weight_box", "support_chunks"]
 
-# the most points in one support box.  Its 128 KB float arrays are reused by
-# the allocator from box to box; whole x0-slices of up to 1 MB each raised
-# the peak memory of direct Weyl sums over two threads.
+# the most points in one support box of the quadrature and of the block
+# kernel of the Weyl sums.  Its 128 KB float arrays are reused by the
+# allocator from box to box; whole x0-slices of up to 1 MB each raised the
+# peak memory of direct Weyl sums over two threads.  The point kernel of the
+# Weyl sums (expsums._point_chunk_sums) takes boxes of 2 CHUNK points: it
+# makes about 20 short numpy calls per alpha, each of which releases and
+# retakes the GIL, and at CHUNK points its two threads spent a measured
+# share of each call handing the GIL back and forth.
 CHUNK = 1 << 14
 
 # Below 1 - t^2 <= this guard the true value is under double precision
@@ -108,14 +113,15 @@ def support_chunks(
     P: float,
     box: Sequence[tuple[int, int]],
     origin: Sequence[float],
+    size: int,
 ) -> list[list[tuple[int, int]]]:
-    """Boxes of at most CHUNK points that cover, in order, the points of an
+    """Boxes of at most size points that cover, in order, the points of an
     index box that lie in the weight's support ball.
 
     Index k on axis i stands for the point origin_i + k/P: the lattice
     points of P times the ball for the direct Weyl sums (origin 0), a
     trapezoid grid for the quadrature.  The box is cut along x0 into runs
-    of as many slices as fit in CHUNK points; a slice larger than that is
+    of as many slices as fit in size points; a slice larger than that is
     cut along x1 the same way, and so on down the axes.  Before each cut,
     the remaining axes are clipped to the bounding box of the ball's section
     over the ranges fixed so far.  A point that rounding cuts off lies
@@ -135,12 +141,12 @@ def support_chunks(
         ]
         if any(lo > hi for lo, hi in rest):
             return
-        if math.prod(hi - lo + 1 for lo, hi in rest) <= CHUNK:
+        if math.prod(hi - lo + 1 for lo, hi in rest) <= size:
             out.append(fixed + rest)
             return
         (lo, hi), c = rest[0], centre[k]
         inner = math.prod(h - l + 1 for l, h in rest[1:])
-        for a, b in chunk_ranges(lo, hi + 1, max(1, CHUNK // inner)):
+        for a, b in chunk_ranges(lo, hi + 1, max(1, size // inner)):
             d = max(0.0, a / P - c, c - (b - 1) / P)
             cut(fixed + [(a, b - 1)], d2 + d * d)
 

@@ -333,7 +333,11 @@ ARCS_GRID3_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a
 # of 2^12 moduli; at P = 250, Q3 Q2 = 9444 and two of these 16 points need a
 # later block.  The weyl-scan rows carry the same pigeonhole columns; their
 # abs_S, t3 and t2 come from the block kernel of weyl_sums (the pair is
-# diagonal), within 7.7e-12 relative of the per-point kernel's values.
+# diagonal).  They were captured again when the Weyl sums took exact phases
+# (alpha as a 64-bit turn, e(.) from turn tables): abs_S moved by at most
+# 5.3e-12 relative, t3 and t2 by 2.7e-12, and no discrete column changed.
+# Against a Fraction-phase oracle abs_S is now within 1.6e-14 relative,
+# where the float phases were up to 5.3e-12 off.
 ARCS_P250_GRID4_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pigeon_a2
 0.23576402639309191,0.1278318882035904,False,,,,1001,236,128
 0.24406092642692603,0.27020900597390052,False,,,,463,113,125
@@ -354,15 +358,15 @@ ARCS_P250_GRID4_SEED4 = '''alpha3,alpha2,is_major,q,a3,a2,pigeon_q,pigeon_a3,pig
 '''
 
 WEYL_SCAN_P60_GRID3 = '''alpha3,alpha2,abs_S,is_major,major_q,pigeon_q,pigeon_a3,pigeon_a2,t3,t2,s,b3,phi3,witness_ok,u,alt
-0.21232056244048478,0.089928904587956771,1.8206137846085915,False,,146,31,13,44.467461433001461,44.467461433001461,146,31,-8.2046828028814467e-06,True,,unclassifiable
-0.013657841312064897,0.33884254517617635,17.853224259431418,False,,73,1,25,14.200149615789723,14.200149615789723,366,5,-3.3608737274523626e-06,True,,unclassifiable
-0.27109007973342414,0.97091852575924065,9.0161291616663792,False,,166,45,161,19.982102761291603,19.982102761291603,166,45,5.7423840265635739e-06,True,,unclassifiable
-0.53554525858905999,0.24316552032799946,0.47228520211009595,False,,211,113,51,87.307003175723764,87.307003175723764,211,113,2.3489237754859005e-07,True,,unclassifiable
-0.51454166382180766,0.64502414126258945,1.0358310839255978,False,,344,177,222,58.953118134761766,58.953118134761766,447,230,2.7679719916129386e-07,True,,unclassifiable
-0.60528451804051076,0.66757950005671596,4.7014188536829336,False,,76,46,51,27.671759728579541,27.671759728579541,38,23,2.1360145773918759e-05,True,1,both
-0.95246809219585649,0.011195191768488119,1.1874162183107582,False,,21,20,21,55.06171854795101,55.06171854795101,21,20,8.7139814904158008e-05,True,1,both
-0.90988514880998128,0.39188520686751965,17.890567977195342,False,,233,212,91,14.185321596034958,14.185321596034958,344,313,1.4278797487721206e-06,True,,unclassifiable
-0.95439297411662893,0.84715374008303057,8.9448561127614425,False,,307,293,260,20.061553991220215,20.061553991220215,307,293,-4.4200201788635596e-06,True,,unclassifiable
+0.21232056244048478,0.089928904587956771,1.8206137846081993,False,,146,31,13,44.467461433006243,44.467461433006243,146,31,-8.2046828028814467e-06,True,,unclassifiable
+0.013657841312064897,0.33884254517617635,17.85322425943135,False,,73,1,25,14.20014961578975,14.20014961578975,366,5,-3.3608737274523626e-06,True,,unclassifiable
+0.27109007973342414,0.97091852575924065,9.0161291616661039,False,,166,45,161,19.982102761291905,19.982102761291905,166,45,5.7423840265635739e-06,True,,unclassifiable
+0.53554525858905999,0.24316552032799946,0.47228520211197728,False,,211,113,51,87.307003175549909,87.307003175549909,211,113,2.3489237754859005e-07,True,,unclassifiable
+0.51454166382180766,0.64502414126258945,1.0358310839272953,False,,344,177,222,58.953118134713492,58.953118134713492,447,230,2.7679719916129386e-07,True,,unclassifiable
+0.60528451804051076,0.66757950005671596,4.7014188536825259,False,,76,46,51,27.671759728580746,27.671759728580746,38,23,2.1360145773918759e-05,True,1,both
+0.95246809219585649,0.011195191768488119,1.1874162183170607,False,,21,20,21,55.06171854780488,55.06171854780488,21,20,8.7139814904158008e-05,True,1,both
+0.90988514880998128,0.39188520686751965,17.890567977198614,False,,233,212,91,14.18532159603366,14.18532159603366,344,313,1.4278797487721206e-06,True,,unclassifiable
+0.95439297411662893,0.84715374008303057,8.9448561127587247,False,,307,293,260,20.061553991223263,20.061553991223263,307,293,-4.4200201788635596e-06,True,,unclassifiable
 '''
 
 
@@ -534,7 +538,12 @@ def n5_file(tmp_path):
 # whole grid with uniform weights, in place of contracting zero-filled
 # slabs against trapezoid weights (the same rule, summed in another
 # order): every float moved by at most 1.3e-15 times the record's largest,
-# and no level changed.
+# and no level changed.  The three direct-sum outputs were captured again
+# when the Weyl sums took exact phases (alpha as a 64-bit turn, e(.) from
+# turn tables): re, im and abs moved by at most 9.3e-15 times the record's
+# largest float (1.8e-15 for nd3, 3.2e-15 for nocubic).  At P = 12 the
+# float phases were still good to about 1e-15, and both captures lie
+# within 1.9e-14 times |S| of a Fraction-phase oracle.
 EVAL_PROBLEMS = {
     "nd3": ND3_PROBLEM,
     "nocubic": {**ND3_PROBLEM, "cubic": []},
@@ -573,9 +582,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "direct"): '''{
-  "re": 1.4150423053115202,
-  "im": 2.5131881524795627,
-  "abs": 2.8841739572336791,
+  "re": 1.4150423053115255,
+  "im": 2.5131881524795587,
+  "abs": 2.8841739572336782,
   "meta": {
     "mode": "direct",
     "P": 12,
@@ -623,9 +632,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nocubic", "direct"): '''{
-  "re": -0.75838525560779324,
-  "im": -0.70452178296829115,
-  "abs": 1.0351324256345744,
+  "re": -0.75838525560779657,
+  "im": -0.70452178296828805,
+  "abs": 1.0351324256345749,
   "meta": {
     "mode": "direct",
     "P": 12,
@@ -673,9 +682,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("noquadric", "direct"): '''{
-  "re": -0.23106094687272027,
-  "im": -2.8134199343051586e-16,
-  "abs": 0.23106094687272027,
+  "re": -0.23106094687272241,
+  "im": -7.4376173261792777e-16,
+  "abs": 0.23106094687272241,
   "meta": {
     "mode": "direct",
     "P": 12,
@@ -1390,6 +1399,21 @@ def test_unresolvable_oscillations_are_refused_up_front(tmp_path, capsys, argv, 
     assert capsys.readouterr().err == (
         f"error: the phase of {what} may run through {cycles} cycles along an axis of the weight's support, "
         "more than 16 times the 4096 intervals per axis of the depth-12 quadrature grid\n")
+
+
+def test_linear_phase_the_grid_cannot_resolve_is_refused(tmp_path, capsys):
+    # z = (4e4, 0) runs through 16000 cycles across 2 xi = 0.4, and every
+    # node of levels 3-7 sat at the same phase of z.x: the refinement agreed
+    # on the mass of omega, 0.018660495726 at level 7.  Two intervals per
+    # cycle take level 15, past the depth limit
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"n": 2, "cubic": [[1, 1, 1, 1]], "quadric": [],
+                                "weight": {"x0": [0.1, -0.05], "xi": 0.2}}))
+    assert run(["sum", "--problem", str(path), "--mode", "integral", "--z", "40000,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: z in I(gamma; z) at gamma = (0.0, 0.0), z = [40000.0, 0.0] runs through 1.6e+04 cycles along "
+        "an axis of the weight's support; two grid intervals per cycle take quadrature level 15, and the "
+        "refinement compares levels only up to depth 12\n")
 
 
 def test_resolvable_oscillation_still_converges(tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -105,9 +106,9 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
     base = weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=1)
     for threads in (2, 5):
         assert weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=threads) == base
-    # the 33^3 box at P = 40 exceeds one chunk of the support
+    # the 33^3 box at P = 40 exceeds one support box of either kernel
     w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(support_chunks(w, 40, weight_box(w, 40), [0.0] * 3)) > 1
+    assert len(support_chunks(w, 40, weight_box(w, 40), [0.0] * 3, 2 * weightfn.CHUNK)) > 1
     # a diagonal pair (three blocks), a pair with blocks {x1, x2} and {x3},
     # and a non-diagonal pair that is one block
     two_blocks = make_pair(3, {(1, 1, 1): 1, (1, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1})
@@ -122,21 +123,26 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
 
 def oracle_weyl_sum(pair, P, weight, alpha3, alpha2):
     """(S, mass): the literal sum of omega(x/P) e(alpha3 C(x) + alpha2 Q(x))
-    over the weight's box, with Python-int forms, cmath and math.fsum, and
-    the sum of the weights."""
+    over the weight's box, and the sum of the weights.  The forms are
+    Python ints and the phase is reduced mod 1 in Fraction arithmetic, so
+    the only rounding is float() of the reduced phase, math.cos, math.sin
+    and the products with omega; the terms are added by math.fsum."""
     box = [
         (math.ceil((c - weight.xi) * P), math.floor((c + weight.xi) * P))
         for c in weight.center
     ]
+    a3, a2 = Fraction(alpha3), Fraction(alpha2)
     re, im, mass = [], [], []
     for x in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+        w = omega(weight, [v / P for v in x])
+        if w == 0.0:
+            continue
         c = sum(coeff * x[i - 1] * x[j - 1] * x[k - 1] for (i, j, k), coeff in pair.cubic.monomials.items())
         q = sum(coeff * x[i - 1] * x[j - 1] for (i, j), coeff in pair.quadric.monomials.items())
-        t = alpha3 * c + alpha2 * q
-        w = omega(weight, [v / P for v in x])
-        z = w * cmath.exp(2j * math.pi * (t - round(t)))
-        re.append(z.real)
-        im.append(z.imag)
+        t = a3 * c + a2 * q
+        angle = 2 * math.pi * float(t - round(t))
+        re.append(w * math.cos(angle))
+        im.append(w * math.sin(angle))
         mass.append(w)
     return complex(math.fsum(re), math.fsum(im)), math.fsum(mass)
 
@@ -241,32 +247,92 @@ def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
         assert abs(value - expected) <= 1e-12 * mass
 
 
+# a one-block pair (the point kernel) and a diagonal pair (the block tables)
+# at P = 150 on a weight away from the origin: alpha3 C + alpha2 Q reaches
+# about 10^6 on its support, where a double holds it only to about 10^-10,
+# and float phases put these sums 4.9e-13 to 4.1e-12 times the weight mass off
+@pytest.mark.parametrize("pair,blocks", [
+    (make_pair(3, {(1, 1, 1): 2, (2, 2, 2): -3, (3, 3, 3): 1, (1, 2, 3): -2},
+               {(1, 1): 1, (2, 2): -2, (3, 3): 3, (1, 2): 2, (2, 3): -1}), 1),
+    (make_pair(3, {(1, 1, 1): 2, (2, 2, 2): -3, (3, 3, 3): 1}, {(1, 1): 1, (2, 2): -2, (3, 3): 3}), 3),
+], ids=["one_block", "diagonal"])
+def test_direct_sums_have_exact_phases_at_large_P(pair, blocks):
+    assert len(separable_blocks(pair)) == blocks
+    w = Weight((0.3, -0.25, 0.2), 0.08)
+    for a3, a2 in ((0.731058579, 0.268941421), (0.5772156649, -0.6931471806)):
+        expected, mass = oracle_weyl_sum(pair, 150, w, a3, a2)
+        assert abs(weyl_sum_direct(pair, 150, w, a3, a2) - expected) <= 1e-13 * mass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.25)
+@example(1.5)
+@example(-3.0)
+@example(2.0**-12)
+@example(-(2.0**-12))
+@example(2.0**-13 + 2.0**-70)
+@example(5e-324)
+@example(-5e-324)
+@example(1e300)
+def test_alpha_is_a_64_bit_turn(alpha):
+    # A / 2^64 is alpha mod 1 exactly when that is a multiple of 2^-64, as
+    # for every double with |alpha| >= 2^-12, and within 2^-65 of it otherwise
+    turn = expsums._turn(alpha)
+    assert 0 <= turn < 2**64
+    frac = Fraction(alpha) % 1
+    if abs(alpha) >= 2.0**-12:
+        assert (frac * 2**64).denominator == 1
+    if (frac * 2**64).denominator == 1:
+        assert Fraction(turn, 2**64) == frac
+    else:
+        gap = abs(Fraction(turn, 2**64) - frac)
+        assert min(gap, 1 - gap) <= Fraction(1, 2**65)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_alpha_is_refused(pair_n3, alpha):
+    w = Weight((0.0, 0.0, 0.0), 0.4)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        weyl_sum_direct(pair_n3, 10, w, alpha, 0.1)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        weyl_sums(pair_n3, 10, w, [(0.1, 0.2), (0.3, alpha)])
+    # also where the box holds no lattice point
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        weyl_sum_direct(pair_n3, 1, Weight((0.25, 0.0, 0.0), 0.05), alpha, 0.1)
+
+
 @st.composite
 def support_cases(draw):
-    """A weight, a chunk size and an index box whose index k on axis i
+    """A weight, a box size and an index box whose index k on axis i
     stands for origin_i + k/P: either the lattice box of P times the
     support ball (origin 0), or the whole quadrature grid with m intervals
     per axis (origin c - xi, P = m/(2 xi)), which quadrature.grid_contract
     cuts, or its rows [lo, hi] of axis 0, with the grid's own nodes as the
-    points."""
+    points.  The sizes include both that the callers pass: weightfn.CHUNK
+    (the quadrature and the block kernel) and 2 weightfn.CHUNK (the point
+    kernel of the Weyl sums)."""
     n = draw(st.integers(1, 4))
     center = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
     xi = draw(st.floats(0.02, 0.45))
-    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK]))
+    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK, 2 * weightfn.CHUNK]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         weight = Weight(tuple(center), xi)
     if draw(st.booleans()):
-        P = draw(st.integers(1, 60 if n < 4 else 12))
-        box = weight_box(weight, P)
-        points = [np.arange(lo, hi + 1) / P for lo, hi in box]
-        return weight, chunk, P, box, [0.0] * n, points
+        return _lattice_case(weight, chunk, draw(st.integers(1, 60 if n < 4 else 12)))
     m = draw(st.integers(2, 64 if n < 4 else 16))
     box = [(0, m)] * n
     if draw(st.booleans()):
         lo = draw(st.integers(0, m))
         box[0] = (lo, draw(st.integers(lo, m)))
     return _grid_case(weight, chunk, m, box)
+
+
+def _lattice_case(weight, chunk, P):
+    box = weight_box(weight, P)
+    points = [np.arange(lo, hi + 1) / P for lo, hi in box]
+    return weight, chunk, P, box, [0.0] * weight.n, points
 
 
 def _grid_case(weight, chunk, m, box):
@@ -279,17 +345,19 @@ def _grid_case(weight, chunk, m, box):
 @given(support_cases())
 # the whole grid of a quadrature level at n = 3, cut into many boxes
 @example(_grid_case(Weight((0.05, -0.05, 0.05), 0.3), 300, 32, [(0, 32)] * 3))
+# the lattice box of a one-block direct sum at P = 60, 49^3 points, cut
+# into the point kernel's boxes of 2 CHUNK
+@example(_lattice_case(Weight((0.02, -0.03, 0.01), 0.4), 2 * weightfn.CHUNK, 60))
 def test_support_chunks_cover_the_support(case):
-    # the chunks hold at most CHUNK points each, lie in the box and cover
-    # every point of it where omega > 0 exactly once
+    # the chunks hold at most the given size of points each, lie in the box
+    # and cover every point of it where omega > 0 exactly once
     weight, chunk, P, box, origin, points = case
     if any(lo > hi for lo, hi in box):
         return
     n = len(box)
     axes = [x.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, x in enumerate(points)]
     inside = omega_grid(weight, axes) > 0
-    with patch.object(weightfn, "CHUNK", chunk):
-        subs = support_chunks(weight, P, box, origin)
+    subs = support_chunks(weight, P, box, origin, chunk)
     covered = np.zeros(inside.shape, dtype=int)
     for sub in subs:
         assert math.prod(hi - lo + 1 for lo, hi in sub) <= chunk
@@ -576,9 +644,9 @@ def test_poisson_error_decreases_with_m(pair_line):
 
 
 def test_phase_size_is_refused_from_2_to_the_52():
-    # Q = x1^2 on |x1| <= 1/4: B = 1/16 and m = 1/4, so each phase below
-    # reaches exactly 2^52 at its refused value
-    pair, w = make_pair(1, {}, {(1, 1): 1}), Weight((0.0,), 0.25)
+    # C = 4 x1^3 and Q = x1^2 on |x1| <= 1/4: C+(m) = Q+(m) = 1/16 and m =
+    # 1/4, so each phase below reaches exactly 2^52 at its refused value
+    pair, w = make_pair(1, {(1, 1, 1): 4}, {(1, 1): 1}), Weight((0.0,), 0.25)
     below = np.nextafter(2.0**56, 0.0)
     for gamma3, gamma2, z in ((2.0**56, 0.0, [0.0]), (0.0, -(2.0**56), [0.0]), (2.0**55, 2.0**55, [0.0]),
                               (0.0, 0.0, [2.0**54])):
@@ -588,8 +656,37 @@ def test_phase_size_is_refused_from_2_to_the_52():
             osc_integral(pair, w, gamma3, gamma2, z)
     expsums.check_phase_size(pair, w, below, 0.0, [0.0], "I")
     expsums.check_phase_size(pair, w, 0.0, 0.0, [np.nextafter(2.0**54, 0.0)], "I")
+    # a form with no monomials adds nothing, whatever its gamma: on Q =
+    # x1^2 with an empty cubic, gamma3 C is identically 0
+    quadric_only = make_pair(1, {}, {(1, 1): 1})
+    expsums.check_phase_size(quadric_only, w, 2.0**56, 0.0, [0.0], "I")
+    expsums.check_phase_size(quadric_only, w, 1e300, below, [0.0], "I")
+    with pytest.raises(ValueError, match="2\\^52"):
+        expsums.check_phase_size(quadric_only, w, 0.0, 2.0**56, [0.0], "I")
     # a pair with no monomials has no phase but that of z
     expsums.check_phase_size(make_pair(1, {}, {}), w, 1e300, 1e300, [0.0], "I")
+
+
+def test_osc_integral_starts_where_the_grid_resolves_z():
+    # z = (4e4, 0) runs through 16000 cycles across 2 xi = 0.4, and 16000 /
+    # 2^L is an integer for L <= 7: every node of levels 3-7 sits at the
+    # same phase of z.x, so those levels agreed on the mass of omega
+    # (0.018660495726 at level 7), not on omega-hat(z), which is about 0.
+    # Two intervals per cycle take level 15, past the depth limit
+    pair, w = make_pair(2, {(1, 1, 1): 1}, {}), Weight((0.1, -0.05), 0.2)
+    with pytest.raises(ValueError, match=r"z in I\(gamma; z\) at gamma = \(0\.0, 0\.0\), z = \[40000\.0, 0\.0\] "
+                       r"runs through 1\.6e\+04 cycles along an axis of the weight's support; two grid intervals "
+                       r"per cycle take quadrature level 15"):
+        osc_integral(pair, w, 0.0, 0.0, [4.0e4, 0.0])
+    # where the grid can resolve z it starts there.  z = (1280, 0) runs
+    # through 512 cycles, an integer number per interval up to level 9, so
+    # a refinement from level 3 returned the mass at level 8; from level 10
+    # it finds I(0; z) = omega-hat(z), which is about 0 this far out
+    res = osc_integral(pair, w, 0.0, 0.0, [1280.0, 0.0], tol=1e-10)
+    assert res.level == 11
+    mass = osc_integral(pair, w, 0.0, 0.0, [0.0, 0.0], tol=1e-10).value.real
+    assert mass == pytest.approx(0.018660495727, rel=1e-10)
+    assert abs(res.value) < 1e-12 * mass
 
 
 def test_unresolvable_phase_is_refused_past_the_margin():

@@ -315,7 +315,7 @@ def test_minor_arc_scan_thread_determinism(pair_n3):
         cubic_nonsingular=True,
     )
     w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(weightfn.support_chunks(w, 40, weight_box(w, 40), [0.0] * 3)) > 1
+    assert len(weightfn.support_chunks(w, 40, weight_box(w, 40), [0.0] * 3, weightfn.CHUNK)) > 1
     rows = minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=1)
     for threads in (2, 3):
         assert minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=threads) == rows

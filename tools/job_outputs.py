@@ -17,11 +17,23 @@ written for them are equal:
     python3 tools/job_outputs.py ../parent parent.json
     python3 tools/job_outputs.py . change.json
     cmp parent.json change.json
+
+How far the outputs moved:
+
+    python3 tools/job_outputs.py --against parent.json change.json
+
+lists every run whose code, stdout or stderr differs, or that is in one
+file only.  For a run whose stdout differs it gives the largest relative
+change of any float, each change divided by the largest float of its
+record as benchmark/checks.py scales them (a JSON object or a CSV row), and
+it names every changed token that is not a float: an int, a string, a
+key, a length.  The last line gives the largest float change of all runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,8 +77,82 @@ def job_outputs(cli, run, workloads) -> dict[str, dict]:
     return records
 
 
+def _parse(checks, text: str):
+    """A run's stdout as JSON, or else as CSV rows with their cells read as
+    int, float or string, as benchmark/checks.py reads them."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return [{k: checks._cell(v) for k, v in row.items()} for row in checks.parse("csv", text)]
+
+
+def output_moves(checks, got, want, path: str = "$", scale: float = 0.0):
+    """Walk two parsed outputs side by side and yield (path, change): for a
+    float that changed, its change over the largest float of its record
+    (the scale of checks.compare_reference); for any other changed token
+    or shape, None."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            yield path, None
+            return
+        inner = checks._scale(want)
+        for key in want:
+            yield from output_moves(checks, got[key], want[key], f"{path}.{key}", inner)
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            yield path, None
+            return
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from output_moves(checks, g, w, f"{path}[{i}]", scale)
+    elif type(got) is float and type(want) is float and math.isfinite(got) and math.isfinite(want):
+        if got != want:
+            yield path, abs(got - want) / max(scale, abs(want), abs(got))
+    elif type(got) is not type(want) or (got != want and repr(got) != repr(want)):
+        # repr, so that a NaN in the same place on both sides is no change
+        yield path, None
+
+
+def report_moves(checks, base: dict[str, dict], head: dict[str, dict]) -> list[str]:
+    """The lines of the --against report of head against base."""
+    lines, largest = [], []
+    for key in sorted(set(head) & set(base)):
+        rec, old = head[key], base[key]
+        fields = [f for f in ("code", "stdout", "stderr") if rec[f] != old[f]]
+        if not fields:
+            continue
+        line = f"{key}: {', '.join(fields)}"
+        if "stdout" in fields:
+            moves = list(output_moves(checks, _parse(checks, rec["stdout"]), _parse(checks, old["stdout"])))
+            floats = [(change, path) for path, change in moves if change is not None]
+            if floats:
+                change, path = max(floats)
+                line += f"; largest float change {change:.2g} at {path}"
+                largest.append((change, key))
+            others = [path for path, change in moves if change is None]
+            if others:
+                line += f"; non-float change at {', '.join(others)}"
+        lines.append(line)
+    unmatched = sorted(set(head) ^ set(base))
+    head_line = f"{len(head)} runs: {len(lines)} differ from the base, {len(unmatched)} run on one side only"
+    lines = [head_line] + lines + [f"{key}: only {'here' if key in head else 'in the base'}" for key in unmatched]
+    if largest:
+        change, key = max(largest, key=lambda t: t[0])
+        lines.append(f"largest float change of all runs: {change:.2g} ({key})")
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) == 3 and argv[0] == "--against":
+        sys.path.insert(0, BENCH)
+        import checks
+
+        with open(argv[1], encoding="utf-8") as fh:
+            base = json.load(fh)
+        with open(argv[2], encoding="utf-8") as fh:
+            head = json.load(fh)
+        print("\n".join(report_moves(checks, base, head)))
+        return 0
+    if len(argv) != 2 or argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     tree, path = argv
