@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expsums import check_phase_size, check_phase_slope
+from .expsums import check_phase
 from .forms import FormPair, block_values
 from .quadrature import QuadResult, tensor_integral
 from .util import DEFAULT_CAP
@@ -98,16 +98,16 @@ def singular_integral_truncated(
     """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature charged to cap.
 
     The phases 2 pi R C and 2 pi R Q are those of I(gamma; 0) at gamma =
-    (R, R), so an R whose phase majorant R (C+ + Q+) reaches 2^52 is refused
-    (expsums.check_phase_size), and so is one whose integrand turns faster
-    than the finest quadrature grid resolves (expsums.check_phase_slope)."""
+    (R, R), and sin(2 pi R C) sin(2 pi R Q) turns as e(R (C + Q)) and e(R (C
+    - Q)) do, so J(R) takes the guard of I((R, R); 0), expsums.check_phase:
+    an R whose phase may reach 2^52 on the support, or turn faster than the
+    finest quadrature grid resolves, is refused.  The refinement starts
+    where that guard starts it, at MIN_LEVEL."""
     if R <= 0:
         raise ValueError("R must be positive")
     if weight.n != pair.n:
         raise ValueError("weight dimension does not match the form pair")
     name = f"J(R) at R = {R}"
-    check_phase_size(pair, weight, R, R, (), name)
-    # sin(2 pi R C) sin(2 pi R Q) turns as e(R (C + Q)) and e(R (C - Q)) do
-    check_phase_slope(pair, weight, R, R, [0.0] * pair.n, name)
-    res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap)
+    start = check_phase(pair, weight, R, R, [0.0] * pair.n, name)
+    res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap, start=start)
     return QuadResult(float(res.value.real), res.error, res.level)

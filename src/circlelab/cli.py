@@ -598,13 +598,6 @@ def run(argv: list[str]) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if "CIRCLELAB_CAP" in os.environ:
-        try:
-            args.cap = int(os.environ["CIRCLELAB_CAP"])
-        except ValueError:
-            print(f"error: CIRCLELAB_CAP must be an integer, got {os.environ['CIRCLELAB_CAP']!r}",
-                  file=sys.stderr)
-            return 2
     try:
         with warnings.catch_warnings():
             # a warning is one line of stderr, as an error is, with no source location

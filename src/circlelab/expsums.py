@@ -78,8 +78,8 @@ __all__ = [
     "weyl_sums",
     "complete_sum",
     "crt_decomposition",
+    "check_phase",
     "check_phase_size",
-    "check_phase_slope",
     "osc_integral",
     "poisson_reconstruct",
 ]
@@ -87,7 +87,7 @@ __all__ = [
 # the Poisson total is accepted once two grid sizes agree to this relative tolerance
 POISSON_REL_TOL = 1e-9
 
-# check_phase_slope refuses a phase whose slope majorant puts more than this
+# check_phase refuses a phase whose slope majorant puts more than this
 # many times 2^MAX_LEVEL cycles along an axis of the support, the intervals
 # per axis of the finest quadrature grid.  The majorant takes every
 # coefficient positive at the corner of the support cube, so it overstates
@@ -534,11 +534,13 @@ def _smooth_factor(
     return smooth
 
 
-def _majorants(pair: FormPair) -> tuple[CubicForm, QuadraticForm]:
-    """C+ and Q+, the forms with the absolute values of the coefficients: at
-    m they majorize |C| and |Q|, and their gradients the slopes of C and Q,
-    on the box |x_i| <= m_i."""
-    return (CubicForm(pair.n, {k: abs(c) for k, c in pair.cubic.monomials.items()}),
+def _majorants(pair: FormPair, weight: Weight) -> tuple[list[float], CubicForm, QuadraticForm]:
+    """The corner m of the weight's support cube, m_i = |x0_i| + xi, and C+
+    and Q+, the forms with the absolute values of the coefficients: at m they
+    majorize |C| and |Q|, and their gradients the slopes of C and Q, on the
+    support."""
+    return ([abs(c) + weight.xi for c in weight.center],
+            CubicForm(pair.n, {k: abs(c) for k, c in pair.cubic.monomials.items()}),
             QuadraticForm(pair.n, {k: abs(c) for k, c in pair.quadric.monomials.items()}))
 
 
@@ -549,11 +551,9 @@ def check_phase_size(
     - z.x that may reach 2^52 on the weight's support: a double holds it
     there only to within 1, so e(phase) has no correct digit and quadrature
     would refine rounding noise to its depth limit.  The phase is majorized
-    by |gamma3| C+(m) + |gamma2| Q+(m) + sum |z_i| m_i, where m_i = |x0_i| +
-    xi and C+, Q+ are the forms of _majorants, so a form with no monomials
-    adds nothing whatever its gamma."""
-    m = [abs(c) + weight.xi for c in weight.center]
-    cubic, quadric = _majorants(pair)
+    by |gamma3| C+(m) + |gamma2| Q+(m) + sum |z_i| m_i (_majorants), so a
+    form with no monomials adds nothing whatever its gamma."""
+    m, cubic, quadric = _majorants(pair, weight)
     size = (abs(gamma3) * eval_cubic(cubic, m) + abs(gamma2) * eval_quadratic(quadric, m)
             + sum(abs(zi) * mi for zi, mi in zip(z, m)))
     if not size < 2.0**52:
@@ -561,36 +561,35 @@ def check_phase_size(
                          "where it has no correct digit")
 
 
-def check_phase_slope(
+def check_phase(
     pair: FormPair, weight: Weight, gamma3: float, gamma2: float, z: Sequence[float], name: str
-) -> None:
-    """Refuse, as a ValueError naming name, a phase gamma3 C(x) + gamma2 Q(x)
-    - z.x that may run through more than RESOLUTION_MARGIN 2^MAX_LEVEL
-    cycles along an axis of the weight's support cube: the trapezoid rule of
-    step h resolves only slopes below 1/h, so no grid up to depth MAX_LEVEL
-    could converge.  With the majorants C+ and Q+ of check_phase_size, the
-    slope along x_i is majorized by G_i = |gamma3| dC+/dx_i + |gamma2|
-    dQ+/dx_i + |z_i|, and the cycles by 2 xi max_i G_i."""
-    m = [abs(c) + weight.xi for c in weight.center]
-    cubic, quadric = _majorants(pair)
+) -> int:
+    """The guard of a quadrature of omega(x) e(gamma3 C(x) + gamma2 Q(x) -
+    z.x) to depth MAX_LEVEL: three rules in turn, each refusing as a
+    ValueError naming name; returns the level the refinement starts at.
+
+    - Size: the phase may reach 2^52 on the support (check_phase_size).
+    - Slope: the phase may run through more than RESOLUTION_MARGIN
+      2^MAX_LEVEL cycles along an axis of the support cube, and the
+      trapezoid rule of step h resolves only slopes below 1/h.  The slope
+      along x_i is majorized by |gamma3| dC+/dx_i + |gamma2| dQ+/dx_i + |z_i|
+      at m (_majorants), and the cycles by 2 xi times its largest value.
+    - Start: the first level with at least two intervals per cycle of
+      e(-z_i x_i) along every axis, |z_i| 2 xi cycles; at least MIN_LEVEL.
+      On a coarser grid the linear phase aliases: when |z_i| 2 xi / 2^level
+      is an integer, every node of that level sits at the same phase of it,
+      and levels that all do agree on the mass of omega, not on
+      omega-hat(z).  A level that leaves no finer one within MAX_LEVEL to
+      compare it with is refused.
+    """
+    check_phase_size(pair, weight, gamma3, gamma2, z, name)
+    m, cubic, quadric = _majorants(pair, weight)
     cycles = 2.0 * weight.xi * max(abs(gamma3) * gc + abs(gamma2) * gq + abs(zi)
                                    for gc, gq, zi in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m), z))
     if cycles > RESOLUTION_MARGIN * 2**MAX_LEVEL:
         raise ValueError(f"the phase of {name} may run through {cycles:.3g} cycles along an axis of the "
                          f"weight's support, more than {RESOLUTION_MARGIN} times the {2**MAX_LEVEL} intervals "
                          f"per axis of the depth-{MAX_LEVEL} quadrature grid")
-
-
-def _linear_start_level(weight: Weight, z: Sequence[float], name: str) -> int:
-    """The first quadrature level with at least two intervals per cycle of
-    e(-z_i x_i) along every axis of the weight's support cube, where z_i
-    runs through |z_i| 2 xi cycles; at least MIN_LEVEL.
-
-    On a coarser grid the linear phase aliases: when |z_i| 2 xi / 2^level
-    is an integer, every node of that level sits at the same phase of it,
-    so levels that all do agree on the mass of omega, not on omega-hat(z).
-    A level that leaves no finer one within MAX_LEVEL to compare it with is
-    refused, as a ValueError naming name and the cycles."""
     cycles = 2.0 * weight.xi * max((abs(zi) for zi in z), default=0.0)
     level = max(MIN_LEVEL, (next_pow2(2.0 * cycles) - 1).bit_length())
     if level >= MAX_LEVEL:
@@ -610,20 +609,17 @@ def osc_integral(
     cap: int = DEFAULT_CAP,
 ) -> QuadResult:
     """I(gamma; z) at a frequency vector z of length n: adaptive tensor
-    quadrature over the weight's support cube.  A phase that may reach 2^52
-    on the support (check_phase_size), or turn faster than the finest grid
-    resolves (check_phase_slope), is refused.  The refinement starts at the
-    first level that resolves the linear phase z.x (_linear_start_level),
-    and a z that no level below MAX_LEVEL resolves is refused."""
+    quadrature over the weight's support cube, from the level at which
+    check_phase starts it.  That guard refuses a phase that may reach 2^52
+    on the support, or turn faster than the finest grid resolves, and a z
+    that no level below MAX_LEVEL resolves."""
     n = pair.n
     if weight.n != n:
         raise ValueError("weight dimension does not match the form pair")
     if len(z) != n:
         raise ValueError(f"z has length {len(z)}, expected {n}")
     name = f"I(gamma; z) at gamma = ({gamma3}, {gamma2}), z = {z}"
-    check_phase_size(pair, weight, gamma3, gamma2, z, name)
-    check_phase_slope(pair, weight, gamma3, gamma2, z, name)
-    start = _linear_start_level(weight, z, name)
+    start = check_phase(pair, weight, gamma3, gamma2, z, name)
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)
@@ -660,9 +656,12 @@ def poisson_reconstruct(
     integrals shares one alias-resolved quadrature grid whose resolution is
     doubled until the total stabilizes to POISSON_REL_TOL; on it the smooth
     factor (_smooth_factor) is contracted with the phase matrices of every
-    m at once (quadrature.grid_contract).  The residue
-    grid q^n, the m-grid (2M+1)^n and each quadrature grid are charged to
-    cap; refinement ends at the cap.  A P that is not a finite real >= 1
+    m at once (quadrature.grid_contract).  A phase that may reach 2^52 on
+    the support, with z_i = (P/q) M, is refused first (check_phase_size);
+    only that rule of check_phase applies, since the grid refines until the
+    cap stops it.  The m-grid (2M+1)^n and the residue grid q^n are charged
+    to cap before they are built, and grid_contract charges each quadrature
+    grid and its phase matrices.  A P that is not a finite real >= 1
     (weightfn.check_scale), or whose powers P^3 or (P/q)^n overflow a
     float, is a ValueError.
     """
@@ -671,32 +670,32 @@ def poisson_reconstruct(
         raise ValueError("truncation radius M must be >= 0")
     n = pair.n
     q = approx.q
+    gamma3 = approx.theta3 * _power(P, 3, "P")
+    gamma2 = approx.theta2 * _power(P, 2, "P")
+    scale = _power(P / q, n, "(P/q)")
+    # I(gamma; freq_step * m) for every m is one contraction of the smooth
+    # factor with the separable oscillation e(-freq_step m.x), which is
+    # exact on the grid
+    freq_step = P / q
+    check_phase_size(pair, weight, gamma3, gamma2, [freq_step * M] * n,
+                     f"I(gamma; (P/q) m) at gamma = ({gamma3}, {gamma2}), |m|_inf <= {M}")
+    check_cap((2 * M + 1) ** n, cap, f"poisson m-grid (2M+1)^n = {2 * M + 1}^{n}")
 
     def phases(coords, c, qq):
         return ((approx.a3 % q) * c + (approx.a2 % q) * qq) % q
 
     # scan() runs coordinate 1 fastest, hence the Fortran-order reshape
     t = np.concatenate(scan(pair, q, phases, cap)).reshape((q,) * n, order="F")
-    gamma3 = approx.theta3 * _power(P, 3, "P")
-    gamma2 = approx.theta2 * _power(P, 2, "P")
-    scale = _power(P / q, n, "(P/q)")
     f = np.exp(2j * np.pi * t / q)
     sums_mod = q**n * np.fft.ifftn(f)
-
     ms = np.arange(-M, M + 1)
-    check_cap((2 * M + 1) ** n, cap, f"poisson m-grid (2M+1)^n = {2 * M + 1}^{n}")
     sums_big = sums_mod[np.ix_(*([ms % q] * n))]
 
     smooth = _smooth_factor(pair, weight, gamma3, gamma2)
-    # I(gamma; freq_step * m) for every m is one contraction of the smooth
-    # factor with the separable oscillation e(-freq_step m.x), which is
-    # exact on the grid
-    freq_step = P / q
     grid_n = _alias_start_level(pair, weight, gamma3, gamma2, freq_step * M)
     prev = None
     while True:
-        check_cap((grid_n + 1) ** n, cap, f"poisson quadrature grid {grid_n + 1}^{n}")
-        tensor = grid_contract(smooth, weight, grid_n, ms, freq_step)
+        tensor = grid_contract(smooth, weight, grid_n, ms, freq_step, cap)
         total = scale * complex(np.sum(sums_big * tensor))
         if prev is not None and abs(total - prev) <= POISSON_REL_TOL * (1.0 + abs(total)):
             return total

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import DEFAULT_CAP, CapExceededError, fsum_complex
+from .util import DEFAULT_CAP, CapExceededError, check_cap, fsum_complex
 from . import weightfn
 from .weightfn import Weight, support_chunks
 
@@ -59,6 +59,7 @@ def grid_contract(
     m: int,
     ks: np.ndarray | None = None,
     step: float = 1.0,
+    cap: int = DEFAULT_CAP,
 ) -> np.ndarray:
     """Trapezoid sums of f(x) e(-step k.x) over the tensor grid with m
     intervals per axis on the weight's support cube.
@@ -71,8 +72,16 @@ def grid_contract(
     c_i - xi + k/P with P = m / (2 xi)), so it must vanish wherever omega
     does, as omega times a finite factor does.  Memory is set by one box
     and the result.
+
+    This is the one place that charges a quadrature grid: before anything
+    is built, the (m+1)^n grid, and for a family also its n phase matrices
+    of (m+1) len(ks) entries, are each charged to cap.
     """
     n = weight.n
+    if (m + 1) ** n > cap:
+        raise CapExceededError(f"quadrature grid {m + 1}^{n} exceeds point cap {cap}")
+    if ks is not None:
+        check_cap(n * (m + 1) * len(ks), cap, f"quadrature phase matrices {n} x {m + 1} x {len(ks)}")
     nodes = [np.linspace(c - weight.xi, c + weight.xi, m + 1) for c in weight.center]
     origin = [c - weight.xi for c in weight.center]
     h = 2.0 * weight.xi / m
@@ -115,8 +124,8 @@ def tensor_integral(
     the integrand on the implied tensor grid; it must vanish wherever omega
     does, since grid_contract calls it on the support boxes only.  Refines
     from level start (MIN_LEVEL by default) to MAX_LEVEL until successive
-    levels differ by less than tol (absolute); each level's whole
-    (2^level + 1)^n grid is charged to cap.  A level whose value is not
+    levels differ by less than tol (absolute); grid_contract charges each
+    level's whole (2^level + 1)^n grid to cap.  A level whose value is not
     finite, as when f overflows, ends the refinement with a QuadratureError
     that names it.
     """
@@ -126,12 +135,10 @@ def tensor_integral(
     prev = None
     for level in range(start, MAX_LEVEL + 1):
         m = 2**level
-        if (m + 1) ** ndim > cap:
-            raise CapExceededError(f"quadrature grid {(m + 1)}^{ndim} exceeds point cap {cap}")
         # an overflow in f shows as a level value that is not finite, and
         # no later level can converge from one
         with np.errstate(over="ignore", invalid="ignore"):
-            val = complex(grid_contract(f, weight, m))
+            val = complex(grid_contract(f, weight, m, cap=cap))
         if not cmath.isfinite(val):
             raise QuadratureError(f"quadrature level {level} ({m + 1}^{ndim} nodes) gave the non-finite value {val}")
         if prev is not None:

@@ -847,6 +847,26 @@ def test_info(problem_file, tmp_path):
     assert rep["hypotheses"]["nonsingular_n29"] is False
 
 
+def test_info_without_h(tmp_path, capsys):
+    # neither cubic_nonsingular nor h: h and the predicates that need it
+    # read null, and no singular-point scan runs
+    path = tmp_path / "no_h.json"
+    path.write_text(json.dumps({k: v for k, v in LINE_PROBLEM.items() if k != "cubic_nonsingular"}))
+    assert run(["info", "--problem", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["h"] is None
+    hyp = rep["hypotheses"]
+    assert [hyp[k] for k in ("h", "h_rho_product", "h_rho_min37", "nonsingular_cubic_product")] == [None] * 4
+    assert "nonsingularity_scan" not in rep
+
+
+def test_float_flag_that_is_not_a_number(problem_file, capsys):
+    assert run(["count", "--problem", problem_file, "--P", "abc"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --P: invalid float value: 'abc'\n")
+
+
 def test_count_and_emit(problem_file, tmp_path):
     csv_path = tmp_path / "solutions.csv"
     code, text = run_to_file(
@@ -1023,15 +1043,6 @@ def test_cap_exit_code(problem_file, tmp_path):
     assert code == 3
 
 
-def test_env_cap_overrides_flag(problem_file, monkeypatch):
-    monkeypatch.setenv("CIRCLELAB_CAP", "100")
-    code = run(
-        ["sum", "--problem", problem_file, "--mode", "complete",
-         "--q", "101", "--a3", "1", "--a2", "1", "--cap", "10000000"]
-    )
-    assert code == 3
-
-
 def test_runs_share_one_parser_and_print_as_alone(problem_file, capsys):
     # the parser is built on the first run and kept: a usage error (argparse
     # exits 2) before or after a valid run leaves each run's exit code,
@@ -1061,12 +1072,6 @@ def test_parser_defaults_are_immutable():
         for action in sub._actions:
             assert action.default is None or type(action.default) in (bool, int, float, str), (
                 name, action.dest)
-
-
-def test_env_cap_must_be_an_integer(problem_file, monkeypatch, capsys):
-    monkeypatch.setenv("CIRCLELAB_CAP", "abc")
-    assert run(["series", "--problem", problem_file, "--R", "3"]) == 2
-    assert capsys.readouterr().err.startswith("error: CIRCLELAB_CAP")
 
 
 # 223092870 = 2 * 3 * ... * 23 and 6469693230 = 223092870 * 29 cost only
@@ -1263,13 +1268,13 @@ def test_nr_honours_the_cap(tmp_path, capsys, cap, code, message):
         assert json.loads(out) == {"R": 10, "n_R": 50653}
 
 
-# The tensor quadrature charges each level's (2^level + 1)^n grid to the
-# cap, and sum --mode poisson each of its refinement grids; on the line
-# problem the last grid is the largest charge of each job: level 7 for
-# J(1) (also inside predict and compare), level 6 for I(gamma; z), and
-# the Poisson grid refined from 64 to 256 intervals.
+# quadrature.grid_contract charges each grid it builds to the cap: every
+# level's (2^level + 1)^n grid of the tensor quadrature, and each
+# refinement grid of sum --mode poisson; on the line problem the last grid
+# is the largest charge of each job: level 7 for J(1) (also inside predict
+# and compare), level 6 for I(gamma; z), and the Poisson grid refined from
+# 64 to 256 intervals, whose phase matrices take 2 x 257 x 9 entries.
 QUAD_CAP = "quadrature grid {side}^2 exceeds point cap {cap}"
-POISSON_CAP = "poisson quadrature grid {side}^2: {points} elements exceeds cap {cap}"
 
 
 @pytest.mark.parametrize("argv,side,message", [
@@ -1277,7 +1282,7 @@ POISSON_CAP = "poisson quadrature grid {side}^2: {points} elements exceeds cap {
     (["sum", "--mode", "integral", "--gamma3", "1.5", "--gamma2", "1", "--z", "1,-1",
       "--tol", "1e-6"], 65, QUAD_CAP),
     (["sum", "--mode", "poisson", "--P", "8", "--q", "2", "--a3", "1", "--a2", "1",
-      "--theta3", "1e-4", "--M", "4"], 257, POISSON_CAP),
+      "--theta3", "1e-4", "--M", "4"], 257, QUAD_CAP),
     (["predict", "--Rq", "2", "--Rgamma", "1", "--P", "16", "--tol", "1e-6"], 129, QUAD_CAP),
     (["compare", "--P", "8,16", "--Rq", "2", "--Rgamma", "1", "--tol", "1e-6"], 129, QUAD_CAP),
 ], ids=["integral", "sum-integral", "sum-poisson", "predict", "compare"])
@@ -1289,6 +1294,40 @@ def test_quadrature_grids_honour_the_cap(problem_file, capsys, argv, side, messa
     assert run(argv + ["--cap", str(points - 1)]) == 3
     err = capsys.readouterr().err
     assert err == "error: " + message.format(side=side, points=points, cap=points - 1) + "\n"
+
+
+# C = x1^3 and Q = x1^2 on |x1 - 0.05| <= 0.3, so m = 0.35 and C+(m) =
+# 0.042875: the Poisson family's phase, m-grid and phase matrices are each
+# refused before anything is built from them
+POISSON_LINE_PROBLEM = {"n": 1, "cubic": [[1, 1, 1, 1]], "quadric": [[1, 1, 1]], "weight": {"x0": [0.05], "xi": 0.3}}
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    # gamma3 = 1e308 P^3 overflows; the alias level once doubled its grid
+    # side forever chasing it
+    (["--P", "2", "--theta3", "1e308", "--M", "0"], 2,
+     "the phase of I(gamma; (P/q) m) at gamma = (inf, 0.0), |m|_inf <= 0 may reach inf >= 2^52 on the weight's "
+     "support, where it has no correct digit"),
+    # once a cap refusal of a 300-digit grid side
+    (["--P", "2", "--theta3", "1e300", "--M", "0"], 2,
+     "the phase of I(gamma; (P/q) m) at gamma = (8e+300, 0.0), |m|_inf <= 0 may reach 3.43e+299 >= 2^52 on the "
+     "weight's support, where it has no correct digit"),
+    # the m-grid was allocated (14.6 TiB) before it was charged
+    (["--P", "2", "--M", "1000000000000"], 3,
+     "poisson m-grid (2M+1)^n = 2000000000001^1: 2000000000001 elements exceeds cap 100000000"),
+    # the alias level's grid of 2^22 + 1 nodes fits the cap, but its phase
+    # matrix against the default M's 800019 frequencies does not
+    (["--P", "10", "--theta2", "1e4"], 3,
+     "quadrature phase matrices 1 x 4194305 x 800019: 3355523691795 elements exceeds cap 100000000"),
+], ids=["phase-inf", "phase-1e300", "m-grid", "phase-matrices"])
+def test_poisson_family_refuses_up_front(tmp_path, capsys, flags, code, message):
+    path = tmp_path / "line1.json"
+    path.write_text(json.dumps(POISSON_LINE_PROBLEM))
+    start = time.perf_counter()
+    argv = ["sum", "--problem", str(path), "--mode", "poisson", "--q", "1", "--a3", "1", "--a2", "1"] + flags
+    assert run(argv) == code
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # three blocks of one variable each

@@ -25,7 +25,7 @@ from circlelab.expsums import (
     weyl_sums,
 )
 from circlelab.forms import separable_blocks
-from circlelab.quadrature import MAX_LEVEL
+from circlelab.quadrature import MAX_LEVEL, MIN_LEVEL
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
 
@@ -697,17 +697,24 @@ def test_unresolvable_phase_is_refused_past_the_margin():
     pair, w = make_pair(1, {}, {(1, 1): 1}), Weight((0.0,), 0.25)
     assert expsums.RESOLUTION_MARGIN * 2**MAX_LEVEL == 2**16
     for gamma2, z in ((2.0**18, 0.0), (-(2.0**18), 0.0), (0.0, 2.0**17), (2.0**17, -(2.0**16))):
-        expsums.check_phase_slope(pair, w, 0.0, gamma2, [z], "I")
+        if z:
+            # at the slope's edge z.x runs through |z|/2 >= 2^15 cycles: the
+            # start-level rule, which check_phase applies after the slope
+            # rule, refuses it
+            with pytest.raises(ValueError, match=r"two grid intervals per cycle take quadrature level 1[67]"):
+                expsums.check_phase(pair, w, 0.0, gamma2, [z], "I")
+        else:
+            assert expsums.check_phase(pair, w, 0.0, gamma2, [z], "I") == MIN_LEVEL
         with pytest.raises(ValueError, match=r"the phase of I may run through 6\.55e\+04 cycles along an axis "
                            r"of the weight's support, more than 16 times the 4096 intervals per axis of the "
                            r"depth-12 quadrature grid"):
-            expsums.check_phase_slope(pair, w, 0.0, gamma2 * (1 + 1e-12), [z * (1 + 1e-12)], "I")
+            expsums.check_phase(pair, w, 0.0, gamma2 * (1 + 1e-12), [z * (1 + 1e-12)], "I")
     # gamma3 turns with the slope of C+ alone, 3 m^2 = 3/16: Q adds nothing to it
     pair3 = make_pair(1, {(1, 1, 1): -1}, {(1, 1): 1})
     edge = 2.0**16 / (0.5 * 3.0 / 16.0)
-    expsums.check_phase_slope(pair3, w, edge, 0.0, [0.0], "I")
+    assert expsums.check_phase(pair3, w, edge, 0.0, [0.0], "I") == MIN_LEVEL
     with pytest.raises(ValueError, match="cycles along an axis"):
-        expsums.check_phase_slope(pair3, w, edge * (1 + 1e-12), 0.0, [0.0], "I")
+        expsums.check_phase(pair3, w, edge * (1 + 1e-12), 0.0, [0.0], "I")
     # osc_integral runs both checks: far below 2^52, and refused for its slope
     with pytest.raises(ValueError, match="cycles along an axis"):
         osc_integral(pair3, w, 2 * edge, 0.0, [0.0])

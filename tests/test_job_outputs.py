@@ -1,8 +1,10 @@
-"""The --against report of tools/job_outputs.py on hand-made run records."""
+"""The --against report and the --threads check of tools/job_outputs.py on hand-made run records."""
 
 import importlib.util
 import json
 import os
+import sys
+import types
 
 import pytest
 
@@ -73,3 +75,41 @@ def test_code_and_stderr_changes_are_listed():
         "1 runs: 1 differ from the base, 0 run on one side only",
         "k: code, stderr",
     ]
+
+
+def test_crashed_runs_and_thread_differences_are_listed():
+    records = {
+        "w:0:0:1:same": _run("1\n"),
+        "w:0:0:2:same": _run("1\n"),
+        "w:0:0:1:out": _run("1\n"),
+        "w:0:0:2:out": _run("2\n"),
+        "w:0:0:1:err": _run("", code=3, stderr="error: cap\n"),
+        "w:0:0:2:err": _run("", code=3, stderr="error: cap 2\n"),
+        # a crash at --threads 2 only is also a difference at --threads 1
+        "w:1:0:1:crash": _run("1\n"),
+        "w:1:0:2:crash": _run("", code=None, stderr="Traceback\n"),
+    }
+    assert job_outputs.thread_faults(records) == [
+        "w:1:0:2:crash: crashed",
+        "w:0:0:1:out: differs at --threads 2",
+        "w:0:0:1:err: differs at --threads 2",
+        "w:1:0:1:crash: differs at --threads 2",
+    ]
+    assert job_outputs.thread_faults({k: v for k, v in records.items() if ":same" in k}) == []
+
+
+def test_the_run_exits_1_on_a_fault(monkeypatch, tmp_path, capsys):
+    # main writes the records, lists the faults after them and exits 1
+    records = {"w:0:0:1:j": _run("1\n"), "w:0:0:2:j": _run("1\n", code=None)}
+    # stubs for the tree's package and the benchmark modules main imports
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in ("run", "workloads"):
+        monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+    monkeypatch.setattr(job_outputs, "_import_cli", lambda tree: None)
+    monkeypatch.setattr(job_outputs, "job_outputs", lambda cli, run, workloads: records)
+    out = tmp_path / "out.json"
+    assert job_outputs.main([ROOT, str(out)]) == 1
+    assert json.loads(out.read_text()) == records
+    assert capsys.readouterr().out.splitlines()[1:] == ["w:0:0:2:j: crashed", "w:0:0:1:j: differs at --threads 2"]
+    records["w:0:0:2:j"]["code"] = 0
+    assert job_outputs.main([ROOT, str(out)]) == 0

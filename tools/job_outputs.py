@@ -11,6 +11,10 @@ Seeds 0 and 1, sessions 0, 1 and 2, each job at --threads 1 and 2: 816
 runs.  Each session writes its problem files into a temporary directory,
 whose path reads <workdir> in every recorded argv and output.
 
+After writing the file it prints every run that crashed (code null) and
+every run whose code, stdout or stderr at --threads 1 differs from those
+at --threads 2, and exits 1 if there is any.
+
 Two trees print the same outputs, byte for byte, exactly when the files
 written for them are equal:
 
@@ -75,6 +79,18 @@ def job_outputs(cli, run, workloads) -> dict[str, dict]:
                                 "stderr": err.replace(workdir, "<workdir>"),
                             }
     return records
+
+
+def thread_faults(records: dict[str, dict]) -> list[str]:
+    """One line per run that crashed, then one per run at --threads 1 whose
+    code, stdout or stderr differ from the same job's at --threads 2."""
+    lines = [f"{key}: crashed" for key, rec in records.items() if rec["code"] is None]
+    for key, rec in records.items():
+        workload, seed, session, threads, job = key.split(":", 4)
+        other = records[":".join((workload, seed, session, "2", job))]
+        if threads == "1" and any(rec[f] != other[f] for f in ("code", "stdout", "stderr")):
+            lines.append(f"{key}: differs at --threads 2")
+    return lines
 
 
 def _parse(checks, text: str):
@@ -166,8 +182,12 @@ def main(argv: list[str]) -> int:
         json.dump(records, fh, indent=1)
         fh.write("\n")
     failed = sum(r["code"] != 0 for r in records.values())
-    print(f"{len(records)} runs, {failed} with a nonzero exit code, written to {path}")
-    return 0
+    faults = thread_faults(records)
+    print(f"{len(records)} runs, {failed} with a nonzero exit code, written to {path}; "
+          f"{len(faults)} crashed or differ between --threads 1 and 2")
+    for line in faults:
+        print(line)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
