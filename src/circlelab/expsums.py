@@ -654,16 +654,21 @@ def poisson_reconstruct(
     |m|_inf <= M.  All complete sums mod q are obtained at once as the
     inverse DFT of the residue phase grid, and the m-family of oscillatory
     integrals shares one alias-resolved quadrature grid whose resolution is
-    doubled until the total stabilizes to POISSON_REL_TOL; on it the smooth
-    factor (_smooth_factor) is contracted with the phase matrices of every
-    m at once (quadrature.grid_contract).  A phase that may reach 2^52 on
-    the support, with z_i = (P/q) M, is refused first (check_phase_size);
-    only that rule of check_phase applies, since the grid refines until the
-    cap stops it.  The m-grid (2M+1)^n and the residue grid q^n are charged
-    to cap before they are built, and grid_contract charges each quadrature
-    grid and its phase matrices.  A P that is not a finite real >= 1
-    (weightfn.check_scale), or whose powers P^3 or (P/q)^n overflow a
-    float, is a ValueError.
+    doubled until the total stabilizes to POISSON_REL_TOL.  A level of g
+    intervals, y = 2 xi (P/q) / g turns of e(-(P/q) x) per node, takes the
+    spacing h with (P/q) h = r/N, the fraction of least N in [y (1 - 2^-6),
+    y] (quadrature.periodic_turn): never coarser than g intervals and at
+    most 1/64 finer, and on it e(-(P/q) m x_j) depends on the node index j
+    only mod N.  quadrature.grid_contract sizes that grid from g and P/q
+    and contracts the smooth factor (_smooth_factor) there with every m at
+    once through one N-periodic phase table.  A phase that may reach 2^52
+    on the support, with z_i = (P/q) M, is refused first
+    (check_phase_size); only that rule of check_phase applies, since the
+    grid refines until the cap stops it.  The m-grid (2M+1)^n and the
+    residue grid q^n are charged to cap before they are built, and
+    grid_contract charges each quadrature grid and its phase table.  A P
+    that is not a finite real >= 1 (weightfn.check_scale), or whose powers
+    P^3 or (P/q)^n overflow a float, is a ValueError.
     """
     check_scale(P)
     if M < 0:
@@ -674,8 +679,7 @@ def poisson_reconstruct(
     gamma2 = approx.theta2 * _power(P, 2, "P")
     scale = _power(P / q, n, "(P/q)")
     # I(gamma; freq_step * m) for every m is one contraction of the smooth
-    # factor with the separable oscillation e(-freq_step m.x), which is
-    # exact on the grid
+    # factor with the separable oscillation e(-freq_step m.x)
     freq_step = P / q
     check_phase_size(pair, weight, gamma3, gamma2, [freq_step * M] * n,
                      f"I(gamma; (P/q) m) at gamma = ({gamma3}, {gamma2}), |m|_inf <= {M}")
@@ -693,9 +697,11 @@ def poisson_reconstruct(
 
     smooth = _smooth_factor(pair, weight, gamma3, gamma2)
     grid_n = _alias_start_level(pair, weight, gamma3, gamma2, freq_step * M)
+    # P/q exactly, from which grid_contract sizes each level's periodic grid
+    step = Fraction(P) / q
     prev = None
     while True:
-        tensor = grid_contract(smooth, weight, grid_n, ms, freq_step, cap)
+        tensor = grid_contract(smooth, weight, grid_n, cap, step, M)
         total = scale * complex(np.sum(sums_big * tensor))
         if prev is not None and abs(total - prev) <= POISSON_REL_TOL * (1.0 + abs(total)):
             return total

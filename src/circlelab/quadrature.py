@@ -9,12 +9,19 @@ Integrands vanish outside the support ball, so on the cube's boundary, the
 only nodes whose trapezoid weight is not h = 2 xi / m per axis: the rule is
 h^n times the sum over the support boxes of the direct Weyl sums
 (weightfn.support_chunks), box by box, about pi/6 of the cube at n = 3.
+For the same reason the rule is spectrally accurate on any uniform grid
+that covers the support, so the family of integrals against e(-step k.x)
+takes a spacing h with step h = r/N (periodic_turn): on it each phase
+depends on the node index only mod N, and the boxes fold mod N before one
+N-periodic phase table contracts them (grid_contract).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -23,7 +30,7 @@ from .util import DEFAULT_CAP, CapExceededError, check_cap, fsum_complex
 from . import weightfn
 from .weightfn import Weight, support_chunks
 
-__all__ = ["QuadResult", "QuadratureError", "tensor_integral", "grid_contract"]
+__all__ = ["QuadResult", "QuadratureError", "periodic_turn", "tensor_integral", "grid_contract"]
 
 MIN_LEVEL = 3
 MAX_LEVEL = 12
@@ -40,75 +47,137 @@ class QuadResult:
     level: int
 
 
-def _phase_matrix(x: np.ndarray, ks: np.ndarray, step: float, h: float) -> np.ndarray:
-    """h e(-step k x) with a row per node x and a column per k in ks.
+def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
+    """The fraction of least denominator in [lo, hi], 0 < lo <= hi: the
+    least integer in it, or else the floor of lo plus the reciprocal of the
+    simplest fraction in the reciprocal of what is left (continued
+    fractions)."""
+    whole = math.ceil(lo)
+    if whole <= hi:
+        return Fraction(whole)
+    whole -= 1
+    return whole + 1 / _simplest(1 / (hi - whole), 1 / (lo - whole))
 
-    The column of -k is the conjugate of the column of k bit for bit: its
-    argument only changes sign, cos is even and sin odd.  So only the
-    distinct |k| take an exp, and the columns of negative k are conjugated
-    copies."""
-    absk, col = np.unique(np.abs(ks), return_inverse=True)
-    # take keeps the rows contiguous, as grid_contract needs; [:, col] would not
-    mat = np.take(h * np.exp(-2j * np.pi * step * np.outer(x, absk)), col, axis=1)
-    return np.conjugate(mat, out=mat, where=np.asarray(ks) < 0)
+
+def periodic_turn(y) -> Fraction:
+    """The fraction r/N of least N in [y (1 - 2^-6), y], for a rational y > 0;
+    of several integers, the largest.
+
+    As the turns per node of e(-step k x) on a grid of spacing h, step h =
+    r/N makes the phase of every integer k periodic in the node index with
+    period N, on a grid no coarser than step h = y and at most 1/64 finer;
+    an integer y is kept."""
+    hi = Fraction(y)
+    lo = hi * (1 - Fraction(1, 64))
+    if math.floor(hi) >= lo:
+        return Fraction(math.floor(hi))
+    return _simplest(lo, hi)
+
+
+def _phase_table(turn: Fraction, rows: int, ks: np.ndarray, h: float) -> np.ndarray:
+    """h e(-k r t / N) for turn = r/N, with a row per t < rows and a column
+    per k in ks: k r t is reduced mod N exactly, each factor first (t r <
+    N^2), and picks one of the N exponentials e(-u / N)."""
+    period = turn.denominator
+    turns = np.arange(rows) % period * (turn.numerator % period) % period
+    return h * np.exp(-2j * np.pi * np.arange(period) / period)[np.outer(turns, ks % period) % period]
+
+
+def _fold(vals: np.ndarray, axis: int, period: int) -> np.ndarray:
+    """vals summed along axis over the indices congruent mod period: a row
+    of L entries becomes min(L, period) sums, sum t holding the entries t,
+    t + period, ... of the row."""
+    length = vals.shape[axis]
+    if length <= period:
+        return vals
+    vals = np.moveaxis(vals, axis, -1)
+    folded = vals[..., :period].copy()
+    for start in range(period, length, period):
+        part = vals[..., start : start + period]
+        folded[..., : part.shape[-1]] += part
+    return np.moveaxis(folded, -1, axis)
 
 
 def grid_contract(
     f: Callable[[list[np.ndarray]], np.ndarray],
     weight: Weight,
     m: int,
-    ks: np.ndarray | None = None,
-    step: float = 1.0,
     cap: int = DEFAULT_CAP,
+    step: Fraction | None = None,
+    M: int = 0,
 ) -> np.ndarray:
-    """Trapezoid sums of f(x) e(-step k.x) over the tensor grid with m
-    intervals per axis on the weight's support cube.
+    """Trapezoid sums of f over a tensor grid from the corner c - xi of the
+    weight's support cube.
 
-    Without ks this is the single sum for k = 0, a 0-d array: h^n times the
-    fsum_complex of the box sums.  With ks it is the family k in ks^n, an
-    array indexed like ks along every axis: each box contracted axis by
-    axis with its rows of the matrix h e(-step k x_i), the boxes added up.
-    f is called only on the support boxes of the grid (node k of axis i is
-    c_i - xi + k/P with P = m / (2 xi)), so it must vanish wherever omega
-    does, as omega times a finite factor does.  Memory is set by one box
-    and the result.
+    Without step this is the single sum on m intervals per axis, h = 2 xi /
+    m, a 0-d array: h^n times the fsum_complex of the box sums.  With step
+    it is the family of sums of f(x) e(-step k.x) for every k in [-M, M]^n,
+    an array indexed by k + M along every axis, on a grid sized from m: its
+    spacing h has step h = r/N, the periodic_turn of y = 2 xi step / m (the
+    turns per node on m intervals), and it has the J + 1 nodes x_j = c_i -
+    xi + j h per axis, J = floor(2 xi / h) >= m; the nodes past
+    J, like those before 0, lie off the support, where f vanishes.  There
+    e(-step k x_j) = e(-step k x_0) e(-k r j / N), so each support box is
+    contracted last axis first, each axis folded mod N (_fold) and then
+    contracted with its rows of the one table h e(-k r t / N)
+    (_phase_table); the origin phase e(-step k x_0) of each axis multiplies
+    the total of the boxes once.  The table has a row per t < N + min(J, N
+    - 1), one period and the wrap of the longest folded row, so the rows of
+    every axis are one slice of it.
 
-    This is the one place that charges a quadrature grid: before anything
-    is built, the (m+1)^n grid, and for a family also its n phase matrices
-    of (m+1) len(ks) entries, are each charged to cap.
+    f is called only on the support boxes of the grid, so it must vanish
+    wherever omega does, as omega times a finite factor does.  Memory is
+    set by one box, the table and the result.  This is the one place that
+    charges a quadrature grid: before anything is built, the (J+1)^n grid
+    (J = m for the single sum), and for a family also its table, are each
+    charged to cap.
     """
     n = weight.n
+    origin = [c - weight.xi for c in weight.center]
+    # nodes per unit length, 1/h, as support_chunks reads the index grid
+    if step is None:
+        h, density = 2.0 * weight.xi / m, m / (2.0 * weight.xi)
+    else:
+        turn = periodic_turn(2 * Fraction(weight.xi) * step / m)
+        m = math.floor(2 * Fraction(weight.xi) * step / turn)
+        h, density = float(turn / step), float(step / turn)
     if (m + 1) ** n > cap:
         raise CapExceededError(f"quadrature grid {m + 1}^{n} exceeds point cap {cap}")
-    if ks is not None:
-        check_cap(n * (m + 1) * len(ks), cap, f"quadrature phase matrices {n} x {m + 1} x {len(ks)}")
-    nodes = [np.linspace(c - weight.xi, c + weight.xi, m + 1) for c in weight.center]
-    origin = [c - weight.xi for c in weight.center]
-    h = 2.0 * weight.xi / m
-    if ks is not None:
-        # node-major, so that a box's rows of it are one contiguous block
-        mats = [_phase_matrix(x, ks, step, h) for x in nodes]
+    if step is None:
+        nodes = [np.linspace(c - weight.xi, c + weight.xi, m + 1) for c in weight.center]
+        sums = []
+    else:
+        period, ks = turn.denominator, np.arange(-M, M + 1)
+        rows = period + min(m, period - 1)
+        check_cap(rows * len(ks), cap, f"quadrature phase table {rows} x {len(ks)}")
+        nodes = [o + h * np.arange(m + 1) for o in origin]
+        table = _phase_table(turn, rows, ks, h)
         total = np.zeros((len(ks),) * n, dtype=complex)
-    sums = []
-    for box in support_chunks(weight, m / (2.0 * weight.xi), [(0, m)] * n, origin, weightfn.CHUNK):
+    for box in support_chunks(weight, density, [(0, m)] * n, origin, weightfn.CHUNK):
         axes = [
             nodes[i][a : b + 1].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
             for i, (a, b) in enumerate(box)
         ]
         vals = np.broadcast_to(f(axes), tuple(b - a + 1 for a, b in box))
-        if ks is None:
+        if step is None:
             sums.append(complex(vals.sum()))
             continue
         # axis i stays at position i: every later axis was already replaced
         # by its frequency axis at the end
         for i in range(n - 1, -1, -1):
-            a, b = box[i]
-            vals = np.tensordot(vals, mats[i][a : b + 1], axes=([i], [0]))
+            vals = _fold(vals, i, period)
+            start = box[i][0] % period
+            vals = np.tensordot(vals, table[start : start + vals.shape[i]], axes=([i], [0]))
         total += vals
-    if ks is None:
+    if step is None:
         return np.asarray(h**n * fsum_complex(sums))
-    # the frequency axes came out last axis first
-    return np.transpose(total)
+    # the frequency axes came out last axis first; step x_0 is reduced mod 1
+    # exactly before k multiplies it
+    total = np.transpose(total)
+    for i, o in enumerate(origin):
+        shift = float(step * Fraction(o) % 1)
+        total *= np.exp(-2j * np.pi * shift * ks).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+    return total
 
 
 def tensor_integral(

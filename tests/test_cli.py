@@ -543,7 +543,13 @@ def n5_file(tmp_path):
 # turn tables): re, im and abs moved by at most 9.3e-15 times the record's
 # largest float (1.8e-15 for nd3, 3.2e-15 for nocubic).  At P = 12 the
 # float phases were still good to about 1e-15, and both captures lie
-# within 1.9e-14 times |S| of a Fraction-phase oracle.
+# within 1.9e-14 times |S| of a Fraction-phase oracle.  The three Poisson
+# outputs were captured again when the m-family moved to grids whose
+# phases are periodic in the node index (P/q h = r/N), folded mod N and
+# contracted with one phase table.  This job's grids of 128 and 256
+# intervals turn by 1/80 and 1/160 per node and so kept their spacing; re,
+# im and abs moved by rounding only, at most 7.7e-16 times the record's
+# largest float (nd3; 3.9e-16 for noquadric, 3.4e-16 for nocubic).
 EVAL_PROBLEMS = {
     "nd3": ND3_PROBLEM,
     "nocubic": {**ND3_PROBLEM, "cubic": []},
@@ -594,9 +600,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "poisson"): '''{
-  "re": 1.141027388395885,
-  "im": 0.9002262666342129,
-  "abs": 1.4533928691884059,
+  "re": 1.1410273883958844,
+  "im": 0.90022626663421179,
+  "abs": 1.4533928691884048,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -644,9 +650,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nocubic", "poisson"): '''{
-  "re": 1.9556216421566985,
-  "im": 0.023367657650527108,
-  "abs": 1.9557612468539545,
+  "re": 1.9556216421566992,
+  "im": 0.023367657650527111,
+  "abs": 1.9557612468539551,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -694,9 +700,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("noquadric", "poisson"): '''{
-  "re": 0.57566786377282531,
-  "im": 3.4852014345313741e-16,
-  "abs": 0.57566786377282531,
+  "re": 0.57566786377282553,
+  "im": 3.8933142092161658e-16,
+  "abs": 0.57566786377282553,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -1273,7 +1279,12 @@ def test_nr_honours_the_cap(tmp_path, capsys, cap, code, message):
 # refinement grid of sum --mode poisson; on the line problem the last grid
 # is the largest charge of each job: level 7 for J(1) (also inside predict
 # and compare), level 6 for I(gamma; z), and the Poisson grid refined from
-# 64 to 256 intervals, whose phase matrices take 2 x 257 x 9 entries.
+# 64 to 256 intervals, whose phase table of 80 + 79 rows by 9 frequencies
+# (1/80 turn per node) takes 1 431 entries.  At P/q = 10000 and M = 0 the
+# Poisson levels of 64, 128 and 256 intervals would turn by y = 125, 62.5
+# and 31.25 per node; they turn by 125, 62 and 31, the largest integers in
+# [y (1 - 2^-6), y], so their grids have 64, 129 and 258 intervals, not the
+# 8 000 or more of a grid that turns by 1/N.
 QUAD_CAP = "quadrature grid {side}^2 exceeds point cap {cap}"
 
 
@@ -1283,9 +1294,11 @@ QUAD_CAP = "quadrature grid {side}^2 exceeds point cap {cap}"
       "--tol", "1e-6"], 65, QUAD_CAP),
     (["sum", "--mode", "poisson", "--P", "8", "--q", "2", "--a3", "1", "--a2", "1",
       "--theta3", "1e-4", "--M", "4"], 257, QUAD_CAP),
+    (["sum", "--mode", "poisson", "--P", "10000", "--q", "1", "--a3", "1", "--a2", "1",
+      "--M", "0"], 259, QUAD_CAP),
     (["predict", "--Rq", "2", "--Rgamma", "1", "--P", "16", "--tol", "1e-6"], 129, QUAD_CAP),
     (["compare", "--P", "8,16", "--Rq", "2", "--Rgamma", "1", "--tol", "1e-6"], 129, QUAD_CAP),
-], ids=["integral", "sum-integral", "sum-poisson", "predict", "compare"])
+], ids=["integral", "sum-integral", "sum-poisson", "sum-poisson-M0", "predict", "compare"])
 def test_quadrature_grids_honour_the_cap(problem_file, capsys, argv, side, message):
     argv = argv[:1] + ["--problem", problem_file] + argv[1:]
     points = side**2
@@ -1297,7 +1310,7 @@ def test_quadrature_grids_honour_the_cap(problem_file, capsys, argv, side, messa
 
 
 # C = x1^3 and Q = x1^2 on |x1 - 0.05| <= 0.3, so m = 0.35 and C+(m) =
-# 0.042875: the Poisson family's phase, m-grid and phase matrices are each
+# 0.042875: the Poisson family's phase, m-grid and phase table are each
 # refused before anything is built from them
 POISSON_LINE_PROBLEM = {"n": 1, "cubic": [[1, 1, 1, 1]], "quadric": [[1, 1, 1]], "weight": {"x0": [0.05], "xi": 0.3}}
 
@@ -1315,10 +1328,13 @@ POISSON_LINE_PROBLEM = {"n": 1, "cubic": [[1, 1, 1, 1]], "quadric": [[1, 1, 1]],
     # the m-grid was allocated (14.6 TiB) before it was charged
     (["--P", "2", "--M", "1000000000000"], 3,
      "poisson m-grid (2M+1)^n = 2000000000001^1: 2000000000001 elements exceeds cap 100000000"),
-    # the alias level's grid of 2^22 + 1 nodes fits the cap, but its phase
-    # matrix against the default M's 800019 frequencies does not
+    # the alias level's 2^22 intervals take y = 6 / 2^22 turn per node, so
+    # its grid turns by 1/699051 and has 4194306 nodes, which fit the cap;
+    # its phase table of 699051 + 699050 rows against the default M's 800019
+    # frequencies does not (the case once refused the phase matrix of the
+    # 2^22 + 1 nodes, hence its id)
     (["--P", "10", "--theta2", "1e4"], 3,
-     "quadrature phase matrices 1 x 4194305 x 800019: 3355523691795 elements exceeds cap 100000000"),
+     "quadrature phase table 1398101 x 800019: 1118507363919 elements exceeds cap 100000000"),
 ], ids=["phase-inf", "phase-1e300", "m-grid", "phase-matrices"])
 def test_poisson_family_refuses_up_front(tmp_path, capsys, flags, code, message):
     path = tmp_path / "line1.json"
