@@ -413,7 +413,7 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
             theta2 = args.alpha2 - args.a2 / args.q
         approx = expsums.RationalApprox(args.q, args.a3, args.a2, theta3, theta2)
         if args.M is None:
-            args.M = expsums.default_truncation(approx, args.P)
+            args.M = expsums.default_truncation(pair, weight, approx, args.P)
         val = expsums.poisson_reconstruct(pair, args.P, weight, approx, args.M, cap=args.cap)
         meta = {
             "mode": mode,

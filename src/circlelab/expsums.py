@@ -139,12 +139,15 @@ def theta_height(approx: RationalApprox, P: float) -> float:
     return 1.0 + abs(approx.theta3) * _power(P, 3, "P") + abs(approx.theta2) * _power(P, 2, "P")
 
 
-def default_truncation(approx: RationalApprox, P: float) -> int:
-    """Default m-sum radius: past |m| ~ q*Theta/P the integrals are negligible.
-    P must be a finite real >= 1 (weightfn.check_scale)."""
+def default_truncation(pair: FormPair, weight: Weight, approx: RationalApprox, P: float) -> int:
+    """Default m-sum radius M = ceil(q max(4 Theta, S) / P) + 8, Theta of
+    theta_height: the frequencies (P/q) m then cover the stationary band
+    |z_i| <= S of I(gamma; z), S the largest slope of _slopes at gamma =
+    (theta3 P^3, theta2 P^2).  P must be a finite real >= 1
+    (weightfn.check_scale)."""
     check_scale(P)
-    theta = theta_height(approx, P)
-    return math.ceil(4.0 * approx.q * theta / P) + 8
+    gamma3, gamma2 = approx.theta3 * _power(P, 3, "P"), approx.theta2 * _power(P, 2, "P")
+    return math.ceil(approx.q * max(4.0 * theta_height(approx, P), *_slopes(pair, weight, gamma3, gamma2)) / P) + 8
 
 
 def _box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:
@@ -544,6 +547,15 @@ def _majorants(pair: FormPair, weight: Weight) -> tuple[list[float], CubicForm, 
             QuadraticForm(pair.n, {k: abs(c) for k, c in pair.quadric.monomials.items()}))
 
 
+def _slopes(pair: FormPair, weight: Weight, gamma3: float, gamma2: float) -> list[float]:
+    """Per axis i, |gamma3| dC+/dx_i(m) + |gamma2| dQ+/dx_i(m) at m
+    (_majorants): on the support it majorizes |d/dx_i (gamma3 C + gamma2
+    Q)|, the one phase-slope bound of the oscillatory layer."""
+    m, cubic, quadric = _majorants(pair, weight)
+    return [abs(gamma3) * gc + abs(gamma2) * gq
+            for gc, gq in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m))]
+
+
 def check_phase_size(
     pair: FormPair, weight: Weight, gamma3: float, gamma2: float, z: Sequence[float], name: str
 ) -> None:
@@ -572,8 +584,10 @@ def check_phase(
     - Slope: the phase may run through more than RESOLUTION_MARGIN
       2^MAX_LEVEL cycles along an axis of the support cube, and the
       trapezoid rule of step h resolves only slopes below 1/h.  The slope
-      along x_i is majorized by |gamma3| dC+/dx_i + |gamma2| dQ+/dx_i + |z_i|
-      at m (_majorants), and the cycles by 2 xi times its largest value.
+      along x_i is majorized by _slopes, |gamma3| dC+/dx_i + |gamma2|
+      dQ+/dx_i at m (_majorants), plus |z_i|, and the cycles by 2 xi times
+      its largest value.  The same bound sizes the Poisson m-family's start
+      grid (poisson_reconstruct) and its radius (default_truncation).
     - Start: the first level with at least two intervals per cycle of
       e(-z_i x_i) along every axis, |z_i| 2 xi cycles; at least MIN_LEVEL.
       On a coarser grid the linear phase aliases: when |z_i| 2 xi / 2^level
@@ -583,9 +597,7 @@ def check_phase(
       compare it with is refused.
     """
     check_phase_size(pair, weight, gamma3, gamma2, z, name)
-    m, cubic, quadric = _majorants(pair, weight)
-    cycles = 2.0 * weight.xi * max(abs(gamma3) * gc + abs(gamma2) * gq + abs(zi)
-                                   for gc, gq, zi in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m), z))
+    cycles = 2.0 * weight.xi * max(s + abs(zi) for s, zi in zip(_slopes(pair, weight, gamma3, gamma2), z))
     if cycles > RESOLUTION_MARGIN * 2**MAX_LEVEL:
         raise ValueError(f"the phase of {name} may run through {cycles:.3g} cycles along an axis of the "
                          f"weight's support, more than {RESOLUTION_MARGIN} times the {2**MAX_LEVEL} intervals "
@@ -627,19 +639,6 @@ def osc_integral(
     return tensor_integral(f, weight, tol, cap=cap, start=start)
 
 
-def _alias_start_level(
-    pair: FormPair, weight: Weight, gamma3: float, gamma2: float, zmax: float
-) -> int:
-    """Per-axis grid size from which the aliased spectrum is negligible."""
-    r = max(abs(c) for c in weight.center) + weight.xi
-    grad_c = 3.0 * pair.cubic.coefficient_norm() * r * r
-    grad_q = 2.0 * pair.quadric.coefficient_norm() * r
-    poly_freq = abs(gamma3) * grad_c + abs(gamma2) * grad_q
-    length = 2.0 * weight.xi
-    bump_freq = 32.0 / length
-    return next_pow2(max(64.0, length * (zmax + poly_freq + bump_freq) + 32.0))
-
-
 def poisson_reconstruct(
     pair: FormPair,
     P: float,
@@ -654,7 +653,11 @@ def poisson_reconstruct(
     |m|_inf <= M.  All complete sums mod q are obtained at once as the
     inverse DFT of the residue phase grid, and the m-family of oscillatory
     integrals shares one alias-resolved quadrature grid whose resolution is
-    doubled until the total stabilizes to POISSON_REL_TOL.  A level of g
+    doubled until the total stabilizes to POISSON_REL_TOL.  The first level
+    has g = next_pow2(max(64, 2 xi (zmax + S + 16 / xi) + 32)) intervals
+    per axis: zmax = (P/q) M is the largest frequency of the family, S the
+    largest phase slope of _slopes at gamma = (theta3 P^3, theta2 P^2), and
+    16 / xi, 32 cycles across the support, the bump's.  A level of g
     intervals, y = 2 xi (P/q) / g turns of e(-(P/q) x) per node, takes the
     spacing h with (P/q) h = r/N, the fraction of least N in [y (1 - 2^-6),
     y] (quadrature.periodic_turn): never coarser than g intervals and at
@@ -696,7 +699,9 @@ def poisson_reconstruct(
     sums_big = sums_mod[np.ix_(*([ms % q] * n))]
 
     smooth = _smooth_factor(pair, weight, gamma3, gamma2)
-    grid_n = _alias_start_level(pair, weight, gamma3, gamma2, freq_step * M)
+    length = 2.0 * weight.xi
+    freq = freq_step * M + max(_slopes(pair, weight, gamma3, gamma2)) + 32.0 / length
+    grid_n = next_pow2(max(64.0, length * freq + 32.0))
     # P/q exactly, from which grid_contract sizes each level's periodic grid
     step = Fraction(P) / q
     prev = None

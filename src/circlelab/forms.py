@@ -72,10 +72,6 @@ class CubicForm:
                 clean[(int(i), int(j), int(k))] = int(coeff)
         object.__setattr__(self, "monomials", clean)
 
-    def coefficient_norm(self) -> int:
-        """Sum of absolute coefficients, a crude size measure."""
-        return sum(abs(c) for c in self.monomials.values())
-
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -116,9 +112,6 @@ class QuadraticForm:
     def diagonal(self) -> list[int]:
         """Coefficients d_i of x_i^2 (valid view for any form)."""
         return [self.monomials.get((i, i), 0) for i in range(1, self.n + 1)]
-
-    def coefficient_norm(self) -> int:
-        return sum(abs(c) for c in self.monomials.values())
 
 
 @dataclass(frozen=True)

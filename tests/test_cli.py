@@ -2111,7 +2111,7 @@ def test_warnings_are_one_line_each(tmp_path, capsys, x0, argv, warning):
 
 
 def test_sum_poisson_default_truncation(problem_file, tmp_path):
-    # --M may be omitted: the radius defaults to the q*Theta/P heuristic
+    # --M may be omitted: the radius defaults to expsums.default_truncation
     code, text = run_to_file(
         tmp_path,
         ["sum", "--problem", problem_file, "--mode", "poisson",
@@ -2119,3 +2119,32 @@ def test_sum_poisson_default_truncation(problem_file, tmp_path):
     )
     assert code == 0
     assert json.loads(text)["meta"]["M"] >= 1
+
+
+# F1 and F2: forms with large coefficients at a small theta3, whose phase
+# slope S on the support exceeds 4 Theta.  The radius q 4 Theta / P + 8 that
+# ignored the coefficients (M = 11 and 19) stopped inside the stationary band
+# and missed the direct sum by 2.0e-2, 1.6e-1, 1.4e-4 and 7.0e-2 relative
+POISSON_STEEP_PROBLEMS = {
+    "F1": {"n": 1, "cubic": [[1, 1, 1, 40]], "quadric": [[1, 1, 25]], "weight": {"x0": [0.05], "xi": 0.4}},
+    "F2": {"n": 2, "cubic": [[1, 1, 1, 30], [2, 2, 2, -20]], "quadric": [[1, 1, 15], [2, 2, 12]],
+           "weight": {"x0": [0.05, -0.03], "xi": 0.4}},
+}
+
+
+@pytest.mark.parametrize("name, theta3, M", [
+    ("F1", 5e-4, 23), ("F1", 2e-3, 67), ("F2", 5e-4, 19), ("F2", 2e-3, 52),
+])
+def test_default_truncation_covers_the_stationary_band(tmp_path, capsys, name, theta3, M):
+    # default-M sum --mode poisson against sum --mode direct at the same alpha
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(POISSON_STEEP_PROBLEMS[name]))
+    common = ["--problem", str(path), "--P", "20"]
+    assert run(["sum", *common, "--mode", "poisson", "--q", "3", "--a3", "1", "--a2", "2",
+                "--theta3", repr(theta3), "--theta2", "0"]) == 0
+    poisson = json.loads(capsys.readouterr().out)
+    assert run(["sum", *common, "--mode", "direct", "--alpha3", repr(1 / 3 + theta3), "--alpha2", repr(2 / 3)]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    assert poisson["meta"]["M"] == M
+    err = abs(complex(poisson["re"], poisson["im"]) - complex(direct["re"], direct["im"]))
+    assert err <= 1e-5 * direct["abs"]

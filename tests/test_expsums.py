@@ -24,7 +24,7 @@ from circlelab.expsums import (
     weyl_sum_direct,
     weyl_sums,
 )
-from circlelab.forms import separable_blocks
+from circlelab.forms import gradient_cubic, gradient_quadratic, separable_blocks
 from circlelab.quadrature import MAX_LEVEL, MIN_LEVEL
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
@@ -564,7 +564,7 @@ def test_poisson_needs_a_finite_P_of_at_least_one(pair_n1, P):
     # the rule of weightfn.weight_box, before any scan or division by P
     approx = RationalApprox(2, 1, 1, 0.0, 0.0)
     with pytest.raises(ValueError, match="^P must be "):
-        expsums.default_truncation(approx, P)
+        expsums.default_truncation(pair_n1, Weight((0.25,), 0.2), approx, P)
     with pytest.raises(ValueError, match="^P must be "):
         poisson_reconstruct(pair_n1, P, Weight((0.25,), 0.2), approx, 2)
 
@@ -718,6 +718,45 @@ def test_unresolvable_phase_is_refused_past_the_margin():
     # osc_integral runs both checks: far below 2^52, and refused for its slope
     with pytest.raises(ValueError, match="cycles along an axis"):
         osc_integral(pair3, w, 2 * edge, 0.0, [0.0])
+
+
+@st.composite
+def pairs_and_weights(draw):
+    """A pair of any monomials in n <= 3 variables, and a weight whose
+    support cube, inside (-1/2, 1/2)^n, may straddle 0 or lie off it."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-9, 9)
+    forms_dicts = [draw(st.dictionaries(st.sampled_from(list(itertools.combinations_with_replacement(
+        range(1, n + 1), degree))), coeff, max_size=4)) for degree in (3, 2)]
+    center = draw(st.lists(st.floats(-0.25, 0.25), min_size=n, max_size=n))
+    return make_pair(n, *forms_dicts), Weight(tuple(center), draw(st.floats(0.01, 0.24)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pairs_and_weights(), gamma3=st.floats(-1e6, 1e6), gamma2=st.floats(-1e6, 1e6), data=st.data())
+def test_slopes_majorize_the_phase_gradient_on_the_support(case, gamma3, gamma2, data):
+    # at any point x of the support cube, |d/dx_i (gamma3 C + gamma2 Q)(x)|,
+    # in exact rationals, is at most the i-th slope bound, up to its rounding
+    pair, w = case
+    slopes = expsums._slopes(pair, w, gamma3, gamma2)
+    u = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=pair.n, max_size=pair.n))
+    x = [Fraction(c) + Fraction(w.xi) * Fraction(ui) for c, ui in zip(w.center, u)]
+    for i, (gc, gq) in enumerate(zip(gradient_cubic(pair.cubic, x), gradient_quadratic(pair.quadric, x))):
+        assert abs(Fraction(gamma3) * gc + Fraction(gamma2) * gq) <= Fraction(slopes[i]) * (1 + Fraction(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pairs_and_weights(), q=st.integers(1, 12), theta3=st.floats(-1e-3, 1e-3),
+       theta2=st.floats(-1e-2, 1e-2), P=st.floats(1.0, 50.0))
+def test_default_truncation_is_never_below_the_height_rule(case, q, theta3, theta2, P):
+    # M = ceil(q max(4 Theta, S) / P) + 8 is the height rule ceil(4 q Theta /
+    # P) + 8 wherever the slope S is at most 4 Theta, and above it elsewhere
+    pair, w = case
+    approx = RationalApprox(q, 1, 1, theta3, theta2)
+    M = expsums.default_truncation(pair, w, approx, P)
+    height = math.ceil(4.0 * q * theta_height(approx, P) / P) + 8
+    slope = max(expsums._slopes(pair, w, theta3 * P**3, theta2 * P**2))
+    assert M == height if slope <= 4.0 * theta_height(approx, P) else M >= height
 
 
 @settings(max_examples=80, deadline=None)

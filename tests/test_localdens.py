@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -600,6 +602,40 @@ def test_scan_results_do_not_depend_on_chunking(
     # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 25
     point = hensel_stable(pair_smooth5, 5, 2, threads=threads).solubility.point
     assert tuple(v % 5 for v in point) == (4, 1, 0)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_phase_histogram_past_the_chunk_adds_into_one_array(pair_n3, monkeypatch, threads):
+    # p^e > CHUNK: each chunk's counts are added into one histogram as it
+    # finishes, from any thread, and the sum is the scanned array.  More
+    # threads than cores, switching every microsecond: a lost update would
+    # leave a count short
+    monkeypatch.setattr(gridsum, "CHUNK", 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for q in (11, 13, 22):
+            hist = phase_histogram(pair_n3, q, 2, 5, [1, 0, 3], threads=threads)
+            assert np.array_equal(hist, scan_phase_histogram(pair_n3, q, 2, 5, [1, 0, 3])), q
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_phase_histogram_memory_holds_the_histogram_once():
+    # n = 1, q = 1 000 003: four chunks of 2^18 points, each shorter than
+    # the histogram.  One bincount of q cells per chunk, stacked and then
+    # summed, peaked at 84 MiB, 10.5 histograms of 8 q bytes; added into one
+    # array as each chunk finishes, the histogram, the CRT composition's
+    # index arrays and one chunk's scan peak at 38 MiB
+    pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
+    tracemalloc.start()
+    try:
+        hist = phase_histogram(pair, q, 1, 1, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(hist, scan_phase_histogram(pair, q, 1, 1, [0]))
+    assert peak < 7 * 8 * q
 
 
 @st.composite
