@@ -94,8 +94,13 @@ def _normalize_unit(alpha: float) -> float:
 
 
 def _nearest_numerator(q: int, alpha: float) -> int:
-    """a in [1, q] with a/q nearest to alpha mod 1."""
-    a = math.floor(q * alpha + 0.5)
+    """a in [1, q] with a/q nearest to alpha mod 1.
+
+    The rounding floor(q alpha + 1/2) is taken in exact integer arithmetic
+    on alpha = m / d: the float product q alpha can round onto a half
+    integer (15 fl(1/6) = 2.5) and pick the farther numerator."""
+    m, d = alpha.as_integer_ratio()
+    a = (2 * q * m + d) // (2 * d)
     return (a - 1) % q + 1
 
 

@@ -246,6 +246,16 @@ def test_simultaneous_approx_matches_scalar_scan(alpha3, alpha2, cutoffs):
     assert ap.q == oracle_approx(alpha3, alpha2, Q3, Q2)
 
 
+def test_nearest_numerator_exact_at_float_half():
+    # 15 fl(1/6) rounds to exactly 2.5 in floats, but fl(1/6) < 1/6, so the
+    # nearest numerator is 2; with 3 the exact check rejected q = 15 and the
+    # scan returned q = 30
+    assert 15 * (1 / 6) == 2.5
+    assert _nearest_numerator(15, 1 / 6) == 2
+    assert simultaneous_approx(1 / 15, 1 / 6, 21, 2).q == 15
+    assert oracle_approx(1 / 15, 1 / 6, 21, 2) == 15
+
+
 @pytest.mark.parametrize("b", [Q_BLOCK - 1, Q_BLOCK, Q_BLOCK + 1])
 def test_simultaneous_approx_at_block_edges(b):
     # ||q/b|| >= 1/b > 1/Q3 for every q < b, so the smallest modulus is b;
