@@ -383,28 +383,21 @@ def phase_histogram(
     """Histogram over t in [0, q) of a3 C(y) + a2 Q(y) + m.y mod q, y mod q.
 
     Each prime power p^e exactly dividing q is scanned, p^{en} points, and
-    the histogram mod q is their CRT product.  Where p^e <= CHUNK a chunk
-    of the scan holds at least p^e points, and each chunk returns its own
-    bincount; past it a chunk is shorter than the histogram, and its counts
-    are added into one array as it finishes, so that memory holds the
-    histogram once and not once per chunk.
+    the histogram mod q is their CRT product.  Each chunk's bincount is
+    added into one array as the chunk finishes, so that memory holds the
+    histogram once, and one chunk's counts per thread, not once per chunk.
     """
 
     def scanned(p: int, e: int) -> np.ndarray:
         pe = p**e
-
-        def phase(coords, c, qq):
-            return ((a3 % pe) * c + (a2 % pe) * qq + sum((mi % pe) * y for mi, y in zip(m, coords))) % pe
-
-        if pe <= CHUNK:
-            return np.sum(scan(pair, pe, lambda *c: np.bincount(phase(*c), minlength=pe), cap, threads), axis=0)
         hist = np.zeros(pe, dtype=np.int64)
         lock = threading.Lock()
 
-        def add(*chunk) -> None:
-            t = phase(*chunk)
+        def add(coords, c, qq) -> None:
+            t = ((a3 % pe) * c + (a2 % pe) * qq + sum((mi % pe) * y for mi, y in zip(m, coords))) % pe
+            counts = np.bincount(t, minlength=pe)
             with lock:
-                np.add.at(hist, t, 1)
+                np.add(hist, counts, out=hist)
 
         scan(pair, pe, add, cap, threads)
         return hist

@@ -1346,6 +1346,27 @@ def test_poisson_family_refuses_up_front(tmp_path, capsys, flags, code, message)
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("cubic, message", [
+    # the slope 8e287 * 3 * 2^70 * 0.35^2 overflows while Theta = 1 + 8e287
+    # does not; math.ceil of the infinite radius once ended the run with
+    # "cannot convert float infinity to integer"
+    (2**70, "the phase of I(gamma; (P/q) m) at gamma = (8e+287, 0.0) on its stationary band may reach inf >= 2^52 "
+            "on the weight's support, where it has no correct digit"),
+    # the default radius was a 289-digit M, refused only by the family
+    (1, "the phase of I(gamma; (P/q) m) at gamma = (8e+287, 0.0) on its stationary band may reach 1.37e+287 >= "
+        "2^52 on the weight's support, where it has no correct digit"),
+], ids=["slope-inf", "phase-1e287"])
+def test_default_truncation_refuses_up_front(tmp_path, capsys, cubic, message):
+    # without --M, default_truncation applies the phase-size rule at the
+    # stationary band's frequencies before it rounds the radius
+    path = tmp_path / "line1.json"
+    path.write_text(json.dumps({**POISSON_LINE_PROBLEM, "cubic": [[1, 1, 1, cubic]]}))
+    argv = ["sum", "--problem", str(path), "--mode", "poisson", "--q", "1", "--a3", "1", "--a2", "1",
+            "--P", "2", "--theta3", "1e287"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # three blocks of one variable each
 D3_PROBLEM = {
     "n": 3,
@@ -2124,7 +2145,9 @@ def test_sum_poisson_default_truncation(problem_file, tmp_path):
 # F1 and F2: forms with large coefficients at a small theta3, whose phase
 # slope S on the support exceeds 4 Theta.  The radius q 4 Theta / P + 8 that
 # ignored the coefficients (M = 11 and 19) stopped inside the stationary band
-# and missed the direct sum by 2.0e-2, 1.6e-1, 1.4e-4 and 7.0e-2 relative
+# and missed the direct sum by 2.0e-2, 1.6e-1, 1.4e-4 and 7.0e-2 relative.
+# At theta3 = 1e-5, F1's S = 1.94 is below 4 Theta = 4.32, and M is that
+# radius, 9
 POISSON_STEEP_PROBLEMS = {
     "F1": {"n": 1, "cubic": [[1, 1, 1, 40]], "quadric": [[1, 1, 25]], "weight": {"x0": [0.05], "xi": 0.4}},
     "F2": {"n": 2, "cubic": [[1, 1, 1, 30], [2, 2, 2, -20]], "quadric": [[1, 1, 15], [2, 2, 12]],
@@ -2133,7 +2156,7 @@ POISSON_STEEP_PROBLEMS = {
 
 
 @pytest.mark.parametrize("name, theta3, M", [
-    ("F1", 5e-4, 23), ("F1", 2e-3, 67), ("F2", 5e-4, 19), ("F2", 2e-3, 52),
+    ("F1", 1e-5, 9), ("F1", 5e-4, 23), ("F1", 2e-3, 67), ("F2", 5e-4, 19), ("F2", 2e-3, 52),
 ])
 def test_default_truncation_covers_the_stationary_band(tmp_path, capsys, name, theta3, M):
     # default-M sum --mode poisson against sum --mode direct at the same alpha

@@ -745,20 +745,6 @@ def test_slopes_majorize_the_phase_gradient_on_the_support(case, gamma3, gamma2,
         assert abs(Fraction(gamma3) * gc + Fraction(gamma2) * gq) <= Fraction(slopes[i]) * (1 + Fraction(1, 10**12))
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=pairs_and_weights(), q=st.integers(1, 12), theta3=st.floats(-1e-3, 1e-3),
-       theta2=st.floats(-1e-2, 1e-2), P=st.floats(1.0, 50.0))
-def test_default_truncation_is_never_below_the_height_rule(case, q, theta3, theta2, P):
-    # M = ceil(q max(4 Theta, S) / P) + 8 is the height rule ceil(4 q Theta /
-    # P) + 8 wherever the slope S is at most 4 Theta, and above it elsewhere
-    pair, w = case
-    approx = RationalApprox(q, 1, 1, theta3, theta2)
-    M = expsums.default_truncation(pair, w, approx, P)
-    height = math.ceil(4.0 * q * theta_height(approx, P) / P) + 8
-    slope = max(expsums._slopes(pair, w, theta3 * P**3, theta2 * P**2))
-    assert M == height if slope <= 4.0 * theta_height(approx, P) else M >= height
-
-
 @settings(max_examples=80, deadline=None)
 @given(pair=separable_pairs(4, st.integers(-6, 6)), gamma3=st.floats(-60.0, 60.0), gamma2=st.floats(-60.0, 60.0),
        seed=st.integers(0, 2**32 - 1))

@@ -605,11 +605,11 @@ def test_scan_results_do_not_depend_on_chunking(
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_phase_histogram_past_the_chunk_adds_into_one_array(pair_n3, monkeypatch, threads):
-    # p^e > CHUNK: each chunk's counts are added into one histogram as it
-    # finishes, from any thread, and the sum is the scanned array.  More
-    # threads than cores, switching every microsecond: a lost update would
-    # leave a count short
+def test_phase_histogram_chunks_add_into_one_array(pair_n3, monkeypatch, threads):
+    # many chunks per prime power: each chunk's counts are added into one
+    # histogram as it finishes, from any thread, and the sum is the scanned
+    # array.  More threads than cores, switching every microsecond: a lost
+    # update would leave a count short
     monkeypatch.setattr(gridsum, "CHUNK", 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -624,9 +624,9 @@ def test_phase_histogram_past_the_chunk_adds_into_one_array(pair_n3, monkeypatch
 def test_phase_histogram_memory_holds_the_histogram_once():
     # n = 1, q = 1 000 003: four chunks of 2^18 points, each shorter than
     # the histogram.  One bincount of q cells per chunk, stacked and then
-    # summed, peaked at 84 MiB, 10.5 histograms of 8 q bytes; added into one
-    # array as each chunk finishes, the histogram, the CRT composition's
-    # index arrays and one chunk's scan peak at 38 MiB
+    # summed, peaked at 84 MiB, 11 histograms of 8 q bytes; added into one
+    # array as each chunk finishes, the histogram, one chunk's bincount and
+    # scan, and the CRT composition's index arrays peak at 43 MiB
     pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
     tracemalloc.start()
     try:
