@@ -144,15 +144,16 @@ def default_truncation(pair: FormPair, weight: Weight, approx: RationalApprox, P
     theta_height: the frequencies (P/q) m then cover the stationary band
     |z_i| <= S of I(gamma; z), S the largest slope of _slopes at gamma =
     (theta3 P^3, theta2 P^2).  P must be a finite real >= 1
-    (weightfn.check_scale).  The phase at the band's frequencies z = _slopes
-    is refused as poisson_reconstruct would refuse it at (P/q) M >= S
-    (check_phase_size), before an infinite slope reaches the ceiling."""
+    (weightfn.check_scale).  Before M is rounded, the phase at frequency
+    max(4 Theta, S) on every axis is refused as poisson_reconstruct would
+    refuse it at (P/q) M (check_phase_size), so that an infinite bound
+    never reaches the ceiling."""
     check_scale(P)
     gamma3, gamma2 = approx.theta3 * _power(P, 3, "P"), approx.theta2 * _power(P, 2, "P")
-    slopes = _slopes(pair, weight, gamma3, gamma2)
-    check_phase_size(pair, weight, gamma3, gamma2, slopes,
-                     f"I(gamma; (P/q) m) at gamma = ({gamma3}, {gamma2}) on its stationary band")
-    return math.ceil(approx.q * max(4.0 * theta_height(approx, P), *slopes) / P) + 8
+    band = max(4.0 * theta_height(approx, P), *_slopes(pair, weight, gamma3, gamma2))
+    check_phase_size(pair, weight, gamma3, gamma2, [band] * pair.n,
+                     f"I(gamma; (P/q) m) at gamma = ({gamma3}, {gamma2}), |(P/q) m|_inf <= {band:.3g}")
+    return math.ceil(approx.q * band / P) + 8
 
 
 def _box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:

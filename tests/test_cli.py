@@ -1315,55 +1315,51 @@ def test_quadrature_grids_honour_the_cap(problem_file, capsys, argv, side, messa
 POISSON_LINE_PROBLEM = {"n": 1, "cubic": [[1, 1, 1, 1]], "quadric": [[1, 1, 1]], "weight": {"x0": [0.05], "xi": 0.3}}
 
 
-@pytest.mark.parametrize("flags, code, message", [
+@pytest.mark.parametrize("forms, flags, code, message", [
     # gamma3 = 1e308 P^3 overflows; the alias level once doubled its grid
     # side forever chasing it
-    (["--P", "2", "--theta3", "1e308", "--M", "0"], 2,
+    ({}, ["--P", "2", "--theta3", "1e308", "--M", "0"], 2,
      "the phase of I(gamma; (P/q) m) at gamma = (inf, 0.0), |m|_inf <= 0 may reach inf >= 2^52 on the weight's "
      "support, where it has no correct digit"),
     # once a cap refusal of a 300-digit grid side
-    (["--P", "2", "--theta3", "1e300", "--M", "0"], 2,
+    ({}, ["--P", "2", "--theta3", "1e300", "--M", "0"], 2,
      "the phase of I(gamma; (P/q) m) at gamma = (8e+300, 0.0), |m|_inf <= 0 may reach 3.43e+299 >= 2^52 on the "
      "weight's support, where it has no correct digit"),
+    # without --M, default_truncation refuses the phase at the frequency
+    # max(4 Theta, S) before it rounds the radius: here the radius was a
+    # 289-digit M, refused only by the family, at the same size
+    ({}, ["--P", "2", "--theta3", "1e287"], 2,
+     "the phase of I(gamma; (P/q) m) at gamma = (8e+287, 0.0), |(P/q) m|_inf <= 3.2e+288 may reach 1.15e+288 >= "
+     "2^52 on the weight's support, where it has no correct digit"),
+    # the slope 8e287 * 3 * 2^70 * 0.35^2 overflows while Theta = 1 + 8e287
+    # does not, and with no quadric Theta = 1 + 1e308 overflows in 4 Theta;
+    # math.ceil of the infinite radius once ended each run with "cannot
+    # convert float infinity to integer"
+    ({"cubic": [[1, 1, 1, 2**70]]}, ["--P", "2", "--theta3", "1e287"], 2,
+     "the phase of I(gamma; (P/q) m) at gamma = (8e+287, 0.0), |(P/q) m|_inf <= inf may reach inf >= 2^52 on the "
+     "weight's support, where it has no correct digit"),
+    ({"quadric": []}, ["--P", "10000", "--theta2", "1e300"], 2,
+     "the phase of I(gamma; (P/q) m) at gamma = (0.0, 1e+308), |(P/q) m|_inf <= inf may reach inf >= 2^52 on the "
+     "weight's support, where it has no correct digit"),
     # the m-grid was allocated (14.6 TiB) before it was charged
-    (["--P", "2", "--M", "1000000000000"], 3,
+    ({}, ["--P", "2", "--M", "1000000000000"], 3,
      "poisson m-grid (2M+1)^n = 2000000000001^1: 2000000000001 elements exceeds cap 100000000"),
     # the alias level's 2^22 intervals take y = 6 / 2^22 turn per node, so
     # its grid turns by 1/699051 and has 4194306 nodes, which fit the cap;
     # its phase table of 699051 + 699050 rows against the default M's 800019
     # frequencies does not (the case once refused the phase matrix of the
     # 2^22 + 1 nodes, hence its id)
-    (["--P", "10", "--theta2", "1e4"], 3,
+    ({}, ["--P", "10", "--theta2", "1e4"], 3,
      "quadrature phase table 1398101 x 800019: 1118507363919 elements exceeds cap 100000000"),
-], ids=["phase-inf", "phase-1e300", "m-grid", "phase-matrices"])
-def test_poisson_family_refuses_up_front(tmp_path, capsys, flags, code, message):
+], ids=["phase-inf", "phase-1e300", "default-M-phase", "default-M-slope-inf", "default-M-theta-inf", "m-grid",
+        "phase-matrices"])
+def test_poisson_family_refuses_up_front(tmp_path, capsys, forms, flags, code, message):
     path = tmp_path / "line1.json"
-    path.write_text(json.dumps(POISSON_LINE_PROBLEM))
+    path.write_text(json.dumps({**POISSON_LINE_PROBLEM, **forms}))
     start = time.perf_counter()
     argv = ["sum", "--problem", str(path), "--mode", "poisson", "--q", "1", "--a3", "1", "--a2", "1"] + flags
     assert run(argv) == code
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("cubic, message", [
-    # the slope 8e287 * 3 * 2^70 * 0.35^2 overflows while Theta = 1 + 8e287
-    # does not; math.ceil of the infinite radius once ended the run with
-    # "cannot convert float infinity to integer"
-    (2**70, "the phase of I(gamma; (P/q) m) at gamma = (8e+287, 0.0) on its stationary band may reach inf >= 2^52 "
-            "on the weight's support, where it has no correct digit"),
-    # the default radius was a 289-digit M, refused only by the family
-    (1, "the phase of I(gamma; (P/q) m) at gamma = (8e+287, 0.0) on its stationary band may reach 1.37e+287 >= "
-        "2^52 on the weight's support, where it has no correct digit"),
-], ids=["slope-inf", "phase-1e287"])
-def test_default_truncation_refuses_up_front(tmp_path, capsys, cubic, message):
-    # without --M, default_truncation applies the phase-size rule at the
-    # stationary band's frequencies before it rounds the radius
-    path = tmp_path / "line1.json"
-    path.write_text(json.dumps({**POISSON_LINE_PROBLEM, "cubic": [[1, 1, 1, cubic]]}))
-    argv = ["sum", "--problem", str(path), "--mode", "poisson", "--q", "1", "--a3", "1", "--a2", "1",
-            "--P", "2", "--theta3", "1e287"]
-    assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
