@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--delta", type=_finite_float, default=arcs_mod.DEFAULT_DELTA)
-    p.add_argument("--eps", type=_finite_float, default=0.05)
 
     p = sub.add_parser("nr", help="bilinear system count n(R)")
     _add_common(p)
@@ -559,7 +558,7 @@ def _cmd_compare(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
 def _cmd_weyl_scan(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     rows = weyldiag.minor_arc_scan(
         pair, args.P, weight, args.grid,
-        delta=args.delta, eps=args.eps, seed=args.seed, cap=args.cap, threads=args.threads,
+        delta=args.delta, seed=args.seed, cap=args.cap, threads=args.threads,
     )
     return rows, "csv"
 

@@ -10,7 +10,7 @@ where S(a, q; m) is the complete sum of e_q(a3 C(y) + a2 Q(y) + m.y) over
 residue vectors y mod q and I(gamma; z) is the oscillatory integral of
 omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x).  Complete sums are evaluated
 from exact integer residues (histogram over the numerator mod q), so the
-only rounding is in the final complex exponentials.
+only rounding is in the final complex exponentials and their sum.
 
 The direct sums have exact phases: each alpha becomes a 64-bit
 fixed-point turn A = round(frac(alpha) 2^64) once (_turn), the phase A3 C(x)
@@ -58,6 +58,7 @@ from .forms import (
 from .gridsum import phase_histogram, scan
 from .quadrature import MAX_LEVEL, MIN_LEVEL, QuadResult, grid_contract, tensor_integral
 from .util import (
+    BLAS_SERIAL,
     CapExceededError,
     DEFAULT_CAP,
     check_cap,
@@ -264,8 +265,7 @@ def _point_chunk_sums(
             table *= np.take(_TURN_TABLES[k], _digit(phase, k, index), out=factor, mode="wrap")
         np.multiply(_digit(phase, 3, phase), _LOW_TO_RADIANS, out=low)
         low *= w
-        # einsum, not BLAS: OpenBLAS splits long dot products over its
-        # own threads, which would change the last bits with their number
+        # einsum, not BLAS (util.BLAS_SERIAL)
         whole, fine = np.einsum("i,i->", w, table), np.einsum("i,i->", low, table)
         out.append(complex(whole.real - fine.imag, whole.imag + fine.real))
     return out
@@ -322,9 +322,8 @@ def _block_chunk_sums(
     box and contracted against the blocks' factor tables (_block_tables) one
     block at a time, the largest table first, with alpha as a batch axis:
     the first contraction takes the real omega against the real and
-    imaginary parts of its block's factors, the others are complex.  The
-    contraction is einsum, not BLAS: OpenBLAS splits long dot products over
-    its own threads, which would change the last bits with their number.  Each alpha's row of a table and
+    imaginary parts of its block's factors, the others are complex, all in
+    einsum, not BLAS (util.BLAS_SERIAL).  Each alpha's row of a table and
     of every contraction is computed by the same elementwise and per-row
     arithmetic whatever the other alphas, so many alphas give each one's sum
     bit for bit.
@@ -449,20 +448,20 @@ def complete_sum(
     only the prime powers p^e exactly dividing q, sum p^{en} points, and
     composes them by the CRT with the same a3, a2, m.  It equals the
     histogram of a scan of all q^n residues entry for entry, so the result
-    carries only the rounding of the final exponentials.
+    carries only the rounding of the final exponentials and their sum: one
+    dot product per block of util.BLAS_SERIAL cells, added by fsum_complex.
     """
-    n = pair.n
-    if len(m) != n:
-        raise ValueError(f"m has length {len(m)}, expected {n}")
+    if len(m) != pair.n:
+        raise ValueError(f"m has length {len(m)}, expected {pair.n}")
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
-    if q == 1:
-        return 1.0 + 0.0j
     if math.gcd(q, math.gcd(a3, a2)) != 1:
         warnings.warn(f"gcd(q, gcd(a3, a2)) > 1 for q={q}", stacklevel=2)
     hist = phase_histogram(pair, q, a3, a2, m, cap=cap, threads=threads)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    return complex(hist @ roots)
+    parts = [hist[t:t + BLAS_SERIAL] @ np.exp(2j * np.pi * np.arange(t, min(t + BLAS_SERIAL, q)) / q)
+             for t in range(0, q, BLAS_SERIAL)]
+    # fsum would turn a -0.0 part of a single block into 0.0
+    return complex(parts[0]) if len(parts) == 1 else fsum_complex(parts)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ that evaluates Jacobians on a residue grid, for localdens and info too.
 
 crt_histograms() computes one histogram per prime p, at its top power p^K
 among the moduli, folds every lower p^e off it, and composes the histogram
-mod a composite q from those of the prime powers exactly dividing it, so no
-histogram is scanned mod a composite q or below a top power.
+mod a composite q as the product of the periodic extensions of those of
+the prime powers exactly dividing it, so no histogram is scanned mod a
+composite q or below a top power.
 joint_histograms() builds the histogram mod p^K of a pair with several
 forms.separable_blocks as the exact 2-D cyclic convolution of the blocks'
 own histograms, each line-scanned or lifted in the block's own variables;
@@ -333,8 +334,9 @@ def crt_histograms(
     sum of H_{p^K} over the p^{K-e} cells above each cell mod p^e, along
     every axis, is p^{(K-e)n} H_{p^e}[t], and the division is exact.  For
     coprime r, s the CRT gives H_{rs}[t] = H_r[t mod r] H_s[t mod s] along
-    every axis, with the same polynomial on both sides, so composite H_q
-    are exact integer products of their prime-power parts.
+    every axis, with the same polynomial on both sides, so H_q is the exact
+    product np.tile(H_r, s) * np.tile(H_s, r) per axis; a prime power's table
+    is yielded as built, read-only, since the lower powers fold from it.
     """
     largest = max(moduli, default=1)
     check_cap(largest**ndim, cap, f"histogram mod {largest} of {largest}^{ndim} cells")
@@ -359,15 +361,14 @@ def crt_histograms(
             r = p ** (k - e)
             folded = done[p, k].reshape((r, p**e) * ndim).sum(axis=tuple(range(0, 2 * ndim, 2)))
             done[p, e] = folded // r**n
+        done[p, e].flags.writeable = False
         return done[p, e]
 
     for q in moduli:
-        hist, r = np.ones((1,) * ndim, dtype=np.int64), 1
+        hist = np.ones((1,) * ndim, dtype=np.int64)
         for p, e in factors[q]:
-            s = p**e
-            idx = np.arange(r * s)
-            hist = hist[np.ix_(*[idx % r] * ndim)] * power(p, e)[np.ix_(*[idx % s] * ndim)]
-            r *= s
+            r, s = len(hist), p**e
+            hist = power(p, e) if r == 1 else np.tile(hist, (s,) * ndim) * np.tile(power(p, e), (r,) * ndim)
         yield q, hist
 
 

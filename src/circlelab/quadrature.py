@@ -167,7 +167,11 @@ def grid_contract(
         for i in range(n - 1, -1, -1):
             vals = _fold(vals, i, period)
             start = box[i][0] % period
-            vals = np.tensordot(vals, table[start : start + vals.shape[i]], axes=([i], [0]))
+            rows = table[start : start + vals.shape[i]]
+            if vals.size == vals.shape[i] or len(ks) == 1:  # matrix-vector: einsum (util.BLAS_SERIAL)
+                vals = np.einsum(vals, list(range(n)), rows, [i, n], [*range(i), *range(i + 1, n + 1)])
+            else:
+                vals = np.tensordot(vals, rows, axes=([i], [0]))
         total += vals
     if step is None:
         return np.asarray(h**n * fsum_complex(sums))

@@ -25,6 +25,12 @@ U = TypeVar("U")
 
 DEFAULT_CAP = 10**8
 
+# einsum, not BLAS: OpenBLAS splits matrix-vector products, and dot products
+# of more than BLAS_SERIAL terms (0.3.31), over its threads, which moves the
+# last bits with their number, so BLAS gets only matrix products and shorter
+# dot products, and np.einsum, which calls no BLAS, the rest
+BLAS_SERIAL = 10**4
+
 
 class CapExceededError(RuntimeError):
     """Raised when a scan or sum would exceed the configured work budget."""

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 SOFT_CONSTANT = 10.0
+# the epsilon of the dichotomy's P^eps losses
+EPS = 0.05
 # the most denominators s that alpha3_witness tries
 WITNESS_BUDGET = 10**7
 
@@ -191,15 +193,10 @@ class Alpha3Witness:
     ok: bool
 
 
-def alpha3_witness(
-    alpha3: float,
-    P: float,
-    t3: float,
-    eps: float = 0.05,
-) -> Alpha3Witness:
+def alpha3_witness(alpha3: float, P: float, t3: float) -> Alpha3Witness:
     """Best rational witness alpha3 = b3/s + phi3 with s(1 + P^3 |phi3|) small.
 
-    Exhaustive over s up to ~SOFT_CONSTANT * P^eps * T3^8 (at most
+    Exhaustive over s up to ~SOFT_CONSTANT * P^EPS * T3^8 (at most
     WITNESS_BUDGET); ok flags whether the minimized objective stays below
     SOFT_CONSTANT times that scale.  The objective s + P^3 ||s alpha3|| is
     screened in numpy blocks of arcs.Q_BLOCK denominators, in the same
@@ -210,10 +207,8 @@ def alpha3_witness(
     """
     if not math.isfinite(t3):
         raise ValueError("T3 must be finite (the sum was nonzero)")
-    rhs_scale = P**eps * t3**8
-    s_max = min(int(math.ceil(SOFT_CONSTANT * rhs_scale)), WITNESS_BUDGET)
-    if s_max < 1:
-        s_max = 1
+    rhs_scale = P**EPS * t3**8
+    s_max = max(1, min(int(math.ceil(SOFT_CONSTANT * rhs_scale)), WITNESS_BUDGET))
     p3 = P**3
     best = None
     # blocks are made as the scan reaches them: the scan mostly stops in the
@@ -238,12 +233,12 @@ def alpha3_witness(
     return Alpha3Witness(s, b3, phi3, lhs, rhs_scale, lhs <= SOFT_CONSTANT * rhs_scale)
 
 
-def _u_search(alpha2: float, s: int, phi3: float, P: float, t2: float, eps: float) -> int | None:
+def _u_search(alpha2: float, s: int, phi3: float, P: float, t2: float) -> int | None:
     """Smallest u <= SOFT_CONSTANT T2^2 with ||s u alpha2|| within the lemma bound."""
     if not math.isfinite(t2):
         return None
     u_max = int(math.ceil(SOFT_CONSTANT * t2 * t2))
-    bound = SOFT_CONSTANT * P ** (-2 + eps) * s * (1.0 + P**3 * abs(phi3)) * t2 * t2
+    bound = SOFT_CONSTANT * P ** (-2 + EPS) * s * (1.0 + P**3 * abs(phi3)) * t2 * t2
     for u in range(1, min(u_max, 10**6) + 1):
         if _distance_to_int(s * u * alpha2) <= bound:
             return u
@@ -256,7 +251,6 @@ def minor_arc_scan(
     weight: Weight,
     grid_k: int,
     delta: float = DEFAULT_DELTA,
-    eps: float = 0.05,
     seed: int = 0,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
@@ -301,7 +295,7 @@ def minor_arc_scan(
             )
             return row
         heights = heights_from_sum(s_abs, P, n, h, rho)
-        wit = alpha3_witness(alpha3, P, heights.t3, eps=eps)
+        wit = alpha3_witness(alpha3, P, heights.t3)
         row.update(
             t3=heights.t3, t2=heights.t2, s=wit.s, b3=wit.b3, phi3=wit.phi3,
             witness_ok=wit.ok,
@@ -310,11 +304,8 @@ def minor_arc_scan(
             # the dichotomy was derived under s <= P; mark rather than force
             row.update(u=None, alt="unclassifiable")
             return row
-        u = _u_search(alpha2, wit.s, wit.phi3, P, heights.t2, eps)
-        alt_ii = (
-            heights.t2**2
-            >= P ** (1 - eps) / (wit.s + P**3 * abs(wit.phi3)) / SOFT_CONSTANT
-        )
+        u = _u_search(alpha2, wit.s, wit.phi3, P, heights.t2)
+        alt_ii = heights.t2**2 >= P ** (1 - EPS) / (wit.s + P**3 * abs(wit.phi3)) / SOFT_CONSTANT
         row["u"] = u
         if u is not None and alt_ii:
             row["alt"] = "both"

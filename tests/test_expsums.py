@@ -3,7 +3,10 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from unittest.mock import patch
@@ -439,6 +442,46 @@ def test_complete_sum_conjugation(pair_n3):
 def test_complete_sum_gcd_warning(pair_n1):
     with pytest.warns(UserWarning, match="gcd"):
         complete_sum(pair_n1, 4, 2, 2, [0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 10_000), c3=st.integers(-9, 9), c2=st.integers(-9, 9),
+       a3=st.integers(1, 10_000), a2=st.integers(1, 10_000), m=st.integers(-10_000, 10_000))
+@example(q=1, c3=1, c2=1, a3=1, a2=1, m=0)
+@example(q=9_973, c3=2, c2=3, a3=1, a2=1, m=1)
+@example(q=10_000, c3=2, c2=-3, a3=7, a2=3, m=5)
+def test_complete_sum_is_one_dot_product_up_to_blas_serial_cells(q, c3, c2, a3, a2, m):
+    # q <= util.BLAS_SERIAL is one block: one dot product against all q
+    # roots, bit for bit (repr, so the sign of a zero too)
+    pair = make_pair(1, {(1, 1, 1): c3}, {(1, 1): c2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = complete_sum(pair, q, a3, a2, [m])
+    hist = gridsum.phase_histogram(pair, q, a3, a2, [m])
+    assert repr(got) == repr(complex(hist @ np.exp(2j * np.pi * np.arange(q) / q)))
+
+
+_BLAS_PROBE = """
+from circlelab.expsums import RationalApprox, complete_sum, poisson_reconstruct
+from circlelab.forms import CubicForm, FormPair, QuadraticForm
+from circlelab.weightfn import Weight
+pair = FormPair(CubicForm(1, {(1, 1, 1): 1}), QuadraticForm(1, {(1, 1): 1}))
+print(repr(complete_sum(pair, 10_007, 1, 1, [1])))
+approx = RationalApprox(3, 2, 3, 7.5460136e-05, 0.001893494975)
+print(repr(poisson_reconstruct(pair, 20, Weight((-0.000354,), 0.4), approx, 64)))
+"""
+
+
+def test_complete_sum_and_poisson_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of 10 007 terms, and the n = 1 Poisson
+    # contractions (matrix-vector products), over its own threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(expsums.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------- CRT route

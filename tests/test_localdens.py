@@ -625,8 +625,9 @@ def test_phase_histogram_memory_holds_the_histogram_once():
     # n = 1, q = 1 000 003: four chunks of 2^18 points, each shorter than
     # the histogram.  One bincount of q cells per chunk, stacked and then
     # summed, peaked at 84 MiB, 11 histograms of 8 q bytes; added into one
-    # array as each chunk finishes, the histogram, one chunk's bincount and
-    # scan, and the CRT composition's index arrays peak at 43 MiB
+    # array as each chunk finishes, with the CRT composition's index arrays,
+    # at 43 MiB; yielded as scanned, the histogram, one chunk's bincount and
+    # its scan peak at 27.3 MiB, 3.6 histograms
     pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
     tracemalloc.start()
     try:
@@ -635,7 +636,36 @@ def test_phase_histogram_memory_holds_the_histogram_once():
     finally:
         tracemalloc.stop()
     assert np.array_equal(hist, scan_phase_histogram(pair, q, 1, 1, [0]))
-    assert peak < 7 * 8 * q
+    assert peak < 4 * 8 * q
+
+
+def test_complete_sum_memory_holds_the_histogram_once():
+    # the sum of hist e(t/q) over blocks of util.BLAS_SERIAL cells adds no
+    # q-cell table to the histogram's peak; a table of all q roots and its
+    # temporaries took 16 bytes per cell more
+    pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
+    tracemalloc.start()
+    try:
+        complete_sum(pair, q, 1, 1, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * q
+
+
+def test_crt_histograms_yield_a_prime_power_as_built():
+    # f(y) = y in one variable: every H_{p^e} is all ones.  The top power is
+    # yielded as built and read-only, since the lower powers fold from it
+    built = []
+
+    def prime_power(p, e):
+        built.append(np.ones(p**e, dtype=np.int64))
+        return built[-1]
+
+    hists = dict(gridsum.crt_histograms(1, [8, 4, 24, 1], 1, prime_power, lambda p, e: p**e))
+    assert hists[8] is built[0]
+    assert not hists[8].flags.writeable and not hists[4].flags.writeable
+    assert [h.tolist() for h in hists.values()] == [[1] * 8, [1] * 4, [1] * 24, [1]]
 
 
 @st.composite

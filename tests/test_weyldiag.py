@@ -265,7 +265,7 @@ def test_minor_arc_scan_rational_alpha2(pair_line):
     w = Weight((0.1, -0.1), 0.35)
     from circlelab.weyldiag import _u_search
 
-    u = _u_search(alpha2=0.5, s=2, phi3=0.0, P=16.0, t2=4.0, eps=0.05)
+    u = _u_search(alpha2=0.5, s=2, phi3=0.0, P=16.0, t2=4.0)
     assert u is not None and u <= 4
 
 
