@@ -49,6 +49,7 @@ from .forms import (
     QuadraticForm,
     block_values,
     eval_cubic,
+    eval_into,
     eval_quadratic,
     gradient_cubic,
     gradient_quadratic,
@@ -95,6 +96,16 @@ POISSON_REL_TOL = 1e-9
 # the slope on the ball: random integrals in one and two variables driven by
 # gamma converged up to 3.2 times 2^MAX_LEVEL majorant cycles, and none past 8
 RESOLUTION_MARGIN = 16
+
+# the most points in one support box of the direct Weyl sums, for both
+# kernels (weyl_sums).  Each numpy call of a box releases and retakes the
+# GIL, and small boxes make a second thread hand it back and forth.  One
+# alpha at 2 threads against 1, on a 2-core Xeon VM with numpy 2.4: at 2^11
+# points per box 110 vs 87 ms (a diagonal pair, n = 3, P = 200) and 729 vs
+# 339 ms (a pair of one block, n = 4, P = 60); at 2^14, 48 vs 36 and 156 vs
+# 107 ms; at 2^16, 21 vs 23 and 70 vs 96 ms.  The quadrature keeps
+# boxes of weightfn.CHUNK, whose size sets the last bits of its values.
+WEYL_BOX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,21 +248,38 @@ def _point_chunk_sums(
     f = T0[d0] T1[d1] T2[d2] off the turn tables (_digit), with the factor
     1 + 2 pi i delta folded into two sums: sum w f + i sum (w 2 pi delta) f.
     Each alpha takes the same numpy calls on the same arrays whatever the
-    other alphas, so its sum is the same bit for bit.  The per-alpha arrays
-    are the leading parts of the arrays that buffers keeps per thread for the
-    whole weyl_sums call, so that their pages are not faulted in afresh for
-    every chunk: that cost a one-alpha sum about a third of its time.
+    other alphas, so its sum is the same bit for bit.
+
+    Every array of the chunk's size lives in buffers, which holds them per
+    thread for the whole weyl_sums call, so that their pages are not faulted
+    in afresh for every chunk (that cost a one-alpha sum about a third of
+    its time), and a thread's memory stays 72 bytes per point of WEYL_BOX.
+    The kept omega, C and Q have buffers of their own.  The set-up runs in
+    the per-alpha arrays, which are free until the first alpha: omega and
+    then each form on the chunk (weightfn.omega_grid, forms.eval_into) in
+    one row of the turns, a monomial's values in the other, the keep mask
+    in the factors.
     """
     coords = _box_axes(sub)
-    w = omega_grid(weight, [c.astype(float) / P for c in coords])
-    keep = w > 0
-    w = w[keep]
-    c_vals, q_vals = (np.ascontiguousarray(np.broadcast_to(v, keep.shape)[keep], dtype=np.int64).view(np.uint64)
-                      for v in (eval_cubic(pair.cubic, coords), eval_quadratic(pair.quadric, coords)))
-    if getattr(buffers, "size", -1) < len(w):
-        buffers.size = max(len(w), 2 * weightfn.CHUNK)
+    shape = tuple(hi - lo + 1 for lo, hi in sub)
+    size = math.prod(shape)
+    if getattr(buffers, "size", -1) < size:
+        buffers.size = max(size, WEYL_BOX)
+        buffers.kept = np.empty((3, buffers.size), np.int64)
         buffers.turns = np.empty((2, buffers.size), np.uint64)
         buffers.factors = np.empty((2, buffers.size), complex)
+    values, term = (row[:size].reshape(shape) for row in buffers.turns.view(np.int64))
+    keep = buffers.factors.view(bool)[0, :size]
+    w = omega_grid(weight, [c.astype(float) / P for c in coords], out=values.view(float)).reshape(-1)
+    np.greater(w, 0.0, out=keep)
+    kept = buffers.kept[:, :np.count_nonzero(keep)]
+    # a boolean index and a copy took less than half the time of
+    # np.compress into the buffer
+    kept[0].view(float)[...] = w[keep]
+    for form, row in zip((pair.cubic, pair.quadric), kept[1:]):
+        row[...] = eval_into(form, coords, values, term).reshape(-1)[keep]
+    w = kept[0].view(float)
+    c_vals, q_vals = kept[1:].view(np.uint64)
     phase, index = buffers.turns[:, :len(w)]
     table, factor = buffers.factors[:, :len(w)]
     # once its digits are read, the phase's memory holds 2 pi delta w
@@ -365,17 +393,20 @@ def weyl_sums(
     rounding whatever the size of the phase.
 
     The weight's box is charged to cap once, whatever the number of alphas,
-    and its support is streamed in the boxes of weightfn.support_chunks.
-    The kernel follows forms.separable_blocks.  A pair whose one block
-    spans all n variables evaluates C, Q and omega once per box of 2
-    weightfn.CHUNK points and takes a phase per kept point and alpha
-    (_point_chunk_sums).  A pair with several blocks evaluates each block's
-    forms only on the block's side of the box (forms.block_values), into a
-    table of phase factors per point and alpha (_block_tables), and on each
-    box of weightfn.CHUNK points evaluates omega once and contracts it
-    against the tables (_block_chunk_sums).  The boxes never depend on
-    threads, and each alpha's box sums are added by fsum_complex, so the
-    result does not depend on threads either.
+    and its support is streamed in the boxes of weightfn.support_chunks, of
+    at most WEYL_BOX = 2^16 points for either kernel.  The kernel follows
+    forms.separable_blocks.  A pair whose one block spans all n variables
+    evaluates C, Q and omega once per box and takes a phase per kept point
+    and alpha (_point_chunk_sums).  A pair with several blocks evaluates
+    each block's forms only on the block's side of the box
+    (forms.block_values), into a table of phase factors per point and alpha
+    (_block_tables), and on each box evaluates omega once and contracts it
+    against the tables (_block_chunk_sums).  Every box costs a run of short
+    numpy calls, about 20 per alpha in the point kernel, each of which
+    releases and retakes the GIL; at 2^16 points a box's calls are long
+    enough that a second thread pays for those hand-offs (WEYL_BOX).  The boxes
+    never depend on threads, and each alpha's box sums are added by
+    fsum_complex, so the result does not depend on threads either.
     """
     box = weight_box(weight, P)
     if weight.n != pair.n:
@@ -396,17 +427,16 @@ def weyl_sums(
     if 1 < len(blocks) and pair.n < 52:
         a3, a2 = (np.array(a, dtype=np.uint64) for a in zip(*turns))
         tables = _block_tables(pair, box, a3, a2)
-        size = weightfn.CHUNK
 
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _block_chunk_sums(tables(sub), P, weight, sub)
     else:
-        size, buffers = 2 * weightfn.CHUNK, threading.local()
+        buffers = threading.local()
 
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _point_chunk_sums(pair, P, weight, turns, sub, buffers)
 
-    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n, size), threads)
+    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n, WEYL_BOX), threads)
     return [fsum_complex(part[i] for part in parts) for i in range(len(turns))]
 
 

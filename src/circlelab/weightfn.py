@@ -11,6 +11,7 @@ which the direct Weyl sums and the quadrature evaluate their integrands.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,14 +23,16 @@ from .util import chunk_ranges
 
 __all__ = ["Weight", "nu_grid", "omega_grid", "check_scale", "weight_box", "support_chunks"]
 
-# the most points in one support box of the quadrature and of the block
-# kernel of the Weyl sums.  Its 128 KB float arrays are reused by the
-# allocator from box to box; whole x0-slices of up to 1 MB each raised the
-# peak memory of direct Weyl sums over two threads.  The point kernel of the
-# Weyl sums (expsums._point_chunk_sums) takes boxes of 2 CHUNK points: it
-# makes about 20 short numpy calls per alpha, each of which releases and
-# retakes the GIL, and at CHUNK points its two threads spent a measured
-# share of each call handing the GIL back and forth.
+# the most points in one support box of the quadrature
+# (quadrature.grid_contract), and the most values of a whole-box phase
+# table of the Weyl sums' block kernel (expsums._block_tables).  Its 128 KB
+# float arrays are reused by the allocator from box to box.  The direct
+# Weyl sums stream the ball in boxes of their own, expsums.WEYL_BOX = 2^16
+# points, where a second thread pays for its GIL hand-offs.  The quadrature
+# keeps 2^14: each box's sum is rounded on its own before fsum_complex adds
+# them, so the box size sets the last bits of every quadrature value, and
+# the benchmark's reference holds one of them, the quad_error of sum --mode
+# integral, to 10^-9 of itself.
 CHUNK = 1 << 14
 
 # Below 1 - t^2 <= this guard the true value is under double precision
@@ -64,31 +67,42 @@ class Weight:
         return [(c - self.xi, c + self.xi) for c in self.center]
 
 
-def nu_grid(t: np.ndarray) -> np.ndarray:
+def nu_grid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The one-dimensional profile exp(-1/(1-t^2)) on |t| < 1, else 0, on an array.
 
     Below the guard u = 1 - t^2 is raised to the guard itself, where
     exp(-1 / u) = exp(-10^12) is exactly 0, so the exponential runs on every
-    point without a mask; fmax also sends a NaN to the guard, and so to 0."""
+    point without a mask; fmax also sends a NaN to the guard, and so to 0.
+    The values are written into out, a new array by default, which may be t
+    itself."""
     t = np.asarray(t, dtype=float)
-    u = np.multiply(t, t, out=np.empty_like(t))
+    u = np.multiply(t, t, out=np.empty_like(t) if out is None else out)
     np.subtract(1.0, u, out=u)
     np.fmax(u, _EXP_GUARD, out=u)
     np.divide(-1.0, u, out=u)
     return np.exp(u, out=u)
 
 
-def omega_grid(weight: Weight, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """omega(x) = nu(|x - x0|_2 / xi) on broadcastable coordinate arrays (one per axis)."""
+def omega_grid(weight: Weight, axes: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """omega(x) = nu(|x - x0|_2 / xi) on broadcastable coordinate arrays (one per axis).
+
+    The values are written into out, a new float array of the axes'
+    broadcast shape by default.  The only other arrays are each axis's
+    squares and their running sum over the axes before the last, none
+    larger than the broadcast of the axes it spans."""
     if len(axes) != weight.n:
         raise ValueError(f"got {len(axes)} coordinate arrays, expected {weight.n}")
-    dist2 = None
-    for arr, c in zip(axes, weight.center):
-        d = (np.asarray(arr, dtype=float) - c) ** 2
-        dist2 = d if dist2 is None else dist2 + d
-    t = np.sqrt(dist2)
+    squares = [(np.asarray(arr, dtype=float) - c) ** 2 for arr, c in zip(axes, weight.center)]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*(np.shape(d) for d in squares)))
+    *head, last = squares
+    if head:
+        np.add(functools.reduce(np.add, head), last, out=out)
+    else:
+        np.copyto(out, last)
+    t = np.sqrt(out, out=out)
     t /= weight.xi
-    return nu_grid(t)
+    return nu_grid(t, out=t)
 
 
 def check_scale(P: float) -> None:

@@ -109,9 +109,10 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
     base = weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=1)
     for threads in (2, 5):
         assert weyl_sum_direct(pair_line, 24, broad_weight, a3, a2, threads=threads) == base
-    # the 33^3 box at P = 40 exceeds one support box of either kernel
-    w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(support_chunks(w, 40, weight_box(w, 40), [0.0] * 3, 2 * weightfn.CHUNK)) > 1
+    # the 57^3 box at P = 70 is three Weyl boxes, which are the same for
+    # every pair, so each thread count below splits each kernel's work
+    w, P = Weight((0.0, 0.0, 0.0), 0.4), 70
+    assert len(support_chunks(w, P, weight_box(w, P), [0.0] * 3, expsums.WEYL_BOX)) == 3
     # a diagonal pair (three blocks), a pair with blocks {x1, x2} and {x3},
     # and a non-diagonal pair that is one block
     two_blocks = make_pair(3, {(1, 1, 1): 1, (1, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1})
@@ -119,9 +120,27 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
                           {(1, 1): 1, (2, 2): 1, (3, 3): -2, (1, 2): 1, (2, 3): 1})
     assert [len(separable_blocks(p)) for p in (pair_n3, two_blocks, one_block)] == [3, 2, 1]
     for pair in (pair_n3, two_blocks, one_block):
-        base = weyl_sum_direct(pair, 40, w, a3, a2, threads=1)
+        base = weyl_sum_direct(pair, P, w, a3, a2, threads=1)
         for threads in (2, 3):
-            assert weyl_sum_direct(pair, 40, w, a3, a2, threads=threads) == base
+            assert weyl_sum_direct(pair, P, w, a3, a2, threads=threads) == base
+
+
+def test_point_kernel_buffers_survive_thread_switches(monkeypatch):
+    # a pair of one block in boxes of 2^8 points over four threads,
+    # switching every microsecond: a buffer that two threads shared would
+    # mix their boxes' values
+    pair = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (1, 2, 3): 1}, {(1, 1): 1, (2, 3): -1})
+    assert len(separable_blocks(pair)) == 1
+    w, alphas = Weight((0.01, -0.02, 0.03), 0.4), [(0.311, 0.729), (-1.25, 0.5)]
+    monkeypatch.setattr(expsums, "WEYL_BOX", 1 << 8)
+    base = weyl_sums(pair, 20, w, alphas, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sums = weyl_sums(pair, 20, w, alphas, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sums == base
 
 
 def oracle_weyl_sum(pair, P, weight, alpha3, alpha2):
@@ -207,7 +226,7 @@ def weyl_cases(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # supports outside (-1/2, 1/2)^n are fine here
         weight = Weight(tuple(center), xi)
-    chunk = draw(st.sampled_from([1, 5, 64, weightfn.CHUNK]))
+    chunk = draw(st.sampled_from([1, 5, 64, expsums.WEYL_BOX]))
     alphas = draw(st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=3, max_size=3))
     return make_pair(n, cubic, quad), P, weight, chunk, alphas
 
@@ -216,7 +235,8 @@ def weyl_cases(draw):
 @given(weyl_cases())
 def test_weyl_sums_match_the_scalar_oracle(case):
     pair, P, weight, chunk, alphas = case
-    with patch.object(weightfn, "CHUNK", chunk):
+    # chunk is both the Weyl box and the most values of a whole-box table
+    with patch.object(expsums, "WEYL_BOX", chunk), patch.object(weightfn, "CHUNK", chunk):
         sums = weyl_sums(pair, P, weight, alphas)
         singles = [weyl_sum_direct(pair, P, weight, a3, a2) for a3, a2 in alphas]
     # one call for many alphas gives each alpha's sum bit for bit
@@ -231,17 +251,17 @@ def test_weyl_sums_match_the_scalar_oracle(case):
 
 @pytest.mark.parametrize("chunk", [16, 256])
 def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
-    # blocks {x1, x3} and {x2}.  With CHUNK = 256 the 11 x 11 table of the
-    # first block covers the whole box for one alpha, and for three alphas
-    # each chunk's sub-box, two x1-slices wide; with CHUNK = 16 every table
-    # is per chunk.  Either way each alpha's sum is the same bit for bit.
-    # The block's cubic -x3^3 is constant along x1, so its values are
+    # blocks {x1, x3} and {x2}.  With boxes and whole-box tables of at most
+    # 256 points and values, the 11 x 11 table of the first block covers the
+    # whole box for one alpha, and for three alphas each box's sub-box, two
+    # x1-slices wide; at 16 every table is per box.  Either way each alpha's
+    # sum is the same bit for bit.  The block's cubic -x3^3 is constant along x1, so its values are
     # broadcast along the block's first axis
     pair = make_pair(3, {(3, 3, 3): -1, (2, 2, 2): 1}, {(1, 3): 1, (1, 1): 2, (2, 2): 3})
     assert separable_blocks(pair) == [(0, 2), (1,)]
     w = Weight((0.01, -0.01, 0.0), 0.4)
     alphas = [(0.3141, 0.2718), (-1.618, 0.5772), (2.5029, -0.6931)]
-    with patch.object(weightfn, "CHUNK", chunk):
+    with patch.object(expsums, "WEYL_BOX", chunk), patch.object(weightfn, "CHUNK", chunk):
         assert all(hi - lo + 1 == 11 for lo, hi in weight_box(w, 13))
         sums = weyl_sums(pair, 13, w, alphas)
         assert sums == [weyl_sum_direct(pair, 13, w, a3, a2) for a3, a2 in alphas]
@@ -313,12 +333,11 @@ def support_cases(draw):
     per axis (origin c - xi, P = m/(2 xi)), which quadrature.grid_contract
     cuts, or its rows [lo, hi] of axis 0, with the grid's own nodes as the
     points.  The sizes include both that the callers pass: weightfn.CHUNK
-    (the quadrature and the block kernel) and 2 weightfn.CHUNK (the point
-    kernel of the Weyl sums)."""
+    (the quadrature) and expsums.WEYL_BOX (both kernels of the Weyl sums)."""
     n = draw(st.integers(1, 4))
     center = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
     xi = draw(st.floats(0.02, 0.45))
-    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK, 2 * weightfn.CHUNK]))
+    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK, expsums.WEYL_BOX]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         weight = Weight(tuple(center), xi)
@@ -348,9 +367,9 @@ def _grid_case(weight, chunk, m, box):
 @given(support_cases())
 # the whole grid of a quadrature level at n = 3, cut into many boxes
 @example(_grid_case(Weight((0.05, -0.05, 0.05), 0.3), 300, 32, [(0, 32)] * 3))
-# the lattice box of a one-block direct sum at P = 60, 49^3 points, cut
-# into the point kernel's boxes of 2 CHUNK
-@example(_lattice_case(Weight((0.02, -0.03, 0.01), 0.4), 2 * weightfn.CHUNK, 60))
+# the lattice box of a direct sum at P = 60, 49^3 points, cut into the
+# Weyl boxes
+@example(_lattice_case(Weight((0.02, -0.03, 0.01), 0.4), expsums.WEYL_BOX, 60))
 def test_support_chunks_cover_the_support(case):
     # the chunks hold at most the given size of points each, lie in the box
     # and cover every point of it where omega > 0 exactly once

@@ -627,7 +627,8 @@ def test_phase_histogram_memory_holds_the_histogram_once():
     # summed, peaked at 84 MiB, 11 histograms of 8 q bytes; added into one
     # array as each chunk finishes, with the CRT composition's index arrays,
     # at 43 MiB; yielded as scanned, the histogram, one chunk's bincount and
-    # its scan peak at 27.3 MiB, 3.6 histograms
+    # its scan peak at 27.3 MiB, 3.6 histograms; counted straight into the
+    # histogram, with no bincount, at 21.6 MiB, 2.8 histograms
     pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
     tracemalloc.start()
     try:
@@ -637,6 +638,38 @@ def test_phase_histogram_memory_holds_the_histogram_once():
         tracemalloc.stop()
     assert np.array_equal(hist, scan_phase_histogram(pair, q, 1, 1, [0]))
     assert peak < 4 * 8 * q
+
+
+def test_phase_histogram_memory_over_two_threads_holds_one_histogram(monkeypatch):
+    # n = 1, q = 1 000 003 in chunks of 2^12 points, so that a chunk's scan
+    # is small beside the histogram.  A bincount of q cells per chunk put a
+    # second histogram on each thread, 3.1 histograms in all at threads = 2;
+    # counted straight into the histogram, the peak is 1.12 histograms
+    pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
+    monkeypatch.setattr(gridsum, "CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        hist = phase_histogram(pair, q, 1, 1, [0], threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(hist, phase_histogram(pair, q, 1, 1, [0], threads=1))
+    assert np.array_equal(hist, scan_phase_histogram(pair, q, 1, 1, [0]))
+    assert peak < 1.5 * 8 * q
+
+
+def test_phase_histogram_counts_survive_thread_switches(monkeypatch):
+    # four threads on many chunks of 2^8 points, switching every
+    # microsecond: a count lost between two threads' adds would show
+    pair, q = make_pair(2, {(1, 1, 2): 1, (2, 2, 2): -3}, {(1, 2): 2}), 101
+    monkeypatch.setattr(gridsum, "CHUNK", 1 << 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hist = phase_histogram(pair, q, 3, 5, [1, 2], threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(hist, scan_phase_histogram(pair, q, 3, 5, [1, 2]))
 
 
 def test_complete_sum_memory_holds_the_histogram_once():

@@ -4,6 +4,7 @@ conftest (nu and omega at one point)."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,37 @@ def test_omega_dimension_check():
     w = Weight((0.0, 0.0), 0.3)
     with pytest.raises(ValueError):
         omega_grid(w, [np.array([0.0])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n),
+    st.floats(0.05, 0.45),
+    st.lists(st.integers(2, 12), min_size=n, max_size=n),
+)))
+def test_omega_grid_writes_the_composed_formula_bit_for_bit(case):
+    # on the broadcast axes of a box, into a new or a given array, omega is
+    # nu(sqrt(sum of the axes' squares) / xi) with the squares added in axis
+    # order, as the composition of nu_grid and numpy gives it
+    center, xi, sides = case
+    n = len(center)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # supports outside (-1/2, 1/2)^n are fine here
+        w = Weight(tuple(center), xi)
+    # the support's bounding box, so that most points have omega > 0
+    axes = [np.linspace(c - xi, c + xi, k).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, (c, k) in enumerate(zip(center, sides))]
+    dist2 = 0.0
+    for x, c in zip(axes, center):
+        dist2 = dist2 + (x - c) ** 2
+    want = nu_grid(np.sqrt(dist2) / xi)
+    out = np.full(tuple(sides), np.nan)
+    assert omega_grid(w, axes, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert omega_grid(w, axes).tobytes() == want.tobytes()
+    t = np.sqrt(dist2) / xi
+    assert nu_grid(t, out=t) is t
+    assert t.tobytes() == want.tobytes()
 
 
 def test_support_vanishing():

@@ -308,17 +308,17 @@ def test_minor_arc_scan_dichotomy_rows(pair_line, monkeypatch):
 
 
 def test_minor_arc_scan_thread_determinism(pair_n3):
-    # the 33^3 box at P = 40 spans more than one chunk of the support, and
-    # each row's |S| is the single-alpha direct sum at its point, bit for bit
+    # the 57^3 box at P = 70 is three Weyl boxes, and each row's |S| is the
+    # single-alpha direct sum at its point, bit for bit
     pair = make_pair(
         3, dict(pair_n3.cubic.monomials), dict(pair_n3.quadric.monomials),
         cubic_nonsingular=True,
     )
-    w = Weight((0.0, 0.0, 0.0), 0.4)
-    assert len(weightfn.support_chunks(w, 40, weight_box(w, 40), [0.0] * 3, weightfn.CHUNK)) > 1
-    rows = minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=1)
+    w, P = Weight((0.0, 0.0, 0.0), 0.4), 70.0
+    assert len(weightfn.support_chunks(w, P, weight_box(w, P), [0.0] * 3, expsums.WEYL_BOX)) == 3
+    rows = minor_arc_scan(pair, P, w, 3, seed=2, threads=1)
     for threads in (2, 3):
-        assert minor_arc_scan(pair, 40.0, w, 3, seed=2, threads=threads) == rows
+        assert minor_arc_scan(pair, P, w, 3, seed=2, threads=threads) == rows
     for row in rows:
-        direct = expsums.weyl_sum_direct(pair, 40.0, w, row["alpha3"], row["alpha2"])
+        direct = expsums.weyl_sum_direct(pair, P, w, row["alpha3"], row["alpha2"])
         assert row["abs_S"] == abs(direct)
