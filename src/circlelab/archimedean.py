@@ -57,16 +57,19 @@ def sin_kernel_grid(R: float, *parts: np.ndarray) -> np.ndarray:
     parts = [np.asarray(p, dtype=float) for p in parts]
     u = sum(parts[1:], parts[0])
     if len(parts) == 1:
-        sine = np.sin(2.0 * np.pi * R * u, out=np.empty_like(u))
+        sine = np.multiply(2.0 * np.pi * R, u, out=np.empty_like(u))
+        np.sin(sine, out=sine)
     else:
         *heads, last = [np.exp(2j * np.pi * R * p) for p in parts]
         head = functools.reduce(operator.mul, heads)
         sine = np.multiply(head.real, last.imag, out=np.empty(np.broadcast_shapes(head.shape, last.shape)))
         sine += head.imag * last.real
+    # one array of u's shape holds pi u and then |u|
+    held = np.multiply(np.pi, u, out=np.empty_like(sine))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sine /= np.pi * u
+        sine /= held
     switch = _SERIES_SWITCH if R == 0 else min(_SERIES_SWITCH, _SERIES_PHASE / (2.0 * np.pi * abs(R)))
-    small = np.abs(u) < switch
+    small = np.abs(u, out=held) < switch
     w = 2.0 * np.pi * R * u[small]
     sine[small] = 2.0 * R * (1.0 - w * w / 6.0 + w**4 / 120.0)
     return sine
@@ -78,12 +81,21 @@ def _integrand(pair: FormPair, weight: Weight, R: float) -> Callable[[list[np.nd
     Each K_R takes the values of the blocks (forms.block_values) as its
     parts (sin_kernel_grid).  A pair of one block takes one sine per node
     and form; a pair of several blocks costs sum over blocks b of prod over
-    i in b of (side of axis i) complex exponentials per form and box."""
+    i in b of (side of axis i) complex exponentials per form and box.  The
+    products are formed in omega's array, of the axes' broadcast shape, in
+    the order of omega * K_R(C) * K_R(Q); the values of C are dropped once
+    K_R(C) is taken, before omega is evaluated."""
     values = block_values(pair)
 
     def f(axes: list[np.ndarray]) -> np.ndarray:
         cs, qs = zip(*values(axes))
-        return omega_grid(weight, axes) * sin_kernel_grid(R, *cs) * sin_kernel_grid(R, *qs)
+        kernel = sin_kernel_grid(R, *cs)
+        del cs
+        out = omega_grid(weight, axes)
+        out *= kernel
+        del kernel
+        out *= sin_kernel_grid(R, *qs)
+        return out
 
     return f
 
@@ -94,8 +106,11 @@ def singular_integral_truncated(
     R: float,
     tol: float = 1e-8,
     cap: int = DEFAULT_CAP,
+    threads: int = 1,
 ) -> QuadResult:
-    """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature charged to cap.
+    """J(R) via the sin-kernel form (_integrand), by nested tensor quadrature
+    charged to cap, with each level's boxes on threads (tensor_integral);
+    the result does not depend on threads.
 
     The phases 2 pi R C and 2 pi R Q are those of I(gamma; 0) at gamma =
     (R, R), and sin(2 pi R C) sin(2 pi R Q) turns as e(R (C + Q)) and e(R (C
@@ -109,5 +124,5 @@ def singular_integral_truncated(
         raise ValueError("weight dimension does not match the form pair")
     name = f"J(R) at R = {R}"
     start = check_phase(pair, weight, R, R, [0.0] * pair.n, name)
-    res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap, start=start)
+    res = tensor_integral(_integrand(pair, weight, R), weight, tol, cap=cap, start=start, threads=threads)
     return QuadResult(float(res.value.real), res.error, res.level)

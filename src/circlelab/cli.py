@@ -225,6 +225,18 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own wording for a flag of type int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return int(lo), int(hi)
@@ -233,7 +245,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
     if problem:
         p.add_argument("--problem", required=True, help="problem JSON file")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--tol", type=_finite_float, default=1e-8)
@@ -428,7 +440,7 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     elif mode == "integral":
         z = _parse_float_list(args.z) if args.z is not None else [0.0] * pair.n
         res = expsums.osc_integral(
-            pair, weight, args.gamma3, args.gamma2, z, tol=args.tol, cap=args.cap
+            pair, weight, args.gamma3, args.gamma2, z, tol=args.tol, cap=args.cap, threads=args.threads
         )
         val = res.value
         meta = {"mode": mode, "gamma3": args.gamma3, "gamma2": args.gamma2, "z": z,
@@ -505,7 +517,9 @@ def _cmd_qfactor(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
 
 
 def _cmd_integral(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
-    res = archimedean.singular_integral_truncated(pair, weight, args.R, tol=args.tol, cap=args.cap)
+    res = archimedean.singular_integral_truncated(
+        pair, weight, args.R, tol=args.tol, cap=args.cap, threads=args.threads
+    )
     return {"R": args.R, "value": float(res.value), "error": res.error, "level": res.level}, "json"
 
 
@@ -520,7 +534,7 @@ def _main_term(
         weightfn.check_scale(P)
     series = localdens.singular_series_truncated(pair, args.Rq, cap=args.cap, threads=args.threads)
     integral = archimedean.singular_integral_truncated(
-        pair, weight, args.Rgamma, tol=args.tol, cap=args.cap
+        pair, weight, args.Rgamma, tol=args.tol, cap=args.cap, threads=args.threads
     )
     main = series.value * integral.value
     return series.value, integral.value, [main * P ** (pair.n - 5) for P in p_values]

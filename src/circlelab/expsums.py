@@ -97,16 +97,6 @@ POISSON_REL_TOL = 1e-9
 # gamma converged up to 3.2 times 2^MAX_LEVEL majorant cycles, and none past 8
 RESOLUTION_MARGIN = 16
 
-# the most points in one support box of the direct Weyl sums, for both
-# kernels (weyl_sums).  Each numpy call of a box releases and retakes the
-# GIL, and small boxes make a second thread hand it back and forth.  One
-# alpha at 2 threads against 1, on a 2-core Xeon VM with numpy 2.4: at 2^11
-# points per box 110 vs 87 ms (a diagonal pair, n = 3, P = 200) and 729 vs
-# 339 ms (a pair of one block, n = 4, P = 60); at 2^14, 48 vs 36 and 156 vs
-# 107 ms; at 2^16, 21 vs 23 and 70 vs 96 ms.  The quadrature keeps
-# boxes of weightfn.CHUNK, whose size sets the last bits of its values.
-WEYL_BOX = 1 << 16
-
 
 @dataclass(frozen=True)
 class RationalApprox:
@@ -253,7 +243,7 @@ def _point_chunk_sums(
     Every array of the chunk's size lives in buffers, which holds them per
     thread for the whole weyl_sums call, so that their pages are not faulted
     in afresh for every chunk (that cost a one-alpha sum about a third of
-    its time), and a thread's memory stays 72 bytes per point of WEYL_BOX.
+    its time), and a thread's memory stays 72 bytes per point of weightfn.BOX.
     The kept omega, C and Q have buffers of their own.  The set-up runs in
     the per-alpha arrays, which are free until the first alpha: omega and
     then each form on the chunk (weightfn.omega_grid, forms.eval_into) in
@@ -264,7 +254,7 @@ def _point_chunk_sums(
     shape = tuple(hi - lo + 1 for lo, hi in sub)
     size = math.prod(shape)
     if getattr(buffers, "size", -1) < size:
-        buffers.size = max(size, WEYL_BOX)
+        buffers.size = max(size, weightfn.BOX)
         buffers.kept = np.empty((3, buffers.size), np.int64)
         buffers.turns = np.empty((2, buffers.size), np.uint64)
         buffers.factors = np.empty((2, buffers.size), complex)
@@ -394,7 +384,7 @@ def weyl_sums(
 
     The weight's box is charged to cap once, whatever the number of alphas,
     and its support is streamed in the boxes of weightfn.support_chunks, of
-    at most WEYL_BOX = 2^16 points for either kernel.  The kernel follows
+    at most weightfn.BOX = 2^16 points for either kernel.  The kernel follows
     forms.separable_blocks.  A pair whose one block spans all n variables
     evaluates C, Q and omega once per box and takes a phase per kept point
     and alpha (_point_chunk_sums).  A pair with several blocks evaluates
@@ -404,7 +394,7 @@ def weyl_sums(
     against the tables (_block_chunk_sums).  Every box costs a run of short
     numpy calls, about 20 per alpha in the point kernel, each of which
     releases and retakes the GIL; at 2^16 points a box's calls are long
-    enough that a second thread pays for those hand-offs (WEYL_BOX).  The boxes
+    enough that a second thread pays for those hand-offs (weightfn.BOX).  The boxes
     never depend on threads, and each alpha's box sums are added by
     fsum_complex, so the result does not depend on threads either.
     """
@@ -436,7 +426,7 @@ def weyl_sums(
         def work(sub: list[tuple[int, int]]) -> list[complex]:
             return _point_chunk_sums(pair, P, weight, turns, sub, buffers)
 
-    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n, WEYL_BOX), threads)
+    parts = parallel_map(work, support_chunks(weight, P, box, [0.0] * pair.n, weightfn.BOX), threads)
     return [fsum_complex(part[i] for part in parts) for i in range(len(turns))]
 
 
@@ -544,12 +534,23 @@ def _smooth_phase(
     axes: list[np.ndarray],
     z: Sequence[float],
 ) -> np.ndarray:
-    """omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x) on broadcast coordinate arrays."""
-    arg = gamma3 * eval_cubic(pair.cubic, axes) + gamma2 * eval_quadratic(pair.quadric, axes)
+    """omega(x) e(gamma3 C(x) + gamma2 Q(x) - z.x) on broadcast coordinate arrays.
+
+    The phase is formed in one float array of the axes' broadcast shape,
+    whatever axes the forms span, and the exponential and the product with
+    omega in one complex array, with the operations of the expression
+    omega * exp(2j pi (gamma3 C + gamma2 Q - z.x)) in its order."""
+    shape = np.broadcast_shapes(*(np.shape(ax) for ax in axes))
+    arg = np.multiply(gamma3, eval_cubic(pair.cubic, axes), out=np.empty(shape))
+    arg += gamma2 * eval_quadratic(pair.quadric, axes)
     for zi, ax in zip(z, axes):
         if zi:
-            arg = arg - zi * ax
-    return omega_grid(weight, axes) * np.exp(2j * np.pi * arg)
+            arg -= zi * ax
+    phase = np.multiply(2j * np.pi, arg)
+    del arg
+    np.exp(phase, out=phase)
+    phase *= omega_grid(weight, axes)
+    return phase
 
 
 def _smooth_factor(
@@ -582,13 +583,30 @@ def _majorants(pair: FormPair, weight: Weight) -> tuple[list[float], CubicForm, 
             QuadraticForm(pair.n, {k: abs(c) for k, c in pair.quadric.monomials.items()}))
 
 
+def _round_up(value: Fraction) -> float:
+    """The least double >= value, a non-negative rational; inf past the doubles."""
+    try:
+        out = float(value)
+    except OverflowError:
+        return math.inf
+    return out if Fraction(out) >= value else math.nextafter(out, math.inf)
+
+
 def _slopes(pair: FormPair, weight: Weight, gamma3: float, gamma2: float) -> list[float]:
     """Per axis i, |gamma3| dC+/dx_i(m) + |gamma2| dQ+/dx_i(m) at m
     (_majorants): on the support it majorizes |d/dx_i (gamma3 C + gamma2
-    Q)|, the one phase-slope bound of the oscillatory layer."""
+    Q)|, the one phase-slope bound of the oscillatory layer.  For finite
+    gammas each bound is taken in exact rationals, m_i = |x0_i| + xi of the
+    given doubles, and rounded up to a double (_round_up), so that no
+    rounding or underflow takes it below the slope it bounds; a non-finite
+    gamma gives the bound in floats."""
     m, cubic, quadric = _majorants(pair, weight)
-    return [abs(gamma3) * gc + abs(gamma2) * gq
-            for gc, gq in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m))]
+    if not (math.isfinite(gamma3) and math.isfinite(gamma2)):
+        return [abs(gamma3) * gc + abs(gamma2) * gq
+                for gc, gq in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m))]
+    m = [abs(Fraction(c)) + Fraction(weight.xi) for c in weight.center]
+    g3, g2 = abs(Fraction(gamma3)), abs(Fraction(gamma2))
+    return [_round_up(g3 * gc + g2 * gq) for gc, gq in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m))]
 
 
 def check_phase_size(
@@ -654,12 +672,15 @@ def osc_integral(
     z: Sequence[float],
     tol: float = 1e-8,
     cap: int = DEFAULT_CAP,
+    threads: int = 1,
 ) -> QuadResult:
     """I(gamma; z) at a frequency vector z of length n: adaptive tensor
     quadrature over the weight's support cube, from the level at which
-    check_phase starts it.  That guard refuses a phase that may reach 2^52
-    on the support, or turn faster than the finest grid resolves, and a z
-    that no level below MAX_LEVEL resolves."""
+    check_phase starts it, with each level's boxes on threads
+    (tensor_integral); the result does not depend on threads.  That guard
+    refuses a phase that may reach 2^52 on the support, or turn faster than
+    the finest grid resolves, and a z that no level below MAX_LEVEL
+    resolves."""
     n = pair.n
     if weight.n != n:
         raise ValueError("weight dimension does not match the form pair")
@@ -671,7 +692,7 @@ def osc_integral(
     def f(axes: list[np.ndarray]) -> np.ndarray:
         return _smooth_phase(pair, weight, gamma3, gamma2, axes, z)
 
-    return tensor_integral(f, weight, tol, cap=cap, start=start)
+    return tensor_integral(f, weight, tol, cap=cap, start=start, threads=threads)
 
 
 def poisson_reconstruct(

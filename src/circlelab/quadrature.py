@@ -7,8 +7,9 @@ boundary correction vanishes).  Each refinement doubles the per-axis
 resolution; the difference between successive levels is the error estimate.
 Integrands vanish outside the support ball, so on the cube's boundary, the
 only nodes whose trapezoid weight is not h = 2 xi / m per axis: the rule is
-h^n times the sum over the support boxes of the direct Weyl sums
-(weightfn.support_chunks), box by box, about pi/6 of the cube at n = 3.
+h^n times the sum over the support boxes that the direct Weyl sums also
+stream (weightfn.support_chunks, weightfn.BOX points), about pi/6 of the
+cube at n = 3, each added by its sub-boxes of weightfn.CHUNK points.
 For the same reason the rule is spectrally accurate on any uniform grid
 that covers the support, so the family of integrals against e(-step k.x)
 takes a spacing h with step h = r/N (periodic_turn): on it each phase
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import DEFAULT_CAP, CapExceededError, check_cap, fsum_complex
+from .util import DEFAULT_CAP, CapExceededError, check_cap, fsum_complex, parallel_map
 from . import weightfn
 from .weightfn import Weight, support_chunks
 
@@ -105,32 +106,45 @@ def grid_contract(
     cap: int = DEFAULT_CAP,
     step: Fraction | None = None,
     M: int = 0,
+    threads: int = 1,
 ) -> np.ndarray:
     """Trapezoid sums of f over a tensor grid from the corner c - xi of the
     weight's support cube.
 
-    Without step this is the single sum on m intervals per axis, h = 2 xi /
-    m, a 0-d array: h^n times the fsum_complex of the box sums.  With step
-    it is the family of sums of f(x) e(-step k.x) for every k in [-M, M]^n,
-    an array indexed by k + M along every axis, on a grid sized from m: its
-    spacing h has step h = r/N, the periodic_turn of y = 2 xi step / m (the
-    turns per node on m intervals), and it has the J + 1 nodes x_j = c_i -
-    xi + j h per axis, J = floor(2 xi / h) >= m; the nodes past
-    J, like those before 0, lie off the support, where f vanishes.  There
-    e(-step k x_j) = e(-step k x_0) e(-k r j / N), so each support box is
-    contracted last axis first, each axis folded mod N (_fold) and then
-    contracted with its rows of the one table h e(-k r t / N)
+    The support is streamed in the boxes of weightfn.support_chunks, of at
+    most weightfn.BOX points, and f is evaluated once per box.  Without
+    step this is the single sum on m intervals per axis, h = 2 xi / m, a
+    0-d array: each box is cut again into sub-boxes of at most
+    weightfn.CHUNK points (support_chunks inside the box), each sub-box is
+    summed from a contiguous copy of its values, and h^n times the
+    fsum_complex of all the sub-box sums in order is the result.  A grid
+    whose support fits in one box has the sub-boxes that support_chunks
+    cuts from the whole grid at weightfn.CHUNK.  The boxes run over
+    util.parallel_map on threads; neither they nor the sub-boxes depend on
+    threads, so neither does the sum.
+
+    With step it is the family of sums of f(x) e(-step k.x) for every k in
+    [-M, M]^n, an array indexed by k + M along every axis, on a grid sized
+    from m: its spacing h has step h = r/N, the periodic_turn of y = 2 xi
+    step / m (the turns per node on m intervals), and it has the J + 1
+    nodes x_j = c_i - xi + j h per axis, J = floor(2 xi / h) >= m; the
+    nodes past J, like those before 0, lie off the support, where f
+    vanishes.  There e(-step k x_j) = e(-step k x_0) e(-k r j / N), so each
+    box is contracted last axis first, each axis folded mod N (_fold) and
+    then contracted with its rows of the one table h e(-k r t / N)
     (_phase_table); the origin phase e(-step k x_0) of each axis multiplies
     the total of the boxes once.  The table has a row per t < N + min(J, N
     - 1), one period and the wrap of the longest folded row, so the rows of
-    every axis are one slice of it.
+    every axis are one slice of it.  The family runs on the calling thread:
+    its contractions are BLAS matrix products, which two Python threads
+    issuing them at once made slower.
 
     f is called only on the support boxes of the grid, so it must vanish
     wherever omega does, as omega times a finite factor does.  Memory is
-    set by one box, the table and the result.  This is the one place that
-    charges a quadrature grid: before anything is built, the (J+1)^n grid
-    (J = m for the single sum), and for a family also its table, are each
-    charged to cap.
+    set by one box per thread, the table and the result.  This is the one
+    place that charges a quadrature grid: before anything is built, the
+    (J+1)^n grid (J = m for the single sum), and for a family also its
+    table, are each charged to cap.
     """
     n = weight.n
     origin = [c - weight.xi for c in weight.center]
@@ -145,7 +159,6 @@ def grid_contract(
         raise CapExceededError(f"quadrature grid {m + 1}^{n} exceeds point cap {cap}")
     if step is None:
         nodes = [np.linspace(c - weight.xi, c + weight.xi, m + 1) for c in weight.center]
-        sums = []
     else:
         period, ks = turn.denominator, np.arange(-M, M + 1)
         rows = period + min(m, period - 1)
@@ -153,15 +166,28 @@ def grid_contract(
         nodes = [o + h * np.arange(m + 1) for o in origin]
         table = _phase_table(turn, rows, ks, h)
         total = np.zeros((len(ks),) * n, dtype=complex)
-    for box in support_chunks(weight, density, [(0, m)] * n, origin, weightfn.CHUNK):
+    boxes = support_chunks(weight, density, [(0, m)] * n, origin, weightfn.BOX)
+
+    def values(box: list[tuple[int, int]]) -> np.ndarray:
         axes = [
             nodes[i][a : b + 1].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
             for i, (a, b) in enumerate(box)
         ]
-        vals = np.broadcast_to(f(axes), tuple(b - a + 1 for a, b in box))
-        if step is None:
-            sums.append(complex(vals.sum()))
-            continue
+        return np.broadcast_to(f(axes), tuple(b - a + 1 for a, b in box))
+
+    if step is None:
+        def sums(box: list[tuple[int, int]]) -> list[complex]:
+            vals = values(box)
+            out = []
+            for sub in support_chunks(weight, density, box, origin, weightfn.CHUNK):
+                cut = tuple(slice(a - lo, b - lo + 1) for (a, b), (lo, _) in zip(sub, box))
+                out.append(complex(np.ascontiguousarray(vals[cut]).sum()))
+            return out
+
+        parts = parallel_map(sums, boxes, threads)
+        return np.asarray(h**n * fsum_complex(s for part in parts for s in part))
+    for box in boxes:
+        vals = values(box)
         # axis i stays at position i: every later axis was already replaced
         # by its frequency axis at the end
         for i in range(n - 1, -1, -1):
@@ -173,8 +199,6 @@ def grid_contract(
             else:
                 vals = np.tensordot(vals, rows, axes=([i], [0]))
         total += vals
-    if step is None:
-        return np.asarray(h**n * fsum_complex(sums))
     # the frequency axes came out last axis first; step x_0 is reduced mod 1
     # exactly before k multiplies it
     total = np.transpose(total)
@@ -190,6 +214,7 @@ def tensor_integral(
     tol: float,
     cap: int = DEFAULT_CAP,
     start: int = MIN_LEVEL,
+    threads: int = 1,
 ) -> QuadResult:
     """Integrate f over the weight's support cube prod_i [c_i - xi, c_i + xi].
 
@@ -198,9 +223,10 @@ def tensor_integral(
     does, since grid_contract calls it on the support boxes only.  Refines
     from level start (MIN_LEVEL by default) to MAX_LEVEL until successive
     levels differ by less than tol (absolute); grid_contract charges each
-    level's whole (2^level + 1)^n grid to cap.  A level whose value is not
-    finite, as when f overflows, ends the refinement with a QuadratureError
-    that names it.
+    level's whole (2^level + 1)^n grid to cap and sums its boxes on
+    threads, and no level's value depends on threads.  A level whose value
+    is not finite, as when f overflows, ends the refinement with a
+    QuadratureError that names it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -211,7 +237,7 @@ def tensor_integral(
         # an overflow in f shows as a level value that is not finite, and
         # no later level can converge from one
         with np.errstate(over="ignore", invalid="ignore"):
-            val = complex(grid_contract(f, weight, m, cap=cap))
+            val = complex(grid_contract(f, weight, m, cap=cap, threads=threads))
         if not cmath.isfinite(val):
             raise QuadratureError(f"quadrature level {level} ({m + 1}^{ndim} nodes) gave the non-finite value {val}")
         if prev is not None:

@@ -23,16 +23,24 @@ from .util import chunk_ranges
 
 __all__ = ["Weight", "nu_grid", "omega_grid", "check_scale", "weight_box", "support_chunks"]
 
-# the most points in one support box of the quadrature
-# (quadrature.grid_contract), and the most values of a whole-box phase
-# table of the Weyl sums' block kernel (expsums._block_tables).  Its 128 KB
-# float arrays are reused by the allocator from box to box.  The direct
-# Weyl sums stream the ball in boxes of their own, expsums.WEYL_BOX = 2^16
-# points, where a second thread pays for its GIL hand-offs.  The quadrature
-# keeps 2^14: each box's sum is rounded on its own before fsum_complex adds
-# them, so the box size sets the last bits of every quadrature value, and
-# the benchmark's reference holds one of them, the quad_error of sum --mode
-# integral, to 10^-9 of itself.
+# the most points in one support box of the direct Weyl sums
+# (expsums.weyl_sums) and of the quadrature (quadrature.grid_contract),
+# which evaluate their integrand once per box.  Each numpy call of a box
+# releases and retakes the GIL, and small boxes make a second thread hand
+# it back and forth.  One alpha of a Weyl sum at 2 threads against 1, on a
+# 2-core Xeon VM with numpy 2.4: at 2^11 points per box 110 vs 87 ms (a
+# diagonal pair, n = 3, P = 200) and 729 vs 339 ms (a pair of one block,
+# n = 4, P = 60); at 2^14, 48 vs 36 and 156 vs 107 ms; at 2^16, 21 vs 23
+# and 70 vs 96 ms.
+BOX = 1 << 16
+
+# the most points in one sub-box of a quadrature box whose sum is rounded
+# on its own before fsum_complex adds them (quadrature.grid_contract): it
+# sets the last bits of every single quadrature sum, and the benchmark's
+# reference holds one of them, the quad_error of sum --mode integral, to
+# 10^-9 of itself.  Also the most values of a whole-box phase table of the
+# Weyl sums' block kernel (expsums._block_tables).  Its 128 KB float
+# arrays are reused by the allocator from box to box.
 CHUNK = 1 << 14
 
 # Below 1 - t^2 <= this guard the true value is under double precision

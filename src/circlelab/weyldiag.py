@@ -31,7 +31,8 @@ import numpy as np
 
 from . import gridsum
 from .arcs import DEFAULT_DELTA, Q_BLOCK, grid_approx, jittered_grid, major_arc_test, q3q2
-from .forms import CubicForm, FormPair, bilinear_matrix, h_parameter, minor_bound, signature_quadratic
+from .forms import (CubicForm, FormPair, QuadraticForm, bilinear_matrix, block_pair, h_parameter, minor_bound,
+                    separable_blocks, signature_quadratic)
 from .util import DEFAULT_CAP, check_cap, chunk_ranges
 from .weightfn import Weight
 from .expsums import weyl_sums
@@ -120,7 +121,26 @@ def _reduce_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def count_bilinear(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
-    """n(R) from one batched exact elimination of M(x) over the x-box.
+    """n(R) as the product of n_b(R) over the blocks b of the cubic.
+
+    The blocks are forms.separable_blocks of (C, 0), which no monomial of C
+    joins.  M(x) is then block-diagonal, B_i(x; y) for i in b reading only
+    x_b and y_b, so the solutions (x, y) are the products of each block's,
+    and n(R) = prod_b n_b(R), each n_b(R) counted by _count_whole on the
+    block's cubic in its |b| variables; a variable in no monomial counts
+    (2R - 1)^2.  The x-ranges, sum_b (2R - 1)^|b| points, are charged to
+    cap before any block is counted.
+    """
+    if R < 1:
+        raise ValueError("R must be a positive integer")
+    pair = FormPair(cubic, QuadraticForm(cubic.n, {}))
+    blocks = separable_blocks(pair)
+    check_cap(sum((2 * R - 1) ** len(b) for b in blocks), cap, "bilinear count x-range")
+    return math.prod(_count_whole(block_pair(pair, b).cubic, R, cap) for b in blocks)
+
+
+def _count_whole(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
+    """n(R) from one batched exact elimination of M(x) over the whole x-box.
 
     The box is streamed in chunks of gridsum.CHUNK points; on each chunk
     bilinear_matrix builds M(x) as arrays and _reduce_rows brings every

@@ -2,7 +2,8 @@
 separable pairs, the closed-form reference of the weight (nu and omega at
 one point, with libm's exp), the n(R) oracle, the bilinear-form oracle,
 the flat residue scan and the direct residue-scan oracles on it, the
-trapezoid nodes and weights of the full-grid quadrature oracle, seeded
+trapezoid nodes and weights of the full-grid quadrature oracle, the
+single quadrature sum box by box of weightfn.CHUNK points, seeded
 quadrature grids, the form magnitudes that bound phase rounding, the
 scalar sin-kernel oracle, the whole-pair integrands of J(R) and of the
 Poisson family with the one-block pairs they are compared on bit for bit,
@@ -19,13 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from circlelab import forms, gridsum
+from circlelab import forms, gridsum, weightfn
 from circlelab.archimedean import _SERIES_PHASE, _SERIES_SWITCH, sin_kernel_grid
 from circlelab.arcs import _delta_cutoff
 from circlelab.expsums import complete_sum, osc_integral, weyl_sum_direct
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix, eval_cubic, eval_quadratic
-from circlelab.util import CapExceededError, chunk_ranges, parallel_map
-from circlelab.weightfn import Weight, omega_grid
+from circlelab.util import CapExceededError, chunk_ranges, fsum_complex, parallel_map
+from circlelab.weightfn import Weight, omega_grid, support_chunks
 
 # CI selects this profile (pytest --hypothesis-profile=ci) so that every run
 # draws the same examples; local runs keep the default random draws
@@ -126,6 +127,22 @@ def axis_nodes_weights(center, half, m):
     w[0] *= 0.5
     w[-1] *= 0.5
     return nodes, w
+
+
+def chunk_box_sum(f, weight, m):
+    """The single trapezoid sum of quadrature.grid_contract on m intervals
+    per axis, with f evaluated on each support box of weightfn.CHUNK points
+    of the whole grid and each box's sum rounded on its own: h^n times the
+    fsum_complex of the box sums.  Its oracle, equal to it bit for bit on a
+    grid whose support fits one box of weightfn.BOX points."""
+    n = weight.n
+    origin = [c - weight.xi for c in weight.center]
+    nodes = [np.linspace(c - weight.xi, c + weight.xi, m + 1) for c in weight.center]
+    sums = []
+    for box in support_chunks(weight, m / (2.0 * weight.xi), [(0, m)] * n, origin, weightfn.CHUNK):
+        axes = [nodes[i][a : b + 1].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)) for i, (a, b) in enumerate(box)]
+        sums.append(complex(np.broadcast_to(f(axes), tuple(b - a + 1 for a, b in box)).sum()))
+    return (2.0 * weight.xi / m) ** n * fsum_complex(sums)
 
 
 def seeded_grid(n, seed):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from circlelab.archimedean import _integrand, sin_kernel_grid, singular_integral_truncated
 from circlelab.expsums import RationalApprox, osc_integral
-from circlelab.forms import eval_cubic, eval_quadratic
+from circlelab.forms import block_values, eval_cubic, eval_quadratic
 from circlelab.weightfn import Weight, nu_grid, omega_grid
 
 from conftest import (fit_log_power, form_magnitudes, kernel_integrand, major_arc_approx_check, make_pair,
@@ -145,6 +145,22 @@ def test_block_integrand_matches_whole_pair(case):
     ec, eq = error(c, size_c), error(q, size_q)
     bound = omega_grid(weight, axes) * (ec * np.abs(kq) + eq * np.abs(kc) + ec * eq)
     assert np.all(np.abs(got - want) <= bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=separable_pairs(4, st.integers(-6, 6)), R=st.floats(0.25, 8.0), seed=st.integers(0, 2**32 - 1))
+# C spans x1 and x3 only, Q no axis at all
+@example(pair=make_pair(3, {(1, 1, 3): 2, (3, 3, 3): -1}, {}), R=2.0, seed=0)
+def test_integrand_is_the_composed_product_bit_for_bit(pair, R, seed):
+    # the products formed in place in omega's array are those of omega *
+    # K_R(C) * K_R(Q) on the block values, also where the forms span only
+    # some of the axes
+    w, axes = seeded_grid(pair.n, seed)
+    cs, qs = zip(*block_values(pair)(axes))
+    want = omega_grid(w, axes) * sin_kernel_grid(R, *cs) * sin_kernel_grid(R, *qs)
+    got = _integrand(pair, w, R)(axes)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @one_block_pairs

@@ -549,7 +549,14 @@ def n5_file(tmp_path):
 # contracted with one phase table.  This job's grids of 128 and 256
 # intervals turn by 1/80 and 1/160 per node and so kept their spacing; re,
 # im and abs moved by rounding only, at most 7.7e-16 times the record's
-# largest float (nd3; 3.9e-16 for noquadric, 3.4e-16 for nocubic).
+# largest float (nd3; 3.9e-16 for noquadric, 3.4e-16 for nocubic).  The
+# three osc and three Poisson outputs were captured again when the
+# quadrature streamed boxes of weightfn.BOX = 2^16 points, a single sum
+# still rounded per sub-box of weightfn.CHUNK = 2^14: their grids span
+# several boxes, so the order of their sums changed.  Every float moved by
+# at most 1.5e-15 times the record's largest (Poisson, nd3; 6.0e-16 for
+# noquadric, 2.3e-16 for nocubic), the osc values by at most 1.2e-18 of it,
+# quad_error by at most 2.8e-11 of itself, and no level changed.
 EVAL_PROBLEMS = {
     "nd3": ND3_PROBLEM,
     "nocubic": {**ND3_PROBLEM, "cubic": []},
@@ -574,15 +581,15 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "osc"): '''{
-  "re": 0.011920691896271367,
-  "im": 0.00034113719366968043,
-  "abs": 0.011925572098257368,
+  "re": 0.011920691896271365,
+  "im": 0.00034113719366968059,
+  "abs": 0.011925572098257366,
   "meta": {
     "mode": "integral",
     "gamma3": 1.5,
     "gamma2": 1,
     "z": [1, -1, 0],
-    "quad_error": 2.9535551889472626e-08,
+    "quad_error": 2.9535551888648241e-08,
     "quad_level": 6
   }
 }
@@ -600,9 +607,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nd3", "poisson"): '''{
-  "re": 1.1410273883958844,
-  "im": 0.90022626663421179,
-  "abs": 1.4533928691884048,
+  "re": 1.1410273883958826,
+  "im": 0.90022626663421046,
+  "abs": 1.4533928691884026,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -625,14 +632,14 @@ EVAL_OUTPUTS = {
 ''',
     ("nocubic", "osc"): '''{
   "re": 0.012524356920294534,
-  "im": 7.1479726636498111e-06,
+  "im": 7.1479726636492944e-06,
   "abs": 0.012524358960060301,
   "meta": {
     "mode": "integral",
     "gamma3": 1.5,
     "gamma2": 1,
     "z": [1, -1, 0],
-    "quad_error": 3.7934412535628411e-08,
+    "quad_error": 3.7934412535148037e-08,
     "quad_level": 6
   }
 }
@@ -650,9 +657,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("nocubic", "poisson"): '''{
-  "re": 1.9556216421566992,
-  "im": 0.023367657650527111,
-  "abs": 1.9557612468539551,
+  "re": 1.9556216421566988,
+  "im": 0.023367657650527066,
+  "abs": 1.9557612468539547,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -675,7 +682,7 @@ EVAL_OUTPUTS = {
 ''',
     ("noquadric", "osc"): '''{
   "re": 0.01235703318651124,
-  "im": -3.6294263831660706e-19,
+  "im": -2.107689023311821e-19,
   "abs": 0.01235703318651124,
   "meta": {
     "mode": "integral",
@@ -700,9 +707,9 @@ EVAL_OUTPUTS = {
 }
 ''',
     ("noquadric", "poisson"): '''{
-  "re": 0.57566786377282553,
-  "im": 3.8933142092161658e-16,
-  "abs": 0.57566786377282553,
+  "re": 0.5756678637728263,
+  "im": 4.7838556227414822e-16,
+  "abs": 0.5756678637728263,
   "meta": {
     "mode": "poisson",
     "P": 6,
@@ -864,6 +871,19 @@ def test_info_without_h(tmp_path, capsys):
     hyp = rep["hypotheses"]
     assert [hyp[k] for k in ("h", "h_rho_product", "h_rho_min37", "nonsingular_cubic_product")] == [None] * 4
     assert "nonsingularity_scan" not in rep
+
+
+@pytest.mark.parametrize("threads,reason", [
+    ("0", "expected an integer >= 1, got '0'"),
+    ("-5", "expected an integer >= 1, got '-5'"),
+    ("two", "invalid int value: 'two'"),
+])
+def test_threads_below_one_is_a_usage_error(problem_file, capsys, threads, reason):
+    assert run(["count", "--problem", problem_file, "--P", "8", f"--threads={threads}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: circlelab count")
+    assert err.endswith(f"error: argument --threads: {reason}\n")
 
 
 def test_float_flag_that_is_not_a_number(problem_file, capsys):
@@ -1252,9 +1272,10 @@ def test_box_scans_honour_the_cap(request, capsys, problem, argv, points):
     assert err == f"error: lattice box: {points} elements exceeds cap {points - 1}\n"
 
 
-# nr --R 10 on the diagonal cubic x1^3 + x2^3 + x3^3 charges its 19^3
-# x-range, then one 19^3 y-scan for each of the 3 distinct kernels of rank
-# one, the coordinate planes of the x on an axis.
+# nr --R 10 on the cubic x1^3 + (x1 + x2)^3 + (x2 + x3)^3, one block,
+# charges its 19^3 x-range, then one 19^3 y-scan for each of the 3 distinct
+# kernels of rank one, one for each line on which two of the three linear
+# forms vanish.
 @pytest.mark.parametrize("cap,code,message", [
     (19**3 - 1, 3, "error: bilinear count x-range: 6859 elements exceeds cap 6858\n"),
     (3 * 19**3 - 1, 3, "error: bilinear count y-scan: 20577 elements exceeds cap 20576\n"),
@@ -1264,7 +1285,7 @@ def test_nr_honours_the_cap(tmp_path, capsys, cap, code, message):
     path = tmp_path / "d3.json"
     path.write_text(json.dumps({
         "n": 3,
-        "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1]],
+        "cubic": [[1, 1, 1, 2], [1, 1, 2, 3], [1, 2, 2, 3], [2, 2, 2, 2], [2, 2, 3, 3], [2, 3, 3, 3], [3, 3, 3, 1]],
         "quadric": [[1, 1, 1], [2, 2, -1]],
     }))
     assert run(["nr", "--problem", str(path), "--R", "10", "--cap", str(cap)]) == code

@@ -27,7 +27,7 @@ from circlelab.expsums import (
     weyl_sum_direct,
     weyl_sums,
 )
-from circlelab.forms import gradient_cubic, gradient_quadratic, separable_blocks
+from circlelab.forms import eval_cubic, eval_quadratic, gradient_cubic, gradient_quadratic, separable_blocks
 from circlelab.quadrature import MAX_LEVEL, MIN_LEVEL
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
@@ -112,7 +112,7 @@ def test_direct_sum_thread_determinism(pair_line, pair_n3, broad_weight):
     # the 57^3 box at P = 70 is three Weyl boxes, which are the same for
     # every pair, so each thread count below splits each kernel's work
     w, P = Weight((0.0, 0.0, 0.0), 0.4), 70
-    assert len(support_chunks(w, P, weight_box(w, P), [0.0] * 3, expsums.WEYL_BOX)) == 3
+    assert len(support_chunks(w, P, weight_box(w, P), [0.0] * 3, weightfn.BOX)) == 3
     # a diagonal pair (three blocks), a pair with blocks {x1, x2} and {x3},
     # and a non-diagonal pair that is one block
     two_blocks = make_pair(3, {(1, 1, 1): 1, (1, 2, 2): -2, (3, 3, 3): 3}, {(1, 2): 1, (3, 3): -1})
@@ -132,7 +132,7 @@ def test_point_kernel_buffers_survive_thread_switches(monkeypatch):
     pair = make_pair(3, {(1, 1, 1): 1, (2, 2, 2): 2, (1, 2, 3): 1}, {(1, 1): 1, (2, 3): -1})
     assert len(separable_blocks(pair)) == 1
     w, alphas = Weight((0.01, -0.02, 0.03), 0.4), [(0.311, 0.729), (-1.25, 0.5)]
-    monkeypatch.setattr(expsums, "WEYL_BOX", 1 << 8)
+    monkeypatch.setattr(weightfn, "BOX", 1 << 8)
     base = weyl_sums(pair, 20, w, alphas, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -226,7 +226,7 @@ def weyl_cases(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # supports outside (-1/2, 1/2)^n are fine here
         weight = Weight(tuple(center), xi)
-    chunk = draw(st.sampled_from([1, 5, 64, expsums.WEYL_BOX]))
+    chunk = draw(st.sampled_from([1, 5, 64, weightfn.BOX]))
     alphas = draw(st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=3, max_size=3))
     return make_pair(n, cubic, quad), P, weight, chunk, alphas
 
@@ -236,7 +236,7 @@ def weyl_cases(draw):
 def test_weyl_sums_match_the_scalar_oracle(case):
     pair, P, weight, chunk, alphas = case
     # chunk is both the Weyl box and the most values of a whole-box table
-    with patch.object(expsums, "WEYL_BOX", chunk), patch.object(weightfn, "CHUNK", chunk):
+    with patch.object(weightfn, "BOX", chunk), patch.object(weightfn, "CHUNK", chunk):
         sums = weyl_sums(pair, P, weight, alphas)
         singles = [weyl_sum_direct(pair, P, weight, a3, a2) for a3, a2 in alphas]
     # one call for many alphas gives each alpha's sum bit for bit
@@ -261,7 +261,7 @@ def test_block_tables_over_the_box_and_per_chunk_agree(chunk):
     assert separable_blocks(pair) == [(0, 2), (1,)]
     w = Weight((0.01, -0.01, 0.0), 0.4)
     alphas = [(0.3141, 0.2718), (-1.618, 0.5772), (2.5029, -0.6931)]
-    with patch.object(expsums, "WEYL_BOX", chunk), patch.object(weightfn, "CHUNK", chunk):
+    with patch.object(weightfn, "BOX", chunk), patch.object(weightfn, "CHUNK", chunk):
         assert all(hi - lo + 1 == 11 for lo, hi in weight_box(w, 13))
         sums = weyl_sums(pair, 13, w, alphas)
         assert sums == [weyl_sum_direct(pair, 13, w, a3, a2) for a3, a2 in alphas]
@@ -332,12 +332,13 @@ def support_cases(draw):
     support ball (origin 0), or the whole quadrature grid with m intervals
     per axis (origin c - xi, P = m/(2 xi)), which quadrature.grid_contract
     cuts, or its rows [lo, hi] of axis 0, with the grid's own nodes as the
-    points.  The sizes include both that the callers pass: weightfn.CHUNK
-    (the quadrature) and expsums.WEYL_BOX (both kernels of the Weyl sums)."""
+    points.  The sizes include both that the callers pass: weightfn.BOX
+    (the boxes of the quadrature and of both kernels of the Weyl sums) and
+    weightfn.CHUNK (the quadrature's sub-boxes)."""
     n = draw(st.integers(1, 4))
     center = draw(st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n))
     xi = draw(st.floats(0.02, 0.45))
-    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK, expsums.WEYL_BOX]))
+    chunk = draw(st.sampled_from([1, 17, 300, weightfn.CHUNK, weightfn.BOX]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         weight = Weight(tuple(center), xi)
@@ -369,7 +370,7 @@ def _grid_case(weight, chunk, m, box):
 @example(_grid_case(Weight((0.05, -0.05, 0.05), 0.3), 300, 32, [(0, 32)] * 3))
 # the lattice box of a direct sum at P = 60, 49^3 points, cut into the
 # Weyl boxes
-@example(_lattice_case(Weight((0.02, -0.03, 0.01), 0.4), expsums.WEYL_BOX, 60))
+@example(_lattice_case(Weight((0.02, -0.03, 0.01), 0.4), weightfn.BOX, 60))
 def test_support_chunks_cover_the_support(case):
     # the chunks hold at most the given size of points each, lie in the box
     # and cover every point of it where omega > 0 exactly once
@@ -805,6 +806,50 @@ def test_slopes_majorize_the_phase_gradient_on_the_support(case, gamma3, gamma2,
     x = [Fraction(c) + Fraction(w.xi) * Fraction(ui) for c, ui in zip(w.center, u)]
     for i, (gc, gq) in enumerate(zip(gradient_cubic(pair.cubic, x), gradient_quadratic(pair.quadric, x))):
         assert abs(Fraction(gamma3) * gc + Fraction(gamma2) * gq) <= Fraction(slopes[i]) * (1 + Fraction(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pairs_and_weights(), gamma3=st.floats(-1e6, 1e6), gamma2=st.floats(-1e6, 1e6))
+def test_slopes_are_the_exact_majorant_rounded_up(case, gamma3, gamma2):
+    # each bound is the least double at or above |gamma3| dC+/dx_i(m) +
+    # |gamma2| dQ+/dx_i(m), taken exactly at m_i = |x0_i| + xi
+    pair, w = case
+    m = [abs(Fraction(c)) + Fraction(w.xi) for c in w.center]
+    _, cubic, quadric = expsums._majorants(pair, w)
+    bounds = zip(expsums._slopes(pair, w, gamma3, gamma2), gradient_cubic(cubic, m), gradient_quadratic(quadric, m))
+    for slope, gc, gq in bounds:
+        exact = abs(Fraction(gamma3)) * gc + abs(Fraction(gamma2)) * gq
+        assert Fraction(slope) >= exact
+        assert slope == 0.0 or Fraction(math.nextafter(slope, 0.0)) < exact
+
+
+def test_slopes_do_not_underflow_below_the_slope():
+    # C = 0, Q = x1^2 on [-0.2, 0.2] at gamma2 = 5e-324: the slope at x =
+    # 1/8 is 1.25e-324, and the float product |gamma2| 2 m rounded to 0
+    pair, w = make_pair(1, {}, {(1, 1): 1}), Weight((0.0,), 0.2)
+    (slope,) = expsums._slopes(pair, w, 0.0, 5e-324)
+    assert Fraction(slope) >= Fraction(5e-324) * 2 * Fraction(1, 8)
+    assert slope == 5e-324
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=pairs_and_weights(), gamma3=st.floats(-60.0, 60.0), gamma2=st.floats(-60.0, 60.0),
+       z=st.lists(st.sampled_from([0.0, 0.7, -2.5]), min_size=3, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_smooth_phase_is_the_composed_expression_bit_for_bit(case, gamma3, gamma2, z, seed):
+    # the phase and the products formed in place give omega * exp(2j pi
+    # (gamma3 C + gamma2 Q - z.x)) bit for bit, also where the forms and z
+    # span only some of the axes, or none
+    pair, _ = case
+    w, axes = seeded_grid(pair.n, seed)
+    z = z[:pair.n]
+    arg = gamma3 * eval_cubic(pair.cubic, axes) + gamma2 * eval_quadratic(pair.quadric, axes)
+    for zi, ax in zip(z, axes):
+        if zi:
+            arg = arg - zi * ax
+    want = omega_grid(w, axes) * np.exp(2j * np.pi * arg)
+    got = expsums._smooth_phase(pair, w, gamma3, gamma2, axes, z)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,7 +1,8 @@
-"""The support-box contraction against a full-grid oracle, the periodic
-Poisson family against the direct sum on its nodes, its phase table against
-direct exponentials, the rule that picks its period, and the stop at a
-non-finite level."""
+"""The support-box contraction against a full-grid oracle and against the
+sum box by box of weightfn.CHUNK points, the independence of threads, the
+periodic Poisson family against the direct sum on its nodes, its phase
+table against direct exponentials, the rule that picks its period, and the
+stop at a non-finite level."""
 
 import itertools
 import math
@@ -13,11 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import weightfn
-from circlelab.expsums import _smooth_phase
+from circlelab.archimedean import singular_integral_truncated
+from circlelab.expsums import _smooth_phase, osc_integral
 from circlelab.quadrature import QuadratureError, _phase_table, grid_contract, periodic_turn, tensor_integral
-from circlelab.weightfn import Weight, omega_grid
+from circlelab.weightfn import Weight, omega_grid, support_chunks
 
-from conftest import axis_nodes_weights, make_pair
+from conftest import axis_nodes_weights, chunk_box_sum, make_pair
 
 
 def full_grid_value(f, centers, half, m):
@@ -47,8 +49,10 @@ def _problem(n):
 
 
 M_INTERVALS = 16
-# boxes of at most 7 nodes: 3 of them at n = 1, 3 717 at n = 4
+# boxes of at most 7 nodes: 3 of them at n = 1, 3 717 at n = 4; as the
+# sub-boxes of boxes of at most 64 nodes, each box holds several
 SMALL_CHUNK = 7
+SMALL_BOX = 64
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -60,9 +64,81 @@ def test_contraction_matches_full_grid(monkeypatch, n):
         return _smooth_phase(pair, weight, 1.5, -2.0, axes, z)
 
     expected = full_grid_value(f, weight.center, weight.xi, M_INTERVALS)
+    monkeypatch.setattr(weightfn, "BOX", SMALL_BOX)
     monkeypatch.setattr(weightfn, "CHUNK", SMALL_CHUNK)
     got = complex(grid_contract(f, weight, M_INTERVALS))
     assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_single_sum_equals_the_chunk_box_oracle(n):
+    # at the real box sizes, every level whose support fits one box of
+    # weightfn.BOX points has the sub-boxes of the whole grid at
+    # weightfn.CHUNK, so its sum is the oracle's bit for bit; a level of
+    # several boxes adds the same node values in another order
+    pair, weight = _problem(n)
+    z = [0.7 * (i + 1) for i in range(n)]
+
+    def f(axes):
+        return _smooth_phase(pair, weight, 1.5, -2.0, axes, z)
+
+    boxes = []
+    for level in range(3, 12):
+        m = 2**level
+        if (m + 1) ** n > 8 * weightfn.BOX:
+            break
+        density = m / (2.0 * weight.xi)
+        origin = [c - weight.xi for c in weight.center]
+        boxes.append(len(support_chunks(weight, density, [(0, m)] * n, origin, weightfn.BOX)))
+        got, expected = complex(grid_contract(f, weight, m)), chunk_box_sum(f, weight, m)
+        if boxes[-1] == 1:
+            assert repr(got) == repr(expected)
+        else:
+            assert abs(got - expected) <= 1e-14 * abs(expected)
+    assert boxes[0] == 1
+    if n >= 3:
+        assert boxes[-1] > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("integral", ["tensor", "osc", "J"])
+def test_single_sums_do_not_depend_on_threads(monkeypatch, n, integral):
+    # the same value, error and level, bit for bit, whatever the threads
+    pair, weight = _problem(n)
+    z = [0.7 * (i + 1) for i in range(n)]
+    run = {
+        "tensor": lambda threads: tensor_integral(
+            lambda axes: _smooth_phase(pair, weight, 1.5, -2.0, axes, z), weight, 1e-9, threads=threads),
+        "osc": lambda threads: osc_integral(pair, weight, 1.5, -2.0, z, tol=1e-9, threads=threads),
+        "J": lambda threads: singular_integral_truncated(pair, weight, 2.0, tol=1e-9, threads=threads),
+    }[integral]
+    # boxes of at most 16^n nodes, each cut into sub-boxes of at most
+    # 2^(4n-3): the last level of each integral spans several boxes
+    monkeypatch.setattr(weightfn, "BOX", 16**n)
+    monkeypatch.setattr(weightfn, "CHUNK", 16**n // 8)
+    one = run(1)
+    m = 2**one.level
+    density = m / (2.0 * weight.xi)
+    origin = [c - weight.xi for c in weight.center]
+    assert len(support_chunks(weight, density, [(0, m)] * n, origin, weightfn.BOX)) > 1
+    for threads in (2, 3):
+        other = run(threads)
+        assert (repr(other.value), repr(other.error), other.level) == (repr(one.value), repr(one.error), one.level)
+
+
+def test_single_sum_at_the_real_box_size_does_not_depend_on_threads():
+    # the n = 3 grid of 129^3 nodes spans several boxes of weightfn.BOX points
+    pair, weight = _problem(3)
+    z = [0.7, 1.4, 2.1]
+    m = 128
+    origin = [c - weight.xi for c in weight.center]
+    assert len(support_chunks(weight, m / (2.0 * weight.xi), [(0, m)] * 3, origin, weightfn.BOX)) > 1
+
+    def f(axes):
+        return _smooth_phase(pair, weight, 1.5, -2.0, axes, z)
+
+    one = complex(grid_contract(f, weight, m))
+    assert repr(complex(grid_contract(f, weight, m, threads=2))) == repr(one)
 
 
 def family_nodes(weight, m, step):
@@ -111,7 +187,7 @@ def test_frequency_family_matches_full_grid(monkeypatch, n):
         return _smooth_phase(pair, weight, 1.5, -2.0, axes, [0.0] * n)
 
     expected, _ = direct_family(smooth, weight, M_INTERVALS, step, 1)
-    monkeypatch.setattr(weightfn, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(weightfn, "BOX", SMALL_CHUNK)
     got = grid_contract(smooth, weight, M_INTERVALS, step=step, M=1)
     assert got.shape == (3,) * n
     assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
@@ -127,12 +203,12 @@ def test_frequency_family_matches_full_grid(monkeypatch, n):
     step=st.fractions(1, 12, max_denominator=7),
     M=st.integers(0, 12),
     m=st.integers(4, 60),
-    chunk=st.sampled_from([7, 64, weightfn.CHUNK]),
+    chunk=st.sampled_from([7, 64, weightfn.CHUNK, weightfn.BOX]),
 )
 # N = 128 < 2M + 1 = 129, as on the first level of the benchmark's n = 2 jobs
-@example(n=1, centre=[0.031] * 3, xi=0.4, step=Fraction(5), M=64, m=512, chunk=weightfn.CHUNK)
+@example(n=1, centre=[0.031] * 3, xi=0.4, step=Fraction(5), M=64, m=512, chunk=weightfn.BOX)
 # turn 7/10: r > 1 and an N that is not a power of two, N < 2M + 1
-@example(n=2, centre=[0.02, -0.03, 0.0], xi=0.4, step=Fraction(35, 4), M=6, m=10, chunk=weightfn.CHUNK)
+@example(n=2, centre=[0.02, -0.03, 0.0], xi=0.4, step=Fraction(35, 4), M=6, m=10, chunk=weightfn.BOX)
 # turn 1/3: rows of 33 nodes cut into boxes of 7 and of 64 nodes, each folded to 3 sums
 @example(n=1, centre=[0.01] * 3, xi=0.4, step=Fraction(40, 3), M=2, m=32, chunk=7)
 @example(n=2, centre=[0.01, 0.05, 0.0], xi=0.4, step=Fraction(40, 3), M=2, m=32, chunk=64)
@@ -148,8 +224,9 @@ def test_periodic_family_equals_the_direct_sum(n, centre, xi, step, M, m, chunk)
         return _smooth_phase(pair, weight, 1.5, -2.0, axes, [0.0] * n)
 
     expected, scale = direct_family(smooth, weight, m, step, M)
+    # chunk is the box of the family; the sub-boxes serve single sums only
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weightfn, "CHUNK", chunk)
+        patch.setattr(weightfn, "BOX", chunk)
         got = grid_contract(smooth, weight, m, step=step, M=M)
     assert got.shape == (2 * M + 1,) * n
     assert np.max(np.abs(got - expected)) <= 1e-13 * scale

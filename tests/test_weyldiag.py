@@ -7,11 +7,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import expsums, forms, gridsum, weightfn, weyldiag
 from circlelab.forms import CubicForm, bilinear_matrix, gradient_cubic
+from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, weight_box
 from circlelab.weyldiag import (
     alpha3_witness,
@@ -20,7 +21,7 @@ from circlelab.weyldiag import (
     minor_arc_scan,
 )
 
-from conftest import bilinear_forms, fit_log_power, full_scan_oracle, make_pair
+from conftest import bilinear_forms, fit_log_power, full_scan_oracle, make_pair, separable_pairs
 
 
 # --------------------------------------------------------------------- n(R)
@@ -116,6 +117,26 @@ def test_nr_is_independent_of_chunking(monkeypatch):
     ):
         R = 2 if cubic.n == 4 else 3
         assert count_bilinear(cubic, R) == full_scan_oracle(cubic, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=separable_pairs(6, st.integers(-4, 4)), R=st.integers(1, 4))
+@example(pair=make_pair(6, {(i, i, i): 1 for i in range(1, 7)}, {}), R=3)
+# blocks {x1, x2}, {x3} and {x4, x5} of the cubic, and x6 in no monomial
+@example(pair=make_pair(6, {(1, 1, 2): 2, (2, 2, 2): -1, (3, 3, 3): 1, (4, 5, 5): 3}, {}), R=3)
+def test_nr_is_the_product_over_the_cubic_blocks(pair, R):
+    # the product of the blocks' counts is the count of one elimination
+    # over the whole x-box, the oracle
+    assume((2 * R - 1) ** pair.n <= 20_000)
+    assert count_bilinear(pair.cubic, R) == weyldiag._count_whole(pair.cubic, R)
+
+
+def test_nr_charges_the_blocks_x_ranges():
+    # the diagonal cubic in 3 variables has three blocks of 19 x at R = 10
+    cubic = CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1})
+    assert count_bilinear(cubic, 10, cap=57) == 37**3
+    with pytest.raises(CapExceededError, match=r"^bilinear count x-range: 57 elements exceeds cap 56$"):
+        count_bilinear(cubic, 10, cap=56)
 
 
 def test_nr_nondecreasing():
@@ -315,7 +336,7 @@ def test_minor_arc_scan_thread_determinism(pair_n3):
         cubic_nonsingular=True,
     )
     w, P = Weight((0.0, 0.0, 0.0), 0.4), 70.0
-    assert len(weightfn.support_chunks(w, P, weight_box(w, P), [0.0] * 3, expsums.WEYL_BOX)) == 3
+    assert len(weightfn.support_chunks(w, P, weight_box(w, P), [0.0] * 3, weightfn.BOX)) == 3
     rows = minor_arc_scan(pair, P, w, 3, seed=2, threads=1)
     for threads in (2, 3):
         assert minor_arc_scan(pair, P, w, 3, seed=2, threads=threads) == rows
