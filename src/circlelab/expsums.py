@@ -49,7 +49,6 @@ from .forms import (
     QuadraticForm,
     block_values,
     eval_cubic,
-    eval_into,
     eval_quadratic,
     gradient_cubic,
     gradient_quadratic,
@@ -240,35 +239,32 @@ def _point_chunk_sums(
     Each alpha takes the same numpy calls on the same arrays whatever the
     other alphas, so its sum is the same bit for bit.
 
-    Every array of the chunk's size lives in buffers, which holds them per
-    thread for the whole weyl_sums call, so that their pages are not faulted
-    in afresh for every chunk (that cost a one-alpha sum about a third of
-    its time), and a thread's memory stays 72 bytes per point of weightfn.BOX.
-    The kept omega, C and Q have buffers of their own.  The set-up runs in
-    the per-alpha arrays, which are free until the first alpha: omega and
-    then each form on the chunk (weightfn.omega_grid, forms.eval_into) in
-    one row of the turns, a monomial's values in the other, the keep mask
-    in the factors.
+    omega, the keep mask and the forms are new arrays of each chunk
+    (weightfn.omega_grid, forms.eval_cubic and forms.eval_quadratic on the
+    chunk's broadcast axes).  What the alpha loop reuses lives in buffers,
+    which holds it per thread for the whole weyl_sums call, sized to
+    weightfn.BOX: the kept omega, C and Q and the per-alpha arrays (the
+    turns, their digits, the table factors), 72 bytes per point, so that
+    their pages are not faulted in afresh for every chunk (that cost a
+    one-alpha sum about a third of its time).
     """
     coords = _box_axes(sub)
-    shape = tuple(hi - lo + 1 for lo, hi in sub)
-    size = math.prod(shape)
-    if getattr(buffers, "size", -1) < size:
-        buffers.size = max(size, weightfn.BOX)
+    w = omega_grid(weight, [c.astype(float) / P for c in coords])
+    keep = w > 0
+    if getattr(buffers, "size", -1) < w.size:
+        buffers.size = max(w.size, weightfn.BOX)
         buffers.kept = np.empty((3, buffers.size), np.int64)
         buffers.turns = np.empty((2, buffers.size), np.uint64)
         buffers.factors = np.empty((2, buffers.size), complex)
-    values, term = (row[:size].reshape(shape) for row in buffers.turns.view(np.int64))
-    keep = buffers.factors.view(bool)[0, :size]
-    w = omega_grid(weight, [c.astype(float) / P for c in coords], out=values.view(float)).reshape(-1)
-    np.greater(w, 0.0, out=keep)
     kept = buffers.kept[:, :np.count_nonzero(keep)]
     # a boolean index and a copy took less than half the time of
     # np.compress into the buffer
     kept[0].view(float)[...] = w[keep]
-    for form, row in zip((pair.cubic, pair.quadric), kept[1:]):
-        row[...] = eval_into(form, coords, values, term).reshape(-1)[keep]
+    # the box's omega is let go before the forms are made, one at a time,
+    # which lowers the set-up's peak; an empty form is the scalar 0
     w = kept[0].view(float)
+    for evaluate, form, row in zip((eval_cubic, eval_quadratic), (pair.cubic, pair.quadric), kept[1:]):
+        row[...] = np.broadcast_to(evaluate(form, coords), keep.shape)[keep]
     c_vals, q_vals = kept[1:].view(np.uint64)
     phase, index = buffers.turns[:, :len(w)]
     table, factor = buffers.factors[:, :len(w)]

@@ -15,7 +15,6 @@ signature of the quadric are computed over the rationals, never in floats.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -27,7 +26,6 @@ __all__ = [
     "Signature",
     "eval_cubic",
     "eval_quadratic",
-    "eval_into",
     "INT64_LIMIT",
     "int64_bound",
     "minor_bound",
@@ -245,29 +243,6 @@ def eval_quadratic(quadric: QuadraticForm, x: Sequence):
     for (i, j), coeff in quadric.monomials.items():
         total = total + coeff * (x[i - 1] * x[j - 1])
     return total
-
-
-def eval_into(form: CubicForm | QuadraticForm, x: Sequence, out, term):
-    """eval_cubic or eval_quadratic of form on broadcastable int64 coordinate
-    arrays x of one ndim, written into out, an int64 array of their
-    broadcast shape, and returned.  Each monomial's product is formed in
-    place in the leading part of term, an int64 array as large as out, and
-    added into out in stored order, so no other array of out's size is made.
-    Wherever int64_bound fits, every partial product and sum is exact, and
-    the values are those of eval_cubic and eval_quadratic.
-    """
-    _check_vector(form.n, x)
-    out.fill(0)
-    for index, coeff in form.monomials.items():
-        factors = [x[i - 1] for i in index]
-        shape = tuple(max(sides) for sides in zip(*(f.shape for f in factors)))
-        values = term.reshape(-1)[: math.prod(shape)].reshape(shape)
-        values[...] = factors[0]
-        for f in factors[1:]:
-            values *= f
-        values *= coeff
-        out += values
-    return out
 
 
 # int64 form evaluation is trusted while int64_bound stays below this

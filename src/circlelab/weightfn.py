@@ -91,24 +91,18 @@ def nu_grid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.exp(u, out=u)
 
 
-def omega_grid(weight: Weight, axes: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+def omega_grid(weight: Weight, axes: Sequence[np.ndarray]) -> np.ndarray:
     """omega(x) = nu(|x - x0|_2 / xi) on broadcastable coordinate arrays (one per axis).
 
-    The values are written into out, a new float array of the axes'
-    broadcast shape by default.  The only other arrays are each axis's
-    squares and their running sum over the axes before the last, none
-    larger than the broadcast of the axes it spans."""
+    The axes' squares are added in axis order, and the root, the scaling
+    and the profile are taken in place in their sum, a new float array of
+    the axes' broadcast shape; the only other arrays are the squares and
+    the running sums before it."""
     if len(axes) != weight.n:
         raise ValueError(f"got {len(axes)} coordinate arrays, expected {weight.n}")
-    squares = [(np.asarray(arr, dtype=float) - c) ** 2 for arr, c in zip(axes, weight.center)]
-    if out is None:
-        out = np.empty(np.broadcast_shapes(*(np.shape(d) for d in squares)))
-    *head, last = squares
-    if head:
-        np.add(functools.reduce(np.add, head), last, out=out)
-    else:
-        np.copyto(out, last)
-    t = np.sqrt(out, out=out)
+    dist2 = np.asarray(functools.reduce(np.add, [(np.asarray(arr, dtype=float) - c) ** 2
+                                                 for arr, c in zip(axes, weight.center)]))
+    t = np.sqrt(dist2, out=dist2)
     t /= weight.xi
     return nu_grid(t, out=t)
 

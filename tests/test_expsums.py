@@ -143,6 +143,25 @@ def test_point_kernel_buffers_survive_thread_switches(monkeypatch):
     assert sums == base
 
 
+@pytest.mark.parametrize("quadric", [{(1, 1): 1, (2, 3): -1}, {}], ids=["quadric", "no_quadric"])
+def test_point_kernel_takes_a_box_with_no_point_of_positive_weight(monkeypatch, quadric):
+    # centre 0, xi = 0.4, P = 5: clipped to the ball, the slice x1 = 2 is
+    # the one point (2, 0, 0) on the sphere, where omega is 0, so in boxes
+    # of 25 points, one slice each, that box keeps no point
+    pair = make_pair(3, {(1, 1, 1): 2, (1, 2, 3): 1}, quadric)
+    assert len(separable_blocks(pair)) == 1
+    w, P = Weight((0.0, 0.0, 0.0), 0.4), 5
+    monkeypatch.setattr(weightfn, "BOX", 25)
+    assert [(2, 2), (0, 0), (0, 0)] in support_chunks(w, P, weight_box(w, P), [0.0] * 3, weightfn.BOX)
+    assert omega(w, [2 / P, 0.0, 0.0]) == 0.0
+    alphas = [(0.311, 0.729), (-1.25, 0.5)]
+    base = weyl_sums(pair, P, w, alphas, threads=1)
+    assert weyl_sums(pair, P, w, alphas, threads=3) == base
+    for (a3, a2), value in zip(alphas, base):
+        expected, mass = oracle_weyl_sum(pair, P, w, a3, a2)
+        assert abs(value - expected) <= 1e-12 * mass
+
+
 def oracle_weyl_sum(pair, P, weight, alpha3, alpha2):
     """(S, mass): the literal sum of omega(x/P) e(alpha3 C(x) + alpha2 Q(x))
     over the weight's box, and the sum of the weights.  The forms are

@@ -17,7 +17,6 @@ from circlelab.forms import (
     bilinear_matrix,
     block_pair,
     eval_cubic,
-    eval_into,
     eval_quadratic,
     gradient_cubic,
     gradient_quadratic,
@@ -535,28 +534,3 @@ def test_cubic_singular_scan_matches_oracle(monkeypatch, chunk):
         threads = rng.choice([1, 2])
         assert (cubic_singular_points_mod_p(cubic, threads=threads)
                 == (singular_points_oracle(cubic, scan_primes_oracle(cubic)), []))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.dictionaries(st.lists(st.integers(1, n), min_size=3, max_size=3).map(lambda t: tuple(sorted(t))),
-                    st.integers(-10**5, 10**5), max_size=5),
-    st.dictionaries(st.lists(st.integers(1, n), min_size=2, max_size=2).map(lambda t: tuple(sorted(t))),
-                    st.integers(-10**5, 10**5), max_size=5),
-    st.lists(st.tuples(st.integers(-10**4, 10**4), st.integers(1, 6)), min_size=n, max_size=n),
-)))
-def test_eval_into_gives_the_values_of_eval_cubic_and_eval_quadratic(case):
-    # on the int64 broadcast axes of a box, in place; coefficients up to 10^5
-    # on coordinates up to 10^4 + 6 keep int64_bound below 2^62
-    n, cubic, quad, sides = case
-    pair = make_pair(n, cubic, quad)
-    axes = [np.arange(lo, lo + k, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-            for i, (lo, k) in enumerate(sides)]
-    assert int64_bound(pair, [abs(lo) + k for lo, k in sides])[1]
-    shape = tuple(k for _, k in sides)
-    out, term = np.full(shape, -1, np.int64), np.full(shape, -1, np.int64)
-    for form, oracle in ((pair.cubic, eval_cubic), (pair.quadric, eval_quadratic)):
-        assert eval_into(form, axes, out, term) is out
-        assert out.dtype == np.int64
-        assert np.array_equal(out, np.broadcast_to(oracle(form, axes), shape))
