@@ -417,6 +417,9 @@ def _cmd_sum(args, pair: FormPair, weight: Weight) -> tuple[object, str]:
     elif mode == "poisson":
         if args.P is None or args.q is None or args.a3 is None or args.a2 is None:
             raise ValueError("poisson mode needs --P --q --a3 --a2")
+        if args.q < 1:
+            # before alpha is turned into theta, which divides by q
+            raise ValueError(f"q must be a positive integer, got {args.q}")
         theta3, theta2 = args.theta3, args.theta2
         if args.alpha3 is not None:
             theta3 = args.alpha3 - args.a3 / args.q

@@ -68,7 +68,7 @@ from .util import (
     parallel_map,
 )
 from . import weightfn
-from .weightfn import Weight, check_scale, omega_grid, support_chunks, weight_box
+from .weightfn import Weight, box_axes, check_scale, omega_grid, support_chunks, weight_box
 
 __all__ = [
     "RationalApprox",
@@ -157,15 +157,6 @@ def default_truncation(pair: FormPair, weight: Weight, approx: RationalApprox, P
     return math.ceil(approx.q * band / P) + 8
 
 
-def _box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """The int64 coordinates of a box, one broadcastable array per axis."""
-    n = len(box)
-    return [
-        np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-        for i, (lo, hi) in enumerate(box)
-    ]
-
-
 def _turn(alpha: float) -> int:
     """alpha mod 1 as a 64-bit fixed-point turn: round(frac(alpha) 2^64) mod 2^64.
 
@@ -248,7 +239,7 @@ def _point_chunk_sums(
     their pages are not faulted in afresh for every chunk (that cost a
     one-alpha sum about a third of its time).
     """
-    coords = _box_axes(sub)
+    coords = box_axes(sub)
     w = omega_grid(weight, [c.astype(float) / P for c in coords])
     keep = w > 0
     if getattr(buffers, "size", -1) < w.size:
@@ -310,7 +301,7 @@ def _block_tables(
         sides = [shape[i] for i in blocks[k]]
         # C order, as einsum's loop order, and so its sums, follow the layout
         c, q = (np.ascontiguousarray(np.broadcast_to(v, shape).reshape(sides), dtype=np.int64).view(np.uint64)
-                for v in values(_box_axes(sub))[k])
+                for v in values(box_axes(sub))[k])
         phase = np.multiply.outer(a3, c)
         phase += np.multiply.outer(a2, q)
         return _phase_factors(phase)
@@ -343,7 +334,7 @@ def _block_chunk_sums(
     bit for bit.
     """
     n = len(sub)
-    w = omega_grid(weight, [c.astype(float) / P for c in _box_axes(sub)])
+    w = omega_grid(weight, [c.astype(float) / P for c in box_axes(sub)])
     alpha = n  # the einsum label of the alpha axis
     (axes, table), *later = sorted(tables, key=lambda t: -t[1].size)
     count = len(table)

@@ -290,7 +290,8 @@ def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:
     for (i, j, k), coeff in cubic.monomials.items():
         six_c = 6 * coeff // _triple_multiplicity(i, j, k)
         for (p, q, r) in set(itertools.permutations((i, j, k))):
-            m[p - 1][r - 1] += six_c * x[q - 1]
+            # out of place: broadcast arrays of different shapes may meet
+            m[p - 1][r - 1] = m[p - 1][r - 1] + six_c * x[q - 1]
     return m
 
 

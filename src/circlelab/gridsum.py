@@ -2,10 +2,10 @@
 mod p^k for k >= 2, and the CRT that builds composite moduli from prime powers.
 
 Every residue scan goes through scan(): the grid {0, ..., q-1}^n is
-traversed in chunks of contiguous flat indices, each a tensor block whose
-first coordinates run over whole axes, so only the outer index is decoded;
-forms.eval_cubic/eval_quadratic evaluate C and Q on the broadcast axes with
-coefficients replaced by their centred residues mod a modulus, q or a
+traversed in the boxes of weightfn.cut_box, of at most weightfn.BOX points,
+each a contiguous range of grid order, and nothing is decoded;
+forms.eval_cubic/eval_quadratic evaluate C and Q on a box's broadcast axes
+with coefficients replaced by their centred residues mod a modulus, q or a
 multiple of it; each value is then reduced mod that modulus once.  This
 runs in int64 when forms.int64_bound, the bound of the lattice side too,
 allows it on [0, q-1]^n, and on Python-int object arrays otherwise (at the
@@ -21,7 +21,7 @@ G has G[0, 0] = #V(F_p), for V the projective variety C = Q = 0 over F_p,
 and the histogram of the grid has 1 + (p - 1) #V(F_p) there.
 
 lift() serves the prime powers p^k, k >= 2: with j = ceil(k/2) it scans
-the grid mod p^j, with values mod p^k, and hands each chunk the subgroup
+the grid mod p^j, with values mod p^k, and hands each box the subgroup
 of (Z/p^{k-j})^2 spanned by the Jacobian at each point (Span).  That is all
 the residues mod p^k carry: p^{jn} evaluations stand for p^{kn}.  The
 joint histogram mod p^k is built from it; the phase histogram with its
@@ -38,10 +38,10 @@ forms.separable_blocks as the exact 2-D cyclic convolution of the blocks'
 own histograms, each line-scanned or lifted in the block's own variables;
 reduction mod p^e commutes with the convolution, so only p^K is convolved.
 
-Consumers either aggregate chunk results with order-independent integer
+Consumers either aggregate box results with order-independent integer
 operations (histograms, counts), take the first hit in grid order, or
-concatenate the chunks back into the grid, so the outputs are exactly
-deterministic regardless of chunking or thread count.
+concatenate the boxes back into the grid, so the outputs are exactly
+deterministic regardless of the boxes or the thread count.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import numpy as np
 
 from .forms import (INT64_LIMIT, CubicForm, FormPair, QuadraticForm, block_pair, eval_cubic,
                     eval_quadratic, gradient_cubic, gradient_quadratic, int64_bound, separable_blocks)
-from .util import CapExceededError, DEFAULT_CAP, check_cap, chunk_ranges, factorize, parallel_map
+from . import weightfn
+from .util import CapExceededError, DEFAULT_CAP, check_cap, factorize, parallel_map
 
 __all__ = [
     "scan",
@@ -70,14 +71,7 @@ __all__ = [
     "cubic_singular_points_mod_p",
 ]
 
-CHUNK = 1 << 18
-
 T = TypeVar("T")
-
-
-def _decode(flat: np.ndarray, q: int, n: int) -> list[np.ndarray]:
-    """Coordinate arrays (values in [0, q)) for flat indices in [0, q^n)."""
-    return [(flat // q**j) % q for j in range(n)]
 
 
 def _centred(pair: FormPair, q: int) -> FormPair:
@@ -98,25 +92,21 @@ def scan(
     modulus: int | None = None,
     lines: bool = False,
 ) -> list[T]:
-    """per_chunk(coords, C mod modulus, Q mod modulus) on each chunk of the residue grid mod q.
+    """per_chunk(coords, C mod modulus, Q mod modulus) on each box of the residue grid mod q.
 
     modulus defaults to q; lift() passes a multiple of it.  The grid
-    {0, ..., q-1}^n is cut into contiguous ranges of flat indices
-    (coordinate 1 varies fastest) of at most CHUNK points; the results come
-    back in grid order, so a caller that keeps the first hit of an ordered
-    search gets the same answer for any thread count.
-
-    Each chunk is a tensor block: the first k coordinates run over whole
-    axes, k the largest with q^k <= CHUNK, and the chunk holds CHUNK // q^k
-    values of the outer index, the only part decoded from flat indices.  C
-    and Q are evaluated on broadcast axes, so a monomial of the inner
-    coordinates is computed on q^k values and one of the outer ones on a
-    value per outer index; k = 0 decodes every point.
+    {0, ..., q-1}^n, with axes (x_n, ..., x_1), is cut by weightfn.cut_box
+    into boxes of at most weightfn.BOX points, so coordinate 1 varies
+    fastest and each box is a contiguous range of grid order; the results
+    come back in grid order, so a caller that keeps the first hit of an
+    ordered search gets the same answer for any thread count.  C and Q are
+    evaluated on each box's broadcast axes, so a monomial is computed on
+    the product of its own variables' ranges only.
 
     With lines, only the line_points(q, n) vectors whose last nonzero
     coordinate is 1 are visited, one per line through the origin when q is
-    prime: the flat ranges [q^(i-1), 2 q^(i-1)), i = 1..n, in that order,
-    each cut into tensor blocks of its first min(i - 1, k) axes.  Those
+    prime: for i = 0..n-1 in that order, the box x_{i+1} = 1 after i free
+    coordinates, with x_{i+2}, ..., x_n = 0, each cut the same way.  Those
     points are what is charged to cap.
     """
     n = pair.n
@@ -128,30 +118,16 @@ def scan(
 
     reduced = _centred(pair, modulus)
     _, fits = int64_bound(reduced, [q - 1] * n)
-    k = 0
-    while k < n and q ** (k + 1) <= CHUNK:
-        k += 1
-    # (inner axes a, outer range): the outer index decodes to x_{a+1}, ...,
-    # x_n, and with a = min(i, k) the range [q^(i-a), 2 q^(i-a)) is
-    # x_{i+1} = 1 after i free coordinates
-    if lines:
-        pieces = [(min(i, k), q ** max(i - k, 0), 2 * q ** max(i - k, 0)) for i in range(n)]
-    else:
-        pieces = [(k, 0, q ** (n - k))]
-    tasks = [(a, rng) for a, lo, hi in pieces for rng in chunk_ranges(lo, hi, CHUNK // q**a)]
-    # a chunk with a inner axes is a C-order array of shape (outer, x_a, ..., x_1)
-    inner = [np.arange(q, dtype=np.int64).reshape((-1,) + (1,) * i) for i in range(k)]
+    grids = [[(0, 0)] * (n - 1 - i) + [(1, 1)] + [(0, q - 1)] * i for i in range(n)] if lines else [[(0, q - 1)] * n]
+    boxes = [b for grid in grids for b in weightfn.cut_box(grid, weightfn.BOX)]
 
-    def work(task: tuple[int, tuple[int, int]]) -> T:
-        a, rng = task
-        outer = np.arange(*rng, dtype=np.int64).reshape((-1,) + (1,) * a)
-        axes = inner[:a] + _decode(outer, q, n - a)
-        shape = (rng[1] - rng[0],) + (q,) * a
+    def work(box: list[tuple[int, int]]) -> T:
+        shape = tuple(hi - lo + 1 for lo, hi in box)
+        axes = weightfn.box_axes(box)[::-1]
         xs = axes if fits else [x.astype(object) for x in axes]
 
         def flat(v, mod: int | None = None) -> np.ndarray:
-            # v broadcast to the chunk (an empty form evaluates to the scalar
-            # 0), reduced mod mod on the way when given
+            # v broadcast to the box (an empty form is the scalar 0), reduced mod mod when given
             out = np.empty(shape, dtype=np.int64)
             if mod is None:
                 out[...] = v
@@ -159,13 +135,12 @@ def scan(
                 np.remainder(v, mod, out=out, casting="unsafe")
             return out.reshape(-1)
 
-        c = flat(eval_cubic(reduced.cubic, xs), modulus)
-        qq = flat(eval_quadratic(reduced.quadric, xs), modulus)
+        c, qq = flat(eval_cubic(reduced.cubic, xs), modulus), flat(eval_quadratic(reduced.quadric, xs), modulus)
         return per_chunk([flat(x) for x in axes], c, qq)
 
-    # a scan of at most CHUNK points is one chunk, or one per range of a
-    # line scan: too little work to start a thread pool for
-    return parallel_map(work, tasks, threads if total > CHUNK else 1)
+    # a scan of at most BOX points is one box, or one per piece of a line
+    # scan: too little work to start a thread pool for
+    return parallel_map(work, boxes, threads if total > weightfn.BOX else 1)
 
 
 def line_points(p: int, n: int) -> int:
@@ -196,7 +171,7 @@ def lift_points(p: int, k: int, n: int) -> int:
 
 class Span(NamedTuple):
     """The subgroup G_u of (Z/p^m)^2 spanned by the n columns of the Jacobian
-    J(u) mod p^m, for each point u mod p^j of a chunk of lift() at level
+    J(u) mod p^m, for each point u mod p^j of a box of lift() at level
     k = j + m, in Hermite normal form:
 
         G_u = <(p^ea, 0)> + <(gx, gy)>,  gy = p^ed w with w a unit mod p,
@@ -271,7 +246,7 @@ def lift(
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> list[T]:
-    """per_chunk(u, C(u) mod p^k, Q(u) mod p^k, span) on the chunks of the grid
+    """per_chunk(u, C(u) mod p^k, Q(u) mod p^k, span) on the boxes of the grid
     of u mod p^j, for k >= 2 with (j, m) = _split(k); span is the Span of
     J(u) mod p^m.
 
@@ -291,10 +266,9 @@ def lift(
         raise CapExceededError(f"residues mod {p}^{k} overflow int64")
     jac_pair = _centred(pair, p**m)
     # the bound at |x_i| <= max(p^j - 1, 3) majorizes the gradients too
-    # (3 |c| x^2 <= |c| M^3 and 2 |c| x <= |c| M^2 for M >= max(x, 3)), and
-    # the span multiplies two residues mod p^m
+    # (3 |c| x^2 <= |c| M^3 and 2 |c| x <= |c| M^2 for M >= max(x, 3)); the
+    # span multiplies two residues mod p^m, below p^k as 2m <= k
     _, fits = int64_bound(jac_pair, [max(p**j - 1, 3)] * n)
-    fits = fits and p ** (2 * m) < INT64_LIMIT
     pj = p**j
 
     def chunk(coords, c, qq):
@@ -384,9 +358,9 @@ def phase_histogram(
     """Histogram over t in [0, q) of a3 C(y) + a2 Q(y) + m.y mod q, y mod q.
 
     Each prime power p^e exactly dividing q is scanned, p^{en} points, and
-    the histogram mod q is their CRT product.  Each chunk's values are
-    counted straight into one array (np.add.at) as the chunk finishes, so
-    that memory holds the histogram once: a bincount of p^e cells per chunk
+    the histogram mod q is their CRT product.  Each box's values are
+    counted straight into one array (np.add.at) as the box finishes, so
+    that memory holds the histogram once: a bincount of p^e cells per box
     put a second histogram on every thread.  np.add.at took as long as
     bincount and add at p^e = 29 and half as long at 10^6.
     """
@@ -411,42 +385,56 @@ def phase_histogram(
 
 def _line_histogram(pair: FormPair, p: int, cap: int, threads: int) -> np.ndarray:
     """The p x p histogram G of (C, Q) mod p over the line_points(p, n)
-    vectors whose last nonzero coordinate is 1 (scan(lines=True))."""
+    vectors whose last nonzero coordinate is 1 (scan(lines=True)), each box
+    counted into one table as phase_histogram counts."""
+    hist = np.zeros(p * p, dtype=np.int64)
+    lock = threading.Lock()
 
-    def per_chunk(coords, c, qq):
-        return np.bincount(c * p + qq, minlength=p * p)
+    def add(coords, c, qq) -> None:
+        cells = c * p + qq
+        with lock:
+            np.add.at(hist, cells, 1)
 
-    return np.sum(scan(pair, p, per_chunk, cap, threads, lines=True), axis=0).reshape(p, p)
+    scan(pair, p, add, cap, threads, lines=True)
+    return hist.reshape(p, p)
 
 
 def _lifted_histogram(pair: FormPair, p: int, k: int, cap: int, threads: int) -> np.ndarray:
     """p^k x p^k histogram of (C(y) mod p^k, Q(y) mod p^k) over all y mod p^k, k >= 2.
 
-    Each point u of lift() adds p^{mn} / |G_u| to every cell of
-    (C(u), Q(u)) + p^j G_u: the points of a chunk are grouped by (ea, ed),
-    each group is spread along t (gx, gy) for t < p^(m-ed), and then summed
-    along the first axis with period p^(j+ea), which spreads it over
-    i (p^ea, 0).
+    Each point u of lift() adds p^{mn} / |G_u| = p^fibre to every cell of
+    (C(u), Q(u)) + p^j G_u.  The points of each box are grouped by
+    (ea, ed), on which the fibre depends alone, and each group is spread
+    along t (gx, gy) for t < p^(m-ed), with C taken mod the period
+    p^(j+ea), into one table per ea for all boxes.  At the end each table
+    is repeated along C with its period, which spreads it over i (p^ea, 0).
     """
     pk = p**k
+    j, m = _split(k)
+    pj = p**j
+    # ea -> counts, times p^fibre, of (C mod p^(j+ea), Q mod p^k)
+    parts: dict[int, np.ndarray] = {}
+    lock = threading.Lock()
 
-    def per_chunk(coords, c, qq, span):
-        pj = p**span.j
-        hist = np.zeros(pk * pk, dtype=np.int64)
+    def add(coords, c, qq, span) -> None:
         fibre = span.fibre()
         for ea, ed in set(zip(span.ea.tolist(), span.ed.tolist())):
             sel = (span.ea == ea) & (span.ed == ed)
             cs, rs, gx, gy = c[sel], qq[sel], span.gx[sel], span.gy[sel]
-            part = np.zeros(pk * pk, dtype=np.int64)
-            for t in range(p ** (span.m - ed)):
-                cell = (cs + pj * t * gx) % pk * pk + (rs + pj * t * gy) % pk
-                part += np.bincount(cell.astype(np.int64), minlength=pk * pk)
-            period = pj * p**ea
-            folded = part.reshape(pk // period, period * pk).sum(axis=0)
-            hist += p ** int(fibre[sel][0]) * np.tile(folded, pk // period)
-        return hist
+            period, weight = pj * p**ea, p ** int(fibre[sel][0])
+            with lock:
+                if ea not in parts:
+                    parts[ea] = np.zeros(period * pk, dtype=np.int64)
+            for t in range(p ** (m - ed)):
+                cells = ((cs + pj * t * gx) % period * pk + (rs + pj * t * gy) % pk).astype(np.int64)
+                with lock:
+                    np.add.at(parts[ea], cells, weight)
 
-    return np.sum(lift(pair, p, k, per_chunk, cap=cap, threads=threads), axis=0).reshape(pk, pk)
+    lift(pair, p, k, add, cap=cap, threads=threads)
+    hist = np.zeros(pk * pk, dtype=np.int64)
+    for table in parts.values():
+        hist.reshape(-1, len(table))[...] += table
+    return hist.reshape(pk, pk)
 
 
 def _primitive_root(p: int) -> int:

@@ -5,8 +5,10 @@ otherwise, so omega is C-infinity, radially decreasing, supported on the
 closed Euclidean ball of radius xi about x0, and bounded by e^{-1}.
 omega_grid is its one evaluator.  Counts and sums at scale P run over the
 integer points of weight_box, which admits only a finite real P >= 1
-(check_scale); support_chunks cuts the ball in such a box into the boxes on
-which the direct Weyl sums and the quadrature evaluate their integrands.
+(check_scale).  cut_box cuts every grid of the package into boxes of at
+most BOX points, and support_chunks is cut_box clipped to the ball in such
+a box: the boxes on which the direct Weyl sums and the quadrature evaluate
+their integrands.
 """
 
 from __future__ import annotations
@@ -15,23 +17,25 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .util import chunk_ranges
 
-__all__ = ["Weight", "nu_grid", "omega_grid", "check_scale", "weight_box", "support_chunks"]
+__all__ = ["Weight", "nu_grid", "omega_grid", "check_scale", "weight_box", "cut_box", "box_axes", "support_chunks"]
 
-# the most points in one support box of the direct Weyl sums
-# (expsums.weyl_sums) and of the quadrature (quadrature.grid_contract),
-# which evaluate their integrand once per box.  Each numpy call of a box
-# releases and retakes the GIL, and small boxes make a second thread hand
-# it back and forth.  One alpha of a Weyl sum at 2 threads against 1, on a
-# 2-core Xeon VM with numpy 2.4: at 2^11 points per box 110 vs 87 ms (a
-# diagonal pair, n = 3, P = 200) and 729 vs 339 ms (a pair of one block,
-# n = 4, P = 60); at 2^14, 48 vs 36 and 156 vs 107 ms; at 2^16, 21 vs 23
-# and 70 vs 96 ms.
+# the most points in one box of every grid that cut_box cuts: the residue
+# scans (gridsum.scan), the x- and y-boxes of n(R) (weyldiag), and the
+# support of the direct Weyl sums (expsums.weyl_sums) and of the quadrature
+# (quadrature.grid_contract).  Each numpy call of a box releases and
+# retakes the GIL, and small boxes make a second thread hand it back and
+# forth.  One alpha of a Weyl sum at 2 threads against 1, on a 2-core Xeon
+# VM with numpy 2.4: at 2^11 points per box 110 vs 87 ms (a diagonal pair,
+# n = 3, P = 200) and 729 vs 339 ms (a pair of one block, n = 4, P = 60);
+# at 2^14, 48 vs 36 and 156 vs 107 ms; at 2^16, 21 vs 23 and 70 vs 96 ms.
+# A residue scan holds a few int64 arrays of its box per thread: against 2^18
+# points, phase_histogram at n = 1, q = 1 000 003 peaks at 10.6, not 21.6 MiB.
 BOX = 1 << 16
 
 # the most points in one sub-box of a quadrature box whose sum is rounded
@@ -124,47 +128,64 @@ def weight_box(weight: Weight, P: float) -> list[tuple[int, int]]:
     return out
 
 
-def support_chunks(
-    weight: Weight,
-    P: float,
-    box: Sequence[tuple[int, int]],
-    origin: Sequence[float],
-    size: int,
-) -> list[list[tuple[int, int]]]:
-    """Boxes of at most size points that cover, in order, the points of an
-    index box that lie in the weight's support ball.
+def cut_box(box: Sequence[tuple[int, int]], size: int, clip: Callable | None = None) -> list[list[tuple[int, int]]]:
+    """Boxes of at most size points that cover an index box in C order: the
+    one cutter of every grid, residue, lattice or quadrature.
 
-    Index k on axis i stands for the point origin_i + k/P: the lattice
-    points of P times the ball for the direct Weyl sums (origin 0), a
-    trapezoid grid for the quadrature.  The box is cut along x0 into runs
-    of as many slices as fit in size points; a slice larger than that is
-    cut along x1 the same way, and so on down the axes.  Before each cut,
-    the remaining axes are clipped to the bounding box of the ball's section
-    over the ranges fixed so far.  A point that rounding cuts off lies
-    within rounding error of the sphere, where omega is exactly 0.
+    The box is cut along axis 0 into runs of as many slices as fit in size
+    points, a larger slice along axis 1 the same way, and so on down the
+    axes.  clip maps the ranges fixed so far to those of the remaining axes
+    (by default their ranges in box); an empty range drops the boxes below.
     """
-    # the centre in index coordinates divided by P; c - 0.0 is c exactly
-    centre = [c - o for c, o in zip(weight.center, origin)]
     out = []
 
-    def cut(fixed: list[tuple[int, int]], d2: float) -> None:
-        # d2: squared distance from the centre to the fixed ranges, in units of the weight
-        k = len(fixed)
-        rho = math.sqrt(max(weight.xi**2 - d2, 0.0))
-        rest = [
-            (max(lo, math.ceil((c - rho) * P)), min(hi, math.floor((c + rho) * P)))
-            for (lo, hi), c in zip(box[k:], centre[k:])
-        ]
+    def cut(fixed: list[tuple[int, int]]) -> None:
+        rest = list(box[len(fixed):]) if clip is None else clip(fixed)
         if any(lo > hi for lo, hi in rest):
             return
         if math.prod(hi - lo + 1 for lo, hi in rest) <= size:
             out.append(fixed + rest)
             return
-        (lo, hi), c = rest[0], centre[k]
+        lo, hi = rest[0]
         inner = math.prod(h - l + 1 for l, h in rest[1:])
         for a, b in chunk_ranges(lo, hi + 1, max(1, size // inner)):
-            d = max(0.0, a / P - c, c - (b - 1) / P)
-            cut(fixed + [(a, b - 1)], d2 + d * d)
+            cut(fixed + [(a, b - 1)])
 
-    cut([], 0.0)
+    cut([])
     return out
+
+
+def box_axes(box: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """The int64 coordinates of a box, one broadcastable array per axis."""
+    n = len(box)
+    return [np.arange(lo, hi + 1, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, (lo, hi) in enumerate(box)]
+
+
+def support_chunks(weight: Weight, P: float, box: Sequence[tuple[int, int]], origin: Sequence[float],
+                   size: int) -> list[list[tuple[int, int]]]:
+    """Boxes of at most size points that cover, in order, the points of an
+    index box that lie in the weight's support ball.
+
+    Index k on axis i stands for the point origin_i + k/P: the lattice
+    points of P times the ball for the direct Weyl sums (origin 0), a
+    trapezoid grid for the quadrature.  The boxes are cut_box's, with the
+    remaining axes clipped before each cut to the bounding box of the
+    ball's section over the ranges fixed so far.  A point that rounding
+    cuts off lies within rounding error of the sphere, where omega is
+    exactly 0.
+    """
+    # the centre in index coordinates divided by P; c - 0.0 is c exactly
+    centre = [c - o for c, o in zip(weight.center, origin)]
+
+    def clip(fixed: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        # d2: squared distance from the centre to the fixed ranges, in units of the weight
+        d2 = 0.0
+        for d in (max(0.0, a / P - c, c - b / P) for (a, b), c in zip(fixed, centre)):
+            d2 += d * d
+        rho = math.sqrt(max(weight.xi**2 - d2, 0.0))
+        k = len(fixed)
+        return [(max(lo, math.ceil((c - rho) * P)), min(hi, math.floor((c + rho) * P)))
+                for (lo, hi), c in zip(box[k:], centre[k:])]
+
+    return cut_box(box, size, clip)

@@ -8,8 +8,8 @@ B_i(x; y) = 0, so the count
 (sup norm throughout) is the basic hardness measure; for fixed x the system
 is linear in y, M(x) y = 0, so each x contributes the lattice points of
 the kernel of M(x) inside the box.  count_bilinear reads the rank and, for
-rank n - 1, the kernel line off exact integer minors, computed for a whole
-chunk of the x-box at once by fraction-free elimination (int64 where
+rank n - 1, the kernel line off exact integer minors, computed for every
+x of a box at once by fraction-free elimination (int64 where
 forms.minor_bound allows it, Python-int object arrays otherwise); the rare
 x of rank at most n - 2 share few kernels, and the y-box is scanned once
 per distinct kernel.  The heights T3, T2 defined by
@@ -25,15 +25,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from . import gridsum
+from . import weightfn
 from .arcs import DEFAULT_DELTA, Q_BLOCK, grid_approx, jittered_grid, major_arc_test, q3q2
 from .forms import (CubicForm, FormPair, QuadraticForm, bilinear_matrix, block_pair, h_parameter, minor_bound,
                     separable_blocks, signature_quadratic)
-from .util import DEFAULT_CAP, check_cap, chunk_ranges
+from .util import DEFAULT_CAP, check_cap
 from .weightfn import Weight
 from .expsums import weyl_sums
 
@@ -72,14 +71,6 @@ def heights_from_sum(s_abs: float, P: float, n: int, h: int, rho: int) -> WeylHe
         return WeylHeights(math.inf, math.inf, h, rho)
     log_ratio = n * math.log(P) - math.log(s_abs)
     return WeylHeights(math.exp(log_ratio / h), math.exp(log_ratio / rho), h, rho)
-
-
-def _box_chunks(R: int, n: int, dtype) -> Iterator[list[np.ndarray]]:
-    """Coordinate arrays of the box [-(R-1), R-1]^n, gridsum.CHUNK points at a time."""
-    side = 2 * R - 1
-    for lo, hi in chunk_ranges(0, side**n, gridsum.CHUNK):
-        coords = np.unravel_index(np.arange(lo, hi), (side,) * n)
-        yield [(c - (R - 1)).astype(dtype) for c in coords]
 
 
 def _reduce_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,11 +133,12 @@ def count_bilinear(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
 def _count_whole(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
     """n(R) from one batched exact elimination of M(x) over the whole x-box.
 
-    The box is streamed in chunks of gridsum.CHUNK points; on each chunk
-    bilinear_matrix builds M(x) as arrays and _reduce_rows brings every
-    M(x) to d times its reduced row echelon form, in int64 where
-    forms.minor_bound allows it and on Python-int object arrays otherwise,
-    so the count is exact for any coefficients.  Rank n contributes only
+    The x-box is streamed in the boxes of weightfn.cut_box, of at most
+    weightfn.BOX points; on each box bilinear_matrix builds M(x) on its
+    broadcast axes and _reduce_rows brings every M(x) to d times its
+    reduced row echelon form, in int64 where forms.minor_bound allows it
+    and on Python-int object arrays otherwise, so the count is exact for
+    any coefficients.  Rank n contributes only
     y = 0 and M(x) = 0 every y.  Rank n - 1 contributes the points of the
     kernel line inside the box; its integer spanning vector is made of
     (n-1)-minors, a column of adj M(x) up to sign, and divided by its gcd
@@ -161,13 +153,16 @@ def _count_whole(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
     side = 2 * R - 1
     check_cap(side**n, cap, "bilinear count x-range")
     dtype = np.int64 if minor_bound(cubic, R - 1)[1] else object
+    boxes = [[x.astype(dtype) for x in weightfn.box_axes(box)]
+             for box in weightfn.cut_box([(1 - R, R - 1)] * n, weightfn.BOX)]
     total = 0
     kernels: Counter = Counter()
-    for xs in _box_chunks(R, n, dtype):
-        a = np.empty((n, n, len(xs[0])), dtype=dtype)
+    for xs in boxes:
+        a = np.empty((n, n) + np.broadcast_shapes(*(x.shape for x in xs)), dtype=dtype)
         for i, row in enumerate(bilinear_matrix(cubic, xs)):
             for k, entry in enumerate(row):
                 a[i, k] = entry
+        a = a.reshape(n, n, -1)
         rank, pivot_columns, d = _reduce_rows(a)
         total += int(np.count_nonzero(rank == n)) + side**n * int(np.count_nonzero(rank == 0))
         line = np.flatnonzero((rank == n - 1) & (rank > 0))
@@ -190,8 +185,8 @@ def _count_whole(cubic: CubicForm, R: int, cap: int = DEFAULT_CAP) -> int:
     check_cap(side**n * len(kernels), cap, "bilinear count y-scan")
     for rows, multiplicity in kernels.items():
         hits = 0
-        for ys in _box_chunks(R, n, dtype):
-            zero = np.ones(len(ys[0]), dtype=bool)
+        for ys in boxes:
+            zero = np.ones(np.broadcast_shapes(*(y.shape for y in ys)), dtype=bool)
             for row in rows:
                 zero &= sum(c * y for c, y in zip(row, ys) if c) == 0
             hits += int(np.count_nonzero(zero))

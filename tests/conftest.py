@@ -2,6 +2,7 @@
 separable pairs, the closed-form reference of the weight (nu and omega at
 one point, with libm's exp), the n(R) oracle, the bilinear-form oracle,
 the flat residue scan and the direct residue-scan oracles on it, the
+support boxes of weightfn.support_chunks by their own recursion, the
 trapezoid nodes and weights of the full-grid quadrature oracle, the
 single quadrature sum box by box of weightfn.CHUNK points, seeded
 quadrature grids, the form magnitudes that bound phase rounding, the
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from circlelab import forms, gridsum, weightfn
+from circlelab import forms, weightfn
 from circlelab.archimedean import _SERIES_PHASE, _SERIES_SWITCH, sin_kernel_grid
 from circlelab.arcs import _delta_cutoff
 from circlelab.expsums import complete_sum, osc_integral, weyl_sum_direct
@@ -72,7 +73,7 @@ def full_scan_oracle(cubic, R):
 
 def flat_scan(pair, q, per_chunk, cap=10**8, threads=1, modulus=None):
     """The residue scan of gridsum.scan with flat chunks, its oracle: chunks of
-    gridsum.CHUNK flat indices (coordinate 1 fastest), every point's
+    weightfn.BOX flat indices (coordinate 1 fastest), every point's
     coordinates decoded with // and %, and C, Q evaluated on the decoded
     arrays with coefficients centred mod modulus (default q), in int64 where
     forms.int64_bound allows it and in Python ints otherwise."""
@@ -94,7 +95,37 @@ def flat_scan(pair, q, per_chunk, cap=10**8, threads=1, modulus=None):
                  for v in (eval_cubic(reduced.cubic, xs), eval_quadratic(reduced.quadric, xs)))
         return per_chunk(coords, c, qq)
 
-    return parallel_map(work, chunk_ranges(0, total, gridsum.CHUNK), threads)
+    return parallel_map(work, chunk_ranges(0, total, weightfn.BOX), threads)
+
+
+def support_chunks_oracle(weight, P, box, origin, size):
+    """weightfn.support_chunks with its own recursion, as it stood before
+    weightfn.cut_box: the box is cut along x0 into runs of as many slices as
+    fit in size points, a slice larger than that along x1 the same way, and
+    so on, with the remaining axes clipped before each cut to the bounding
+    box of the ball's section over the ranges fixed so far, whose squared
+    distance d2 from the centre is carried down the recursion."""
+    centre = [c - o for c, o in zip(weight.center, origin)]
+    out = []
+
+    def cut(fixed, d2):
+        k = len(fixed)
+        rho = math.sqrt(max(weight.xi**2 - d2, 0.0))
+        rest = [(max(lo, math.ceil((c - rho) * P)), min(hi, math.floor((c + rho) * P)))
+                for (lo, hi), c in zip(box[k:], centre[k:])]
+        if any(lo > hi for lo, hi in rest):
+            return
+        if math.prod(hi - lo + 1 for lo, hi in rest) <= size:
+            out.append(fixed + rest)
+            return
+        (lo, hi), c = rest[0], centre[k]
+        inner = math.prod(h - l + 1 for l, h in rest[1:])
+        for a, b in chunk_ranges(lo, hi + 1, max(1, size // inner)):
+            d = max(0.0, a / P - c, c - (b - 1) / P)
+            cut(fixed + [(a, b - 1)], d2 + d * d)
+
+    cut([], 0.0)
+    return out
 
 
 def scan_joint_histogram(pair, q, cap=10**8, threads=1):

@@ -2126,6 +2126,16 @@ def test_sum_poisson_theta_from_alpha(problem_file, capsys):
     assert capsys.readouterr() == (out, "")
 
 
+# --alpha3 and --alpha2 were turned into theta_i = alpha_i - a_i/q before q
+# was checked, so q = 0 ended in a ZeroDivisionError traceback with exit 1
+@pytest.mark.parametrize("alpha", [["--alpha3", "0.5"], ["--alpha2", "0.5"]], ids=["alpha3", "alpha2"])
+def test_sum_poisson_refuses_q_below_one_before_alpha(problem_file, capsys, alpha):
+    argv = ["sum", "--problem", problem_file, "--mode", "poisson", "--P", "10", "--q", "0",
+            "--a3", "1", "--a2", "1"]
+    assert run(argv + alpha) == 2
+    assert capsys.readouterr() == ("", "error: q must be a positive integer, got 0\n")
+
+
 WEIGHT_WARNING = ("weight support is not contained in (-1/2, 1/2)^n; counts remain well "
                   "defined but the unit-box normalization is lost")
 

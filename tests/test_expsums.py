@@ -33,7 +33,7 @@ from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
 
 from conftest import (axis_nodes_weights, form_magnitudes, make_pair, omega, one_block_pairs, seeded_grid,
-                      separable_pairs, smooth_factor)
+                      separable_pairs, smooth_factor, support_chunks_oracle)
 
 
 def _trapezoid(y, x):
@@ -409,6 +409,18 @@ def test_support_chunks_cover_the_support(case):
     assert covered[inside].all()
 
 
+@settings(max_examples=300, deadline=None)
+@given(support_cases())
+@example(_grid_case(Weight((0.05, -0.05, 0.05), 0.3), 300, 32, [(0, 32)] * 3))
+@example(_lattice_case(Weight((0.02, -0.03, 0.01), 0.4), weightfn.BOX, 60))
+def test_support_chunks_match_their_own_recursion(case):
+    # weightfn.cut_box with the ball clip returns the very boxes of the
+    # recursion it replaced: every single quadrature sum is rounded box by
+    # box, so one box more or less would move its last bits
+    weight, chunk, P, box, origin, _ = case
+    assert support_chunks(weight, P, box, origin, chunk) == support_chunks_oracle(weight, P, box, origin, chunk)
+
+
 def test_weyl_sums_charge_the_box_once(pair_n3):
     w = Weight((0.0, 0.0, 0.0), 0.4)
     alphas = [(0.1 * i, 0.2 * i) for i in range(9)]
@@ -703,14 +715,23 @@ def test_poisson_m0_reproduces_main_term(pair_n1):
 
 
 def test_poisson_grid_does_not_depend_on_chunking(monkeypatch):
-    # the phase grid is concatenated from gridsum.scan chunks: 7^2 = 49
-    # residues of an asymmetric pair in chunks of 5, the last one short
+    # the phase grid is concatenated from gridsum.scan boxes: 7^2 = 49
+    # residues of an asymmetric pair in boxes of 5, each a part of one x2
+    # row.  weightfn.BOX also sets the Poisson quadrature's boxes, so the
+    # grid itself is compared, against the phases of every y in grid order
     pair = make_pair(2, {(1, 1, 1): 1, (1, 1, 2): 2, (2, 2, 2): -1}, {(1, 2): 1, (2, 2): 3})
-    w = Weight((0.1, -0.1), 0.3)
-    approx = RationalApprox(7, 3, 5, 1e-4, 1e-3)
-    expected = poisson_reconstruct(pair, 8, w, approx, 4)
-    monkeypatch.setattr(gridsum, "CHUNK", 5)
-    assert poisson_reconstruct(pair, 8, w, approx, 4) == expected
+
+    def phases(coords, c, qq):
+        return (3 * c + 5 * qq) % 7
+
+    expected = np.concatenate(gridsum.scan(pair, 7, phases))
+    monkeypatch.setattr(weightfn, "BOX", 5)
+    boxes = gridsum.scan(pair, 7, phases)
+    assert [len(b) for b in boxes] == [5, 2] * 7
+    assert np.array_equal(np.concatenate(boxes), expected)
+    points = [y[::-1] for y in itertools.product(range(7), repeat=2)]
+    assert expected.tolist() == [(3 * eval_cubic(pair.cubic, y) + 5 * eval_quadratic(pair.quadric, y)) % 7
+                                 for y in points]
 
 
 def test_poisson_error_decreases_with_m(pair_line):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab import gridsum
+from circlelab import weightfn
 from circlelab.forms import (
     CubicForm,
     FormPair,
@@ -522,11 +522,11 @@ def scan_primes_oracle(cubic):
     return (2, 5) if grad_zero_mod_3 else (2, 3, 5)
 
 
-@pytest.mark.parametrize("chunk", [gridsum.CHUNK, 7])
-def test_cubic_singular_scan_matches_oracle(monkeypatch, chunk):
-    # CHUNK = 7 splits every grid into many chunks, so the smallest hit of
-    # each chunk must be reduced to the smallest hit over all of them
-    monkeypatch.setattr(gridsum, "CHUNK", chunk)
+@pytest.mark.parametrize("box", [weightfn.BOX, 7])
+def test_cubic_singular_scan_matches_oracle(monkeypatch, box):
+    # BOX = 7 splits every grid into many boxes, so the smallest hit of
+    # each box must be reduced to the smallest hit over all of them
+    monkeypatch.setattr(weightfn, "BOX", box)
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 4)

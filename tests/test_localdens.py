@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab.expsums import complete_sum, crt_decomposition
-from circlelab import forms, gridsum
+from circlelab import forms, gridsum, weightfn
 from circlelab.forms import CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic
 from circlelab.gridsum import (
     cubic_singular_points_mod_p,
@@ -375,14 +375,14 @@ def scan_level_counts(pair, p, k):
 @example(case=(make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1}), 2, 4, 1))
 def test_lifted_levels_match_full_scan(path, case):
     # every level k >= 2 and the histogram mod p^k come from the grid mod
-    # p^ceil(k/2), in chunks of 7; "object" forces the Python-int path
+    # p^ceil(k/2), in boxes of 7; "object" forces the Python-int path
     pair, p, k, threads = case
 
     def object_bound(reduced, m):
         return forms.int64_bound(reduced, m)[0], False
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsum, "CHUNK", 7)
+        mp.setattr(weightfn, "BOX", 7)
         if path == "object":
             mp.setattr(gridsum, "int64_bound", object_bound)
         rep = hensel_stable(pair, p, k, threads=threads)
@@ -532,12 +532,12 @@ def brute_level_one(pair, p):
 @given(pair_p=small_pairs(), kmax=st.sampled_from([1, 2, 3]))
 def test_level_one_scan_matches_brute_force(pair_p, kmax):
     # the lift to level 2 gives the counts mod p and the certificate, in
-    # chunks of 7, whatever kmax is; level 3 scans p^{2n} points, so only
+    # boxes of 7, whatever kmax is; level 3 scans p^{2n} points, so only
     # small grids run it
     pair, p, threads = pair_p
     assume(kmax < 3 or p ** (2 * pair.n) <= 3**8)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsum, "CHUNK", 7)
+        mp.setattr(weightfn, "BOX", 7)
         rep = hensel_stable(pair, p, kmax, threads=threads)
     n_all, n_prim, cert = brute_level_one(pair, p)
     assert rep.reached == kmax
@@ -592,25 +592,25 @@ def test_scan_results_do_not_depend_on_chunking(
 ):
     pairs = (pair_n3, pair_hensel7, pair_smooth5)
     expected = _scan_results(pairs, threads=1)
-    monkeypatch.setattr(gridsum, "CHUNK", 7)
-    # chunks come back in grid order; 5 <= CHUNK < 5^2, so each chunk is one
-    # whole x1-axis (CHUNK // 5 = 1 outer index) and chunk c starts at 5c
+    monkeypatch.setattr(weightfn, "BOX", 7)
+    # boxes come back in grid order; 5 <= BOX < 5^2, so each box is one
+    # whole x1-axis (BOX // 5 = 1 slice of x2) and box c starts at 5c
     firsts = scan(pair_n3, 5, lambda y, c, q: int(y[0][0] + 5 * y[1][0] + 25 * y[2][0]),
                   threads=threads)
     assert firsts == list(range(0, 125, 5))
     assert _scan_results(pairs, threads) == expected
-    # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: chunk 1 of 25
+    # the mod-5 certificate of pair_smooth5 is (4, 1, 0), flat index 9: box 1 of 25
     point = hensel_stable(pair_smooth5, 5, 2, threads=threads).solubility.point
     assert tuple(v % 5 for v in point) == (4, 1, 0)
 
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_phase_histogram_chunks_add_into_one_array(pair_n3, monkeypatch, threads):
-    # many chunks per prime power: each chunk's counts are added into one
+    # many boxes per prime power: each box's counts are added into one
     # histogram as it finishes, from any thread, and the sum is the scanned
     # array.  More threads than cores, switching every microsecond: a lost
     # update would leave a count short
-    monkeypatch.setattr(gridsum, "CHUNK", 7)
+    monkeypatch.setattr(weightfn, "BOX", 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -622,13 +622,15 @@ def test_phase_histogram_chunks_add_into_one_array(pair_n3, monkeypatch, threads
 
 
 def test_phase_histogram_memory_holds_the_histogram_once():
-    # n = 1, q = 1 000 003: four chunks of 2^18 points, each shorter than
-    # the histogram.  One bincount of q cells per chunk, stacked and then
-    # summed, peaked at 84 MiB, 11 histograms of 8 q bytes; added into one
-    # array as each chunk finishes, with the CRT composition's index arrays,
-    # at 43 MiB; yielded as scanned, the histogram, one chunk's bincount and
-    # its scan peak at 27.3 MiB, 3.6 histograms; counted straight into the
-    # histogram, with no bincount, at 21.6 MiB, 2.8 histograms
+    # n = 1, q = 1 000 003, each box shorter than the histogram.  In four
+    # chunks of 2^18 points: one bincount of q cells per chunk, stacked and
+    # then summed, peaked at 84 MiB, 11 histograms of 8 q bytes; added into
+    # one array as each chunk finishes, with the CRT composition's index
+    # arrays, at 43 MiB; yielded as scanned, the histogram, one chunk's
+    # bincount and its scan peak at 27.3 MiB, 3.6 histograms; counted
+    # straight into the histogram, with no bincount, at 21.6 MiB, 2.8
+    # histograms.  In 16 boxes of weightfn.BOX = 2^16 points, the scan of
+    # one box holds less than half a histogram
     pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
     tracemalloc.start()
     try:
@@ -637,16 +639,16 @@ def test_phase_histogram_memory_holds_the_histogram_once():
     finally:
         tracemalloc.stop()
     assert np.array_equal(hist, scan_phase_histogram(pair, q, 1, 1, [0]))
-    assert peak < 4 * 8 * q
+    assert peak < 2 * 8 * q
 
 
 def test_phase_histogram_memory_over_two_threads_holds_one_histogram(monkeypatch):
-    # n = 1, q = 1 000 003 in chunks of 2^12 points, so that a chunk's scan
-    # is small beside the histogram.  A bincount of q cells per chunk put a
+    # n = 1, q = 1 000 003 in boxes of 2^12 points, so that a box's scan
+    # is small beside the histogram.  A bincount of q cells per box put a
     # second histogram on each thread, 3.1 histograms in all at threads = 2;
     # counted straight into the histogram, the peak is 1.12 histograms
     pair, q = make_pair(1, {(1, 1, 1): 2}, {(1, 1): 3}), 1_000_003
-    monkeypatch.setattr(gridsum, "CHUNK", 1 << 12)
+    monkeypatch.setattr(weightfn, "BOX", 1 << 12)
     tracemalloc.start()
     try:
         hist = phase_histogram(pair, q, 1, 1, [0], threads=2)
@@ -658,11 +660,32 @@ def test_phase_histogram_memory_over_two_threads_holds_one_histogram(monkeypatch
     assert peak < 1.5 * 8 * q
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lifted_histogram_memory_does_not_grow_with_the_boxes(monkeypatch, threads):
+    # the histogram mod 5^4 of a pair in two variables lifts the 625 points
+    # mod 25, here in 40 boxes of 2^4 points, beside a histogram of 5^8
+    # cells.  Tables of 5^8 cells per chunk, kept until np.sum, peaked at 81
+    # histograms in such chunks (gridsum.CHUNK = 16) and at 4.07 in one
+    # chunk; one table per ea for all boxes, each at most a histogram,
+    # peaks at 2.04 on 1 and 2 threads
+    pair = make_pair(2, {(1, 1, 1): 1, (1, 1, 2): 5, (2, 2, 2): 10}, {(1, 2): 5, (2, 2): 1})
+    oracle = scan_joint_histogram(pair, 5**4)
+    monkeypatch.setattr(weightfn, "BOX", 1 << 4)
+    tracemalloc.start()
+    try:
+        hist = gridsum._lifted_histogram(pair, 5, 4, 10**8, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(hist, oracle)
+    assert peak < 3 * 8 * 5**8
+
+
 def test_phase_histogram_counts_survive_thread_switches(monkeypatch):
-    # four threads on many chunks of 2^8 points, switching every
+    # four threads on many boxes of 2^8 points, switching every
     # microsecond: a count lost between two threads' adds would show
     pair, q = make_pair(2, {(1, 1, 2): 1, (2, 2, 2): -3}, {(1, 2): 2}), 101
-    monkeypatch.setattr(gridsum, "CHUNK", 1 << 8)
+    monkeypatch.setattr(weightfn, "BOX", 1 << 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -670,6 +693,22 @@ def test_phase_histogram_counts_survive_thread_switches(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(hist, scan_phase_histogram(pair, q, 3, 5, [1, 2]))
+
+
+def test_joint_histogram_counts_survive_thread_switches(monkeypatch, pair_n3):
+    # the line scan mod 5 and the lifts to 5^2 and 5^3 count their boxes of
+    # 2^4 points into shared tables, on four threads switching every
+    # microsecond: a count lost between two threads' adds would show
+    oracles = {q: scan_joint_histogram(pair_n3, q) for q in (5, 25, 125)}
+    monkeypatch.setattr(weightfn, "BOX", 1 << 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hists = {q: joint_histogram(pair_n3, q, threads=4) for q in oracles}
+    finally:
+        sys.setswitchinterval(interval)
+    for q, oracle in oracles.items():
+        assert np.array_equal(hists[q], oracle), q
 
 
 def test_complete_sum_memory_holds_the_histogram_once():
@@ -725,7 +764,7 @@ def test_scan_values_are_exact_residues(limit, pair, q):
         return [(tuple(int(x[i]) for x in coords), int(c[i]), int(qq[i])) for i in range(c.size)]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsum, "CHUNK", 7)
+        mp.setattr(weightfn, "BOX", 7)
         mp.setattr(forms, "INT64_LIMIT", limit)
         got = [row for part in scan(pair, q, rows) for row in part]
     # coordinate 1 varies fastest
@@ -742,7 +781,7 @@ SCAN_POINTS = 2000
 @st.composite
 def scan_cases(draw):
     """A pair in n <= 4 variables with coefficients up to 2^70 in size (either
-    form may have no monomials), q <= 40 with q^n <= SCAN_POINTS, a CHUNK
+    form may have no monomials), q <= 40 with q^n <= SCAN_POINTS, a BOX
     below q, between q and q^n or at least q^n, a modulus that q divides (up
     to about 2^55, which sends most grids to the Python-int path) and a
     thread count."""
@@ -768,10 +807,10 @@ def scan_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=scan_cases())
 @example(case=(make_pair(3, {(1, 2, 3): 2**70}, {(3, 3): -1}), 5, 7, 5, 2))
-def test_tensor_block_scan_matches_flat_decode(case):
-    # the tensor-block chunks hand out the points of the flat-decode oracle
-    # in the same order with the same residues, at most CHUNK at a time, in
-    # contiguous ranges of grid order
+def test_box_scan_matches_flat_decode(case):
+    # the boxes of weightfn.cut_box hand out the points of the flat-decode
+    # oracle in the same order with the same residues, at most BOX at a
+    # time, in contiguous ranges of grid order
     pair, q, chunk, modulus, threads = case
 
     def rows(coords, c, qq):
@@ -780,7 +819,7 @@ def test_tensor_block_scan_matches_flat_decode(case):
         return np.stack(coords + [c, qq])
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsum, "CHUNK", chunk)
+        mp.setattr(weightfn, "BOX", chunk)
         got = scan(pair, q, rows, threads=threads, modulus=modulus)
         want = flat_scan(pair, q, rows, modulus=modulus)
     assert np.array_equal(np.concatenate(got, axis=1), np.concatenate(want, axis=1))
@@ -817,7 +856,7 @@ def test_block_convolved_histograms_match_full_scan(case):
 def test_line_scan_visits_one_point_per_line(case):
     # scan(lines=True) hands out exactly the points of the flat-decode
     # oracle whose last nonzero coordinate is 1, in grid order, with the
-    # same residues, at most CHUNK at a time
+    # same residues, at most BOX at a time
     pair, q, chunk, modulus, threads = case
     assume(q >= 2)
 
@@ -829,7 +868,7 @@ def test_line_scan_visits_one_point_per_line(case):
         return rows(coords, c, qq)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsum, "CHUNK", chunk)
+        mp.setattr(weightfn, "BOX", chunk)
         got = scan(pair, q, chunk_rows, threads=threads, modulus=modulus, lines=True)
     got = np.concatenate(got, axis=1)
     grid = np.concatenate(flat_scan(pair, q, rows, modulus=modulus), axis=1)
@@ -875,11 +914,11 @@ def line_cases(draw):
 def test_level_one_histogram_from_lines_matches_full_scan(case):
     # the histogram mod p spread from one point per line over the scaling
     # orbits is that of all p^n residues, entry for entry, for the whole
-    # pair as one scan and block by block, with chunks of 7 on 1 and 2 threads
+    # pair as one scan and block by block, with boxes of 7 on 1 and 2 threads
     n, p, pair = case
     oracle = scan_joint_histogram(pair, p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsum, "CHUNK", 7)
+        mp.setattr(weightfn, "BOX", 7)
         for threads in (1, 2):
             whole = gridsum._scaling_orbits(p)(gridsum._line_histogram(pair, p, 10**8, threads))
             assert whole.dtype == oracle.dtype

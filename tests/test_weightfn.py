@@ -1,7 +1,8 @@
 """Bump weight: profile values, support, smoothness proxy, monotonicity,
 each on nu_grid and omega_grid against the closed-form reference of
-conftest (nu and omega at one point)."""
+conftest (nu and omega at one point); and the boxes of cut_box."""
 
+import itertools
 import math
 import random
 import warnings
@@ -195,3 +196,16 @@ def test_xi_validation_and_box_warning():
     with pytest.warns(UserWarning, match="support"):
         w = Weight((0.4,), 0.4)
     assert w.xi == 0.4
+
+
+@settings(max_examples=100, deadline=None)
+@given(box=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 9)), min_size=1, max_size=4),
+       size=st.integers(1, 100))
+def test_cut_box_covers_the_box_in_c_order(box, size):
+    # without a clip the boxes, each of at most size points, list every
+    # point of the box once, in C order with axis 0 outermost
+    box = [(lo, lo + side - 1) for lo, side in box]
+    boxes = weightfn.cut_box(box, size)
+    assert all(math.prod(hi - lo + 1 for lo, hi in b) <= size for b in boxes)
+    points = [x for b in boxes for x in itertools.product(*(range(lo, hi + 1) for lo, hi in b))]
+    assert points == list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circlelab import expsums, forms, gridsum, weightfn, weyldiag
+from circlelab import expsums, forms, weightfn, weyldiag
 from circlelab.forms import CubicForm, bilinear_matrix, gradient_cubic
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, weight_box
@@ -108,8 +108,8 @@ def test_nr_large_coefficient_takes_the_object_path(monkeypatch):
 
 
 def test_nr_is_independent_of_chunking(monkeypatch):
-    # CHUNK = 7 splits the x-box and every y-scan into many chunks
-    monkeypatch.setattr(gridsum, "CHUNK", 7)
+    # BOX = 7 splits the x-box and every y-scan into many boxes
+    monkeypatch.setattr(weightfn, "BOX", 7)
     for cubic in (
         CubicForm(3, {(1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 3): 1}),
         CubicForm(3, {(1, 2, 3): 1, (1, 1, 1): 2}),
