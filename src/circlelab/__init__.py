@@ -14,8 +14,7 @@ from .forms import (
     Signature,
     eval_cubic,
     eval_quadratic,
-    gradient_cubic,
-    gradient_quadratic,
+    gradient,
     h_parameter,
     hypothesis_report,
     signature_quadratic,

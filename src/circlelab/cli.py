@@ -621,6 +621,10 @@ def run(argv: list[str]) -> int:
             # every subcommand but arcs reads a problem file
             problem = load_problem(args.problem) if hasattr(args, "problem") else ()
             report, fmt = _HANDLERS[args.command](args, *problem)
+            if args.out:
+                # a path that cannot be written is an OSError like any other
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    emit(report, fmt, fh)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
@@ -635,10 +639,7 @@ def run(argv: list[str]) -> int:
         # OverflowError: a coefficient beyond the float range met a float path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            emit(report, fmt, fh)
-    else:
+    if not args.out:
         emit(report, fmt, sys.stdout)
     return 0
 

@@ -50,8 +50,7 @@ from .forms import (
     block_values,
     eval_cubic,
     eval_quadratic,
-    gradient_cubic,
-    gradient_quadratic,
+    gradient,
     int64_bound,
     separable_blocks,
 )
@@ -590,10 +589,10 @@ def _slopes(pair: FormPair, weight: Weight, gamma3: float, gamma2: float) -> lis
     m, cubic, quadric = _majorants(pair, weight)
     if not (math.isfinite(gamma3) and math.isfinite(gamma2)):
         return [abs(gamma3) * gc + abs(gamma2) * gq
-                for gc, gq in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m))]
+                for gc, gq in zip(gradient(cubic, m), gradient(quadric, m))]
     m = [abs(Fraction(c)) + Fraction(weight.xi) for c in weight.center]
     g3, g2 = abs(Fraction(gamma3)), abs(Fraction(gamma2))
-    return [_round_up(g3 * gc + g2 * gq) for gc, gq in zip(gradient_cubic(cubic, m), gradient_quadratic(quadric, m))]
+    return [_round_up(g3 * gc + g2 * gq) for gc, gq in zip(gradient(cubic, m), gradient(quadric, m))]
 
 
 def check_phase_size(

@@ -3,12 +3,14 @@
 A cubic form is stored sparsely as a map from ordered index triples
 (i <= j <= k, 1-based) to integer coefficients, so that
 
-    C(x) = sum over triples of coeff * x_i x_j x_k.
+    C(x) = sum over triples of coeff * x_i x_j x_k,
 
-The associated symmetric tensor c_ijk assigns coeff / multiplicity to every
-permutation of the triple, where the multiplicity is 1, 3 or 6; hence
-6 * c_ijk is always an integer and all derived objects (bilinear forms,
-gradients, Gram matrix) stay in exact integer arithmetic.  Rank and
+and a quadratic form likewise over ordered index pairs.  Every derivative
+comes from one rule for a monomial's partials: for each distinct variable v
+of the key, in key order, d/dx_v of the product of x over the key is e times
+the product of x over the key with one v removed, e the multiplicity of v
+in the key.  The gradient applies it once and M(x), the Hessian of C, twice,
+so both stay in exact integer arithmetic on integer points.  Rank and
 signature of the quadric are computed over the rationals, never in floats.
 """
 
@@ -30,8 +32,7 @@ __all__ = [
     "int64_bound",
     "minor_bound",
     "bilinear_matrix",
-    "gradient_cubic",
-    "gradient_quadratic",
+    "gradient",
     "signature_quadratic",
     "smooth_point_test",
     "jacobian_minors",
@@ -43,12 +44,21 @@ __all__ = [
 ]
 
 
-def _triple_multiplicity(i: int, j: int, k: int) -> int:
-    if i == j == k:
-        return 1
-    if i == j or j == k or i == k:
-        return 3
-    return 6
+def _set_monomials(form, degree: int, name: str, key_name: str) -> None:
+    """Check form.n and form.monomials, a form of the given degree, and keep
+    the monomials with nonzero coefficients, with int keys and coefficients."""
+    if form.n < 1:
+        raise ValueError(f"dimension must be >= 1, got {form.n}")
+    clean = {}
+    for key, coeff in form.monomials.items():
+        chain = (1, *key, form.n)
+        if len(key) != degree or not all(a <= b for a, b in zip(chain, chain[1:])):
+            raise ValueError(f"{name} index {key_name} {key} not ordered within [1, {form.n}]")
+        if int(coeff) != coeff:
+            raise ValueError(f"{name} coefficient for {key} must be an integer")
+        if coeff:
+            clean[tuple(int(i) for i in key)] = int(coeff)
+    object.__setattr__(form, "monomials", clean)
 
 
 @dataclass(frozen=True)
@@ -59,18 +69,7 @@ class CubicForm:
     monomials: Mapping[tuple[int, int, int], int]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        clean = {}
-        for key, coeff in self.monomials.items():
-            i, j, k = key
-            if not (1 <= i <= j <= k <= self.n):
-                raise ValueError(f"cubic index triple {key} not ordered within [1, {self.n}]")
-            if int(coeff) != coeff:
-                raise ValueError(f"cubic coefficient for {key} must be an integer")
-            if coeff:
-                clean[(int(i), int(j), int(k))] = int(coeff)
-        object.__setattr__(self, "monomials", clean)
+        _set_monomials(self, 3, "cubic", "triple")
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,7 @@ class QuadraticForm:
     monomials: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        clean = {}
-        for key, coeff in self.monomials.items():
-            i, j = key
-            if not (1 <= i <= j <= self.n):
-                raise ValueError(f"quadric index pair {key} not ordered within [1, {self.n}]")
-            if int(coeff) != coeff:
-                raise ValueError(f"quadric coefficient for {key} must be an integer")
-            if coeff:
-                clean[(int(i), int(j))] = int(coeff)
-        object.__setattr__(self, "monomials", clean)
+        _set_monomials(self, 2, "quadric", "pair")
 
     def gram(self) -> list[list[int]]:
         """Integer Gram matrix G with x^T G x = 2 Q(x)."""
@@ -279,55 +267,51 @@ def minor_bound(cubic: CubicForm, r: int) -> tuple[int, bool]:
     return bound, bound < INT64_LIMIT
 
 
-def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:
-    """Integer matrix M(x) with B(x; y) = M(x) y; entries M[i][k] = 6 sum_j c_ijk x_j.
+def _partials(key: tuple[int, ...]):
+    """(v, e, rest) for each distinct variable v of a monomial's key, in key
+    order: e is v's multiplicity in key and rest is key with one v removed,
+    so d/dx_v of the product of x over key is e times the product over rest."""
+    for v in dict.fromkeys(key):
+        i = key.index(v)
+        yield v, key.count(v), key[:i] + key[i + 1:]
 
-    Like eval_cubic it takes numbers or broadcastable numpy coordinate
-    arrays; an entry that no monomial reaches stays the number 0."""
+
+def gradient(form: CubicForm | QuadraticForm, x: Sequence) -> list:
+    """Exact gradient of a cubic or a quadric at x; for the quadric it is G x,
+    G the Gram matrix.
+
+    Entry v adds, in stored monomial order, e * coeff times the coordinates
+    of rest in key order for each (v, e, rest) of _partials.  Like
+    eval_cubic it takes numbers or broadcastable numpy coordinate arrays and
+    adds out of place; an entry that no monomial reaches stays the number 0.
+    """
+    _check_vector(form.n, x)
+    out = [0] * form.n
+    for key, coeff in form.monomials.items():
+        for v, e, rest in _partials(key):
+            term = e * coeff
+            for u in rest:
+                term = term * x[u - 1]
+            out[v - 1] = out[v - 1] + term
+    return out
+
+
+def bilinear_matrix(cubic: CubicForm, x: Sequence) -> list[list[int]]:
+    """Integer matrix M(x) with B(x; y) = M(x) y: the Hessian of C at x.
+
+    Entry (v, w) adds, in stored monomial order, e * f * coeff * x_u for
+    each (v, e, rest) of _partials of a key and each (w, f, (u,)) of
+    _partials of rest.  Like eval_cubic it takes numbers or broadcastable
+    numpy coordinate arrays and adds out of place; an entry that no monomial
+    reaches stays the number 0."""
     n = cubic.n
     _check_vector(n, x)
     m = [[0] * n for _ in range(n)]
-    for (i, j, k), coeff in cubic.monomials.items():
-        six_c = 6 * coeff // _triple_multiplicity(i, j, k)
-        for (p, q, r) in set(itertools.permutations((i, j, k))):
-            # out of place: broadcast arrays of different shapes may meet
-            m[p - 1][r - 1] = m[p - 1][r - 1] + six_c * x[q - 1]
+    for key, coeff in cubic.monomials.items():
+        for v, e, rest in _partials(key):
+            for w, f, (u,) in _partials(rest):
+                m[v - 1][w - 1] = m[v - 1][w - 1] + e * f * coeff * x[u - 1]
     return m
-
-
-def gradient_cubic(cubic: CubicForm, x: Sequence) -> list:
-    """Exact gradient of the cubic at x."""
-    n = cubic.n
-    _check_vector(n, x)
-    out = [0] * n
-    for (i, j, k), coeff in cubic.monomials.items():
-        if i == j == k:
-            out[i - 1] += 3 * coeff * x[i - 1] * x[i - 1]
-        elif i == j:
-            out[i - 1] += 2 * coeff * x[i - 1] * x[k - 1]
-            out[k - 1] += coeff * x[i - 1] * x[i - 1]
-        elif j == k:
-            out[i - 1] += coeff * x[j - 1] * x[j - 1]
-            out[j - 1] += 2 * coeff * x[i - 1] * x[j - 1]
-        else:
-            out[i - 1] += coeff * x[j - 1] * x[k - 1]
-            out[j - 1] += coeff * x[i - 1] * x[k - 1]
-            out[k - 1] += coeff * x[i - 1] * x[j - 1]
-    return out
-
-
-def gradient_quadratic(quadric: QuadraticForm, x: Sequence) -> list:
-    """Exact gradient of the quadric at x; equals G x for the Gram matrix G."""
-    n = quadric.n
-    _check_vector(n, x)
-    out = [0] * n
-    for (i, j), coeff in quadric.monomials.items():
-        if i == j:
-            out[i - 1] += 2 * coeff * x[i - 1]
-        else:
-            out[i - 1] += coeff * x[j - 1]
-            out[j - 1] += coeff * x[i - 1]
-    return out
 
 
 def signature_quadratic(quadric: QuadraticForm) -> Signature:
@@ -388,8 +372,8 @@ def jacobian_minors(pair: FormPair, x: Sequence) -> list:
     The Jacobian has rank 2 exactly when some minor is nonzero (exact for
     integer x, and mod p after reducing the minors).
     """
-    gc = gradient_cubic(pair.cubic, x)
-    gq = gradient_quadratic(pair.quadric, x)
+    gc = gradient(pair.cubic, x)
+    gq = gradient(pair.quadric, x)
     n = pair.n
     return [gc[i] * gq[j] - gc[j] * gq[i] for i in range(n) for j in range(i + 1, n)]
 

@@ -54,7 +54,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .forms import (INT64_LIMIT, CubicForm, FormPair, QuadraticForm, block_pair, eval_cubic,
-                    eval_quadratic, gradient_cubic, gradient_quadratic, int64_bound, separable_blocks)
+                    eval_quadratic, gradient, int64_bound, separable_blocks)
 from . import weightfn
 from .util import CapExceededError, DEFAULT_CAP, check_cap, factorize, parallel_map
 
@@ -276,8 +276,8 @@ def lift(
             idx = np.flatnonzero((c % pj == 0) & (qq % pj == 0))
             coords, c, qq = [x[idx] for x in coords], c[idx], qq[idx]
         xs = coords if fits else [x.astype(object) for x in coords]
-        jac_c = gradient_cubic(jac_pair.cubic, xs)
-        jac_q = gradient_quadratic(jac_pair.quadric, xs)
+        jac_c = gradient(jac_pair.cubic, xs)
+        jac_q = gradient(jac_pair.quadric, xs)
         return per_chunk(coords, c, qq, _span(jac_c, jac_q, p, j, m, c.shape))
 
     return scan(pair, pj, chunk, cap, threads, modulus=p**k)
@@ -299,9 +299,11 @@ def crt_histograms(
     once per prime p dividing some modulus, at its top power p^K, K the
     largest e with p^e exactly dividing a modulus, and cost(p, K), the
     points it evaluates, is charged to cap for all primes up front.  Before
-    that, and before any modulus is factorized, the largest histogram,
-    max(moduli)^ndim cells, is charged to cap on its own, so a modulus too
-    large to hold is refused at once, however smooth it is.
+    that, and before any modulus is factorized, the histogram of the last
+    modulus, moduli[-1]^ndim cells, is charged to cap on its own, read
+    without iterating moduli.  The callers pass moduli in ascending order,
+    so that is the largest histogram, and a modulus too large to hold is
+    refused at once, however smooth it is and however many moduli precede it.
 
     Every lower H_{p^e} is the fold of H_{p^K}: f(y) mod p^e depends on y
     only mod p^e, and each y mod p^e has p^{(K-e)n} lifts mod p^K, so the
@@ -312,7 +314,7 @@ def crt_histograms(
     product np.tile(H_r, s) * np.tile(H_s, r) per axis; a prime power's table
     is yielded as built, read-only, since the lower powers fold from it.
     """
-    largest = max(moduli, default=1)
+    largest = moduli[-1] if moduli else 1
     check_cap(largest**ndim, cap, f"histogram mod {largest} of {largest}^{ndim} cells")
     factors = {q: factorize(q) for q in moduli}
     top: dict[int, int] = {}
@@ -517,7 +519,8 @@ def joint_histograms(
     (lift()).  The largest block comes first and the others are convolved
     into it (_convolve); a pair of one block has nothing to convolve.  cap
     is charged up front with the points of every block plus
-    _convolution_cost at every prime's top power.
+    _convolution_cost at every prime's top power; moduli ascend, as
+    crt_histograms reads the last as the largest.
     """
     blocks = sorted((block_pair(pair, axes) for axes in separable_blocks(pair)), key=lambda b: -b.n)
     sizes = [b.n for b in blocks]

@@ -41,8 +41,7 @@ from .forms import (
     QuadraticForm,
     eval_cubic,
     eval_quadratic,
-    gradient_cubic,
-    gradient_quadratic,
+    gradient,
     jacobian_minors,
 )
 from .gridsum import joint_histogram, joint_histograms, lift
@@ -297,8 +296,8 @@ def _hensel_lift(pair: FormPair, x: Sequence[int], p: int, kmax: int) -> tuple[i
         raise InvariantError(f"Hensel lift needs a Jacobian minor that is a unit mod {p}")
     (i, j), minor = unit
     inv = pow(minor, -1, p)
-    gc = gradient_cubic(pair.cubic, x)
-    gq = gradient_quadratic(pair.quadric, x)
+    gc = gradient(pair.cubic, x)
+    gq = gradient(pair.quadric, x)
     for k in range(1, kmax):
         pk = p**k
         fc = eval_cubic(pair.cubic, x)

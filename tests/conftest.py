@@ -1,6 +1,7 @@
 """Shared fixtures: small form pairs used across the suite, the strategy of
 separable pairs, the closed-form reference of the weight (nu and omega at
 one point, with libm's exp), the n(R) oracle, the bilinear-form oracle,
+the case-table oracles of the gradients and of M(x),
 the flat residue scan and the direct residue-scan oracles on it, the
 support boxes of weightfn.support_chunks by their own recursion, the
 trapezoid nodes and weights of the full-grid quadrature oracle, the
@@ -25,7 +26,7 @@ from circlelab import forms, weightfn
 from circlelab.archimedean import _SERIES_PHASE, _SERIES_SWITCH, sin_kernel_grid
 from circlelab.arcs import _delta_cutoff
 from circlelab.expsums import complete_sum, osc_integral, weyl_sum_direct
-from circlelab.forms import CubicForm, FormPair, QuadraticForm, bilinear_matrix, eval_cubic, eval_quadratic
+from circlelab.forms import CubicForm, FormPair, QuadraticForm, eval_cubic, eval_quadratic
 from circlelab.util import CapExceededError, chunk_ranges, fsum_complex, parallel_map
 from circlelab.weightfn import Weight, omega_grid, support_chunks
 
@@ -66,7 +67,7 @@ def full_scan_oracle(cubic, R):
     box = list(itertools.product(range(-(R - 1), R), repeat=cubic.n))
     count = 0
     for x in box:
-        m = bilinear_matrix(cubic, x)
+        m = bilinear_matrix_oracle(cubic, x)
         count += sum(1 for y in box if not any(sum(map(operator.mul, row, y)) for row in m))
     return count
 
@@ -264,6 +265,62 @@ def bilinear_forms(cubic, x, y):
         orderings = set(itertools.permutations(key))
         for i, j, k in orderings:
             out[i - 1] += 6 // len(orderings) * coeff * x[j - 1] * y[k - 1]
+    return out
+
+
+def _triple_multiplicity(i, j, k):
+    if i == j == k:
+        return 1
+    if i == j or j == k or i == k:
+        return 3
+    return 6
+
+
+def bilinear_matrix_oracle(cubic, x):
+    """M(x) with M[i][k] = 6 sum_j c_ijk x_j: each monomial puts 6 coeff over
+    its multiplicity at every permutation of its triple, added out of place
+    in stored monomial order."""
+    n = cubic.n
+    if len(x) != n:
+        raise ValueError(f"vector has length {len(x)}, expected {n}")
+    m = [[0] * n for _ in range(n)]
+    for (i, j, k), coeff in cubic.monomials.items():
+        six_c = 6 * coeff // _triple_multiplicity(i, j, k)
+        for (p, q, r) in set(itertools.permutations((i, j, k))):
+            m[p - 1][r - 1] = m[p - 1][r - 1] + six_c * x[q - 1]
+    return m
+
+
+def gradient_cubic_oracle(cubic, x):
+    """grad C(x) by a table of the four shapes of an ordered triple, added
+    in stored monomial order."""
+    out = [0] * cubic.n
+    for (i, j, k), coeff in cubic.monomials.items():
+        if i == j == k:
+            out[i - 1] += 3 * coeff * x[i - 1] * x[i - 1]
+        elif i == j:
+            out[i - 1] += 2 * coeff * x[i - 1] * x[k - 1]
+            out[k - 1] += coeff * x[i - 1] * x[i - 1]
+        elif j == k:
+            out[i - 1] += coeff * x[j - 1] * x[j - 1]
+            out[j - 1] += 2 * coeff * x[i - 1] * x[j - 1]
+        else:
+            out[i - 1] += coeff * x[j - 1] * x[k - 1]
+            out[j - 1] += coeff * x[i - 1] * x[k - 1]
+            out[k - 1] += coeff * x[i - 1] * x[j - 1]
+    return out
+
+
+def gradient_quadratic_oracle(quadric, x):
+    """grad Q(x) by a table of the two shapes of an ordered pair, added in
+    stored monomial order."""
+    out = [0] * quadric.n
+    for (i, j), coeff in quadric.monomials.items():
+        if i == j:
+            out[i - 1] += 2 * coeff * x[i - 1]
+        else:
+            out[i - 1] += coeff * x[j - 1]
+            out[j - 1] += coeff * x[i - 1]
     return out
 
 

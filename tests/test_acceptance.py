@@ -25,7 +25,7 @@ from circlelab.forms import (
     QuadraticForm,
     eval_cubic,
     eval_quadratic,
-    gradient_quadratic,
+    gradient,
 )
 from circlelab.localdens import (
     hensel_stable,
@@ -162,7 +162,7 @@ def test_criterion_4_euler_identities():
             x = [rng.randint(-50, 50) for _ in range(n)]
             b = bilinear_forms(pair.cubic, x, x)
             ok &= sum(v * w for v, w in zip(x, b)) == 6 * eval_cubic(pair.cubic, x)
-            g = gradient_quadratic(pair.quadric, x)
+            g = gradient(pair.quadric, x)
             ok &= sum(v * w for v, w in zip(x, g)) == 2 * eval_quadratic(pair.quadric, x)
     assert report(4, "Euler identities", ok)
 

@@ -839,6 +839,18 @@ def test_malformed_json_exit(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing_directory"])
+def test_out_path_that_cannot_be_written_exits_2(problem_file, tmp_path, capsys, where):
+    # the report is computed, then opening --out fails: one error line, as
+    # for any OSError, and nothing on stdout
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    assert run(["nr", "--problem", problem_file, "--R", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_flag_exit(problem_file):
     assert run(["info", "--problem", problem_file, "--nonsense"]) == 2
 

@@ -27,7 +27,7 @@ from circlelab.expsums import (
     weyl_sum_direct,
     weyl_sums,
 )
-from circlelab.forms import eval_cubic, eval_quadratic, gradient_cubic, gradient_quadratic, separable_blocks
+from circlelab.forms import eval_cubic, eval_quadratic, gradient, separable_blocks
 from circlelab.quadrature import MAX_LEVEL, MIN_LEVEL
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, nu_grid, omega_grid, support_chunks, weight_box
@@ -844,7 +844,7 @@ def test_slopes_majorize_the_phase_gradient_on_the_support(case, gamma3, gamma2,
     slopes = expsums._slopes(pair, w, gamma3, gamma2)
     u = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=pair.n, max_size=pair.n))
     x = [Fraction(c) + Fraction(w.xi) * Fraction(ui) for c, ui in zip(w.center, u)]
-    for i, (gc, gq) in enumerate(zip(gradient_cubic(pair.cubic, x), gradient_quadratic(pair.quadric, x))):
+    for i, (gc, gq) in enumerate(zip(gradient(pair.cubic, x), gradient(pair.quadric, x))):
         assert abs(Fraction(gamma3) * gc + Fraction(gamma2) * gq) <= Fraction(slopes[i]) * (1 + Fraction(1, 10**12))
 
 
@@ -856,7 +856,7 @@ def test_slopes_are_the_exact_majorant_rounded_up(case, gamma3, gamma2):
     pair, w = case
     m = [abs(Fraction(c)) + Fraction(w.xi) for c in w.center]
     _, cubic, quadric = expsums._majorants(pair, w)
-    bounds = zip(expsums._slopes(pair, w, gamma3, gamma2), gradient_cubic(cubic, m), gradient_quadratic(quadric, m))
+    bounds = zip(expsums._slopes(pair, w, gamma3, gamma2), gradient(cubic, m), gradient(quadric, m))
     for slope, gc, gq in bounds:
         exact = abs(Fraction(gamma3)) * gc + abs(Fraction(gamma2)) * gq
         assert Fraction(slope) >= exact

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import weightfn
@@ -18,8 +19,7 @@ from circlelab.forms import (
     block_pair,
     eval_cubic,
     eval_quadratic,
-    gradient_cubic,
-    gradient_quadratic,
+    gradient,
     h_parameter,
     hypothesis_report,
     int64_bound,
@@ -30,7 +30,13 @@ from circlelab.forms import (
 )
 from circlelab.gridsum import cubic_singular_points_mod_p
 
-from conftest import bilinear_forms, make_pair
+from conftest import (
+    bilinear_forms,
+    bilinear_matrix_oracle,
+    gradient_cubic_oracle,
+    gradient_quadratic_oracle,
+    make_pair,
+)
 
 
 def random_cubic(rng, n, terms=4, size=9):
@@ -90,9 +96,14 @@ def broadcast_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(broadcast_cases())
+# axes of shapes (3, 1) and (1, 4), on which adding into a gradient entry in
+# place fails: the first term has one axis's shape, the second the other's
+@example((CubicForm(2, {(1, 1, 2): 1, (1, 2, 2): -2}), QuadraticForm(2, {(1, 2): 3}), np.float64,
+          [[0.5, 1.5, -2.0], [1.0, -0.25, 2.5, 3.0]]))
 def test_evaluators_broadcast_exactly_like_scalar_evaluation(case):
     # one value list per axis, each along its own numpy axis: every grid
-    # point carries the bits of the scalar evaluation at that point
+    # point of every entry of C, Q, their gradients and M(x) carries the
+    # bits of the scalar evaluation at that point
     cubic, quadric, dtype, values = case
     n = cubic.n
     axes = [
@@ -100,14 +111,24 @@ def test_evaluators_broadcast_exactly_like_scalar_evaluation(case):
         for i, v in enumerate(values)
     ]
     shape = tuple(len(v) for v in values)
-    for evaluate, form in ((eval_cubic, cubic), (eval_quadratic, quadric)):
-        grid = evaluate(form, axes)
-        if form.monomials:
-            assert grid.dtype == dtype
-        grid = np.broadcast_to(grid, shape)
+    evaluators = (
+        lambda x: [eval_cubic(cubic, x)],
+        lambda x: [eval_quadratic(quadric, x)],
+        lambda x: gradient(cubic, x),
+        lambda x: gradient(quadric, x),
+        lambda x: sum(bilinear_matrix(cubic, x), []),
+    )
+    for evaluate in evaluators:
+        entries = evaluate(axes)
+        for entry in entries:
+            # an entry that no monomial reaches stays the number 0
+            assert entry.dtype == dtype if isinstance(entry, np.ndarray) else entry == 0
+        grids = [np.broadcast_to(entry, shape) for entry in entries]
         for idx in itertools.product(*map(range, shape)):
             point = [v[k] for v, k in zip(values, idx)]
-            assert grid[idx] == evaluate(form, point), (idx, point)
+            assert [grid[idx] for grid in grids] == evaluate(point), (idx, point)
+    for evaluate, form in ((eval_cubic, cubic), (eval_quadratic, quadric)):
+        assert isinstance(evaluate(form, axes), np.ndarray) == bool(form.monomials)
 
 
 def test_int64_bound():
@@ -267,7 +288,7 @@ def test_quadratic_euler_identity():
     for _ in range(200):
         quad = random_quadric(rng, 3)
         x = [rng.randint(-9, 9) for _ in range(3)]
-        grad = gradient_quadratic(quad, x)
+        grad = gradient(quad, x)
         assert sum(v * g for v, g in zip(x, grad)) == 2 * eval_quadratic(quad, x)
 
 
@@ -275,10 +296,10 @@ def test_quadratic_euler_identity():
 
 def test_gradient_examples():
     quad = QuadraticForm(2, {(1, 1): 1, (2, 2): -1})
-    assert gradient_quadratic(quad, [3, 5]) == [6, -10]
+    assert gradient(quad, [3, 5]) == [6, -10]
     cube = CubicForm(3, {(1, 1, 1): 1})
-    assert gradient_cubic(cube, [2, 0, 0]) == [12, 0, 0]
-    assert gradient_quadratic(quad, [0, 0]) == [0, 0]
+    assert gradient(cube, [2, 0, 0]) == [12, 0, 0]
+    assert gradient(quad, [0, 0]) == [0, 0]
 
 
 def test_gradient_vs_bilinear():
@@ -288,8 +309,57 @@ def test_gradient_vs_bilinear():
         cube = random_cubic(rng, 3)
         x = [rng.randint(-6, 6) for _ in range(3)]
         bxx = bilinear_forms(cube, x, x)
-        grad = gradient_cubic(cube, x)
+        grad = gradient(cube, x)
         assert bxx == [2 * g for g in grad]
+
+
+@st.composite
+def derivative_cases(draw):
+    """A cubic and a quadric in n <= 5 variables (possibly without monomials)
+    and a point of one kind: Python ints, floats or Fractions, or int64,
+    float64 or object (Python int) arrays of one shape."""
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(-9, 9).filter(bool)
+
+    def monomials(degree):
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), degree))
+        return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6))
+
+    cubic, quadric = CubicForm(n, monomials(3)), QuadraticForm(n, monomials(2))
+    kind = draw(st.sampled_from([int, float, Fraction, np.int64, np.float64, object]))
+    elements = {
+        int: st.integers(-(2**70), 2**70),
+        float: st.floats(-1e6, 1e6),
+        Fraction: st.fractions(-10, 10, max_denominator=60),
+        np.int64: st.integers(-50, 50),
+        np.float64: st.floats(-1e6, 1e6),
+        object: st.integers(-(2**70), 2**70),
+    }[kind]
+    if kind in (int, float, Fraction):
+        return cubic, quadric, draw(st.lists(elements, min_size=n, max_size=n))
+    size = draw(st.integers(1, 4))
+    return cubic, quadric, [np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=kind)
+                            for _ in range(n)]
+
+
+def _bits(v):
+    """v's type and exact value: a float's hex digits; an array's dtype,
+    shape and bytes, or its entries for an object array."""
+    if isinstance(v, np.ndarray):
+        return v.dtype, v.shape, v.tolist() if v.dtype == object else v.tobytes()
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivative_cases())
+def test_derivatives_match_the_case_table_oracles_bit_for_bit(case):
+    # the monomial rule adds the oracles' terms, each formed in their order,
+    # into each entry in stored monomial order: every entry keeps its bits
+    cubic, quadric, x = case
+    for got, want in ((gradient(cubic, x), gradient_cubic_oracle(cubic, x)),
+                      (gradient(quadric, x), gradient_quadratic_oracle(quadric, x)),
+                      (sum(bilinear_matrix(cubic, x), []), sum(bilinear_matrix_oracle(cubic, x), []))):
+        assert list(map(_bits, got)) == list(map(_bits, want))
 
 
 def test_gram_matrix_identity():
@@ -509,7 +579,7 @@ def singular_points_oracle(cubic, primes):
         findings[p] = next(
             (x for x in itertools.product(range(p), repeat=cubic.n)
              if any(x) and eval_cubic(cubic, x) % p == 0
-             and all(g % p == 0 for g in gradient_cubic(cubic, x))),
+             and all(g % p == 0 for g in gradient(cubic, x))),
             None,
         )
     return findings
@@ -518,7 +588,7 @@ def singular_points_oracle(cubic, primes):
 def scan_primes_oracle(cubic):
     """2, 3 and 5, without 3 when grad C vanishes at every point mod 3."""
     grad_zero_mod_3 = all(g % 3 == 0 for x in itertools.product(range(3), repeat=cubic.n)
-                          for g in gradient_cubic(cubic, x))
+                          for g in gradient(cubic, x))
     return (2, 5) if grad_zero_mod_3 else (2, 3, 5)
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from circlelab.localdens import (
     q_factorization,
     singular_series_truncated,
 )
-from circlelab.util import CapExceededError, InvariantError, factorize, is_prime
+from circlelab.util import DEFAULT_CAP, CapExceededError, InvariantError, factorize, is_prime
 
 from conftest import flat_scan, make_pair, scan_joint_histogram, scan_phase_histogram, separable_pairs
 
@@ -738,6 +739,33 @@ def test_crt_histograms_yield_a_prime_power_as_built():
     assert hists[8] is built[0]
     assert not hists[8].flags.writeable and not hists[4].flags.writeable
     assert [h.tolist() for h in hists.values()] == [[1] * 8, [1] * 4, [1] * 24, [1]]
+
+
+class _LastOnly(Sequence):
+    """Moduli 1..last whose iteration fails: only len and indexing work."""
+
+    def __init__(self, last):
+        self.last = last
+
+    def __len__(self):
+        return self.last
+
+    def __getitem__(self, i):
+        if not -self.last <= i < self.last:
+            raise IndexError(i)
+        return i % self.last + 1
+
+    def __iter__(self):
+        raise AssertionError("the moduli were iterated")
+
+
+def test_histogram_cap_reads_the_last_modulus_without_iterating():
+    # the largest histogram of ascending moduli is refused before any pass
+    # over them, however many there are
+    pair = make_pair(1, {(1, 1, 1): 1}, {(1, 1): 1})
+    with pytest.raises(CapExceededError) as err:
+        next(joint_histograms(pair, _LastOnly(10**12)))
+    assert str(err.value) == f"histogram mod {10**12} of {10**12}^2 cells: {10**24} elements exceeds cap {DEFAULT_CAP}"
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import expsums, forms, weightfn, weyldiag
-from circlelab.forms import CubicForm, bilinear_matrix, gradient_cubic
+from circlelab.forms import CubicForm, bilinear_matrix, gradient
 from circlelab.util import CapExceededError
 from circlelab.weightfn import Weight, weight_box
 from circlelab.weyldiag import (
@@ -169,8 +169,8 @@ def test_bilinear_matrix_consistency():
         # central difference of the gradient is exact for a cubic
         for k in range(3):
             step = [int(i == k) for i in range(3)]
-            up = gradient_cubic(cubic, [a + b for a, b in zip(x, step)])
-            down = gradient_cubic(cubic, [a - b for a, b in zip(x, step)])
+            up = gradient(cubic, [a + b for a, b in zip(x, step)])
+            down = gradient(cubic, [a - b for a, b in zip(x, step)])
             assert [2 * m[i][k] for i in range(3)] == [u - d for u, d in zip(up, down)]
 
 

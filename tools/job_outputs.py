@@ -7,9 +7,11 @@ TREE is the root of a circlelab checkout; the package is imported from
 TREE/src and nowhere else.  The jobs and probes of the three workloads come
 from this checkout's benchmark/workloads.py, and each runs through the
 benchmark's own in-process call (run._invoke); both are only imported.
-Seeds 0 and 1, sessions 0, 1 and 2, each job at --threads 1 and 2: 816
-runs.  Each session writes its problem files into a temporary directory,
-whose path reads <workdir> in every recorded argv and output.
+Each session also runs info on each of its problem files, a command that no
+job runs.  Seeds 0 and 1, sessions 0, 1 and 2, each job and info run at
+--threads 1 and 2: 816 job runs and 228 info runs.  Each session writes its
+problem files into a temporary directory, whose path reads <workdir> in
+every recorded argv and output.
 
 After writing the file it prints every run that crashed (code null) and
 every run whose code, stdout or stderr at --threads 1 differs from those
@@ -59,20 +61,24 @@ def _import_cli(tree: str):
 
 
 def job_outputs(cli, run, workloads) -> dict[str, dict]:
-    """The record of every run, keyed workload:seed:session:threads:job; a
+    """The record of every run, keyed workload:seed:session:threads:job, the
+    job an id of the workload's or info-NAME for info on problem NAME; a
     crash reads code None, with its traceback as stderr."""
     records = {}
     for workload in workloads.BUILDERS:
         for seed in SEEDS:
             for session in SESSIONS:
                 with tempfile.TemporaryDirectory() as workdir:
-                    jobs, probes, _ = workloads.generate(workload, seed, workdir, session)
+                    jobs, probes, problems = workloads.generate(workload, seed, workdir, session)
+                    runs = [(job.id, job.argv) for job in jobs + probes]
+                    runs += [(f"info-{name}", ["info", "--problem", os.path.join(workdir, f"{name}.json"),
+                                                "--threads", "1"]) for name in problems]
                     for threads in THREADS:
-                        for job in jobs + probes:
-                            argv = list(job.argv)
+                        for job_id, job_argv in runs:
+                            argv = list(job_argv)
                             argv[argv.index("--threads") + 1] = str(threads)
                             code, out, err = run._invoke(cli, argv)
-                            records[f"{workload}:{seed}:{session}:{threads}:{job.id}"] = {
+                            records[f"{workload}:{seed}:{session}:{threads}:{job_id}"] = {
                                 "argv": [a.replace(workdir, "<workdir>") for a in argv],
                                 "code": code,
                                 "stdout": out.replace(workdir, "<workdir>"),
